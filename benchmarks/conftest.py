@@ -14,9 +14,11 @@ benchmark code itself), or ``REPRO_BENCH_SCALE=full`` for the standard size.
 
 Artifacts
 ---------
-Every benchmark renders the table or figure it reproduces into
-``benchmarks/results/`` so the numbers can be compared with the paper after
-a run (this populates EXPERIMENTS.md).
+Every benchmark renders the table or figure it reproduces and echoes it, so
+the numbers can be compared with the paper after a run.  The tracked copies
+under ``benchmarks/results/`` are rewritten only when pytest is given
+``--update-results``: timings differ on every run, and a plain test run must
+leave the working tree clean.
 """
 
 from __future__ import annotations
@@ -70,15 +72,26 @@ def measured_runtimes() -> dict[tuple[int, int], float]:
     return MEASURED_RUNTIMES
 
 
-@pytest.fixture(scope="session")
-def record_artifact():
-    """Write a rendered table/figure to ``benchmarks/results/`` and echo it."""
+def pytest_addoption(parser: pytest.Parser) -> None:
+    parser.addoption(
+        "--update-results",
+        action="store_true",
+        default=False,
+        help="rewrite the tracked tables and figures under benchmarks/results/",
+    )
 
-    def _record(name: str, text: str) -> pathlib.Path:
-        RESULTS_DIRECTORY.mkdir(parents=True, exist_ok=True)
-        path = RESULTS_DIRECTORY / f"{name}.txt"
-        path.write_text(text + "\n")
-        print(f"\n{text}\n[artifact written to {path}]")
-        return path
+
+@pytest.fixture(scope="session")
+def record_artifact(request: pytest.FixtureRequest):
+    """Echo a rendered table/figure; with ``--update-results`` also save it."""
+    update = request.config.getoption("--update-results")
+
+    def _record(name: str, text: str) -> None:
+        print(f"\n{text}")
+        if update:
+            RESULTS_DIRECTORY.mkdir(parents=True, exist_ok=True)
+            path = RESULTS_DIRECTORY / f"{name}.txt"
+            path.write_text(text + "\n")
+            print(f"[artifact written to {path}]")
 
     return _record

@@ -33,6 +33,8 @@ __all__ = [
     "deep_copy_document",
     "encode_document",
     "decode_document",
+    "encode_batch",
+    "decode_batch",
 ]
 
 #: Maximum size of a single document, in bytes (16 MB, as in the paper).
@@ -168,66 +170,64 @@ def deep_copy_document(document: Any) -> Any:
 
 
 # --------------------------------------------------------------------------
-# Wire serialization.
-#
-# The sharding layer serializes documents whenever they cross the simulated
-# network boundary between a shard and the query router.  JSON with a small
-# extended-type envelope plays the role of the BSON wire format.
+# Wire serialization: JSON with a small extended-type envelope plays the role
+# of BSON wherever documents cross a node boundary (shard network, wire
+# frames, WAL records, snapshots).  Each direction is one pass driven from C.
 # --------------------------------------------------------------------------
 
 _TYPE_KEY = "$__type"
 
 
-def _encode_value(value: Any) -> Any:
+def _encode_extended(value: Any) -> Any:
+    """``default`` hook: called only for values the C encoder cannot walk itself."""
     if isinstance(value, ObjectId):
         return {_TYPE_KEY: "oid", "v": str(value)}
-    if isinstance(value, _dt.datetime):
+    if isinstance(value, _dt.datetime):  # before date: datetime subclasses it
         return {_TYPE_KEY: "datetime", "v": value.isoformat()}
     if isinstance(value, _dt.date):
         return {_TYPE_KEY: "date", "v": value.isoformat()}
     if isinstance(value, bytes):
         return {_TYPE_KEY: "bytes", "v": value.hex()}
     if isinstance(value, Mapping):
-        return {key: _encode_value(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode_value(item) for item in value]
-    return value
+        return dict(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        type_tag = value.get(_TYPE_KEY)
-        if type_tag == "oid":
-            return ObjectId(value["v"])
-        if type_tag == "datetime":
-            return _dt.datetime.fromisoformat(value["v"])
-        if type_tag == "date":
-            return _dt.date.fromisoformat(value["v"])
-        if type_tag == "bytes":
-            return bytes.fromhex(value["v"])
-        return {key: _decode_value(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_decode_value(item) for item in value]
-    return value
+def _decode_extended(obj: dict[str, Any]) -> Any:
+    """``object_hook``: runs once per JSON object, children already decoded."""
+    type_tag = obj.get(_TYPE_KEY)
+    if type_tag is None:
+        return obj
+    if type_tag == "oid":
+        return ObjectId(obj["v"])
+    if type_tag == "datetime":
+        return _dt.datetime.fromisoformat(obj["v"])
+    if type_tag == "date":
+        return _dt.date.fromisoformat(obj["v"])
+    if type_tag == "bytes":
+        return bytes.fromhex(obj["v"])
+    return obj
+
+
+_encode = json.JSONEncoder(separators=(",", ":"), default=_encode_extended).encode
+_decode = json.JSONDecoder(object_hook=_decode_extended).decode
 
 
 def encode_document(document: Mapping[str, Any]) -> bytes:
     """Serialize *document* to the simulated wire format."""
-    return json.dumps(_encode_value(document), separators=(",", ":")).encode("utf-8")
+    return _encode(document).encode("utf-8")
 
 
 def decode_document(payload: bytes) -> dict[str, Any]:
     """Deserialize a document previously produced by :func:`encode_document`."""
-    return _decode_value(json.loads(payload.decode("utf-8")))
+    return _decode(payload.decode("utf-8"))
 
 
 def encode_batch(documents: Iterable[Mapping[str, Any]]) -> bytes:
     """Serialize a batch of documents for a single simulated network message."""
-    return json.dumps(
-        [_encode_value(doc) for doc in documents], separators=(",", ":")
-    ).encode("utf-8")
+    return _encode(list(documents)).encode("utf-8")
 
 
 def decode_batch(payload: bytes) -> list[dict[str, Any]]:
     """Deserialize a batch previously produced by :func:`encode_batch`."""
-    return [_decode_value(doc) for doc in json.loads(payload.decode("utf-8"))]
+    return _decode(payload.decode("utf-8"))

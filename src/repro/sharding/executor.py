@@ -348,7 +348,7 @@ def _run_remote(shard_id: str, operation: RemoteOperation) -> tuple[Any, float]:
         result = collection.aggregate(list(operation.payload[0]))
     else:  # pragma: no cover - guarded by the router
         raise ValueError(f"unsupported remote operation {operation.kind!r}")
-    return result, time.perf_counter() - started
+    return result, time.thread_time() - started
 
 
 class ScatterRunner:
@@ -358,7 +358,8 @@ class ScatterRunner:
     threads; ``mode="serial"`` runs branches inline in target order (the
     pre-concurrency behavior, kept as the measurable baseline);
     ``mode="process"`` additionally executes eligible read operations in a
-    forked process pool (see the module docstring).
+    forked process pool (see the module docstring).  In every mode a
+    one-branch scatter with no deadline runs on the caller's thread.
     """
 
     def __init__(
@@ -412,18 +413,22 @@ class ScatterRunner:
         branch_runs: Sequence[tuple[str, Callable[[_Branch], Any]]],
         policy: ScatterPolicy,
     ) -> ScatterPending:
-        """Dispatch one branch per target; returns immediately (thread mode).
+        """Dispatch one branch per target; a fan-out returns immediately.
 
         In serial mode the branches execute inline, in target order, before
         this method returns — streaming consumers then simply drain already
-        filled queues, and the deadline is checked between branches.
+        filled queues, and the deadline is checked between branches.  A
+        single branch with no deadline takes the same inline path in every
+        mode: there is nothing to overlap it with and no laggard the gather
+        could abandon, so handing it to a pool thread only adds a queue put,
+        a worker wake-up and an ``Event.wait`` to each targeted operation.
         """
         if self._closed:
             raise RuntimeError("ScatterRunner is closed")
         cancelled = threading.Event()
         branches = [_Branch(shard_id, run, cancelled) for shard_id, run in branch_runs]
         pending = ScatterPending(purpose, branches, policy)
-        if self.mode == "serial":
+        if self.mode == "serial" or (len(branches) == 1 and policy.deadline_seconds is None):
             for branch in branches:
                 branch.submitted_at = time.perf_counter()
                 remaining = policy.remaining(pending.started)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -48,6 +49,10 @@ __all__ = [
     "NetworkChannel",
     "SimulatedNetwork",
 ]
+
+
+#: Messages the shared network keeps for inspection; statistics stay exact.
+MESSAGE_LOG_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -197,13 +202,15 @@ class SimulatedNetwork(_Endpoint):
 
     Thread-safe: direct sends and channel absorption are serialized by an
     internal lock, so concurrent scatter branches (and client threads) can
-    never corrupt the statistics or the message log.
+    never corrupt the statistics or the message log.  The log is a bounded
+    window of recent messages — a long-running cluster must not grow with
+    every message it ever sent — while :attr:`stats` counts all of them.
     """
 
     def __init__(self, model: NetworkModel | None = None) -> None:
         self.model = model or NetworkModel()
         self.stats = NetworkStats()
-        self._log: list[NetworkMessage] = []
+        self._log: deque[NetworkMessage] = deque(maxlen=MESSAGE_LOG_CAPACITY)
         self._lock = threading.Lock()
 
     def _record(self, message: NetworkMessage, seconds: float) -> None:
@@ -227,7 +234,7 @@ class SimulatedNetwork(_Endpoint):
 
     @property
     def log(self) -> list[NetworkMessage]:
-        """The full message log (copy)."""
+        """The most recent :data:`MESSAGE_LOG_CAPACITY` messages, oldest first (copy)."""
         with self._lock:
             return list(self._log)
 

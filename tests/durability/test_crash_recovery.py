@@ -223,6 +223,69 @@ class TestShardedClusterRecovery:
         with pytest.raises(ShardingError):
             ShardedCluster(2, data_dir=data_dir)
 
+    #: ``cluster_metadata.json`` of a hashed-key collection holding
+    #: :meth:`_hashed_documents`, as written by the commit before the
+    #: single-pass codec, and where that commit placed each ``_id``.
+    GOLDEN_METADATA = (
+        b'{"shards":["shard1","shard2","shard3"],'
+        b'"databases":{"db":{"primary":"shard1","partitioned":true}},'
+        b'"collections":{"db.t":{"ns":"db.t","key":{"fields":["k"],"hashed":true},'
+        b'"chunk_size_bytes":67108864,"shard_ids":["shard1","shard2","shard3"],"chunks":['
+        b'{"min":{"$minKey":1},"max":3074457345618258602,"shard":"shard1","count":2,'
+        b'"size":74,"jumbo":false,"samples":[1514186692415443667,465497631725480761]},'
+        b'{"min":3074457345618258602,"max":6148914691236517204,"shard":"shard2","count":1,'
+        b'"size":37,"jumbo":false,"samples":[5693347397401503933]},'
+        b'{"min":6148914691236517204,"max":9223372036854775806,"shard":"shard3","count":3,'
+        b'"size":129,"jumbo":false,"samples":[8779506521465039330,6425909857045784868,'
+        b'7524547013035871137]},'
+        b'{"min":9223372036854775806,"max":12297829382473034408,"shard":"shard1","count":1,'
+        b'"size":46,"jumbo":false,"samples":[9332392111358234308]},'
+        b'{"min":12297829382473034408,"max":15372286728091293010,"shard":"shard2","count":3,'
+        b'"size":120,"jumbo":false,"samples":[14524191183824104763,12311330045268819954,'
+        b'15049985934649196602]},'
+        b'{"min":15372286728091293010,"max":{"$maxKey":1},"shard":"shard3","count":2,'
+        b'"size":92,"jumbo":false,"samples":[16062996825802820519,17221646359431366498]}]}}}'
+    )
+    GOLDEN_PLACEMENT = {"shard1": [0, 4, 11], "shard2": [2, 6, 7, 10], "shard3": [1, 3, 5, 8, 9]}
+
+    @staticmethod
+    def _hashed_documents():
+        # List- and document-valued shard keys hash their *encoded bytes*.
+        return [
+            {"_id": i, "k": [i, "x"]} if i % 2 else {"_id": i, "k": {"a": i}} for i in range(12)
+        ]
+
+    @staticmethod
+    def _placement(cluster):
+        return {
+            shard.shard_id: sorted(doc["_id"] for doc in shard.collection("db", "t").find({}))
+            for shard in cluster.shards
+        }
+
+    def test_hashed_metadata_is_written_as_the_previous_commit_wrote_it(self, tmp_path):
+        from repro.sharding.cluster import ShardedCluster
+
+        cluster = ShardedCluster(3, data_dir=tmp_path)
+        cluster.shard_collection("db", "t", {"k": "hashed"})
+        cluster["db"].t.insert_many(self._hashed_documents())
+        assert self._placement(cluster) == self.GOLDEN_PLACEMENT
+        cluster.close()
+        assert (tmp_path / "cluster_metadata.json").read_bytes() == self.GOLDEN_METADATA
+
+    def test_hashed_metadata_from_the_previous_commit_routes_identically(self, tmp_path):
+        from repro.sharding.cluster import ShardedCluster
+
+        (tmp_path / "cluster_metadata.json").write_bytes(self.GOLDEN_METADATA)
+        cluster = ShardedCluster(3, data_dir=tmp_path)
+        try:
+            assert cluster.config_server.is_sharded("db", "t")
+            cluster["db"].t.insert_many(self._hashed_documents())
+            assert self._placement(cluster) == self.GOLDEN_PLACEMENT
+            for document in self._hashed_documents():
+                assert cluster["db"].t.find({"k": document["k"]}).to_list() == [document]
+        finally:
+            cluster.close()
+
 
 class TestByteLevelDamage:
     def test_torn_wal_tail_is_truncated_and_prefix_survives(self, tmp_path):

@@ -18,6 +18,7 @@ from repro.sharding import (
     shards_for_ram,
     working_set_size,
 )
+from repro.sharding.network import MESSAGE_LOG_CAPACITY
 
 GB = 1024 ** 3
 TB = 1024 ** 4
@@ -60,15 +61,46 @@ class TestNetworkModel:
     def test_reset_clears_log_and_stats(self):
         network = SimulatedNetwork()
         network.send("a", "b", "x", 10)
+        channel = network.channel()
+        channel.send("b", "a", "y", 10)
+        network.absorb(channel)
+        assert len(network.log) == 2
         network.reset()
         assert network.stats.messages == 0
         assert network.log == []
+        network.send("a", "b", "z", 1)  # the cleared log keeps recording
+        assert [message.purpose for message in network.log] == ["z"]
 
     def test_log_preserves_order(self):
+        """Direct sends and absorbed channels land in call order, oldest first."""
         network = SimulatedNetwork()
         network.send("a", "b", "first", 1)
-        network.send("b", "a", "second", 1)
-        assert [message.purpose for message in network.log] == ["first", "second"]
+        channel = network.channel()
+        channel.send("b", "a", "second", 1)
+        channel.send("b", "a", "third", 1)
+        network.absorb(channel)
+        network.send("a", "b", "fourth", 1)
+        assert [message.purpose for message in network.log] == [
+            "first", "second", "third", "fourth",
+        ]
+
+    def test_log_is_a_bounded_window_and_stats_stay_exact(self):
+        """The log keeps the newest messages; the counters count every one."""
+        network = SimulatedNetwork()
+        total = 10 * MESSAGE_LOG_CAPACITY
+        for number in range(0, total, 2):
+            network.send("a", "b", "direct", number)
+            channel = network.channel()
+            channel.send("b", "a", "absorbed", number + 1)
+            network.absorb(channel)
+        log = network.log
+        assert len(log) == MESSAGE_LOG_CAPACITY
+        assert [message.payload_bytes for message in log] == list(
+            range(total - MESSAGE_LOG_CAPACITY, total)
+        )
+        assert network.stats.messages == total
+        assert network.stats.bytes_transferred == total * (total - 1) // 2
+        assert network.stats.by_purpose == {"direct": total // 2, "absorbed": total // 2}
 
 
 class TestShardCountFormulas:

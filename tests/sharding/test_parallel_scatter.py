@@ -22,6 +22,7 @@ from repro.sharding import (
     ShardTimeoutError,
 )
 from repro.sharding.executor import ScatterRunner, StreamGather
+from repro.sharding.network import MESSAGE_LOG_CAPACITY
 
 DOCS = [
     {"order_id": i, "amount": float(i % 97), "store": i % 4, "tag": f"t{i % 7}"}
@@ -143,6 +144,95 @@ def slow_down_shard(cluster, shard_id: str, seconds: float) -> None:
     shard.run = slow_run
 
 
+def owning_shard(cluster, order_id: int) -> str:
+    """The shard that stores ``order_id`` (its hashed chunk's owner)."""
+    return next(
+        shard.shard_id
+        for shard in cluster.shards
+        if shard.collection("shop", "orders").count_documents({"order_id": order_id})
+    )
+
+
+def record_shard_threads(cluster) -> set[int]:
+    """Collect the ident of every thread that runs a shard storage operation."""
+    seen: set[int] = set()
+    for shard in cluster.shards:
+
+        def recording_run(operation, *args, _original=shard.run, **kwargs):
+            seen.add(threading.get_ident())
+            return _original(operation, *args, **kwargs)
+
+        shard.run = recording_run
+    return seen
+
+
+class TestCallerRunsSingleShardScatter:
+    """One branch and no deadline: nothing to overlap, nothing to abandon."""
+
+    def test_single_shard_operations_run_on_the_calling_thread(self):
+        cluster = ShardedCluster(shard_count=3, executor_mode="thread")
+        try:
+            seen = record_shard_threads(cluster)
+            pool = cluster.router._runner._threads
+            db = cluster.get_database("shop")
+
+            # An unsharded collection lives on the primary shard only.
+            plain = db["plain"]
+            plain.insert_many([dict(doc) for doc in DOCS[:40]])
+            assert len(plain.find({"store": 1}, sort=[("order_id", 1)]).to_list()) == 10
+            assert plain.aggregate(PIPELINE)
+            assert plain.update_many({"store": 2}, {"$set": {"flag": 1}}).modified_count == 10
+            assert plain.delete_many({"store": 3}).deleted_count == 10
+            assert plain.count_documents({}) == 30
+            assert seen == {threading.get_ident()}
+            assert pool == []
+
+            # Sharding the collection is itself a fan-out (index DDL everywhere).
+            cluster.shard_collection("shop", "orders", {"order_id": "hashed"})
+            assert len(pool) == 3
+            seen.clear()
+            orders = db["orders"]
+            for doc in DOCS[:30]:
+                orders.insert_one(dict(doc))
+            assert [d["order_id"] for d in orders.find({"order_id": 7}).to_list()] == [7]
+            assert orders.count_documents({"order_id": 8}) == 1
+            assert orders.update_many({"order_id": 9}, {"$set": {"x": 1}}).modified_count == 1
+            assert orders.update_one({"order_id": 10}, {"$set": {"x": 1}}).modified_count == 1
+            assert orders.delete_many({"order_id": 11}).deleted_count == 1
+            assert seen == {threading.get_ident()}
+
+            # A broadcast still goes to the pool (a quick worker may take
+            # more than one branch), never to the caller.
+            seen.clear()
+            assert orders.count_documents({"store": 1}) == 8
+            assert seen and seen <= {thread.ident for thread in pool}
+            assert cluster.router.metrics.targeted_operations >= 40
+        finally:
+            cluster.close()
+
+    def test_targeted_find_reports_no_queue_wait(self, parallel_cluster):
+        orders = parallel_cluster.get_database("shop")["orders"]
+        waits = []
+        for order_id in range(5):
+            explain = orders.explain({"order_id": order_id}, verbosity="executionStats")
+            (timing,) = explain["executionStats"]["shards"].values()
+            assert timing["executeSeconds"] > 0
+            waits.append(timing["queueSeconds"])
+        # No hand-off: the branch starts within microseconds of its launch.
+        assert min(waits) < 5e-6
+
+    def test_process_mode_single_target_still_reads_the_forked_snapshot(self):
+        cluster = build_cluster("process")
+        try:
+            seen = record_shard_threads(cluster)
+            orders = cluster.get_database("shop")["orders"]
+            assert [d["order_id"] for d in orders.find({"order_id": 41}).to_list()] == [41]
+            if cluster.router._runner._process_pool is not None:  # hosts with fork
+                assert seen == set()  # executed in a forked worker, not in-process
+        finally:
+            cluster.close()
+
+
 class TestDeadlines:
     def test_raise_policy_names_the_laggard(self):
         cluster = build_cluster(
@@ -201,6 +291,45 @@ class TestDeadlines:
             orders = cluster.get_database("shop")["orders"]
             with pytest.raises(ShardTimeoutError):
                 orders.find({}, sort=[("order_id", 1)]).to_list()
+        finally:
+            cluster.close()
+
+    def test_single_target_raise_policy(self):
+        """A deadline sends even a one-shard operation through the pool."""
+        cluster = build_cluster(
+            "thread", scatter_policy=ScatterPolicy(deadline_seconds=0.15)
+        )
+        try:
+            owner = owning_shard(cluster, 41)
+            slow_down_shard(cluster, owner, 1.0)
+            orders = cluster.get_database("shop")["orders"]
+            started = time.perf_counter()
+            with pytest.raises(ShardTimeoutError) as excinfo:
+                orders.count_documents({"order_id": 41})
+            assert time.perf_counter() - started < 0.9  # abandoned, not waited out
+            assert excinfo.value.shard_ids == [owner]
+            assert excinfo.value.completed == []
+            with pytest.raises(ShardTimeoutError):
+                orders.find({"order_id": 41}).to_list()
+        finally:
+            cluster.close()
+
+    def test_single_target_partial_policy(self):
+        cluster = build_cluster(
+            "thread",
+            scatter_policy=ScatterPolicy(deadline_seconds=0.15, on_timeout="partial"),
+        )
+        try:
+            owner = owning_shard(cluster, 41)
+            slow_down_shard(cluster, owner, 1.0)
+            orders = cluster.get_database("shop")["orders"]
+            assert orders.count_documents({"order_id": 41}) == 0
+            assert orders.find({"order_id": 41}).to_list() == []
+            metrics = cluster.router.metrics
+            assert metrics.shards_timed_out == 2
+            assert metrics.partial_operations == 2
+            assert metrics.targeted_operations == 2
+            assert cluster.router.last_scatter_report["timedOutShards"] == [owner]
         finally:
             cluster.close()
 
@@ -356,7 +485,9 @@ class TestConcurrencyStress:
             assert got_net.messages == want_net.messages
             assert got_net.bytes_transferred == want_net.bytes_transferred
             assert got_net.by_purpose == want_net.by_purpose
-            assert len(threaded.network.log) == len(serial.network.log)
+            # The log is a bounded window; the counters above are the totals.
+            assert len(threaded.network.log) == min(got_net.messages, MESSAGE_LOG_CAPACITY)
+            assert len(serial.network.log) == min(want_net.messages, MESSAGE_LOG_CAPACITY)
 
             # Per-shard operation counts are deterministic too.
             for shard_id in ("shard1", "shard2", "shard3"):
@@ -385,6 +516,22 @@ class TestProcessMode:
             assert orders.count_documents({"store": 8}) == 1
             orders.delete_many({"store": 8})
             assert orders.count_documents({"store": 8}) == 0
+        finally:
+            cluster.close()
+
+    def test_execute_seconds_is_one_clock(self):
+        """Forked workers report CPU seconds, bounded by the call's wall time."""
+        cluster = build_cluster("process")
+        try:
+            orders = cluster.get_database("shop")["orders"]
+            started = time.perf_counter()
+            orders.find({"store": 1}).to_list()
+            wall = time.perf_counter() - started
+            report = cluster.router.last_scatter_report
+            assert set(report["shards"]) == {"shard1", "shard2", "shard3"}
+            for timing in report["shards"].values():
+                assert 0 <= timing["executeSeconds"] <= wall
+            assert 0 <= cluster.router.metrics.shard_seconds_total <= 3 * wall
         finally:
             cluster.close()
 
