@@ -25,7 +25,7 @@ from repro.tpcds import QUERY_IDS
 
 #: Best-of-N runs per measurement, mirroring the paper's protocol of running
 #: each query five times warm and keeping the best result.
-REPETITIONS = 2
+REPETITIONS = 5
 
 EXPERIMENT_NUMBERS = (1, 2, 3, 4, 5, 6)
 

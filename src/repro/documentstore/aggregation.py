@@ -41,9 +41,10 @@ cluster, on each shard followed by a merge stage on the router (see
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator
 
 from .bson import deep_copy_document
 from .errors import InvalidPipelineError, OperationFailure

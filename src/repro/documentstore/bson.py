@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-from collections.abc import Mapping  # fast isinstance on the copy/validate hot path
-from typing import Any, Iterable
+from collections.abc import Iterable, Mapping  # fast isinstance on the copy/validate hot path
+from typing import Any
 
 from .errors import DocumentTooLargeError, InvalidDocumentError
 from .objectid import ObjectId
@@ -199,6 +199,8 @@ def _decode_extended(obj: dict[str, Any]) -> Any:
     if type_tag is None:
         return obj
     if type_tag == "oid":
+        if obj["v"] is None:  # ObjectId(None) would mint a fresh id on every decode
+            raise TypeError("an encoded ObjectId carries its hex string")
         return ObjectId(obj["v"])
     if type_tag == "datetime":
         return _dt.datetime.fromisoformat(obj["v"])

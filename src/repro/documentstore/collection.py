@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager, nullcontext
-from typing import TYPE_CHECKING, Any, ContextManager, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, ContextManager, Iterator
 
 from .aggregation import StageStats, optimize_pipeline, run_pipeline
 from .bson import (
@@ -44,11 +45,16 @@ from .errors import (
 from .explain import build_execution_stats, build_explain, validate_verbosity
 from .findspec import FindSpec
 from .indexes import ASCENDING, Index, IndexSpec
-from .matching import compile_matcher, resolve_path, values_equal
+from .matching import compile_matcher, distinct_values, resolve_path, values_equal
 from .objectid import ObjectId
 from .ordering import document_sort_key
 from .planner import QueryPlan, plan_find, plan_query
-from .update import apply_update, build_upsert_document, is_update_document
+from .update import (
+    apply_operators,
+    build_upsert_document,
+    is_update_document,
+    replace_document,
+)
 from .vector import VectorIndex
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -636,13 +642,12 @@ class Collection:
 
     def distinct(self, key: str, query: Mapping[str, Any] | None = None) -> list[Any]:
         """Return the distinct values of *key* among matching documents."""
-        values: list[Any] = []
-        for document in self._matched_raw(query):
-            for value in resolve_path(document, key):
-                candidates = value if isinstance(value, list) else [value]
-                for candidate in candidates:
-                    if not any(values_equal(candidate, existing) for existing in values):
-                        values.append(candidate)
+        values = distinct_values(
+            candidate
+            for document in self._matched_raw(query)
+            for value in resolve_path(document, key)
+            for candidate in (value if isinstance(value, list) else (value,))
+        )
         return [deep_copy_document({"v": value})["v"] for value in values]
 
     def explain(
@@ -717,10 +722,8 @@ class Collection:
     # --------------------------------------------------------------- updates
 
     @staticmethod
-    def _paths_touched_by_update(update: Mapping[str, Any]) -> set[str] | None:
-        """Field paths an operator update can modify (``None`` = everything)."""
-        if not is_update_document(update):
-            return None
+    def _paths_touched_by_update(update: Mapping[str, Any]) -> set[str]:
+        """Field paths an operator update can modify."""
         touched: set[str] = set()
         for operator, changes in update.items():
             if not isinstance(changes, Mapping):
@@ -750,14 +753,18 @@ class Collection:
         *,
         upsert: bool,
         multi: bool,
+        operators: bool,
     ) -> UpdateResult:
+        """Apply *update* — an operator document iff *operators*, else a replacement."""
         predicate = compile_matcher(query)
         _plan, candidate_ids = self._candidate_ids(query)
-        touched_paths = self._paths_touched_by_update(update)
         maintained = [index for _name, index in self._maintained_index_items()]
-        if touched_paths is None:
-            affected_indexes = maintained
+        if not operators:
+            apply = replace_document
+            affected_indexes = maintained  # a replacement can change every field
         else:
+            apply = apply_operators
+            touched_paths = self._paths_touched_by_update(update)
             affected_indexes = [
                 index
                 for index in maintained
@@ -779,14 +786,14 @@ class Collection:
             if document is None or not predicate(document):
                 continue
             matched += 1
-            new_document = apply_update(document, update)
+            new_document = apply(document, update)
             if not values_equal(new_document.get("_id"), document.get("_id")):
                 raise OperationFailure("the _id field is immutable")
             if new_document != document:
-                if touched_paths is None:
-                    validate_document(new_document)
-                else:
+                if operators:
                     ensure_document_size(new_document)
+                else:
+                    validate_document(new_document)
                 for index in affected_indexes:
                     index.replace(document, new_document, doc_id)
                 self._documents[doc_id] = new_document
@@ -821,7 +828,9 @@ class Collection:
         upsert: bool = False,
     ) -> UpdateResult:
         """Update the first matching document."""
-        return self._update(query, update, upsert=upsert, multi=False)
+        return self._update(
+            query, update, upsert=upsert, multi=False, operators=is_update_document(update)
+        )
 
     def update_many(
         self,
@@ -833,7 +842,7 @@ class Collection:
         """Update every matching document (the thesis' ``multi=true``)."""
         if not is_update_document(update):
             raise OperationFailure("update_many requires update operators")
-        return self._update(query, update, upsert=upsert, multi=True)
+        return self._update(query, update, upsert=upsert, multi=True, operators=True)
 
     def replace_one(
         self,
@@ -845,7 +854,7 @@ class Collection:
         """Replace the first matching document with *replacement*."""
         if is_update_document(replacement):
             raise OperationFailure("replace_one requires a plain replacement document")
-        return self._update(query, replacement, upsert=upsert, multi=False)
+        return self._update(query, replacement, upsert=upsert, multi=False, operators=False)
 
     # --------------------------------------------------------------- deletes
 

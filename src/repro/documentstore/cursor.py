@@ -14,8 +14,9 @@ thesis code was written against.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator
 
 from .errors import OperationFailure
 from .findspec import FindSpec

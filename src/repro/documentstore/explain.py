@@ -44,7 +44,8 @@ verbosity — that shape identity is asserted by the parity tests.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 from .errors import OperationFailure
 

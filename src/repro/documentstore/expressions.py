@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-from typing import Any, Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any, Callable
 
 from .errors import InvalidOperator, OperationFailure
 from .matching import compare_values, compile_path, resolve_path_single, values_equal

@@ -11,8 +11,9 @@ bounded top-k, or push projection/sort/``skip+limit`` to the shards).
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from .errors import OperationFailure
 from .ordering import normalize_sort_specification

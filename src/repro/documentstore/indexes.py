@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence  # fast isinstance in key extraction
-from typing import Any, Iterable, Iterator
+from typing import Any
 
 from .bson import encode_document
 from .errors import DuplicateKeyError, OperationFailure
@@ -113,6 +113,11 @@ class IndexSpec:
     dims: int = 0
     metric: str = ""
     nlist: int = 0
+    #: Derived from ``keys`` once per spec — the planner reads both several
+    #: times per operation.  Not part of the spec's value: excluded from
+    #: ``==``, ``hash``, ``repr`` and :meth:`describe`.
+    fields: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    is_hashed: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.keys:
@@ -128,6 +133,10 @@ class IndexSpec:
         if not self.name:
             generated = "_".join(f"{field_}_{direction}" for field_, direction in self.keys)
             object.__setattr__(self, "name", generated)
+        object.__setattr__(self, "fields", tuple(field_ for field_, _direction in self.keys))
+        object.__setattr__(
+            self, "is_hashed", any(direction == HASHED for _field, direction in self.keys)
+        )
 
     def _validate_btree(self) -> None:
         hashed_fields = [f for f, direction in self.keys if direction == HASHED]
@@ -260,16 +269,6 @@ class IndexSpec:
             if self.nlist:
                 described["nlist"] = self.nlist
         return described
-
-    @property
-    def fields(self) -> tuple[str, ...]:
-        """The indexed field paths, in declaration order."""
-        return tuple(field_ for field_, _direction in self.keys)
-
-    @property
-    def is_hashed(self) -> bool:
-        """True if this is a hashed (single-field) index."""
-        return any(direction == HASHED for _field, direction in self.keys)
 
     @property
     def is_vector(self) -> bool:

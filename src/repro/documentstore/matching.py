@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
-# Mapping/Sequence come from collections.abc: isinstance() against the
-# typing aliases pays a slow __instancecheck__ on every call, and these
-# checks sit on the per-document hot path of the matcher and the indexes.
-from collections.abc import Mapping, Sequence
-from typing import Any, Callable, Iterable
+# The ABCs come from collections.abc: isinstance() against the typing aliases
+# pays a slow __instancecheck__ on every call, and these checks sit on the
+# per-document hot path (ruff TID251 keeps the typing ones out of this package).
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Any, Callable
 
 from .errors import InvalidOperator, OperationFailure
 from .objectid import ObjectId
@@ -40,6 +40,8 @@ __all__ = [
     "compile_path",
     "compare_values",
     "values_equal",
+    "membership_key",
+    "distinct_values",
 ]
 
 _MISSING = object()
@@ -240,6 +242,90 @@ def values_equal(left: Any, right: Any) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Typed membership keys: values_equal as a hash lookup
+# ---------------------------------------------------------------------------
+
+_UNKEYED = object()
+_TRUE_KEY, _FALSE_KEY = (bool, True), (bool, False)
+
+
+def membership_key(value: Any) -> Any:
+    """A hashable key for *value* whose equality is exactly :func:`values_equal`.
+
+    Two keyed values are ``values_equal`` iff their keys are ``==``: exact
+    ``int``/``float`` key as ``float(value)`` (NaN is its own key and equals
+    nothing, itself included), ``str``/``None``/``ObjectId``/naive
+    ``datetime`` key as themselves, ``date`` is promoted to midnight as
+    :func:`compare_values` does, and ``bool``/``bytes`` are tagged because
+    Python would otherwise equate ``True`` with ``1.0`` and hash ``b"a"`` like
+    ``"a"``.  Everything else — documents, arrays, tz-aware datetimes,
+    subclasses such as ``IntEnum``, ints beyond the float range — returns
+    ``_UNKEYED`` and must be compared with ``values_equal`` itself.
+    """
+    kind = type(value)
+    if kind is int or kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            return _UNKEYED
+    if kind is str or value is None or kind is ObjectId:
+        return value
+    if kind is bool:
+        return _TRUE_KEY if value else _FALSE_KEY
+    if kind is bytes:
+        return (bytes, value)
+    if kind is _dt.date:
+        return _dt.datetime(value.year, value.month, value.day)
+    if kind is _dt.datetime and value.tzinfo is None:
+        return value
+    return _UNKEYED
+
+
+class _ValueSet:
+    """A growable set of values under :func:`values_equal`.
+
+    Keyed values live in a hash set; the rest sit in ``unkeyed`` and are
+    compared one by one.  A value with no key of its own is compared against
+    every member, because it may equal a keyed one (``IntEnum(1)`` and ``1``).
+    """
+
+    __slots__ = ("members", "keys", "unkeyed")
+
+    def __init__(self, values: Iterable[Any] = ()) -> None:
+        self.members: list[Any] = []
+        self.keys: set[Any] = set()
+        self.unkeyed: list[Any] = []
+        for value in values:
+            self.add(value)
+
+    def add(self, value: Any) -> None:
+        self.members.append(value)
+        key = membership_key(value)
+        if key is _UNKEYED:
+            self.unkeyed.append(value)
+        elif key == key:  # NaN equals nothing, itself included: never a key
+            self.keys.add(key)
+
+    def __contains__(self, value: Any) -> bool:
+        key = membership_key(value)
+        if key is _UNKEYED:
+            return any(values_equal(value, member) for member in self.members)
+        if key in self.keys:
+            return True
+        unkeyed = self.unkeyed
+        return bool(unkeyed) and any(values_equal(value, member) for member in unkeyed)
+
+
+def distinct_values(candidates: Iterable[Any]) -> list[Any]:
+    """The first occurrence of every ``values_equal`` class, in input order."""
+    seen = _ValueSet()
+    for candidate in candidates:
+        if candidate not in seen:
+            seen.add(candidate)
+    return seen.members
+
+
+# ---------------------------------------------------------------------------
 # Operator predicates
 # ---------------------------------------------------------------------------
 
@@ -281,26 +367,11 @@ def _build_operator_predicate(path: str, operator: str, operand: Any) -> Callabl
     elif operator in ("$in", "$nin"):
         if not isinstance(operand, (list, tuple, set, frozenset)):
             raise InvalidOperator(f"{operator} requires a list operand")
-        choices = list(operand)
-        hashable: set[Any] = set()
-        unhashable: list[Any] = []
-        for choice in choices:
-            try:
-                hashable.add(choice)
-            except TypeError:
-                unhashable.append(choice)
+        choices = _ValueSet(operand)
 
         def in_values(value: Any) -> bool:
-            candidates = value if isinstance(value, (list, tuple)) else [value]
-            for candidate in candidates:
-                if candidate is _MISSING:
-                    candidate = None
-                try:
-                    if candidate in hashable:
-                        return True
-                except TypeError:
-                    pass
-                if any(values_equal(candidate, choice) for choice in choices):
+            for candidate in value if isinstance(value, (list, tuple)) else (value,):
+                if (None if candidate is _MISSING else candidate) in choices:
                     return True
             return False
 
@@ -403,21 +474,45 @@ def _build_operator_predicate(path: str, operator: str, operand: Any) -> Callabl
         raise InvalidOperator(f"unknown query operator {operator!r}")
 
     resolver = compile_path(path)
-
-    if operator == "$exists":
-        def exists_document_predicate(document: Any) -> bool:
-            values = resolver(document)
-            return field_predicate(values[0] if values else _MISSING)
-
-        return exists_document_predicate
+    first_only = operator == "$exists"
 
     def document_predicate(document: Any) -> bool:
         values = resolver(document)
         if not values:
             return field_predicate(_MISSING)
-        return any(field_predicate(value) for value in values)
+        if first_only:
+            return field_predicate(values[0])
+        for value in values:
+            if field_predicate(value):
+                return True
+        return False
 
-    return document_predicate
+    if not path or "." in path:
+        return document_predicate
+
+    def single_segment_predicate(document: Any) -> bool:
+        # A plain dict holds at most one value at a one-segment path; other
+        # mappings and arrays of subdocuments take the general walk.
+        if type(document) is dict:
+            return field_predicate(document.get(path, _MISSING))
+        return document_predicate(document)
+
+    return single_segment_predicate
+
+
+def _conjunction(predicates: Sequence[Callable[[Any], bool]]) -> Callable[[Any], bool]:
+    """AND of document predicates, evaluated left to right."""
+    if len(predicates) == 1:
+        return predicates[0]
+    predicates = tuple(predicates)
+
+    def conjunction(document: Any) -> bool:
+        for predicate in predicates:
+            if not predicate(document):
+                return False
+        return True
+
+    return conjunction
 
 
 def _is_operator_document(value: Any) -> bool:
@@ -431,13 +526,12 @@ def _is_operator_document(value: Any) -> bool:
 def _compile_field_condition(path: str, condition: Any) -> Callable[[Any], bool]:
     """Compile ``{path: condition}`` where condition is a value or op-document."""
     if _is_operator_document(condition):
-        predicates = [
-            _build_operator_predicate(path, operator, operand)
-            for operator, operand in condition.items()
-        ]
-        if len(predicates) == 1:
-            return predicates[0]
-        return lambda document: all(predicate(document) for predicate in predicates)
+        return _conjunction(
+            [
+                _build_operator_predicate(path, operator, operand)
+                for operator, operand in condition.items()
+            ]
+        )
     return _build_operator_predicate(path, "$eq", condition)
 
 
@@ -458,10 +552,7 @@ def compile_matcher(query: Mapping[str, Any] | None) -> Callable[[Any], bool]:
     predicates: list[Callable[[Any], bool]] = []
     for key, condition in query.items():
         if key == "$and":
-            sub = [compile_matcher(item) for item in condition]
-            predicates.append(
-                lambda document, sub=sub: all(p(document) for p in sub)
-            )
+            predicates.append(_conjunction([compile_matcher(item) for item in condition]))
         elif key == "$or":
             sub = [compile_matcher(item) for item in condition]
             predicates.append(
@@ -484,9 +575,7 @@ def compile_matcher(query: Mapping[str, Any] | None) -> Callable[[Any], bool]:
         else:
             predicates.append(_compile_field_condition(key, condition))
 
-    if len(predicates) == 1:
-        return predicates[0]
-    return lambda document: all(predicate(document) for predicate in predicates)
+    return _conjunction(predicates)
 
 
 #: Backwards-compatible name for :func:`compile_matcher`.

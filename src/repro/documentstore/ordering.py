@@ -11,7 +11,8 @@ ad-hoc ``total_ordering`` classes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any, Callable
 
 from .errors import OperationFailure
 from .matching import compare_values, resolve_path_single

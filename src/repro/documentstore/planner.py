@@ -12,8 +12,9 @@ plan only has to produce a superset of the matching documents.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any
 
 from .errors import OperationFailure
 from .indexes import Index

@@ -33,8 +33,9 @@ from __future__ import annotations
 import pathlib
 import re
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from .bson import decode_document
 from .errors import DuplicateKeyError, IndexNotFoundError, RecoveryError

@@ -30,7 +30,8 @@ import json
 import pathlib
 import threading
 import warnings
-from typing import Any, Iterable
+from collections.abc import Iterable
+from typing import Any
 
 from .bson import decode_document, encode_document
 from .collection import Collection, bulk_load_or_noop

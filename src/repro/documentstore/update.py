@@ -9,7 +9,8 @@ full operator set implemented here also covers ``$unset``, ``$inc``, ``$mul``,
 
 from __future__ import annotations
 
-from typing import Any, Mapping, MutableMapping
+from collections.abc import Mapping, MutableMapping
+from typing import Any
 
 from .bson import deep_copy_document
 from .errors import InvalidUpdateError
@@ -18,6 +19,8 @@ from .matching import compare_values, compile_matcher, values_equal
 __all__ = [
     "is_update_document",
     "apply_update",
+    "apply_operators",
+    "replace_document",
     "build_upsert_document",
 ]
 
@@ -134,15 +137,30 @@ def apply_update(
 
     The input document is never mutated; collections replace the stored
     version atomically, which is what makes single-document writes atomic
-    (Table 2.2 of the paper).
+    (Table 2.2 of the paper).  Callers applying one update to many documents
+    classify it once with :func:`is_update_document` and call
+    :func:`apply_operators` or :func:`replace_document` directly.
     """
-    if not is_update_document(update):
-        # Full-document replacement keeps the original _id.
-        replacement = deep_copy_document(dict(update))
-        if "_id" in document:
-            replacement.setdefault("_id", document["_id"])
-        return replacement
+    if is_update_document(update):
+        return apply_operators(document, update, on_insert=on_insert)
+    return replace_document(document, update)
 
+
+def replace_document(document: Mapping[str, Any], replacement: Mapping[str, Any]) -> dict[str, Any]:
+    """Return a copy of *replacement* that keeps *document*'s ``_id``."""
+    replaced = deep_copy_document(dict(replacement))
+    if "_id" in document:
+        replaced.setdefault("_id", document["_id"])
+    return replaced
+
+
+def apply_operators(
+    document: Mapping[str, Any],
+    update: Mapping[str, Any],
+    *,
+    on_insert: bool = False,
+) -> dict[str, Any]:
+    """Return a new document with the operator document *update* applied."""
     updated = deep_copy_document(dict(document))
     for operator, changes in update.items():
         if operator not in _UPDATE_OPERATORS:

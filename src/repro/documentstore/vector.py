@@ -44,8 +44,8 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from collections.abc import Mapping, Sequence
-from typing import Any, Iterable
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Any
 
 from .errors import OperationFailure
 from .indexes import IndexSpec

@@ -49,6 +49,7 @@ from ..documentstore.cursor import (
 )
 from ..documentstore.explain import build_execution_stats, build_explain, validate_verbosity
 from ..documentstore.findspec import FindSpec
+from ..documentstore.matching import distinct_values
 from ..documentstore.objectid import ObjectId
 from ..documentstore.ordering import document_sort_key
 from .chunks import Chunk, ChunkManager
@@ -786,16 +787,14 @@ class QueryRouter:
             ),
         )
         started = time.perf_counter()
-        merged: list[Any] = []
-        seen: set[str] = set()
-        for shard_id in targets:
-            if shard_id not in per_shard:
-                continue  # timed out under the partial policy
-            for value in per_shard[shard_id]:
-                marker = repr(value)
-                if marker not in seen:
-                    seen.add(marker)
-                    merged.append(value)
+        # The same equality a single collection dedupes with, so 1 on one
+        # shard and 1.0 on another merge exactly as they do stand-alone.
+        merged = distinct_values(
+            value
+            for shard_id in targets
+            if shard_id in per_shard  # absent: timed out under the partial policy
+            for value in per_shard[shard_id]
+        )
         self._account_router_work(started)
         return merged
 

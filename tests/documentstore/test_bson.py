@@ -117,6 +117,12 @@ class TestWireFormat:
         decoded = decode_document(encode_document(document))
         assert decoded["_id"] == document["_id"]
 
+    def test_null_objectid_envelope_is_refused_not_minted(self):
+        # Found by the reference-codec property below: ObjectId(None) generates
+        # a new id, so this payload used to decode differently every time.
+        with pytest.raises(TypeError):
+            decode_document(b'{"_id":{"$__type":"oid","v":null}}')
+
     def test_round_trip_dates(self):
         document = {
             "day": datetime.date(2002, 5, 29),
@@ -199,6 +205,8 @@ def _reference_decode_value(value):
     if isinstance(value, dict):
         type_tag = value.get("$__type")
         if type_tag == "oid":
+            if value["v"] is None:
+                raise TypeError("ObjectId(None) mints a new id: not a decoding")
             return ObjectId(value["v"])
         if type_tag == "datetime":
             return datetime.datetime.fromisoformat(value["v"])

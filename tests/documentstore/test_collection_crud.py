@@ -10,8 +10,10 @@ from repro.documentstore import (
     DocumentStoreClient,
     DocumentTooLargeError,
     DuplicateKeyError,
+    InvalidUpdateError,
     OperationFailure,
 )
+from repro.documentstore.update import is_update_document
 
 
 @pytest.fixture()
@@ -197,6 +199,42 @@ class TestUpdateAndDelete:
     def test_update_many_requires_operators(self, people):
         with pytest.raises(OperationFailure):
             people.update_many({"name": "earl"}, {"plain": "replacement"})
+
+    @pytest.fixture()
+    def classifications(self, monkeypatch):
+        """Every ``is_update_document`` call, whichever module makes it."""
+        from repro.documentstore import collection as collection_module
+        from repro.documentstore import update as update_module
+
+        seen = []
+
+        def counting(update):
+            seen.append(update)
+            return is_update_document(update)
+
+        monkeypatch.setattr(collection_module, "is_update_document", counting)
+        monkeypatch.setattr(update_module, "is_update_document", counting)
+        return seen
+
+    def test_an_update_is_classified_once_however_many_documents_match(
+        self, people, classifications
+    ):
+        assert people.update_many({"age": {"$gt": 0}}, {"$set": {"seen": 1}}).modified_count == 4
+        assert people.update_one({"age": 28}, {"$inc": {"age": 1}}).modified_count == 1
+        assert people.replace_one({"name": "earl"}, {"name": "earl"}).modified_count == 1
+        assert len(classifications) == 3
+
+    def test_mixed_operator_and_field_update_raises_exactly_once(self, people, classifications):
+        mixed = {"$set": {"age": 1}, "city": "Salem"}
+        with pytest.raises(InvalidUpdateError):
+            people.update_many({"age": 28}, mixed)
+        assert classifications == [mixed]
+        assert people.count_documents({"city": "Salem"}) == 1  # nothing was applied
+        with pytest.raises(InvalidUpdateError):
+            people.update_one({"age": 28}, mixed)
+        with pytest.raises(InvalidUpdateError):
+            people.replace_one({"age": 28}, mixed)
+        assert len(classifications) == 3
 
     def test_delete_one(self, people):
         assert people.delete_one({"age": 28}).deleted_count == 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +42,28 @@ class TestIndexSpec:
     def test_is_hashed(self):
         assert IndexSpec.from_key_specification({"a": HASHED}).is_hashed
         assert not IndexSpec.from_key_specification("a").is_hashed
+
+    def test_derived_attributes_are_computed_once_and_are_not_part_of_the_value(self):
+        spec = IndexSpec.from_key_specification([("a", 1), ("b", -1)], unique=True)
+        assert spec.fields is spec.fields == ("a", "b")
+        assert spec.is_hashed is False
+        # Frozen, hashable, equal by value — the derived attributes change none of it.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.fields = ("x",)
+        twin = IndexSpec(keys=(("a", 1), ("b", -1)), unique=True)
+        assert twin == spec and hash(twin) == hash(spec) and len({spec, twin}) == 1
+        assert spec != IndexSpec(keys=(("a", 1), ("b", -1)))
+        assert "fields" not in repr(spec) and "is_hashed" not in repr(spec)
+        with pytest.raises(TypeError):
+            IndexSpec(keys=(("a", 1),), fields=("a",))
+        # ... and they never reach describe(), so neither WAL nor snapshot carry them.
+        assert set(spec.describe()) == {"name", "type", "keys", "unique"}
+        assert IndexSpec.from_key_specification(spec.describe()) == spec
+
+    def test_vector_spec_fields_follow_the_normalized_keys(self):
+        spec = IndexSpec.from_key_specification({"keys": ["embedding"], "type": "vector", "dims": 4})
+        assert spec.keys == (("embedding", "vector"),)
+        assert spec.fields == ("embedding",) and not spec.is_hashed
 
 
 class TestPointAndPrefixLookups:

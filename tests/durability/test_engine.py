@@ -71,6 +71,37 @@ class TestRestartFidelity:
             with pytest.raises(DuplicateKeyError):
                 client.db.c.insert_one({"email": "a@x"})
 
+    def test_index_specs_round_trip_without_their_derived_attributes(self, tmp_path):
+        """``IndexSpec.fields``/``is_hashed`` are per-object; disk carries ``describe()``."""
+
+        def on_disk(client):
+            data_dir = client.engine.data_dir
+            return b"".join(path.read_bytes() for path in sorted(data_dir.iterdir()))
+
+        with make_client(tmp_path, fsync="always") as client:
+            client.db.c.insert_many([{"_id": i, "a": i % 3, "b": i, "h": f"k{i}"} for i in range(9)])
+            client.db.c.create_index([("a", 1), ("b", -1)], name="a_b")
+            client.db.c.create_index({"h": "hashed"})
+            specs = client.db.c.list_indexes()
+            logged = on_disk(client)
+            assert b'"keys"' in logged
+            assert b"is_hashed" not in logged and b'"fields"' not in logged
+
+        with make_client(tmp_path) as client:  # WAL replay
+            assert client.db.c.list_indexes() == specs
+            assert client.db.c._indexes["h_hashed"].spec.is_hashed
+            assert client.db.c._indexes["a_b"].spec.fields == ("a", "b")
+            client.checkpoint()
+            snapshotted = on_disk(client)
+            assert b'"keys"' in snapshotted
+            assert b"is_hashed" not in snapshotted and b'"fields"' not in snapshotted
+
+        with make_client(tmp_path) as client:  # snapshot restore
+            assert client.db.c.list_indexes() == specs
+            plan = client.db.c.explain({"a": 1, "b": 4})["queryPlanner"]["winningPlan"]
+            assert plan["stage"] == "IXSCAN" and plan["keyPattern"] == ["a", "b"]
+            assert [d["_id"] for d in client.db.c.find({"h": "k5"})] == [5]
+
 
 class TestCheckpoint:
     def test_checkpoint_compacts_and_preserves(self, tmp_path):

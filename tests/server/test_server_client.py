@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.documentstore import ObjectId
+from repro.documentstore import DocumentStoreClient, ObjectId
 from repro.documentstore.errors import DuplicateKeyError, OperationFailure
 from repro.server import ConnectionFailure, DocumentStoreServer, RemoteClient
 
@@ -149,6 +149,61 @@ class TestParityMatrix:
         assert stored["ref"] == oid
         assert stored["when"] == when
         assert stored["raw"] == b"\x01\x02"
+
+
+class TestSetOperatorTyping:
+    """``$in``/``$nin`` tell bools from numbers on every surface and plan.
+
+    Regression: the operand was probed with Python equality, so an unindexed
+    ``{"$in": [1]}`` also returned ``True`` — unlike ``$eq`` and the index.
+    """
+
+    NAN = float("nan")
+    FLAGS = [
+        {"k": 0, "x": True},
+        {"k": 1, "x": False},
+        {"k": 2, "x": 1},
+        {"k": 3, "x": 1.0},
+        {"k": 4, "x": 0},
+        {"k": 5, "x": 0.0},
+        {"k": 6, "x": NAN},
+        {"k": 7},
+    ]
+    CASES = [
+        ({"$in": [1]}, [2, 3]),
+        ({"$in": [True]}, [0]),
+        ({"$in": [False]}, [1]),
+        ({"$in": [0.0]}, [4, 5]),
+        ({"$in": [NAN]}, []),
+        ({"$nin": [1, 0]}, [0, 1, 6, 7]),
+        ({"$nin": [True, NAN]}, [1, 2, 3, 4, 5, 6, 7]),
+    ]
+
+    @pytest.fixture(params=["collscan", "ixscan"])
+    def surfaces(self, request, cluster, client):
+        cluster.shard_collection("shop", "flags", {"k": "hashed"})
+        routed = cluster.get_database("shop")["flags"]
+        routed.insert_many(self.FLAGS)
+        local = DocumentStoreClient()["shop"]["flags"]
+        local.insert_many(self.FLAGS)
+        if request.param == "ixscan":
+            routed.create_index("x")
+            local.create_index("x")
+        return {"standalone": local, "routed": routed, "served": client["shop"]["flags"]}
+
+    @pytest.mark.parametrize("condition, expected", CASES, ids=[repr(c) for c, _ in CASES])
+    def test_same_answer_on_every_surface(self, surfaces, condition, expected):
+        for name, collection in surfaces.items():
+            found = collection.find({"x": condition}).to_list()
+            assert sorted(document["k"] for document in found) == expected, name
+            assert collection.count_documents({"x": condition}) == len(expected), name
+
+    def test_distinct_merges_numbers_across_shards_like_one_collection(self, surfaces):
+        for name, collection in surfaces.items():
+            values = collection.distinct("x", {"k": {"$in": [0, 2, 3, 4, 5]}})
+            # True, 1 == 1.0 and 0 == 0.0: whichever spelling a shard ships first.
+            assert len(values) == 3, (name, values)
+            assert sorted(float(v) for v in values if v is not True) == [0.0, 1.0], name
 
 
 class TestErrorsOverTheWire:
