@@ -30,6 +30,7 @@ import pathlib
 import pytest
 
 from repro.core import ExperimentHarness, tiny_profile
+from repro.tpcds import QUERY_IDS
 
 RESULTS_DIRECTORY = pathlib.Path(__file__).parent / "results"
 
@@ -70,6 +71,49 @@ def harness() -> ExperimentHarness:
 def measured_runtimes() -> dict[tuple[int, int], float]:
     """Query runtimes recorded by earlier benchmarks in the same session."""
     return MEASURED_RUNTIMES
+
+
+#: What routing one query costs, from ``QueryRunResult.router_metrics`` /
+#: ``.network``.  Counts and modelled seconds: they repeat exactly run to run.
+ROUTING_COUNTERS = ("shards_contacted", "messages", "bytes_shipped", "network_seconds")
+
+
+@pytest.fixture(scope="session")
+def routing_costs(harness):
+    """``routing_costs(experiment)`` -> ``{query: {counter: value}}`` (cached)."""
+    cache: dict[int, dict[int, dict[str, float]]] = {}
+
+    def _costs(experiment: int) -> dict[int, dict[str, float]]:
+        if experiment not in cache:
+            cache[experiment] = {}
+            for query_id in QUERY_IDS:
+                run = harness.run_query(experiment, query_id)
+                counters = {**run.router_metrics, "messages": run.network["messages"]}
+                cache[experiment][query_id] = {name: counters[name] for name in ROUTING_COUNTERS}
+        return cache[experiment]
+
+    return _costs
+
+
+@pytest.fixture(scope="session")
+def paired_runtimes(harness):
+    """``paired_runtimes(a, b, query)`` -> best-of-3 seconds of two experiments.
+
+    A sharded Query 21 costs only 1.1–1.4× its stand-alone run (paper: 1.26
+    / 1.49).  Two cells measured minutes apart differ by more than that
+    whenever the host changes speed in between, so "sharded is slower" is
+    checked on runs that alternate: both experiments see the same machine.
+    """
+
+    def _paired(first: int, second: int, query_id: int) -> tuple[float, float]:
+        best: dict[int, float] = {}
+        for _round in range(3):
+            for experiment in (first, second):
+                seconds = harness.run_query(experiment, query_id).simulated_seconds
+                best[experiment] = min(seconds, best.get(experiment, seconds))
+        return best[first], best[second]
+
+    return _paired
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

@@ -26,7 +26,7 @@ SERIES = {
 @pytest.mark.benchmark(group="figure-4.10")
 @pytest.mark.parametrize("query_id", QUERY_IDS)
 def test_small_dataset_query_comparison(
-    benchmark, harness, query_id, measured_runtimes, record_artifact
+    benchmark, harness, query_id, measured_runtimes, record_artifact, paired_runtimes
 ):
     """Measure the three small-dataset series for one query and plot them."""
 
@@ -55,4 +55,7 @@ def test_small_dataset_query_comparison(
     assert denormalized <= standalone * 1.1
     assert denormalized <= sharded * 1.1
     if query_id in (21, 46):
+        # A 1.1–1.4× difference, within the host's drift between two cells:
+        # compared on alternating runs of the pair (see ``paired_runtimes``).
+        sharded, standalone = paired_runtimes(1, 2, query_id)
         assert sharded > standalone

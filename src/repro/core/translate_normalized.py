@@ -21,7 +21,8 @@ embed-and-aggregate steps.
 
 The same code path serves the stand-alone and the sharded deployments: the
 collections passed in are either plain or routed, and in the sharded case
-every step above turns into router round trips — which is exactly the
+every step above turns into router round trips (inserts and the embedding
+updates as bulk messages, one per batch and shard) — which is exactly the
 overhead the paper measures for Experiments 1 and 4.
 """
 

@@ -30,6 +30,15 @@ from .bson import (
     encode_document,
     validate_document,
 )
+from .bulk import (
+    BulkWriteError,
+    BulkWriteResult,
+    DeleteMany,
+    DeleteOne,
+    InsertOne,
+    UpdateMany,
+    UpdateOne,
+)
 from .client import DocumentStoreClient
 from .collection import Collection, CollectionStats
 from .cursor import Cursor, DeleteResult, InsertManyResult, InsertOneResult, UpdateResult
@@ -100,6 +109,8 @@ __all__ = [
     "VECTOR",
     "VERBOSITIES",
     "MAX_DOCUMENT_SIZE",
+    "BulkWriteError",
+    "BulkWriteResult",
     "ChunkSplitError",
     "Collection",
     "CollectionDoesNotExist",
@@ -107,6 +118,8 @@ __all__ = [
     "CollectionStats",
     "Cursor",
     "Database",
+    "DeleteMany",
+    "DeleteOne",
     "DeleteResult",
     "DocumentStoreClient",
     "DocumentStoreError",
@@ -118,6 +131,7 @@ __all__ = [
     "IndexNotFoundError",
     "IndexSpec",
     "InsertManyResult",
+    "InsertOne",
     "InsertOneResult",
     "InvalidDocumentError",
     "InvalidOperator",
@@ -134,6 +148,8 @@ __all__ = [
     "CompiledPipeline",
     "StageStats",
     "StorageEngine",
+    "UpdateMany",
+    "UpdateOne",
     "UpdateResult",
     "VectorIndex",
     "WriteAheadLog",

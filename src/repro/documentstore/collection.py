@@ -27,6 +27,7 @@ from .bson import (
     validate_document,
     validate_update_values,
 )
+from .bulk import BulkWriteError, BulkWriteResult, apply_operations, checked_operations
 from .cursor import (
     Cursor,
     DeleteResult,
@@ -61,6 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .database import Database
 
 __all__ = ["Collection", "CollectionStats", "bulk_load_or_noop"]
+
+#: What a write on a collection without a WAL holds instead of the write lock.
+_NO_WAL = nullcontext()
 
 
 def bulk_load_or_noop(collection: Any) -> ContextManager[Any]:
@@ -177,6 +181,17 @@ class Collection:
         engine = database.storage_engine
         if engine is not None:
             engine.log(database.name, self.name, record)
+
+    def _apply_and_log(self) -> Any:
+        """What a write holds from its in-memory apply to its log record.
+
+        With a WAL that is the engine's write lock: records reach the log in
+        the order they were applied (replaying post-images depends on it) and
+        a concurrent ``bulk_write`` cannot be interleaved.
+        """
+        database = self._database
+        engine = database.storage_engine if database is not None else None
+        return _NO_WAL if engine is None else engine.write_lock
 
     # --------------------------------------------------------------- indexes
 
@@ -357,9 +372,10 @@ class Collection:
     def insert_one(self, document: Mapping[str, Any]) -> InsertOneResult:
         """Insert a single document, assigning an ``ObjectId`` if needed."""
         prepared = self._prepare_for_insert(document)
-        self._insert_prepared(prepared)
-        self.operation_counters["inserts"] += 1
-        self._write_log({"op": "insert", "docs": [prepared]})
+        with self._apply_and_log():
+            self._insert_prepared(prepared)
+            self.operation_counters["inserts"] += 1
+            self._write_log({"op": "insert", "docs": [prepared]})
         return InsertOneResult(inserted_id=prepared["_id"])
 
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> InsertManyResult:
@@ -377,23 +393,24 @@ class Collection:
         prepared = [self._prepare_for_insert(document) for document in documents]
         if not prepared:
             return InsertManyResult(inserted_ids=[])
-        try:
-            self._bulk_insert_prepared(prepared)
-            self.operation_counters["inserts"] += len(prepared)
-            self._write_log({"op": "insert", "docs": prepared})
-        except DuplicateKeyError:
-            inserted = 0
+        with self._apply_and_log():
             try:
-                for document in prepared:
-                    self._insert_prepared(document)
-                    self.operation_counters["inserts"] += 1
-                    inserted += 1
-            finally:
-                # Ordered mode stores the prefix before the duplicate; the
-                # WAL must cover exactly that stored prefix even though the
-                # error propagates to the caller.
-                if inserted:
-                    self._write_log({"op": "insert", "docs": prepared[:inserted]})
+                self._bulk_insert_prepared(prepared)
+                self.operation_counters["inserts"] += len(prepared)
+                self._write_log({"op": "insert", "docs": prepared})
+            except DuplicateKeyError:
+                inserted = 0
+                try:
+                    for document in prepared:
+                        self._insert_prepared(document)
+                        self.operation_counters["inserts"] += 1
+                        inserted += 1
+                finally:
+                    # Ordered mode stores the prefix before the duplicate; the
+                    # WAL must cover exactly that stored prefix even though the
+                    # error propagates to the caller.
+                    if inserted:
+                        self._write_log({"op": "insert", "docs": prepared[:inserted]})
         return InsertManyResult(inserted_ids=[document["_id"] for document in prepared])
 
     def _maintained_index_items(self) -> list[tuple[str, Index | VectorIndex]]:
@@ -757,7 +774,6 @@ class Collection:
     ) -> UpdateResult:
         """Apply *update* — an operator document iff *operators*, else a replacement."""
         predicate = compile_matcher(query)
-        _plan, candidate_ids = self._candidate_ids(query)
         maintained = [index for _name, index in self._maintained_index_items()]
         if not operators:
             apply = replace_document
@@ -778,46 +794,48 @@ class Collection:
                     changes, Mapping
                 ):
                     validate_update_values(list(changes.values()))
-        matched = 0
-        modified = 0
-        changed_documents: list[dict[str, Any]] = []
-        for doc_id in list(candidate_ids):
-            document = self._documents.get(doc_id)
-            if document is None or not predicate(document):
-                continue
-            matched += 1
-            new_document = apply(document, update)
-            if not values_equal(new_document.get("_id"), document.get("_id")):
-                raise OperationFailure("the _id field is immutable")
-            if new_document != document:
-                if operators:
-                    ensure_document_size(new_document)
-                else:
-                    validate_document(new_document)
-                for index in affected_indexes:
-                    index.replace(document, new_document, doc_id)
-                self._documents[doc_id] = new_document
-                changed_documents.append(new_document)
-                modified += 1
-                if self._defer_secondary_indexes:
-                    self._deferred_writes = True
-            if not multi:
-                break
-        upserted_id = None
-        if matched == 0 and upsert:
-            seed = build_upsert_document(query or {}, update)
-            if "_id" not in seed:
-                seed["_id"] = ObjectId()
-            validate_document(seed)
-            self._insert_prepared(seed)
-            upserted_id = seed["_id"]
-            changed_documents.append(seed)
-        self.operation_counters["updates"] += 1
-        if changed_documents:
-            # Physical redo: the full post-image of every changed document.
-            # Replay is then deterministic even for $currentDate-style
-            # operators and plan-order-dependent update_one targets.
-            self._write_log({"op": "apply", "docs": changed_documents})
+        with self._apply_and_log():
+            _plan, candidate_ids = self._candidate_ids(query)
+            matched = 0
+            modified = 0
+            changed_documents: list[dict[str, Any]] = []
+            for doc_id in list(candidate_ids):
+                document = self._documents.get(doc_id)
+                if document is None or not predicate(document):
+                    continue
+                matched += 1
+                new_document = apply(document, update)
+                if not values_equal(new_document.get("_id"), document.get("_id")):
+                    raise OperationFailure("the _id field is immutable")
+                if new_document != document:
+                    if operators:
+                        ensure_document_size(new_document)
+                    else:
+                        validate_document(new_document)
+                    for index in affected_indexes:
+                        index.replace(document, new_document, doc_id)
+                    self._documents[doc_id] = new_document
+                    changed_documents.append(new_document)
+                    modified += 1
+                    if self._defer_secondary_indexes:
+                        self._deferred_writes = True
+                if not multi:
+                    break
+            upserted_id = None
+            if matched == 0 and upsert:
+                seed = build_upsert_document(query or {}, update)
+                if "_id" not in seed:
+                    seed["_id"] = ObjectId()
+                validate_document(seed)
+                self._insert_prepared(seed)
+                upserted_id = seed["_id"]
+                changed_documents.append(seed)
+            self.operation_counters["updates"] += 1
+            if changed_documents:
+                # Physical redo: the full post-image of every changed document.
+                # Replay is then deterministic even for $currentDate-style
+                # operators and plan-order-dependent update_one targets.
+                self._write_log({"op": "apply", "docs": changed_documents})
         return UpdateResult(matched_count=matched, modified_count=modified, upserted_id=upserted_id)
 
     def update_one(
@@ -860,25 +878,26 @@ class Collection:
 
     def _delete(self, query: Mapping[str, Any] | None, *, multi: bool) -> DeleteResult:
         predicate = compile_matcher(query)
-        _plan, candidate_ids = self._candidate_ids(query)
-        deleted = 0
-        deleted_ids: list[Any] = []
-        for doc_id in list(candidate_ids):
-            document = self._documents.get(doc_id)
-            if document is None or not predicate(document):
-                continue
-            for _name, index in self._maintained_index_items():
-                index.remove(document, doc_id)
-            del self._documents[doc_id]
-            deleted += 1
-            deleted_ids.append(document.get("_id"))
-            if self._defer_secondary_indexes:
-                self._deferred_writes = True
-            if not multi:
-                break
-        self.operation_counters["deletes"] += 1
-        if deleted_ids:
-            self._write_log({"op": "delete", "ids": deleted_ids})
+        with self._apply_and_log():
+            _plan, candidate_ids = self._candidate_ids(query)
+            deleted = 0
+            deleted_ids: list[Any] = []
+            for doc_id in list(candidate_ids):
+                document = self._documents.get(doc_id)
+                if document is None or not predicate(document):
+                    continue
+                for _name, index in self._maintained_index_items():
+                    index.remove(document, doc_id)
+                del self._documents[doc_id]
+                deleted += 1
+                deleted_ids.append(document.get("_id"))
+                if self._defer_secondary_indexes:
+                    self._deferred_writes = True
+                if not multi:
+                    break
+            self.operation_counters["deletes"] += 1
+            if deleted_ids:
+                self._write_log({"op": "delete", "ids": deleted_ids})
         return DeleteResult(deleted_count=deleted)
 
     def delete_one(self, query: Mapping[str, Any] | None) -> DeleteResult:
@@ -889,15 +908,41 @@ class Collection:
         """Delete every matching document."""
         return self._delete(query, multi=True)
 
+    # ------------------------------------------------------------ bulk writes
+
+    def bulk_write(self, operations: Iterable[Any], *, ordered: bool = True) -> BulkWriteResult:
+        """Apply a list of operation values; log them as **one** WAL record.
+
+        Every operation runs through the public method it names
+        (:mod:`~repro.documentstore.bulk`), so it makes every check and
+        counts exactly what that call would.  ``ordered`` stops at the first
+        failure, otherwise every other operation is still applied; either
+        way a failure raises :class:`BulkWriteError` with the failing
+        indexes and the result of what was applied.  The records the
+        operations log are held back and appended as a single ``batch``
+        record, so recovery replays the whole applied batch or none of it.
+        """
+        operations = checked_operations(operations)
+        result = BulkWriteResult()
+        errors: list[dict[str, Any]] = []
+        engine = self._database.storage_engine if self._database is not None else None
+        one_record = nullcontext() if engine is None else engine.batch(self._database.name, self.name)
+        with one_record:
+            apply_operations(self, enumerate(operations), ordered, result, errors)
+        if errors:
+            raise BulkWriteError(errors, result)
+        return result
+
     def drop(self) -> None:
         """Remove every document and every secondary index."""
-        self._documents.clear()
-        for index in self._indexes.values():
-            index.clear()
-        self._indexes = {"_id_": self._id_index}
-        self._pending_index_builds.clear()
-        self._deferred_writes = False
-        self._write_log({"op": "drop_collection"})
+        with self._apply_and_log():
+            self._documents.clear()
+            for index in self._indexes.values():
+                index.clear()
+            self._indexes = {"_id_": self._id_index}
+            self._pending_index_builds.clear()
+            self._deferred_writes = False
+            self._write_log({"op": "drop_collection"})
 
     # ----------------------------------------------------------- aggregation
 

@@ -141,6 +141,12 @@ def apply_record(client: "DocumentStoreClient", record: dict[str, Any]) -> int:
     if op == "drop_collection":
         database.drop_collection(str(collection_name))
         return 0
+    if op == "batch":
+        # One bulk_write: its sub-records, in order, against the same namespace.
+        return sum(
+            apply_record(client, {"db": database_name, "coll": collection_name, **sub})
+            for sub in record.get("records") or []
+        )
     collection = database[str(collection_name)]
     if op == "insert":
         documents = record.get("docs") or []

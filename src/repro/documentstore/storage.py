@@ -30,7 +30,8 @@ import json
 import pathlib
 import threading
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from typing import Any
 
 from .bson import decode_document, encode_document
@@ -207,10 +208,13 @@ class StorageEngine:
     :meth:`flush` forces group-committed records to disk (the server calls
     it on graceful drain).
 
-    The engine is thread-safe: appends serialize on the WAL's lock and
-    checkpoints take the engine lock, so a snapshot is always consistent
-    with a log position.  Replay being idempotent makes the
-    mutate-then-log window harmless across a checkpoint.
+    The engine is thread-safe: collections hold :attr:`write_lock` from
+    applying a write until its record is appended (a ``bulk_write`` for the
+    whole batch), and checkpoints take the same lock.  So the WAL lists every
+    document's post-images in the order they were applied — replay depends on
+    it — and a snapshot is always consistent with a log position.  DDL is
+    logged after its apply without the lock; idempotent replay makes that
+    window harmless across a checkpoint.
     """
 
     def __init__(
@@ -231,11 +235,14 @@ class StorageEngine:
         self.checkpoints = 0
         self.recovery_report: RecoveryReport | None = None
         self._fs = fs
-        self._lock = threading.RLock()
+        # Public as ``write_lock``: what makes a write's apply and log one step.
+        self.write_lock = self._lock = threading.RLock()
         self._wal: WriteAheadLog | None = None
         self._client: Any = None
         self._generation = 0
         self._enabled = False
+        # Records the calling thread is holding back for one ``batch`` record.
+        self._held = threading.local()
 
     # ------------------------------------------------------------- lifecycle
 
@@ -298,6 +305,10 @@ class StorageEngine:
         """Append one write record; returns once it meets the fsync policy."""
         if not self._enabled:
             return
+        held = getattr(self._held, "records", None)
+        if held is not None:
+            held.append(record)
+            return
         payload = encode_document(
             {"db": database_name, "coll": collection_name, **record}
         )
@@ -311,6 +322,27 @@ class StorageEngine:
                 and wal.size >= self.auto_checkpoint_bytes
             ):
                 self._checkpoint_locked()
+
+    @contextmanager
+    def batch(self, database_name: str, collection_name: str) -> Iterator[None]:
+        """Hold back this thread's records for one collection; append them as one.
+
+        The records :meth:`log` receives inside the block are written on exit
+        as a single ``{"op": "batch", "records": [...]}`` record — one append,
+        one checksum, one fsync — so a crash recovers all of them or none, and
+        a block left by an exception still logs exactly what was applied.
+        The write lock is held throughout: no other writer's record can
+        overtake the post-images held back here.
+        """
+        records: list[dict[str, Any]] = []
+        with self._lock:
+            self._held.records = records
+            try:
+                yield
+            finally:
+                self._held.records = None
+                if records:
+                    self.log(database_name, collection_name, {"op": "batch", "records": records})
 
     # ------------------------------------------------------------- checkpoint
 

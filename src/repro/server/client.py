@@ -22,8 +22,9 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
+from ..documentstore.bulk import BulkWriteResult, checked_operations, encode_operation
 from ..documentstore.cursor import (
     Cursor,
     DeleteResult,
@@ -581,6 +582,21 @@ class RemoteCollection:
             Opcode.DELETE_MANY, {**self._namespace(), "filter": query}
         )
         return DeleteResult(deleted_count=int(reply["deleted"]))
+
+    def bulk_write(self, operations: Iterable[Any], *, ordered: bool = True) -> BulkWriteResult:
+        """Apply a list of operation values in one frame (a write: never retried)."""
+        operations = checked_operations(operations)
+        if not operations:
+            return BulkWriteResult()
+        reply = self.client._request(
+            Opcode.BULK_WRITE,
+            {
+                **self._namespace(),
+                "ordered": ordered,
+                "operations": [encode_operation(operation) for operation in operations],
+            },
+        )
+        return BulkWriteResult.from_document(reply)
 
     # -------------------------------------------------------------------- DDL
 

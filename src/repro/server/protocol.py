@@ -34,6 +34,7 @@ from typing import Any, Mapping, NoReturn
 
 from ..documentstore import errors as _errors
 from ..documentstore.bson import decode_document, encode_document
+from ..documentstore.bulk import BulkWriteError, BulkWriteResult
 from ..documentstore.errors import (
     DocumentStoreError,
     DocumentTooLargeError,
@@ -99,6 +100,7 @@ class Opcode(IntEnum):
     DISTINCT = 10
     COUNT = 11
     COMMAND = 12
+    BULK_WRITE = 13
     # Replies (server → client).
     REPLY = 64
     ERROR = 65
@@ -244,6 +246,8 @@ def encode_error(exc: BaseException) -> dict[str, Any]:
         details = {"index_name": exc.index_name, "key": repr(exc.key)}
     elif isinstance(exc, DocumentTooLargeError):
         details = {"size": exc.size, "limit": exc.limit}
+    elif isinstance(exc, BulkWriteError):
+        details = {"errors": exc.errors, "result": exc.result.as_document()}
     return {
         "code": type(exc).__name__,
         "message": str(exc),
@@ -270,6 +274,11 @@ def raise_wire_error(document: Mapping[str, Any]) -> NoReturn:
     if code == "DocumentTooLargeError":
         raise DocumentTooLargeError(
             int(details.get("size", 0)), int(details.get("limit", 0))
+        )
+    if code == "BulkWriteError":
+        raise BulkWriteError(
+            [dict(entry) for entry in details.get("errors") or []],
+            BulkWriteResult.from_document(details.get("result") or {}),
         )
     exc_class = getattr(_errors, code, None)
     if isinstance(exc_class, type) and issubclass(exc_class, DocumentStoreError):

@@ -39,6 +39,7 @@ import threading
 import time
 from typing import Any, Callable, Iterator, Mapping
 
+from ..documentstore.bulk import decode_operation
 from ..documentstore.errors import DocumentStoreError, OperationFailure
 from ..sharding.executor import ShardTimeoutError
 from .protocol import (
@@ -552,6 +553,7 @@ class _Session(threading.Thread):
             Opcode.DISTINCT: self._handle_distinct,
             Opcode.COUNT: self._handle_count,
             Opcode.COMMAND: self._handle_command,
+            Opcode.BULK_WRITE: self._handle_bulk_write,
         }
 
     # --------------------------------------------------------------- plumbing
@@ -734,6 +736,12 @@ class _Session(threading.Thread):
         collection = self.server._collection(doc["db"], doc["collection"])
         result = collection.delete_many(doc.get("filter"))
         return {"deleted": result.deleted_count}, 0
+
+    def _handle_bulk_write(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
+        collection = self.server._collection(doc["db"], doc["collection"])
+        operations = [decode_operation(item) for item in doc.get("operations") or []]
+        result = collection.bulk_write(operations, ordered=bool(doc.get("ordered", True)))
+        return result.as_document(), 0
 
     def _handle_aggregate(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
         collection = self.server._collection(doc["db"], doc["collection"])

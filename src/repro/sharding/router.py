@@ -39,6 +39,14 @@ from ..documentstore.aggregation import (
     split_pipeline_for_shards,
 )
 from ..documentstore.bson import document_size
+from ..documentstore.bulk import (
+    BulkWriteError,
+    BulkWriteResult,
+    InsertOne,
+    apply_operations,
+    checked_operations,
+    encode_operation,
+)
 from ..documentstore.cursor import (
     Cursor,
     DeleteResult,
@@ -47,11 +55,13 @@ from ..documentstore.cursor import (
     UpdateResult,
     project_document,
 )
+from ..documentstore.errors import ShardKeyError
 from ..documentstore.explain import build_execution_stats, build_explain, validate_verbosity
 from ..documentstore.findspec import FindSpec
 from ..documentstore.matching import distinct_values
 from ..documentstore.objectid import ObjectId
 from ..documentstore.ordering import document_sort_key
+from ..documentstore.update import build_upsert_document
 from .chunks import Chunk, ChunkManager
 from .config_server import ConfigServer
 from .executor import (
@@ -306,7 +316,7 @@ class QueryRouter:
     def _launch_scatter(
         self,
         targets: Sequence[str],
-        command: Mapping[str, Any] | None,
+        command: Mapping[str, Any] | Callable[[str], Mapping[str, Any]] | None,
         purpose: str,
         shard_operation: Callable[[Shard], Any],
         *,
@@ -319,7 +329,8 @@ class QueryRouter:
     ) -> ScatterPending:
         """Dispatch *shard_operation* to every target simultaneously.
 
-        Each branch runs on a pool worker: it ships the request command,
+        Each branch runs on a pool worker: it ships the request command (one
+        for all targets, or a callable giving each shard its own),
         executes the shard-local work (optionally in the forked process pool
         for eligible reads), then serializes the result back in batches of
         *response_batch_size* — pushing every decoded batch into *stream* as
@@ -344,7 +355,7 @@ class QueryRouter:
                 try:
                     started = time.perf_counter()
                     channel.ship_command(
-                        command,
+                        command(shard_id) if callable(command) else command,
                         source=self.name,
                         destination=shard_id,
                         purpose=f"{purpose}:request",
@@ -456,7 +467,7 @@ class QueryRouter:
         database_name: str,
         collection_name: str,
         targets: Sequence[str],
-        command: Mapping[str, Any] | None,
+        command: Mapping[str, Any] | Callable[[str], Mapping[str, Any]] | None,
         purpose: str,
         shard_operation: Callable[[Shard], Any],
         *,
@@ -832,8 +843,6 @@ class QueryRouter:
         modified = sum(result.modified_count for result in per_shard.values())
         upserted_id = None
         if matched == 0 and upsert:
-            from ..documentstore.update import build_upsert_document
-
             document = build_upsert_document(query or {}, update)
             insert_result = self.insert_one(database_name, collection_name, document)
             upserted_id = insert_result.inserted_id
@@ -886,8 +895,6 @@ class QueryRouter:
             if result is not None and result.matched_count:
                 return result
         if upsert:
-            from ..documentstore.update import build_upsert_document
-
             document = build_upsert_document(query or {}, update)
             insert_result = self.insert_one(database_name, collection_name, document)
             return UpdateResult(matched_count=0, modified_count=0, upserted_id=insert_result.inserted_id)
@@ -917,6 +924,126 @@ class QueryRouter:
             is_write=True,
         )
         return DeleteResult(deleted_count=sum(result.deleted_count for result in per_shard.values()))
+
+    # --------------------------------------------------------------- bulk writes
+
+    def bulk_write(
+        self,
+        database_name: str,
+        collection_name: str,
+        operations: Iterable[Any],
+        *,
+        ordered: bool = True,
+    ) -> BulkWriteResult:
+        """Route a list of operation values: one message per shard per step.
+
+        Every operation is targeted like its single-operation method (an
+        insert on its shard key, like :meth:`insert_many`).  One that lands
+        on exactly one shard and does not upsert joins that
+        shard's batch; the batches of a *step* go out in one scatter, each
+        applied by the shard's ``Collection.bulk_write`` (one ``op_lock``
+        hold, one WAL record).  Unordered, a step takes every batchable
+        operation; ordered, only a run of consecutive ones on the same shard.
+        An operation that fans out, is a multi-shard ``*One`` or upserts
+        closes the step and runs through its own routed method in its
+        position, so the final state is that of issuing the list in order.
+        """
+        manager = None
+        if self.config.is_sharded(database_name, collection_name):
+            manager = self.config.chunk_manager(database_name, collection_name)
+        steps: list[dict[str | None, list[tuple[int, Any]]]] = []
+        for index, operation in enumerate(checked_operations(operations)):
+            shard_id = None  # runs on its own unless exactly one shard can batch it
+            inserting = isinstance(operation, InsertOne)
+            if inserting and manager is not None:
+                try:  # routed on its shard key, like insert_many
+                    value = manager.shard_key.extract(operation.document)
+                    shard_id = manager.chunk_for(value).shard_id
+                except ShardKeyError:
+                    pass  # insert_one refuses it, in its position
+            elif not getattr(operation, "upsert", False):
+                targets, _ = self._target_shards(
+                    database_name, collection_name, None if inserting else operation.filter
+                )
+                shard_id = targets[0] if len(targets) == 1 else None
+            # A new step: at the start, around an operation that runs on its
+            # own (keyed None), and — ordered — whenever the shard changes.
+            if (
+                not steps
+                or shard_id is None
+                or None in steps[-1]
+                or (ordered and shard_id not in steps[-1])
+            ):
+                steps.append({})
+            steps[-1].setdefault(shard_id, []).append((index, operation))
+
+        routed = RoutedCollection(self, database_name, collection_name)
+        result = BulkWriteResult()
+        errors: list[dict[str, Any]] = []
+        for step in steps:
+            if None in step:
+                apply_operations(routed, step[None], ordered, result, errors)
+            else:
+                targeted = manager is None or len(step) < len(self.config.shard_ids)
+                replies = self._scatter_batches(
+                    database_name, collection_name, step, ordered, targeted
+                )
+                for shard_id, (shard_result, shard_errors) in replies.items():
+                    batch = step[shard_id]
+                    result.merge(shard_result)
+                    errors.extend(
+                        {**entry, "index": batch[entry["index"]][0]} for entry in shard_errors
+                    )
+                    if manager is None:
+                        continue
+                    # Chunk statistics for the inserts the shard acknowledged.
+                    failed = {entry["index"] for entry in shard_errors}
+                    applied = batch[: min(failed)] if ordered and failed else batch
+                    for position, (_index, operation) in enumerate(applied):
+                        if isinstance(operation, InsertOne) and position not in failed:
+                            manager.record_insert(
+                                manager.shard_key.extract(operation.document),
+                                document_size(operation.document),
+                            )
+            if ordered and errors:
+                break
+        if errors:
+            raise BulkWriteError(errors, result)
+        return result
+
+    def _scatter_batches(
+        self,
+        database_name: str,
+        collection_name: str,
+        batches: Mapping[str, Sequence[tuple[int, Any]]],
+        ordered: bool,
+        targeted: bool,
+    ) -> dict[str, tuple[BulkWriteResult, list[dict[str, Any]]]]:
+        """One scatter: each shard applies its batch, answers (result, errors)."""
+
+        def request(shard_id: str) -> dict[str, Any]:
+            encoded = [encode_operation(operation) for _index, operation in batches[shard_id]]
+            return {"bulkWrite": collection_name, "ordered": ordered, "operations": encoded}
+
+        def do_bulk(shard: Shard) -> tuple[BulkWriteResult, list[dict[str, Any]]]:
+            collection = shard.collection(database_name, collection_name)
+            batch = [operation for _index, operation in batches[shard.shard_id]]
+            try:
+                return collection.bulk_write(batch, ordered=ordered), []
+            except BulkWriteError as error:
+                return error.result, error.errors
+
+        return self._scatter(
+            database_name,
+            collection_name,
+            sorted(batches),
+            request,
+            "bulkWrite",
+            do_bulk,
+            ship_results=False,
+            targeted=targeted,
+            is_write=True,
+        )
 
     # --------------------------------------------------------------------- DDL
 
@@ -1405,6 +1532,9 @@ class RoutedCollection:
 
     def delete_many(self, query: Mapping[str, Any] | None) -> DeleteResult:
         return self._router.delete_many(self._database_name, self.name, query)
+
+    def bulk_write(self, operations: Iterable[Any], *, ordered: bool = True) -> BulkWriteResult:
+        return self._router.bulk_write(self._database_name, self.name, operations, ordered=ordered)
 
     def delete_one(self, query: Mapping[str, Any] | None) -> DeleteResult:
         # Routed deletes are idempotent per shard; emulate delete_one by

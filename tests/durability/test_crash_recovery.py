@@ -1,19 +1,22 @@
 """Crash recovery under an exhaustively enumerated crash schedule.
 
 The workload below performs a fixed sequence of acknowledged write
-operations (inserts, updates, deletes, an index build, and a checkpoint)
-against a durable client whose filesystem is a :class:`faults.FaultyFS`.
-Every state-changing filesystem operation the workload performs is a crash
-point; the schedule kills the run at each of them, in each crash phase, and
-for each unsynced-tail survival mode.
+operations (inserts, updates, deletes, an index build, a checkpoint, and a
+``bulk_write`` batch of all three write kinds) against a durable client
+whose filesystem is a :class:`faults.FaultyFS`.  Every state-changing
+filesystem operation the workload performs is a crash point; the schedule
+kills the run at each of them, in each crash phase, and for each
+unsynced-tail survival mode.
 
 The correctness property is exact: with ``fsync="always"`` every
 acknowledged operation is durable before its call returns, and every WAL
-record carries one whole operation — so the recovered store must equal the
-state after the last acknowledged operation, or (when the crash interrupted
-the logging of an already-applied in-flight operation whose record
-nevertheless reached disk intact) the state one operation later.  Nothing
-in between, nothing invented: no lost acks, no ghost writes.
+record carries one whole operation (a ``bulk_write`` batch is one record, so
+recovery lands before or after the whole batch, never inside it) — so the
+recovered store must equal the state after the last acknowledged operation,
+or (when the crash interrupted the logging of an already-applied in-flight
+operation whose record nevertheless reached disk intact) the state one
+operation later.  Nothing in between, nothing invented: no lost acks, no
+ghost writes.
 
 A crash *after* operation *i* leaves the same disk state as a crash
 *before* operation *i+1* — the schedule therefore enumerates the
@@ -26,7 +29,13 @@ from __future__ import annotations
 import pytest
 
 import faults
-from repro.documentstore import DocumentStoreClient
+from repro.documentstore import (
+    DeleteMany,
+    DocumentStoreClient,
+    InsertOne,
+    UpdateMany,
+    UpdateOne,
+)
 from repro.documentstore.storage import StorageEngine
 
 # --------------------------------------------------------------------------
@@ -58,12 +67,26 @@ def op_insert_second(client):
     client.db.c.insert_many([{"_id": 100 + i, "n": 100 + i} for i in range(4)])
 
 
+def op_bulk_write(client):
+    client.db.c.bulk_write(
+        [
+            InsertOne({"_id": 200, "n": 200}),
+            UpdateMany({"n": {"$lt": 2}}, {"$set": {"bulk": True}}),
+            UpdateOne({"_id": 201}, {"$set": {"n": 201}}, upsert=True),
+            DeleteMany({"n": {"$gte": 102}}),
+            InsertOne({"_id": 202, "n": 202}),
+        ],
+        ordered=False,
+    )
+
+
 OPERATIONS = [
     op_insert_first,
     op_create_index,
     op_update,
     op_checkpoint,
     op_delete,
+    op_bulk_write,
     op_insert_second,
 ]
 

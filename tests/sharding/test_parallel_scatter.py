@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -132,16 +133,41 @@ class TestParityMatrix:
             threaded.close()
 
 
-def slow_down_shard(cluster, shard_id: str, seconds: float) -> None:
-    """Make every storage operation on one shard sleep before executing."""
+@contextmanager
+def stalled_shard(cluster, shard_id: str):
+    """Hold every storage operation on one shard until the block exits.
+
+    The shard is gated on an event, not slowed by a sleep: it misses any
+    deadline however the scheduler treats the other threads, and the test
+    pays the deadline, not the stall.
+    """
+    release = threading.Event()
     shard = cluster.shard(shard_id)
     original = shard.run
 
-    def slow_run(operation, *args, **kwargs):
-        time.sleep(seconds)
+    def gated_run(operation, *args, **kwargs):
+        release.wait(timeout=30.0)
         return original(operation, *args, **kwargs)
 
-    shard.run = slow_run
+    shard.run = gated_run
+    try:
+        yield
+    finally:
+        release.set()
+
+
+def build_cluster_with_deadline(deadline_seconds: float, on_timeout: str = "raise"):
+    """A loaded cluster whose *queries* run under a scatter deadline.
+
+    The deadline is set after the load: building the cluster is a dozen
+    fan-outs that the tests below say nothing about, and under a 0.15 s
+    budget a collector pause or a busy runner fails one of them.
+    """
+    cluster = build_cluster("thread")
+    cluster.router.scatter_policy = ScatterPolicy(
+        deadline_seconds=deadline_seconds, on_timeout=on_timeout
+    )
+    return cluster
 
 
 def owning_shard(cluster, order_id: int) -> str:
@@ -234,14 +260,18 @@ class TestCallerRunsSingleShardScatter:
 
 
 class TestDeadlines:
+    """One shard never answers; what the caller sees is the policy's doing.
+
+    Where an assertion needs the *other* shards' answers (the partial
+    policy), they get 0.5 s for a millisecond of work — a deadline they
+    cannot miss; where it only needs the stalled shard to be late, 0.15 s.
+    """
+
     def test_raise_policy_names_the_laggard(self):
-        cluster = build_cluster(
-            "thread", scatter_policy=ScatterPolicy(deadline_seconds=0.15)
-        )
+        cluster = build_cluster_with_deadline(0.15)
         try:
-            slow_down_shard(cluster, "shard2", 1.0)
             orders = cluster.get_database("shop")["orders"]
-            with pytest.raises(ShardTimeoutError) as excinfo:
+            with stalled_shard(cluster, "shard2"), pytest.raises(ShardTimeoutError) as excinfo:
                 orders.count_documents({"store": 1})
             assert "shard2" in excinfo.value.shard_ids
             assert excinfo.value.deadline_seconds == pytest.approx(0.15)
@@ -249,17 +279,14 @@ class TestDeadlines:
             cluster.close()
 
     def test_partial_policy_returns_responsive_shards(self):
-        cluster = build_cluster(
-            "thread",
-            scatter_policy=ScatterPolicy(deadline_seconds=0.15, on_timeout="partial"),
-        )
+        cluster = build_cluster_with_deadline(0.5, "partial")
         try:
-            slow_down_shard(cluster, "shard2", 1.0)
             orders = cluster.get_database("shop")["orders"]
             full = sum(
                 1 for d in DOCS if d["store"] == 1
             )
-            partial = orders.count_documents({"store": 1})
+            with stalled_shard(cluster, "shard2"):
+                partial = orders.count_documents({"store": 1})
             assert 0 < partial < full
             metrics = cluster.router.metrics
             assert metrics.shards_timed_out >= 1
@@ -268,14 +295,11 @@ class TestDeadlines:
             cluster.close()
 
     def test_partial_policy_streaming_find(self):
-        cluster = build_cluster(
-            "thread",
-            scatter_policy=ScatterPolicy(deadline_seconds=0.15, on_timeout="partial"),
-        )
+        cluster = build_cluster_with_deadline(0.5, "partial")
         try:
-            slow_down_shard(cluster, "shard1", 1.0)
             orders = cluster.get_database("shop")["orders"]
-            docs = orders.find({}, sort=[("order_id", 1)]).to_list()
+            with stalled_shard(cluster, "shard1"):
+                docs = orders.find({}, sort=[("order_id", 1)]).to_list()
             assert 0 < len(docs) < len(DOCS)
             ids = [d["order_id"] for d in docs]
             assert ids == sorted(ids)
@@ -283,48 +307,41 @@ class TestDeadlines:
             cluster.close()
 
     def test_streaming_find_raise_policy(self):
-        cluster = build_cluster(
-            "thread", scatter_policy=ScatterPolicy(deadline_seconds=0.15)
-        )
+        cluster = build_cluster_with_deadline(0.15)
         try:
-            slow_down_shard(cluster, "shard3", 1.0)
             orders = cluster.get_database("shop")["orders"]
-            with pytest.raises(ShardTimeoutError):
+            with stalled_shard(cluster, "shard3"), pytest.raises(ShardTimeoutError) as excinfo:
                 orders.find({}, sort=[("order_id", 1)]).to_list()
+            assert "shard3" in excinfo.value.shard_ids
         finally:
             cluster.close()
 
     def test_single_target_raise_policy(self):
         """A deadline sends even a one-shard operation through the pool."""
-        cluster = build_cluster(
-            "thread", scatter_policy=ScatterPolicy(deadline_seconds=0.15)
-        )
+        cluster = build_cluster_with_deadline(0.15)
         try:
             owner = owning_shard(cluster, 41)
-            slow_down_shard(cluster, owner, 1.0)
             orders = cluster.get_database("shop")["orders"]
-            started = time.perf_counter()
-            with pytest.raises(ShardTimeoutError) as excinfo:
-                orders.count_documents({"order_id": 41})
-            assert time.perf_counter() - started < 0.9  # abandoned, not waited out
-            assert excinfo.value.shard_ids == [owner]
-            assert excinfo.value.completed == []
-            with pytest.raises(ShardTimeoutError):
-                orders.find({"order_id": 41}).to_list()
+            with stalled_shard(cluster, owner):
+                started = time.perf_counter()
+                with pytest.raises(ShardTimeoutError) as excinfo:
+                    orders.count_documents({"order_id": 41})
+                assert time.perf_counter() - started < 0.9  # abandoned, not waited out
+                assert excinfo.value.shard_ids == [owner]
+                assert excinfo.value.completed == []
+                with pytest.raises(ShardTimeoutError):
+                    orders.find({"order_id": 41}).to_list()
         finally:
             cluster.close()
 
     def test_single_target_partial_policy(self):
-        cluster = build_cluster(
-            "thread",
-            scatter_policy=ScatterPolicy(deadline_seconds=0.15, on_timeout="partial"),
-        )
+        cluster = build_cluster_with_deadline(0.15, "partial")
         try:
             owner = owning_shard(cluster, 41)
-            slow_down_shard(cluster, owner, 1.0)
             orders = cluster.get_database("shop")["orders"]
-            assert orders.count_documents({"order_id": 41}) == 0
-            assert orders.find({"order_id": 41}).to_list() == []
+            with stalled_shard(cluster, owner):
+                assert orders.count_documents({"order_id": 41}) == 0
+                assert orders.find({"order_id": 41}).to_list() == []
             metrics = cluster.router.metrics
             assert metrics.shards_timed_out == 2
             assert metrics.partial_operations == 2

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.documentstore import ShardKeyError
+from repro.documentstore import DeleteMany, InsertOne, ShardKeyError, UpdateMany, UpdateOne
 from repro.sharding import NetworkModel, ShardDescription, ShardedCluster
 
 
@@ -130,6 +130,76 @@ class TestReadsAndWrites:
         orders.drop()
         assert orders.count_documents({}) == 0
         assert not loaded.config_server.is_sharded("shop", "orders")
+
+
+class TestBulkWriteRouting:
+    """How the router groups a ``bulk_write`` (its meaning: test_bulk_write_parity)."""
+
+    @staticmethod
+    def traffic(cluster):
+        purposes = cluster.network.stats.snapshot()["by_purpose"]
+        return cluster.router.metrics.operations, purposes
+
+    def test_unordered_ships_one_message_per_shard(self, loaded):
+        orders = loaded.get_database("shop")["orders"]
+        updates = [UpdateMany({"order_id": i}, {"$set": {"seen": i}}) for i in range(300)]
+        assert orders.bulk_write(updates, ordered=False).modified_count == 300
+        assert self.traffic(loaded) == (1, {"bulkWrite:request": 3, "bulkWrite:ack": 3})
+        assert loaded.router.metrics.shards_contacted == 3
+        assert orders.count_documents({"seen": {"$gte": 0}}) == 300
+
+    def test_ordered_ships_one_message_per_run_on_a_shard(self, loaded):
+        orders = loaded.get_database("shop")["orders"]
+        owner = {
+            doc["order_id"]: shard.shard_id
+            for shard in loaded.shards
+            for doc in shard.collection("shop", "orders").find({})
+        }
+        ids = list(range(12))
+        runs = 1 + sum(owner[a] != owner[b] for a, b in zip(ids, ids[1:]))
+        assert 1 < runs < 12
+        orders.bulk_write([UpdateOne({"order_id": i}, {"$set": {"seen": 1}}) for i in ids])
+        assert self.traffic(loaded) == (
+            runs, {"bulkWrite:request": runs, "bulkWrite:ack": runs}
+        )
+
+    def test_fan_outs_and_upserts_run_through_their_own_methods(self, loaded):
+        orders = loaded.get_database("shop")["orders"]
+        result = orders.bulk_write(
+            [
+                UpdateMany({"order_id": 1}, {"$set": {"a": 1}}),
+                UpdateMany({"store": 0}, {"$set": {"b": 1}}),  # no shard key: fans out
+                UpdateMany({"order_id": 2}, {"$set": {"a": 1}}),
+                UpdateOne({"order_id": 900}, {"$set": {"a": 1}}, upsert=True),
+                DeleteMany({"order_id": 3}),
+            ],
+            ordered=False,
+        )
+        assert (result.modified_count, result.deleted_count) == (77, 1)
+        assert list(result.upserted_ids) == [3]
+        operations, purposes = self.traffic(loaded)
+        assert purposes["bulkWrite:request"] == 3  # the fan-out and the upsert each close a step
+        assert purposes["update:request"] == 3 + 1  # a broadcast, then the upsert's probe
+
+    def test_bulk_inserts_keep_the_chunk_table_of_single_inserts(self):
+        documents = [{"_id": i, "day": i % 30, "pad": "x" * 40} for i in range(200)]
+        tables = []
+        for bulk in (True, False):
+            cluster = ShardedCluster(shard_count=3)
+            cluster.shard_collection(
+                "shop", "events", {"day": 1}, chunk_size_bytes=2_000, initial_chunks_per_shard=1
+            )
+            events = cluster.get_database("shop")["events"]
+            if bulk:
+                events.bulk_write([InsertOne(doc) for doc in documents], ordered=False)
+            else:
+                for doc in documents:
+                    events.insert_one(doc)
+            manager = cluster.config_server.chunk_manager("shop", "events")
+            assert len(manager.chunks) > 3  # the inserts split chunks
+            tables.append(manager.describe())
+            cluster.close()
+        assert tables[0] == tables[1]
 
 
 class TestAggregation:
