@@ -68,6 +68,8 @@ def main() -> None:
         .sort("ss_sales_price", -1)
         .limit(3)
     )
+    # cursor.explain() is sales.explain(cursor.spec): the same schema-v1
+    # document on a stand-alone, a routed and a served collection.
     plan = cursor.explain()["queryPlanner"]
     print("\nTop-3 sales by price (one FindSpec, executed lazily):")
     print(f"  access path: {plan['winningPlan']['stage']}, sort mode: {plan['sortMode']}")

@@ -123,7 +123,11 @@ def run_cluster_demo(cluster: ShardedCluster, profile, generator) -> None:
         .sort([("ss_sales_price", -1), ("ss_ticket_number", 1)])
         .limit(5)
     )
-    explain = top_sales.explain()["queryPlanner"]
+    # cursor.explain() is routed.explain(that spec): the one explain document,
+    # whose winning plan is the routing decision and whose "shards" hold each
+    # contacted shard collection's own queryPlanner section.
+    document = top_sales.explain()
+    explain = document["queryPlanner"]
     rows = top_sales.to_list()
     pushdown_metrics = cluster.router.metrics.snapshot()
     print(
@@ -141,14 +145,14 @@ def run_cluster_demo(cluster: ShardedCluster, profile, generator) -> None:
             title="Sorted+limited broadcast find with shard-side pushdown",
         )
     )
-    shard_plan = next(iter(explain["winningPlan"]["shards"].values()))
+    shard_plan = next(iter(document["shards"].values()))
     print(
         "per-shard plan:",
         shard_plan["winningPlan"]["stage"],
         "/ sort mode",
         shard_plan["sortMode"],
         "/ shard-local limit",
-        shard_plan["findSpec"]["limit"],
+        shard_plan["spec"]["limit"],
     )
 
     # ------------------------------------------------------------- Query 50

@@ -43,7 +43,7 @@ from .errors import (
     InvalidDocumentError,
     OperationFailure,
 )
-from .explain import build_execution_stats, build_explain, validate_verbosity
+from .explain import build_execution_stats, build_explain, explain_target, validate_verbosity
 from .findspec import FindSpec
 from .indexes import ASCENDING, Index, IndexSpec
 from .matching import compile_matcher, distinct_values, resolve_path, values_equal
@@ -592,25 +592,6 @@ class Collection:
         for document in selected:
             yield self._emit(document, spec.projection)
 
-    def explain_find(self, spec: FindSpec) -> dict[str, Any]:
-        """The plan for *spec*: access path, sort strategy, and the spec."""
-        plan = self._plan_find(spec)
-        if not spec.sort:
-            sort_mode = None
-        elif plan.sort_served:
-            sort_mode = "indexOrder"
-        elif spec.fetch_bound is not None:
-            sort_mode = "topK"
-        else:
-            sort_mode = "sortMaterialize"
-        return {
-            "queryPlanner": {
-                "winningPlan": plan.describe(),
-                "sortMode": sort_mode,
-                "findSpec": spec.describe(),
-            }
-        }
-
     def find(
         self,
         query: Mapping[str, Any] | None = None,
@@ -637,7 +618,7 @@ class Collection:
             batch_size=batch_size,
             hint=hint,
         )
-        return Cursor(self._execute_find, spec=spec, explain=self.explain_find)
+        return Cursor(self._execute_find, spec=spec, explain=self.explain)
 
     def find_one(
         self,
@@ -684,18 +665,21 @@ class Collection:
         ``RemoteCollection``.
         """
         validate_verbosity(verbosity)
-        if isinstance(query_or_pipeline, Sequence) and not isinstance(
-            query_or_pipeline, (str, bytes)
-        ):
-            return self._explain_pipeline(list(query_or_pipeline), verbosity)
-        if isinstance(query_or_pipeline, FindSpec):
-            spec = query_or_pipeline
-        else:
-            spec = FindSpec(filter=query_or_pipeline)
-        return self._explain_spec(spec, verbosity)
+        target = explain_target(query_or_pipeline)
+        if isinstance(target, FindSpec):
+            return self._explain_spec(target, verbosity)
+        return self._explain_pipeline(target, verbosity)
 
     def _explain_spec(self, spec: FindSpec, verbosity: str) -> dict[str, Any]:
-        legacy = self.explain_find(spec)["queryPlanner"]
+        plan = self._plan_find(spec)
+        if not spec.sort:
+            sort_mode = None
+        elif plan.sort_served:
+            sort_mode = "indexOrder"
+        elif spec.fetch_bound is not None:
+            sort_mode = "topK"
+        else:
+            sort_mode = "sortMaterialize"
         execution_stats = None
         if verbosity == "executionStats":
             n_returned = sum(1 for _document in self._execute_find(spec))
@@ -705,9 +689,9 @@ class Collection:
             operation="find",
             verbosity=verbosity,
             namespace=self.full_name,
-            winning_plan=legacy["winningPlan"],
-            sort_mode=legacy["sortMode"],
-            spec=legacy["findSpec"],
+            winning_plan=plan.describe(),
+            sort_mode=sort_mode,
+            spec=spec.describe(),
             execution_stats=execution_stats,
         )
 
@@ -1179,23 +1163,6 @@ class Collection:
         _plan, results = self._execute_pipeline(pipeline, counters=counters)
         return results
 
-    def explain_aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-        """Deprecated alias: use ``explain(pipeline, verbosity=...)``.
-
-        Kept for callers of the historical shape — the winning plan of the
-        leading ``$match``/``$vectorSearch`` plus per-stage counters.  A
-        trailing ``$out`` is *not* written during explain.
-        """
-        counters: list[StageStats] = []
-        plan, _results = self._execute_pipeline(
-            pipeline, counters=counters, suppress_out=True
-        )
-        plan = plan.with_pipeline_stages([stats.as_dict() for stats in counters])
-        return {
-            "queryPlanner": {"winningPlan": plan.describe()},
-            "executionStats": {"stages": [stats.as_dict() for stats in counters]},
-        }
-
     # ------------------------------------------------------------- iteration
 
     def all_documents(self) -> Iterator[dict[str, Any]]:
@@ -1211,19 +1178,6 @@ class Collection:
         returned documents.
         """
         yield from self._documents.values()
-
-    def find_with_options(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        sort: Sequence[tuple[str, int]] | None = None,
-        skip: int = 0,
-        limit: int = 0,
-    ) -> list[dict[str, Any]]:
-        """One-shot find over the spec executor (used by the sharded router)."""
-        return self.find(
-            query, projection, sort=sort, skip=skip, limit=limit
-        ).to_list()
 
     def execute_find(self, spec: FindSpec) -> list[dict[str, Any]]:
         """Execute a complete spec in one shot (the shard-side entry point)."""

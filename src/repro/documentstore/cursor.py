@@ -94,10 +94,12 @@ class Cursor:
 
     The cursor owns a :class:`FindSpec` and two executor callables.
     ``execute(spec)`` must return an iterable of final result documents
-    (already filtered, sorted, sliced, and projected); ``explain(spec)``
-    must return the executor's plan for the spec.  Execution is deferred
-    until the first document is requested; consumed documents are cached so
-    a cursor can be iterated more than once without re-executing.
+    (already filtered, sorted, sliced, and projected); ``explain(spec)`` is
+    the owning collection's ``explain``, so ``find(...).explain()`` returns
+    the same schema-v1 document as ``collection.explain(spec)`` on every
+    surface.  Execution is deferred until the first document is requested;
+    consumed documents are cached so a cursor can be iterated more than once
+    without re-executing.
     """
 
     def __init__(
@@ -218,7 +220,7 @@ class Cursor:
         return len(self._materialize())
 
     def explain(self) -> dict[str, Any]:
-        """Return the executor's plan for this cursor's spec."""
+        """The unified explain document for this cursor's complete spec."""
         if self._explain is None:
             raise OperationFailure("this cursor's executor does not support explain")
         return self._explain(self._spec)

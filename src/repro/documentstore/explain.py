@@ -1,18 +1,17 @@
 """The unified ``explain()`` schema shared by every query surface.
 
-Before this module each surface grew its own explain shape —
-``Cursor.explain()``, ``Collection.explain_find`` /
-``explain_aggregate``, and the router's variants all returned similar
-but differently-keyed documents.  The redesigned entry point is one
-method everywhere::
+One question — which plan served this operation, and what did it cost —
+has one entry point and one answer shape on every surface::
 
     collection.explain(query_or_pipeline, verbosity="queryPlanner")
 
-available with the same signature — and the same document shape — on a
-stand-alone :class:`~repro.documentstore.collection.Collection`, a
-sharded ``RoutedCollection``, and a served ``RemoteCollection``.  The
-old names survive as thin deprecated aliases returning their historical
-shapes.
+on a stand-alone :class:`~repro.documentstore.collection.Collection`, a
+sharded ``RoutedCollection`` and a served ``RemoteCollection``;
+``find(...).explain()`` is ``collection.explain(that cursor's FindSpec)``.
+Each surface builds the document below itself: the collection from its
+planner, the router from its targeting decision plus every contacted
+shard collection's own ``queryPlanner`` section, the server by asking its
+backend and relabelling ``surface``.
 
 Schema (version 1)::
 
@@ -29,7 +28,8 @@ Schema (version 1)::
                                   # streamingKWayMerge/None
         "spec": {...},            # the find spec, or {"pipeline": [...]}
       },
-      "shards": {shard_id: {...}},  # per-shard plans ({} standalone)
+      "shards": {shard_id: {...}},  # per-shard plans ({} standalone); for a
+                                    # find, the shard's own queryPlanner
       # present if and only if verbosity == "executionStats":
       "executionStats": {
         "nReturned": int,
@@ -48,6 +48,7 @@ from collections.abc import Mapping, Sequence
 from typing import Any
 
 from .errors import OperationFailure
+from .findspec import FindSpec
 
 __all__ = [
     "EXPLAIN_VERSION",
@@ -56,6 +57,7 @@ __all__ = [
     "PLANNER_KEYS",
     "EXECUTION_KEYS",
     "validate_verbosity",
+    "explain_target",
     "build_explain",
     "build_execution_stats",
 ]
@@ -82,22 +84,33 @@ def validate_verbosity(verbosity: str) -> str:
     return verbosity
 
 
+def explain_target(
+    query_or_pipeline: Mapping[str, Any] | Sequence[Mapping[str, Any]] | FindSpec | None,
+) -> FindSpec | list[Mapping[str, Any]]:
+    """What ``explain`` was asked about: a complete find spec, or a pipeline.
+
+    A sequence of stages is an aggregation; a :class:`FindSpec` is itself;
+    a filter mapping (or ``None``) is the find with only that filter.
+    """
+    if isinstance(query_or_pipeline, FindSpec):
+        return query_or_pipeline
+    if isinstance(query_or_pipeline, Sequence) and not isinstance(query_or_pipeline, (str, bytes)):
+        return list(query_or_pipeline)
+    return FindSpec(filter=query_or_pipeline)
+
+
 def build_execution_stats(
     *,
     n_returned: int,
     stages: Sequence[Mapping[str, Any]] | None = None,
     shards: Mapping[str, Any] | None = None,
-    extra: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """An ``executionStats`` section with the canonical keys always present."""
-    section: dict[str, Any] = {
+    return {
         "nReturned": int(n_returned),
         "stages": [dict(stage) for stage in stages or []],
         "shards": dict(shards or {}),
     }
-    if extra:
-        section.update(extra)
-    return section
 
 
 def build_explain(

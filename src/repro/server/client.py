@@ -33,6 +33,7 @@ from ..documentstore.cursor import (
     UpdateResult,
 )
 from ..documentstore.errors import DocumentStoreError
+from ..documentstore.explain import explain_target
 from ..documentstore.findspec import FindSpec
 from ..sharding.executor import ShardTimeoutError
 from .protocol import (
@@ -342,7 +343,7 @@ class RemoteCollection:
             batch_size=batch_size,
             hint=hint,
         )
-        return Cursor(self._execute_find, spec=spec)
+        return Cursor(self._execute_find, spec=spec, explain=self.explain)
 
     def _execute_find(self, spec: FindSpec) -> Iterator[dict[str, Any]]:
         """Stream a find: one ``FIND`` frame, then ``GET_MORE`` per batch.
@@ -498,23 +499,23 @@ class RemoteCollection:
 
     def explain(
         self,
-        query_or_pipeline: Mapping[str, Any] | Sequence[Mapping[str, Any]] | None = None,
+        query_or_pipeline: Mapping[str, Any] | Sequence[Mapping[str, Any]] | FindSpec | None = None,
         *,
         verbosity: str = "queryPlanner",
     ) -> dict[str, Any]:
         """The unified explain entry point (schema v1, ``surface="served"``).
 
         Same signature and document shape as ``Collection.explain`` /
-        ``RoutedCollection.explain``: a mapping (or ``None``) explains a
-        find, a sequence of stages explains an aggregation.
+        ``RoutedCollection.explain``: a mapping (or ``None``) or a complete
+        :class:`FindSpec` explains a find, a sequence of stages explains an
+        aggregation.  A find always crosses the wire as its whole spec.
         """
         command: dict[str, Any] = {"explain": self.name, "verbosity": verbosity}
-        if isinstance(query_or_pipeline, Sequence) and not isinstance(
-            query_or_pipeline, (str, bytes)
-        ):
-            command["pipeline"] = [dict(stage) for stage in query_or_pipeline]
-        elif query_or_pipeline is not None:
-            command["query"] = dict(query_or_pipeline)
+        target = explain_target(query_or_pipeline)
+        if isinstance(target, FindSpec):
+            command["spec"] = encode_findspec(target)
+        else:
+            command["pipeline"] = [dict(stage) for stage in target]
         reply = self.client.command(self.database_name, command)
         return dict(reply["explain"])
 

@@ -804,7 +804,7 @@ class _Session(threading.Thread):
             if "pipeline" in command:
                 argument: Any = command["pipeline"]
             else:
-                argument = command.get("query")
+                argument = decode_findspec(command.get("spec") or {})
             explain = collection.explain(
                 argument, verbosity=str(command.get("verbosity") or "queryPlanner")
             )

@@ -34,9 +34,8 @@ class ShardedCluster:
 
     ``executor_mode`` selects how the router executes scatter fan-outs:
     ``"thread"`` (default) dispatches every target shard concurrently on a
-    worker-thread pool, ``"serial"`` keeps the sequential one-shard-at-a-time
-    baseline, and ``"process"`` additionally runs eligible read scans in a
-    forked process pool (see :mod:`repro.sharding.executor`).
+    worker-thread pool; ``"serial"`` runs one shard at a time, the reference
+    the parity tests compare against (see :mod:`repro.sharding.executor`).
     ``scatter_policy`` sets the default per-operation deadline and timeout
     policy for every routed operation.
 
@@ -61,7 +60,6 @@ class ShardedCluster:
         network_model: NetworkModel | None = None,
         name: str = "cluster",
         executor_mode: str = "thread",
-        max_workers: int | None = None,
         scatter_policy: ScatterPolicy | None = None,
         data_dir: str | pathlib.Path | None = None,
         fsync: str = "batch",
@@ -93,7 +91,6 @@ class ShardedCluster:
             self.shards,
             self.network,
             executor_mode=executor_mode,
-            max_workers=max_workers,
             scatter_policy=scatter_policy,
         )
         self.balancer = Balancer(

@@ -6,9 +6,8 @@ the sum.  This module gives the reproduction's router the same shape:
 
 * a per-cluster :class:`ScatterRunner` — a pool of daemon worker threads
   that dispatches every scatter target simultaneously (``mode="thread"``,
-  the default), runs them inline for the sequential baseline
-  (``mode="serial"``), or, opt-in, executes CPU-bound read scans in a pool
-  of forked worker processes to beat the GIL (``mode="process"``);
+  the one production path) or runs them inline in target order
+  (``mode="serial"``, the sequential reference of the parity tests);
 * per-shard deadlines with cooperative cancellation and a structured
   :class:`ShardTimeoutError` / partial-results policy (:class:`ScatterPolicy`);
 * a queue-backed :class:`StreamGather` so the router's k-way merge consumes
@@ -18,36 +17,27 @@ the sum.  This module gives the reproduction's router the same shape:
   an observed wall-clock makespan per operation, which is what makes
   ``RouterMetrics.parallel_shard_seconds`` an honest measurement.
 
-Process mode and the GIL
-------------------------
-Worker *threads* overlap network waits and any GIL-releasing work, but pure
-Python collection scans serialize on the GIL.  ``mode="process"`` forks a
-pool of worker processes on first use; with the ``fork`` start method the
-children inherit a copy-on-write snapshot of every shard's in-memory data,
-so read-only operations (find / count / distinct / shard-side aggregation)
-can run in true parallel on multi-core hosts without shipping the dataset.
-Any routed write invalidates the snapshot (the pool is discarded and
-re-forked lazily), and writes themselves always execute in-process.  Hosts
-without ``fork`` (or single-core containers) transparently fall back to the
-thread path.
+Threads and the GIL
+-------------------
+Worker threads overlap network waits and any GIL-releasing work, but pure
+Python collection scans serialize on the GIL, so a broadcast scan is not
+faster here than one collection's scan: the paper's Q50 < 1 needs shards
+that are OS processes (ROADMAP, parked).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import queue
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 __all__ = [
     "EXECUTOR_MODES",
     "BranchTiming",
     "BranchReport",
     "FirstMatchClaim",
-    "RemoteOperation",
     "ScatterOutcome",
     "ScatterPending",
     "ScatterPolicy",
@@ -57,7 +47,7 @@ __all__ = [
 ]
 
 #: Supported execution modes for the scatter worker pool.
-EXECUTOR_MODES = ("serial", "thread", "process")
+EXECUTOR_MODES = ("serial", "thread")
 
 #: Upper bound on pool threads (branches queue once it is reached).
 DEFAULT_MAX_WORKERS = 32
@@ -307,78 +297,23 @@ class ScatterPending:
         )
 
 
-# --------------------------------------------------------------------------- #
-# process-mode plumbing                                                       #
-# --------------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class RemoteOperation:
-    """Picklable description of a read-only shard operation.
-
-    Process mode cannot ship closures to the forked workers, so the router
-    describes each eligible operation as data; :func:`_run_remote` replays
-    it against the forked copy-on-write shard snapshot.
-    """
-
-    kind: str  # "find" | "count" | "distinct" | "aggregate"
-    database: str
-    collection: str
-    payload: tuple[Any, ...] = ()
-
-
-#: Shard registry inherited by forked pool workers (set right before fork).
-_FORK_SHARDS: dict[str, Any] = {}
-_FORK_LOCK = threading.Lock()
-
-
-def _run_remote(shard_id: str, operation: RemoteOperation) -> tuple[Any, float]:
-    """Execute *operation* in a forked worker; returns (result, exec seconds)."""
-    shard = _FORK_SHARDS[shard_id]
-    collection = shard.collection(operation.database, operation.collection)
-    # CPU time, mirroring the in-process path: forked siblings contending
-    # for cores must not charge each other's scheduler slices.
-    started = time.thread_time()
-    if operation.kind == "find":
-        result = collection.execute_find(operation.payload[0])
-    elif operation.kind == "count":
-        result = collection.count_documents(operation.payload[0])
-    elif operation.kind == "distinct":
-        result = collection.distinct(*operation.payload)
-    elif operation.kind == "aggregate":
-        result = collection.aggregate(list(operation.payload[0]))
-    else:  # pragma: no cover - guarded by the router
-        raise ValueError(f"unsupported remote operation {operation.kind!r}")
-    return result, time.thread_time() - started
-
-
 class ScatterRunner:
     """Per-cluster worker pool that executes scatter branches.
 
     ``mode="thread"`` (default) dispatches every branch to a pool of daemon
     threads; ``mode="serial"`` runs branches inline in target order (the
-    pre-concurrency behavior, kept as the measurable baseline);
-    ``mode="process"`` additionally executes eligible read operations in a
-    forked process pool (see the module docstring).  In every mode a
-    one-branch scatter with no deadline runs on the caller's thread.
+    sequential reference the parity tests compare against).  In both modes
+    a one-branch scatter with no deadline runs on the caller's thread.
     """
 
-    def __init__(
-        self,
-        mode: str = "thread",
-        max_workers: int | None = None,
-        *,
-        shards: Mapping[str, Any] | None = None,
-    ) -> None:
+    def __init__(self, mode: str = "thread") -> None:
         if mode not in EXECUTOR_MODES:
             raise ValueError(f"executor mode must be one of {EXECUTOR_MODES}, got {mode!r}")
         self.mode = mode
-        self._max_workers = max_workers or DEFAULT_MAX_WORKERS
-        self._shards = dict(shards or {})
         self._tasks: queue.SimpleQueue[_Branch | None] = queue.SimpleQueue()
         self._threads: list[threading.Thread] = []
         self._outstanding = 0
         self._lock = threading.Lock()
-        self._process_pool: ProcessPoolExecutor | None = None
         self._closed = False
 
     # -- thread pool -----------------------------------------------------------
@@ -395,7 +330,7 @@ class ScatterRunner:
     def _ensure_threads(self, incoming: int) -> None:
         with self._lock:
             self._outstanding += incoming
-            wanted = min(self._outstanding, self._max_workers)
+            wanted = min(self._outstanding, DEFAULT_MAX_WORKERS)
             while len(self._threads) < wanted:
                 thread = threading.Thread(
                     target=self._worker_loop,
@@ -445,58 +380,15 @@ class ScatterRunner:
             self._tasks.put(branch)
         return pending
 
-    # -- process snapshot pool -------------------------------------------------
-
-    def prepare_process_pool(self) -> ProcessPoolExecutor | None:
-        """Fork the read-snapshot pool if needed (call from the router thread).
-
-        Forking from the dispatching thread — before the scatter's worker
-        threads start — keeps the fork point quiescent.  Returns ``None``
-        when ``fork`` is unavailable, in which case reads use the thread path.
-        """
-        if self.mode != "process":
-            return None
-        with _FORK_LOCK:
-            if self._process_pool is None:
-                if "fork" not in multiprocessing.get_all_start_methods():
-                    return None
-                _FORK_SHARDS.clear()
-                _FORK_SHARDS.update(self._shards)
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=max(1, len(self._shards)),
-                    mp_context=multiprocessing.get_context("fork"),
-                )
-            return self._process_pool
-
-    def invalidate_snapshot(self) -> None:
-        """Discard the forked snapshot after a routed write (stale COW data)."""
-        with _FORK_LOCK:
-            if self._process_pool is not None:
-                self._process_pool.shutdown(wait=False, cancel_futures=True)
-                self._process_pool = None
-
-    def execute(
-        self,
-        shard_id: str,
-        remote: RemoteOperation | None,
-        local: Callable[[], Any],
-    ) -> tuple[Any, float]:
+    @staticmethod
+    def execute(local: Callable[[], Any]) -> tuple[Any, float]:
         """Run the shard-local step of a branch; returns (result, exec seconds).
 
-        Eligible reads go to the forked pool in process mode; everything else
-        (writes, DDL, thread/serial modes, fork-less hosts) runs *local*.
+        Execution time is the branch thread's CPU time, not wall clock:
+        concurrent branches time-slice one interpreter (GIL), and wall clock
+        would charge each branch for the others' slices — the paper's shards
+        are separate machines that pay only their own work.
         """
-        pool = self._process_pool if (self.mode == "process" and remote is not None) else None
-        if pool is not None:
-            try:
-                return pool.submit(_run_remote, shard_id, remote).result()
-            except RuntimeError:
-                # Pool shut down by a concurrent write: fall through to local.
-                pass
-        # Execution time is the branch thread's CPU time, not wall clock:
-        # concurrent branches time-slice one interpreter (GIL), and wall
-        # clock would charge each branch for the others' slices — the
-        # paper's shards are separate machines that pay only their own work.
         started = time.thread_time()
         value = local()
         return value, time.thread_time() - started
@@ -504,11 +396,10 @@ class ScatterRunner:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop pool threads and discard any forked snapshot pool."""
+        """Stop the pool threads."""
         if self._closed:
             return
         self._closed = True
-        self.invalidate_snapshot()
         for _ in self._threads:
             self._tasks.put(None)
 

@@ -8,8 +8,7 @@ deployment (Figure 3.1).  For every operation it:
    (*broadcast*, the expensive case called out in Section 4.3);
 2. dispatches the command to **every target shard simultaneously** through
    the cluster's :class:`~repro.sharding.executor.ScatterRunner` (worker
-   threads by default, an opt-in forked process pool for CPU-bound read
-   scans, or an inline serial mode kept as the measurable baseline);
+   threads, or the inline serial mode the parity tests compare against);
 3. gathers the per-shard results — streaming them for ``find``, so the
    k-way merge starts before the slowest shard finishes — and merges them
    (and, for aggregation, runs the merge part of the pipeline) before
@@ -56,7 +55,12 @@ from ..documentstore.cursor import (
     project_document,
 )
 from ..documentstore.errors import ShardKeyError
-from ..documentstore.explain import build_execution_stats, build_explain, validate_verbosity
+from ..documentstore.explain import (
+    build_execution_stats,
+    build_explain,
+    explain_target,
+    validate_verbosity,
+)
 from ..documentstore.findspec import FindSpec
 from ..documentstore.matching import distinct_values
 from ..documentstore.objectid import ObjectId
@@ -66,7 +70,6 @@ from .chunks import Chunk, ChunkManager
 from .config_server import ConfigServer
 from .executor import (
     FirstMatchClaim,
-    RemoteOperation,
     ScatterOutcome,
     ScatterPending,
     ScatterPolicy,
@@ -193,7 +196,6 @@ class QueryRouter:
         name: str = "mongos",
         *,
         executor_mode: str = "thread",
-        max_workers: int | None = None,
         scatter_policy: ScatterPolicy | None = None,
     ) -> None:
         self.name = name
@@ -202,18 +204,18 @@ class QueryRouter:
         self._shards = {shard.shard_id: shard for shard in shards}
         self.metrics = RouterMetrics()
         self.scatter_policy = scatter_policy or ScatterPolicy()
-        self._runner = ScatterRunner(executor_mode, max_workers, shards=self._shards)
+        self._runner = ScatterRunner(executor_mode)
         self._metrics_lock = threading.Lock()
-        #: Per-shard timing breakdown of the most recent scatter (see
-        #: ``explain_find(execution_stats=True)``).  Debugging aid only —
-        #: concurrent client threads overwrite it.
+        #: Per-shard timing breakdown of the most recent scatter (what
+        #: ``explain(..., verbosity="executionStats")`` reports).  Debugging
+        #: aid only — concurrent client threads overwrite it.
         self.last_scatter_report: dict[str, Any] | None = None
 
     # ------------------------------------------------------------ infrastructure
 
     @property
     def executor_mode(self) -> str:
-        """The scatter execution mode ("serial", "thread", or "process")."""
+        """The scatter execution mode ("thread" or "serial")."""
         return self._runner.mode
 
     def shard(self, shard_id: str) -> Shard:
@@ -241,7 +243,7 @@ class QueryRouter:
             shard.reset_accounting()
 
     def close(self) -> None:
-        """Shut down the scatter worker pool (and any forked snapshot pool)."""
+        """Shut down the scatter worker pool."""
         self._runner.close()
 
     # --------------------------------------------------------------- target choice
@@ -315,38 +317,27 @@ class QueryRouter:
 
     def _launch_scatter(
         self,
-        targets: Sequence[str],
-        command: Mapping[str, Any] | Callable[[str], Mapping[str, Any]] | None,
+        commands: Mapping[str, Mapping[str, Any]],
         purpose: str,
         shard_operation: Callable[[Shard], Any],
         *,
         ship_results: bool = True,
         response_batch_size: int | None = None,
-        remote: Callable[[str], RemoteOperation] | None = None,
-        policy: ScatterPolicy | None = None,
         stream: StreamGather | None = None,
-        is_write: bool = False,
     ) -> ScatterPending:
         """Dispatch *shard_operation* to every target simultaneously.
 
-        Each branch runs on a pool worker: it ships the request command (one
-        for all targets, or a callable giving each shard its own),
-        executes the shard-local work (optionally in the forked process pool
-        for eligible reads), then serializes the result back in batches of
+        *commands* maps each target shard to the request it is sent.  Each
+        branch runs on a pool worker: it ships its request, executes the
+        shard-local work, then serializes the result back in batches of
         *response_batch_size* — pushing every decoded batch into *stream* as
         it crosses the wire, when streaming.  All traffic lands on the
         branch's private network channel; nothing shared is touched until
         :meth:`_absorb_outcome`.
         """
-        policy = policy or self.scatter_policy
-        if self._runner.mode == "process":
-            if is_write:
-                self._runner.invalidate_snapshot()
-            elif remote is not None:
-                self._runner.prepare_process_pool()
         batch_size = response_batch_size or self.RESPONSE_BATCH_SIZE
 
-        def make_branch(shard_id: str) -> Callable[[Any], Any]:
+        def make_branch(shard_id: str, command: Mapping[str, Any]) -> Callable[[Any], Any]:
             shard = self._shards[shard_id]
 
             def run(branch: Any) -> Any:
@@ -355,16 +346,14 @@ class QueryRouter:
                 try:
                     started = time.perf_counter()
                     channel.ship_command(
-                        command(shard_id) if callable(command) else command,
+                        command,
                         source=self.name,
                         destination=shard_id,
                         purpose=f"{purpose}:request",
                     )
                     branch.report.timing.dispatch_seconds = time.perf_counter() - started
                     value, execute_seconds = self._runner.execute(
-                        shard_id,
-                        remote(shard_id) if remote is not None else None,
-                        lambda: shard.run(shard_operation, shard)[0],
+                        lambda: shard.run(shard_operation, shard)[0]
                     )
                     branch.report.timing.execute_seconds = execute_seconds
                     shipping_started = time.perf_counter()
@@ -414,7 +403,9 @@ class QueryRouter:
             return run
 
         return self._runner.launch(
-            purpose, [(shard_id, make_branch(shard_id)) for shard_id in targets], policy
+            purpose,
+            [(shard_id, make_branch(shard_id, command)) for shard_id, command in commands.items()],
+            self.scatter_policy,
         )
 
     def _absorb_outcome(self, outcome: ScatterOutcome, *, targeted: bool) -> None:
@@ -464,19 +455,12 @@ class QueryRouter:
 
     def _scatter(
         self,
-        database_name: str,
-        collection_name: str,
-        targets: Sequence[str],
-        command: Mapping[str, Any] | Callable[[str], Mapping[str, Any]] | None,
+        commands: Mapping[str, Mapping[str, Any]],
         purpose: str,
         shard_operation: Callable[[Shard], Any],
         *,
         ship_results: bool = True,
         targeted: bool = False,
-        response_batch_size: int | None = None,
-        remote: Callable[[str], RemoteOperation] | None = None,
-        policy: ScatterPolicy | None = None,
-        is_write: bool = False,
     ) -> dict[str, Any]:
         """Concurrent scatter + blocking gather; returns per-shard results.
 
@@ -485,15 +469,7 @@ class QueryRouter:
         timed-out shards.
         """
         pending = self._launch_scatter(
-            targets,
-            command,
-            purpose,
-            shard_operation,
-            ship_results=ship_results,
-            response_batch_size=response_batch_size,
-            remote=remote,
-            policy=policy,
-            is_write=is_write,
+            commands, purpose, shard_operation, ship_results=ship_results
         )
         outcome = pending.gather()
         self._absorb_outcome(outcome, targeted=targeted)
@@ -570,15 +546,11 @@ class QueryRouter:
 
         targets = sorted(batches)
         self._scatter(
-            database_name,
-            collection_name,
-            targets,
-            {"insert": collection_name, "documents": len(prepared)},
+            dict.fromkeys(targets, {"insert": collection_name, "documents": len(prepared)}),
             "insert",
             do_insert,
             ship_results=False,
             targeted=not sharded or len(targets) < len(self.config.shard_ids),
-            is_write=True,
         )
         if manager is not None:
             for key, chunk in chunk_by_id.items():
@@ -622,22 +594,18 @@ class QueryRouter:
             return shard.collection(database_name, collection_name).execute_find(shard_spec)
 
         stream = StreamGather(targets, per_shard=spec.sort is not None)
+        command = {
+            "find": collection_name,
+            "filter": spec.filter,
+            "sort": list(spec.sort) if spec.sort else None,
+            "limit": shard_spec.limit,
+            "projection": shard_spec.projection,
+        }
         pending = self._launch_scatter(
-            targets,
-            {
-                "find": collection_name,
-                "filter": spec.filter,
-                "sort": list(spec.sort) if spec.sort else None,
-                "limit": shard_spec.limit,
-                "projection": shard_spec.projection,
-            },
+            dict.fromkeys(targets, command),
             "find",
             do_find,
-            ship_results=True,
             response_batch_size=spec.batch_size,
-            remote=lambda shard_id: RemoteOperation(
-                "find", database_name, collection_name, (shard_spec,)
-            ),
             stream=stream,
         )
         started = time.perf_counter()
@@ -682,62 +650,6 @@ class QueryRouter:
             FindSpec(filter=query, projection=projection),
         )
 
-    def explain_find(
-        self,
-        database_name: str,
-        collection_name: str,
-        spec: FindSpec,
-        *,
-        execution_stats: bool = False,
-    ) -> dict[str, Any]:
-        """Explain a routed find: routing decision, pushdown, per-shard plans.
-
-        With ``execution_stats=True`` the find is actually executed through
-        the concurrent scatter and the explain gains an ``executionStats``
-        section: the observed fan-out makespan plus each shard branch's
-        queue / dispatch / execute / ship timing breakdown.
-        """
-        targets, targeted = self._target_shards(database_name, collection_name, spec.filter)
-        shard_spec = spec.shard_spec()
-        shards = {
-            shard_id: self._shards[shard_id]
-            .collection(database_name, collection_name)
-            .explain_find(shard_spec)["queryPlanner"]
-            for shard_id in targets
-        }
-        winning_plan = {
-            "stage": "SINGLE_SHARD" if len(targets) == 1 else "SHARD_MERGE",
-            "targeted": targeted,
-            "shardsContacted": list(targets),
-            "pushdown": {
-                "projection": spec.projection is not None
-                and shard_spec.projection is not None,
-                "sort": spec.sort is not None,
-                "limit": shard_spec.limit,
-            },
-            "shards": shards,
-        }
-        explain = {
-            "queryPlanner": {
-                "winningPlan": winning_plan,
-                "sortMode": "streamingKWayMerge" if spec.sort else None,
-                "findSpec": spec.describe(),
-            }
-        }
-        if execution_stats:
-            self.execute_find(database_name, collection_name, spec)
-            explain["executionStats"] = self._execution_stats_section()
-        return explain
-
-    def _execution_stats_section(self) -> dict[str, Any]:
-        report = self.last_scatter_report or {}
-        return {
-            "executorMode": self.executor_mode,
-            "parallelSeconds": report.get("makespanSeconds", 0.0),
-            "timedOutShards": report.get("timedOutShards", []),
-            "shards": report.get("shards", {}),
-        }
-
     def count_documents(
         self,
         database_name: str,
@@ -751,17 +663,11 @@ class QueryRouter:
             return shard.collection(database_name, collection_name).count_documents(query)
 
         per_shard = self._scatter(
-            database_name,
-            collection_name,
-            targets,
-            {"count": collection_name, "filter": query},
+            dict.fromkeys(targets, {"count": collection_name, "filter": query}),
             "count",
             do_count,
             ship_results=False,
             targeted=targeted,
-            remote=lambda shard_id: RemoteOperation(
-                "count", database_name, collection_name, (query,)
-            ),
         )
         return sum(per_shard.values())
 
@@ -785,17 +691,11 @@ class QueryRouter:
             return shard.collection(database_name, collection_name).distinct(key, query)
 
         per_shard = self._scatter(
-            database_name,
-            collection_name,
-            targets,
-            {"distinct": collection_name, "key": key},
+            dict.fromkeys(targets, {"distinct": collection_name, "key": key}),
             "distinct",
             do_distinct,
             ship_results=True,
             targeted=targeted,
-            remote=lambda shard_id: RemoteOperation(
-                "distinct", database_name, collection_name, (key, query)
-            ),
         )
         started = time.perf_counter()
         # The same equality a single collection dedupes with, so 1 on one
@@ -829,15 +729,11 @@ class QueryRouter:
             )
 
         per_shard = self._scatter(
-            database_name,
-            collection_name,
-            targets,
-            {"update": collection_name, "filter": query, "u": update},
+            dict.fromkeys(targets, {"update": collection_name, "filter": query, "u": update}),
             "update",
             do_update,
             ship_results=False,
             targeted=targeted,
-            is_write=True,
         )
         matched = sum(result.matched_count for result in per_shard.values())
         modified = sum(result.modified_count for result in per_shard.values())
@@ -880,15 +776,13 @@ class QueryRouter:
             return collection.update_one({"_id": matched["_id"]}, update, upsert=False)
 
         per_shard = self._scatter(
-            database_name,
-            collection_name,
-            targets,
-            {"update": collection_name, "filter": query, "u": update, "multi": False},
+            dict.fromkeys(
+                targets, {"update": collection_name, "filter": query, "u": update, "multi": False}
+            ),
             "update",
             do_update,
             ship_results=False,
             targeted=targeted,
-            is_write=True,
         )
         for shard_id in targets:
             result = per_shard.get(shard_id)
@@ -913,15 +807,11 @@ class QueryRouter:
             return shard.collection(database_name, collection_name).delete_many(query)
 
         per_shard = self._scatter(
-            database_name,
-            collection_name,
-            targets,
-            {"delete": collection_name, "filter": query},
+            dict.fromkeys(targets, {"delete": collection_name, "filter": query}),
             "delete",
             do_delete,
             ship_results=False,
             targeted=targeted,
-            is_write=True,
         )
         return DeleteResult(deleted_count=sum(result.deleted_count for result in per_shard.values()))
 
@@ -1020,10 +910,14 @@ class QueryRouter:
         targeted: bool,
     ) -> dict[str, tuple[BulkWriteResult, list[dict[str, Any]]]]:
         """One scatter: each shard applies its batch, answers (result, errors)."""
-
-        def request(shard_id: str) -> dict[str, Any]:
-            encoded = [encode_operation(operation) for _index, operation in batches[shard_id]]
-            return {"bulkWrite": collection_name, "ordered": ordered, "operations": encoded}
+        requests = {
+            shard_id: {
+                "bulkWrite": collection_name,
+                "ordered": ordered,
+                "operations": [encode_operation(operation) for _index, operation in batch],
+            }
+            for shard_id, batch in sorted(batches.items())
+        }
 
         def do_bulk(shard: Shard) -> tuple[BulkWriteResult, list[dict[str, Any]]]:
             collection = shard.collection(database_name, collection_name)
@@ -1034,15 +928,7 @@ class QueryRouter:
                 return error.result, error.errors
 
         return self._scatter(
-            database_name,
-            collection_name,
-            sorted(batches),
-            request,
-            "bulkWrite",
-            do_bulk,
-            ship_results=False,
-            targeted=targeted,
-            is_write=True,
+            requests, "bulkWrite", do_bulk, ship_results=False, targeted=targeted
         )
 
     # --------------------------------------------------------------------- DDL
@@ -1068,15 +954,11 @@ class QueryRouter:
             )
 
         per_shard = self._scatter(
-            database_name,
-            collection_name,
-            targets,
-            {"createIndexes": collection_name, "keys": str(keys)},
+            dict.fromkeys(targets, {"createIndexes": collection_name, "keys": str(keys)}),
             "createIndex",
             do_create,
             ship_results=False,
             targeted=False,
-            is_write=True,
         )
         return next(iter(per_shard.values()))
 
@@ -1108,15 +990,11 @@ class QueryRouter:
                 collection.drop_index(index_name)
 
         self._scatter(
-            database_name,
-            collection_name,
-            targets,
-            {"dropIndexes": collection_name, "index": index_name},
+            dict.fromkeys(targets, {"dropIndexes": collection_name, "index": index_name}),
             "dropIndex",
             do_drop,
             ship_results=False,
             targeted=False,
-            is_write=True,
         )
 
     def drop_collection(self, database_name: str, collection_name: str) -> None:
@@ -1128,15 +1006,11 @@ class QueryRouter:
 
         if targets:
             self._scatter(
-                database_name,
-                collection_name,
-                targets,
-                {"drop": collection_name},
+                dict.fromkeys(targets, {"drop": collection_name}),
                 "drop",
                 do_drop,
                 ship_results=False,
                 targeted=False,
-                is_write=True,
             )
         self.config.drop_collection_metadata(database_name, collection_name)
 
@@ -1162,20 +1036,10 @@ class QueryRouter:
         per-shard top-k by score and keeps the global top-k, so the merged
         ranking is exactly what a stand-alone collection would return.
         """
-        pipeline = list(pipeline)
-        vector_stage = None
-        if pipeline and "$vectorSearch" in pipeline[0]:
-            # Apply the $vectorSearch+$limit k-lowering before splitting so
-            # every shard scans the lowered k, not the stage's original one.
-            pipeline = optimize_pipeline(pipeline)
-            vector_stage = pipeline[0]["$vectorSearch"]
-        shard_stages, merge_stages = split_pipeline_for_shards(pipeline)
-        leading_match = None
-        if shard_stages and "$match" in shard_stages[0]:
-            leading_match = shard_stages[0]["$match"]
-        elif vector_stage is not None and isinstance(vector_stage, Mapping):
-            leading_match = vector_stage.get("filter")
-        targets, targeted = self._target_shards(database_name, collection_name, leading_match)
+        shard_stages, merge_stages, targets, targeted = self._plan_aggregate(
+            database_name, collection_name, pipeline
+        )
+        vector_stage = shard_stages[0].get("$vectorSearch") if shard_stages else None
 
         def do_aggregate(shard: Shard) -> list[dict[str, Any]]:
             # Reuse the collection engine's entry point so shard-local
@@ -1184,17 +1048,12 @@ class QueryRouter:
             collection = shard.collection(database_name, collection_name)
             return collection.aggregate(shard_stages)
 
+        command = {"aggregate": collection_name, "pipeline": len(shard_stages) + len(merge_stages)}
         per_shard = self._scatter(
-            database_name,
-            collection_name,
-            targets,
-            {"aggregate": collection_name, "pipeline": len(pipeline)},
+            dict.fromkeys(targets, command),
             "aggregate",
             do_aggregate,
             targeted=targeted,
-            remote=lambda shard_id: RemoteOperation(
-                "aggregate", database_name, collection_name, (tuple(shard_stages),)
-            ),
         )
 
         started = time.perf_counter()
@@ -1202,7 +1061,7 @@ class QueryRouter:
         for shard_id in targets:
             merged.extend(per_shard.get(shard_id, []))
 
-        if vector_stage is not None and isinstance(vector_stage, Mapping):
+        if isinstance(vector_stage, Mapping):
             # Each shard returned its local top-k; keep the global top-k,
             # re-ranked by score (desc) with the same _id tiebreak the
             # stand-alone engine uses, so sharded results match exactly.
@@ -1242,53 +1101,29 @@ class QueryRouter:
             return []
         return results
 
-    def explain_aggregate(
+    def _plan_aggregate(
         self,
         database_name: str,
         collection_name: str,
         pipeline: Sequence[Mapping[str, Any]],
-        *,
-        execution_stats: bool = False,
-    ) -> dict[str, Any]:
-        """Explain a routed aggregation without network/metric accounting.
+    ) -> tuple[list[Mapping[str, Any]], list[Mapping[str, Any]], list[str], bool]:
+        """Split *pipeline* for the shards and choose the shards it runs on.
 
-        Returns the routing decision (targeted vs broadcast, the shards
-        contacted) plus each shard's local plan — including the IXSCAN /
-        COLLSCAN choice for the leading ``$match`` and per-stage documents
-        examined / returned counters — and the merge stages the router would
-        run over the combined results.  With ``execution_stats=True`` the
-        pipeline is actually executed through the concurrent scatter and the
-        result gains an ``executionStats`` section with the observed fan-out
-        makespan and per-shard queue / dispatch / execute / ship timings.
+        Returns ``(shard stages, merge stages, target shard ids, targeted?)``;
+        ``aggregate`` executes this plan and ``explain`` reports it.
         """
         pipeline = list(pipeline)
         if pipeline and "$vectorSearch" in pipeline[0]:
+            # Apply the $vectorSearch+$limit k-lowering before splitting so
+            # every shard scans the lowered k, not the stage's original one.
             pipeline = optimize_pipeline(pipeline)
         shard_stages, merge_stages = split_pipeline_for_shards(pipeline)
-        leading_match = None
-        if shard_stages and "$match" in shard_stages[0]:
-            leading_match = shard_stages[0]["$match"]
-        elif shard_stages and "$vectorSearch" in shard_stages[0]:
-            specification = shard_stages[0]["$vectorSearch"]
-            if isinstance(specification, Mapping):
-                leading_match = specification.get("filter")
+        leading = shard_stages[0] if shard_stages else {}
+        leading_match = leading.get("$match")
+        if isinstance(leading.get("$vectorSearch"), Mapping):
+            leading_match = leading["$vectorSearch"].get("filter")
         targets, targeted = self._target_shards(database_name, collection_name, leading_match)
-        shards = {
-            shard_id: self._shards[shard_id]
-            .collection(database_name, collection_name)
-            .explain_aggregate(shard_stages)
-            for shard_id in targets
-        }
-        explain = {
-            "targeted": targeted,
-            "shardsContacted": list(targets),
-            "shards": shards,
-            "mergeStages": [next(iter(stage)) for stage in merge_stages],
-        }
-        if execution_stats:
-            self.aggregate(database_name, collection_name, pipeline)
-            explain["executionStats"] = self._execution_stats_section()
-        return explain
+        return shard_stages, merge_stages, targets, targeted
 
     # --------------------------------------------------------------------- stats
 
@@ -1412,9 +1247,7 @@ class RoutedCollection:
                 self._database_name, self.name, final_spec
             ),
             spec=spec,
-            explain=lambda final_spec: self._router.explain_find(
-                self._database_name, self.name, final_spec
-            ),
+            explain=self.explain,
         )
 
     def find_one(
@@ -1437,51 +1270,92 @@ class RoutedCollection:
         """The unified explain entry point (schema v1, ``surface="sharded"``).
 
         Same signature and document shape as ``Collection.explain`` on a
-        stand-alone deployment: a mapping (or ``None``) explains a find, a
-        sequence of stages explains an aggregation.  ``explain_find`` /
-        ``explain_aggregate`` remain as deprecated aliases returning their
-        historical shapes.
+        stand-alone deployment: a mapping (or ``None``) or a complete
+        :class:`FindSpec` explains a find, a sequence of stages explains an
+        aggregation.  ``queryPlanner.winningPlan`` is the routing decision
+        (targeted vs broadcast, the shards contacted, what was pushed down);
+        ``shards`` holds every contacted shard's own plan, and at
+        ``verbosity="executionStats"`` the operation runs through the scatter
+        and ``executionStats.shards`` carries each branch's queue / dispatch /
+        execute / ship seconds.
         """
         validate_verbosity(verbosity)
-        if isinstance(query_or_pipeline, Sequence) and not isinstance(
-            query_or_pipeline, (str, bytes)
-        ):
-            return self._explain_pipeline(list(query_or_pipeline), verbosity)
-        if isinstance(query_or_pipeline, FindSpec):
-            return self._explain_spec(query_or_pipeline, verbosity)
-        return self._explain_spec(FindSpec(filter=query_or_pipeline), verbosity)
+        target = explain_target(query_or_pipeline)
+        if isinstance(target, FindSpec):
+            return self._explain_spec(target, verbosity)
+        return self._explain_pipeline(target, verbosity)
+
+    def _routing_plan(self, targets: Sequence[str], targeted: bool) -> dict[str, Any]:
+        return {
+            "stage": "SINGLE_SHARD" if len(targets) == 1 else "SHARD_MERGE",
+            "targeted": targeted,
+            "shardsContacted": list(targets),
+        }
+
+    def _shard_collection(self, shard_id: str) -> Any:
+        return self._router.shard(shard_id).collection(self._database_name, self.name)
+
+    def _execution_stats(self, results: Sequence[Any]) -> dict[str, Any]:
+        """``executionStats`` of the scatter that just produced *results*."""
+        report = self._router.last_scatter_report or {}
+        return build_execution_stats(n_returned=len(results), shards=report.get("shards", {}))
 
     def _explain_spec(self, spec: FindSpec, verbosity: str) -> dict[str, Any]:
-        legacy = self._router.explain_find(self._database_name, self.name, spec)
-        planner = legacy["queryPlanner"]
+        targets, targeted = self._router._target_shards(
+            self._database_name, self.name, spec.filter
+        )
+        shard_spec = spec.shard_spec()
+        shards = {
+            shard_id: self._shard_collection(shard_id).explain(shard_spec)["queryPlanner"]
+            for shard_id in targets
+        }
+        winning_plan = {
+            **self._routing_plan(targets, targeted),
+            "pushdown": {
+                "projection": spec.projection is not None
+                and shard_spec.projection is not None,
+                "sort": spec.sort is not None,
+                "limit": shard_spec.limit,
+            },
+            "shards": shards,
+        }
         execution = None
         if verbosity == "executionStats":
-            results = self._router.execute_find(self._database_name, self.name, spec)
-            execution = build_execution_stats(
-                n_returned=len(results),
-                shards=self._router._execution_stats_section()["shards"],
+            execution = self._execution_stats(
+                self._router.execute_find(self._database_name, self.name, spec)
             )
         return build_explain(
             surface="sharded",
             operation="find",
             verbosity=verbosity,
             namespace=self.full_name,
-            winning_plan=planner["winningPlan"],
-            sort_mode=planner["sortMode"],
-            spec=planner["findSpec"],
-            shards=planner["winningPlan"].get("shards", {}),
+            winning_plan=winning_plan,
+            sort_mode="streamingKWayMerge" if spec.sort else None,
+            spec=spec.describe(),
+            shards=shards,
             execution_stats=execution,
         )
 
     def _explain_pipeline(
         self, pipeline: list[Mapping[str, Any]], verbosity: str
     ) -> dict[str, Any]:
-        legacy = self._router.explain_aggregate(self._database_name, self.name, pipeline)
+        shard_stages, merge_stages, targets, targeted = self._router._plan_aggregate(
+            self._database_name, self.name, pipeline
+        )
+        shards = {}
+        for shard_id in targets:
+            # Each shard's plan for its stages, with the per-stage counters of
+            # running them there (IXSCAN vs COLLSCAN, documents examined).
+            local = self._shard_collection(shard_id).explain(
+                shard_stages, verbosity="executionStats"
+            )
+            shards[shard_id] = {
+                "queryPlanner": {"winningPlan": local["queryPlanner"]["winningPlan"]},
+                "executionStats": {"stages": local["executionStats"]["stages"]},
+            }
         winning_plan = {
-            "stage": "SINGLE_SHARD" if len(legacy["shardsContacted"]) == 1 else "SHARD_MERGE",
-            "targeted": legacy["targeted"],
-            "shardsContacted": list(legacy["shardsContacted"]),
-            "mergeStages": list(legacy["mergeStages"]),
+            **self._routing_plan(targets, targeted),
+            "mergeStages": [next(iter(stage)) for stage in merge_stages],
         }
         execution = None
         if verbosity == "executionStats":
@@ -1489,10 +1363,8 @@ class RoutedCollection:
             if executed and "$out" in executed[-1]:
                 # Explain must not write the $out target.
                 executed = executed[:-1]
-            results = self._router.aggregate(self._database_name, self.name, executed)
-            execution = build_execution_stats(
-                n_returned=len(results),
-                shards=self._router._execution_stats_section()["shards"],
+            execution = self._execution_stats(
+                self._router.aggregate(self._database_name, self.name, executed)
             )
         return build_explain(
             surface="sharded",
@@ -1502,7 +1374,7 @@ class RoutedCollection:
             winning_plan=winning_plan,
             sort_mode=None,
             spec={"pipeline": [dict(stage) for stage in pipeline]},
-            shards=legacy["shards"],
+            shards=shards,
             execution_stats=execution,
         )
 
@@ -1547,14 +1419,6 @@ class RoutedCollection:
     def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
         return self._router.aggregate(self._database_name, self.name, pipeline)
 
-    def explain_aggregate(
-        self, pipeline: Sequence[Mapping[str, Any]], *, execution_stats: bool = False
-    ) -> dict[str, Any]:
-        """Explain how the cluster would execute *pipeline* (per-shard plans)."""
-        return self._router.explain_aggregate(
-            self._database_name, self.name, pipeline, execution_stats=execution_stats
-        )
-
     def create_index(self, keys: Any, *, unique: bool = False, name: str = "") -> str:
         """Create an index cluster-wide; accepts structured specs like
         ``{"keys": ["embedding"], "type": "vector", "dims": 8}``."""
@@ -1569,19 +1433,6 @@ class RoutedCollection:
 
     def drop(self) -> None:
         self._router.drop_collection(self._database_name, self.name)
-
-    def find_with_options(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        sort: Sequence[tuple[str, int]] | None = None,
-        skip: int = 0,
-        limit: int = 0,
-    ) -> list[dict[str, Any]]:
-        """One-shot find mirroring :meth:`Collection.find_with_options`."""
-        return self.find(
-            query, projection, sort=sort, skip=skip, limit=limit
-        ).to_list()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RoutedCollection({self.full_name!r})"

@@ -177,13 +177,6 @@ class TestProjectionPreservesFields:
 
 
 class TestSpecApi:
-    def test_find_with_options_equals_cursor_chain(self, events):
-        chained = events.find({"day": 4}, {"amount": 1}).sort("amount", -1).skip(1).limit(3)
-        one_shot = events.find_with_options(
-            {"day": 4}, {"amount": 1}, sort=[("amount", -1)], skip=1, limit=3
-        )
-        assert chained.to_list() == one_shot
-
     def test_shard_spec_folds_skip_into_limit(self):
         spec = FindSpec.create(sort=[("a", 1)], skip=10, limit=5)
         shard_spec = spec.shard_spec()
@@ -200,9 +193,9 @@ class TestSpecApi:
     def test_explain_shape(self, events):
         explain = events.find({"day": 1}).sort("amount", 1).limit(2).explain()
         planner = explain["queryPlanner"]
-        assert set(planner) == {"winningPlan", "sortMode", "findSpec"}
-        assert planner["findSpec"]["limit"] == 2
-        assert planner["findSpec"]["sort"] == [["amount", 1]]
+        assert set(planner) == {"winningPlan", "sortMode", "spec"}
+        assert planner["spec"]["limit"] == 2
+        assert planner["spec"]["sort"] == [["amount", 1]]
 
     def test_find_one_with_sort(self, events):
         smallest = events.find_one({}, sort=[("amount", 1), ("_id", 1)])

@@ -168,8 +168,9 @@ class TestExplainAggregate:
         return collection
 
     def test_indexed_leading_match_reports_ixscan(self, collection):
-        explain = collection.explain_aggregate(
-            [{"$match": {"store": 3}}, {"$group": {"_id": "$item", "n": {"$sum": 1}}}]
+        explain = collection.explain(
+            [{"$match": {"store": 3}}, {"$group": {"_id": "$item", "n": {"$sum": 1}}}],
+            verbosity="executionStats",
         )
         plan = explain["queryPlanner"]["winningPlan"]
         assert plan["stage"] == "IXSCAN"
@@ -181,14 +182,16 @@ class TestExplainAggregate:
         assert plan["pipelineStages"] == stages
 
     def test_unindexed_match_reports_collscan(self, collection):
-        explain = collection.explain_aggregate([{"$match": {"qty": {"$gt": 29}}}])
+        explain = collection.explain(
+            [{"$match": {"qty": {"$gt": 29}}}], verbosity="executionStats"
+        )
         assert explain["queryPlanner"]["winningPlan"]["stage"] == "COLLSCAN"
         assert explain["executionStats"]["stages"][0]["docsExamined"] == len(ROWS)
 
     def test_explain_does_not_write_out_target(self, collection):
         database_less = collection  # no database: $out unavailable in aggregate
-        explain = database_less.explain_aggregate(
-            [{"$match": {"store": 1}}, {"$out": "target"}]
+        explain = database_less.explain(
+            [{"$match": {"store": 1}}, {"$out": "target"}], verbosity="executionStats"
         )
         labels = [s["stage"] for s in explain["executionStats"]["stages"]]
         assert labels == ["$match", "$out"]

@@ -113,23 +113,16 @@ class TestAggregateExplain:
         assert "explained" not in database.list_collection_names()
 
 
-class TestLegacyAliases:
-    """The historical shapes survive for existing callers."""
-
-    def test_explain_find_shape(self):
-        collection = build_collection()
-        legacy = collection.explain_find(FindSpec(filter={"store": 2}))
-        assert set(legacy) == {"queryPlanner"}
-        assert set(legacy["queryPlanner"]) == {"winningPlan", "sortMode", "findSpec"}
-
-    def test_explain_aggregate_shape(self):
-        collection = build_collection()
-        legacy = collection.explain_aggregate([{"$match": {"store": 2}}])
-        assert set(legacy) == {"queryPlanner", "executionStats"}
-        assert "winningPlan" in legacy["queryPlanner"]
+class TestCursorExplain:
+    """``find(...).explain()`` is ``collection.explain(that spec)``."""
 
     def test_cursor_explain_shape(self):
         collection = build_collection()
-        explain = collection.find({"store": 2}).explain()
-        assert set(explain) == {"queryPlanner"}
-        assert set(explain["queryPlanner"]) == {"winningPlan", "sortMode", "findSpec"}
+        cursor = collection.find({"store": 2}).sort("amount", -1).skip(1).limit(3)
+        explain = cursor.explain()
+        assert_schema(
+            explain, surface="standalone", operation="find", verbosity="queryPlanner"
+        )
+        assert explain == collection.explain(cursor.spec)
+        assert explain["queryPlanner"]["sortMode"] == "topK"
+        assert explain["queryPlanner"]["spec"]["limit"] == 3

@@ -13,6 +13,7 @@ import itertools
 
 import pytest
 
+from repro.documentstore import PLANNER_KEYS, TOP_LEVEL_KEYS
 from repro.documentstore.collection import Collection
 from repro.sharding import ShardedCluster
 
@@ -174,9 +175,9 @@ class TestExplainParity:
         local = standalone.find({"store": 1}, sort=sort, limit=5).explain()
         sharded = routed.find({"store": 1}, sort=sort, limit=5).explain()
         for explain in (local, sharded):
-            assert set(explain) == {"queryPlanner"}
-            assert set(explain["queryPlanner"]) == {"winningPlan", "sortMode", "findSpec"}
-            assert explain["queryPlanner"]["findSpec"]["limit"] == 5
+            assert set(explain) == set(TOP_LEVEL_KEYS)
+            assert set(explain["queryPlanner"]) == set(PLANNER_KEYS)
+            assert explain["queryPlanner"]["spec"]["limit"] == 5
 
     def test_sharded_explain_reports_pushdown_and_per_shard_plans(self, backends):
         _standalone, routed, _cluster = backends
@@ -188,10 +189,12 @@ class TestExplainParity:
         assert plan["targeted"] is False
         assert len(plan["shardsContacted"]) == SHARDS
         assert plan["pushdown"] == {"projection": True, "sort": True, "limit": 15}
-        for shard_plan in plan["shards"].values():
-            assert set(shard_plan) == {"winningPlan", "sortMode", "findSpec"}
-            assert shard_plan["findSpec"]["limit"] == 15
-            assert shard_plan["findSpec"]["skip"] == 0
+        assert plan["shards"] == explain["shards"]
+        for shard_plan in explain["shards"].values():
+            # Each entry is that shard collection's own queryPlanner section.
+            assert set(shard_plan) == set(PLANNER_KEYS)
+            assert shard_plan["spec"]["limit"] == 15
+            assert shard_plan["spec"]["skip"] == 0
         assert explain["queryPlanner"]["sortMode"] == "streamingKWayMerge"
 
     def test_targeted_explain_is_single_shard(self, backends):

@@ -38,7 +38,7 @@ class TestShardedAggregateExplain:
     def test_indexed_leading_match_reports_ixscan_on_every_shard(self, cluster):
         orders = cluster.get_database("shop")["orders"]
         orders.create_index("store")
-        explain = orders.explain_aggregate(
+        explain = orders.explain(
             [
                 {"$match": {"store": 5}},
                 {"$group": {"_id": "$day", "total": {"$sum": "$amount"}}},
@@ -53,19 +53,21 @@ class TestShardedAggregateExplain:
             assert match_stage["stage"] == "$match"
             # Each shard examined only its index candidates, not its slice.
             assert match_stage["docsExamined"] < len(ROWS) // 3
-        assert explain["mergeStages"] == ["$group"]
+            assert winning["pipelineStages"] == shard_plan["executionStats"]["stages"]
+        assert explain["queryPlanner"]["winningPlan"]["mergeStages"] == ["$group"]
 
     def test_unindexed_match_reports_collscan(self, cluster):
         orders = cluster.get_database("shop")["orders"]
-        explain = orders.explain_aggregate([{"$match": {"store": 5}}])
+        explain = orders.explain([{"$match": {"store": 5}}])
+        assert len(explain["shards"]) == cluster.shard_count
         for shard_plan in explain["shards"].values():
             assert shard_plan["queryPlanner"]["winningPlan"]["stage"] == "COLLSCAN"
 
     def test_shard_key_match_targets_subset_of_shards(self, cluster):
         orders = cluster.get_database("shop")["orders"]
-        explain = orders.explain_aggregate([{"$match": {"day": 3}}])
-        assert explain["targeted"] is True
-        assert len(explain["shardsContacted"]) < cluster.shard_count
+        plan = orders.explain([{"$match": {"day": 3}}])["queryPlanner"]["winningPlan"]
+        assert plan["targeted"] is True
+        assert len(plan["shardsContacted"]) < cluster.shard_count
 
     def test_aggregate_results_match_standalone(self, cluster):
         pipeline = [

@@ -98,9 +98,7 @@ class TestShardedParity:
         assert routed.aggregate(pipeline) == standalone.aggregate(pipeline)
 
     def test_shard_key_filter_targets_subset(self, cluster, routed):
-        explain = cluster.router.explain_aggregate(
-            "rag",
-            "chunks",
+        plan = routed.explain(
             [
                 {
                     "$vectorSearch": {
@@ -111,18 +109,16 @@ class TestShardedParity:
                     }
                 }
             ],
-        )
-        assert explain["targeted"] is True
-        assert len(explain["shardsContacted"]) == 1
+        )["queryPlanner"]["winningPlan"]
+        assert plan["targeted"] is True
+        assert len(plan["shardsContacted"]) == 1
 
     def test_unfiltered_vector_search_broadcasts(self, cluster, routed):
-        explain = cluster.router.explain_aggregate(
-            "rag",
-            "chunks",
-            [{"$vectorSearch": {"queryVector": QUERY, "k": 5, "exact": True}}],
-        )
-        assert explain["targeted"] is False
-        assert len(explain["shardsContacted"]) == 3
+        plan = routed.explain(
+            [{"$vectorSearch": {"queryVector": QUERY, "k": 5, "exact": True}}]
+        )["queryPlanner"]["winningPlan"]
+        assert plan["targeted"] is False
+        assert len(plan["shardsContacted"]) == 3
 
 
 class TestShardedExplain:
@@ -148,6 +144,9 @@ class TestShardedExplain:
             plan = shard_explain["queryPlanner"]["winningPlan"]
             assert plan["stage"] == "VECTOR_SEARCH"
 
-    def test_legacy_router_shapes_survive(self, cluster, routed):
-        legacy = routed.explain_aggregate([{"$match": {"tenant": 1}}])
-        assert {"targeted", "shardsContacted", "shards", "mergeStages"} <= set(legacy)
+    def test_routing_decision_is_the_winning_plan(self, cluster, routed):
+        explain = routed.explain([{"$match": {"tenant": 1}}, {"$count": "n"}])
+        plan = explain["queryPlanner"]["winningPlan"]
+        assert {"stage", "targeted", "shardsContacted", "mergeStages"} <= set(plan)
+        assert plan["mergeStages"] == ["$count"]
+        assert set(explain["shards"]) == set(plan["shardsContacted"])
