@@ -29,7 +29,7 @@ from .bson import (
 )
 from .bulk import BulkWriteError, BulkWriteResult, apply_operations, checked_operations
 from .cursor import (
-    Cursor,
+    CollectionSurface,
     DeleteResult,
     InsertManyResult,
     InsertOneResult,
@@ -43,7 +43,7 @@ from .errors import (
     InvalidDocumentError,
     OperationFailure,
 )
-from .explain import build_execution_stats, build_explain, explain_target, validate_verbosity
+from .explain import build_execution_stats, build_explain
 from .findspec import FindSpec
 from .indexes import ASCENDING, Index, IndexSpec
 from .matching import compile_matcher, distinct_values, resolve_path, values_equal
@@ -105,7 +105,7 @@ class CollectionStats:
         }
 
 
-class Collection:
+class Collection(CollectionSurface):
     """A named set of documents with indexes."""
 
     def __init__(self, database: "Database | None", name: str) -> None:
@@ -141,11 +141,8 @@ class Collection:
         return self._database
 
     @property
-    def full_name(self) -> str:
-        """The namespaced name, ``database.collection``."""
-        if self._database is None:
-            return self.name
-        return f"{self._database.name}.{self.name}"
+    def _database_name(self) -> str | None:
+        return None if self._database is None else self._database.name
 
     def __len__(self) -> int:
         return len(self._documents)
@@ -220,23 +217,22 @@ class Collection:
         automatically).  Until then the planner ignores it.
         """
         spec = IndexSpec.from_key_specification(keys, unique=unique, name=name)
-        if spec.name in self._indexes:
-            return spec.name
-        ddl_record = {"op": "create_index", "spec": spec.describe()}
-        index: Index | VectorIndex
-        if spec.is_vector:
-            index = VectorIndex(spec)
-        else:
-            index = Index(spec)
-        if defer or self._defer_secondary_indexes:
+        # Applied and logged under the write lock, like every other write: a
+        # concurrent insert is logged on the side of the DDL it was checked on.
+        with self._apply_and_log():
+            if spec.name in self._indexes:
+                return spec.name
+            index: Index | VectorIndex
+            if spec.is_vector:
+                index = VectorIndex(spec)
+            else:
+                index = Index(spec)
+            if defer or self._defer_secondary_indexes:
+                self._pending_index_builds.add(spec.name)
+            elif self._documents:
+                index.rebuild(self._documents.items())
             self._indexes[spec.name] = index
-            self._pending_index_builds.add(spec.name)
-            self._write_log(ddl_record)
-            return spec.name
-        if self._documents:
-            index.rebuild(self._documents.items())
-        self._indexes[spec.name] = index
-        self._write_log(ddl_record)
+            self._write_log({"op": "create_index", "spec": spec.describe()})
         return spec.name
 
     def rebuild_indexes(self) -> list[str]:
@@ -303,15 +299,16 @@ class Collection:
             else:
                 self.rebuild_indexes()
 
-    def drop_index(self, name: str) -> None:
-        """Drop the index called *name* (the ``_id`` index cannot be dropped)."""
-        if name == "_id_":
+    def drop_index(self, index_name: str) -> None:
+        """Drop the index called *index_name* (the ``_id`` index cannot be dropped)."""
+        if index_name == "_id_":
             raise OperationFailure("cannot drop the _id index")
-        if name not in self._indexes:
-            raise IndexNotFoundError(name)
-        del self._indexes[name]
-        self._pending_index_builds.discard(name)
-        self._write_log({"op": "drop_index", "name": name})
+        with self._apply_and_log():
+            if index_name not in self._indexes:
+                raise IndexNotFoundError(index_name)
+            del self._indexes[index_name]
+            self._pending_index_builds.discard(index_name)
+            self._write_log({"op": "drop_index", "name": index_name})
 
     def index_information(self) -> dict[str, dict[str, Any]]:
         """Describe every index on the collection (legacy shape + ``type``)."""
@@ -592,46 +589,6 @@ class Collection:
         for document in selected:
             yield self._emit(document, spec.projection)
 
-    def find(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        *,
-        sort: str | Sequence[tuple[str, int]] | Mapping[str, int] | None = None,
-        skip: int = 0,
-        limit: int = 0,
-        batch_size: int | None = None,
-        hint: str | None = None,
-    ) -> Cursor:
-        """Return a lazy cursor over the documents matching *query*.
-
-        Options may be passed here or chained on the cursor; either way the
-        executor receives one complete :class:`FindSpec` when iteration
-        starts.
-        """
-        spec = FindSpec.create(
-            filter=query,
-            projection=projection,
-            sort=sort,
-            skip=skip,
-            limit=limit,
-            batch_size=batch_size,
-            hint=hint,
-        )
-        return Cursor(self._execute_find, spec=spec, explain=self.explain)
-
-    def find_one(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        *,
-        sort: str | Sequence[tuple[str, int]] | Mapping[str, int] | None = None,
-    ) -> dict[str, Any] | None:
-        """Return one matching document, or ``None``."""
-        for document in self.find(query, projection, sort=sort, limit=1):
-            return document
-        return None
-
     def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
         """Count the documents matching *query*."""
         if not query:
@@ -647,28 +604,6 @@ class Collection:
             for candidate in (value if isinstance(value, list) else (value,))
         )
         return [deep_copy_document({"v": value})["v"] for value in values]
-
-    def explain(
-        self,
-        query_or_pipeline: Mapping[str, Any] | Sequence[Mapping[str, Any]] | FindSpec | None = None,
-        *,
-        verbosity: str = "queryPlanner",
-    ) -> dict[str, Any]:
-        """The unified explain entry point (schema v1, see ``explain.py``).
-
-        *query_or_pipeline* is a find filter (mapping or ``None``), a
-        complete :class:`FindSpec`, or an aggregation pipeline (sequence of
-        stages).  ``verbosity="executionStats"`` additionally executes the
-        operation and reports ``nReturned`` plus per-stage counters; a
-        trailing ``$out`` is never written during explain.  The same
-        signature and document shape exist on ``RoutedCollection`` and
-        ``RemoteCollection``.
-        """
-        validate_verbosity(verbosity)
-        target = explain_target(query_or_pipeline)
-        if isinstance(target, FindSpec):
-            return self._explain_spec(target, verbosity)
-        return self._explain_pipeline(target, verbosity)
 
     def _explain_spec(self, spec: FindSpec, verbosity: str) -> dict[str, Any]:
         plan = self._plan_find(spec)
@@ -1144,12 +1079,7 @@ class Collection:
         )
         return plan, results
 
-    def aggregate(
-        self,
-        pipeline: Sequence[Mapping[str, Any]],
-        *,
-        counters: list[StageStats] | None = None,
-    ) -> list[dict[str, Any]]:
+    def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
         """Run an aggregation pipeline over the collection.
 
         The pipeline is optimized once (match merging / pushdown, top-k and
@@ -1157,10 +1087,9 @@ class Collection:
         effective leading stage even when the caller wrote it after a
         ``$sort``.  A leading ``$vectorSearch`` runs against the
         collection's vector index (with optional metadata pre-filter)
-        before the compiled stages.  When *counters* is a list it receives
-        per-stage :class:`~repro.documentstore.aggregation.StageStats`.
+        before the compiled stages.
         """
-        _plan, results = self._execute_pipeline(pipeline, counters=counters)
+        _plan, results = self._execute_pipeline(pipeline)
         return results
 
     # ------------------------------------------------------------- iteration

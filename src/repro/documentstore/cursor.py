@@ -5,8 +5,8 @@ such cursors in the EmbedDocuments algorithm).  A cursor is *lazy*: chained
 ``sort``/``skip``/``limit``/``batch_size``/``hint`` calls only refine the
 cursor's :class:`~repro.documentstore.findspec.FindSpec`; nothing executes
 until the first document is requested, at which point the complete spec is
-handed to the executor in one piece.  The same cursor type fronts both the
-stand-alone collection engine and the sharded query router.
+handed to the executor in one piece.  The same cursor type and front half
+(:class:`CollectionSurface`) serve the collection, the router and the client.
 
 Write operations return small result objects mirroring the driver API the
 thesis code was written against.
@@ -19,11 +19,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from .errors import OperationFailure
+from .explain import explain_target, validate_verbosity
 from .findspec import FindSpec
 from .matching import resolve_path_single
 
 __all__ = [
     "Cursor",
+    "CollectionSurface",
     "InsertOneResult",
     "InsertManyResult",
     "UpdateResult",
@@ -258,3 +260,71 @@ class DeleteResult:
 
     deleted_count: int
     acknowledged: bool = True
+
+
+class CollectionSurface:
+    """The front half ``Collection``, ``RoutedCollection`` and ``RemoteCollection`` share.
+
+    A surface supplies ``name``, ``_database_name``, ``insert_many`` and the
+    primitives ``_execute_find``, ``_explain_spec`` and ``_explain_pipeline``.
+    """
+
+    @property
+    def full_name(self) -> str:
+        """The namespaced name, ``database.collection`` (bare when free-standing)."""
+        database_name = self._database_name
+        return self.name if database_name is None else f"{database_name}.{self.name}"
+
+    def find(
+        self,
+        query: Mapping[str, Any] | None = None,
+        projection: Mapping[str, Any] | None = None,
+        *,
+        sort: str | Sequence[tuple[str, int]] | Mapping[str, int] | None = None,
+        skip: int = 0,
+        limit: int = 0,
+        batch_size: int | None = None,
+        hint: str | None = None,
+    ) -> Cursor:
+        """Return a lazy cursor over the documents matching *query*.
+
+        Options given here or chained reach the executor as one :class:`FindSpec`.
+        """
+        spec = FindSpec.create(
+            query, projection, sort=sort, skip=skip, limit=limit, batch_size=batch_size, hint=hint
+        )
+        return Cursor(self._execute_find, spec=spec, explain=self.explain)
+
+    def find_one(
+        self,
+        query: Mapping[str, Any] | None = None,
+        projection: Mapping[str, Any] | None = None,
+        *,
+        sort: str | Sequence[tuple[str, int]] | Mapping[str, int] | None = None,
+    ) -> dict[str, Any] | None:
+        """Return one matching document, or ``None``."""
+        for document in self.find(query, projection, sort=sort, limit=1):
+            return document
+        return None
+
+    def explain(
+        self,
+        query_or_pipeline: Mapping[str, Any] | Sequence[Mapping[str, Any]] | FindSpec | None = None,
+        *,
+        verbosity: str = "queryPlanner",
+    ) -> dict[str, Any]:
+        """The unified explain entry point (schema v1, see ``explain.py``).
+
+        A filter mapping (or ``None``) or a complete :class:`FindSpec` explains
+        a find, a sequence of stages an aggregation; ``"executionStats"`` also
+        runs the operation, but never writes a trailing ``$out``.
+        """
+        validate_verbosity(verbosity)
+        target = explain_target(query_or_pipeline)
+        if isinstance(target, FindSpec):
+            return self._explain_spec(target, verbosity)
+        return self._explain_pipeline(target, verbosity)
+
+    def insert_one(self, document: Mapping[str, Any]) -> InsertOneResult:
+        """Insert a single document (a one-document ``insert_many``)."""
+        return InsertOneResult(inserted_id=self.insert_many([document]).inserted_ids[0])

@@ -4,7 +4,7 @@ A :class:`FindSpec` is the *complete* description of one ``find``: filter,
 projection, sort, skip, limit, batch size, and index hint.  Cursors collect
 chained options into a spec and hand the finished spec to their executor in
 one piece, so the executor — a stand-alone :class:`Collection` or the
-sharded :class:`QueryRouter` — sees every option before it touches a single
+sharded :class:`RoutedCollection` — sees every option before it touches a single
 document and can plan accordingly (serve the sort from an index, run a
 bounded top-k, or push projection/sort/``skip+limit`` to the shards).
 """

@@ -212,9 +212,9 @@ class StorageEngine:
     applying a write until its record is appended (a ``bulk_write`` for the
     whole batch), and checkpoints take the same lock.  So the WAL lists every
     document's post-images in the order they were applied — replay depends on
-    it — and a snapshot is always consistent with a log position.  DDL is
-    logged after its apply without the lock; idempotent replay makes that
-    window harmless across a checkpoint.
+    it — and a snapshot is always consistent with a log position.  Index DDL
+    holds the lock the same way, so a write is logged on the side of the
+    ``create_index``/``drop_index`` whose uniqueness rule it was checked on.
     """
 
     def __init__(

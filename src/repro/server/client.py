@@ -7,6 +7,7 @@ lazy :class:`~repro.documentstore.cursor.Cursor` type, chained
 ``sort``/``skip``/``limit`` calls refine a :class:`FindSpec`, and the
 complete spec crosses the wire in one ``FIND`` frame when iteration starts —
 so shard-side pushdown behaves exactly as it does for an imported library.
+``aggregate`` streams back through the same cursor loop.
 
 Connections are pooled (``pool_size`` sockets, created lazily, checked out
 per request).  A cursor pins its connection until it is exhausted, because
@@ -24,17 +25,19 @@ import socket
 import threading
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from ..documentstore.bulk import BulkWriteResult, checked_operations, encode_operation
-from ..documentstore.cursor import (
-    Cursor,
-    DeleteResult,
-    InsertManyResult,
-    InsertOneResult,
-    UpdateResult,
+from ..documentstore.bulk import (
+    BulkWriteResult,
+    DeleteMany,
+    DeleteOne,
+    UpdateMany,
+    UpdateOne,
+    checked_operations,
+    encode_operation,
 )
+from ..documentstore.cursor import CollectionSurface, DeleteResult, InsertManyResult, UpdateResult
 from ..documentstore.errors import DocumentStoreError
-from ..documentstore.explain import explain_target
 from ..documentstore.findspec import FindSpec
+from ..documentstore.indexes import IndexSpec
 from ..sharding.executor import ShardTimeoutError
 from .protocol import (
     ConnectionFailure,
@@ -304,57 +307,30 @@ class RemoteDatabase:
         return f"RemoteDatabase({self.name!r})"
 
 
-class RemoteCollection:
+class RemoteCollection(CollectionSurface):
     """Collection handle with the same surface as the in-process backends."""
 
     def __init__(self, client: RemoteClient, database_name: str, name: str) -> None:
         self.client = client
-        self.database_name = database_name
+        self._database_name = database_name
         self.name = name
 
-    @property
-    def full_name(self) -> str:
-        """The namespaced collection name."""
-        return f"{self.database_name}.{self.name}"
-
     def _namespace(self) -> dict[str, Any]:
-        return {"db": self.database_name, "collection": self.name}
+        return {"db": self._database_name, "collection": self.name}
 
     # ------------------------------------------------------------------ reads
 
-    def find(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        *,
-        sort: str | Sequence[tuple[str, int]] | Mapping[str, int] | None = None,
-        skip: int = 0,
-        limit: int = 0,
-        batch_size: int | None = None,
-        hint: str | None = None,
-    ) -> Cursor:
-        """Return a lazy cursor; the complete spec crosses the wire at once."""
-        spec = FindSpec.create(
-            filter=query,
-            projection=projection,
-            sort=sort,
-            skip=skip,
-            limit=limit,
-            batch_size=batch_size,
-            hint=hint,
-        )
-        return Cursor(self._execute_find, spec=spec, explain=self.explain)
-
-    def _execute_find(self, spec: FindSpec) -> Iterator[dict[str, Any]]:
-        """Stream a find: one ``FIND`` frame, then ``GET_MORE`` per batch.
+    def _stream(
+        self, opcode: int, request: Mapping[str, Any], batch_size: int | None
+    ) -> Iterator[dict[str, Any]]:
+        """Stream a cursor: one ``FIND``/``AGGREGATE`` frame, then ``GET_MORE`` per batch.
 
         The connection is pinned for the cursor's lifetime (server cursor
         state is per-connection); a cursor abandoned before exhaustion sends
         a best-effort ``KILL_CURSOR`` so the server frees its state.
         """
-        payload = {**self._namespace(), "spec": encode_findspec(spec)}
         connection, reply = self.client._request_pinned(
-            Opcode.FIND, payload, idempotent=True
+            opcode, {**self._namespace(), **request}, idempotent=True
         )
         cursor_id = 0
         try:
@@ -368,11 +344,7 @@ class RemoteCollection:
                 try:
                     frame = connection.request(
                         Opcode.GET_MORE,
-                        {
-                            **self._namespace(),
-                            "cursor_id": cursor_id,
-                            "batch_size": spec.batch_size,
-                        },
+                        {**self._namespace(), "cursor_id": cursor_id, "batch_size": batch_size},
                     )
                 except _TRANSPORT_ERRORS as exc:
                     lost_cursor_id, cursor_id = cursor_id, 0  # died with its connection
@@ -394,17 +366,9 @@ class RemoteCollection:
             else:
                 self.client._checkin(connection)
 
-    def find_one(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        *,
-        sort: str | Sequence[tuple[str, int]] | Mapping[str, int] | None = None,
-    ) -> dict[str, Any] | None:
-        """Return one matching document, or ``None``."""
-        for document in self.find(query, projection, sort=sort, limit=1):
-            return document
-        return None
+    def _execute_find(self, spec: FindSpec) -> Iterator[dict[str, Any]]:
+        """The complete spec crosses the wire at once, in one ``FIND`` frame."""
+        return self._stream(Opcode.FIND, {"spec": encode_findspec(spec)}, spec.batch_size)
 
     def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
         """Count matching documents on the server."""
@@ -430,109 +394,45 @@ class RemoteCollection:
     ) -> list[dict[str, Any]]:
         """Run an aggregation pipeline on the server.
 
-        With *batch_size* the results stream back in ``GET_MORE`` batches
-        (like :meth:`find`) instead of one monolithic reply — the path large
-        ``$vectorSearch``/``$group`` result sets should take.
+        The results stream back in ``GET_MORE`` batches of *batch_size*
+        (``None``: the server's default), exactly like :meth:`find` — a large
+        ``$vectorSearch``/``$group`` result never has to fit one frame.
         """
-        if batch_size is None:
-            reply = self.client._request(
-                Opcode.AGGREGATE,
-                {**self._namespace(), "pipeline": [dict(stage) for stage in pipeline]},
-                idempotent=True,
-            )
-            return list(reply["results"])
-        return list(self._stream_aggregate(pipeline, int(batch_size)))
+        request = {"pipeline": [dict(stage) for stage in pipeline], "batch_size": batch_size}
+        return list(self._stream(Opcode.AGGREGATE, request, batch_size))
 
-    def _stream_aggregate(
-        self, pipeline: Sequence[Mapping[str, Any]], batch_size: int
-    ) -> Iterator[dict[str, Any]]:
-        """Stream an aggregation: one ``AGGREGATE`` frame, then ``GET_MORE``.
+    def _explain_command(self, target: dict[str, Any], verbosity: str) -> dict[str, Any]:
+        """``surface="served"``: the server asks its backend and relabels the document."""
+        command = {"explain": self.name, "verbosity": verbosity, **target}
+        return dict(self.client.command(self._database_name, command)["explain"])
 
-        Mirrors :meth:`_execute_find`: the connection stays pinned while the
-        server cursor is open, and early abandonment kills the cursor.
-        """
-        payload = {
-            **self._namespace(),
-            "pipeline": [dict(stage) for stage in pipeline],
-            "batch_size": batch_size,
-        }
-        connection, reply = self.client._request_pinned(
-            Opcode.AGGREGATE, payload, idempotent=True
-        )
-        cursor_id = 0
-        try:
-            while True:
-                cursor_id = int(reply.get("cursor_id") or 0)
-                for document in reply.get("batch", []):
-                    yield document
-                if not reply.get("has_more"):
-                    cursor_id = 0
-                    return
-                try:
-                    frame = connection.request(
-                        Opcode.GET_MORE,
-                        {
-                            **self._namespace(),
-                            "cursor_id": cursor_id,
-                            "batch_size": batch_size,
-                        },
-                    )
-                except _TRANSPORT_ERRORS as exc:
-                    lost_cursor_id, cursor_id = cursor_id, 0
-                    raise ConnectionFailure(
-                        f"connection lost while streaming cursor {lost_cursor_id}: {exc}"
-                    ) from exc
-                reply = frame.document
-        finally:
-            if cursor_id and not connection.broken:
-                try:
-                    connection.request(
-                        Opcode.KILL_CURSOR,
-                        {**self._namespace(), "cursor_id": cursor_id},
-                    )
-                except (DocumentStoreError, ShardTimeoutError, *_TRANSPORT_ERRORS):
-                    pass
-            if connection.broken:
-                self.client._discard(connection)
-            else:
-                self.client._checkin(connection)
+    def _explain_spec(self, spec: FindSpec, verbosity: str) -> dict[str, Any]:
+        return self._explain_command({"spec": encode_findspec(spec)}, verbosity)
 
-    def explain(
-        self,
-        query_or_pipeline: Mapping[str, Any] | Sequence[Mapping[str, Any]] | FindSpec | None = None,
-        *,
-        verbosity: str = "queryPlanner",
+    def _explain_pipeline(
+        self, pipeline: list[Mapping[str, Any]], verbosity: str
     ) -> dict[str, Any]:
-        """The unified explain entry point (schema v1, ``surface="served"``).
-
-        Same signature and document shape as ``Collection.explain`` /
-        ``RoutedCollection.explain``: a mapping (or ``None``) or a complete
-        :class:`FindSpec` explains a find, a sequence of stages explains an
-        aggregation.  A find always crosses the wire as its whole spec.
-        """
-        command: dict[str, Any] = {"explain": self.name, "verbosity": verbosity}
-        target = explain_target(query_or_pipeline)
-        if isinstance(target, FindSpec):
-            command["spec"] = encode_findspec(target)
-        else:
-            command["pipeline"] = [dict(stage) for stage in target]
-        reply = self.client.command(self.database_name, command)
-        return dict(reply["explain"])
+        return self._explain_command({"pipeline": [dict(stage) for stage in pipeline]}, verbosity)
 
     # ----------------------------------------------------------------- writes
 
-    def insert_one(self, document: Mapping[str, Any]) -> InsertOneResult:
-        """Insert one document."""
-        result = self.insert_many([document])
-        return InsertOneResult(inserted_id=result.inserted_ids[0])
-
-    def insert_many(self, documents: Sequence[Mapping[str, Any]]) -> InsertManyResult:
+    def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> InsertManyResult:
         """Insert a batch of documents in one frame."""
         reply = self.client._request(
             Opcode.INSERT_MANY,
             {**self._namespace(), "documents": [dict(doc) for doc in documents]},
         )
         return InsertManyResult(inserted_ids=list(reply["inserted_ids"]))
+
+    def _write(self, operation: Any) -> dict[str, Any]:
+        """Send one operation value in a ``WRITE`` frame (a write: never retried).
+
+        The server applies it with the method it names and answers that
+        method's result object, field for field.
+        """
+        return self.client._request(
+            Opcode.WRITE, {**self._namespace(), "operation": encode_operation(operation)}
+        )
 
     def update_one(
         self,
@@ -542,15 +442,7 @@ class RemoteCollection:
         upsert: bool = False,
     ) -> UpdateResult:
         """Update at most one matching document."""
-        reply = self.client._request(
-            Opcode.UPDATE_ONE,
-            {**self._namespace(), "filter": query, "update": dict(update), "upsert": upsert},
-        )
-        return UpdateResult(
-            matched_count=int(reply["matched"]),
-            modified_count=int(reply["modified"]),
-            upserted_id=reply.get("upserted_id"),
-        )
+        return UpdateResult(**self._write(UpdateOne(query, dict(update), upsert)))
 
     def update_many(
         self,
@@ -560,29 +452,15 @@ class RemoteCollection:
         upsert: bool = False,
     ) -> UpdateResult:
         """Update every matching document."""
-        reply = self.client._request(
-            Opcode.UPDATE_MANY,
-            {**self._namespace(), "filter": query, "update": dict(update), "upsert": upsert},
-        )
-        return UpdateResult(
-            matched_count=int(reply["matched"]),
-            modified_count=int(reply["modified"]),
-            upserted_id=reply.get("upserted_id"),
-        )
+        return UpdateResult(**self._write(UpdateMany(query, dict(update), upsert)))
 
     def delete_one(self, query: Mapping[str, Any] | None) -> DeleteResult:
         """Delete at most one matching document."""
-        reply = self.client._request(
-            Opcode.DELETE_ONE, {**self._namespace(), "filter": query}
-        )
-        return DeleteResult(deleted_count=int(reply["deleted"]))
+        return DeleteResult(**self._write(DeleteOne(query)))
 
     def delete_many(self, query: Mapping[str, Any] | None) -> DeleteResult:
         """Delete every matching document."""
-        reply = self.client._request(
-            Opcode.DELETE_MANY, {**self._namespace(), "filter": query}
-        )
-        return DeleteResult(deleted_count=int(reply["deleted"]))
+        return DeleteResult(**self._write(DeleteMany(query)))
 
     def bulk_write(self, operations: Iterable[Any], *, ordered: bool = True) -> BulkWriteResult:
         """Apply a list of operation values in one frame (a write: never retried)."""
@@ -604,42 +482,30 @@ class RemoteCollection:
     def create_index(self, keys: Any, *, unique: bool = False, name: str = "") -> str:
         """Create an index on the served collection.
 
-        Accepts the same shapes as the in-process backends, including
-        structured specs like ``{"keys": ["embedding"], "type": "vector",
-        "dims": 8, "metric": "cosine"}`` — those cross the wire verbatim.
+        Accepts the same shapes as the in-process backends; whatever the
+        shape, only the structured spec (``IndexSpec.describe()``, the form
+        ``list_indexes`` returns) crosses the wire.
         """
-        if isinstance(keys, Mapping) and "keys" in keys:
-            reply = self.client.command(
-                self.database_name,
-                {"createIndexes": self.name, "spec": dict(keys)},
-            )
-            return str(reply["name"])
-        if isinstance(keys, str):
-            wire_keys: Any = keys
-        elif isinstance(keys, Mapping):
-            wire_keys = [[field, direction] for field, direction in keys.items()]
-        else:
-            wire_keys = [list(pair) for pair in keys]
+        spec = IndexSpec.from_key_specification(keys, unique=unique, name=name)
         reply = self.client.command(
-            self.database_name,
-            {"createIndexes": self.name, "keys": wire_keys, "unique": unique, "name": name},
+            self._database_name, {"createIndexes": self.name, "spec": spec.describe()}
         )
         return str(reply["name"])
 
     def list_indexes(self) -> list[dict[str, Any]]:
         """Structured index specs (``Collection.list_indexes`` analogue)."""
-        reply = self.client.command(self.database_name, {"listIndexes": self.name})
+        reply = self.client.command(self._database_name, {"listIndexes": self.name})
         return [dict(spec) for spec in reply["indexes"]]
 
     def drop_index(self, index_name: str) -> None:
         """Drop an index from the served collection."""
         self.client.command(
-            self.database_name, {"dropIndexes": self.name, "index": index_name}
+            self._database_name, {"dropIndexes": self.name, "index": index_name}
         )
 
     def drop(self) -> None:
         """Drop the served collection."""
-        self.client.command(self.database_name, {"drop": self.name})
+        self.client.command(self._database_name, {"drop": self.name})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RemoteCollection({self.full_name!r})"

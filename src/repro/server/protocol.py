@@ -16,13 +16,13 @@ store's extended types (ObjectId, datetime/date, bytes) — the same encoding
 the simulated shard↔router network uses, so served byte counts are directly
 comparable to :class:`~repro.sharding.router.RouterMetrics` estimates.
 
-Requests carry an opcode per logical operation (find, getMore, insertMany,
-…) and an arbitrary request id chosen by the client; the server echoes the
-id on the matching :data:`Opcode.REPLY` or :data:`Opcode.ERROR` frame.
-Error frames carry a structured ``{code, message, details}`` document that
-:func:`raise_wire_error` converts back into the proper exception class on
-the client side (including a reconstructed
-:class:`~repro.sharding.executor.ShardTimeoutError`).
+Requests carry an opcode (:class:`Opcode` is the table of payloads) and a
+request id chosen by the client, echoed on the matching :data:`Opcode.REPLY`
+or :data:`Opcode.ERROR` frame.  ``FIND`` and ``AGGREGATE`` both answer
+cursor-style — a first batch, then ``GET_MORE`` — so no result set has to fit
+one frame.  Error frames carry a structured ``{code, message, details}``
+document that :func:`raise_wire_error` turns back into the proper exception
+class on the client (a :class:`~repro.sharding.executor.ShardTimeoutError` too).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
     "MAGIC",
     "VERSION",
     "MAX_FRAME_SIZE",
+    "MAX_CURSORS_PER_CONNECTION",
     "FLAG_HAS_MORE",
     "Opcode",
     "Frame",
@@ -68,6 +69,8 @@ MAGIC = 0xD0C5
 VERSION = 1
 #: Hard upper bound on one frame body: one 16 MB document batch plus margin.
 MAX_FRAME_SIZE = 64 * 1024 * 1024
+#: Server cursors one connection may hold open (a ``RemoteClient`` connection holds one).
+MAX_CURSORS_PER_CONNECTION = 16
 
 #: Reply-frame flag: the server holds an open cursor with more batches.
 FLAG_HAS_MORE = 0x01
@@ -85,22 +88,19 @@ class ConnectionFailure(DocumentStoreError):
 
 
 class Opcode(IntEnum):
-    """Operation codes carried in the frame body."""
+    """Operation codes carried in the frame body (request payload → reply payload)."""
 
-    # Requests (client → server).
-    FIND = 1
-    GET_MORE = 2
-    KILL_CURSOR = 3
-    INSERT_MANY = 4
-    UPDATE_ONE = 5
-    UPDATE_MANY = 6
-    DELETE_ONE = 7
-    DELETE_MANY = 8
-    AGGREGATE = 9
-    DISTINCT = 10
-    COUNT = 11
-    COMMAND = 12
-    BULK_WRITE = 13
+    # Requests (client → server); all but COMMAND also name ``db`` and ``collection``.
+    FIND = 1  # spec (``encode_findspec``) → batch, cursor_id, has_more
+    GET_MORE = 2  # cursor_id, batch_size → batch, cursor_id, has_more
+    KILL_CURSOR = 3  # cursor_id → ok
+    INSERT_MANY = 4  # documents → inserted_ids
+    WRITE = 5  # operation (one ``encode_operation`` value) → its result; 6-8 are retired
+    AGGREGATE = 9  # pipeline, batch_size → batch, cursor_id, has_more (exactly as FIND)
+    DISTINCT = 10  # key, filter → values
+    COUNT = 11  # filter → n
+    COMMAND = 12  # db, command → its reply; ``createIndexes`` takes ``IndexSpec.describe()``
+    BULK_WRITE = 13  # operations, ordered → ``BulkWriteResult.as_document()``
     # Replies (server → client).
     REPLY = 64
     ERROR = 65

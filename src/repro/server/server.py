@@ -14,13 +14,13 @@ Design points:
   handler thread with its own session state; accepts beyond
   ``max_connections`` are rejected with a structured error frame
   (backpressure the client can see and retry on);
-* **cursor state for batched streaming** — a ``FIND`` whose result exceeds
-  the batch size registers a server-side cursor; ``GET_MORE`` frames stream
-  the remaining batches.  The cursor wraps the backend's lazy
+* **cursor state for batched streaming** — a ``FIND`` or ``AGGREGATE`` whose
+  result exceeds the batch size registers a server-side cursor (at most
+  ``MAX_CURSORS_PER_CONNECTION`` per session); ``GET_MORE`` frames stream
+  the remaining batches.  A find's cursor wraps the backend's lazy
   :class:`~repro.documentstore.cursor.Cursor`, so the complete
-  :class:`~repro.documentstore.findspec.FindSpec` (sort/skip/limit/
-  projection/hint) reached the planner before the first batch was produced
-  — shard-side pushdown survives the wire;
+  :class:`~repro.documentstore.findspec.FindSpec` reached the planner before
+  the first batch was produced — shard-side pushdown survives the wire;
 * **graceful shutdown** — :meth:`shutdown` stops accepting, waits for
   in-flight operations to drain, then closes every session;
 * **observability from day one** — :class:`ServerStats` counts every
@@ -37,13 +37,15 @@ import math
 import socket
 import threading
 import time
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..documentstore.bulk import decode_operation
 from ..documentstore.errors import DocumentStoreError, OperationFailure
 from ..sharding.executor import ShardTimeoutError
+from ..sharding.router import QueryRouter
 from .protocol import (
     FLAG_HAS_MORE,
+    MAX_CURSORS_PER_CONNECTION,
     Frame,
     Opcode,
     ProtocolError,
@@ -186,14 +188,14 @@ class ServerStats:
         with self._lock:
             self.connections_rejected += 1
 
-    def record_cursor(self, event: str) -> None:
+    def record_cursor(self, event: str, count: int = 1) -> None:
         with self._lock:
             if event == "opened":
-                self.cursors_opened += 1
+                self.cursors_opened += count
             elif event == "exhausted":
-                self.cursors_exhausted += 1
+                self.cursors_exhausted += count
             elif event == "killed":
-                self.cursors_killed += 1
+                self.cursors_killed += count
 
     def reset(self) -> None:
         """Zero every counter (between benchmark phases)."""
@@ -236,7 +238,7 @@ class ServerStats:
 
 
 class _ServerCursor:
-    """Session-local state of one batched ``FIND`` being streamed."""
+    """Session-local state of one batched ``FIND``/``AGGREGATE`` being streamed."""
 
     def __init__(self, iterator: Iterator[dict[str, Any]], batch_size: int) -> None:
         self.iterator = iterator
@@ -283,7 +285,7 @@ class DocumentStoreServer:
         and sending replies.  A read timeout closes the idle session; a
         write timeout closes a session whose client stopped draining.
     default_batch_size:
-        Response batch size for finds that did not set one on their spec.
+        Response batch size for finds and aggregates that did not set one.
     """
 
     def __init__(
@@ -502,16 +504,14 @@ class DocumentStoreServer:
     def _router(self) -> Any | None:
         """The query router behind this server, when fronting a cluster.
 
-        Checks are class-level / instance-dict only: ``DocumentStoreClient``
+        A cluster's router is read from its instance dict: ``DocumentStoreClient``
         materializes a database for *any* attribute name via ``__getattr__``,
-        so plain ``hasattr`` would misidentify a standalone backend.
+        so plain ``getattr`` would misidentify a standalone backend.
         """
-        if hasattr(type(self.backend), "execute_find"):
+        if isinstance(self.backend, QueryRouter):
             return self.backend
         router = vars(self.backend).get("router")
-        if router is not None and hasattr(type(router), "execute_find"):
-            return router
-        return None
+        return router if isinstance(router, QueryRouter) else None
 
     def server_status(self) -> dict[str, Any]:
         """The ``serverStatus`` command body."""
@@ -545,10 +545,7 @@ class _Session(threading.Thread):
             Opcode.GET_MORE: self._handle_get_more,
             Opcode.KILL_CURSOR: self._handle_kill_cursor,
             Opcode.INSERT_MANY: self._handle_insert_many,
-            Opcode.UPDATE_ONE: self._handle_update_one,
-            Opcode.UPDATE_MANY: self._handle_update_many,
-            Opcode.DELETE_ONE: self._handle_delete_one,
-            Opcode.DELETE_MANY: self._handle_delete_many,
+            Opcode.WRITE: self._handle_write,
             Opcode.AGGREGATE: self._handle_aggregate,
             Opcode.DISTINCT: self._handle_distinct,
             Opcode.COUNT: self._handle_count,
@@ -600,6 +597,7 @@ class _Session(threading.Thread):
                     if in_flight:
                         self.server._operation_finished()
         finally:
+            self.server.stats.record_cursor("killed", len(self.cursors))  # die with the connection
             self.cursors.clear()
             if not self._closed:
                 try:
@@ -618,10 +616,12 @@ class _Session(threading.Thread):
         completion and ``sendall``.
         """
         started = time.perf_counter()
+        # The ``opcounters``/latency row; ``_handle_write`` renames it to the
+        # operation its frame carries (``update_one``, ``delete_many``, ...).
         try:
-            opcode_name = Opcode(frame.opcode).name.lower()
+            self._stats_row = Opcode(frame.opcode).name.lower()
         except ValueError:
-            opcode_name = f"op{frame.opcode}"
+            self._stats_row = f"op{frame.opcode}"
         if not self.server._operation_started():
             payload = {
                 "code": "ShuttingDown",
@@ -647,7 +647,7 @@ class _Session(threading.Thread):
                 {"code": "InternalError", "message": repr(exc), "details": {}},
             )
         self.server.stats.record_operation(
-            opcode_name, time.perf_counter() - started, failed=failed
+            self._stats_row, time.perf_counter() - started, failed=failed
         )
         # The caller closes the in-flight window *after* sending the reply:
         # a draining shutdown must not close this session between handler
@@ -655,6 +655,31 @@ class _Session(threading.Thread):
         return reply, True
 
     # --------------------------------------------------------------- handlers
+
+    def _open_cursor(
+        self, results: Iterable[dict[str, Any]], batch_size: int | None
+    ) -> tuple[dict[str, Any], int]:
+        """Reply with the first batch of *results*; keep the rest for ``GET_MORE``.
+
+        The one place a server cursor is registered, hence where the
+        per-connection cap holds: a peer that opens cursors and never drains
+        them is refused the next one, while its open cursors keep working.
+        """
+        size = int(batch_size or self.server.default_batch_size)
+        server_cursor = _ServerCursor(iter(results), size)
+        batch, has_more = server_cursor.next_batch()
+        cursor_id = 0
+        if has_more:
+            if len(self.cursors) >= MAX_CURSORS_PER_CONNECTION:
+                raise OperationFailure(
+                    f"connection holds {MAX_CURSORS_PER_CONNECTION} open cursors: drain or kill one"
+                )
+            cursor_id = self._next_cursor_id
+            self._next_cursor_id += 1
+            self.cursors[cursor_id] = server_cursor
+            self.server.stats.record_cursor("opened")
+        reply = {"batch": batch, "cursor_id": cursor_id, "has_more": has_more}
+        return reply, FLAG_HAS_MORE if has_more else 0
 
     def _handle_find(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
         collection = self.server._collection(doc["db"], doc["collection"])
@@ -668,18 +693,12 @@ class _Session(threading.Thread):
             batch_size=spec.batch_size,
             hint=spec.hint,
         )
-        batch_size = spec.batch_size or self.server.default_batch_size
-        server_cursor = _ServerCursor(iter(cursor), batch_size)
-        batch, has_more = server_cursor.next_batch()
-        cursor_id = 0
-        flags = 0
-        if has_more:
-            cursor_id = self._next_cursor_id
-            self._next_cursor_id += 1
-            self.cursors[cursor_id] = server_cursor
-            self.server.stats.record_cursor("opened")
-            flags = FLAG_HAS_MORE
-        return {"batch": batch, "cursor_id": cursor_id, "has_more": has_more}, flags
+        return self._open_cursor(cursor, spec.batch_size)
+
+    def _handle_aggregate(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
+        collection = self.server._collection(doc["db"], doc["collection"])
+        results = collection.aggregate(doc.get("pipeline") or [])
+        return self._open_cursor(results, doc.get("batch_size"))
 
     def _handle_get_more(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
         cursor_id = int(doc.get("cursor_id") or 0)
@@ -705,64 +724,18 @@ class _Session(threading.Thread):
         result = collection.insert_many(doc.get("documents") or [])
         return {"inserted_ids": list(result.inserted_ids)}, 0
 
-    def _handle_update_one(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
+    def _handle_write(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
+        """Apply one operation value by the method it names (no bulk semantics)."""
         collection = self.server._collection(doc["db"], doc["collection"])
-        result = collection.update_one(
-            doc.get("filter"), doc["update"], upsert=bool(doc.get("upsert"))
-        )
-        return {
-            "matched": result.matched_count,
-            "modified": result.modified_count,
-            "upserted_id": result.upserted_id,
-        }, 0
-
-    def _handle_update_many(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        collection = self.server._collection(doc["db"], doc["collection"])
-        result = collection.update_many(
-            doc.get("filter"), doc["update"], upsert=bool(doc.get("upsert"))
-        )
-        return {
-            "matched": result.matched_count,
-            "modified": result.modified_count,
-            "upserted_id": result.upserted_id,
-        }, 0
-
-    def _handle_delete_one(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        collection = self.server._collection(doc["db"], doc["collection"])
-        result = collection.delete_one(doc.get("filter"))
-        return {"deleted": result.deleted_count}, 0
-
-    def _handle_delete_many(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        collection = self.server._collection(doc["db"], doc["collection"])
-        result = collection.delete_many(doc.get("filter"))
-        return {"deleted": result.deleted_count}, 0
+        operation = decode_operation(doc.get("operation") or {})
+        self._stats_row = str(doc["operation"]["op"])  # it decoded: a known name
+        return vars(operation.apply(collection)), 0  # the result object, field for field
 
     def _handle_bulk_write(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
         collection = self.server._collection(doc["db"], doc["collection"])
         operations = [decode_operation(item) for item in doc.get("operations") or []]
         result = collection.bulk_write(operations, ordered=bool(doc.get("ordered", True)))
         return result.as_document(), 0
-
-    def _handle_aggregate(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        collection = self.server._collection(doc["db"], doc["collection"])
-        results = collection.aggregate(doc.get("pipeline") or [])
-        if "batch_size" not in doc:
-            # Pre-cursor clients ask for the whole result set in one reply.
-            return {"results": list(results)}, 0
-        # Cursor-style reply: ship the first batch and register a server
-        # cursor for GET_MORE, exactly like _handle_find.
-        batch_size = int(doc.get("batch_size") or self.server.default_batch_size)
-        server_cursor = _ServerCursor(iter(results), batch_size)
-        batch, has_more = server_cursor.next_batch()
-        cursor_id = 0
-        flags = 0
-        if has_more:
-            cursor_id = self._next_cursor_id
-            self._next_cursor_id += 1
-            self.cursors[cursor_id] = server_cursor
-            self.server.stats.record_cursor("opened")
-            flags = FLAG_HAS_MORE
-        return {"batch": batch, "cursor_id": cursor_id, "has_more": has_more}, flags
 
     def _handle_distinct(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
         collection = self.server._collection(doc["db"], doc["collection"])
@@ -783,19 +756,10 @@ class _Session(threading.Thread):
         if "createIndexes" in command:
             collection = self.server._collection(database_name, command["createIndexes"])
             spec = command.get("spec")
-            if isinstance(spec, Mapping):
-                # Structured spec: btree and vector indexes round-trip as-is.
-                name = collection.create_index(spec)
-                return {"ok": 1.0, "name": name}, 0
-            keys = command.get("keys")
-            if isinstance(keys, list):
-                keys = [tuple(pair) for pair in keys]
-            name = collection.create_index(
-                keys,
-                unique=bool(command.get("unique")),
-                name=str(command.get("name") or ""),
-            )
-            return {"ok": 1.0, "name": name}, 0
+            if not isinstance(spec, Mapping):
+                raise OperationFailure("createIndexes takes a structured index 'spec'")
+            # ``IndexSpec.describe()``: btree and vector indexes round-trip as-is.
+            return {"ok": 1.0, "name": collection.create_index(spec)}, 0
         if "listIndexes" in command:
             collection = self.server._collection(database_name, command["listIndexes"])
             return {"ok": 1.0, "indexes": collection.list_indexes()}, 0

@@ -190,7 +190,7 @@ class ShardedCluster:
             (field, "hashed" if manager.shard_key.hashed else 1)
             for field in manager.shard_key.fields
         ]
-        self.router.create_index(database_name, collection_name, index_keys)
+        self.get_database(database_name)[collection_name].create_index(index_keys)
         self.save_metadata()
         return manager
 

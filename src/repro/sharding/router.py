@@ -1,7 +1,9 @@
 """Query router (``mongos``).
 
 The router is the only component an application talks to in the sharded
-deployment (Figure 3.1).  For every operation it:
+deployment (Figure 3.1): :class:`QueryRouter` is the infrastructure, and the
+operations live on the :class:`RoutedCollection` handles it gives out.  For
+every operation a routed collection:
 
 1. consults the config server to find the target shards — one shard when the
    query contains the shard key (*targeted*), every shard otherwise
@@ -30,6 +32,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
+from operator import methodcaller
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..documentstore.aggregation import (
@@ -47,20 +50,14 @@ from ..documentstore.bulk import (
     encode_operation,
 )
 from ..documentstore.cursor import (
-    Cursor,
+    CollectionSurface,
     DeleteResult,
     InsertManyResult,
-    InsertOneResult,
     UpdateResult,
     project_document,
 )
 from ..documentstore.errors import ShardKeyError
-from ..documentstore.explain import (
-    build_execution_stats,
-    build_explain,
-    explain_target,
-    validate_verbosity,
-)
+from ..documentstore.explain import build_execution_stats, build_explain
 from ..documentstore.findspec import FindSpec
 from ..documentstore.matching import distinct_values
 from ..documentstore.objectid import ObjectId
@@ -186,7 +183,14 @@ class RouterMetrics:
 
 
 class QueryRouter:
-    """The ``mongos`` process of the sharded cluster."""
+    """The ``mongos`` process of the sharded cluster — infrastructure only.
+
+    It owns the shards, the config server, the network, the metrics, shard
+    targeting (:meth:`_target_shards`), the scatter/gather machinery and its
+    :class:`ScatterPolicy`.  It has no per-operation methods: ``find``,
+    ``aggregate``, the writes and DDL live on :class:`RoutedCollection`,
+    which knows its namespace and drives this machinery.
+    """
 
     def __init__(
         self,
@@ -479,651 +483,20 @@ class QueryRouter:
         with self._metrics_lock:
             self.metrics.router_seconds += time.perf_counter() - started
 
-    # ------------------------------------------------------------------- inserts
-
-    def insert_many(
-        self,
-        database_name: str,
-        collection_name: str,
-        documents: Iterable[Mapping[str, Any]],
-    ) -> InsertManyResult:
-        """Route a whole insert batch in a single pass and one fan-out.
-
-        The batch is routed against pre-sorted chunk boundaries (one bisect
-        per document instead of a linear chunk scan), shipped with one
-        message per owning shard, and executed through the scatter machinery
-        in a single concurrent fan-out.  Chunk statistics are recorded only
-        after every target shard acknowledged its insert, so a failed insert
-        cannot permanently skew the chunk table (and through it the balancer).
-        """
-        prepared: list[dict[str, Any]] = []
-        for document in documents:
-            doc = dict(document)
-            doc.setdefault("_id", ObjectId())
-            prepared.append(doc)
-        if not prepared:
-            return InsertManyResult(inserted_ids=[])
-
-        sharded = self.config.is_sharded(database_name, collection_name)
-        batches: dict[str, list[dict[str, Any]]] = {}
-        chunk_by_id: dict[int, Chunk] = {}
-        values_by_chunk: dict[int, list[Any]] = {}
-        bytes_by_chunk: dict[int, int] = {}
-        manager = None
-        if sharded:
-            manager = self.config.chunk_manager(database_name, collection_name)
-            routing_values = [manager.shard_key.extract(doc) for doc in prepared]
-            for doc, value, chunk in zip(
-                prepared, routing_values, manager.route_batch(routing_values)
-            ):
-                batches.setdefault(chunk.shard_id, []).append(doc)
-                key = id(chunk)
-                chunk_by_id[key] = chunk
-                values_by_chunk.setdefault(key, []).append(value)
-                bytes_by_chunk[key] = bytes_by_chunk.get(key, 0) + document_size(doc)
-        else:
-            primary = self.config.primary_shard(database_name)
-            batches[primary] = prepared
-
-        # Ship each shard's slice on a private channel (thread-safe totals).
+    def _ship_inserts(
+        self, batches: Mapping[str, list[dict[str, Any]]]
+    ) -> dict[str, list[dict[str, Any]]]:
+        """Ship each shard's slice of an insert on a private channel (thread-safe totals)."""
         shipped: dict[str, list[dict[str, Any]]] = {}
         channel = self.network.channel()
         for shard_id, batch in batches.items():
             shipped[shard_id] = channel.ship_documents(
-                batch,
-                source=self.name,
-                destination=shard_id,
-                purpose="insert:request",
+                batch, source=self.name, destination=shard_id, purpose="insert:request"
             )
         with self._metrics_lock:
             self.network.absorb(channel)
             self.metrics.network_seconds += channel.stats.simulated_seconds
-
-        def do_insert(shard: Shard) -> Any:
-            return shard.collection(database_name, collection_name).insert_many(
-                shipped[shard.shard_id]
-            )
-
-        targets = sorted(batches)
-        self._scatter(
-            dict.fromkeys(targets, {"insert": collection_name, "documents": len(prepared)}),
-            "insert",
-            do_insert,
-            ship_results=False,
-            targeted=not sharded or len(targets) < len(self.config.shard_ids),
-        )
-        if manager is not None:
-            for key, chunk in chunk_by_id.items():
-                manager.record_inserts(chunk, values_by_chunk[key], bytes_by_chunk[key])
-        return InsertManyResult(inserted_ids=[doc["_id"] for doc in prepared])
-
-    def insert_one(
-        self,
-        database_name: str,
-        collection_name: str,
-        document: Mapping[str, Any],
-    ) -> InsertOneResult:
-        """Route a single-document insert."""
-        result = self.insert_many(database_name, collection_name, [document])
-        return InsertOneResult(inserted_id=result.inserted_ids[0])
-
-    # --------------------------------------------------------------------- reads
-
-    def execute_find(
-        self,
-        database_name: str,
-        collection_name: str,
-        spec: FindSpec,
-    ) -> list[dict[str, Any]]:
-        """Execute a complete find spec with shard-side pushdown.
-
-        Projection, sort, and ``skip + limit`` are pushed to every target
-        shard (each returns at most ``skip + limit`` pre-sorted, pre-projected
-        documents).  All targets execute **concurrently**, and each shard's
-        response batches land on a gather queue as they cross the wire: the
-        router's streaming k-way heap merge (sorted) or arrival-order merge
-        (unsorted) starts consuming before the slowest shard finishes.  When
-        the global ``skip + limit`` is satisfied early, still-running shards
-        are cooperatively cancelled and stop shipping.
-        """
-        targets, targeted = self._target_shards(database_name, collection_name, spec.filter)
-        shard_spec = spec.shard_spec()
-        projection_pushed = spec.projection is None or shard_spec.projection is not None
-
-        def do_find(shard: Shard) -> list[dict[str, Any]]:
-            return shard.collection(database_name, collection_name).execute_find(shard_spec)
-
-        stream = StreamGather(targets, per_shard=spec.sort is not None)
-        command = {
-            "find": collection_name,
-            "filter": spec.filter,
-            "sort": list(spec.sort) if spec.sort else None,
-            "limit": shard_spec.limit,
-            "projection": shard_spec.projection,
-        }
-        pending = self._launch_scatter(
-            dict.fromkeys(targets, command),
-            "find",
-            do_find,
-            response_batch_size=spec.batch_size,
-            stream=stream,
-        )
-        started = time.perf_counter()
-        if spec.sort:
-            # Every shard stream is already sorted: streaming k-way heap merge.
-            merged: Iterator[dict[str, Any]] = heapq.merge(
-                *stream.iterators(pending), key=document_sort_key(spec.sort)
-            )
-        else:
-            merged = itertools.chain.from_iterable(stream.iterators(pending))
-        results: list[dict[str, Any]] = []
-        remaining_skip = spec.skip
-        try:
-            for document in merged:
-                if remaining_skip:
-                    remaining_skip -= 1
-                    continue
-                results.append(document)
-                if spec.limit is not None and len(results) >= spec.limit:
-                    # Satisfied: tell still-shipping shards to stop early.
-                    pending.cancel()
-                    break
-        finally:
-            self._account_router_work(started)
-        outcome = pending.gather()
-        self._absorb_outcome(outcome, targeted=targeted)
-        if not projection_pushed and spec.projection:
-            results = [project_document(doc, spec.projection) for doc in results]
-        return results
-
-    def find(
-        self,
-        database_name: str,
-        collection_name: str,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-    ) -> list[dict[str, Any]]:
-        """Scatter a find to the target shards and merge the results."""
-        return self.execute_find(
-            database_name,
-            collection_name,
-            FindSpec(filter=query, projection=projection),
-        )
-
-    def count_documents(
-        self,
-        database_name: str,
-        collection_name: str,
-        query: Mapping[str, Any] | None = None,
-    ) -> int:
-        """Scatter a count and sum the per-shard counts."""
-        targets, targeted = self._target_shards(database_name, collection_name, query)
-
-        def do_count(shard: Shard) -> int:
-            return shard.collection(database_name, collection_name).count_documents(query)
-
-        per_shard = self._scatter(
-            dict.fromkeys(targets, {"count": collection_name, "filter": query}),
-            "count",
-            do_count,
-            ship_results=False,
-            targeted=targeted,
-        )
-        return sum(per_shard.values())
-
-    def distinct(
-        self,
-        database_name: str,
-        collection_name: str,
-        key: str,
-        query: Mapping[str, Any] | None = None,
-    ) -> list[Any]:
-        """Scatter a distinct and merge the per-shard value sets.
-
-        Deduplication happens shard-side (each shard ships its *unique*
-        values, not one value per matching document), so the response
-        payload — accounted in ``RouterMetrics.bytes_shipped`` — is bounded
-        by the value cardinality rather than the match count.
-        """
-        targets, targeted = self._target_shards(database_name, collection_name, query)
-
-        def do_distinct(shard: Shard) -> list[Any]:
-            return shard.collection(database_name, collection_name).distinct(key, query)
-
-        per_shard = self._scatter(
-            dict.fromkeys(targets, {"distinct": collection_name, "key": key}),
-            "distinct",
-            do_distinct,
-            ship_results=True,
-            targeted=targeted,
-        )
-        started = time.perf_counter()
-        # The same equality a single collection dedupes with, so 1 on one
-        # shard and 1.0 on another merge exactly as they do stand-alone.
-        merged = distinct_values(
-            value
-            for shard_id in targets
-            if shard_id in per_shard  # absent: timed out under the partial policy
-            for value in per_shard[shard_id]
-        )
-        self._account_router_work(started)
-        return merged
-
-    # ------------------------------------------------------------------- updates
-
-    def update_many(
-        self,
-        database_name: str,
-        collection_name: str,
-        query: Mapping[str, Any] | None,
-        update: Mapping[str, Any],
-        *,
-        upsert: bool = False,
-    ) -> UpdateResult:
-        """Route a multi-document update."""
-        targets, targeted = self._target_shards(database_name, collection_name, query)
-
-        def do_update(shard: Shard) -> UpdateResult:
-            return shard.collection(database_name, collection_name).update_many(
-                query, update, upsert=False
-            )
-
-        per_shard = self._scatter(
-            dict.fromkeys(targets, {"update": collection_name, "filter": query, "u": update}),
-            "update",
-            do_update,
-            ship_results=False,
-            targeted=targeted,
-        )
-        matched = sum(result.matched_count for result in per_shard.values())
-        modified = sum(result.modified_count for result in per_shard.values())
-        upserted_id = None
-        if matched == 0 and upsert:
-            document = build_upsert_document(query or {}, update)
-            insert_result = self.insert_one(database_name, collection_name, document)
-            upserted_id = insert_result.inserted_id
-        return UpdateResult(matched_count=matched, modified_count=modified, upserted_id=upserted_id)
-
-    def update_one(
-        self,
-        database_name: str,
-        collection_name: str,
-        query: Mapping[str, Any] | None,
-        update: Mapping[str, Any],
-        *,
-        upsert: bool = False,
-    ) -> UpdateResult:
-        """Route a single-document update through one concurrent fan-out.
-
-        Every target shard probes for a local match simultaneously; the
-        first branch to find one claims the operation (a one-shot
-        :class:`FirstMatchClaim`) and applies the update to exactly that
-        document, while the claim doubles as a cancellation signal so
-        still-probing branches bail out early.  Exactly one document is ever
-        modified — the previous implementation probed shards one at a time,
-        paying a serial round trip per shard.
-        """
-        targets, targeted = self._target_shards(database_name, collection_name, query)
-        claim = FirstMatchClaim()
-
-        def do_update(shard: Shard) -> UpdateResult:
-            collection = shard.collection(database_name, collection_name)
-            if claim.decided:
-                return UpdateResult(matched_count=0, modified_count=0)
-            matched = collection.find_one(query, {"_id": 1})
-            if matched is None or not claim.claim(shard.shard_id):
-                return UpdateResult(matched_count=0, modified_count=0)
-            return collection.update_one({"_id": matched["_id"]}, update, upsert=False)
-
-        per_shard = self._scatter(
-            dict.fromkeys(
-                targets, {"update": collection_name, "filter": query, "u": update, "multi": False}
-            ),
-            "update",
-            do_update,
-            ship_results=False,
-            targeted=targeted,
-        )
-        for shard_id in targets:
-            result = per_shard.get(shard_id)
-            if result is not None and result.matched_count:
-                return result
-        if upsert:
-            document = build_upsert_document(query or {}, update)
-            insert_result = self.insert_one(database_name, collection_name, document)
-            return UpdateResult(matched_count=0, modified_count=0, upserted_id=insert_result.inserted_id)
-        return UpdateResult(matched_count=0, modified_count=0)
-
-    def delete_many(
-        self,
-        database_name: str,
-        collection_name: str,
-        query: Mapping[str, Any] | None,
-    ) -> DeleteResult:
-        """Route a multi-document delete."""
-        targets, targeted = self._target_shards(database_name, collection_name, query)
-
-        def do_delete(shard: Shard) -> DeleteResult:
-            return shard.collection(database_name, collection_name).delete_many(query)
-
-        per_shard = self._scatter(
-            dict.fromkeys(targets, {"delete": collection_name, "filter": query}),
-            "delete",
-            do_delete,
-            ship_results=False,
-            targeted=targeted,
-        )
-        return DeleteResult(deleted_count=sum(result.deleted_count for result in per_shard.values()))
-
-    # --------------------------------------------------------------- bulk writes
-
-    def bulk_write(
-        self,
-        database_name: str,
-        collection_name: str,
-        operations: Iterable[Any],
-        *,
-        ordered: bool = True,
-    ) -> BulkWriteResult:
-        """Route a list of operation values: one message per shard per step.
-
-        Every operation is targeted like its single-operation method (an
-        insert on its shard key, like :meth:`insert_many`).  One that lands
-        on exactly one shard and does not upsert joins that
-        shard's batch; the batches of a *step* go out in one scatter, each
-        applied by the shard's ``Collection.bulk_write`` (one ``op_lock``
-        hold, one WAL record).  Unordered, a step takes every batchable
-        operation; ordered, only a run of consecutive ones on the same shard.
-        An operation that fans out, is a multi-shard ``*One`` or upserts
-        closes the step and runs through its own routed method in its
-        position, so the final state is that of issuing the list in order.
-        """
-        manager = None
-        if self.config.is_sharded(database_name, collection_name):
-            manager = self.config.chunk_manager(database_name, collection_name)
-        steps: list[dict[str | None, list[tuple[int, Any]]]] = []
-        for index, operation in enumerate(checked_operations(operations)):
-            shard_id = None  # runs on its own unless exactly one shard can batch it
-            inserting = isinstance(operation, InsertOne)
-            if inserting and manager is not None:
-                try:  # routed on its shard key, like insert_many
-                    value = manager.shard_key.extract(operation.document)
-                    shard_id = manager.chunk_for(value).shard_id
-                except ShardKeyError:
-                    pass  # insert_one refuses it, in its position
-            elif not getattr(operation, "upsert", False):
-                targets, _ = self._target_shards(
-                    database_name, collection_name, None if inserting else operation.filter
-                )
-                shard_id = targets[0] if len(targets) == 1 else None
-            # A new step: at the start, around an operation that runs on its
-            # own (keyed None), and — ordered — whenever the shard changes.
-            if (
-                not steps
-                or shard_id is None
-                or None in steps[-1]
-                or (ordered and shard_id not in steps[-1])
-            ):
-                steps.append({})
-            steps[-1].setdefault(shard_id, []).append((index, operation))
-
-        routed = RoutedCollection(self, database_name, collection_name)
-        result = BulkWriteResult()
-        errors: list[dict[str, Any]] = []
-        for step in steps:
-            if None in step:
-                apply_operations(routed, step[None], ordered, result, errors)
-            else:
-                targeted = manager is None or len(step) < len(self.config.shard_ids)
-                replies = self._scatter_batches(
-                    database_name, collection_name, step, ordered, targeted
-                )
-                for shard_id, (shard_result, shard_errors) in replies.items():
-                    batch = step[shard_id]
-                    result.merge(shard_result)
-                    errors.extend(
-                        {**entry, "index": batch[entry["index"]][0]} for entry in shard_errors
-                    )
-                    if manager is None:
-                        continue
-                    # Chunk statistics for the inserts the shard acknowledged.
-                    failed = {entry["index"] for entry in shard_errors}
-                    applied = batch[: min(failed)] if ordered and failed else batch
-                    for position, (_index, operation) in enumerate(applied):
-                        if isinstance(operation, InsertOne) and position not in failed:
-                            manager.record_insert(
-                                manager.shard_key.extract(operation.document),
-                                document_size(operation.document),
-                            )
-            if ordered and errors:
-                break
-        if errors:
-            raise BulkWriteError(errors, result)
-        return result
-
-    def _scatter_batches(
-        self,
-        database_name: str,
-        collection_name: str,
-        batches: Mapping[str, Sequence[tuple[int, Any]]],
-        ordered: bool,
-        targeted: bool,
-    ) -> dict[str, tuple[BulkWriteResult, list[dict[str, Any]]]]:
-        """One scatter: each shard applies its batch, answers (result, errors)."""
-        requests = {
-            shard_id: {
-                "bulkWrite": collection_name,
-                "ordered": ordered,
-                "operations": [encode_operation(operation) for _index, operation in batch],
-            }
-            for shard_id, batch in sorted(batches.items())
-        }
-
-        def do_bulk(shard: Shard) -> tuple[BulkWriteResult, list[dict[str, Any]]]:
-            collection = shard.collection(database_name, collection_name)
-            batch = [operation for _index, operation in batches[shard.shard_id]]
-            try:
-                return collection.bulk_write(batch, ordered=ordered), []
-            except BulkWriteError as error:
-                return error.result, error.errors
-
-        return self._scatter(
-            requests, "bulkWrite", do_bulk, ship_results=False, targeted=targeted
-        )
-
-    # --------------------------------------------------------------------- DDL
-
-    def create_index(
-        self,
-        database_name: str,
-        collection_name: str,
-        keys: Any,
-        *,
-        unique: bool = False,
-        name: str = "",
-    ) -> str:
-        """Create an index on every shard holding the collection (concurrently)."""
-        if self.config.is_sharded(database_name, collection_name):
-            targets = self.config.shard_ids
-        else:
-            targets = [self.config.primary_shard(database_name)]
-
-        def do_create(shard: Shard) -> str:
-            return shard.collection(database_name, collection_name).create_index(
-                keys, unique=unique, name=name
-            )
-
-        per_shard = self._scatter(
-            dict.fromkeys(targets, {"createIndexes": collection_name, "keys": str(keys)}),
-            "createIndex",
-            do_create,
-            ship_results=False,
-            targeted=False,
-        )
-        return next(iter(per_shard.values()))
-
-    def list_indexes(
-        self, database_name: str, collection_name: str
-    ) -> list[dict[str, Any]]:
-        """Structured index specs for the collection (identical on every shard).
-
-        DDL runs on every owning shard, so any one shard's catalog answers
-        the question — the primary (or first) shard is consulted without a
-        fan-out.
-        """
-        if self.config.is_sharded(database_name, collection_name):
-            target = self.config.shard_ids[0]
-        else:
-            target = self.config.primary_shard(database_name)
-        return self._shards[target].collection(database_name, collection_name).list_indexes()
-
-    def drop_index(self, database_name: str, collection_name: str, index_name: str) -> None:
-        """Drop an index from every shard holding the collection."""
-        if self.config.is_sharded(database_name, collection_name):
-            targets = self.config.shard_ids
-        else:
-            targets = [self.config.primary_shard(database_name)]
-
-        def do_drop(shard: Shard) -> None:
-            collection = shard.collection(database_name, collection_name)
-            if index_name in collection.index_information():
-                collection.drop_index(index_name)
-
-        self._scatter(
-            dict.fromkeys(targets, {"dropIndexes": collection_name, "index": index_name}),
-            "dropIndex",
-            do_drop,
-            ship_results=False,
-            targeted=False,
-        )
-
-    def drop_collection(self, database_name: str, collection_name: str) -> None:
-        """Drop a collection from every shard and forget its metadata."""
-        targets = self.config.shard_ids or []
-
-        def do_drop(shard: Shard) -> None:
-            shard.collection(database_name, collection_name).drop()
-
-        if targets:
-            self._scatter(
-                dict.fromkeys(targets, {"drop": collection_name}),
-                "drop",
-                do_drop,
-                ship_results=False,
-                targeted=False,
-            )
-        self.config.drop_collection_metadata(database_name, collection_name)
-
-    # -------------------------------------------------------------- aggregation
-
-    def aggregate(
-        self,
-        database_name: str,
-        collection_name: str,
-        pipeline: Sequence[Mapping[str, Any]],
-    ) -> list[dict[str, Any]]:
-        """Run an aggregation: shard stages on the shards, merge on the router.
-
-        The routing decision uses the leading ``$match`` stage: when it
-        constrains the shard key the shard stages only run on the owning
-        shards, otherwise the pipeline is broadcast (Section 4.3's expensive
-        case for the analytical queries).  All shard-side pipelines execute
-        concurrently through the scatter pool.
-
-        A leading ``$vectorSearch`` runs on every owning shard with the
-        *global* ``k`` (its metadata ``filter`` still targets when it
-        constrains the shard key); the router then re-ranks the union of the
-        per-shard top-k by score and keeps the global top-k, so the merged
-        ranking is exactly what a stand-alone collection would return.
-        """
-        shard_stages, merge_stages, targets, targeted = self._plan_aggregate(
-            database_name, collection_name, pipeline
-        )
-        vector_stage = shard_stages[0].get("$vectorSearch") if shard_stages else None
-
-        def do_aggregate(shard: Shard) -> list[dict[str, Any]]:
-            # Reuse the collection engine's entry point so shard-local
-            # execution gets the same leading-$match IXSCAN pushdown (and
-            # $lookup collection resolution) as a stand-alone deployment.
-            collection = shard.collection(database_name, collection_name)
-            return collection.aggregate(shard_stages)
-
-        command = {"aggregate": collection_name, "pipeline": len(shard_stages) + len(merge_stages)}
-        per_shard = self._scatter(
-            dict.fromkeys(targets, command),
-            "aggregate",
-            do_aggregate,
-            targeted=targeted,
-        )
-
-        started = time.perf_counter()
-        merged: list[dict[str, Any]] = []
-        for shard_id in targets:
-            merged.extend(per_shard.get(shard_id, []))
-
-        if isinstance(vector_stage, Mapping):
-            # Each shard returned its local top-k; keep the global top-k,
-            # re-ranked by score (desc) with the same _id tiebreak the
-            # stand-alone engine uses, so sharded results match exactly.
-            k = int(vector_stage.get("k", vector_stage.get("limit") or 0) or 0)
-            score_field = str(vector_stage.get("scoreField") or "_score")
-            id_key = document_sort_key([("_id", 1)])
-            merged.sort(
-                key=lambda doc: (-float(doc.get(score_field, 0.0)), id_key(doc))
-            )
-            if k > 0:
-                merged = merged[:k]
-
-        out_target: str | None = None
-        if merge_stages and "$out" in merge_stages[-1]:
-            out_target = str(merge_stages[-1]["$out"])
-            merge_stages = merge_stages[:-1]
-        if merge_stages:
-            # $lookup in the merge part joins against the cluster-wide
-            # collection, exactly as a stand-alone database would resolve it.
-            # The nested find accounts its own router work, so exclude it
-            # from this operation's window to avoid double counting.
-            router_seconds_before = self.metrics.router_seconds
-            results = run_pipeline(
-                merged,
-                merge_stages,
-                collection_resolver=lambda name: self.find(database_name, name),
-            )
-            started += self.metrics.router_seconds - router_seconds_before
-        else:
-            results = merged
-        self._account_router_work(started)
-
-        if out_target is not None:
-            self.drop_collection(database_name, out_target)
-            if results:
-                self.insert_many(database_name, out_target, results)
-            return []
-        return results
-
-    def _plan_aggregate(
-        self,
-        database_name: str,
-        collection_name: str,
-        pipeline: Sequence[Mapping[str, Any]],
-    ) -> tuple[list[Mapping[str, Any]], list[Mapping[str, Any]], list[str], bool]:
-        """Split *pipeline* for the shards and choose the shards it runs on.
-
-        Returns ``(shard stages, merge stages, target shard ids, targeted?)``;
-        ``aggregate`` executes this plan and ``explain`` reports it.
-        """
-        pipeline = list(pipeline)
-        if pipeline and "$vectorSearch" in pipeline[0]:
-            # Apply the $vectorSearch+$limit k-lowering before splitting so
-            # every shard scans the lowered k, not the stage's original one.
-            pipeline = optimize_pipeline(pipeline)
-        shard_stages, merge_stages = split_pipeline_for_shards(pipeline)
-        leading = shard_stages[0] if shard_stages else {}
-        leading_match = leading.get("$match")
-        if isinstance(leading.get("$vectorSearch"), Mapping):
-            leading_match = leading["$vectorSearch"].get("filter")
-        targets, targeted = self._target_shards(database_name, collection_name, leading_match)
-        return shard_stages, merge_stages, targets, targeted
+        return shipped
 
     # --------------------------------------------------------------------- stats
 
@@ -1174,7 +547,7 @@ class RoutedDatabase:
 
     def drop_collection(self, collection_name: str) -> None:
         """Drop a collection across the cluster."""
-        self._router.drop_collection(self.name, collection_name)
+        self[collection_name].drop()
 
     def list_collection_names(self) -> list[str]:
         """Collection names present on any shard for this database."""
@@ -1194,96 +567,576 @@ class RoutedDatabase:
         return totals
 
 
-class RoutedCollection:
-    """Collection handle with the same surface as a stand-alone collection."""
+class RoutedCollection(CollectionSurface):
+    """Collection handle with the same surface as a stand-alone collection.
+
+    The router is infrastructure; the operations live here.  Each one picks
+    its target shards (:meth:`QueryRouter._target_shards`, or every shard
+    holding the collection for DDL), sends one request per target through the
+    router's scatter machinery, and folds the per-shard answers into the
+    result the same call returns on a stand-alone :class:`Collection`.
+    """
 
     def __init__(self, router: QueryRouter, database_name: str, name: str) -> None:
         self._router = router
         self._database_name = database_name
         self.name = name
+        self._namespace = (database_name, name)
 
-    @property
-    def full_name(self) -> str:
-        """The namespaced collection name."""
-        return f"{self._database_name}.{self.name}"
+    def _on_shards(
+        self,
+        targets: Sequence[str],
+        targeted: bool,
+        purpose: str,
+        command: Mapping[str, Any],
+        call: Callable[[Any], Any],
+        *,
+        ship_results: bool = False,
+    ) -> dict[str, Any]:
+        """One scatter: *call* on every target shard's slice of the collection."""
+        namespace = self._namespace
+        return self._router._scatter(
+            dict.fromkeys(targets, command),
+            purpose,
+            lambda shard: call(shard.collection(*namespace)),
+            ship_results=ship_results,
+            targeted=targeted,
+        )
 
-    # The method bodies below simply forward to the router, which owns all
-    # routing and cost-accounting logic.
+    def _owning_shards(self) -> list[str]:
+        """Every shard holding a slice of the collection: where DDL runs."""
+        config = self._router.config
+        if config.is_sharded(*self._namespace):
+            return config.shard_ids
+        return [config.primary_shard(self._database_name)]
 
-    def insert_one(self, document: Mapping[str, Any]) -> InsertOneResult:
-        return self._router.insert_one(self._database_name, self.name, document)
+    # ------------------------------------------------------------------- inserts
 
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> InsertManyResult:
-        return self._router.insert_many(self._database_name, self.name, documents)
+        """Route a whole insert batch in a single pass and one fan-out.
 
-    def find(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        *,
-        sort: str | Sequence[tuple[str, int]] | Mapping[str, int] | None = None,
-        skip: int = 0,
-        limit: int = 0,
-        batch_size: int | None = None,
-        hint: str | None = None,
-    ) -> Cursor:
-        """Return a lazy cursor whose spec is pushed down to the shards.
-
-        The same :class:`Cursor` type as the stand-alone collection: chained
-        options refine the spec, and only the first iteration sends the
-        complete spec through the router.
+        The batch is routed against pre-sorted chunk boundaries (one bisect
+        per document instead of a linear chunk scan), shipped with one
+        message per owning shard, and executed through the scatter machinery
+        in a single concurrent fan-out.  Chunk statistics are recorded only
+        after every target shard acknowledged its insert, so a failed insert
+        cannot permanently skew the chunk table (and through it the balancer).
         """
-        spec = FindSpec.create(
-            filter=query,
-            projection=projection,
-            sort=sort,
-            skip=skip,
-            limit=limit,
-            batch_size=batch_size,
-            hint=hint,
+        prepared: list[dict[str, Any]] = []
+        for document in documents:
+            doc = dict(document)
+            doc.setdefault("_id", ObjectId())
+            prepared.append(doc)
+        if not prepared:
+            return InsertManyResult(inserted_ids=[])
+
+        config = self._router.config
+        sharded = config.is_sharded(*self._namespace)
+        batches: dict[str, list[dict[str, Any]]] = {}
+        chunk_by_id: dict[int, Chunk] = {}
+        values_by_chunk: dict[int, list[Any]] = {}
+        bytes_by_chunk: dict[int, int] = {}
+        manager = None
+        if sharded:
+            manager = config.chunk_manager(*self._namespace)
+            routing_values = [manager.shard_key.extract(doc) for doc in prepared]
+            for doc, value, chunk in zip(
+                prepared, routing_values, manager.route_batch(routing_values)
+            ):
+                batches.setdefault(chunk.shard_id, []).append(doc)
+                key = id(chunk)
+                chunk_by_id[key] = chunk
+                values_by_chunk.setdefault(key, []).append(value)
+                bytes_by_chunk[key] = bytes_by_chunk.get(key, 0) + document_size(doc)
+        else:
+            batches[config.primary_shard(self._database_name)] = prepared
+
+        shipped = self._router._ship_inserts(batches)
+        namespace = self._namespace
+
+        def do_insert(shard: Shard) -> Any:
+            return shard.collection(*namespace).insert_many(shipped[shard.shard_id])
+
+        targets = sorted(batches)
+        self._router._scatter(
+            dict.fromkeys(targets, {"insert": self.name, "documents": len(prepared)}),
+            "insert",
+            do_insert,
+            ship_results=False,
+            targeted=not sharded or len(targets) < len(config.shard_ids),
         )
-        return Cursor(
-            lambda final_spec: self._router.execute_find(
-                self._database_name, self.name, final_spec
+        if manager is not None:
+            for key, chunk in chunk_by_id.items():
+                manager.record_inserts(chunk, values_by_chunk[key], bytes_by_chunk[key])
+        return InsertManyResult(inserted_ids=[doc["_id"] for doc in prepared])
+
+    # --------------------------------------------------------------------- reads
+
+    def _execute_find(self, spec: FindSpec) -> list[dict[str, Any]]:
+        """Execute a complete find spec with shard-side pushdown.
+
+        Projection, sort, and ``skip + limit`` are pushed to every target
+        shard (each returns at most ``skip + limit`` pre-sorted, pre-projected
+        documents).  All targets execute **concurrently**, and each shard's
+        response batches land on a gather queue as they cross the wire: the
+        router's streaming k-way heap merge (sorted) or arrival-order merge
+        (unsorted) starts consuming before the slowest shard finishes.  When
+        the global ``skip + limit`` is satisfied early, still-running shards
+        are cooperatively cancelled and stop shipping.
+        """
+        router = self._router
+        targets, targeted = router._target_shards(*self._namespace, spec.filter)
+        shard_spec = spec.shard_spec()
+        projection_pushed = spec.projection is None or shard_spec.projection is not None
+        namespace = self._namespace
+
+        def do_find(shard: Shard) -> list[dict[str, Any]]:
+            return shard.collection(*namespace).execute_find(shard_spec)
+
+        stream = StreamGather(targets, per_shard=spec.sort is not None)
+        command = {
+            "find": self.name,
+            "filter": spec.filter,
+            "sort": list(spec.sort) if spec.sort else None,
+            "limit": shard_spec.limit,
+            "projection": shard_spec.projection,
+        }
+        pending = router._launch_scatter(
+            dict.fromkeys(targets, command),
+            "find",
+            do_find,
+            response_batch_size=spec.batch_size,
+            stream=stream,
+        )
+        started = time.perf_counter()
+        if spec.sort:
+            # Every shard stream is already sorted: streaming k-way heap merge.
+            merged: Iterator[dict[str, Any]] = heapq.merge(
+                *stream.iterators(pending), key=document_sort_key(spec.sort)
+            )
+        else:
+            merged = itertools.chain.from_iterable(stream.iterators(pending))
+        results: list[dict[str, Any]] = []
+        remaining_skip = spec.skip
+        try:
+            for document in merged:
+                if remaining_skip:
+                    remaining_skip -= 1
+                    continue
+                results.append(document)
+                if spec.limit is not None and len(results) >= spec.limit:
+                    # Satisfied: tell still-shipping shards to stop early.
+                    pending.cancel()
+                    break
+        finally:
+            router._account_router_work(started)
+        outcome = pending.gather()
+        router._absorb_outcome(outcome, targeted=targeted)
+        if not projection_pushed and spec.projection:
+            results = [project_document(doc, spec.projection) for doc in results]
+        return results
+
+    def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
+        """Scatter a count and sum the per-shard counts."""
+        targets, targeted = self._router._target_shards(*self._namespace, query)
+        per_shard = self._on_shards(
+            targets,
+            targeted,
+            "count",
+            {"count": self.name, "filter": query},
+            methodcaller("count_documents", query),
+        )
+        return sum(per_shard.values())
+
+    def distinct(self, key: str, query: Mapping[str, Any] | None = None) -> list[Any]:
+        """Scatter a distinct and merge the per-shard value sets.
+
+        Deduplication happens shard-side (each shard ships its *unique*
+        values, not one value per matching document), so the response
+        payload — accounted in ``RouterMetrics.bytes_shipped`` — is bounded
+        by the value cardinality rather than the match count.
+        """
+        targets, targeted = self._router._target_shards(*self._namespace, query)
+        per_shard = self._on_shards(
+            targets,
+            targeted,
+            "distinct",
+            {"distinct": self.name, "key": key},
+            methodcaller("distinct", key, query),
+            ship_results=True,
+        )
+        started = time.perf_counter()
+        # The same equality a single collection dedupes with, so 1 on one
+        # shard and 1.0 on another merge exactly as they do stand-alone.
+        merged = distinct_values(
+            value
+            for shard_id in targets
+            if shard_id in per_shard  # absent: timed out under the partial policy
+            for value in per_shard[shard_id]
+        )
+        self._router._account_router_work(started)
+        return merged
+
+    # ------------------------------------------------------------------- updates
+
+    def update_many(
+        self,
+        query: Mapping[str, Any] | None,
+        update: Mapping[str, Any],
+        *,
+        upsert: bool = False,
+    ) -> UpdateResult:
+        """Route a multi-document update."""
+        targets, targeted = self._router._target_shards(*self._namespace, query)
+        per_shard = self._on_shards(
+            targets,
+            targeted,
+            "update",
+            {"update": self.name, "filter": query, "u": update},
+            methodcaller("update_many", query, update, upsert=False),
+        )
+        matched = sum(result.matched_count for result in per_shard.values())
+        modified = sum(result.modified_count for result in per_shard.values())
+        upserted_id = None
+        if matched == 0 and upsert:
+            document = build_upsert_document(query or {}, update)
+            upserted_id = self.insert_one(document).inserted_id
+        return UpdateResult(matched_count=matched, modified_count=modified, upserted_id=upserted_id)
+
+    def update_one(
+        self,
+        query: Mapping[str, Any] | None,
+        update: Mapping[str, Any],
+        *,
+        upsert: bool = False,
+    ) -> UpdateResult:
+        """Route a single-document update through one concurrent fan-out.
+
+        Every target shard probes for a local match simultaneously; the
+        first branch to find one claims the operation (a one-shot
+        :class:`FirstMatchClaim`) and applies the update to exactly that
+        document, while the claim doubles as a cancellation signal so
+        still-probing branches bail out early.  Exactly one document is ever
+        modified — the previous implementation probed shards one at a time,
+        paying a serial round trip per shard.
+        """
+        targets, targeted = self._router._target_shards(*self._namespace, query)
+        claim = FirstMatchClaim()
+        namespace = self._namespace
+
+        def do_update(shard: Shard) -> UpdateResult:
+            collection = shard.collection(*namespace)
+            if claim.decided:
+                return UpdateResult(matched_count=0, modified_count=0)
+            matched = collection.find_one(query, {"_id": 1})
+            if matched is None or not claim.claim(shard.shard_id):
+                return UpdateResult(matched_count=0, modified_count=0)
+            return collection.update_one({"_id": matched["_id"]}, update, upsert=False)
+
+        per_shard = self._router._scatter(
+            dict.fromkeys(
+                targets, {"update": self.name, "filter": query, "u": update, "multi": False}
             ),
-            spec=spec,
-            explain=self.explain,
+            "update",
+            do_update,
+            ship_results=False,
+            targeted=targeted,
+        )
+        for shard_id in targets:
+            result = per_shard.get(shard_id)
+            if result is not None and result.matched_count:
+                return result
+        if upsert:
+            document = build_upsert_document(query or {}, update)
+            upserted_id = self.insert_one(document).inserted_id
+            return UpdateResult(matched_count=0, modified_count=0, upserted_id=upserted_id)
+        return UpdateResult(matched_count=0, modified_count=0)
+
+    def delete_many(self, query: Mapping[str, Any] | None) -> DeleteResult:
+        """Route a multi-document delete."""
+        targets, targeted = self._router._target_shards(*self._namespace, query)
+        per_shard = self._on_shards(
+            targets,
+            targeted,
+            "delete",
+            {"delete": self.name, "filter": query},
+            methodcaller("delete_many", query),
+        )
+        return DeleteResult(deleted_count=sum(result.deleted_count for result in per_shard.values()))
+
+    def delete_one(self, query: Mapping[str, Any] | None) -> DeleteResult:
+        """Delete the first match found across the targeted shards, by its ``_id``."""
+        document = self.find_one(query)
+        if document is None:
+            return DeleteResult(deleted_count=0)
+        return self.delete_many({"_id": document["_id"]})
+
+    # --------------------------------------------------------------- bulk writes
+
+    def bulk_write(self, operations: Iterable[Any], *, ordered: bool = True) -> BulkWriteResult:
+        """Route a list of operation values: one message per shard per step.
+
+        Every operation is targeted like its single-operation method (an
+        insert on its shard key, like :meth:`insert_many`).  One that lands
+        on exactly one shard and does not upsert joins that
+        shard's batch; the batches of a *step* go out in one scatter, each
+        applied by the shard's ``Collection.bulk_write`` (one ``op_lock``
+        hold, one WAL record).  Unordered, a step takes every batchable
+        operation; ordered, only a run of consecutive ones on the same shard.
+        An operation that fans out, is a multi-shard ``*One`` or upserts
+        closes the step and runs through its own routed method in its
+        position, so the final state is that of issuing the list in order.
+        """
+        config = self._router.config
+        manager = None
+        if config.is_sharded(*self._namespace):
+            manager = config.chunk_manager(*self._namespace)
+        steps: list[dict[str | None, list[tuple[int, Any]]]] = []
+        for index, operation in enumerate(checked_operations(operations)):
+            shard_id = None  # runs on its own unless exactly one shard can batch it
+            inserting = isinstance(operation, InsertOne)
+            if inserting and manager is not None:
+                try:  # routed on its shard key, like insert_many
+                    value = manager.shard_key.extract(operation.document)
+                    shard_id = manager.chunk_for(value).shard_id
+                except ShardKeyError:
+                    pass  # insert_one refuses it, in its position
+            elif not getattr(operation, "upsert", False):
+                targets, _ = self._router._target_shards(
+                    *self._namespace, None if inserting else operation.filter
+                )
+                shard_id = targets[0] if len(targets) == 1 else None
+            # A new step: at the start, around an operation that runs on its
+            # own (keyed None), and — ordered — whenever the shard changes.
+            if (
+                not steps
+                or shard_id is None
+                or None in steps[-1]
+                or (ordered and shard_id not in steps[-1])
+            ):
+                steps.append({})
+            steps[-1].setdefault(shard_id, []).append((index, operation))
+
+        result = BulkWriteResult()
+        errors: list[dict[str, Any]] = []
+        for step in steps:
+            if None in step:
+                apply_operations(self, step[None], ordered, result, errors)
+            else:
+                targeted = manager is None or len(step) < len(config.shard_ids)
+                replies = self._scatter_batches(step, ordered, targeted)
+                for shard_id, (shard_result, shard_errors) in replies.items():
+                    batch = step[shard_id]
+                    result.merge(shard_result)
+                    errors.extend(
+                        {**entry, "index": batch[entry["index"]][0]} for entry in shard_errors
+                    )
+                    if manager is None:
+                        continue
+                    # Chunk statistics for the inserts the shard acknowledged.
+                    failed = {entry["index"] for entry in shard_errors}
+                    applied = batch[: min(failed)] if ordered and failed else batch
+                    for position, (_index, operation) in enumerate(applied):
+                        if isinstance(operation, InsertOne) and position not in failed:
+                            manager.record_insert(
+                                manager.shard_key.extract(operation.document),
+                                document_size(operation.document),
+                            )
+            if ordered and errors:
+                break
+        if errors:
+            raise BulkWriteError(errors, result)
+        return result
+
+    def _scatter_batches(
+        self,
+        batches: Mapping[str, Sequence[tuple[int, Any]]],
+        ordered: bool,
+        targeted: bool,
+    ) -> dict[str, tuple[BulkWriteResult, list[dict[str, Any]]]]:
+        """One scatter: each shard applies its batch, answers (result, errors)."""
+        requests = {
+            shard_id: {
+                "bulkWrite": self.name,
+                "ordered": ordered,
+                "operations": [encode_operation(operation) for _index, operation in batch],
+            }
+            for shard_id, batch in sorted(batches.items())
+        }
+        namespace = self._namespace
+
+        def do_bulk(shard: Shard) -> tuple[BulkWriteResult, list[dict[str, Any]]]:
+            batch = [operation for _index, operation in batches[shard.shard_id]]
+            try:
+                return shard.collection(*namespace).bulk_write(batch, ordered=ordered), []
+            except BulkWriteError as error:
+                return error.result, error.errors
+
+        return self._router._scatter(
+            requests, "bulkWrite", do_bulk, ship_results=False, targeted=targeted
         )
 
-    def find_one(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        *,
-        sort: str | Sequence[tuple[str, int]] | Mapping[str, int] | None = None,
-    ) -> dict[str, Any] | None:
-        for document in self.find(query, projection, sort=sort, limit=1):
-            return document
-        return None
+    # --------------------------------------------------------------------- DDL
 
-    def explain(
-        self,
-        query_or_pipeline: Mapping[str, Any] | Sequence[Mapping[str, Any]] | FindSpec | None = None,
-        *,
-        verbosity: str = "queryPlanner",
-    ) -> dict[str, Any]:
-        """The unified explain entry point (schema v1, ``surface="sharded"``).
+    def create_index(self, keys: Any, *, unique: bool = False, name: str = "") -> str:
+        """Create an index on every shard holding the collection (concurrently).
 
-        Same signature and document shape as ``Collection.explain`` on a
-        stand-alone deployment: a mapping (or ``None``) or a complete
-        :class:`FindSpec` explains a find, a sequence of stages explains an
-        aggregation.  ``queryPlanner.winningPlan`` is the routing decision
-        (targeted vs broadcast, the shards contacted, what was pushed down);
-        ``shards`` holds every contacted shard's own plan, and at
-        ``verbosity="executionStats"`` the operation runs through the scatter
-        and ``executionStats.shards`` carries each branch's queue / dispatch /
-        execute / ship seconds.
+        Accepts structured specs like
+        ``{"keys": ["embedding"], "type": "vector", "dims": 8}`` too.
         """
-        validate_verbosity(verbosity)
-        target = explain_target(query_or_pipeline)
-        if isinstance(target, FindSpec):
-            return self._explain_spec(target, verbosity)
-        return self._explain_pipeline(target, verbosity)
+        per_shard = self._on_shards(
+            self._owning_shards(),
+            False,
+            "createIndex",
+            {"createIndexes": self.name, "keys": str(keys)},
+            methodcaller("create_index", keys, unique=unique, name=name),
+        )
+        return next(iter(per_shard.values()))
+
+    def list_indexes(self) -> list[dict[str, Any]]:
+        """Structured index specs for the collection (identical on every shard).
+
+        DDL runs on every owning shard, so any one shard's catalog answers
+        the question — the primary (or first) shard is consulted without a
+        fan-out.
+        """
+        return self._shard_collection(self._owning_shards()[0]).list_indexes()
+
+    def drop_index(self, index_name: str) -> None:
+        """Drop an index from every shard holding the collection."""
+
+        def drop_if_present(collection: Any) -> None:
+            # Created before the collection was sharded, an index exists on
+            # the primary shard only.
+            if index_name in collection.index_information():
+                collection.drop_index(index_name)
+
+        self._on_shards(
+            self._owning_shards(),
+            False,
+            "dropIndex",
+            {"dropIndexes": self.name, "index": index_name},
+            drop_if_present,
+        )
+
+    def drop(self) -> None:
+        """Drop the collection from every shard and forget its metadata."""
+        config = self._router.config
+        if config.shard_ids:
+            self._on_shards(
+                config.shard_ids, False, "drop", {"drop": self.name}, methodcaller("drop")
+            )
+        config.drop_collection_metadata(*self._namespace)
+
+    # -------------------------------------------------------------- aggregation
+
+    def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
+        """Run an aggregation: shard stages on the shards, merge on the router.
+
+        The routing decision uses the leading ``$match`` stage: when it
+        constrains the shard key the shard stages only run on the owning
+        shards, otherwise the pipeline is broadcast (Section 4.3's expensive
+        case for the analytical queries).  All shard-side pipelines execute
+        concurrently through the scatter pool.
+
+        A leading ``$vectorSearch`` runs on every owning shard with the
+        *global* ``k`` (its metadata ``filter`` still targets when it
+        constrains the shard key); the router then re-ranks the union of the
+        per-shard top-k by score and keeps the global top-k, so the merged
+        ranking is exactly what a stand-alone collection would return.
+        """
+        router = self._router
+        shard_stages, merge_stages, targets, targeted = self._plan_aggregate(pipeline)
+        vector_stage = shard_stages[0].get("$vectorSearch") if shard_stages else None
+        # The shard-local ``Collection.aggregate`` gives each slice the same
+        # leading-$match IXSCAN pushdown (and $lookup collection resolution)
+        # as a stand-alone deployment.
+        per_shard = self._on_shards(
+            targets,
+            targeted,
+            "aggregate",
+            {"aggregate": self.name, "pipeline": len(shard_stages) + len(merge_stages)},
+            methodcaller("aggregate", shard_stages),
+            ship_results=True,
+        )
+
+        started = time.perf_counter()
+        merged: list[dict[str, Any]] = []
+        for shard_id in targets:
+            merged.extend(per_shard.get(shard_id, []))
+
+        if isinstance(vector_stage, Mapping):
+            # Each shard returned its local top-k; keep the global top-k,
+            # re-ranked by score (desc) with the same _id tiebreak the
+            # stand-alone engine uses, so sharded results match exactly.
+            k = int(vector_stage.get("k", vector_stage.get("limit") or 0) or 0)
+            score_field = str(vector_stage.get("scoreField") or "_score")
+            id_key = document_sort_key([("_id", 1)])
+            merged.sort(
+                key=lambda doc: (-float(doc.get(score_field, 0.0)), id_key(doc))
+            )
+            if k > 0:
+                merged = merged[:k]
+
+        out_target: str | None = None
+        if merge_stages and "$out" in merge_stages[-1]:
+            out_target = str(merge_stages[-1]["$out"])
+            merge_stages = merge_stages[:-1]
+        if merge_stages:
+            # $lookup in the merge part joins against the cluster-wide
+            # collection, exactly as a stand-alone database would resolve it.
+            # The nested find accounts its own router work, so exclude it
+            # from this operation's window to avoid double counting.
+            router_seconds_before = router.metrics.router_seconds
+            results = run_pipeline(
+                merged,
+                merge_stages,
+                collection_resolver=lambda name: RoutedCollection(
+                    router, self._database_name, name
+                )._execute_find(FindSpec()),
+            )
+            started += router.metrics.router_seconds - router_seconds_before
+        else:
+            results = merged
+        router._account_router_work(started)
+
+        if out_target is not None:
+            target = RoutedCollection(router, self._database_name, out_target)
+            target.drop()
+            if results:
+                target.insert_many(results)
+            return []
+        return results
+
+    def _plan_aggregate(
+        self, pipeline: Sequence[Mapping[str, Any]]
+    ) -> tuple[list[Mapping[str, Any]], list[Mapping[str, Any]], list[str], bool]:
+        """Split *pipeline* for the shards and choose the shards it runs on.
+
+        Returns ``(shard stages, merge stages, target shard ids, targeted?)``;
+        ``aggregate`` executes this plan and ``explain`` reports it.
+        """
+        pipeline = list(pipeline)
+        if pipeline and "$vectorSearch" in pipeline[0]:
+            # Apply the $vectorSearch+$limit k-lowering before splitting so
+            # every shard scans the lowered k, not the stage's original one.
+            pipeline = optimize_pipeline(pipeline)
+        shard_stages, merge_stages = split_pipeline_for_shards(pipeline)
+        leading = shard_stages[0] if shard_stages else {}
+        leading_match = leading.get("$match")
+        if isinstance(leading.get("$vectorSearch"), Mapping):
+            leading_match = leading["$vectorSearch"].get("filter")
+        targets, targeted = self._router._target_shards(*self._namespace, leading_match)
+        return shard_stages, merge_stages, targets, targeted
+
+    # ------------------------------------------------------------------ explain
+    #
+    # ``explain`` itself is the shared front half: ``queryPlanner.winningPlan``
+    # is the routing decision (targeted vs broadcast, the shards contacted,
+    # what was pushed down); ``shards`` holds every contacted shard's own plan,
+    # and at ``verbosity="executionStats"`` the operation runs through the
+    # scatter and ``executionStats.shards`` carries each branch's queue /
+    # dispatch / execute / ship seconds.
 
     def _routing_plan(self, targets: Sequence[str], targeted: bool) -> dict[str, Any]:
         return {
@@ -1293,7 +1146,7 @@ class RoutedCollection:
         }
 
     def _shard_collection(self, shard_id: str) -> Any:
-        return self._router.shard(shard_id).collection(self._database_name, self.name)
+        return self._router.shard(shard_id).collection(*self._namespace)
 
     def _execution_stats(self, results: Sequence[Any]) -> dict[str, Any]:
         """``executionStats`` of the scatter that just produced *results*."""
@@ -1301,9 +1154,7 @@ class RoutedCollection:
         return build_execution_stats(n_returned=len(results), shards=report.get("shards", {}))
 
     def _explain_spec(self, spec: FindSpec, verbosity: str) -> dict[str, Any]:
-        targets, targeted = self._router._target_shards(
-            self._database_name, self.name, spec.filter
-        )
+        targets, targeted = self._router._target_shards(*self._namespace, spec.filter)
         shard_spec = spec.shard_spec()
         shards = {
             shard_id: self._shard_collection(shard_id).explain(shard_spec)["queryPlanner"]
@@ -1321,9 +1172,7 @@ class RoutedCollection:
         }
         execution = None
         if verbosity == "executionStats":
-            execution = self._execution_stats(
-                self._router.execute_find(self._database_name, self.name, spec)
-            )
+            execution = self._execution_stats(self._execute_find(spec))
         return build_explain(
             surface="sharded",
             operation="find",
@@ -1339,9 +1188,7 @@ class RoutedCollection:
     def _explain_pipeline(
         self, pipeline: list[Mapping[str, Any]], verbosity: str
     ) -> dict[str, Any]:
-        shard_stages, merge_stages, targets, targeted = self._router._plan_aggregate(
-            self._database_name, self.name, pipeline
-        )
+        shard_stages, merge_stages, targets, targeted = self._plan_aggregate(pipeline)
         shards = {}
         for shard_id in targets:
             # Each shard's plan for its stages, with the per-stage counters of
@@ -1363,9 +1210,7 @@ class RoutedCollection:
             if executed and "$out" in executed[-1]:
                 # Explain must not write the $out target.
                 executed = executed[:-1]
-            execution = self._execution_stats(
-                self._router.aggregate(self._database_name, self.name, executed)
-            )
+            execution = self._execution_stats(self.aggregate(executed))
         return build_explain(
             surface="sharded",
             operation="aggregate",
@@ -1377,62 +1222,6 @@ class RoutedCollection:
             shards=shards,
             execution_stats=execution,
         )
-
-    def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
-        return self._router.count_documents(self._database_name, self.name, query)
-
-    def distinct(self, key: str, query: Mapping[str, Any] | None = None) -> list[Any]:
-        return self._router.distinct(self._database_name, self.name, key, query)
-
-    def update_one(
-        self,
-        query: Mapping[str, Any] | None,
-        update: Mapping[str, Any],
-        *,
-        upsert: bool = False,
-    ) -> UpdateResult:
-        return self._router.update_one(self._database_name, self.name, query, update, upsert=upsert)
-
-    def update_many(
-        self,
-        query: Mapping[str, Any] | None,
-        update: Mapping[str, Any],
-        *,
-        upsert: bool = False,
-    ) -> UpdateResult:
-        return self._router.update_many(self._database_name, self.name, query, update, upsert=upsert)
-
-    def delete_many(self, query: Mapping[str, Any] | None) -> DeleteResult:
-        return self._router.delete_many(self._database_name, self.name, query)
-
-    def bulk_write(self, operations: Iterable[Any], *, ordered: bool = True) -> BulkWriteResult:
-        return self._router.bulk_write(self._database_name, self.name, operations, ordered=ordered)
-
-    def delete_one(self, query: Mapping[str, Any] | None) -> DeleteResult:
-        # Routed deletes are idempotent per shard; emulate delete_one by
-        # deleting the first match found across the targeted shards.
-        document = self.find_one(query)
-        if document is None:
-            return DeleteResult(deleted_count=0)
-        return self._router.delete_many(self._database_name, self.name, {"_id": document["_id"]})
-
-    def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
-        return self._router.aggregate(self._database_name, self.name, pipeline)
-
-    def create_index(self, keys: Any, *, unique: bool = False, name: str = "") -> str:
-        """Create an index cluster-wide; accepts structured specs like
-        ``{"keys": ["embedding"], "type": "vector", "dims": 8}``."""
-        return self._router.create_index(self._database_name, self.name, keys, unique=unique, name=name)
-
-    def list_indexes(self) -> list[dict[str, Any]]:
-        """Structured index specs (``Collection.list_indexes`` analogue)."""
-        return self._router.list_indexes(self._database_name, self.name)
-
-    def drop_index(self, index_name: str) -> None:
-        self._router.drop_index(self._database_name, self.name, index_name)
-
-    def drop(self) -> None:
-        self._router.drop_collection(self._database_name, self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RoutedCollection({self.full_name!r})"

@@ -190,6 +190,48 @@ class TestConcurrentWriter:
         with DocumentStoreClient(data_dir=tmp_path) as recovered:
             assert contents(recovered.db.c) == acknowledged
 
+    def test_an_insert_cannot_overtake_the_drop_index_that_made_it_legal(
+        self, tmp_path, monkeypatch
+    ):
+        """Index DDL is applied and logged under the write lock, like a write.
+
+        A unique index is gone from memory but its ``drop_index`` record is
+        not yet in the log when another thread inserts a now-legal duplicate.
+        Logged ahead of the drop, the acknowledged insert would replay against
+        the unique index and recovery would raise ``DuplicateKeyError``.
+        """
+        with seeded_client(tmp_path) as client:
+            collection = client.db.c
+            index_name = collection.create_index("n", unique=True)
+            index_dropped, insert_done = threading.Event(), threading.Event()
+            write_log = collection._write_log
+
+            def gated_write_log(record):
+                if record["op"] == "drop_index":
+                    index_dropped.set()
+                    insert_done.wait(0.3)  # never set while drop_index holds the lock
+                write_log(record)
+
+            def duplicate_insert():
+                index_dropped.wait(5)
+                collection.insert_one({"_id": "dup", "n": 0})
+                insert_done.set()
+
+            monkeypatch.setattr(collection, "_write_log", gated_write_log)
+            writer = threading.Thread(target=duplicate_insert)
+            writer.start()
+            collection.drop_index(index_name)
+            writer.join(5)
+            assert insert_done.is_set()
+            acknowledged = contents(collection)
+            assert {"_id": "dup", "n": 0} in acknowledged
+        payloads, _length, _tail = read_log(wal_path(tmp_path, 0))
+        assert [decode_document(payload)["op"] for payload in payloads] == [
+            "insert", "create_index", "drop_index", "insert",
+        ]
+        with DocumentStoreClient(data_dir=tmp_path) as recovered:
+            assert contents(recovered.db.c) == acknowledged
+
 
 class TestTornBatch:
     def test_a_torn_batch_record_recovers_to_the_state_before_the_batch(self, tmp_path):

@@ -137,13 +137,23 @@ class TestReconnectAndShutdown:
             rows = orders.find({"store": 1}, {"_id": 0}).to_list()  # retried
             assert len(rows) == 60
 
-    def test_writes_are_not_retried(self, server):
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda orders: orders.insert_many([{"order_id": 99_999, "amount": 0.0, "store": 0}]),
+            lambda orders: orders.update_one(
+                {"order_id": 99_999}, {"$set": {"store": 0}}, upsert=True
+            ),
+        ],
+        ids=["insert_many", "write_opcode"],
+    )
+    def test_writes_are_not_retried(self, server, write):
         with RemoteClient(server.address, pool_size=1) as client:
             orders = client["shop"]["orders"]
             assert client.ping()
             client._idle[0].sock.close()
             with pytest.raises(ConnectionFailure):
-                orders.insert_many([{"order_id": 99_999, "amount": 0.0, "store": 0}])
+                write(orders)
             # The write never reached the server and the pool recovered.
             assert orders.count_documents({"order_id": 99_999}) == 0
 

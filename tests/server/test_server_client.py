@@ -10,13 +10,22 @@ be at least the router's simulated shipping estimate for the same query.
 from __future__ import annotations
 
 import datetime as dt
+import socket
 import time
 
 import pytest
 
-from repro.documentstore import DocumentStoreClient, ObjectId
+from repro.documentstore import DocumentStoreClient, FindSpec, ObjectId
 from repro.documentstore.errors import DuplicateKeyError, OperationFailure
-from repro.server import ConnectionFailure, DocumentStoreServer, RemoteClient
+from repro.server import (
+    ConnectionFailure,
+    DocumentStoreServer,
+    Opcode,
+    RemoteClient,
+    encode_frame,
+    recv_frame,
+)
+from repro.server.protocol import MAX_CURSORS_PER_CONNECTION
 
 from .conftest import DOCS
 
@@ -149,6 +158,149 @@ class TestParityMatrix:
         assert stored["ref"] == oid
         assert stored["when"] == when
         assert stored["raw"] == b"\x01\x02"
+
+
+class TestWriteOpcode:
+    """``update_one``/``update_many``/``delete_one``/``delete_many`` share one opcode.
+
+    The frame carries the operation value and the server applies it with the
+    method it names: same result object, same exception class, and its own
+    ``serverStatus`` row — exactly what the four retired opcodes did.
+    """
+
+    #: name -> (a call that works, a call the store refuses)
+    CALLS = {
+        "update_one": (
+            lambda c: c.update_one(
+                {"_id": "fresh", "order_id": 77_777}, {"$set": {"store": 1}}, upsert=True
+            ),
+            lambda c: c.update_one({"store": 1}, {"$frob": {"amount": 1}}),
+        ),
+        "update_many": (
+            lambda c: c.update_many({"store": 4}, {"$inc": {"amount": 1.0}}),
+            lambda c: c.update_many({"store": 4}, {"amount": 1.0}),
+        ),
+        "delete_one": (
+            lambda c: c.delete_one({"order_id": 5}),
+            lambda c: c.delete_one({"amount": {"$frob": 1}}),
+        ),
+        "delete_many": (
+            lambda c: c.delete_many({"store": 0}),
+            lambda c: c.delete_many({"amount": {"$frob": 1}}),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_same_result_same_error_own_counter(self, name, remote, standalone, server):
+        works, refused = self.CALLS[name]
+        got, want = works(remote), works(standalone)
+        assert got == want and type(got) is type(want)
+        if name == "update_one":
+            assert got.upserted_id == "fresh"
+        assert remote.count_documents({}) == standalone.count_documents({})
+        with pytest.raises(Exception) as reference:
+            refused(standalone)
+        with pytest.raises(type(reference.value)):
+            refused(remote)
+        status = server.stats.snapshot()
+        assert status["opcounters"][name] == 2 and "write" not in status["opcounters"]
+        assert status["latency_ms"][name]["count"] == 2
+        assert status["errors"] == 1
+
+    def test_an_unknown_operation_is_refused_and_counted_as_write(self, client, server):
+        request = {"db": "shop", "collection": "orders", "operation": {"op": "frobnicate"}}
+        with pytest.raises(OperationFailure, match="malformed bulk operation"):
+            client._request(Opcode.WRITE, request)
+        assert server.stats.snapshot()["opcounters"] == {"write": 1}
+
+    def test_a_single_write_is_not_a_one_element_bulk_write(self, tmp_path):
+        """No ``batch`` WAL record, and the store's own exception, not ``BulkWriteError``."""
+        with DocumentStoreClient(data_dir=tmp_path) as backend:
+            backend["db"]["c"].insert_many([{"_id": i, "n": i} for i in range(3)])
+            with DocumentStoreServer(backend, port=0) as server:
+                with RemoteClient(server.address) as client:
+                    client["db"]["c"].update_one({"_id": 1}, {"$set": {"n": 10}})
+                    with pytest.raises(OperationFailure) as refused:
+                        client["db"]["c"].update_one({"_id": 1}, {"$set": {"_id": 2}})
+                    assert type(refused.value) is OperationFailure
+        with DocumentStoreClient(data_dir=tmp_path) as recovered:
+            assert recovered.engine.recovery_report.operations == {"insert": 1, "apply": 1}
+            assert recovered["db"]["c"].find_one({"_id": 1}) == {"_id": 1, "n": 10}
+
+
+class TestOneCursorLoop:
+    """``find`` and ``aggregate`` stream through the same client loop and server cursors."""
+
+    STREAMS = {
+        "find": lambda remote: remote._execute_find(FindSpec(batch_size=7)),
+        "aggregate": lambda remote: remote._stream(
+            Opcode.AGGREGATE, {"pipeline": [{"$match": {}}], "batch_size": 7}, 7
+        ),
+    }
+
+    @pytest.mark.parametrize("name", STREAMS)
+    def test_an_abandoned_stream_kills_its_server_cursor(self, name, remote, server):
+        stream = self.STREAMS[name](remote)
+        first = [next(stream) for _ in range(10)]  # into the second batch
+        assert len({doc["order_id"] for doc in first}) == 10
+        stream.close()  # abandoned mid-way
+        status = server.stats.snapshot()
+        assert status["opcounters"] == {name: 1, "get_more": 1, "kill_cursor": 1}
+        assert status["cursors"] == {"opened": 1, "exhausted": 0, "killed": 1}
+        # The connection went back to the pool and serves the next request.
+        assert remote.count_documents({}) == len(DOCS)
+
+    def test_aggregate_always_answers_cursor_style(self, remote, standalone, server):
+        """No monolithic reply: the server's default batch size pages a big result."""
+        pipeline = [{"$match": {}}, {"$project": {"_id": 0}}]
+        assert stripped(remote.aggregate(pipeline)) == stripped(standalone.aggregate(pipeline))
+        status = server.stats.snapshot()
+        assert status["opcounters"] == {"aggregate": 1, "get_more": 2}  # 300 / 101
+        assert status["cursors"] == {"opened": 1, "exhausted": 1, "killed": 0}
+        assert remote.aggregate(pipeline, batch_size=50) == remote.aggregate(pipeline)
+
+    def test_a_peer_that_never_drains_is_capped(self, server):
+        """A raw peer opening cursors without ``GET_MORE`` is refused the next one.
+
+        ``RemoteClient`` cannot get here (it pins one connection per open
+        cursor); its open cursors keep working, and the counters balance
+        once the connection drops.
+        """
+        namespace = {"db": "shop", "collection": "orders"}
+        requests = [
+            (Opcode.FIND, {**namespace, "spec": {"batch_size": 5}}),
+            (Opcode.AGGREGATE, {**namespace, "pipeline": [{"$match": {}}], "batch_size": 5}),
+        ]
+
+        def ask(sock, request_id, opcode, payload):
+            sock.sendall(encode_frame(opcode, request_id, payload))
+            return recv_frame(sock)
+
+        with socket.create_connection(server.address, timeout=5) as sock:
+            for number in range(MAX_CURSORS_PER_CONNECTION):
+                reply = ask(sock, number, *requests[number % 2])
+                assert reply.opcode == Opcode.REPLY and reply.document["cursor_id"]
+            (session,) = server._sessions
+            for number, (opcode, payload) in enumerate(requests, start=100):
+                refused = ask(sock, number, opcode, payload)
+                assert refused.opcode == Opcode.ERROR
+                assert refused.document["code"] == "OperationFailure"
+                assert "open cursors" in refused.document["message"]
+                assert len(session.cursors) == MAX_CURSORS_PER_CONNECTION
+            # A result that fits one batch needs no cursor, and open ones still stream.
+            small = ask(sock, 200, Opcode.FIND, {**namespace, "spec": {"filter": {"order_id": 1}}})
+            assert small.opcode == Opcode.REPLY and len(small.document["batch"]) == 1
+            more = ask(sock, 201, Opcode.GET_MORE, {**namespace, "cursor_id": 1})
+            assert more.opcode == Opcode.REPLY and len(more.document["batch"]) == 5
+            assert ask(sock, 202, Opcode.KILL_CURSOR, {**namespace, "cursor_id": 1}).opcode == Opcode.REPLY
+            again = ask(sock, 203, *requests[0])
+            assert again.opcode == Opcode.REPLY and again.document["cursor_id"]
+            assert len(session.cursors) == MAX_CURSORS_PER_CONNECTION
+        session.join(timeout=5)
+        assert not session.is_alive() and session.cursors == {}
+        cursors = server.stats.snapshot()["cursors"]
+        assert cursors["opened"] == MAX_CURSORS_PER_CONNECTION + 1
+        assert cursors["opened"] == cursors["exhausted"] + cursors["killed"]
 
 
 class TestSetOperatorTyping:
