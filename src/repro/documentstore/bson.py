@@ -30,6 +30,7 @@ __all__ = [
     "MAX_DOCUMENT_SIZE",
     "validate_document",
     "document_size",
+    "value_size",
     "deep_copy_document",
     "encode_document",
     "decode_document",
@@ -63,17 +64,6 @@ def validate_document(document: Mapping[str, Any], *, check_size: bool = True) -
         size = document_size(document)
         if size > MAX_DOCUMENT_SIZE:
             raise DocumentTooLargeError(size, MAX_DOCUMENT_SIZE)
-
-
-def ensure_document_size(document: Mapping[str, Any]) -> None:
-    """Raise :class:`DocumentTooLargeError` if *document* exceeds 16 MB.
-
-    Used by the update path, which validates the update payload once and then
-    only needs the size guard per modified document.
-    """
-    size = document_size(document)
-    if size > MAX_DOCUMENT_SIZE:
-        raise DocumentTooLargeError(size, MAX_DOCUMENT_SIZE)
 
 
 def validate_update_values(values: Any) -> None:
@@ -122,11 +112,12 @@ def _mapping_size(mapping: Mapping[str, Any]) -> int:
     size = 5  # int32 length prefix + trailing NUL
     for key, value in mapping.items():
         size += 2 + len(str(key).encode("utf-8"))  # type byte + key + NUL
-        size += _value_size(value)
+        size += value_size(value)
     return size
 
 
-def _value_size(value: Any) -> int:
+def value_size(value: Any) -> int:
+    """The bytes *value* takes in a document, its key and type byte aside."""
     if value is None:
         return 0
     if isinstance(value, bool):
@@ -149,7 +140,7 @@ def _value_size(value: Any) -> int:
         # Arrays are encoded as documents keyed by the stringified index.
         size = 5
         for index, item in enumerate(value):
-            size += 2 + len(str(index)) + _value_size(item)
+            size += 2 + len(str(index)) + value_size(item)
         return size
     raise InvalidDocumentError(
         f"cannot compute size of unsupported type {type(value).__name__}"

@@ -20,13 +20,7 @@ from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Any, ContextManager, Iterator
 
 from .aggregation import StageStats, optimize_pipeline, run_pipeline
-from .bson import (
-    deep_copy_document,
-    document_size,
-    ensure_document_size,
-    validate_document,
-    validate_update_values,
-)
+from .bson import MAX_DOCUMENT_SIZE, deep_copy_document, document_size, validate_document
 from .bulk import BulkWriteError, BulkWriteResult, apply_operations, checked_operations
 from .cursor import (
     CollectionSurface,
@@ -38,6 +32,7 @@ from .cursor import (
 )
 from .errors import (
     DocumentStoreError,
+    DocumentTooLargeError,
     DuplicateKeyError,
     IndexNotFoundError,
     InvalidDocumentError,
@@ -50,12 +45,7 @@ from .matching import compile_matcher, distinct_values, resolve_path, values_equ
 from .objectid import ObjectId
 from .ordering import document_sort_key
 from .planner import QueryPlan, plan_find, plan_query
-from .update import (
-    apply_operators,
-    build_upsert_document,
-    is_update_document,
-    replace_document,
-)
+from .update import OperatorUpdate, build_upsert_document, is_update_document, replace_document
 from .vector import VectorIndex
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,7 +103,14 @@ class Collection(CollectionSurface):
             raise OperationFailure(f"invalid collection name {name!r}")
         self._database = database
         self.name = name
+        # Stored documents are immutable and shared: a stored subtree is never
+        # mutated in place (an update stores a new version that shares what it
+        # did not touch, with the old version and with other documents) and
+        # never handed out uncopied — every reader copies or encodes it.
         self._documents: dict[int, dict[str, Any]] = {}
+        # Encoded size of a stored document, kept from its first operator
+        # update on (by delta) and dropped with it or by a replacement.
+        self._sizes: dict[int, int] = {}
         self._doc_id_counter = itertools.count(1)
         self._indexes: dict[str, Index | VectorIndex] = {}
         self._id_index = Index(IndexSpec(keys=(("_id", ASCENDING),), unique=True, name="_id_"))
@@ -152,7 +149,11 @@ class Collection(CollectionSurface):
 
     def data_size(self) -> int:
         """Total serialized size of all documents, in bytes."""
-        return sum(document_size(document) for document in self._documents.values())
+        sizes = self._sizes
+        return sum(
+            sizes.get(doc_id) or document_size(document)
+            for doc_id, document in self._documents.items()
+        )
 
     def index_size(self) -> int:
         """Approximate total index size, in bytes (16 bytes per entry)."""
@@ -488,9 +489,6 @@ class Collection(CollectionSurface):
         self.operation_counters["documents_scanned"] += scanned
         return matched
 
-    def _find_documents(self, query: Mapping[str, Any] | None) -> list[dict[str, Any]]:
-        return [deep_copy_document(document) for document in self._matched_raw(query)]
-
     # -- the FindSpec executor ----------------------------------------------
 
     def _plan_find(self, spec: FindSpec) -> QueryPlan:
@@ -658,18 +656,6 @@ class Collection(CollectionSurface):
     # --------------------------------------------------------------- updates
 
     @staticmethod
-    def _paths_touched_by_update(update: Mapping[str, Any]) -> set[str]:
-        """Field paths an operator update can modify."""
-        touched: set[str] = set()
-        for operator, changes in update.items():
-            if not isinstance(changes, Mapping):
-                continue
-            touched.update(str(path) for path in changes)
-            if operator == "$rename":
-                touched.update(str(target) for target in changes.values())
-        return touched
-
-    @staticmethod
     def _index_overlaps_paths(index: Index, paths: set[str]) -> bool:
         """True when any indexed field could be affected by the touched paths."""
         for field_path in index.spec.fields:
@@ -695,24 +681,16 @@ class Collection(CollectionSurface):
         predicate = compile_matcher(query)
         maintained = [index for _name, index in self._maintained_index_items()]
         if not operators:
-            apply = replace_document
             affected_indexes = maintained  # a replacement can change every field
         else:
-            apply = apply_operators
-            touched_paths = self._paths_touched_by_update(update)
+            # Checked and validated once here: the per-document step below
+            # only needs the 16 MB size guard.
+            operation = OperatorUpdate(update)
             affected_indexes = [
                 index
                 for index in maintained
-                if self._index_overlaps_paths(index, touched_paths)
+                if self._index_overlaps_paths(index, operation.paths)
             ]
-            # Operator updates carry their new values in the update document;
-            # validating them once here means the per-document step below only
-            # needs the 16 MB size guard.
-            for operator, changes in update.items():
-                if operator in ("$set", "$setOnInsert", "$push", "$addToSet") and isinstance(
-                    changes, Mapping
-                ):
-                    validate_update_values(list(changes.values()))
         with self._apply_and_log():
             _plan, candidate_ids = self._candidate_ids(query)
             matched = 0
@@ -723,17 +701,25 @@ class Collection(CollectionSurface):
                 if document is None or not predicate(document):
                     continue
                 matched += 1
-                new_document = apply(document, update)
+                if operators:
+                    new_document, grown = operation.apply(document)
+                else:
+                    new_document = replace_document(document, update)
                 if not values_equal(new_document.get("_id"), document.get("_id")):
                     raise OperationFailure("the _id field is immutable")
                 if new_document != document:
                     if operators:
-                        ensure_document_size(new_document)
+                        size = (self._sizes.get(doc_id) or document_size(document)) + grown
+                        if size > MAX_DOCUMENT_SIZE:
+                            raise DocumentTooLargeError(size, MAX_DOCUMENT_SIZE)
                     else:
                         validate_document(new_document)
+                        self._sizes.pop(doc_id, None)
                     for index in affected_indexes:
                         index.replace(document, new_document, doc_id)
                     self._documents[doc_id] = new_document
+                    if operators:
+                        self._sizes[doc_id] = size
                     changed_documents.append(new_document)
                     modified += 1
                     if self._defer_secondary_indexes:
@@ -808,6 +794,7 @@ class Collection(CollectionSurface):
                 for _name, index in self._maintained_index_items():
                     index.remove(document, doc_id)
                 del self._documents[doc_id]
+                self._sizes.pop(doc_id, None)
                 deleted += 1
                 deleted_ids.append(document.get("_id"))
                 if self._defer_secondary_indexes:
@@ -856,6 +843,7 @@ class Collection(CollectionSurface):
         """Remove every document and every secondary index."""
         with self._apply_and_log():
             self._documents.clear()
+            self._sizes.clear()
             for index in self._indexes.values():
                 index.clear()
             self._indexes = {"_id_": self._id_index}
@@ -1087,10 +1075,18 @@ class Collection(CollectionSurface):
         effective leading stage even when the caller wrote it after a
         ``$sort``.  A leading ``$vectorSearch`` runs against the
         collection's vector index (with optional metadata pre-filter)
-        before the compiled stages.
+        before the compiled stages.  Stages read the stored documents in
+        place, so the results are detached from them on the way out.
         """
-        _plan, results = self._execute_pipeline(pipeline)
-        return results
+        return deep_copy_document(self.execute_pipeline(pipeline))
+
+    def execute_pipeline(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
+        """:meth:`aggregate` for a caller that encodes the results at once.
+
+        The shard-side entry point: the results still share subtrees with
+        the stored documents, so they must not be mutated or handed on.
+        """
+        return self._execute_pipeline(pipeline)[1]
 
     # ------------------------------------------------------------- iteration
 

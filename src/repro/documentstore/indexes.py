@@ -292,11 +292,6 @@ class Index:
 
     # -- key extraction ----------------------------------------------------
 
-    def keys_for_document(self, document: Mapping[str, Any]) -> list[tuple[Any, ...]]:
-        """Return every index key produced by *document* (multikey fan-out)."""
-        keys, _order_safe = self._expand_keys(document)
-        return keys
-
     def _expand_keys(
         self, document: Mapping[str, Any]
     ) -> tuple[list[tuple[Any, ...]], bool]:
@@ -401,12 +396,12 @@ class Index:
         """Index a whole batch in one pass; returns a rollback handle.
 
         The batch's keys are extracted and sorted once, then merged with the
-        existing sorted arrays — O(n + m) for n new keys over m existing
-        entries, instead of n binary searches each followed by an O(m)
-        ``list.insert``.  Unique violations (within the batch or against
-        existing entries) are detected during the merge and raise *before*
-        the index is modified, so a failed ``bulk_insert`` leaves the index
-        untouched.
+        existing sorted arrays — n binary searches and one copy of the m
+        existing entries for n new keys, instead of n binary searches each
+        followed by an O(m) ``list.insert``.  Unique violations (within the
+        batch or against existing entries) are detected during the merge and
+        raise *before* the index is modified, so a failed ``bulk_insert``
+        leaves the index untouched.
         """
         additions = self._prepare_batch(documents)
         if not additions:
@@ -440,25 +435,28 @@ class Index:
         self,
         additions: list[tuple[tuple[_OrderedKey, ...], tuple[Any, ...], int, bool]],
     ) -> tuple[list[tuple[_OrderedKey, ...]], list[tuple[tuple[Any, ...], int]]]:
-        """Two-pointer merge of sorted *additions* into new key/entry arrays."""
+        """Merge sorted *additions* into new key/entry arrays.
+
+        One bisect per new key finds where it goes — after the existing keys
+        equal to it, as :meth:`insert` places it — and the run of existing
+        entries before it is copied as one slice.
+        """
         unique = self.spec.unique
         old_keys, old_entries = self._keys, self._entries
         keys: list[tuple[_OrderedKey, ...]] = []
         entries: list[tuple[tuple[Any, ...], int]] = []
         position = 0
-        total = len(old_keys)
         for ordered, key, doc_id, _safe in additions:
-            # Equal existing keys are copied first (bisect_right semantics).
-            while position < total and not ordered < old_keys[position]:
-                if unique and old_keys[position] == ordered:
-                    raise DuplicateKeyError(self.spec.name, key)
-                keys.append(old_keys[position])
-                entries.append(old_entries[position])
-                position += 1
+            end = bisect.bisect_right(old_keys, ordered, position)
+            if unique and end and old_keys[end - 1] == ordered:
+                raise DuplicateKeyError(self.spec.name, key)
+            keys += old_keys[position:end]
             keys.append(ordered)
+            entries += old_entries[position:end]
             entries.append((key, doc_id))
-        keys.extend(old_keys[position:])
-        entries.extend(old_entries[position:])
+            position = end
+        keys += old_keys[position:]
+        entries += old_entries[position:]
         return keys, entries
 
     def rebuild(self, documents: Iterable[tuple[int, Mapping[str, Any]]]) -> None:

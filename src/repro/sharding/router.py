@@ -1048,15 +1048,15 @@ class RoutedCollection(CollectionSurface):
         router = self._router
         shard_stages, merge_stages, targets, targeted = self._plan_aggregate(pipeline)
         vector_stage = shard_stages[0].get("$vectorSearch") if shard_stages else None
-        # The shard-local ``Collection.aggregate`` gives each slice the same
-        # leading-$match IXSCAN pushdown (and $lookup collection resolution)
-        # as a stand-alone deployment.
+        # The shard-local pipeline gives each slice the same leading-$match
+        # IXSCAN pushdown (and $lookup collection resolution) as a stand-alone
+        # ``aggregate``; its results are encoded for shipping, not copied first.
         per_shard = self._on_shards(
             targets,
             targeted,
             "aggregate",
             {"aggregate": self.name, "pipeline": len(shard_stages) + len(merge_stages)},
-            methodcaller("aggregate", shard_stages),
+            methodcaller("execute_pipeline", shard_stages),
             ship_results=True,
         )
 

@@ -350,3 +350,64 @@ def test_update_many_touches_exactly_matching_documents(rows):
     result = collection.update_many({"k": {"$gte": 5}}, {"$set": {"touched": True}})
     assert result.matched_count == expected_matches
     assert collection.count_documents({"touched": True}) == expected_matches
+
+
+# -- stored documents are immutable and shared (README, collection.py) -------------
+
+
+def scribble(value):
+    """Write into every container reachable from *value*."""
+    if isinstance(value, dict):
+        for nested in list(value.values()):
+            scribble(nested)
+        value["scribbled"] = True
+    elif isinstance(value, list):
+        for nested in value:
+            scribble(nested)
+        value.append("scribbled")
+
+
+class TestStoredDocumentsAreImmutableAndShared:
+    @pytest.fixture()
+    def embedded(self):
+        """Three facts with the same dimension document embedded (Figure 4.7)."""
+        collection = Collection(None, "facts")
+        collection.insert_many(
+            [{"_id": key, "g": key % 2, "fk": 7, "keep": {"deep": [1, 2]}} for key in range(3)]
+        )
+        self.item = {"sk": 7, "tags": ["a"], "brand": {"name": "x"}}
+        collection.update_many({"fk": 7}, {"$set": {"fk": self.item}})
+        return collection
+
+    def test_an_update_copies_the_spine_and_shares_the_rest(self, embedded):
+        stored = list(embedded._documents.values())
+        assert stored[0]["fk"] is stored[1]["fk"] is stored[2]["fk"]
+        assert stored[0]["fk"] is not self.item and stored[0]["fk"] == self.item
+        embedded.update_one({"_id": 0}, {"$set": {"fk.brand.name": "y"}, "$push": {"fk.tags": "b"}})
+        updated = next(doc for doc in embedded._documents.values() if doc["_id"] == 0)
+        assert updated["keep"] is stored[0]["keep"]  # untouched: shared with the old version
+        assert updated["fk"]["brand"] == {"name": "y"} and updated["fk"]["tags"] == ["a", "b"]
+        # ... and neither the old version nor its siblings saw the write.
+        assert stored[0]["fk"] == stored[1]["fk"] == self.item
+        assert embedded.find_one({"_id": 1})["fk"] == self.item
+
+    def test_no_reader_hands_out_a_stored_subtree(self, embedded):
+        expected = embedded.find({}).to_list()
+        readers = [
+            lambda: embedded.find({}).to_list(),
+            lambda: embedded.find({}, {"fk": 1, "keep": 1}).to_list(),
+            lambda: embedded.find_one({"_id": 1}),
+            lambda: embedded.execute_find(embedded.find({}).sort("_id", -1).limit(2).spec),
+            lambda: list(embedded.all_documents()),
+            lambda: embedded.distinct("fk"),
+            lambda: embedded.distinct("fk.tags"),
+            lambda: embedded.aggregate([{"$match": {}}]),
+            lambda: embedded.aggregate([{"$sort": {"_id": -1}}, {"$limit": 2}]),
+            lambda: embedded.aggregate([{"$group": {"_id": "$g", "all": {"$push": "$fk"}}}]),
+            lambda: embedded.aggregate([{"$group": {"_id": "$keep", "one": {"$first": "$fk"}}}]),
+            lambda: embedded.aggregate([{"$addFields": {"again": "$fk.brand"}}]),
+            lambda: embedded.aggregate([{"$unwind": "$fk.tags"}]),
+        ]
+        for position, read in enumerate(readers):
+            scribble(read())
+            assert embedded.find({}).to_list() == expected, position

@@ -196,3 +196,55 @@ def test_point_lookup_matches_linear_filter(values):
         doc_id for doc_id, document in enumerate(documents, start=1) if document["v"] == needle
     )
     assert sorted(index.point_lookup((needle,))) == expected
+
+
+# -- bulk_insert: the merge against sequential insert ------------------------------
+
+#: Index specifications the merge is checked on: plain, compound and hashed.
+MERGED_SPECS = st.sampled_from(["v", [("v", ASCENDING), ("w", DESCENDING)], [("v", HASHED)]])
+#: Existing keys sit in 100..200 (every second value), so a batch drawn from
+#: 0..300 lands before, inside and after that range and repeats existing keys.
+BATCHES = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=2)),
+    min_size=1,
+    max_size=600,
+)
+
+
+def arrays(index):
+    return list(index._keys), list(index._entries), index._order_unsafe_entries
+
+
+@given(MERGED_SPECS, BATCHES)
+def test_bulk_insert_equals_sequential_insert(keys, batch):
+    """Merged arrays == sequential ``insert``: same keys, equal keys in batch order."""
+    existing = [{"v": value, "w": value % 3} for value in range(100, 200, 2)]
+    merged = build_index(keys, documents=existing)
+    sequential = build_index(keys, documents=existing)
+    before = arrays(merged)
+    documents = [
+        (doc_id, {"v": v, "w": w}) for doc_id, (v, w) in enumerate(batch, start=len(existing) + 1)
+    ]
+    undo = merged.bulk_insert(documents)
+    for doc_id, document in documents:
+        sequential.insert(document, doc_id)
+    assert arrays(merged) == arrays(sequential)
+    undo.rollback()
+    assert arrays(merged) == before
+
+
+@given(BATCHES, st.sampled_from(range(100, 200, 2)), st.booleans())
+def test_failed_unique_bulk_insert_leaves_the_index_untouched(batch, taken, inside_batch):
+    """A duplicate — of an existing key, or inside the batch — changes nothing."""
+    existing = [{"v": value} for value in range(100, 200, 2)]
+    index = build_index("v", unique=True, documents=existing)
+    before = arrays(index)
+    fresh = sorted({v for v, _w in batch if not (100 <= v < 200 and v % 2 == 0)})
+    values = fresh + [fresh[0]] if inside_batch and fresh else fresh + [taken]
+    with pytest.raises(DuplicateKeyError):
+        index.bulk_insert((doc_id, {"v": v}) for doc_id, v in enumerate(values, start=1000))
+    assert arrays(index) == before
+    index.bulk_insert((doc_id, {"v": v}) for doc_id, v in enumerate(fresh, start=2000))
+    assert [key for key, _doc_id in index.scan()] == sorted(
+        [(v,) for v in fresh] + [(d["v"],) for d in existing]
+    )

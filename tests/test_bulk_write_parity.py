@@ -29,6 +29,7 @@ from repro.documentstore import (
     DocumentStoreClient,
     DocumentStoreError,
     InsertOne,
+    InvalidDocumentError,
     OperationFailure,
     UpdateMany,
     UpdateOne,
@@ -239,6 +240,36 @@ def test_an_empty_list_logs_nothing_and_sends_no_message(tmp_path):
         assert appended == [shard.durability_status()["records_appended"] for shard in cluster.shards]
     finally:
         cluster.close()
+
+
+def test_min_and_max_store_a_validated_copy_like_set(surfaces):
+    """They stored the caller's own object, and stored it unchecked."""
+    for name, (collection, _reference) in surfaces.items():
+        collection.delete_many({})
+        collection.insert_one(document(1, 0))
+        for operator, field in (("$min", "low"), ("$max", "high")):
+            argument = {"x": [1]}
+            collection.update_one({"_id": 1, "k": 1}, {operator: {field: argument}})
+            argument["x"].append(99)
+            assert collection.find_one({"_id": 1})[field] == {"x": [1]}, (name, operator)
+            # Refused whether or not the update matches anything, as for $set.
+            for query in ({"k": 1}, {"k": 5}):
+                with pytest.raises(InvalidDocumentError):
+                    collection.update_many(query, {operator: {"b": {"$bad.key": 1}}})
+        assert state(collection) == [{**document(1, 0), "low": {"x": [1]}, "high": {"x": [1]}}], name
+
+
+def test_each_reaches_push_and_add_to_set_on_every_surface(surfaces):
+    """Payload validation used to refuse the ``$each`` wrapper itself."""
+    for name, (collection, _reference) in surfaces.items():
+        collection.delete_many({})
+        collection.insert_one(document(1, 0))
+        query = {"_id": 1, "k": 1}
+        collection.update_one(query, {"$push": {"tags": {"$each": ["a", {"b": [1]}]}}})
+        collection.update_one(query, {"$addToSet": {"tags": {"$each": ["a", "c"]}}})
+        assert collection.find_one(query)["tags"] == ["a", {"b": [1]}, "c"], name
+        with pytest.raises(InvalidDocumentError):
+            collection.update_one(query, {"$push": {"tags": {"$each": [{"$bad": 1}]}}})
 
 
 def test_one_signature_and_one_set_of_types_on_three_surfaces(surfaces):

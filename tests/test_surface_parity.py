@@ -28,6 +28,7 @@ SINGLE_SURFACE = {
     "Collection": {
         "replace_one", "bulk_load", "rebuild_indexes", "stats", "index_information",
         "data_size", "index_size", "all_documents", "raw_documents", "execute_find",
+        "execute_pipeline",
     },
     "RoutedCollection": set(),
     "RemoteCollection": set(),
