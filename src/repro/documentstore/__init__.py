@@ -76,6 +76,7 @@ from .expressions import compile_expression, evaluate_expression
 from .findspec import FindSpec, projection_preserves_fields
 from .indexes import ASCENDING, DESCENDING, HASHED, VECTOR, Index, IndexSpec, hashed_value
 from .matching import (
+    collation_key,
     compare_values,
     compile_matcher,
     matches,
@@ -84,7 +85,7 @@ from .matching import (
     resolve_path_single,
 )
 from .objectid import ObjectId
-from .ordering import document_sort_key, sort_key
+from .ordering import document_sort_key
 from .planner import QueryPlan, plan_find, plan_query
 from .recovery import RecoveryReport, recover
 from .snapshot import load_snapshot, write_snapshot
@@ -155,6 +156,7 @@ __all__ = [
     "WriteAheadLog",
     "build_execution_stats",
     "build_explain",
+    "collation_key",
     "compare_values",
     "compile_expression",
     "compile_matcher",
@@ -182,7 +184,6 @@ __all__ = [
     "resolve_path",
     "resolve_path_single",
     "run_pipeline",
-    "sort_key",
     "split_pipeline_for_shards",
     "validate_document",
     "validate_verbosity",

@@ -49,9 +49,9 @@ from typing import Any, Callable, Iterator
 from .bson import deep_copy_document
 from .errors import InvalidPipelineError, OperationFailure
 from .expressions import compile_expression
-from .matching import compile_matcher, compile_path, values_equal
+from .matching import collation_key, compile_matcher, compile_path, values_equal
 from .objectid import ObjectId
-from .ordering import document_sort_key, sort_key
+from .ordering import document_sort_key
 
 __all__ = [
     "run_pipeline",
@@ -126,10 +126,10 @@ class _Accumulator:
             return sum(numeric) / len(numeric) if numeric else None
         if self.operator == "$min":
             present = [value for value in self.values if value is not None]
-            return min(present, default=None, key=sort_key)
+            return min(present, default=None, key=collation_key)
         if self.operator == "$max":
             present = [value for value in self.values if value is not None]
-            return max(present, default=None, key=sort_key)
+            return max(present, default=None, key=collation_key)
         if self.operator == "$first":
             return self.values[0] if self.values else None
         if self.operator == "$last":

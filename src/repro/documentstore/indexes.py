@@ -6,24 +6,25 @@ prefixes, multikey indexes over arrays of embedded documents, and hashed
 indexes (used for hash-based shard keys).  Geospatial and text indexes are not
 needed by any thesis workload and are intentionally out of scope.
 
-Indexes are kept as sorted arrays of ``(key, document_id)`` pairs with binary
-search for point and range lookups — an array-backed B-tree stand-in with the
-same asymptotics for reads (``O(log n)`` lookups) that the thesis analysis
-assumes in Section 4.1.3.1.1.
+Indexes are kept as one sorted array of flat ``(key…, record id)`` tuples with
+binary search for point, prefix and range lookups — an array-backed B-tree
+stand-in with the same asymptotics for reads (``O(log n)`` lookups) that the
+thesis analysis assumes in Section 4.1.3.1.1.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+import math
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any
 
 from .bson import encode_document
 from .errors import DuplicateKeyError, OperationFailure
-from .matching import compare_values, resolve_path
-from .ordering import OrderedValue
+from .matching import SCALAR_TYPES, collation_key, compile_path
 
 __all__ = [
     "IndexSpec",
@@ -66,18 +67,16 @@ _MISSING_KEY = None  # documents without the indexed field index a null key
 #: every document-valued key collapses to this marker.  Lookups canonicalize
 #: their operands the same way, which keeps index results a superset of the
 #: true matches — the matcher always re-checks candidates.
-_EMBEDDED_DOCUMENT_KEY = "\x00$embedded-document"
+_EMBEDDED_DOCUMENT_KEY = collation_key("\x00$embedded-document")
 
 
-def _canonical_key_value(value: Any) -> Any:
-    """Map a document value to the value actually stored in the index."""
-    if isinstance(value, Mapping):
-        return _EMBEDDED_DOCUMENT_KEY
-    return value
+def _index_key(value: Any) -> tuple[int, Any]:
+    """The collation key an index stores for a document value."""
+    return _EMBEDDED_DOCUMENT_KEY if isinstance(value, Mapping) else collation_key(value)
 
 
 def hashed_value(value: Any) -> int:
-    """Return the 64-bit hash used by hashed indexes and hashed shard keys."""
+    """Return the 64-bit hash hashed shard keys route on."""
     if isinstance(value, (dict, list, tuple)):
         payload = encode_document({"v": value})
     else:
@@ -86,13 +85,9 @@ def hashed_value(value: Any) -> int:
     return int.from_bytes(digest[:8], "big", signed=False)
 
 
-# The index key arrays reuse the shared total-order wrapper so bisect, sort,
-# and the aggregation layer agree on one value ordering.
-_OrderedKey = OrderedValue
-
-
-def _ordered_tuple(values: Sequence[Any]) -> tuple[_OrderedKey, ...]:
-    return tuple(_OrderedKey(value) for value in values)
+#: Appended to a key prefix, sorts after every entry that starts with it: the
+#: slot that follows a prefix is always a type rank or a record id, both ints.
+_AFTER = (math.inf,)
 
 
 @dataclass(frozen=True)
@@ -277,187 +272,175 @@ class IndexSpec:
 
 
 class Index:
-    """A sorted-array secondary index over one collection."""
+    """A sorted-array secondary index over one collection.
+
+    Every entry is one flat tuple: the collation key of each indexed field —
+    a type-rank slot and a payload (:func:`~.matching.collation_key`) — then
+    the record id.  Python orders these tuples natively, in exactly
+    :func:`~.matching.compare_values`' order and equal keys by record id
+    (MongoDB's ``(key, RecordId)``), so ``bisect`` and ``sort`` find every
+    entry — the one to remove included — with comparisons made in C.
+
+    A hashed index keys its entries by the field value, as a single-field
+    index does: it serves only point lookups, so its key order is never
+    observed, and the value's own key keeps ``1``, ``1.0`` and ``-0.0`` one
+    key, as the matcher does (:func:`hashed_value`'s input would not).
+    """
 
     def __init__(self, spec: IndexSpec) -> None:
         self.spec = spec
-        # Parallel arrays: _keys is sorted; _entries[i] is (raw_key, doc_id).
-        self._keys: list[tuple[_OrderedKey, ...]] = []
-        self._entries: list[tuple[tuple[Any, ...], int]] = []
+        self._entries: list[tuple[Any, ...]] = []
         # Entries whose key does not order like the underlying document value
         # (embedded documents collapse to a canonical marker, arrays fan out
         # into per-element keys).  The planner must not serve a sort from
         # this index while any such entry exists.
         self._order_unsafe_entries = 0
+        self._resolvers = [compile_path(field_path) for field_path in spec.fields]
+        #: The field of a single-field index on a top-level field (fast path).
+        single = len(spec.fields) == 1 and "." not in spec.fields[0]
+        self._field = spec.fields[0] if single else None
 
     # -- key extraction ----------------------------------------------------
 
-    def _expand_keys(
-        self, document: Mapping[str, Any]
-    ) -> tuple[list[tuple[Any, ...]], bool]:
-        """Return ``(keys, order_safe)`` for *document*.
+    def _expand_keys(self, document: Mapping[str, Any]) -> tuple[list[tuple[Any, ...]], bool]:
+        """Return ``(keys, order_safe)``: the key of every entry *document* makes.
 
         ``order_safe`` is False when any indexed value is an array (multikey
         fan-out indexes elements, not the array the sort comparator sees) or
         an embedded document (collapsed to a canonical marker) — either way
         the stored key order diverges from the document sort order.
         """
+        if self._field is not None and type(document) is dict:
+            value = document.get(self._field)
+            if type(value) in SCALAR_TYPES:
+                return [collation_key(value)], True
+        keys, order_safe = self._fan_out(document, _index_key)
+        if len(keys) > 1:
+            keys = list(dict.fromkeys(keys))  # a key the fan-out repeats is indexed once
+        return keys, order_safe
+
+    def _fan_out(
+        self, document: Mapping[str, Any], key_of: Callable[[Any], tuple[Any, ...]]
+    ) -> tuple[list[tuple[Any, ...]], bool]:
+        """``(keys, order_safe)``: ``key_of`` of each indexed value, joined per combination."""
         order_safe = True
-        per_field_values: list[list[Any]] = []
-        for field_path, direction in self.spec.keys:
-            values = resolve_path(document, field_path)
-            if not values:
-                values = [_MISSING_KEY]
-            elif len(values) > 1:
-                # Dotted path through an array of subdocuments: fan-out.
-                order_safe = False
-            expanded: list[Any] = []
+        keys: list[tuple[Any, ...]] = [()]
+        for resolve in self._resolvers:
+            values = resolve(document) or [_MISSING_KEY]
+            if len(values) > 1:
+                order_safe = False  # a dotted path through an array of subdocuments
+            field_keys = []
             for value in values:
                 if isinstance(value, (list, tuple)):
                     # Multikey: each array element produces its own key.
                     order_safe = False
-                    expanded.extend(value if value else [_MISSING_KEY])
+                    field_keys += [key_of(item) for item in value or [_MISSING_KEY]]
                 else:
                     if isinstance(value, Mapping):
                         order_safe = False
-                    expanded.append(value)
-            if direction == HASHED:
-                expanded = [hashed_value(value) for value in expanded]
-            else:
-                expanded = [_canonical_key_value(value) for value in expanded]
-            per_field_values.append(expanded)
+                    field_keys.append(key_of(value))
+            keys = [key + field_key for key in keys for field_key in field_keys]
+        return keys, order_safe
 
-        keys: list[tuple[Any, ...]] = [()]
-        for values in per_field_values:
-            keys = [existing + (value,) for existing in keys for value in values]
-        if len(keys) == 1:
-            # No fan-out (the overwhelmingly common scalar case): nothing to
-            # deduplicate, skip the repr() round trip entirely.
-            return keys, order_safe
-        # Deduplicate while keeping deterministic order.
-        seen: set[str] = set()
-        unique_keys = []
-        for key in keys:
-            marker = repr(key)
-            if marker not in seen:
-                seen.add(marker)
-                unique_keys.append(key)
-        return unique_keys, order_safe
+    def _raise_duplicate(
+        self, entry: tuple[Any, ...], batch: Iterable[tuple[int, Mapping[str, Any]]]
+    ) -> None:
+        """Raise the unique violation of *entry*, naming the field values that collided."""
+        document = next(document for doc_id, document in batch if doc_id == entry[-1])
+        keys, _safe = self._fan_out(document, _index_key)
+        values, _safe = self._fan_out(document, lambda value: (value,))
+        raise DuplicateKeyError(self.spec.name, values[keys.index(entry[:-1])])
 
     # -- maintenance ---------------------------------------------------------
 
     def insert(self, document: Mapping[str, Any], doc_id: int) -> None:
         """Index *document* stored under *doc_id*."""
         keys, order_safe = self._expand_keys(document)
-        for key in keys:
-            ordered = _ordered_tuple(key)
-            if self.spec.unique:
-                position = bisect.bisect_left(self._keys, ordered)
-                if position < len(self._keys) and self._keys[position] == ordered:
-                    raise DuplicateKeyError(self.spec.name, key)
-            position = bisect.bisect_right(self._keys, ordered)
-            self._keys.insert(position, ordered)
-            self._entries.insert(position, (key, doc_id))
-            if not order_safe:
-                self._order_unsafe_entries += 1
-
-    def _prepare_batch(
-        self, documents: Iterable[tuple[int, Mapping[str, Any]]]
-    ) -> list[tuple[tuple[_OrderedKey, ...], tuple[Any, ...], int, bool]]:
-        """Extract and sort every entry a batch of documents produces.
-
-        Returns ``(ordered_key, raw_key, doc_id, order_safe)`` tuples sorted
-        by ordered key.  The sort is stable, so entries with equal keys keep
-        batch order — the same relative order sequential :meth:`insert`
-        (``bisect_right``) produces.
-        """
-        additions = []
-        for doc_id, document in documents:
-            keys, order_safe = self._expand_keys(document)
+        if self.spec.unique:
             for key in keys:
-                additions.append((_ordered_tuple(key), key, doc_id, order_safe))
-        additions.sort(key=lambda entry: entry[0])
-        return additions
+                start, stop = self._span(key)
+                if stop > start:
+                    self._raise_duplicate(key + (doc_id,), [(doc_id, document)])
+        for key in keys:
+            bisect.insort(self._entries, key + (doc_id,))
+        if not order_safe:
+            self._order_unsafe_entries += len(keys)
 
-    def _check_batch_unique(
-        self,
-        additions: list[tuple[tuple[_OrderedKey, ...], tuple[Any, ...], int, bool]],
-    ) -> None:
-        """Raise on adjacent duplicate keys in a sorted batch (unique indexes)."""
-        if not self.spec.unique:
-            return
-        previous: tuple[_OrderedKey, ...] | None = None
-        for ordered, key, _doc_id, _safe in additions:
-            if previous is not None and ordered == previous:
-                raise DuplicateKeyError(self.spec.name, key)
-            previous = ordered
+    def _sorted_batch(
+        self, batch: list[tuple[int, Mapping[str, Any]]]
+    ) -> tuple[list[tuple[Any, ...]], int]:
+        """Every entry a batch makes, sorted, and how many of them are order-unsafe.
+
+        Raises on a unique violation inside the batch.
+        """
+        additions: list[tuple[Any, ...]] = []
+        unsafe = 0
+        for doc_id, document in batch:
+            keys, order_safe = self._expand_keys(document)
+            additions += [key + (doc_id,) for key in keys]
+            if not order_safe:
+                unsafe += len(keys)
+        additions.sort()
+        if self.spec.unique:
+            for previous, entry in zip(additions, additions[1:]):
+                if previous[:-1] == entry[:-1]:
+                    self._raise_duplicate(entry, batch)
+        return additions, unsafe
 
     def bulk_insert(self, documents: Iterable[tuple[int, Mapping[str, Any]]]) -> "BulkUndo":
         """Index a whole batch in one pass; returns a rollback handle.
 
-        The batch's keys are extracted and sorted once, then merged with the
-        existing sorted arrays — n binary searches and one copy of the m
-        existing entries for n new keys, instead of n binary searches each
-        followed by an O(m) ``list.insert``.  Unique violations (within the
-        batch or against existing entries) are detected during the merge and
+        The batch's entries are built and sorted once, then merged into the
+        existing array — one binary search per new entry and one copy of
+        the existing entries, instead of an O(n) ``list.insert`` per entry.
+        Unique violations (within the batch or against existing entries)
         raise *before* the index is modified, so a failed ``bulk_insert``
         leaves the index untouched.
         """
-        additions = self._prepare_batch(documents)
-        if not additions:
-            return BulkUndo(self, truncate_to=len(self._entries))
-        self._check_batch_unique(additions)
-        unsafe = sum(1 for entry in additions if not entry[3])
-        if not self._keys or not additions[0][0] < self._keys[-1]:
-            # Append fast path: the whole batch sorts at or after the last
-            # existing key (sequential loads into the _id index always land
-            # here), so no merge — and no array copy — is needed.
-            if self.spec.unique and self._keys and self._keys[-1] == additions[0][0]:
-                raise DuplicateKeyError(self.spec.name, additions[0][1])
-            undo = BulkUndo(self, truncate_to=len(self._entries), unsafe=unsafe)
-            self._keys.extend(entry[0] for entry in additions)
-            self._entries.extend((entry[1], entry[2]) for entry in additions)
+        batch = list(documents)
+        additions, unsafe = self._sorted_batch(batch)
+        entries = self._entries
+        if not additions or not entries or entries[-1] < additions[0]:
+            # Append fast path: the whole batch sorts after the last existing
+            # entry (sequential loads into the _id index always land here),
+            # so no merge — and no array copy — is needed.
+            if self.spec.unique and additions and entries and entries[-1][:-1] == additions[0][:-1]:
+                self._raise_duplicate(additions[0], batch)
+            undo = BulkUndo(self, truncate_to=len(entries), unsafe=unsafe)
+            entries += additions
             self._order_unsafe_entries += unsafe
             return undo
-        merged_keys, merged_entries = self._merge_sorted(additions)
-        undo = BulkUndo(
-            self,
-            keys=self._keys,
-            entries=self._entries,
-            unsafe=self._order_unsafe_entries,
-        )
-        self._keys = merged_keys
-        self._entries = merged_entries
+        merged = self._merge_sorted(additions, batch)
+        undo = BulkUndo(self, entries=entries, unsafe=self._order_unsafe_entries)
+        self._entries = merged
         self._order_unsafe_entries += unsafe
         return undo
 
     def _merge_sorted(
-        self,
-        additions: list[tuple[tuple[_OrderedKey, ...], tuple[Any, ...], int, bool]],
-    ) -> tuple[list[tuple[_OrderedKey, ...]], list[tuple[tuple[Any, ...], int]]]:
-        """Merge sorted *additions* into new key/entry arrays.
+        self, additions: list[tuple[Any, ...]], batch: list[tuple[int, Mapping[str, Any]]]
+    ) -> list[tuple[Any, ...]]:
+        """Merge sorted *additions* into a new entry array.
 
-        One bisect per new key finds where it goes — after the existing keys
-        equal to it, as :meth:`insert` places it — and the run of existing
-        entries before it is copied as one slice.
+        One bisect per new entry finds where it goes, and the run of existing
+        entries before it is copied as one slice.  A unique index holds at
+        most one entry per key, which is then a neighbour of that position.
         """
         unique = self.spec.unique
-        old_keys, old_entries = self._keys, self._entries
-        keys: list[tuple[_OrderedKey, ...]] = []
-        entries: list[tuple[tuple[Any, ...], int]] = []
+        old = self._entries
+        merged: list[tuple[Any, ...]] = []
         position = 0
-        for ordered, key, doc_id, _safe in additions:
-            end = bisect.bisect_right(old_keys, ordered, position)
-            if unique and end and old_keys[end - 1] == ordered:
-                raise DuplicateKeyError(self.spec.name, key)
-            keys += old_keys[position:end]
-            keys.append(ordered)
-            entries += old_entries[position:end]
-            entries.append((key, doc_id))
+        for entry in additions:
+            end = bisect.bisect_left(old, entry, position)
+            if unique and (
+                (end and old[end - 1][:-1] == entry[:-1])
+                or (end < len(old) and old[end][:-1] == entry[:-1])
+            ):
+                self._raise_duplicate(entry, batch)
+            merged += old[position:end]
+            merged.append(entry)
             position = end
-        keys += old_keys[position:]
-        entries += old_entries[position:]
-        return keys, entries
+        merged += old[position:]
+        return merged
 
     def rebuild(self, documents: Iterable[tuple[int, Mapping[str, Any]]]) -> None:
         """Rebuild the index from scratch with a single sort.
@@ -467,26 +450,19 @@ class Index:
         sort replace per-document ``list.insert`` maintenance.  Unique
         violations raise before the old entries are replaced.
         """
-        additions = self._prepare_batch(documents)
-        self._check_batch_unique(additions)
-        self._keys = [entry[0] for entry in additions]
-        self._entries = [(entry[1], entry[2]) for entry in additions]
-        self._order_unsafe_entries = sum(1 for entry in additions if not entry[3])
+        self._entries, self._order_unsafe_entries = self._sorted_batch(list(documents))
 
     def remove(self, document: Mapping[str, Any], doc_id: int) -> None:
         """Remove the entries of *document* stored under *doc_id*."""
         keys, order_safe = self._expand_keys(document)
+        entries = self._entries
         for key in keys:
-            ordered = _ordered_tuple(key)
-            position = bisect.bisect_left(self._keys, ordered)
-            while position < len(self._keys) and self._keys[position] == ordered:
-                if self._entries[position][1] == doc_id:
-                    del self._keys[position]
-                    del self._entries[position]
-                    if not order_safe:
-                        self._order_unsafe_entries -= 1
-                    break
-                position += 1
+            entry = key + (doc_id,)
+            position = bisect.bisect_left(entries, entry)
+            if position < len(entries) and entries[position] == entry:
+                del entries[position]
+                if not order_safe:
+                    self._order_unsafe_entries -= 1
 
     def replace(
         self,
@@ -500,7 +476,6 @@ class Index:
 
     def clear(self) -> None:
         """Drop every entry (used when a collection is emptied)."""
-        self._keys.clear()
         self._entries.clear()
         self._order_unsafe_entries = 0
 
@@ -510,38 +485,58 @@ class Index:
         return self._order_unsafe_entries == 0
 
     # -- lookups -------------------------------------------------------------
+    #
+    # Each is two bisects and a slice; the counts are the two bisects alone.
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def point_lookup(self, key: Sequence[Any]) -> list[int]:
-        """Return the document ids whose full index key equals *key*."""
+    def _span(self, prefix: tuple[Any, ...]) -> tuple[int, int]:
+        """Positions of the first entry starting with *prefix* and of the first after them."""
+        start = bisect.bisect_left(self._entries, prefix)
+        return start, bisect.bisect_left(self._entries, prefix + _AFTER, start)
+
+    def _prefix_span(self, prefix: Sequence[Any]) -> tuple[int, int]:
+        key: tuple[Any, ...] = ()
+        for value in prefix:
+            key += _index_key(value)
+        return self._span(key)
+
+    def _range_span(
+        self, lower: Any, upper: Any, include_lower: bool, include_upper: bool
+    ) -> tuple[int, int]:
+        """Positions bounding the entries whose first field lies in the range.
+
+        A missing bound stops at the other bound's type bracket: a range
+        predicate only matches values of its operand's type (``$gte: 0``
+        never matches a string, a boolean or NaN).
+        """
         if self.spec.is_hashed:
-            key = tuple(hashed_value(value) for value in key)
+            raise OperationFailure("hashed indexes do not support range scans")
+        entries = self._entries
+        low = None if lower is None else _index_key(lower)
+        high = None if upper is None else _index_key(upper)
+        if low is None and high is None:
+            return 0, len(entries)
+        if low is None:
+            start = bisect.bisect_left(entries, high[:1])
         else:
-            key = tuple(_canonical_key_value(value) for value in key)
-        ordered = _ordered_tuple(tuple(key))
-        position = bisect.bisect_left(self._keys, ordered)
-        matches: list[int] = []
-        while position < len(self._keys) and self._keys[position] == ordered:
-            matches.append(self._entries[position][1])
-            position += 1
-        return matches
+            start = bisect.bisect_left(entries, low if include_lower else low + _AFTER)
+        if high is None:
+            stop = bisect.bisect_left(entries, (low[0] + 1,), start)
+        else:
+            stop = bisect.bisect_left(entries, high + _AFTER if include_upper else high, start)
+        return start, stop
 
     def prefix_lookup(self, prefix: Sequence[Any]) -> list[int]:
-        """Return document ids whose key starts with *prefix* (index prefix)."""
-        ordered_prefix = _ordered_tuple(
-            tuple(_canonical_key_value(value) for value in prefix)
-        )
-        position = bisect.bisect_left(self._keys, ordered_prefix)
-        matches: list[int] = []
-        while position < len(self._keys):
-            key = self._keys[position]
-            if key[: len(ordered_prefix)] != ordered_prefix:
-                break
-            matches.append(self._entries[position][1])
-            position += 1
-        return matches
+        """Document ids whose key starts with *prefix* (or is a full key), in key order."""
+        start, stop = self._prefix_span(prefix)
+        return [entry[-1] for entry in self._entries[start:stop]]
+
+    def count_prefix(self, prefix: Sequence[Any]) -> int:
+        """How many entries :meth:`prefix_lookup` would return."""
+        start, stop = self._prefix_span(prefix)
+        return stop - start
 
     def range_lookup(
         self,
@@ -557,80 +552,50 @@ class Index:
         collection scan (this mirrors the behaviour the paper notes for
         hash-based partitioning in Section 2.1.3.3).
         """
-        if self.spec.is_hashed:
-            raise OperationFailure("hashed indexes do not support range scans")
-        lower = _canonical_key_value(lower) if lower is not None else None
-        upper = _canonical_key_value(upper) if upper is not None else None
-        if lower is None:
-            start = 0
-        else:
-            bound = (_OrderedKey(lower),)
-            start = (
-                bisect.bisect_left(self._keys, bound)
-                if include_lower
-                else bisect.bisect_right(self._keys, bound + (_OrderedKey(_Max()),))
-            )
-        matches: list[int] = []
-        for position in range(start, len(self._keys)):
-            first = self._entries[position][0][0]
-            if lower is not None:
-                ordering = compare_values(first, lower)
-                if ordering < 0 or (ordering == 0 and not include_lower):
-                    continue
-            if upper is not None:
-                ordering = compare_values(first, upper)
-                if ordering > 0 or (ordering == 0 and not include_upper):
-                    break
-            matches.append(self._entries[position][1])
-        return matches
+        start, stop = self._range_span(lower, upper, include_lower, include_upper)
+        return [entry[-1] for entry in self._entries[start:stop]]
 
-    def scan(self, reverse: bool = False) -> Iterator[tuple[tuple[Any, ...], int]]:
-        """Iterate over ``(key, doc_id)`` pairs in key order."""
-        entries: Iterable[tuple[tuple[Any, ...], int]] = self._entries
-        if reverse:
-            entries = reversed(self._entries)
-        yield from entries
+    def count_range(
+        self,
+        lower: Any = None,
+        upper: Any = None,
+        *,
+        include_lower: bool = True,
+        include_upper: bool = True,
+    ) -> int:
+        """How many entries :meth:`range_lookup` would return."""
+        start, stop = self._range_span(lower, upper, include_lower, include_upper)
+        return stop - start
 
     def ordered_doc_ids(self, reverse: bool = False) -> Iterator[int]:
-        """Yield document ids in index-key order (used to serve a sort)."""
-        for _key, doc_id in self.scan(reverse=reverse):
-            yield doc_id
+        """Document ids in index-key order (used to serve a sort)."""
+        return map(_RECORD_ID, reversed(self._entries) if reverse else self._entries)
 
-    def distinct_first_values(self) -> list[Any]:
-        """Distinct values of the leading key (used for chunk split points)."""
-        distinct: list[Any] = []
-        previous: object = object()
-        for key, _doc_id in self._entries:
-            first = key[0]
-            if previous is object() or compare_values(first, previous) != 0:
-                distinct.append(first)
-                previous = first
-        return distinct
+
+_RECORD_ID = itemgetter(-1)
 
 
 class BulkUndo:
     """Rollback handle for one :meth:`Index.bulk_insert` call.
 
     A bulk insert that took the append fast path is undone by truncating the
-    arrays back to their previous length; a merge is undone by restoring the
-    previous array objects (the merge builds new lists, so the old ones stay
+    array back to its previous length; a merge is undone by restoring the
+    previous array object (the merge builds a new list, so the old one stays
     valid).  Collections use this to remove a batch from every
     already-updated index when a later index raises a unique violation.
     """
 
-    __slots__ = ("_index", "_keys", "_entries", "_unsafe", "_truncate_to")
+    __slots__ = ("_index", "_entries", "_unsafe", "_truncate_to")
 
     def __init__(
         self,
         index: Index,
         *,
-        keys: list | None = None,
         entries: list | None = None,
         unsafe: int = 0,
         truncate_to: int | None = None,
     ) -> None:
         self._index = index
-        self._keys = keys
         self._entries = entries
         #: Truncate mode: the unsafe-entry count *added* by the bulk insert.
         #: Swap mode: the unsafe-entry count *before* the bulk insert.
@@ -641,17 +606,8 @@ class BulkUndo:
         """Restore the index to its state before the bulk insert."""
         index = self._index
         if self._truncate_to is not None:
-            del index._keys[self._truncate_to:]
             del index._entries[self._truncate_to:]
             index._order_unsafe_entries -= self._unsafe
         else:
-            index._keys = self._keys
             index._entries = self._entries
             index._order_unsafe_entries = self._unsafe
-
-
-class _Max:
-    """Sentinel comparing greater than every other ordered key."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "_Max()"

@@ -39,6 +39,7 @@ __all__ = [
     "compile_matcher",
     "compile_path",
     "compare_values",
+    "collation_key",
     "values_equal",
     "membership_key",
     "distinct_values",
@@ -148,6 +149,7 @@ def _exists(node: Any, parts: Sequence[str]) -> bool:
 _TYPE_ORDER: tuple[tuple[type, ...], ...] = (
     (type(None),),
     (bool,),
+    (),  # NaN: a place of its own below every number (see _type_rank)
     (int, float),
     (str,),
     (dict,),
@@ -156,36 +158,63 @@ _TYPE_ORDER: tuple[tuple[type, ...], ...] = (
     (ObjectId,),
     (_dt.date, _dt.datetime),
 )
+_NAN_RANK, _NUMBER_RANK, _DATE_RANK = 2, 3, 9
 
 # Exact-type fast path: avoids repeated ABC isinstance checks on the hot
-# comparison path (index maintenance compares millions of keys).
+# comparison path.
 _EXACT_TYPE_RANK: dict[type, int] = {
     type(None): 0,
     bool: 1,
-    int: 2,
-    float: 2,
-    str: 3,
-    dict: 4,
-    list: 5,
-    tuple: 5,
-    bytes: 6,
-    ObjectId: 7,
-    _dt.date: 8,
-    _dt.datetime: 8,
+    int: 3,
+    float: 3,
+    str: 4,
+    dict: 5,
+    list: 6,
+    tuple: 6,
+    bytes: 7,
+    ObjectId: 8,
+    _dt.date: 9,
+    _dt.datetime: 9,
 }
+
+#: Exact types that are their own collation payload, by rank.
+_SELF_COLLATED: dict[type, int] = {
+    kind: _EXACT_TYPE_RANK[kind] for kind in (type(None), bool, int, float, str, bytes)
+}
+
+#: Exact types whose :func:`collation_key` walks no array or document — the
+#: values an index keys as they are, with no fan-out and no marker.
+SCALAR_TYPES = frozenset(_EXACT_TYPE_RANK) - {dict, list, tuple}
 
 
 def _type_rank(value: Any) -> int:
     rank = _EXACT_TYPE_RANK.get(type(value))
-    if rank is not None:
-        return rank
-    # bool must be checked before int because bool is a subclass of int.
-    if isinstance(value, bool):
-        return 1
-    for position, types in enumerate(_TYPE_ORDER):
-        if isinstance(value, types) or (value is None and types[0] is type(None)):
-            return position
-    return len(_TYPE_ORDER)
+    if rank is None:
+        rank = len(_TYPE_ORDER)
+        # bool must be checked before int because bool is a subclass of int.
+        if isinstance(value, bool):
+            rank = 1
+        else:
+            for position, types in enumerate(_TYPE_ORDER):
+                if isinstance(value, types):
+                    rank = position
+                    break
+    if rank == _NUMBER_RANK and value != value:
+        return _NAN_RANK  # NaN equals NaN and sorts below every number, as in MongoDB
+    return rank
+
+
+def _instant(value: _dt.date) -> _dt.datetime:
+    """The naive UTC datetime a date (at midnight) or datetime denotes.
+
+    A naive datetime is read as UTC, as MongoDB drivers store it, so naive and
+    tz-aware datetimes share one order instead of refusing to compare.
+    """
+    if not isinstance(value, _dt.datetime):
+        return _dt.datetime(value.year, value.month, value.day)
+    if value.tzinfo is not None:
+        return value.astimezone(_dt.timezone.utc).replace(tzinfo=None)
+    return value
 
 
 def compare_values(left: Any, right: Any) -> int:
@@ -195,16 +224,18 @@ def compare_values(left: Any, right: Any) -> int:
     different types compare by their type rank, which makes every pair of
     values comparable (needed by sort and by range chunk assignment).
     """
-    # Fast path for the by-far most common case on the index hot path:
-    # two numbers (or two strings) of the same concrete type.
+    # Fast path: two numbers (or two strings) of the same concrete type that
+    # Python orders — everything but NaN, which falls through to its rank.
     left_type, right_type = type(left), type(right)
     if left_type is right_type and left_type in (int, float, str):
-        return (left > right) - (left < right)
+        result = (left > right) - (left < right)
+        if result or left == right:
+            return result
     left_rank, right_rank = _type_rank(left), _type_rank(right)
     if left_rank != right_rank:
         return -1 if left_rank < right_rank else 1
-    if left is None and right is None:
-        return 0
+    if left_rank in (0, _NAN_RANK):
+        return 0  # None, or NaN
     if isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
         for left_item, right_item in zip(left, right):
             result = compare_values(left_item, right_item)
@@ -218,24 +249,49 @@ def compare_values(left: Any, right: Any) -> int:
         )
     if isinstance(left, ObjectId) and isinstance(right, ObjectId):
         return (left.binary > right.binary) - (left.binary < right.binary)
-    if isinstance(left, _dt.datetime) != isinstance(right, _dt.datetime):
-        # Promote plain dates so dates and datetimes compare cleanly.
-        if isinstance(left, _dt.date) and not isinstance(left, _dt.datetime):
-            left = _dt.datetime(left.year, left.month, left.day)
-        if isinstance(right, _dt.date) and not isinstance(right, _dt.datetime):
-            right = _dt.datetime(right.year, right.month, right.day)
     try:
         return (left > right) - (left < right)
-    except TypeError as exc:  # pragma: no cover - defensive
-        raise OperationFailure(f"cannot compare {left!r} and {right!r}") from exc
+    except TypeError as exc:
+        if left_rank != _DATE_RANK:  # pragma: no cover - defensive
+            raise OperationFailure(f"cannot compare {left!r} and {right!r}") from exc
+    # A date against a datetime, or a naive against a tz-aware datetime.
+    left, right = _instant(left), _instant(right)
+    return (left > right) - (left < right)
+
+
+def collation_key(value: Any) -> tuple[int, Any]:
+    """``(type rank, payload)``, which Python orders as :func:`compare_values` orders values.
+
+    Numbers, strings, ``None``, booleans and bytes are their own payload; NaN
+    has a rank of its own and a constant payload; an ObjectId collates by its
+    bytes and a date or datetime by :func:`_instant`; an array is the tuple of
+    its elements' keys and a document that of its sorted ``(name, value)``
+    pairs.  Built once per value, such keys let ``bisect``, ``sort`` and
+    ``heapq`` compare in C instead of calling back into Python.
+    """
+    rank = _SELF_COLLATED.get(type(value))
+    if rank is not None and value == value:
+        return rank, value
+    rank = _type_rank(value)
+    if rank == _NAN_RANK:
+        return rank, 0
+    if isinstance(value, ObjectId):
+        return rank, value.binary
+    if isinstance(value, _dt.date):
+        return rank, _instant(value)
+    if isinstance(value, (list, tuple)):
+        return rank, tuple(map(collation_key, value))
+    if isinstance(value, Mapping):
+        return rank, tuple(map(collation_key, sorted(value.items(), key=lambda kv: kv[0])))
+    return rank, value
 
 
 def values_equal(left: Any, right: Any) -> bool:
-    """Equality that treats ints and floats as interchangeable."""
+    """Equality that treats ints and floats as interchangeable (compared exactly)."""
     if isinstance(left, bool) != isinstance(right, bool):
         return False
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        return float(left) == float(right)
+        return left == right
     if _type_rank(left) != _type_rank(right):
         return False
     return compare_values(left, right) == 0
@@ -253,22 +309,17 @@ def membership_key(value: Any) -> Any:
     """A hashable key for *value* whose equality is exactly :func:`values_equal`.
 
     Two keyed values are ``values_equal`` iff their keys are ``==``: exact
-    ``int``/``float`` key as ``float(value)`` (NaN is its own key and equals
-    nothing, itself included), ``str``/``None``/``ObjectId``/naive
-    ``datetime`` key as themselves, ``date`` is promoted to midnight as
+    ``int``/``float``/``str``/``None``/``ObjectId``/naive ``datetime`` key
+    as themselves (Python equates and hashes ``1`` and ``1.0`` alike; NaN
+    equals nothing, itself included), ``date`` is promoted to midnight as
     :func:`compare_values` does, and ``bool``/``bytes`` are tagged because
     Python would otherwise equate ``True`` with ``1.0`` and hash ``b"a"`` like
     ``"a"``.  Everything else — documents, arrays, tz-aware datetimes,
-    subclasses such as ``IntEnum``, ints beyond the float range — returns
-    ``_UNKEYED`` and must be compared with ``values_equal`` itself.
+    subclasses such as ``IntEnum`` — returns ``_UNKEYED`` and must be
+    compared with ``values_equal`` itself.
     """
     kind = type(value)
-    if kind is int or kind is float:
-        try:
-            return float(value)
-        except OverflowError:
-            return _UNKEYED
-    if kind is str or value is None or kind is ObjectId:
+    if kind is int or kind is float or kind is str or value is None or kind is ObjectId:
         return value
     if kind is bool:
         return _TRUE_KEY if value else _FALSE_KEY

@@ -12,12 +12,13 @@ plan only has to produce a superset of the matching documents.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import OperationFailure
 from .indexes import Index
+from .matching import distinct_values
 
 __all__ = ["QueryPlan", "plan_query", "plan_find"]
 
@@ -99,6 +100,11 @@ class _FieldConstraints:
         return bool(self.equalities) or self.in_values is not None
 
 
+def _bounds_an_index(operand: Any) -> bool:
+    """False for an array: a multikey index holds its elements, not the array tested."""
+    return not isinstance(operand, (list, tuple))
+
+
 def _extract_constraints(query: Mapping[str, Any] | None) -> dict[str, _FieldConstraints]:
     """Collect per-field constraints from the top level (and ``$and``) of *query*."""
     constraints: dict[str, _FieldConstraints] = {}
@@ -119,10 +125,12 @@ def _extract_constraints(query: Mapping[str, Any] | None) -> dict[str, _FieldCon
                 op.startswith("$") for op in condition
             ):
                 for operator, operand in condition.items():
-                    if operator == "$eq":
+                    if operator == "$eq" and _bounds_an_index(operand):
                         entry.equalities.append(operand)
-                    elif operator == "$in":
-                        entry.in_values = list(operand)
+                    elif operator == "$in" and all(map(_bounds_an_index, operand)):
+                        entry.in_values = distinct_values(operand)  # one lookup per value
+                    elif isinstance(operand, Mapping) or not _bounds_an_index(operand):
+                        continue  # a document's index key is a marker only equality can use
                     elif operator in ("$gt", "$gte"):
                         entry.lower = operand
                         entry.lower_inclusive = operator == "$gte"
@@ -131,7 +139,7 @@ def _extract_constraints(query: Mapping[str, Any] | None) -> dict[str, _FieldCon
                         entry.upper = operand
                         entry.upper_inclusive = operator == "$lte"
                         entry.has_range = True
-            else:
+            elif _bounds_an_index(condition):
                 entry.equalities.append(condition)
 
     visit(query)
@@ -145,50 +153,34 @@ def plan_query(
 ) -> QueryPlan:
     """Choose an access path for *query* given the available *indexes*.
 
-    Selection strategy (simplified but faithful to the original behaviour):
-
-    1. Prefer an index whose leading field has an equality or ``$in``
-       constraint; longer usable prefixes win ties.
-    2. Otherwise use an index whose leading field has a range constraint
-       (hashed indexes are skipped for ranges).
-    3. Fall back to a collection scan.
+    An index can serve the filter when its leading field has an equality or
+    ``$in`` constraint, or a range (hashed indexes cannot serve ranges).
+    When several can, the one with the fewest candidates wins — counted
+    with two bisects per prefix, ``$in`` value or range — then the one with
+    the longest equality prefix, then the first; with none, the plan is a
+    collection scan.
     """
     constraints = _extract_constraints(query)
     if not constraints or not indexes:
         return QueryPlan(stage="COLLSCAN", documents_examined=collection_size)
 
-    best: tuple[int, str, Index] | None = None
+    usable: list[tuple[str, Index]] = []
     for name, index in indexes.items():
         if getattr(index.spec, "is_vector", False):
             continue  # vector indexes cannot serve filters or sorts
-        leading_field = index.spec.fields[0]
-        leading = constraints.get(leading_field)
-        if leading is None:
-            continue
-        if index.spec.is_hashed and not leading.has_equality:
-            continue
-        if not leading.has_equality and not leading.has_range:
-            continue
-        # Count how many leading index fields carry an equality constraint —
-        # the usable prefix length, which scores the index.
-        prefix_length = 0
-        for field_path in index.spec.fields:
-            entry = constraints.get(field_path)
-            if entry is not None and entry.has_equality and entry.in_values is None:
-                prefix_length += 1
-            else:
-                break
-        score = prefix_length * 10 + (5 if leading.has_equality else 1)
-        if best is None or score > best[0]:
-            best = (score, name, index)
-
-    if best is None:
+        leading = constraints.get(index.spec.fields[0])
+        if leading is not None and (
+            leading.has_equality or (leading.has_range and not index.spec.is_hashed)
+        ):
+            usable.append((name, index))
+    if not usable:
         return QueryPlan(stage="COLLSCAN", documents_examined=collection_size)
-
-    _score, name, index = best
+    name, index = (
+        min(usable, key=lambda item: _estimate(item[1], constraints))
+        if len(usable) > 1
+        else usable[0]  # nothing to choose: nothing counted
+    )
     candidate_ids = _candidates_from_index(index, constraints)
-    if candidate_ids is None:
-        return QueryPlan(stage="COLLSCAN", documents_examined=collection_size)
     return QueryPlan(
         stage="IXSCAN",
         index_name=name,
@@ -276,52 +268,58 @@ def _index_sort_direction(
     return None
 
 
-def _candidates_from_index(
-    index: Index,
-    constraints: Mapping[str, _FieldConstraints],
-) -> list[int] | None:
-    """Fetch candidate doc ids from *index* for the extracted constraints."""
-    fields = index.spec.fields
-    leading = constraints[fields[0]]
+def _prefixes(
+    index: Index, constraints: Mapping[str, _FieldConstraints]
+) -> list[tuple[Any, ...]] | None:
+    """The key prefixes equality and ``$in`` constraints pin on *index*.
 
-    # Determine how long an equality prefix we can use.
+    Each ``$in`` fans out into one prefix per value; ``None`` when the
+    leading field has no equality (the index then serves its range).
+    """
     prefix_values: list[list[Any]] = []
-    for field_path in fields:
+    for field_path in index.spec.fields:
         entry = constraints.get(field_path)
         if entry is None or not entry.has_equality:
             break
-        if entry.equalities:
-            prefix_values.append([entry.equalities[0]])
-        elif entry.in_values is not None:
-            prefix_values.append(list(entry.in_values))
-        else:  # pragma: no cover - unreachable
-            break
+        prefix_values.append(entry.equalities[:1] or entry.in_values)
+    return list(itertools.product(*prefix_values)) if prefix_values else None
 
-    if prefix_values:
-        # Expand $in fan-out into several prefix lookups.
-        prefixes: list[tuple[Any, ...]] = [()]
-        for values in prefix_values:
-            prefixes = [existing + (value,) for existing in prefixes for value in values]
-        candidate_ids: list[int] = []
-        seen: set[int] = set()
-        full_key = len(prefix_values) == len(fields)
-        for prefix in prefixes:
-            if index.spec.is_hashed or full_key:
-                ids: Iterable[int] = index.point_lookup(prefix)
-            else:
-                ids = index.prefix_lookup(prefix)
-            for doc_id in ids:
-                if doc_id not in seen:
-                    seen.add(doc_id)
-                    candidate_ids.append(doc_id)
-        return candidate_ids
 
-    if leading.has_range and not index.spec.is_hashed:
-        return index.range_lookup(
-            lower=leading.lower,
-            upper=leading.upper,
-            include_lower=leading.lower_inclusive,
-            include_upper=leading.upper_inclusive,
-        )
+def _range_bounds(index: Index, constraints: Mapping[str, _FieldConstraints]) -> dict[str, Any]:
+    """The keyword arguments of the range *index* scans for its leading field.
 
-    return None
+    On a multikey index each bound may be met by a different element of one
+    document (``{$gt: 1, $lt: 0}`` matches ``[2, -1]``), so intersecting them
+    on one entry would lose matches; as MongoDB does, such an index is
+    bounded by one operand only — the lower, to the end of its type bracket.
+    """
+    leading = constraints[index.spec.fields[0]]
+    if leading.lower is not None and not index.order_safe:
+        return {"lower": leading.lower, "include_lower": leading.lower_inclusive}
+    return {
+        "lower": leading.lower,
+        "upper": leading.upper,
+        "include_lower": leading.lower_inclusive,
+        "include_upper": leading.upper_inclusive,
+    }
+
+
+def _estimate(index: Index, constraints: Mapping[str, _FieldConstraints]) -> tuple[int, int]:
+    """``(entries _candidates_from_index would read, −equality-prefix length)``."""
+    prefixes = _prefixes(index, constraints)
+    if prefixes is not None:
+        return sum(map(index.count_prefix, prefixes)), -len(prefixes[0]) if prefixes else 0
+    return index.count_range(**_range_bounds(index, constraints)), 0
+
+
+def _candidates_from_index(
+    index: Index,
+    constraints: Mapping[str, _FieldConstraints],
+) -> list[int]:
+    """Candidate doc ids from *index*, each once (multikey entries repeat them)."""
+    prefixes = _prefixes(index, constraints)
+    if prefixes is not None:
+        ids = [doc_id for prefix in prefixes for doc_id in index.prefix_lookup(prefix)]
+    else:
+        ids = index.range_lookup(**_range_bounds(index, constraints))
+    return list(dict.fromkeys(ids))

@@ -12,7 +12,7 @@ existing secondary-index machinery:
   rollback handles)/``rebuild`` — so collections, deferred builds
   (``bulk_load()``), WAL replay, and snapshot restores treat it exactly
   like a b-tree index; only the lookup surface differs (``search`` instead
-  of ``point_lookup``/``range_lookup``).
+  of ``prefix_lookup``/``range_lookup``).
 * Search is **exact by default**: a full scan scoring every stored vector,
   with a bounded heap keeping the top ``k``.  Results are deterministic —
   ties broken by document ``_id`` order — which is what makes
@@ -49,8 +49,7 @@ from typing import Any
 
 from .errors import OperationFailure
 from .indexes import IndexSpec
-from .matching import resolve_path_single
-from .ordering import sort_key
+from .matching import collation_key, resolve_path_single
 
 __all__ = ["VectorIndex", "VectorBulkUndo", "vector_score"]
 
@@ -181,7 +180,7 @@ class VectorIndex:
         self._field = spec.fields[0]
         self._vectors: dict[int, tuple[float, ...]] = {}
         self._norms: dict[int, float] = {}
-        #: Deterministic tiebreak key per doc: sort_key of the document _id.
+        #: Deterministic tiebreak key per doc: the collation key of the document _id.
         self._tiebreaks: dict[int, Any] = {}
         # IVF state (populated by rebuild() when the collection is big enough).
         self._centroids: list[tuple[float, ...]] = []
@@ -198,7 +197,7 @@ class VectorIndex:
     def _add(self, doc_id: int, document: Mapping[str, Any], vector: tuple[float, ...]) -> None:
         self._vectors[doc_id] = vector
         self._norms[doc_id] = _norm(vector)
-        self._tiebreaks[doc_id] = sort_key(document.get("_id"))
+        self._tiebreaks[doc_id] = collation_key(document.get("_id"))
         if self._centroids:
             assignment = self._nearest_centroid(vector)
             self._assignments[doc_id] = assignment

@@ -11,12 +11,13 @@ becomes a *jumbo* chunk (Figure 2.7).  This module implements those concepts.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..documentstore.errors import ChunkSplitError, ShardKeyError
 from ..documentstore.indexes import hashed_value
-from ..documentstore.matching import compare_values, resolve_path_single
+from ..documentstore.matching import collation_key, resolve_path_single
 
 __all__ = [
     "MinKey",
@@ -81,19 +82,13 @@ def decode_boundary(value: Any) -> Any:
     return value
 
 
-def compare_boundary(left: Any, right: Any) -> int:
-    """Compare chunk-boundary values, honouring the MinKey/MaxKey sentinels."""
-    if left is right:
-        return 0
-    if isinstance(left, MinKey):
-        return -1
-    if isinstance(right, MinKey):
-        return 1
-    if isinstance(left, MaxKey):
-        return 1
-    if isinstance(right, MaxKey):
-        return -1
-    return compare_values(left, right)
+def boundary_key(value: Any) -> tuple[Any, ...]:
+    """The collation key of a chunk boundary; MinKey/MaxKey rank below/above every value."""
+    if isinstance(value, MinKey):
+        return (-math.inf,)
+    if isinstance(value, MaxKey):
+        return (math.inf,)
+    return collation_key(value)
 
 
 @dataclass(frozen=True)
@@ -164,12 +159,14 @@ class Chunk:
 
     _MAX_SAMPLES = 512
 
+    def __post_init__(self) -> None:
+        # Boundaries never change (a split replaces the chunk), so their keys are built once.
+        self.lower_key = boundary_key(self.lower)
+        self.upper_key = boundary_key(self.upper)
+
     def contains(self, key_value: Any) -> bool:
         """Return True if *key_value* falls inside ``[lower, upper)``."""
-        return (
-            compare_boundary(key_value, self.lower) >= 0
-            and compare_boundary(key_value, self.upper) < 0
-        )
+        return self.lower_key <= collation_key(key_value) < self.upper_key
 
     def record_insert(self, key_value: Any, document_bytes: int) -> None:
         """Account for a newly routed document."""
@@ -190,10 +187,7 @@ class Chunk:
         """Return a split point candidate (median of sampled keys)."""
         if not self.key_samples:
             raise ChunkSplitError("chunk has no key samples to split on")
-        ordered = sorted(
-            self.key_samples,
-            key=lambda value: _BoundarySortKey(value),
-        )
+        ordered = sorted(self.key_samples, key=collation_key)
         return ordered[len(ordered) // 2]
 
     def describe(self) -> dict[str, Any]:
@@ -231,23 +225,6 @@ class Chunk:
             jumbo=bool(data.get("jumbo")),
             key_samples=[decode_boundary(sample) for sample in data.get("samples") or []],
         )
-
-
-class _BoundarySortKey:
-    """Sort helper for boundary values (MinKey < values < MaxKey)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_BoundarySortKey") -> bool:
-        return compare_boundary(self.value, other.value) < 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _BoundarySortKey):
-            return NotImplemented
-        return compare_boundary(self.value, other.value) == 0
 
 
 class ChunkManager:
@@ -299,8 +276,9 @@ class ChunkManager:
 
     def chunk_for(self, routing_value: Any) -> Chunk:
         """Return the chunk owning *routing_value*."""
+        key = collation_key(routing_value)
         for chunk in self.chunks:
-            if chunk.contains(routing_value):
+            if chunk.lower_key <= key < chunk.upper_key:
                 return chunk
         raise ShardKeyError(
             f"no chunk covers shard key value {routing_value!r} in {self.namespace}"
@@ -310,24 +288,26 @@ class ChunkManager:
         """Map every routing value to its owning chunk in a single pass.
 
         The chunk table is kept sorted by lower bound (splits replace a
-        chunk in place, migrations only change ownership), so the lower
-        bounds are wrapped as sort keys once and each value is located with
-        one ``bisect`` — O(n log c) for a batch of n documents over c
-        chunks, instead of the O(n·c) linear :meth:`chunk_for` scans the
+        chunk in place, migrations only change ownership), so each value's
+        collation key is located among the lower bounds' keys with one
+        ``bisect`` — O(n log c) for a batch of n documents over c chunks,
+        instead of the O(n·c) linear :meth:`chunk_for` scans the
         per-document path pays.  Statistics are *not* recorded; callers
         account the batch with :meth:`record_inserts` after the owning
         shards acknowledged the inserts.
         """
-        boundaries = [_BoundarySortKey(chunk.lower) for chunk in self.chunks]
+        chunks = self.chunks
+        lower_keys = [chunk.lower_key for chunk in chunks]
         resolved: list[Chunk] = []
         for value in routing_values:
-            position = bisect.bisect_right(boundaries, _BoundarySortKey(value)) - 1
+            key = collation_key(value)
+            position = bisect.bisect_right(lower_keys, key) - 1
             if position < 0:
                 raise ShardKeyError(
                     f"no chunk covers shard key value {value!r} in {self.namespace}"
                 )
-            chunk = self.chunks[position]
-            if not chunk.contains(value):  # pragma: no cover - contiguity guard
+            chunk = chunks[position]
+            if not key < chunk.upper_key:  # pragma: no cover - contiguity guard
                 chunk = self.chunk_for(value)
             resolved.append(chunk)
         return resolved
@@ -349,14 +329,12 @@ class ChunkManager:
         """
         if self.shard_key.hashed:
             return set(self.all_shards())
-        overlapping = set()
-        for chunk in self.chunks:
-            if (
-                compare_boundary(chunk.upper, lower) > 0
-                and compare_boundary(chunk.lower, upper) <= 0
-            ):
-                overlapping.add(chunk.shard_id)
-        return overlapping
+        low, high = boundary_key(lower), boundary_key(upper)
+        return {
+            chunk.shard_id
+            for chunk in self.chunks
+            if chunk.upper_key > low and chunk.lower_key <= high
+        }
 
     def all_shards(self) -> list[str]:
         """Every shard that currently owns at least one chunk."""
@@ -405,16 +383,14 @@ class ChunkManager:
         """Split *chunk* at *split_point* (default: median sampled key)."""
         if split_point is None:
             split_point = chunk.median_key()
-        if (
-            compare_boundary(split_point, chunk.lower) <= 0
-            or compare_boundary(split_point, chunk.upper) >= 0
-        ):
+        point = boundary_key(split_point)
+        if not chunk.lower_key < point < chunk.upper_key:
             raise ChunkSplitError(
                 f"split point {split_point!r} does not strictly divide the chunk; "
                 "all documents may share one shard key value (jumbo chunk)"
             )
-        left_samples = [k for k in chunk.key_samples if compare_boundary(k, split_point) < 0]
-        right_samples = [k for k in chunk.key_samples if compare_boundary(k, split_point) >= 0]
+        left_samples = [k for k in chunk.key_samples if collation_key(k) < point]
+        right_samples = [k for k in chunk.key_samples if collation_key(k) >= point]
         ratio = len(left_samples) / max(1, len(chunk.key_samples))
         left = Chunk(
             lower=chunk.lower,

@@ -62,7 +62,7 @@ from ..documentstore.findspec import FindSpec
 from ..documentstore.matching import distinct_values
 from ..documentstore.objectid import ObjectId
 from ..documentstore.ordering import document_sort_key
-from ..documentstore.update import build_upsert_document
+from ..documentstore.update import OperatorUpdate, build_upsert_document, is_update_document
 from .chunks import Chunk, ChunkManager
 from .config_server import ConfigServer
 from .executor import (
@@ -820,6 +820,8 @@ class RoutedCollection(CollectionSurface):
         modified — the previous implementation probed shards one at a time,
         paying a serial round trip per shard.
         """
+        if is_update_document(update):
+            OperatorUpdate(update)  # refused even when nothing matches, as stand-alone
         targets, targeted = self._router._target_shards(*self._namespace, query)
         claim = FirstMatchClaim()
         namespace = self._namespace

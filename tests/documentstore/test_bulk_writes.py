@@ -46,10 +46,10 @@ def build_collection(config: str) -> Collection:
 
 
 def index_state(collection: Collection) -> dict:
-    """Observable per-index state: entries in order plus order-safety."""
+    """Observable per-index state: record ids in key order plus order-safety."""
     return {
         name: {
-            "entries": list(index.scan()),
+            "entries": list(index.ordered_doc_ids()),
             "order_safe": index.order_safe,
             "unsafe_count": index._order_unsafe_entries,
         }
@@ -174,29 +174,29 @@ class TestIndexBulkOperations:
         seq_index = Index(IndexSpec.from_key_specification("store"))
         for doc_id, document in documents:
             seq_index.insert(document, doc_id)
-        assert list(bulk_index.scan()) == list(seq_index.scan())
+        assert list(bulk_index.ordered_doc_ids()) == list(seq_index.ordered_doc_ids())
 
     def test_bulk_insert_rollback_restores_merge_and_append_paths(self):
         index = Index(IndexSpec.from_key_specification("v"))
         index.insert({"v": 5}, 1)
-        before = list(index.scan())
+        before = list(index.ordered_doc_ids())
         # Append path (all keys after the existing one), then roll back.
         undo = index.bulk_insert([(2, {"v": 7}), (3, {"v": 9})])
         assert len(index) == 3
         undo.rollback()
-        assert list(index.scan()) == before
+        assert list(index.ordered_doc_ids()) == before
         # Merge path (keys interleave), then roll back.
         undo = index.bulk_insert([(4, {"v": 1}), (5, {"v": 6})])
         assert len(index) == 3
         undo.rollback()
-        assert list(index.scan()) == before
+        assert list(index.ordered_doc_ids()) == before
 
     def test_bulk_insert_unique_violation_leaves_index_untouched(self):
         index = Index(IndexSpec.from_key_specification("v", unique=True))
         index.insert({"v": 5}, 1)
         with pytest.raises(DuplicateKeyError):
             index.bulk_insert([(2, {"v": 4}), (3, {"v": 5})])
-        assert list(index.scan()) == [((5,), 1)]
+        assert list(index.ordered_doc_ids()) == index.prefix_lookup((5,)) == [1]
 
     def test_rollback_restores_order_unsafe_count(self):
         index = Index(IndexSpec.from_key_specification("tags"))
@@ -212,7 +212,7 @@ class TestIndexBulkOperations:
         incremental = Index(IndexSpec.from_key_specification([("store", 1), ("q", -1)]))
         for doc_id, document in documents.items():
             incremental.insert(document, doc_id)
-        assert list(rebuilt.scan()) == list(incremental.scan())
+        assert list(rebuilt.ordered_doc_ids()) == list(incremental.ordered_doc_ids())
         assert rebuilt._order_unsafe_entries == incremental._order_unsafe_entries
 
     def test_rebuild_detects_unique_violation(self):
@@ -293,10 +293,10 @@ class TestBulkLoad:
         collection = Collection(None, "c")
         collection.create_index("store")
         collection.insert_many(sample_documents(10))
-        entries_before = list(collection._indexes["store_1"].scan())
+        entries_before = list(collection._indexes["store_1"].ordered_doc_ids())
         with collection.bulk_load():
             pass
-        assert list(collection._indexes["store_1"].scan()) == entries_before
+        assert list(collection._indexes["store_1"].ordered_doc_ids()) == entries_before
 
     def test_hint_on_deferred_index_falls_back_to_collscan(self):
         collection = Collection(None, "c")

@@ -69,12 +69,12 @@ class TestIndexSpec:
 class TestPointAndPrefixLookups:
     def test_point_lookup_single_field(self):
         index = build_index("age", documents=[{"age": 30}, {"age": 25}, {"age": 30}])
-        assert sorted(index.point_lookup((30,))) == [1, 3]
-        assert index.point_lookup((99,)) == []
+        assert sorted(index.prefix_lookup((30,))) == [1, 3]
+        assert index.prefix_lookup((99,)) == []
 
     def test_missing_field_indexes_null(self):
         index = build_index("age", documents=[{"age": 30}, {"name": "no-age"}])
-        assert index.point_lookup((None,)) == [2]
+        assert index.prefix_lookup((None,)) == [2]
 
     def test_compound_point_lookup(self):
         index = build_index(
@@ -85,7 +85,7 @@ class TestPointAndPrefixLookups:
                 {"last": "Jones", "first": "Anna"},
             ],
         )
-        assert index.point_lookup(("Smith", "Earl")) == [2]
+        assert index.prefix_lookup(("Smith", "Earl")) == [2]
 
     def test_prefix_lookup_uses_leading_fields(self):
         """A compound index answers queries on its prefix (Section 2.1.2)."""
@@ -102,8 +102,8 @@ class TestPointAndPrefixLookups:
 
     def test_multikey_index_fans_out_over_arrays(self):
         index = build_index("tags", documents=[{"tags": ["red", "blue"]}, {"tags": ["green"]}])
-        assert index.point_lookup(("red",)) == [1]
-        assert index.point_lookup(("green",)) == [2]
+        assert index.prefix_lookup(("red",)) == [1]
+        assert index.prefix_lookup(("green",)) == [2]
 
 
 class TestRangeLookups:
@@ -127,43 +127,90 @@ class TestRangeLookups:
         with pytest.raises(OperationFailure):
             index.range_lookup(1, 10)
 
-    def test_scan_returns_key_order(self):
+    def test_ordered_doc_ids_follow_key_order(self):
         index = build_index("v", documents=[{"v": 3}, {"v": 1}, {"v": 2}])
-        assert [key[0] for key, _doc in index.scan()] == [1, 2, 3]
-        assert [key[0] for key, _doc in index.scan(reverse=True)] == [3, 2, 1]
+        assert list(index.ordered_doc_ids()) == [2, 3, 1]
+        assert list(index.ordered_doc_ids(reverse=True)) == [1, 3, 2]
+
+    def test_counts_are_the_lookup_lengths(self):
+        index = build_index(
+            [("a", 1), ("b", 1)],
+            documents=[{"a": a % 3, "b": b} for a in range(9) for b in (1, "x", None)],
+        )
+        for prefix in [(0,), (1, "x"), (2, None), (5,), (0, 1.0)]:
+            assert index.count_prefix(prefix) == len(index.prefix_lookup(prefix))
+        for bounds in [(0, 1), (None, 1), (1, None), (0, 0), (2, 0)]:
+            assert index.count_range(*bounds) == len(index.range_lookup(*bounds))
+        assert index.count_range(0, 1, include_lower=False) == 9
+
+    def test_a_range_stays_inside_its_operands_type_bracket(self):
+        index = build_index("v", documents=[{"v": v} for v in (None, False, 1, 2.5, "s", [3])])
+        assert sorted(index.range_lookup(lower=0)) == [3, 4, 6]
+        assert sorted(index.range_lookup(upper="z")) == [5]
 
 
 class TestMaintenance:
     def test_remove_deletes_only_matching_entry(self):
         index = build_index("age", documents=[{"age": 30}, {"age": 30}])
         index.remove({"age": 30}, 1)
-        assert index.point_lookup((30,)) == [2]
+        assert index.prefix_lookup((30,)) == [2]
 
     def test_replace_moves_entry(self):
         index = build_index("age", documents=[{"age": 30}])
         index.replace({"age": 30}, {"age": 31}, 1)
-        assert index.point_lookup((30,)) == []
-        assert index.point_lookup((31,)) == [1]
+        assert index.prefix_lookup((30,)) == []
+        assert index.prefix_lookup((31,)) == [1]
 
     def test_unique_index_rejects_duplicates(self):
         index = build_index("email", unique=True, documents=[{"email": "a@x.com"}])
         with pytest.raises(DuplicateKeyError):
             index.insert({"email": "a@x.com"}, 2)
 
+    @pytest.mark.parametrize("path", ["insert", "bulk_insert", "rebuild"])
+    @pytest.mark.parametrize(
+        "keys, first, second, collided",
+        [
+            ("tags", {"tags": ["red", "blue"]}, {"tags": ["green", "red"]}, ("red",)),
+            ("s.a", {"s": [{"a": 1}, {"a": 2}]}, {"s": [{"a": 3}, {"a": 2}]}, (2,)),
+            ([("a", 1), ("b", 1)], {"a": [1, 2], "b": "x"}, {"a": [3, 2], "b": "x"}, (2, "x")),
+        ],
+    )
+    def test_unique_violation_names_the_key_that_collided(
+        self, path, keys, first, second, collided
+    ):
+        index = Index(IndexSpec.from_key_specification(keys, unique=True))
+        with pytest.raises(DuplicateKeyError) as raised:
+            if path == "rebuild":
+                index.rebuild([(1, first), (2, second)])
+            elif path == "bulk_insert":
+                index.insert(first, 1)
+                index.bulk_insert([(2, second)])
+            else:
+                index.insert(first, 1)
+                index.insert(second, 2)
+        assert raised.value.key == collided
+
     def test_clear_empties_index(self):
         index = build_index("age", documents=[{"age": 1}, {"age": 2}])
         index.clear()
         assert len(index) == 0
 
-    def test_distinct_first_values(self):
-        index = build_index("age", documents=[{"age": 2}, {"age": 1}, {"age": 2}])
-        assert index.distinct_first_values() == [1, 2]
+    def test_equal_keys_stay_in_record_id_order_after_updates(self):
+        index = build_index("age", documents=[{"age": 30}, {"age": 30}, {"age": 31}])
+        index.replace({"age": 30}, {"age": 31}, 1)
+        index.replace({"age": 31}, {"age": 31, "name": "x"}, 3)
+        assert index.prefix_lookup((31,)) == [1, 3]
 
 
 class TestHashedIndex:
     def test_hashed_point_lookup(self):
         index = build_index({"key": HASHED}, documents=[{"key": i} for i in range(20)])
-        assert index.point_lookup((7,)) == [8]
+        assert index.prefix_lookup((7,)) == [8]
+
+    def test_hashed_lookup_finds_every_number_the_matcher_calls_equal(self):
+        index = build_index({"key": HASHED}, documents=[{"key": v} for v in (0, -0.0, 0.0, 1, 1.0)])
+        assert index.prefix_lookup((0,)) == [1, 2, 3]
+        assert index.prefix_lookup((1.0,)) == [4, 5]
 
     def test_hashed_value_is_deterministic(self):
         assert hashed_value(42) == hashed_value(42)
@@ -195,7 +242,7 @@ def test_point_lookup_matches_linear_filter(values):
     expected = sorted(
         doc_id for doc_id, document in enumerate(documents, start=1) if document["v"] == needle
     )
-    assert sorted(index.point_lookup((needle,))) == expected
+    assert sorted(index.prefix_lookup((needle,))) == expected
 
 
 # -- bulk_insert: the merge against sequential insert ------------------------------
@@ -212,12 +259,12 @@ BATCHES = st.lists(
 
 
 def arrays(index):
-    return list(index._keys), list(index._entries), index._order_unsafe_entries
+    return list(index.ordered_doc_ids()), index._order_unsafe_entries
 
 
 @given(MERGED_SPECS, BATCHES)
 def test_bulk_insert_equals_sequential_insert(keys, batch):
-    """Merged arrays == sequential ``insert``: same keys, equal keys in batch order."""
+    """Merged entries == sequential ``insert``: same keys, equal keys by record id."""
     existing = [{"v": value, "w": value % 3} for value in range(100, 200, 2)]
     merged = build_index(keys, documents=existing)
     sequential = build_index(keys, documents=existing)
@@ -245,6 +292,6 @@ def test_failed_unique_bulk_insert_leaves_the_index_untouched(batch, taken, insi
         index.bulk_insert((doc_id, {"v": v}) for doc_id, v in enumerate(values, start=1000))
     assert arrays(index) == before
     index.bulk_insert((doc_id, {"v": v}) for doc_id, v in enumerate(fresh, start=2000))
-    assert [key for key, _doc_id in index.scan()] == sorted(
-        [(v,) for v in fresh] + [(d["v"],) for d in existing]
-    )
+    values = {doc_id: d["v"] for doc_id, d in enumerate(existing, start=1)}
+    values.update(enumerate(fresh, start=2000))
+    assert [values[doc_id] for doc_id in index.ordered_doc_ids()] == sorted(values.values())

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import datetime as dt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.documentstore import ChunkSplitError, ShardKeyError
 from repro.sharding import MAX_KEY, MIN_KEY, Chunk, ChunkManager, ShardKeyPattern
-from repro.sharding.chunks import compare_boundary
+from repro.sharding.chunks import boundary_key
 
 
 class TestShardKeyPattern:
@@ -52,15 +54,15 @@ class TestShardKeyPattern:
 
 class TestBoundaries:
     def test_min_key_sorts_first(self):
-        assert compare_boundary(MIN_KEY, -10**12) < 0
-        assert compare_boundary(-10**12, MIN_KEY) > 0
+        assert boundary_key(MIN_KEY) < boundary_key(None) < boundary_key(-10**12)
 
     def test_max_key_sorts_last(self):
-        assert compare_boundary(MAX_KEY, 10**12) > 0
+        assert boundary_key(MAX_KEY) > boundary_key(10**12) > boundary_key(-10**12)
+        assert boundary_key(MAX_KEY) > boundary_key(dt.datetime(9999, 1, 1))
 
     def test_same_sentinel_is_equal(self):
-        assert compare_boundary(MIN_KEY, MIN_KEY) == 0
-        assert compare_boundary(MAX_KEY, MAX_KEY) == 0
+        assert boundary_key(MIN_KEY) == boundary_key(MIN_KEY)
+        assert boundary_key(MAX_KEY) == boundary_key(MAX_KEY)
 
     def test_chunk_contains_lower_inclusive_upper_exclusive(self):
         chunk = Chunk(lower=100, upper=200, shard_id="shard1")
@@ -99,7 +101,7 @@ class TestRangePartitioning:
         assert boundaries[0][0] is MIN_KEY
         assert boundaries[-1][1] is MAX_KEY
         for (_, upper), (lower, _) in zip(boundaries, boundaries[1:]):
-            assert compare_boundary(upper, lower) == 0
+            assert boundary_key(upper) == boundary_key(lower)
 
     def test_identical_keys_produce_jumbo_chunk(self):
         """Figure 2.7: a chunk whose keys are all equal cannot be split."""

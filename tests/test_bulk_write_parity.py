@@ -30,6 +30,7 @@ from repro.documentstore import (
     DocumentStoreError,
     InsertOne,
     InvalidDocumentError,
+    InvalidUpdateError,
     OperationFailure,
     UpdateMany,
     UpdateOne,
@@ -253,9 +254,12 @@ def test_min_and_max_store_a_validated_copy_like_set(surfaces):
             argument["x"].append(99)
             assert collection.find_one({"_id": 1})[field] == {"x": [1]}, (name, operator)
             # Refused whether or not the update matches anything, as for $set.
-            for query in ({"k": 1}, {"k": 5}):
-                with pytest.raises(InvalidDocumentError):
-                    collection.update_many(query, {operator: {"b": {"$bad.key": 1}}})
+            for query in ({"k": 1}, {"k": 5}, {"v": 7}):
+                for method in (collection.update_many, collection.update_one):
+                    with pytest.raises(InvalidDocumentError):
+                        method(query, {operator: {"b": {"$bad.key": 1}}})
+                with pytest.raises(InvalidUpdateError):
+                    collection.update_one(query, {"$bogus": {"b": 1}})
         assert state(collection) == [{**document(1, 0), "low": {"x": [1]}, "high": {"x": [1]}}], name
 
 
