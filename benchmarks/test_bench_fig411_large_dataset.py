@@ -52,8 +52,11 @@ def test_large_dataset_query_comparison(
     denormalized = chart_series["denormalized / stand-alone (Exp 6)"]
     standalone = chart_series["normalized / stand-alone (Exp 5)"]
     sharded = chart_series["normalized / sharded (Exp 4)"]
-    assert denormalized <= standalone * 1.1
     assert denormalized <= sharded * 1.1
+    # Normalized stand-alone Q46 is only ~1.4× slower (Q7 ~1.9×): compared
+    # on alternating runs of the pair as well (see ``paired_runtimes``).
+    denormalized, standalone = paired_runtimes(6, 5, query_id)
+    assert denormalized <= standalone * 1.1
     if query_id in (21, 46):
         # A 1.1–1.4× difference, within the host's drift between two cells:
         # compared on alternating runs of the pair (see ``paired_runtimes``).

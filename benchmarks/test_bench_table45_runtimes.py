@@ -97,11 +97,15 @@ def test_render_table_45(
 
     measured = measured_runtimes
     # Shape 1: denormalized stand-alone is the fastest setup at each scale
-    # (a 10% tolerance absorbs timing noise on very fast queries).
+    # (a 10% tolerance absorbs timing noise on very fast queries).  At the
+    # large scale normalized stand-alone Q46 is only ~1.4× slower (Q7 ~1.9×),
+    # within the host's drift between two cells, so that pair is compared on
+    # alternating runs (``paired_runtimes``).
     for query_id in QUERY_IDS:
         assert measured[(3, query_id)] <= measured[(2, query_id)] * 1.1
         assert measured[(3, query_id)] <= measured[(1, query_id)] * 1.1
-        assert measured[(6, query_id)] <= measured[(5, query_id)] * 1.1
+        denormalized, normalized = paired_runtimes(6, 5, query_id)
+        assert denormalized <= normalized * 1.1, query_id
         assert measured[(6, query_id)] <= measured[(4, query_id)] * 1.1
 
     # Shape 2: the broadcast queries are slower on the sharded cluster.  For

@@ -80,7 +80,6 @@ from .matching import (
     compare_values,
     compile_matcher,
     matches,
-    matches_document,
     resolve_path,
     resolve_path_single,
 )
@@ -175,7 +174,6 @@ __all__ = [
     "load_database",
     "load_snapshot",
     "matches",
-    "matches_document",
     "optimize_pipeline",
     "plan_find",
     "plan_query",

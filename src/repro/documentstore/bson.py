@@ -42,6 +42,8 @@ __all__ = [
 MAX_DOCUMENT_SIZE = 16 * 1024 * 1024
 
 _SCALAR_TYPES = (bool, int, float, str, bytes, ObjectId, _dt.datetime, _dt.date)
+#: Exact types of the values nothing is left to check in (``None`` included).
+_EXACT_SCALARS = frozenset((type(None), *_SCALAR_TYPES))
 
 
 def validate_document(document: Mapping[str, Any], *, check_size: bool = True) -> None:
@@ -59,22 +61,23 @@ def validate_document(document: Mapping[str, Any], *, check_size: bool = True) -
         raise InvalidDocumentError(
             f"documents must be mappings, got {type(document).__name__}"
         )
-    _validate_value(document, top_level=True)
+    validate_value(document)
     if check_size:
         size = document_size(document)
         if size > MAX_DOCUMENT_SIZE:
             raise DocumentTooLargeError(size, MAX_DOCUMENT_SIZE)
 
 
-def validate_update_values(values: Any) -> None:
-    """Validate the values carried by an update operator payload."""
-    _validate_value(values)
+def validate_value(value: Any) -> None:
+    """Raise :class:`InvalidDocumentError` unless *value* can be stored.
 
-
-def _validate_value(value: Any, *, top_level: bool = False) -> None:
-    if value is None or isinstance(value, _SCALAR_TYPES):
+    Exact types are tested before the ``collections.abc`` checks, which are
+    slow for the values that fail them; scalar members are not even visited.
+    """
+    kind = type(value)
+    if kind in _EXACT_SCALARS or isinstance(value, _SCALAR_TYPES):
         return
-    if isinstance(value, Mapping):
+    if kind is dict or (kind is not list and isinstance(value, Mapping)):
         for key, nested in value.items():
             if not isinstance(key, str):
                 raise InvalidDocumentError(
@@ -88,11 +91,13 @@ def _validate_value(value: Any, *, top_level: bool = False) -> None:
                 raise InvalidDocumentError(
                     f"document keys may not contain '.': {key!r}"
                 )
-            _validate_value(nested)
+            if type(nested) not in _EXACT_SCALARS:
+                validate_value(nested)
         return
     if isinstance(value, (list, tuple)):
         for item in value:
-            _validate_value(item)
+            if type(item) not in _EXACT_SCALARS:
+                validate_value(item)
         return
     raise InvalidDocumentError(
         f"unsupported value type {type(value).__name__}: {value!r}"

@@ -17,6 +17,7 @@ in earlier PRs.
 from __future__ import annotations
 
 import pathlib
+from contextlib import nullcontext
 from typing import Any, Iterator
 
 from .database import Database
@@ -81,12 +82,15 @@ class DocumentStoreClient:
 
     def drop_database(self, name: str) -> None:
         """Drop the database called *name* and all its collections."""
-        database = self._databases.pop(name, None)
-        if database is not None:
-            for collection_name in database.list_collection_names():
-                database.drop_collection(collection_name)
-            if self.engine is not None:
-                self.engine.log(name, None, {"op": "drop_database"})
+        # Under the write lock up to the record: a write to a new database of
+        # that name must not be logged ahead of the drop that replay runs.
+        with nullcontext() if self.engine is None else self.engine.write_lock:
+            database = self._databases.pop(name, None)
+            if database is not None:
+                for collection_name in database.list_collection_names():
+                    database.drop_collection(collection_name)
+                if self.engine is not None:
+                    self.engine.log(name, None, {"op": "drop_database"})
 
     # ------------------------------------------------------------- durability
 

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Any, ContextManager, Iterator
 
 from .aggregation import StageStats, optimize_pipeline, run_pipeline
 from .bson import MAX_DOCUMENT_SIZE, deep_copy_document, document_size, validate_document
-from .bulk import BulkWriteError, BulkWriteResult, apply_operations, checked_operations
+from .bulk import BulkWriteError, BulkWriteResult, DeleteMany, DeleteOne, UpdateMany
+from .bulk import apply_operations, checked_operations
 from .cursor import (
     CollectionSurface,
     DeleteResult,
@@ -41,7 +42,7 @@ from .errors import (
 from .explain import build_execution_stats, build_explain
 from .findspec import FindSpec
 from .indexes import ASCENDING, Index, IndexSpec
-from .matching import compile_matcher, distinct_values, resolve_path, values_equal
+from .matching import SCALAR_TYPES, compile_matcher, distinct_values, resolve_path, values_equal
 from .objectid import ObjectId
 from .ordering import document_sort_key
 from .planner import QueryPlan, plan_find, plan_query
@@ -678,19 +679,19 @@ class Collection(CollectionSurface):
         operators: bool,
     ) -> UpdateResult:
         """Apply *update* — an operator document iff *operators*, else a replacement."""
-        predicate = compile_matcher(query)
         maintained = [index for _name, index in self._maintained_index_items()]
         if not operators:
             affected_indexes = maintained  # a replacement can change every field
         else:
-            # Checked and validated once here: the per-document step below
-            # only needs the 16 MB size guard.
+            # Checked once, before the filter as on every surface: the
+            # per-document step below only needs the 16 MB size guard.
             operation = OperatorUpdate(update)
             affected_indexes = [
                 index
                 for index in maintained
                 if self._index_overlaps_paths(index, operation.paths)
             ]
+        predicate = compile_matcher(query)
         with self._apply_and_log():
             _plan, candidate_ids = self._candidate_ids(query)
             matched = 0
@@ -827,6 +828,8 @@ class Collection(CollectionSurface):
         indexes and the result of what was applied.  The records the
         operations log are held back and appended as a single ``batch``
         record, so recovery replays the whole applied batch or none of it.
+        An operation that provably matches nothing is only checked and
+        counted (:meth:`_may_match`).
         """
         operations = checked_operations(operations)
         result = BulkWriteResult()
@@ -834,10 +837,67 @@ class Collection(CollectionSurface):
         engine = self._database.storage_engine if self._database is not None else None
         one_record = nullcontext() if engine is None else engine.batch(self._database.name, self.name)
         with one_record:
-            apply_operations(self, enumerate(operations), ordered, result, errors)
+            apply_operations(self, self._may_match(operations), ordered, result, errors)
         if errors:
             raise BulkWriteError(errors, result)
         return result
+
+    def _may_match(self, operations: list[Any]) -> Iterator[tuple[int, Any]]:
+        """``(index, operation)`` of each operation no plan proves matches nothing.
+
+        A plan cache keyed by filter shape, for one call: an update or delete
+        without upsert whose filter is a ``dict`` of scalars is counted, with
+        two bisects, in the index (looked up by name each time) that the first
+        filter of its shape, its keys, was planned to.  A plan is a superset
+        of the matches, so 0 proves there is none: the operation is then
+        checked and counted as its public call would be, instead of run.
+        """
+        plans: dict[tuple[Any, ...], tuple[str, tuple[str, ...]] | None] = {}
+        for position, operation in enumerate(operations):
+            query = None if getattr(operation, "upsert", False) else getattr(operation, "filter", None)
+            if type(query) is dict and all(type(value) in SCALAR_TYPES for value in query.values()):
+                shape = tuple(query)
+                if shape not in plans:
+                    plans[shape] = self._equality_plan(query)
+                plan = plans[shape]
+                index = None if plan is None else self._live_indexes().get(plan[0])
+                if (
+                    index is not None
+                    and not index.count_prefix([query[field] for field in plan[1]])
+                    and self._count_unmatched(operation)
+                ):
+                    continue
+            yield position, operation
+
+    def _equality_plan(self, query: dict[str, Any]) -> tuple[str, tuple[str, ...]] | None:
+        """The index *query*'s plan scans and the fields of its equality prefix, if any."""
+        if not all(isinstance(key, str) and not key.startswith("$") for key in query):
+            return None  # an operator, which the matcher refuses or interprets
+        indexes = self._live_indexes()
+        plan = plan_query(query, indexes, len(self._documents))
+        if plan.stage != "IXSCAN":
+            return None
+        fields = indexes[plan.index_name].spec.fields
+        return plan.index_name, tuple(itertools.takewhile(query.__contains__, fields))
+
+    def _count_unmatched(self, operation: Any) -> bool:
+        """Count *operation* as its public call counts one that matches nothing.
+
+        False, counting nothing, when that call would refuse the update: it
+        then runs, and is refused in its position.
+        """
+        if type(operation) in (DeleteOne, DeleteMany):
+            self.operation_counters["deletes"] += 1
+            return True
+        try:
+            if is_update_document(operation.update):
+                OperatorUpdate(operation.update)
+            elif type(operation) is UpdateMany:
+                return False  # update_many refuses a replacement
+        except DocumentStoreError:
+            return False
+        self.operation_counters["updates"] += 1
+        return True
 
     def drop(self) -> None:
         """Remove every document and every secondary index."""

@@ -34,8 +34,6 @@ __all__ = [
     "resolve_path",
     "resolve_path_single",
     "matches",
-    "matches_document",
-    "compile_filter",
     "compile_matcher",
     "compile_path",
     "compare_values",
@@ -507,7 +505,7 @@ def _build_operator_predicate(path: str, operator: str, operand: Any) -> Callabl
     elif operator == "$elemMatch":
         if not isinstance(operand, Mapping):
             raise InvalidOperator("$elemMatch requires a document operand")
-        inner = compile_filter(operand)
+        inner = compile_matcher(operand)
 
         def elem_match_predicate(value: Any) -> bool:
             if not isinstance(value, (list, tuple)):
@@ -629,18 +627,10 @@ def compile_matcher(query: Mapping[str, Any] | None) -> Callable[[Any], bool]:
     return _conjunction(predicates)
 
 
-#: Backwards-compatible name for :func:`compile_matcher`.
-compile_filter = compile_matcher
-
-
 def matches(document: Mapping[str, Any], query: Mapping[str, Any] | None) -> bool:
-    """Return ``True`` if *document* satisfies *query*."""
+    """Return ``True`` if *document* satisfies *query*.
+
+    Compiles the query afresh on every call, so comparing it with a reused
+    ``compile_matcher(query)`` catches closure-state leaks.
+    """
     return compile_matcher(query)(document)
-
-
-#: One-shot form of the matcher: compiles the query fresh on every call.
-#: ``compile_matcher(q)(doc)`` must agree with ``matches_document(doc, q)``
-#: for every query/document pair — comparing the two exercises a reused
-#: compiled closure against a per-call compilation (catching closure-state
-#: leaks), not an independent interpreter.
-matches_document = matches

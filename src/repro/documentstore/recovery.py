@@ -86,20 +86,7 @@ class RecoveryReport:
 
     def as_dict(self) -> dict[str, Any]:
         """The report as a plain dictionary (``serverStatus`` surface)."""
-        return {
-            "data_dir": self.data_dir,
-            "generation": self.generation,
-            "snapshot_loaded": self.snapshot_loaded,
-            "snapshot_documents": self.snapshot_documents,
-            "wal_segments_replayed": self.wal_segments_replayed,
-            "records_replayed": self.records_replayed,
-            "documents_replayed": self.documents_replayed,
-            "tail_state": self.tail_state,
-            "torn_bytes_truncated": self.torn_bytes_truncated,
-            "stale_files_removed": self.stale_files_removed,
-            "replay_seconds": self.replay_seconds,
-            "operations": dict(self.operations),
-        }
+        return {**vars(self), "operations": dict(self.operations)}
 
 
 def _scan(data_dir: pathlib.Path) -> tuple[dict[int, pathlib.Path], dict[int, pathlib.Path], list[pathlib.Path]]:

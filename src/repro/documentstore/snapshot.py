@@ -94,9 +94,7 @@ def atomic_writer(
 
 
 def _collection_manifest(collection: Any) -> dict[str, Any]:
-    # Structured specs (type/dims/metric/...) so vector indexes round-trip;
-    # load_snapshot also accepts the legacy {"keys", "unique"} entries that
-    # older snapshots recorded.
+    # Structured specs (type/dims/metric/...) so vector indexes round-trip.
     indexes = {
         spec["name"]: spec
         for spec in collection.list_indexes()
@@ -257,19 +255,8 @@ def load_snapshot(
             manifest["databases"].get(database_name, {}).get(collection_name, {}).get("indexes", {})
         )
         with collection.bulk_load():
-            for name, info in index_specs.items():
-                if "type" in info:
-                    # Structured spec (current manifests) — pass it through
-                    # unchanged so vector indexes rebuild with dims/metric.
-                    collection.create_index(info, defer=True)
-                else:
-                    # Legacy manifest entry: bare keys + unique flag.
-                    collection.create_index(
-                        [tuple(pair) for pair in info["keys"]],
-                        unique=bool(info.get("unique")),
-                        name=str(name),
-                        defer=True,
-                    )
+            for info in index_specs.values():
+                collection.create_index(info, defer=True)
             batch: list[dict[str, Any]] = []
             for _ in range(count):
                 batch.append(decode_document(next(lines)))

@@ -170,12 +170,7 @@ def load_database(database: Database, directory: str | pathlib.Path) -> dict[str
         if manifest is not None:
             index_specs = manifest["collections"].get(name, {}).get("indexes", {})
             for entry in index_specs.values():
-                if isinstance(entry, dict):
-                    # Structured spec written by current dumps.
-                    collection.create_index(entry)
-                else:
-                    # Legacy dump: bare key list, non-unique.
-                    collection.create_index([(field, direction) for field, direction in entry])
+                collection.create_index(entry)
     return counts
 
 

@@ -13,7 +13,7 @@ import datetime
 from collections.abc import Mapping
 from typing import Any
 
-from .bson import deep_copy_document, validate_update_values, value_size
+from .bson import deep_copy_document, validate_value, value_size
 from .errors import InvalidUpdateError
 from .matching import compare_values, compile_matcher, values_equal
 
@@ -126,7 +126,7 @@ class OperatorUpdate:
                     each = isinstance(argument, Mapping) and "$each" in argument
                     argument = list(argument["$each"]) if each else [argument]
                 if operator in _STORING:
-                    validate_update_values(argument)
+                    validate_value(argument)
                 self.paths.add(str(path))
                 if operator == "$rename":
                     self.paths.add(str(argument))

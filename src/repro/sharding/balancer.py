@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..documentstore.bson import document_size
-from ..documentstore.matching import compile_filter
 from .chunks import Chunk, ChunkManager, MaxKey, MinKey
 from .config_server import ConfigServer
 from .network import SimulatedNetwork
@@ -99,10 +98,7 @@ class Balancer:
             query = self._chunk_filter(manager, chunk)
             return collection.find(query).to_list()
         matching = []
-        predicate = compile_filter({})
         for document in collection.find({}):
-            if not predicate(document):
-                continue
             routing_value = manager.shard_key.extract(document)
             if chunk.contains(routing_value):
                 matching.append(document)

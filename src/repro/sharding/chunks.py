@@ -340,13 +340,6 @@ class ChunkManager:
         """Every shard that currently owns at least one chunk."""
         return sorted({chunk.shard_id for chunk in self.chunks})
 
-    def chunks_by_shard(self) -> dict[str, list[Chunk]]:
-        """Group chunks by owning shard."""
-        grouped: dict[str, list[Chunk]] = {shard_id: [] for shard_id in self._shard_ids}
-        for chunk in self.chunks:
-            grouped.setdefault(chunk.shard_id, []).append(chunk)
-        return grouped
-
     # -- maintenance -----------------------------------------------------------
 
     def record_insert(self, routing_value: Any, document_bytes: int) -> Chunk:

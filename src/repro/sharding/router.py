@@ -498,17 +498,6 @@ class QueryRouter:
             self.metrics.network_seconds += channel.stats.simulated_seconds
         return shipped
 
-    # --------------------------------------------------------------------- stats
-
-    def cluster_stats(self) -> dict[str, Any]:
-        """Aggregate shard statistics plus router metrics."""
-        return {
-            "router": self.metrics.snapshot(),
-            "network": self.network.stats.snapshot(),
-            "shards": [shard.stats() for shard in self.shards],
-            "config": self.config.describe(),
-        }
-
 
 def _find_condition(query: Mapping[str, Any], field_path: str) -> Any:
     """Find the condition on *field_path* at the top level or inside ``$and``."""

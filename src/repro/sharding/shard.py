@@ -79,10 +79,6 @@ class Shard:
         """Return the local database object called *database_name*."""
         return self._client[database_name]
 
-    def database_names(self) -> list[str]:
-        """Names of the databases present on this shard."""
-        return self._client.list_database_names()
-
     def drop_database(self, database_name: str) -> None:
         """Drop a database from this shard."""
         self._client.drop_database(database_name)

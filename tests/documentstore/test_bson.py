@@ -18,6 +18,8 @@ from repro.documentstore import (
     InvalidDocumentError,
     ObjectId,
     document_size,
+    dump_database,
+    load_database,
     validate_document,
 )
 from repro.documentstore.bson import (
@@ -28,6 +30,9 @@ from repro.documentstore.bson import (
     encode_document,
 )
 from repro.documentstore.indexes import hashed_value
+from repro.documentstore.recovery import snapshot_path
+from repro.documentstore.snapshot import read_manifest
+from repro.documentstore.wal import read_log
 
 
 class TestValidation:
@@ -374,6 +379,32 @@ class TestPinnedWireFormat:
                 {"_id": 2, "day": datetime.date(2002, 5, 29), "tags": ["a", {"b": None}], "n": 5}
             ]
             assert [spec["name"] for spec in table.list_indexes()] == ["_id_", "n_1"]
+
+    def test_no_golden_fixture_holds_a_bare_keys_index_entry(self, tmp_path):
+        """``load_database`` and ``load_snapshot`` read structured index specs only.
+
+        The golden segment's index DDL carries one, and so do the snapshot and
+        the dump written from the store it recovers to; both load back.
+        """
+        (tmp_path / "wal-00000000.log").write_bytes(GOLDEN_WAL_SEGMENT)
+        payloads, _length, _tail = read_log(tmp_path / "wal-00000000.log")
+        records = [decode_document(payload) for payload in payloads]
+        assert [record["spec"] for record in records if record["op"] == "create_index"] == [
+            {"name": "n_1", "type": "btree", "keys": [["n", 1]], "unique": False}
+        ]
+        with DocumentStoreClient(data_dir=tmp_path) as client:
+            client.checkpoint()
+            dump_database(client["db"], tmp_path / "dump")
+            indexes = client["db"]["t"].list_indexes()
+        snapshot = read_manifest(snapshot_path(tmp_path, 1))["databases"]["db"]["t"]["indexes"]
+        manifest = json.loads((tmp_path / "dump" / "__manifest__.json").read_text())
+        dump = manifest["collections"]["t"]["indexes"]
+        assert list(snapshot.values()) == list(dump.values()) == indexes[1:]
+        restored = DocumentStoreClient()
+        load_database(restored["db"], tmp_path / "dump")
+        assert restored["db"]["t"].list_indexes() == indexes
+        with DocumentStoreClient(data_dir=tmp_path) as reopened:  # from the snapshot
+            assert reopened["db"]["t"].list_indexes() == indexes
 
     def test_wal_and_snapshot_directory_reopens_identically(self, tmp_path):
         documents = [

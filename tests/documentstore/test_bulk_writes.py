@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.documentstore import Collection, DuplicateKeyError
+from repro.documentstore import (
+    Collection,
+    DeleteMany,
+    DeleteOne,
+    DuplicateKeyError,
+    UpdateMany,
+    UpdateOne,
+)
+from repro.documentstore import collection as collection_module
 from repro.documentstore.indexes import Index, IndexSpec
 
 #: Index configurations for the bulk-vs-sequential parity matrix.
@@ -345,3 +353,99 @@ class TestBulkLoad:
             # Inner exit does not rebuild.
             assert len(collection._indexes["store_1"]) == 0
         assert len(collection._indexes["store_1"]) == 20
+
+
+def one_at_a_time(collection: Collection, operations: list) -> dict:
+    """Summed counts of *operations* issued through the public single calls."""
+    counts = {"matched": 0, "modified": 0, "deleted": 0, "upserted": {}}
+    for index, operation in enumerate(operations):
+        if isinstance(operation, (DeleteOne, DeleteMany)):
+            delete = collection.delete_one if isinstance(operation, DeleteOne) else collection.delete_many
+            counts["deleted"] += delete(operation.filter).deleted_count
+            continue
+        update = collection.update_one if isinstance(operation, UpdateOne) else collection.update_many
+        outcome = update(operation.filter, operation.update, upsert=operation.upsert)
+        counts["matched"] += outcome.matched_count
+        counts["modified"] += outcome.modified_count
+        if outcome.upserted_id is not None:
+            counts["upserted"][index] = outcome.upserted_id
+    return counts
+
+
+def counts_of(result) -> dict:
+    return {
+        "matched": result.matched_count,
+        "modified": result.modified_count,
+        "deleted": result.deleted_count,
+        "upserted": result.upserted_ids,
+    }
+
+
+class TestOnePlanPerFilterShape:
+    """``bulk_write`` plans a filter shape once and runs only what can match."""
+
+    @staticmethod
+    def facts() -> Collection:
+        collection = Collection(None, "facts")
+        collection.create_index("fk")
+        collection.insert_many([{"_id": i, "fk": i % 5, "q": i % 3} for i in range(20)])
+        return collection
+
+    @staticmethod
+    def count_calls(monkeypatch, *names: str) -> dict:
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            function = getattr(collection_module, name)
+
+            def counted(*args, _name=name, _function=function, **kwargs):
+                calls[_name] += 1
+                return _function(*args, **kwargs)
+
+            monkeypatch.setattr(collection_module, name, counted)
+        return calls
+
+    def test_a_batch_that_mostly_misses_plans_once_and_compiles_only_for_candidates(
+        self, monkeypatch
+    ):
+        # 500 keys in a scattered order; only 0..4 have documents.
+        operations = [
+            UpdateMany({"fk": key * 101 % 500}, {"$set": {"fk": {"d_sk": key, "name": "x"}}})
+            for key in range(500)
+        ]
+        reference = self.facts()
+        expected = one_at_a_time(reference, operations)
+        collection = self.facts()
+        calls = self.count_calls(monkeypatch, "plan_query", "compile_matcher")
+        result = collection.bulk_write(operations, ordered=False)
+        # One plan for the one shape, and one inside the public call of each
+        # of the 5 operations that have candidates; ungrouped, 500 of each.
+        assert calls == {"plan_query": 1 + 5, "compile_matcher": 5}
+        assert counts_of(result) == expected
+        assert expected["matched"] == 20
+        assert collection.find({}).to_list() == reference.find({}).to_list()
+        assert collection.operation_counters == reference.operation_counters
+
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_mixed_shapes_upserts_and_collection_scans_equal_the_reference(self, ordered):
+        operations = [
+            UpdateMany({"fk": 9}, {"$set": {"a": 1}}),  # shape (fk,), misses
+            UpdateOne({"fk": 1, "q": 1}, {"$inc": {"n": 1}}),  # shape (fk, q), hits
+            UpdateOne({"fk": 1, "q": 2}, {"$inc": {"n": 1}}),  # shape (fk, q), misses
+            UpdateMany({"q": 2}, {"$set": {"b": 2}}),  # no index on q: a collection scan
+            UpdateMany({"q": 7}, {"$set": {"b": 3}}),  # collection scan, misses
+            UpdateOne({"_id": 42, "fk": 42}, {"$set": {"c": 1}}, upsert=True),  # upsert, misses
+            UpdateMany({"fk": 42}, {"$set": {"d": 1}}),  # hits the upserted document
+            UpdateOne({"_id": 77}, {"v": "replacement"}),  # shape (_id,), misses
+            DeleteOne({"_id": 3}),
+            DeleteOne({"_id": 3}),  # misses: deleted just before
+            DeleteMany({"fk": 4}),
+            DeleteMany({"fk": 4, "q": 1}),  # shape (fk, q), misses after the delete
+            UpdateMany({"fk": 2}, {"$set": {"fk": 3}}),
+            UpdateMany({"fk": 2}, {"$set": {"e": 1}}),  # misses: moved to fk 3 just before
+        ]
+        reference, collection = self.facts(), self.facts()
+        expected = one_at_a_time(reference, operations)
+        assert counts_of(collection.bulk_write(operations, ordered=ordered)) == expected
+        assert expected["upserted"] == {5: 42}
+        assert collection.find({}).to_list() == reference.find({}).to_list()
+        assert collection.operation_counters == reference.operation_counters

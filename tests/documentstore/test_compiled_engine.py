@@ -2,7 +2,7 @@
 
 The compiled forms — ``compile_matcher(q)(doc)`` and
 ``compile_expression(e)(doc)`` — must agree with the reference one-shot
-forms ``matches_document(doc, q)`` and ``evaluate_expression(e, doc)`` for
+forms ``matches(doc, q)`` and ``evaluate_expression(e, doc)`` for
 every query/expression in the supported language, across the operator
 matrix, dotted paths, and array (multikey) semantics.
 """
@@ -17,7 +17,7 @@ from repro.documentstore import (
     compile_expression,
     compile_matcher,
     evaluate_expression,
-    matches_document,
+    matches,
 )
 
 
@@ -86,7 +86,7 @@ class TestCompiledMatcherMatrix:
     def test_compiled_matches_reference(self, query):
         predicate = compile_matcher(query)
         for document in DOCUMENTS:
-            assert predicate(document) == matches_document(document, query), (
+            assert predicate(document) == matches(document, query), (
                 query,
                 document,
             )
@@ -122,7 +122,7 @@ _DOCS = st.dictionaries(st.sampled_from(["a", "b", "c"]), _VALUES, max_size=3)
 @settings(max_examples=200, deadline=None)
 def test_property_comparison_operators_agree(document, operand, operator):
     query = {"a": {operator: operand}}
-    assert compile_matcher(query)(document) == matches_document(document, query)
+    assert compile_matcher(query)(document) == matches(document, query)
 
 
 @given(document=_DOCS, choices=st.lists(_SCALARS, min_size=1, max_size=4),
@@ -130,7 +130,7 @@ def test_property_comparison_operators_agree(document, operand, operator):
 @settings(max_examples=200, deadline=None)
 def test_property_set_operators_agree(document, choices, operator):
     query = {"a": {operator: choices}}
-    assert compile_matcher(query)(document) == matches_document(document, query)
+    assert compile_matcher(query)(document) == matches(document, query)
 
 
 @given(document=_DOCS, left=_SCALARS, right=_SCALARS)
@@ -143,7 +143,7 @@ def test_property_logical_trees_agree(document, left, right):
             {"$nor": [{"a.b": right}]},
         ]
     }
-    assert compile_matcher(query)(document) == matches_document(document, query)
+    assert compile_matcher(query)(document) == matches(document, query)
 
 
 EXPRESSIONS = [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.documentstore import InvalidOperator, matches, resolve_path, resolve_path_single
-from repro.documentstore.matching import compare_values, compile_filter, path_exists, values_equal
+from repro.documentstore.matching import compare_values, compile_matcher, path_exists, values_equal
 
 
 DOCUMENT = {
@@ -180,8 +180,8 @@ class TestExprAndEquality:
         assert matches(DOCUMENT, {})
         assert matches(DOCUMENT, None)
 
-    def test_compile_filter_is_reusable(self):
-        predicate = compile_filter({"ss_quantity": {"$gte": 40}})
+    def test_compile_matcher_is_reusable(self):
+        predicate = compile_matcher({"ss_quantity": {"$gte": 40}})
         assert predicate(DOCUMENT)
         assert not predicate({"ss_quantity": 1})
 

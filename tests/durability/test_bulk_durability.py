@@ -233,6 +233,48 @@ class TestConcurrentWriter:
             assert contents(recovered.db.c) == acknowledged
 
 
+    def test_a_write_cannot_be_logged_between_a_drop_database_and_its_record(
+        self, tmp_path, monkeypatch
+    ):
+        """``drop_database`` holds the write lock from the drop to its record.
+
+        The collections are dropped but the ``drop_database`` record is not yet
+        in the log when another thread inserts into a new database of that
+        name.  Logged ahead of the drop, the acknowledged insert would be
+        erased when the log is replayed.
+        """
+        with seeded_client(tmp_path) as client:
+            engine = client.engine
+            dropping, insert_done = threading.Event(), threading.Event()
+            log = engine.log
+
+            def gated_log(database_name, collection_name, record):
+                if record["op"] == "drop_database":
+                    dropping.set()
+                    insert_done.wait(0.3)  # never set while drop_database holds the lock
+                log(database_name, collection_name, record)
+
+            def insert_into_the_new_database():
+                dropping.wait(5)
+                client["db"]["c"].insert_one({"_id": "after"})
+                insert_done.set()
+
+            monkeypatch.setattr(engine, "log", gated_log)
+            writer = threading.Thread(target=insert_into_the_new_database)
+            writer.start()
+            client.drop_database("db")
+            writer.join(5)
+            assert not writer.is_alive() and insert_done.is_set()
+            acknowledged = contents(client["db"]["c"])
+            assert acknowledged == [{"_id": "after"}]
+        payloads, _length, _tail = read_log(wal_path(tmp_path, 0))
+        assert [decode_document(payload)["op"] for payload in payloads] == [
+            "insert", "drop_collection", "drop_database", "insert",
+        ]
+        with DocumentStoreClient(data_dir=tmp_path) as recovered:
+            assert contents(recovered["db"]["c"]) == acknowledged
+
+
 class TestTornBatch:
     def test_a_torn_batch_record_recovers_to_the_state_before_the_batch(self, tmp_path):
         with seeded_client(tmp_path) as client:

@@ -271,6 +271,11 @@ class TestShardedClusterRecovery:
     )
     GOLDEN_PLACEMENT = {"shard1": [0, 4, 11], "shard2": [2, 6, 7, 10], "shard3": [1, 3, 5, 8, 9]}
 
+    def test_the_golden_metadata_holds_no_index_entry(self):
+        """Chunk tables only: no bare-keys index form for a loader to read."""
+        assert b'"indexes"' not in self.GOLDEN_METADATA
+        assert b'"keys"' not in self.GOLDEN_METADATA
+
     @staticmethod
     def _hashed_documents():
         # List- and document-valued shard keys hash their *encoded bytes*.

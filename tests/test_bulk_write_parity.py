@@ -6,19 +6,23 @@ random indexes — ``bulk_write(ops, ordered=...)`` must leave exactly the
 state, return exactly the summed counts and report exactly the failing
 indexes of applying the same operations through ``insert_one`` /
 ``update_one`` / ``update_many`` / ``delete_one`` / ``delete_many``: on a
-stand-alone collection, on a hashed and on an unsharded collection of a
-3-shard cluster, on a hashed collection of a 1-shard cluster (where a
-broadcast and a targeted operation both reach one shard), and on a served
-collection.  The one-at-a-time reference
-below is written against the public single-operation methods only.
+stand-alone collection indexed on ``k`` and ``(v, k)``, on a hashed and on an
+unsharded collection of a 3-shard cluster, on a hashed collection of a
+1-shard cluster (where a broadcast and a targeted operation both reach one
+shard), and on a served collection.  The one-at-a-time reference below is
+written against the public single-operation methods only.  A second property
+draws batches that mostly match nothing and also compares, per collection
+that ran a batch, the ``operation_counters`` the batch moved.
 """
 
 from __future__ import annotations
 
+import contextlib
 import inspect
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.documentstore import (
     BulkWriteError,
@@ -82,10 +86,39 @@ OPERATIONS = st.one_of(
 )
 
 
+#: Keys and values no seeded document has: most of these operations match nothing.
+MISSING_KEYS = st.integers(min_value=6, max_value=9)
+MISSING_VALUES = st.integers(min_value=3, max_value=5)
+#: Payloads a zero-match operation must still be checked against (and one it need not be).
+ODD_UPDATES = st.sampled_from(
+    [{"$set": {"a.b": 1}}, {"$set": {"x": {"$y": 1}}}, {"$nope": {}}, {"$set": {"_id": 99}}]
+)
+MISS_UPDATES = st.one_of(UPDATES, ODD_UPDATES)
+MISS_FILTERS = st.one_of(
+    st.builds(lambda k: {"k": k}, MISSING_KEYS),
+    st.builds(lambda k: {"_id": k}, MISSING_KEYS),
+    st.builds(lambda k, v: {"k": k, "v": v}, KEYS, MISSING_VALUES),
+    st.builds(lambda v: {"v": v}, MISSING_VALUES),
+    st.builds(lambda k: {"k": k, "$where": 1}, MISSING_KEYS),  # refused: not an operator
+)
+MOSTLY_MISSING = st.one_of(
+    st.builds(UpdateMany, MISS_FILTERS, MISS_UPDATES),
+    st.builds(UpdateOne, MISS_FILTERS, MISS_UPDATES),
+    st.builds(UpdateOne, MISS_FILTERS, st.just({"v": 0})),  # a replacement
+    st.builds(UpdateMany, MISS_FILTERS, st.just({"v": 0})),  # refused: not operators
+    st.builds(DeleteOne, MISS_FILTERS),
+    st.builds(DeleteMany, MISS_FILTERS),
+    OPERATIONS,  # now and then one that matches, inserts or upserts
+)
+
+
 @pytest.fixture(scope="module")
 def surfaces():
     """name -> (collection for ``bulk_write``, collection for the reference)."""
     standalone = DocumentStoreClient()["db"]
+    for name in ("bulk", "ref"):
+        standalone[name].create_index("k")
+        standalone[name].create_index([("v", 1), ("k", 1)])
     cluster = ShardedCluster(shard_count=3)
     cluster.enable_sharding("db")
     for name in ("hashed_bulk", "hashed_ref", "served_bulk", "served_ref"):
@@ -292,3 +325,70 @@ def test_one_signature_and_one_set_of_types_on_three_surfaces(surfaces):
         assert isinstance(excinfo.value, OperationFailure), name
         with pytest.raises(TypeError):
             bulk.bulk_write([{"insert_one": document(1, 0)}])
+
+
+@contextlib.contextmanager
+def counters_checked_one_at_a_time():
+    """Yield ``(bulk, reference)`` counter changes of every ``Collection.bulk_write``.
+
+    Stand-alone or on a shard, each call's ``operation_counters`` change is
+    paired with the change its operations make, issued one at a time, on a
+    copy of that collection (same indexes, same documents).  A routed
+    collection's own reference cannot stand in here: its ``update_one``
+    probes every target shard before it updates.
+    """
+    changes = []
+    bulk_write = Collection.bulk_write
+
+    def checked(self, operations, *, ordered=True):
+        operations = list(operations)
+        copy = Collection(None, self.name)
+        for spec in self.list_indexes()[1:]:
+            copy.create_index(spec)
+        copy.insert_many(self.raw_documents())
+        before = dict(self.operation_counters), dict(copy.operation_counters)
+        one_at_a_time(copy, operations, ordered)
+        try:
+            return bulk_write(self, operations, ordered=ordered)
+        finally:
+            changes.append(tuple(
+                {key: now[key] - then[key] for key in then}
+                for now, then in zip((self.operation_counters, copy.operation_counters), before)
+            ))
+
+    with mock.patch.object(Collection, "bulk_write", checked):
+        yield changes
+
+
+@given(
+    seed=st.lists(st.tuples(KEYS, VALUES), max_size=6, unique_by=lambda pair: pair[0]),
+    operations=st.lists(MOSTLY_MISSING, max_size=16),
+    ordered=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+@example(  # an invalid filter and an invalid update: the update is refused first, everywhere
+    seed=[], operations=[UpdateOne({"k": 6, "$where": 1}, {"$set": {"x": {"$y": 1}}})], ordered=True
+)
+def test_a_batch_that_mostly_matches_nothing_is_the_operations_one_at_a_time(
+    surfaces, seed, operations, ordered
+):
+    """Skipping what provably matches nothing changes no outcome and no counter.
+
+    The same state, counts, failing indexes and codes as the one-at-a-time
+    reference — refused payloads included — and every collection that ran a
+    batch, stand-alone or shard, counted what the batch's operations count
+    one at a time.
+    """
+    seed_documents = [document(key, value) for key, value in seed]
+    for name, (bulk, reference) in surfaces.items():
+        for collection in (bulk, reference):
+            collection.delete_many({})
+            if seed_documents:
+                collection.insert_many(seed_documents)
+        expected = one_at_a_time(reference, operations, ordered)
+        with counters_checked_one_at_a_time() as changes:
+            assert via_bulk_write(bulk, operations, ordered) == expected, name
+        assert state(bulk) == state(reference), name
+        assert len(changes) == 1 or name != "standalone"
+        for bulk_change, reference_change in changes:
+            assert bulk_change == reference_change, name
