@@ -103,6 +103,25 @@ def routing_costs(harness):
 PAIRED_ROUNDS = 9
 
 
+def _best_of_alternating(measures):
+    """The least seconds each zero-argument measure took over ``PAIRED_ROUNDS`` rounds.
+
+    Every round runs each measure once, in order, so all of them see the same
+    machine.
+    """
+    best = [float("inf")] * len(measures)
+    for _round in range(PAIRED_ROUNDS):
+        for position, measure in enumerate(measures):
+            best[position] = min(best[position], measure())
+    return best
+
+
+@pytest.fixture(scope="session")
+def best_of_alternating():
+    """``best_of_alternating([measure, ...])`` -> the best seconds of each, run in alternation."""
+    return _best_of_alternating
+
+
 @pytest.fixture(scope="session")
 def paired_runtimes(harness):
     """``paired_runtimes(a, b, query)`` -> best-of-``PAIRED_ROUNDS`` seconds of two experiments.
@@ -114,12 +133,15 @@ def paired_runtimes(harness):
     """
 
     def _paired(first: int, second: int, query_id: int) -> tuple[float, float]:
-        best: dict[int, float] = {}
-        for _round in range(PAIRED_ROUNDS):
-            for experiment in (first, second):
-                seconds = harness.run_query(experiment, query_id).simulated_seconds
-                best[experiment] = min(seconds, best.get(experiment, seconds))
-        return best[first], best[second]
+        first_seconds, second_seconds = _best_of_alternating(
+            [
+                lambda experiment=experiment: harness.run_query(
+                    experiment, query_id
+                ).simulated_seconds
+                for experiment in (first, second)
+            ]
+        )
+        return first_seconds, second_seconds
 
     return _paired
 

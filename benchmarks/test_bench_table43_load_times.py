@@ -14,6 +14,8 @@ preserving the two observations of Section 4.3:
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.core import render_table
@@ -25,11 +27,15 @@ from repro.tpcds import NON_SCALING_TABLES, SCALE_LARGE, SCALE_SMALL, TPCDSGener
 LOAD_REPORTS: dict[str, object] = {}
 
 
-def _load_full_dataset(profile):
+def _load_full_dataset(profile, tables=None):
     generator = TPCDSGenerator(profile, seed=20151109)
     client = DocumentStoreClient()
     database = client[profile.database_name]
-    return migrate_generated_dataset(database, generator)
+    return migrate_generated_dataset(database, generator, tables=tables)
+
+
+def _store_sales_load_seconds(profile):
+    return _load_full_dataset(profile, ["store_sales"]).results["store_sales"].seconds
 
 
 @pytest.mark.benchmark(group="table-4.3")
@@ -56,7 +62,7 @@ def test_load_all_tables(benchmark, profile, record_artifact):
 
 
 @pytest.mark.benchmark(group="table-4.3")
-def test_load_time_observations(benchmark, record_artifact):
+def test_load_time_observations(benchmark, record_artifact, best_of_alternating):
     """Check the Section 4.3 load-time observations on the recorded reports."""
     for profile in (SCALE_SMALL, SCALE_LARGE):
         if profile.name not in LOAD_REPORTS:
@@ -106,13 +112,18 @@ def test_load_time_observations(benchmark, record_artifact):
         assert small_result.documents_inserted == large_result.documents_inserted
 
     # Observation (ii): the large dataset takes longer to load overall, and
-    # its biggest fact table scales roughly with its row count.
+    # its biggest fact table scales roughly with its row count.  The two
+    # store_sales loads are timed on alternating rounds, as
+    # ``paired_runtimes`` times query pairs: one load each, measured seconds
+    # apart, differ by more than the tolerance whenever the host changes
+    # speed in between.
     assert large.total_seconds > small.total_seconds
     sales_row_ratio = (
         large.results["store_sales"].documents_inserted
         / small.results["store_sales"].documents_inserted
     )
-    sales_time_ratio = (
-        large.results["store_sales"].seconds / small.results["store_sales"].seconds
+    small_seconds, large_seconds = best_of_alternating(
+        [partial(_store_sales_load_seconds, profile) for profile in (SCALE_SMALL, SCALE_LARGE)]
     )
+    sales_time_ratio = large_seconds / small_seconds
     assert sales_time_ratio == pytest.approx(sales_row_ratio, rel=0.8)

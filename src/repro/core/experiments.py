@@ -427,21 +427,6 @@ class ExperimentHarness:
         result.load_report = self.load_report(self.scale(config))
         return result
 
-    def run_all(
-        self,
-        *,
-        experiment_numbers: Iterable[int] = (1, 2, 3, 4, 5, 6),
-        query_ids: Iterable[int] = QUERY_IDS,
-        repetitions: int = 1,
-    ) -> dict[int, ExperimentResult]:
-        """Run the full Table 4.5 grid."""
-        return {
-            number: self.run_experiment(
-                number, query_ids=query_ids, repetitions=repetitions
-            )
-            for number in experiment_numbers
-        }
-
 
 #: Every table name — pass as ``tables=ALL_TABLES`` to load the full schema.
 ALL_TABLES: tuple[str, ...] = tuple(sorted(TPCDS_TABLES))

@@ -265,7 +265,7 @@ def _compile_project(specification: Mapping[str, Any]) -> _Transform:
 
     def project_exclusion(documents: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
         for document in documents:
-            projected = deep_copy_document(dict(document))
+            projected = deep_copy_document(document)
             for key in exclusions:
                 _delete_path(projected, key)
             if not include_id:
@@ -280,7 +280,7 @@ def _compile_add_fields(specification: Mapping[str, Any]) -> _Transform:
 
     def transform(documents: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
         for document in documents:
-            copy = deep_copy_document(dict(document))
+            copy = deep_copy_document(document)
             for key, evaluator in fields:
                 _assign_path(copy, key, evaluator(document))
             yield copy
@@ -352,16 +352,13 @@ def _compile_unwind(specification: Any) -> _Transform:
             value = values[0] if values else None
             if isinstance(value, (list, tuple)):
                 if not value and preserve_empty:
-                    yield deep_copy_document(dict(document))
+                    yield deep_copy_document(document)
                 for item in value:
-                    copy = deep_copy_document(dict(document))
+                    copy = deep_copy_document(document)
                     _assign_path(copy, field_path, item)
                     yield copy
-            elif value is None:
-                if preserve_empty:
-                    yield deep_copy_document(dict(document))
-            else:
-                yield deep_copy_document(dict(document))
+            elif value is not None or preserve_empty:
+                yield deep_copy_document(document)
 
     return transform
 
@@ -384,7 +381,7 @@ def _compile_lookup(
             for key in foreign_resolver(foreign_document) or [None]:
                 foreign_by_key.setdefault(repr(key), []).append(dict(foreign_document))
         for document in documents:
-            copy = deep_copy_document(dict(document))
+            copy = deep_copy_document(document)
             local_values = local_resolver(document) or [None]
             joined: list[dict[str, Any]] = []
             for value in local_values:

@@ -43,7 +43,7 @@ MAX_DOCUMENT_SIZE = 16 * 1024 * 1024
 
 _SCALAR_TYPES = (bool, int, float, str, bytes, ObjectId, _dt.datetime, _dt.date)
 #: Exact types of the values nothing is left to check in (``None`` included).
-_EXACT_SCALARS = frozenset((type(None), *_SCALAR_TYPES))
+EXACT_SCALARS = frozenset((type(None), *_SCALAR_TYPES))
 
 
 def validate_document(document: Mapping[str, Any], *, check_size: bool = True) -> None:
@@ -75,7 +75,7 @@ def validate_value(value: Any) -> None:
     slow for the values that fail them; scalar members are not even visited.
     """
     kind = type(value)
-    if kind in _EXACT_SCALARS or isinstance(value, _SCALAR_TYPES):
+    if kind in EXACT_SCALARS or isinstance(value, _SCALAR_TYPES):
         return
     if kind is dict or (kind is not list and isinstance(value, Mapping)):
         for key, nested in value.items():
@@ -91,12 +91,12 @@ def validate_value(value: Any) -> None:
                 raise InvalidDocumentError(
                     f"document keys may not contain '.': {key!r}"
                 )
-            if type(nested) not in _EXACT_SCALARS:
+            if type(nested) not in EXACT_SCALARS:
                 validate_value(nested)
         return
     if isinstance(value, (list, tuple)):
         for item in value:
-            if type(item) not in _EXACT_SCALARS:
+            if type(item) not in EXACT_SCALARS:
                 validate_value(item)
         return
     raise InvalidDocumentError(
@@ -113,32 +113,35 @@ def document_size(document: Mapping[str, Any]) -> int:
     return _mapping_size(document)
 
 
+#: Value sizes that depend on the exact type alone.
+_FIXED_SIZES = {
+    type(None): 0, bool: 1, int: 8, float: 8, ObjectId: 12, _dt.date: 8, _dt.datetime: 8
+}
+
+
 def _mapping_size(mapping: Mapping[str, Any]) -> int:
     size = 5  # int32 length prefix + trailing NUL
     for key, value in mapping.items():
-        size += 2 + len(str(key).encode("utf-8"))  # type byte + key + NUL
-        size += value_size(value)
+        # type byte + key + NUL; an ASCII key is as long as its UTF-8 bytes
+        size += 2 + (len(key) if type(key) is str and key.isascii() else len(str(key).encode()))
+        width = _FIXED_SIZES.get(type(value))
+        size += value_size(value) if width is None else width
     return size
 
 
 def value_size(value: Any) -> int:
     """The bytes *value* takes in a document, its key and type byte aside."""
-    if value is None:
-        return 0
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return 8
-    if isinstance(value, float):
-        return 8
+    width = _FIXED_SIZES.get(type(value))
+    if width is not None:
+        return width
     if isinstance(value, str):
-        return 5 + len(value.encode("utf-8"))
+        return 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+    if isinstance(value, (int, float, _dt.date)):  # bool is never subclassed
+        return 8
     if isinstance(value, bytes):
         return 5 + len(value)
     if isinstance(value, ObjectId):
         return 12
-    if isinstance(value, (_dt.datetime, _dt.date)):
-        return 8
     if isinstance(value, Mapping):
         return _mapping_size(value)
     if isinstance(value, (list, tuple)):
@@ -156,8 +159,22 @@ def deep_copy_document(document: Any) -> Any:
     """Deep-copy a document without copying immutable scalars.
 
     Collections hand out copies of stored documents so callers cannot mutate
-    the store through returned references, mirroring driver behaviour.
+    the store through returned references, mirroring driver behaviour.  An
+    exact dict, list or tuple is one comprehension that shares exact scalars.
     """
+    kind = type(document)
+    if kind is dict:
+        return {
+            key: value if type(value) in EXACT_SCALARS else deep_copy_document(value)
+            for key, value in document.items()
+        }
+    if kind is list or kind is tuple:
+        return [
+            item if type(item) in EXACT_SCALARS else deep_copy_document(item)
+            for item in document
+        ]
+    if kind in EXACT_SCALARS:
+        return document
     if isinstance(document, Mapping):
         return {key: deep_copy_document(value) for key, value in document.items()}
     if isinstance(document, (list, tuple)):

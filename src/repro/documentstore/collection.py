@@ -29,7 +29,7 @@ from .cursor import (
     InsertManyResult,
     InsertOneResult,
     UpdateResult,
-    project_document,
+    compile_projection,
 )
 from .errors import (
     DocumentStoreError,
@@ -107,7 +107,9 @@ class Collection(CollectionSurface):
         # Stored documents are immutable and shared: a stored subtree is never
         # mutated in place (an update stores a new version that shares what it
         # did not touch, with the old version and with other documents) and
-        # never handed out uncopied — every reader copies or encodes it.
+        # never handed out uncopied — every reader copies it, except the two
+        # shard-side entry points, execute_find and execute_pipeline, whose
+        # callers encode the results at once.
         self._documents: dict[int, dict[str, Any]] = {}
         # Encoded size of a stored document, kept from its first operator
         # update on (by delta) and dropped with it or by a replacement.
@@ -473,23 +475,6 @@ class Collection(CollectionSurface):
             return plan, plan.candidate_ids
         return plan, list(self._documents.keys())
 
-    def _matched_raw(self, query: Mapping[str, Any] | None) -> list[dict[str, Any]]:
-        """Matching *stored* documents (no copies); accounts scan counters."""
-        predicate = compile_matcher(query)
-        _plan, candidate_ids = self._candidate_ids(query)
-        matched = []
-        scanned = 0
-        for doc_id in candidate_ids:
-            document = self._documents.get(doc_id)
-            if document is None:
-                continue
-            scanned += 1
-            if predicate(document):
-                matched.append(document)
-        self.operation_counters["queries"] += 1
-        self.operation_counters["documents_scanned"] += scanned
-        return matched
-
     # -- the FindSpec executor ----------------------------------------------
 
     def _plan_find(self, spec: FindSpec) -> QueryPlan:
@@ -508,14 +493,7 @@ class Collection(CollectionSurface):
             fetch_bound=spec.fetch_bound,
         )
 
-    @staticmethod
-    def _emit(document: Mapping[str, Any], projection: Mapping[str, Any] | None) -> dict[str, Any]:
-        """Copy one stored document out of the engine, projected if asked."""
-        if projection:
-            return deep_copy_document(project_document(document, projection))
-        return deep_copy_document(document)
-
-    def _execute_find(self, spec: FindSpec) -> Iterator[dict[str, Any]]:
+    def _execute_find(self, spec: FindSpec, *, copy: bool = True) -> Iterator[dict[str, Any]]:
         """Execute a complete find spec, streaming final result documents.
 
         Three shapes, chosen by the planner:
@@ -525,9 +503,10 @@ class Collection(CollectionSurface):
         * sort with a limit — bounded ``heapq`` top-k over the matches;
         * sort without a limit — one full sort of the matches.
 
-        Only documents that survive skip/limit are copied (and projected)
-        out of the engine.
+        Only documents that survive skip/limit are projected, and copied out
+        of the engine unless *copy* is false (:meth:`execute_find`).
         """
+        project = compile_projection(spec.projection, copy=copy)
         plan = self._plan_find(spec)
         predicate = compile_matcher(spec.filter)
         self.operation_counters["queries"] += 1
@@ -537,7 +516,7 @@ class Collection(CollectionSurface):
             candidates = list(self._documents.keys())
 
         if spec.sort and not plan.sort_served:
-            yield from self._execute_find_sorted(spec, candidates, predicate)
+            yield from map(project, self._execute_find_sorted(spec, candidates, predicate))
             return
 
         scanned = 0
@@ -554,7 +533,7 @@ class Collection(CollectionSurface):
                 matched += 1
                 if matched <= spec.skip:
                     continue
-                yield self._emit(document, spec.projection)
+                yield project(document)
                 yielded += 1
                 if spec.limit is not None and yielded >= spec.limit:
                     return
@@ -566,7 +545,8 @@ class Collection(CollectionSurface):
         spec: FindSpec,
         candidates: Iterable[int],
         predicate: Any,
-    ) -> Iterator[dict[str, Any]]:
+    ) -> list[dict[str, Any]]:
+        """The stored documents a sort that no index serves selects, in order."""
         matched: list[dict[str, Any]] = []
         scanned = 0
         for doc_id in candidates:
@@ -585,24 +565,23 @@ class Collection(CollectionSurface):
         else:
             matched.sort(key=key)
             selected = matched[spec.skip:]
-        for document in selected:
-            yield self._emit(document, spec.projection)
+        return selected
 
     def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
         """Count the documents matching *query*."""
         if not query:
             return len(self._documents)
-        return len(self._matched_raw(query))
+        return len(self.execute_find(FindSpec(filter=query)))
 
     def distinct(self, key: str, query: Mapping[str, Any] | None = None) -> list[Any]:
         """Return the distinct values of *key* among matching documents."""
         values = distinct_values(
             candidate
-            for document in self._matched_raw(query)
+            for document in self.execute_find(FindSpec(filter=query))
             for value in resolve_path(document, key)
             for candidate in (value if isinstance(value, list) else (value,))
         )
-        return [deep_copy_document({"v": value})["v"] for value in values]
+        return deep_copy_document(values)
 
     def _explain_spec(self, spec: FindSpec, verbosity: str) -> dict[str, Any]:
         plan = self._plan_find(spec)
@@ -616,7 +595,7 @@ class Collection(CollectionSurface):
             sort_mode = "sortMaterialize"
         execution_stats = None
         if verbosity == "executionStats":
-            n_returned = sum(1 for _document in self._execute_find(spec))
+            n_returned = len(self.execute_find(spec))
             execution_stats = build_execution_stats(n_returned=n_returned)
         return build_explain(
             surface="standalone",
@@ -1165,5 +1144,9 @@ class Collection(CollectionSurface):
         yield from self._documents.values()
 
     def execute_find(self, spec: FindSpec) -> list[dict[str, Any]]:
-        """Execute a complete spec in one shot (the shard-side entry point)."""
-        return list(self._execute_find(spec))
+        """A find for a caller that encodes the results at once (the shard-side entry point).
+
+        Like :meth:`execute_pipeline`, the results are the projected stored
+        documents, not copies: they must not be mutated or handed on.
+        """
+        return list(self._execute_find(spec, copy=False))

@@ -18,6 +18,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from .bson import EXACT_SCALARS, deep_copy_document
 from .errors import OperationFailure
 from .explain import explain_target, validate_verbosity
 from .findspec import FindSpec
@@ -30,7 +31,7 @@ __all__ = [
     "InsertManyResult",
     "UpdateResult",
     "DeleteResult",
-    "project_document",
+    "compile_projection",
 ]
 
 
@@ -40,55 +41,73 @@ __all__ = [
 _MISSING = object()
 
 
-def project_document(
-    document: Mapping[str, Any],
-    projection: Mapping[str, Any] | None,
-) -> dict[str, Any]:
-    """Apply a find()-style inclusion/exclusion projection."""
+def compile_projection(
+    projection: Mapping[str, Any] | None, *, copy: bool = True
+) -> Callable[[Mapping[str, Any]], dict[str, Any]]:
+    """Parse a find()-style inclusion/exclusion projection once into ``document -> result``.
+
+    With *copy* the result shares nothing with the document; without it the
+    result may share subtrees with it — or be it, with no projection — for a
+    caller that encodes it at once.  A dotted path is projected on a copy,
+    never on the document.  Mixing inclusion and exclusion raises here.
+    """
     if not projection:
-        return dict(document)
-    inclusions = {k: v for k, v in projection.items() if k != "_id" and v}
-    exclusions = {k: v for k, v in projection.items() if k != "_id" and not v}
+        return deep_copy_document if copy else lambda document: document
+    inclusions = [path for path, wanted in projection.items() if path != "_id" and wanted]
+    exclusions = [path for path, wanted in projection.items() if path != "_id" and not wanted]
     if inclusions and exclusions:
         raise OperationFailure("cannot mix inclusion and exclusion in a projection")
     include_id = bool(projection.get("_id", True))
+    if any("." in path or not path for path in inclusions or exclusions):
+        return lambda document: _project_copy(
+            deep_copy_document(document), inclusions, exclusions, include_id
+        )
+    if inclusions:
+        fields = inclusions + ["_id"] if include_id else inclusions
 
+        def include(document: Mapping[str, Any]) -> dict[str, Any]:
+            return {field: document[field] for field in fields if field in document}
+
+        return (lambda document: deep_copy_document(include(document))) if copy else include
+    excluded = frozenset(exclusions if include_id else exclusions + ["_id"])
+    if copy:  # one comprehension projects and copies
+        return lambda document: {
+            field: value if type(value) in EXACT_SCALARS else deep_copy_document(value)
+            for field, value in document.items()
+            if field not in excluded
+        }
+    return lambda document: {
+        field: value for field, value in document.items() if field not in excluded
+    }
+
+
+def _project_copy(
+    document: dict[str, Any], inclusions: list[str], exclusions: list[str], include_id: bool
+) -> dict[str, Any]:
+    """Project a private copy, whose nested documents may be rebuilt or pruned in place."""
     if inclusions:
         projected: dict[str, Any] = {}
         for path in inclusions:
-            value = resolve_path_single(document, path, default=_MISSING)
-            if value is _MISSING:
-                continue
-            _set_nested(projected, path, value)
+            found = resolve_path_single(document, path, default=_MISSING)
+            if found is not _MISSING:
+                *parents, last = path.split(".")
+                node = projected
+                for part in parents:
+                    node = node.setdefault(part, {})
+                node[last] = found
         if include_id and "_id" in document:
             projected["_id"] = document["_id"]
         return projected
-
-    projected = {k: v for k, v in document.items()}
     for path in exclusions:
-        _remove_nested(projected, path)
+        *parents, last = path.split(".")
+        node: Any = document
+        for part in parents:
+            node = node.get(part) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node.pop(last, None)
     if not include_id:
-        projected.pop("_id", None)
-    return projected
-
-
-def _set_nested(target: dict[str, Any], path: str, value: Any) -> None:
-    parts = path.split(".")
-    node = target
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-    node[parts[-1]] = value
-
-
-def _remove_nested(target: dict[str, Any], path: str) -> None:
-    parts = path.split(".")
-    node: Any = target
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            return
-        node = node[part]
-    if isinstance(node, dict):
-        node.pop(parts[-1], None)
+        document.pop("_id", None)
+    return document
 
 
 class Cursor:
@@ -178,19 +197,17 @@ class Cursor:
         return document
 
     def _materialize(self) -> list[dict[str, Any]]:
-        while self._pull() is not None:
-            pass
+        self._ensure_started()
+        if not self._exhausted:
+            self._consumed.extend(self._source or ())
+            self._exhausted = True
         return self._consumed
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
         index = 0
-        while True:
-            if index < len(self._consumed):
-                yield self._consumed[index]
-                index += 1
-                continue
-            if self._pull() is None:
-                return
+        while index < len(self._consumed) or self._pull() is not None:
+            yield self._consumed[index]
+            index += 1
 
     def __len__(self) -> int:
         return len(self._materialize())

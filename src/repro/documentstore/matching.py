@@ -25,6 +25,8 @@ import re
 # pays a slow __instancecheck__ on every call, and these checks sit on the
 # per-document hot path (ruff TID251 keeps the typing ones out of this package).
 from collections.abc import Iterable, Mapping, Sequence
+from functools import partial
+from operator import eq, ge, gt, le, lt
 from typing import Any, Callable
 
 from .errors import InvalidOperator, OperationFailure
@@ -114,30 +116,6 @@ def resolve_path_single(document: Any, path: str, default: Any = None) -> Any:
     if not values:
         return default
     return values[0]
-
-
-def path_exists(document: Any, path: str) -> bool:
-    """Return ``True`` if *path* resolves to at least one value (even None)."""
-    parts = path.split(".") if path else []
-    return _exists(document, parts)
-
-
-def _exists(node: Any, parts: Sequence[str]) -> bool:
-    if not parts:
-        return True
-    head, rest = parts[0], parts[1:]
-    if isinstance(node, Mapping):
-        return head in node and _exists(node[head], rest)
-    if isinstance(node, (list, tuple)):
-        if head.isdigit():
-            index = int(head)
-            if 0 <= index < len(node) and _exists(node[index], rest):
-                return True
-        return any(
-            isinstance(item, Mapping) and head in item and _exists(item[head], rest)
-            for item in node
-        )
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -536,17 +514,49 @@ def _build_operator_predicate(path: str, operator: str, operand: Any) -> Callabl
                 return True
         return False
 
-    if not path or "." in path:
+    kernel = None if not path or "." in path else _scalar_kernel(operator, operand)
+    if kernel is None:
         return document_predicate
+    kinds, decide = kernel
 
-    def single_segment_predicate(document: Any) -> bool:
-        # A plain dict holds at most one value at a one-segment path; other
-        # mappings and arrays of subdocuments take the general walk.
+    def scalar_predicate(document: Any) -> bool:
+        # A plain dict has one value at a one-segment path; one C call decides
+        # a value of the operand's class, anything else takes the general walk.
         if type(document) is dict:
-            return field_predicate(document.get(path, _MISSING))
+            value = document.get(path, _MISSING)
+            if type(value) in kinds:
+                return decide(value)
         return document_predicate(document)
 
-    return single_segment_predicate
+    return scalar_predicate
+
+
+_NUMBERS, _STRINGS = frozenset((int, float)), frozenset((str,))
+#: ``$op`` -> C function ``f`` with ``f(operand, value)`` == ``value $op operand``.
+_REFLECTED = {"$eq": eq, "$gt": lt, "$gte": le, "$lt": gt, "$lte": ge}
+
+
+def _scalar_kernel(
+    operator: str, operand: Any
+) -> tuple[frozenset[type], Callable[[Any], bool]] | None:
+    """``(value classes, decide)`` when ``decide(value)`` is exact for those classes.
+
+    Python compares exact ``int``/``float`` and ``str`` as :func:`compare_values`
+    and :func:`values_equal` do, NaN aside: no operand or ``$in`` member is NaN.
+    """
+    kind = type(operand)
+    if operator in _REFLECTED:
+        if kind is str:
+            return _STRINGS, partial(_REFLECTED[operator], operand)
+        if kind in _NUMBERS and operand == operand:
+            return _NUMBERS, partial(_REFLECTED[operator], operand)
+        return None
+    if operator == "$in" and all(
+        type(member) in _NUMBERS and member == member or type(member) is str
+        for member in operand
+    ):
+        return _NUMBERS | _STRINGS, frozenset(operand).__contains__
+    return None
 
 
 def _conjunction(predicates: Sequence[Callable[[Any], bool]]) -> Callable[[Any], bool]:

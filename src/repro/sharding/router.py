@@ -54,7 +54,7 @@ from ..documentstore.cursor import (
     DeleteResult,
     InsertManyResult,
     UpdateResult,
-    project_document,
+    compile_projection,
 )
 from ..documentstore.errors import ShardKeyError
 from ..documentstore.explain import build_execution_stats, build_explain
@@ -676,7 +676,11 @@ class RoutedCollection(CollectionSurface):
         router = self._router
         targets, targeted = router._target_shards(*self._namespace, spec.filter)
         shard_spec = spec.shard_spec()
-        projection_pushed = spec.projection is None or shard_spec.projection is not None
+        # The response encoding is the one copy of a shard's stored documents,
+        # so a projection the router applies itself works on private ones.
+        project = None
+        if spec.projection and shard_spec.projection is None:
+            project = compile_projection(spec.projection, copy=False)
         namespace = self._namespace
 
         def do_find(shard: Shard) -> list[dict[str, Any]]:
@@ -721,8 +725,8 @@ class RoutedCollection(CollectionSurface):
             router._account_router_work(started)
         outcome = pending.gather()
         router._absorb_outcome(outcome, targeted=targeted)
-        if not projection_pushed and spec.projection:
-            results = [project_document(doc, spec.projection) for doc in results]
+        if project is not None:
+            results = list(map(project, results))
         return results
 
     def count_documents(self, query: Mapping[str, Any] | None = None) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from .scaling import (
     DATE_RANGE_END,
@@ -145,10 +145,6 @@ class TPCDSGenerator:
             dataset.tables[table_name] = self.generate_table(table_name)
         return dataset
 
-    def iter_rows(self, table_name: str) -> Iterator[dict[str, Any]]:
-        """Iterate the rows of *table_name*."""
-        yield from self.generate_table(table_name)
-
     # ---------------------------------------------------------------- helpers
 
     def _rng(self, table_name: str) -> random.Random:
@@ -160,10 +156,6 @@ class TPCDSGenerator:
 
     def _date_rows(self) -> list[dict[str, Any]]:
         return self.generate_table("date_dim")
-
-    def _primary_keys(self, table_name: str) -> list[int]:
-        schema = table_schema(table_name)
-        return [row[schema.primary_key] for row in self.generate_table(table_name)]
 
     # ------------------------------------------------------------- dimensions
 

@@ -75,13 +75,6 @@ class TableSchema:
                 return column
         raise KeyError(f"{self.name} has no column {name!r}")
 
-    def foreign_key_for(self, column: str) -> ForeignKey | None:
-        """Return the foreign key declared on *column*, if any."""
-        for foreign_key in self.foreign_keys:
-            if foreign_key.column == column:
-                return foreign_key
-        return None
-
 
 def _columns(*specs: tuple[str, str]) -> tuple[Column, ...]:
     return tuple(Column(name=name, type=type_) for name, type_ in specs)

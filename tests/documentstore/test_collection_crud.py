@@ -14,6 +14,7 @@ from repro.documentstore import (
     OperationFailure,
 )
 from repro.documentstore.update import is_update_document
+from repro.sharding import ShardedCluster
 
 
 @pytest.fixture()
@@ -368,16 +369,30 @@ def scribble(value):
 
 
 class TestStoredDocumentsAreImmutableAndShared:
-    @pytest.fixture()
-    def embedded(self):
+    ITEM = {"sk": 7, "tags": ["a"], "brand": {"name": "x"}}
+
+    @classmethod
+    def _load(cls, collection):
         """Three facts with the same dimension document embedded (Figure 4.7)."""
-        collection = Collection(None, "facts")
         collection.insert_many(
             [{"_id": key, "g": key % 2, "fk": 7, "keep": {"deep": [1, 2]}} for key in range(3)]
         )
-        self.item = {"sk": 7, "tags": ["a"], "brand": {"name": "x"}}
-        collection.update_many({"fk": 7}, {"$set": {"fk": self.item}})
+        collection.update_many({"fk": 7}, {"$set": {"fk": cls.ITEM}})
         return collection
+
+    @pytest.fixture()
+    def embedded(self):
+        self.item = self.ITEM
+        return self._load(Collection(None, "facts"))
+
+    @pytest.fixture()
+    def routed(self):
+        cluster = ShardedCluster(shard_count=3)
+        cluster.enable_sharding("db")
+        cluster.shard_collection("db", "facts", {"_id": "hashed"})
+        self._load(cluster.get_database("db")["facts"])
+        yield cluster
+        cluster.close()
 
     def test_an_update_copies_the_spine_and_shares_the_rest(self, embedded):
         stored = list(embedded._documents.values())
@@ -391,13 +406,13 @@ class TestStoredDocumentsAreImmutableAndShared:
         assert stored[0]["fk"] == stored[1]["fk"] == self.item
         assert embedded.find_one({"_id": 1})["fk"] == self.item
 
-    def test_no_reader_hands_out_a_stored_subtree(self, embedded):
-        expected = embedded.find({}).to_list()
+    def test_no_reader_hands_out_a_stored_subtree(self, embedded, routed):
+        facts = routed.get_database("db")["facts"]
         readers = [
             lambda: embedded.find({}).to_list(),
             lambda: embedded.find({}, {"fk": 1, "keep": 1}).to_list(),
+            lambda: embedded.find({}, {"fk.brand": 0, "keep.deep": 0}).to_list(),
             lambda: embedded.find_one({"_id": 1}),
-            lambda: embedded.execute_find(embedded.find({}).sort("_id", -1).limit(2).spec),
             lambda: list(embedded.all_documents()),
             lambda: embedded.distinct("fk"),
             lambda: embedded.distinct("fk.tags"),
@@ -407,7 +422,23 @@ class TestStoredDocumentsAreImmutableAndShared:
             lambda: embedded.aggregate([{"$group": {"_id": "$keep", "one": {"$first": "$fk"}}}]),
             lambda: embedded.aggregate([{"$addFields": {"again": "$fk.brand"}}]),
             lambda: embedded.aggregate([{"$unwind": "$fk.tags"}]),
+            # Shards hand their stored documents to the response encoder
+            # (execute_find, execute_pipeline): what the router returns is
+            # the encoding's copy.
+            lambda: facts.find({}).to_list(),
+            lambda: facts.find({}, {"fk": 1}).sort("_id", -1).limit(2).to_list(),
+            lambda: facts.find({}, {"fk.brand": 0}).to_list(),
+            lambda: facts.find({}, {"keep": 0}).sort("fk.sk", 1).to_list(),
+            lambda: facts.find_one({"_id": 1}),
+            lambda: facts.aggregate([{"$match": {"g": 0}}]),
+            lambda: facts.aggregate([{"$group": {"_id": "$g", "all": {"$push": "$fk"}}}]),
         ]
+
+        def stored():
+            shards = [shard.collection("db", "facts") for shard in routed.shards]
+            return embedded.find({}).to_list(), [shard.find({}).to_list() for shard in shards]
+
+        expected = stored()
         for position, read in enumerate(readers):
             scribble(read())
-            assert embedded.find({}).to_list() == expected, position
+            assert stored() == expected, position

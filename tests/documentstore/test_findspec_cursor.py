@@ -4,8 +4,9 @@ import pytest
 
 from repro.documentstore import FindSpec, projection_preserves_fields
 from repro.documentstore.collection import Collection
-from repro.documentstore.cursor import project_document
+from repro.documentstore.cursor import compile_projection
 from repro.documentstore.errors import OperationFailure
+from repro.sharding import ShardedCluster
 
 
 @pytest.fixture
@@ -139,20 +140,20 @@ class TestHint:
 class TestProjectionSentinel:
     def test_missing_dotted_path_is_not_materialized_as_none(self):
         document = {"_id": 1, "a": {"b": 2}}
-        projected = project_document(document, {"a.c": 1, "_id": 0})
+        projected = compile_projection({"a.c": 1, "_id": 0})(document)
         assert projected == {}
 
     def test_legitimate_none_at_dotted_path_is_kept(self):
         document = {"_id": 1, "a": {"b": None}}
-        projected = project_document(document, {"a.b": 1, "_id": 0})
+        projected = compile_projection({"a.b": 1, "_id": 0})(document)
         assert projected == {"a": {"b": None}}
 
     def test_top_level_none_value_is_kept(self):
-        projected = project_document({"_id": 1, "x": None}, {"x": 1, "_id": 0})
+        projected = compile_projection({"x": 1, "_id": 0})({"_id": 1, "x": None})
         assert projected == {"x": None}
 
     def test_missing_top_level_field_is_skipped(self):
-        projected = project_document({"_id": 1}, {"x": 1, "_id": 0})
+        projected = compile_projection({"x": 1, "_id": 0})({"_id": 1})
         assert projected == {}
 
 
@@ -201,3 +202,43 @@ class TestSpecApi:
         smallest = events.find_one({}, sort=[("amount", 1), ("_id", 1)])
         expected = events.find({}).sort([("amount", 1), ("_id", 1)]).limit(1).to_list()[0]
         assert smallest == expected
+
+
+def _standalone_collection():
+    return Collection(None, "nested"), None
+
+
+def _routed_collection():
+    cluster = ShardedCluster(shard_count=3)
+    cluster.enable_sharding("db")
+    cluster.shard_collection("db", "nested", {"_id": "hashed"})
+    return cluster.get_database("db")["nested"], cluster
+
+
+class TestDottedExclusionLeavesTheStoreAlone:
+    @pytest.mark.parametrize("deploy", [_standalone_collection, _routed_collection])
+    def test_a_dotted_exclusion_projects_a_copy(self, deploy):
+        collection, cluster = deploy()
+        try:
+            collection.create_index("a.b")
+            collection.insert_one({"_id": 1, "a": {"b": 1, "c": 2}})
+            assert collection.find({}, {"a.b": 0}).to_list() == [{"_id": 1, "a": {"c": 2}}]
+            stored = {"_id": 1, "a": {"b": 1, "c": 2}}
+            assert collection.find({}).to_list() == [stored]
+            # The index still holds a.b = 1, and so must the document it finds.
+            assert collection.find({"a.b": 1}).to_list() == [stored]
+        finally:
+            if cluster is not None:
+                cluster.close()
+
+
+class TestCompiledProjection:
+    def test_mixing_inclusion_and_exclusion_raises_once_at_compile_time(self):
+        with pytest.raises(OperationFailure, match="cannot mix inclusion and exclusion"):
+            compile_projection({"a": 1, "b": 0})
+
+    def test_without_copy_and_projection_the_document_itself_is_returned(self):
+        document = {"_id": 1, "a": {"b": 1}}
+        assert compile_projection(None, copy=False)(document) is document
+        assert compile_projection({"_id": 0}, copy=False)(document)["a"] is document["a"]
+        assert compile_projection({"_id": 0})(document)["a"] is not document["a"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.documentstore import InvalidOperator, matches, resolve_path, resolve_path_single
-from repro.documentstore.matching import compare_values, compile_matcher, path_exists, values_equal
+from repro.documentstore.matching import compare_values, compile_matcher, values_equal
 
 
 DOCUMENT = {
@@ -39,8 +39,8 @@ class TestPathResolution:
         assert resolve_path_single(DOCUMENT, "missing", default="fallback") == "fallback"
 
     def test_path_exists_distinguishes_null_from_missing(self):
-        assert path_exists(DOCUMENT, "nothing")
-        assert not path_exists(DOCUMENT, "absent")
+        assert matches(DOCUMENT, {"nothing": {"$exists": True}})
+        assert not matches(DOCUMENT, {"absent": {"$exists": True}})
 
 
 class TestComparisonOperators:
