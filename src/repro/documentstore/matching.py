@@ -383,14 +383,9 @@ def _build_operator_predicate(path: str, operator: str, operand: Any) -> Callabl
             field_predicate = eq_values
         else:
             field_predicate = lambda value: not eq_values(value)  # noqa: E731
-    elif operator == "$gt":
-        field_predicate = _cmp_predicate(operand, lambda c: c > 0)
-    elif operator == "$gte":
-        field_predicate = _cmp_predicate(operand, lambda c: c >= 0)
-    elif operator == "$lt":
-        field_predicate = _cmp_predicate(operand, lambda c: c < 0)
-    elif operator == "$lte":
-        field_predicate = _cmp_predicate(operand, lambda c: c <= 0)
+    elif operator in ("$gt", "$gte", "$lt", "$lte"):
+        # value $op operand  <=>  0 reflected-$op compare_values(value, operand)
+        field_predicate = _cmp_predicate(operand, partial(_REFLECTED[operator], 0))
     elif operator in ("$in", "$nin"):
         if not isinstance(operand, (list, tuple, set, frozenset)):
             raise InvalidOperator(f"{operator} requires a list operand")
@@ -501,34 +496,45 @@ def _build_operator_predicate(path: str, operator: str, operand: Any) -> Callabl
         raise InvalidOperator(f"unknown query operator {operator!r}")
 
     resolver = compile_path(path)
-    first_only = operator == "$exists"
 
     def document_predicate(document: Any) -> bool:
         values = resolver(document)
         if not values:
             return field_predicate(_MISSING)
-        if first_only:
-            return field_predicate(values[0])
         for value in values:
             if field_predicate(value):
                 return True
         return False
 
-    kernel = None if not path or "." in path else _scalar_kernel(operator, operand)
+    kernel = _scalar_kernel(operator, operand) if path else None
     if kernel is None:
         return document_predicate
     kinds, decide = kernel
+    # Plain dicts all the way down hold one value at the path; one C call
+    # decides a value of the operand's class, anything else takes the general
+    # walk (a missing field, None, bool, an array on the way, ...).
+    if "." not in path:
+        def scalar_predicate(document: Any) -> bool:
+            if type(document) is dict:
+                value = document.get(path, _MISSING)
+                if type(value) in kinds:
+                    return decide(value)
+            return document_predicate(document)
 
-    def scalar_predicate(document: Any) -> bool:
-        # A plain dict has one value at a one-segment path; one C call decides
-        # a value of the operand's class, anything else takes the general walk.
-        if type(document) is dict:
-            value = document.get(path, _MISSING)
-            if type(value) in kinds:
-                return decide(value)
+        return scalar_predicate
+    parts = path.split(".")
+
+    def scalar_path_predicate(document: Any) -> bool:
+        value = document
+        for part in parts:
+            if type(value) is not dict:
+                return document_predicate(document)
+            value = value.get(part, _MISSING)
+        if type(value) in kinds:
+            return decide(value)
         return document_predicate(document)
 
-    return scalar_predicate
+    return scalar_path_predicate
 
 
 _NUMBERS, _STRINGS = frozenset((int, float)), frozenset((str,))

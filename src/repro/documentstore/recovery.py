@@ -160,17 +160,10 @@ def apply_record(client: "DocumentStoreClient", record: dict[str, Any]) -> int:
         return len(ids)
     if op == "create_index":
         spec = record.get("spec")
-        if isinstance(spec, Mapping):
-            # Structured spec (current WAL format): round-trips btree and
-            # vector indexes alike through IndexSpec.from_key_specification.
-            collection.create_index(spec)
-        else:
-            # Legacy record written before structured index specs existed.
-            collection.create_index(
-                [tuple(pair) for pair in record.get("keys") or []],
-                unique=bool(record.get("unique")),
-                name=str(record.get("name") or ""),
-            )
+        if not isinstance(spec, Mapping):  # the golden segment's records all carry one
+            raise RecoveryError(f"create_index record without a structured spec: {record!r}")
+        # Round-trips btree and vector indexes alike through IndexSpec.from_key_specification.
+        collection.create_index(spec)
         return 0
     if op == "drop_index":
         try:

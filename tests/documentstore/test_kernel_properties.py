@@ -9,9 +9,9 @@
   list with it;
 * ``bson.value_size``/``document_size`` equal the reference sizes, errors
   included;
-* a one-segment comparison or ``$in`` decides a plain dict exactly as the
-  general predicate decides the same document behind a ``MappingProxyType``
-  (which the scalar kernel never takes).
+* a comparison or ``$in`` on a one-segment or dotted path decides a plain
+  dict exactly as the general predicate decides the same document behind a
+  ``MappingProxyType`` (which the scalar kernel never takes).
 """
 
 from __future__ import annotations
@@ -193,21 +193,29 @@ MATCHED = st.one_of(
     st.just({}),
     OPERANDS.map(lambda value: {"x": value}),
     st.tuples(OPERANDS, OPERANDS).map(lambda pair: {"w": pair[0], "x": pair[1]}),
+    OPERANDS.map(lambda value: {"x": {"y": value}}),
+    OPERANDS.map(lambda value: {"x": {"y": {"z": value}}}),
+    OPERANDS.map(lambda value: {"x": MappingProxyType({"y": value})}),
+    st.lists(OPERANDS, max_size=2).map(lambda values: {"x": [{"y": v} for v in values]}),
 )
+MATCHED_PATHS = st.sampled_from(["x", "x.y", "x.y.z", "x.0.y", "w"])
 
 
-@settings(max_examples=1500, deadline=None)
-@given(MATCHED, CONDITIONS)
-@example({"x": True}, {"$eq": 1})
-@example({"x": 1}, {"$gte": True})
-@example({"x": Flag.ON}, {"$in": [1, 2]})
-@example({"x": math.nan}, {"$in": [math.nan, 1]})
-@example({"x": 2**63 + 1}, {"$gt": float(2**63)})
-@example({"x": -0.0}, {"$lte": 0})
-@example({"x": "b"}, {"$gt": "a"})
-@example({"x": [1, "a"]}, {"$in": ["a"]})
-def test_scalar_kernel_decides_as_the_general_predicate(document, condition):
-    predicate = compile_matcher({"x": condition})
+@settings(max_examples=2000, deadline=None)
+@given(MATCHED, MATCHED_PATHS, CONDITIONS)
+@example({"x": True}, "x", {"$eq": 1})
+@example({"x": 1}, "x", {"$gte": True})
+@example({"x": Flag.ON}, "x", {"$in": [1, 2]})
+@example({"x": math.nan}, "x", {"$in": [math.nan, 1]})
+@example({"x": 2**63 + 1}, "x", {"$gt": float(2**63)})
+@example({"x": -0.0}, "x", {"$lte": 0})
+@example({"x": "b"}, "x", {"$gt": "a"})
+@example({"x": [1, "a"]}, "x", {"$in": ["a"]})
+@example({"x": {"y": True}}, "x.y", {"$eq": 1})
+@example({"x": [{"y": 1}, {"y": 2}]}, "x.y", {"$gt": 1})
+@example({"x": [{"y": 1}]}, "x.0.y", 1)
+def test_scalar_kernel_decides_as_the_general_predicate(document, path, condition):
+    predicate = compile_matcher({path: condition})
     assert predicate(document) == predicate(MappingProxyType(document))
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.documentstore import DocumentStoreClient, dump_database, load_database
+from repro.documentstore.errors import RecoveryError
 from repro.documentstore.recovery import apply_record
 
 DIMS = 3
@@ -71,24 +74,22 @@ class TestVectorDurability:
             assert spec["keys"] == [["tenant", 1], ["_id", -1]]
             assert spec["unique"] is True
 
-    def test_legacy_wal_record_shape_still_replays(self):
-        # Records written before structured specs carried keys/unique/name.
+    def test_legacy_wal_record_shape_is_refused(self):
+        # Records written before structured specs carried keys/unique/name; no
+        # tracked fixture holds one (test_bson.py's golden segment carries a spec).
         client = DocumentStoreClient()
         client.db.items.insert_many([{"_id": 1, "n": 1}])
-        applied = apply_record(
-            client,
-            {
-                "op": "create_index",
-                "db": "db",
-                "coll": "items",
-                "keys": [["n", 1]],
-                "unique": True,
-                "name": "legacy_n",
-            },
-        )
-        assert applied == 0
-        info = client.db.items.index_information()["legacy_n"]
-        assert info["unique"] is True
+        legacy = {
+            "op": "create_index",
+            "db": "db",
+            "coll": "items",
+            "keys": [["n", 1]],
+            "unique": True,
+            "name": "legacy_n",
+        }
+        with pytest.raises(RecoveryError, match="without a structured spec"):
+            apply_record(client, legacy)
+        assert "legacy_n" not in client.db.items.index_information()
 
     def test_dump_and_load_carry_vector_specs(self, tmp_path):
         source = DocumentStoreClient()
