@@ -74,7 +74,7 @@ from .explain import (
 )
 from .expressions import compile_expression, evaluate_expression
 from .findspec import FindSpec, projection_preserves_fields
-from .indexes import ASCENDING, DESCENDING, HASHED, VECTOR, Index, IndexSpec, hashed_value
+from .indexes import ASCENDING, DESCENDING, HASHED, Index, IndexSpec, hashed_value
 from .matching import (
     collation_key,
     compare_values,
@@ -95,7 +95,6 @@ from .storage import (
     load_collection,
     load_database,
 )
-from .vector import VectorIndex, vector_score
 from .wal import WriteAheadLog, decode_records, encode_record
 
 __all__ = [
@@ -106,7 +105,6 @@ __all__ = [
     "HASHED",
     "PLANNER_KEYS",
     "TOP_LEVEL_KEYS",
-    "VECTOR",
     "VERBOSITIES",
     "MAX_DOCUMENT_SIZE",
     "BulkWriteError",
@@ -151,7 +149,6 @@ __all__ = [
     "UpdateMany",
     "UpdateOne",
     "UpdateResult",
-    "VectorIndex",
     "WriteAheadLog",
     "build_execution_stats",
     "build_explain",
@@ -185,6 +182,5 @@ __all__ = [
     "split_pipeline_for_shards",
     "validate_document",
     "validate_verbosity",
-    "vector_score",
     "write_snapshot",
 ]

@@ -572,23 +572,6 @@ def _merge_match_specs(first: Any, second: Any) -> Mapping[str, Any]:
     return {"$and": [first, second]}
 
 
-def _vector_limit_cap(stages: Sequence[Mapping[str, Any]]) -> int | None:
-    """The ``skip + limit`` bound directly after a leading ``$vectorSearch``.
-
-    Only a *directly* adjacent ``$limit`` (optionally behind one ``$skip``)
-    caps the stage's ``k`` — an intervening ``$match`` may discard results,
-    so lowering ``k`` across it would under-return.
-    """
-    if len(stages) < 2:
-        return None
-    following = stages[1]
-    if "$limit" in following:
-        return max(int(following["$limit"]), 0)
-    if "$skip" in following and len(stages) >= 3 and "$limit" in stages[2]:
-        return max(int(following["$skip"]), 0) + max(int(stages[2]["$limit"]), 0)
-    return None
-
-
 def optimize_pipeline(
     pipeline: Sequence[Mapping[str, Any]],
 ) -> list[Mapping[str, Any]]:
@@ -601,33 +584,12 @@ def optimize_pipeline(
     * ``$match`` moves ahead of ``$unwind`` / ``$lookup`` when the filter
       does not read the unwound path / the joined output field;
     * inclusion-only top-level ``$project`` moves ahead of ``$unwind`` when
-      it keeps the unwound field;
-    * a leading ``$vectorSearch`` directly followed by ``$limit`` (optionally
-      with one ``$skip`` in between) lowers its internal ``k`` to
-      ``skip + limit`` — the vector-index analogue of the ``$sort``+``$limit``
-      top-k fusion, so whole-input-consuming downstream stages never force
-      the index to rank more candidates than the pipeline keeps.
-
-    ``$match`` never moves ahead of ``$vectorSearch`` (or any other unknown
-    stage): a post-search filter and a pre-search filter select different
-    top-k sets by design.
+      it keeps the unwound field.
     """
     stages = _validate_pipeline(pipeline)
     changed = True
     while changed:
         changed = False
-        # Lower a leading $vectorSearch's k under a directly-adjacent $limit.
-        if stages and "$vectorSearch" in stages[0]:
-            cap = _vector_limit_cap(stages)
-            specification = stages[0]["$vectorSearch"]
-            if cap is not None and isinstance(specification, Mapping):
-                current = specification.get("k", specification.get("limit"))
-                if current is None or int(current) > cap:
-                    lowered = dict(specification)
-                    lowered.pop("limit", None)
-                    lowered["k"] = cap
-                    stages[0] = {"$vectorSearch": lowered}
-                    changed = True
         # Merge adjacent $match stages.
         merged: list[Mapping[str, Any]] = []
         for stage in stages:
@@ -804,14 +766,6 @@ def compile_pipeline(
             compiled.append(
                 CompiledStage("$out", _compile_out(specification, output_writer))
             )
-        elif operator == "$vectorSearch":
-            # Collections peel a *leading* $vectorSearch off and run it
-            # against the vector index before the compiled stages; one that
-            # reaches the compiler is mid-pipeline or in a context with no
-            # vector indexes (e.g. bare run_pipeline).
-            raise InvalidPipelineError(
-                "$vectorSearch must be the first stage of a collection pipeline"
-            )
         else:
             raise InvalidPipelineError(f"unknown pipeline stage {operator!r}")
         index += 1
@@ -858,11 +812,6 @@ def split_pipeline_for_shards(
     view of the data.  This is the scatter–gather behaviour whose cost the
     paper measures for the broadcast queries (Section 4.3, observation ii).
     """
-    if pipeline and "$vectorSearch" in pipeline[0]:
-        # Each shard runs the full vector search with the *global* k over its
-        # slice; every later stage must see the globally merged, re-ranked
-        # top-k, so only the search stage itself runs shard-side.
-        return [pipeline[0]], list(pipeline[1:])
     shard_stages: list[Mapping[str, Any]] = []
     merge_stages: list[Mapping[str, Any]] = []
     splitting = True

@@ -47,7 +47,6 @@ from .objectid import ObjectId
 from .ordering import document_sort_key
 from .planner import QueryPlan, plan_find, plan_query
 from .update import OperatorUpdate, build_upsert_document, is_update_document, replace_document
-from .vector import VectorIndex
 
 if TYPE_CHECKING:  # pragma: no cover
     from .database import Database
@@ -115,7 +114,7 @@ class Collection(CollectionSurface):
         # update on (by delta) and dropped with it or by a replacement.
         self._sizes: dict[int, int] = {}
         self._doc_id_counter = itertools.count(1)
-        self._indexes: dict[str, Index | VectorIndex] = {}
+        self._indexes: dict[str, Index] = {}
         self._id_index = Index(IndexSpec(keys=(("_id", ASCENDING),), unique=True, name="_id_"))
         self._indexes["_id_"] = self._id_index
         # Secondary-index deferral (bulk_load / create_index(defer=True)).
@@ -212,8 +211,8 @@ class Collection(CollectionSurface):
 
         *keys* accepts the legacy sugar forms (field name, key list,
         ``{field: direction}`` mapping) or a structured spec document such
-        as ``{"keys": ["embedding"], "type": "vector", "dims": 16,
-        "metric": "cosine"}`` — the form :meth:`list_indexes` returns.
+        as ``{"keys": [["a", 1], ["b", -1]], "unique": True}`` — the form
+        :meth:`list_indexes` returns.
 
         With ``defer=True`` — or inside a :meth:`bulk_load` block — the
         index is registered but left empty; it is built by the next
@@ -226,11 +225,7 @@ class Collection(CollectionSurface):
         with self._apply_and_log():
             if spec.name in self._indexes:
                 return spec.name
-            index: Index | VectorIndex
-            if spec.is_vector:
-                index = VectorIndex(spec)
-            else:
-                index = Index(spec)
+            index = Index(spec)
             if defer or self._defer_secondary_indexes:
                 self._pending_index_builds.add(spec.name)
             elif self._documents:
@@ -318,17 +313,11 @@ class Collection(CollectionSurface):
         """Describe every index on the collection (legacy shape + ``type``)."""
         information: dict[str, dict[str, Any]] = {}
         for name, index in self._indexes.items():
-            entry: dict[str, Any] = {
+            information[name] = {
                 "key": list(index.spec.keys),
                 "unique": index.spec.unique,
-                "type": index.spec.type,
+                "type": "btree",
             }
-            if index.spec.is_vector:
-                entry["dims"] = index.spec.dims
-                entry["metric"] = index.spec.metric
-                if index.spec.nlist:
-                    entry["nlist"] = index.spec.nlist
-            information[name] = entry
         return information
 
     def list_indexes(self) -> list[dict[str, Any]]:
@@ -340,7 +329,7 @@ class Collection(CollectionSurface):
         """
         return [index.spec.describe() for index in self._indexes.values()]
 
-    def _live_indexes(self) -> Mapping[str, Index | VectorIndex]:
+    def _live_indexes(self) -> Mapping[str, Index]:
         """The indexes the planner (and write maintenance) may rely on.
 
         Deferred-mode secondaries and pending (unbuilt) indexes are stale or
@@ -414,7 +403,7 @@ class Collection(CollectionSurface):
                         self._write_log({"op": "insert", "docs": prepared[:inserted]})
         return InsertManyResult(inserted_ids=[document["_id"] for document in prepared])
 
-    def _maintained_index_items(self) -> list[tuple[str, Index | VectorIndex]]:
+    def _maintained_index_items(self) -> list[tuple[str, Index]]:
         """The indexes writes must maintain (deferred/pending ones rebuild later)."""
         return [
             (index_name, index)
@@ -437,8 +426,8 @@ class Collection(CollectionSurface):
             for _name, index in self._maintained_index_items():
                 undo_handles.append(index.bulk_insert(batch))
         except DocumentStoreError:
-            # Unique violations *and* vector validation errors roll back the
-            # batch from every already-merged index before propagating.
+            # A unique violation rolls back the batch from every
+            # already-merged index before propagating.
             for handle in reversed(undo_handles):
                 handle.rollback()
             raise
@@ -452,15 +441,15 @@ class Collection(CollectionSurface):
         doc_id = next(self._doc_id_counter)
         # The unique _id index comes first in dict order, so duplicate _ids
         # abort before any secondary index is touched.
-        updated: list[Index | VectorIndex] = []
+        updated: list[Index] = []
         try:
             for _name, index in self._maintained_index_items():
                 index.insert(document, doc_id)
                 updated.append(index)
         except DocumentStoreError:
             # Remove the document from every index updated so far — a
-            # violation (or vector validation error) on the k-th secondary
-            # index must not leave entries behind in indexes 1..k-1.
+            # violation on the k-th secondary index must not leave entries
+            # behind in indexes 1..k-1.
             for index in updated:
                 index.remove(document, doc_id)
             raise
@@ -695,8 +684,13 @@ class Collection(CollectionSurface):
                     else:
                         validate_document(new_document)
                         self._sizes.pop(doc_id, None)
-                    for index in affected_indexes:
-                        index.replace(document, new_document, doc_id)
+                    for position, index in enumerate(affected_indexes):
+                        try:
+                            index.replace(document, new_document, doc_id)
+                        except DuplicateKeyError:
+                            for done in affected_indexes[:position]:
+                                done.replace(new_document, document, doc_id)
+                            raise
                     self._documents[doc_id] = new_document
                     if operators:
                         self._sizes[doc_id] = size
@@ -933,142 +927,6 @@ class Collection(CollectionSurface):
         plan = QueryPlan(stage="COLLSCAN", documents_examined=len(self._documents))
         return plan, self.raw_documents()
 
-    def _resolve_vector_index(
-        self, index_name: Any, path: Any
-    ) -> tuple[str, VectorIndex]:
-        """Pick the vector index a ``$vectorSearch`` stage runs against."""
-        live = self._live_indexes()
-        vector_indexes = {
-            name: index
-            for name, index in live.items()
-            if isinstance(index, VectorIndex)
-        }
-        if index_name is not None:
-            index = vector_indexes.get(str(index_name))
-            if index is None:
-                raise OperationFailure(
-                    f"$vectorSearch index {index_name!r} is not a usable vector index"
-                )
-            return str(index_name), index
-        if path is not None:
-            for name, index in vector_indexes.items():
-                if index.spec.fields[0] == str(path):
-                    return name, index
-            raise OperationFailure(f"no vector index on path {path!r}")
-        if len(vector_indexes) == 1:
-            return next(iter(vector_indexes.items()))
-        if not vector_indexes:
-            raise OperationFailure(
-                "$vectorSearch requires a vector index on the collection"
-            )
-        raise OperationFailure(
-            "collection has multiple vector indexes; "
-            "name one with 'index' or 'path' in $vectorSearch"
-        )
-
-    _VECTOR_SEARCH_OPTIONS = frozenset(
-        {"queryVector", "k", "limit", "path", "index", "filter", "nprobe", "exact", "scoreField"}
-    )
-
-    def _vector_search_source(
-        self, specification: Any
-    ) -> tuple[QueryPlan, list[dict[str, Any]], StageStats]:
-        """Execute a leading ``$vectorSearch`` stage against a vector index.
-
-        Returns the plan, the ranked result documents (each a shallow copy
-        of the stored document plus the score field), and the stage's
-        counters.  A metadata ``filter`` is applied *before* the search
-        (pre-filter semantics): the compiled matcher — index-assisted where
-        possible — narrows the candidate set, and the kNN then runs exactly
-        over the survivors.
-        """
-        if not isinstance(specification, Mapping):
-            raise OperationFailure("$vectorSearch requires a specification document")
-        unknown = sorted(set(specification) - self._VECTOR_SEARCH_OPTIONS)
-        if unknown:
-            raise OperationFailure(
-                f"unknown $vectorSearch option(s) {unknown!r}; "
-                f"allowed: {sorted(self._VECTOR_SEARCH_OPTIONS)!r}"
-            )
-        query_vector = specification.get("queryVector")
-        if query_vector is None:
-            raise OperationFailure("$vectorSearch requires 'queryVector'")
-        k = specification.get("k", specification.get("limit"))
-        if k is None:
-            raise OperationFailure("$vectorSearch requires 'k' (or 'limit')")
-        k = int(k)
-        index_name, vector_index = self._resolve_vector_index(
-            specification.get("index"), specification.get("path")
-        )
-
-        filter_specification = specification.get("filter")
-        allowed_ids: set[int] | None = None
-        filter_examined = 0
-        filter_plan_stage: str | None = None
-        if filter_specification:
-            predicate = compile_matcher(filter_specification)
-            filter_plan, candidate_ids = self._candidate_ids(filter_specification)
-            filter_plan_stage = filter_plan.stage
-            allowed_ids = set()
-            for doc_id in candidate_ids:
-                document = self._documents.get(doc_id)
-                if document is None:
-                    continue
-                filter_examined += 1
-                if predicate(document):
-                    allowed_ids.add(doc_id)
-
-        nprobe = specification.get("nprobe")
-        nprobe = int(nprobe) if nprobe is not None else None
-        exact = bool(specification.get("exact", False))
-        ranked, scored = vector_index.search(
-            query_vector, k, nprobe=nprobe, exact=exact, allowed_ids=allowed_ids
-        )
-        score_field = str(specification.get("scoreField") or "_score")
-        results: list[dict[str, Any]] = []
-        for doc_id, score in ranked:
-            document = self._documents.get(doc_id)
-            if document is None:  # pragma: no cover - defensive
-                continue
-            scored_document = dict(document)
-            scored_document[score_field] = score
-            results.append(scored_document)
-
-        if allowed_ids is not None:
-            mode = "filteredExact"
-        elif exact or not vector_index.trained:
-            mode = "exact"
-        else:
-            mode = "ivf"
-        details: dict[str, Any] = {
-            "k": k,
-            "metric": vector_index.spec.metric,
-            "mode": mode,
-            "vectorsScored": scored,
-            "indexedVectors": len(vector_index),
-            "scoreField": score_field,
-        }
-        if mode == "ivf":
-            details["nlist"] = vector_index.nlist
-            details["nprobe"] = nprobe or vector_index.default_nprobe()
-        if filter_plan_stage is not None:
-            details["filterPlan"] = filter_plan_stage
-            details["filterMatched"] = len(allowed_ids or ())
-        examined = filter_examined + scored
-        plan = QueryPlan(
-            stage="VECTOR_SEARCH",
-            index_name=index_name,
-            index_fields=vector_index.spec.fields,
-            documents_examined=examined,
-            vector=details,
-        )
-        stats = StageStats(
-            "$vectorSearch", docs_examined=examined, docs_returned=len(results)
-        )
-        self.operation_counters["queries"] += 1
-        self.operation_counters["documents_scanned"] += examined
-        return plan, results, stats
-
     def _execute_pipeline(
         self,
         pipeline: Sequence[Mapping[str, Any]],
@@ -1078,16 +936,7 @@ class Collection(CollectionSurface):
     ) -> tuple[QueryPlan, list[dict[str, Any]]]:
         """Shared core of :meth:`aggregate` and the explain surfaces."""
         optimized = optimize_pipeline(pipeline)
-        if optimized and "$vectorSearch" in optimized[0]:
-            plan, source, vector_stats = self._vector_search_source(
-                optimized[0]["$vectorSearch"]
-            )
-            remaining: list[Mapping[str, Any]] = list(optimized[1:])
-            if counters is not None:
-                counters.append(vector_stats)
-        else:
-            plan, source = self._aggregate_plan_and_source(optimized)
-            remaining = optimized
+        plan, source = self._aggregate_plan_and_source(optimized)
         collection_resolver, output_writer = self._pipeline_environment()
         if suppress_out:
             output_writer = lambda _name, _documents: None  # noqa: E731
@@ -1097,7 +946,7 @@ class Collection(CollectionSurface):
         # instead of paying a defensive deep copy per document.
         results = run_pipeline(
             source,
-            remaining,
+            optimized,
             collection_resolver=collection_resolver,
             output_writer=output_writer,
             counters=counters,
@@ -1109,13 +958,11 @@ class Collection(CollectionSurface):
     def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
         """Run an aggregation pipeline over the collection.
 
-        The pipeline is optimized once (match merging / pushdown, top-k and
-        ``$vectorSearch``+``$limit`` fusion) so the planner sees the
-        effective leading stage even when the caller wrote it after a
-        ``$sort``.  A leading ``$vectorSearch`` runs against the
-        collection's vector index (with optional metadata pre-filter)
-        before the compiled stages.  Stages read the stored documents in
-        place, so the results are detached from them on the way out.
+        The pipeline is optimized once (match merging / pushdown, top-k
+        fusion) so the planner sees the effective leading stage even when
+        the caller wrote it after a ``$sort``.  Stages read the stored
+        documents in place, so the results are detached from them on the
+        way out.
         """
         return deep_copy_document(self.execute_pipeline(pipeline))
 

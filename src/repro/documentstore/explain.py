@@ -23,7 +23,7 @@ Schema (version 1)::
       "namespace": "db.collection",
       "queryPlanner": {
         "winningPlan": {...},     # access path (COLLSCAN/IXSCAN/
-                                  # VECTOR_SEARCH/SINGLE_SHARD/SHARD_MERGE)
+                                  # SINGLE_SHARD/SHARD_MERGE)
         "sortMode": str | None,   # indexOrder/topK/sortMaterialize/
                                   # streamingKWayMerge/None
         "spec": {...},            # the find spec, or {"pipeline": [...]}

@@ -34,29 +34,14 @@ __all__ = [
     "ASCENDING",
     "DESCENDING",
     "HASHED",
-    "VECTOR",
-    "BTREE_TYPE",
-    "VECTOR_TYPE",
-    "VECTOR_METRICS",
 ]
 
 ASCENDING = 1
 DESCENDING = -1
 HASHED = "hashed"
-#: Key direction marker used by vector indexes (``[("embedding", "vector")]``).
-VECTOR = "vector"
-
-#: Index types accepted by the structured ``create_index`` spec.
-BTREE_TYPE = "btree"
-VECTOR_TYPE = "vector"
-
-#: Similarity metrics a vector index can be declared with.
-VECTOR_METRICS = ("cosine", "l2")
 
 #: Fields allowed in a structured index spec document.
-_STRUCTURED_SPEC_FIELDS = frozenset(
-    {"keys", "type", "dims", "metric", "unique", "name", "nlist"}
-)
+_STRUCTURED_SPEC_FIELDS = frozenset({"keys", "type", "unique", "name"})
 
 _MISSING_KEY = None  # documents without the indexed field index a null key
 
@@ -95,19 +80,12 @@ class IndexSpec:
     """Declarative description of an index.
 
     ``keys`` is an ordered sequence of ``(field, direction)`` pairs where
-    direction is ``1`` (ascending), ``-1`` (descending), ``"hashed"``, or
-    ``"vector"`` (vector indexes only).  ``type`` selects the index family:
-    ``"btree"`` (the sorted-array default) or ``"vector"`` (kNN/ANN over a
-    single embedding field, configured by ``dims``/``metric``/``nlist``).
+    direction is ``1`` (ascending), ``-1`` (descending) or ``"hashed"``.
     """
 
     keys: tuple[tuple[str, Any], ...]
     unique: bool = False
     name: str = field(default="")
-    type: str = BTREE_TYPE
-    dims: int = 0
-    metric: str = ""
-    nlist: int = 0
     #: Derived from ``keys`` once per spec — the planner reads both several
     #: times per operation.  Not part of the spec's value: excluded from
     #: ``==``, ``hash``, ``repr`` and :meth:`describe`.
@@ -117,59 +95,20 @@ class IndexSpec:
     def __post_init__(self) -> None:
         if not self.keys:
             raise OperationFailure("an index requires at least one key")
-        if self.type == VECTOR_TYPE:
-            self._validate_vector()
-        elif self.type == BTREE_TYPE:
-            self._validate_btree()
-        else:
-            raise OperationFailure(
-                f"unknown index type {self.type!r} (expected 'btree' or 'vector')"
-            )
+        directions = [direction for _field, direction in self.keys]
+        for direction in directions:
+            if direction not in (ASCENDING, DESCENDING, HASHED):
+                raise OperationFailure(
+                    f"unsupported index key direction {direction!r} (expected 1, -1 or 'hashed')"
+                )
+        is_hashed = HASHED in directions
+        if is_hashed and len(self.keys) > 1:
+            raise OperationFailure("hashed indexes must be single-field")
         if not self.name:
             generated = "_".join(f"{field_}_{direction}" for field_, direction in self.keys)
             object.__setattr__(self, "name", generated)
         object.__setattr__(self, "fields", tuple(field_ for field_, _direction in self.keys))
-        object.__setattr__(
-            self, "is_hashed", any(direction == HASHED for _field, direction in self.keys)
-        )
-
-    def _validate_btree(self) -> None:
-        hashed_fields = [f for f, direction in self.keys if direction == HASHED]
-        if hashed_fields and len(self.keys) > 1:
-            raise OperationFailure("hashed indexes must be single-field")
-        if any(direction == VECTOR for _field, direction in self.keys):
-            raise OperationFailure(
-                "'vector' key direction requires an index of type 'vector'"
-            )
-        for option in ("dims", "metric", "nlist"):
-            if getattr(self, option):
-                raise OperationFailure(
-                    f"{option!r} only applies to indexes of type 'vector'"
-                )
-
-    def _validate_vector(self) -> None:
-        if len(self.keys) != 1:
-            raise OperationFailure("a vector index covers exactly one field")
-        field_path, direction = self.keys[0]
-        if direction != VECTOR:
-            # Normalize: structured specs may declare the key as a plain
-            # field name; canonical form stores ("field", "vector").
-            object.__setattr__(self, "keys", ((field_path, VECTOR),))
-        if self.unique:
-            raise OperationFailure("vector indexes cannot be unique")
-        if not isinstance(self.dims, int) or isinstance(self.dims, bool) or self.dims <= 0:
-            raise OperationFailure(
-                "a vector index requires 'dims': a positive integer dimensionality"
-            )
-        if not self.metric:
-            object.__setattr__(self, "metric", "cosine")
-        if self.metric not in VECTOR_METRICS:
-            raise OperationFailure(
-                f"unknown vector metric {self.metric!r} "
-                f"(expected one of {', '.join(VECTOR_METRICS)})"
-            )
-        if not isinstance(self.nlist, int) or isinstance(self.nlist, bool) or self.nlist < 0:
-            raise OperationFailure("'nlist' must be a non-negative integer")
+        object.__setattr__(self, "is_hashed", is_hashed)
 
     @classmethod
     def from_key_specification(
@@ -183,10 +122,10 @@ class IndexSpec:
 
         Accepts the legacy sugar forms — a field name, a ``{field: direction}``
         mapping, or a sequence of ``(field, direction)`` pairs — plus the
-        structured spec document ``{"keys": [...], "type": ..., "dims": ...,
-        "metric": ..., "unique": ..., "name": ..., "nlist": ...}`` (any mapping
-        containing a ``"keys"`` entry).  The structured form is what
-        ``list_indexes`` returns, so specs round-trip.
+        structured spec document ``{"keys": [...], "unique": ..., "name":
+        ..., "type": "btree"}`` (any mapping containing a ``"keys"`` entry).
+        The structured form is what ``list_indexes`` returns, so specs
+        round-trip.
         """
         if isinstance(keys, Mapping) and "keys" in keys:
             return cls._from_structured(keys, unique=unique, name=name)
@@ -208,6 +147,10 @@ class IndexSpec:
                 f"unknown index spec field(s) {unknown!r}; "
                 f"allowed: {sorted(_STRUCTURED_SPEC_FIELDS)!r}"
             )
+        # Every index is a btree: "type" is accepted so that described
+        # specs round-trip, and refused for any other value.
+        if spec.get("type", "btree") != "btree":
+            raise OperationFailure(f"unknown index type {spec['type']!r} (expected 'btree')")
         raw_keys = spec["keys"]
         if isinstance(raw_keys, str):
             normalized: tuple[tuple[str, Any], ...] = ((raw_keys, ASCENDING),)
@@ -226,23 +169,10 @@ class IndexSpec:
                     "index spec 'keys' must be a field name, a mapping, or a "
                     "sequence of (field, direction) pairs"
                 ) from None
-        index_type = str(spec.get("type") or BTREE_TYPE)
-        dims = spec.get("dims", 0)
-        nlist = spec.get("nlist", 0)
-        if index_type == VECTOR_TYPE:
-            # Plain field names in a vector spec's keys mean the vector field.
-            normalized = tuple(
-                (field_path, VECTOR if direction == ASCENDING else direction)
-                for field_path, direction in normalized
-            )
         return cls(
             keys=normalized,
             unique=bool(spec.get("unique", unique)),
             name=str(spec.get("name") or name or ""),
-            type=index_type,
-            dims=dims if dims is not None else 0,
-            metric=str(spec.get("metric") or ""),
-            nlist=nlist if nlist is not None else 0,
         )
 
     def describe(self) -> dict[str, Any]:
@@ -250,25 +180,15 @@ class IndexSpec:
 
         The returned mapping is accepted back by :meth:`from_key_specification`
         and is what ``list_indexes``, WAL index-DDL records, and the wire
-        protocol's ``createIndexes`` command carry.
+        protocol's ``createIndexes`` command carry.  ``"type": "btree"`` is
+        part of the logged bytes, so it stays.
         """
-        described: dict[str, Any] = {
+        return {
             "name": self.name,
-            "type": self.type,
+            "type": "btree",
             "keys": [list(pair) for pair in self.keys],
             "unique": self.unique,
         }
-        if self.type == VECTOR_TYPE:
-            described["dims"] = self.dims
-            described["metric"] = self.metric
-            if self.nlist:
-                described["nlist"] = self.nlist
-        return described
-
-    @property
-    def is_vector(self) -> bool:
-        """True if this is a vector index."""
-        return self.type == VECTOR_TYPE
 
 
 class Index:
@@ -470,9 +390,16 @@ class Index:
         new_document: Mapping[str, Any],
         doc_id: int,
     ) -> None:
-        """Re-index *doc_id* after an update changed the document."""
+        """Re-index *doc_id* after an update changed the document.
+
+        A unique violation puts the old entries back before it propagates.
+        """
         self.remove(old_document, doc_id)
-        self.insert(new_document, doc_id)
+        try:
+            self.insert(new_document, doc_id)
+        except DuplicateKeyError:
+            self.insert(old_document, doc_id)
+            raise
 
     def clear(self) -> None:
         """Drop every entry (used when a collection is emptied)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .errors import OperationFailure
@@ -33,7 +33,7 @@ class QueryPlan:
     per executed stage, in optimized execution order).
     """
 
-    stage: str  # "COLLSCAN", "IXSCAN", or "VECTOR_SEARCH"
+    stage: str  # "COLLSCAN" or "IXSCAN"
     index_name: str | None = None
     index_fields: tuple[str, ...] = ()
     candidate_ids: tuple[int, ...] | None = None
@@ -44,8 +44,6 @@ class QueryPlan:
     sort_served: bool = False
     #: Index scan direction when ``sort_served`` ("forward" or "backward").
     direction: str = "forward"
-    #: VECTOR_SEARCH details: k/metric/mode/nprobe/vectorsScored/filter plan.
-    vector: Mapping[str, Any] | None = None
 
     def describe(self) -> dict[str, Any]:
         """Return an ``explain()``-style description of the plan."""
@@ -57,11 +55,6 @@ class QueryPlan:
             if self.sort_served:
                 description["sortServedByIndex"] = True
                 description["direction"] = self.direction
-        elif self.stage == "VECTOR_SEARCH":
-            description["indexName"] = self.index_name
-            description["keyPattern"] = list(self.index_fields)
-            if self.vector:
-                description["vectorSearch"] = dict(self.vector)
         if self.pipeline_stages:
             description["pipelineStages"] = [dict(entry) for entry in self.pipeline_stages]
         return description
@@ -70,17 +63,7 @@ class QueryPlan:
         self, stages: Sequence[Mapping[str, Any]]
     ) -> "QueryPlan":
         """Return a copy of the plan carrying pipeline stage counters."""
-        return QueryPlan(
-            stage=self.stage,
-            index_name=self.index_name,
-            index_fields=self.index_fields,
-            candidate_ids=self.candidate_ids,
-            documents_examined=self.documents_examined,
-            pipeline_stages=tuple(dict(entry) for entry in stages),
-            sort_served=self.sort_served,
-            direction=self.direction,
-            vector=dict(self.vector) if self.vector else None,
-        )
+        return replace(self, pipeline_stages=tuple(dict(entry) for entry in stages))
 
 
 @dataclass
@@ -166,8 +149,6 @@ def plan_query(
 
     usable: list[tuple[str, Index]] = []
     for name, index in indexes.items():
-        if getattr(index.spec, "is_vector", False):
-            continue  # vector indexes cannot serve filters or sorts
         leading = constraints.get(index.spec.fields[0])
         if leading is not None and (
             leading.has_equality or (leading.has_range and not index.spec.is_hashed)

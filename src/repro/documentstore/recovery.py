@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Any
 
 from .bson import decode_document
 from .errors import DuplicateKeyError, IndexNotFoundError, RecoveryError
-from .snapshot import load_snapshot, read_manifest
+from .snapshot import load_snapshot, read_manifest, restore_index
 from .wal import (
     REAL_FS,
     TAIL_CLEAN,
@@ -162,8 +162,7 @@ def apply_record(client: "DocumentStoreClient", record: dict[str, Any]) -> int:
         spec = record.get("spec")
         if not isinstance(spec, Mapping):  # the golden segment's records all carry one
             raise RecoveryError(f"create_index record without a structured spec: {record!r}")
-        # Round-trips btree and vector indexes alike through IndexSpec.from_key_specification.
-        collection.create_index(spec)
+        restore_index(collection, spec)
         return 0
     if op == "drop_index":
         try:

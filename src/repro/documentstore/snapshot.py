@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, BinaryIO, Iterator
 
 from .bson import decode_document, encode_document
-from .errors import SnapshotCorruptError
+from .errors import OperationFailure, RecoveryError, SnapshotCorruptError
 from .wal import REAL_FS, FileSystem
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "SNAPSHOT_FORMAT",
     "atomic_writer",
+    "restore_index",
     "write_snapshot",
     "load_snapshot",
     "read_manifest",
@@ -94,13 +95,28 @@ def atomic_writer(
 
 
 def _collection_manifest(collection: Any) -> dict[str, Any]:
-    # Structured specs (type/dims/metric/...) so vector indexes round-trip.
+    # Structured specs (IndexSpec.describe()), the form create_index takes back.
     indexes = {
         spec["name"]: spec
         for spec in collection.list_indexes()
         if spec["name"] != "_id_"
     }
     return {"count": len(collection), "indexes": indexes}
+
+
+def restore_index(collection: Any, spec: Any, *, defer: bool = False) -> None:
+    """Recreate a logged index; a spec the store refuses is a :class:`RecoveryError`.
+
+    Old data may name an index kind the store no longer has.  Recovery stops
+    there, naming the namespace and the spec, instead of letting a bare
+    ``OperationFailure`` escape.
+    """
+    try:
+        collection.create_index(spec, defer=defer)
+    except OperationFailure as exc:
+        raise RecoveryError(
+            f"cannot restore index {spec!r} on {collection.full_name}: {exc}"
+        ) from exc
 
 
 def write_snapshot(
@@ -256,7 +272,7 @@ def load_snapshot(
         )
         with collection.bulk_load():
             for info in index_specs.values():
-                collection.create_index(info, defer=True)
+                restore_index(collection, info, defer=True)
             batch: list[dict[str, Any]] = []
             for _ in range(count):
                 batch.append(decode_document(next(lines)))

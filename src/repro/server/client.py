@@ -396,7 +396,7 @@ class RemoteCollection(CollectionSurface):
 
         The results stream back in ``GET_MORE`` batches of *batch_size*
         (``None``: the server's default), exactly like :meth:`find` — a large
-        ``$vectorSearch``/``$group`` result never has to fit one frame.
+        ``$group`` result never has to fit one frame.
         """
         request = {"pipeline": [dict(stage) for stage in pipeline], "batch_size": batch_size}
         return list(self._stream(Opcode.AGGREGATE, request, batch_size))

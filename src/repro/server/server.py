@@ -758,7 +758,7 @@ class _Session(threading.Thread):
             spec = command.get("spec")
             if not isinstance(spec, Mapping):
                 raise OperationFailure("createIndexes takes a structured index 'spec'")
-            # ``IndexSpec.describe()``: btree and vector indexes round-trip as-is.
+            # ``IndexSpec.describe()``: a listed index round-trips as-is.
             return {"ok": 1.0, "name": collection.create_index(spec)}, 0
         if "listIndexes" in command:
             collection = self.server._collection(database_name, command["listIndexes"])

@@ -35,11 +35,7 @@ from dataclasses import dataclass
 from operator import methodcaller
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from ..documentstore.aggregation import (
-    optimize_pipeline,
-    run_pipeline,
-    split_pipeline_for_shards,
-)
+from ..documentstore.aggregation import run_pipeline, split_pipeline_for_shards
 from ..documentstore.bson import document_size
 from ..documentstore.bulk import (
     BulkWriteError,
@@ -976,8 +972,7 @@ class RoutedCollection(CollectionSurface):
     def create_index(self, keys: Any, *, unique: bool = False, name: str = "") -> str:
         """Create an index on every shard holding the collection (concurrently).
 
-        Accepts structured specs like
-        ``{"keys": ["embedding"], "type": "vector", "dims": 8}`` too.
+        Accepts the structured specs ``list_indexes`` returns too.
         """
         per_shard = self._on_shards(
             self._owning_shards(),
@@ -1033,16 +1028,9 @@ class RoutedCollection(CollectionSurface):
         shards, otherwise the pipeline is broadcast (Section 4.3's expensive
         case for the analytical queries).  All shard-side pipelines execute
         concurrently through the scatter pool.
-
-        A leading ``$vectorSearch`` runs on every owning shard with the
-        *global* ``k`` (its metadata ``filter`` still targets when it
-        constrains the shard key); the router then re-ranks the union of the
-        per-shard top-k by score and keeps the global top-k, so the merged
-        ranking is exactly what a stand-alone collection would return.
         """
         router = self._router
         shard_stages, merge_stages, targets, targeted = self._plan_aggregate(pipeline)
-        vector_stage = shard_stages[0].get("$vectorSearch") if shard_stages else None
         # The shard-local pipeline gives each slice the same leading-$match
         # IXSCAN pushdown (and $lookup collection resolution) as a stand-alone
         # ``aggregate``; its results are encoded for shipping, not copied first.
@@ -1059,19 +1047,6 @@ class RoutedCollection(CollectionSurface):
         merged: list[dict[str, Any]] = []
         for shard_id in targets:
             merged.extend(per_shard.get(shard_id, []))
-
-        if isinstance(vector_stage, Mapping):
-            # Each shard returned its local top-k; keep the global top-k,
-            # re-ranked by score (desc) with the same _id tiebreak the
-            # stand-alone engine uses, so sharded results match exactly.
-            k = int(vector_stage.get("k", vector_stage.get("limit") or 0) or 0)
-            score_field = str(vector_stage.get("scoreField") or "_score")
-            id_key = document_sort_key([("_id", 1)])
-            merged.sort(
-                key=lambda doc: (-float(doc.get(score_field, 0.0)), id_key(doc))
-            )
-            if k > 0:
-                merged = merged[:k]
 
         out_target: str | None = None
         if merge_stages and "$out" in merge_stages[-1]:
@@ -1111,16 +1086,8 @@ class RoutedCollection(CollectionSurface):
         Returns ``(shard stages, merge stages, target shard ids, targeted?)``;
         ``aggregate`` executes this plan and ``explain`` reports it.
         """
-        pipeline = list(pipeline)
-        if pipeline and "$vectorSearch" in pipeline[0]:
-            # Apply the $vectorSearch+$limit k-lowering before splitting so
-            # every shard scans the lowered k, not the stage's original one.
-            pipeline = optimize_pipeline(pipeline)
         shard_stages, merge_stages = split_pipeline_for_shards(pipeline)
-        leading = shard_stages[0] if shard_stages else {}
-        leading_match = leading.get("$match")
-        if isinstance(leading.get("$vectorSearch"), Mapping):
-            leading_match = leading["$vectorSearch"].get("filter")
+        leading_match = shard_stages[0].get("$match") if shard_stages else None
         targets, targeted = self._router._target_shards(*self._namespace, leading_match)
         return shard_stages, merge_stages, targets, targeted
 

@@ -240,6 +240,38 @@ class TestPipelineValidation:
         assert all("computed" not in doc for doc in collection.find({}))
 
 
+    def test_vector_search_is_an_unknown_stage(self):
+        collection = collection_with(SALES)
+        with pytest.raises(InvalidPipelineError, match="unknown pipeline stage"):
+            collection.aggregate([{"$vectorSearch": {"queryVector": [1.0], "path": "qty", "k": 1}}])
+
+    def test_top_k_composes_with_downstream_stages(self):
+        collection = collection_with(SALES)
+        result = collection.aggregate(
+            [
+                {"$sort": {"qty": -1}},
+                {"$limit": 4},
+                {"$match": {"store": 1}},
+                {"$project": {"_id": 0, "item": 1, "qty": 1}},
+            ]
+        )
+        top_four = sorted(SALES, key=lambda row: -row["qty"])[:4]
+        assert result == [
+            {"item": row["item"], "qty": row["qty"]} for row in top_four if row["store"] == 1
+        ]
+
+    def test_a_leading_match_is_served_by_a_secondary_index(self):
+        collection = collection_with(SALES)
+        collection.create_index("store")
+        pipeline = [{"$match": {"store": 2}}, {"$group": {"_id": "$item", "n": {"$sum": 1}}}]
+        plan = collection.explain(pipeline)["queryPlanner"]["winningPlan"]
+        assert plan["stage"] == "IXSCAN" and plan["indexName"] == "store_1"
+        assert sorted(collection.aggregate(pipeline), key=lambda doc: doc["_id"]) == [
+            {"_id": "A", "n": 1},
+            {"_id": "B", "n": 1},
+        ]
+
+
 class TestShardSplit:
     def test_match_runs_on_shards_group_on_router(self):
         pipeline = [

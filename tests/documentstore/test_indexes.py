@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.documentstore import DuplicateKeyError, OperationFailure
+from repro.documentstore import DocumentStoreClient, DuplicateKeyError, OperationFailure
 from repro.documentstore.indexes import ASCENDING, DESCENDING, HASHED, Index, IndexSpec, hashed_value
 
 
@@ -60,10 +60,49 @@ class TestIndexSpec:
         assert set(spec.describe()) == {"name", "type", "keys", "unique"}
         assert IndexSpec.from_key_specification(spec.describe()) == spec
 
-    def test_vector_spec_fields_follow_the_normalized_keys(self):
-        spec = IndexSpec.from_key_specification({"keys": ["embedding"], "type": "vector", "dims": 4})
-        assert spec.keys == (("embedding", "vector"),)
-        assert spec.fields == ("embedding",) and not spec.is_hashed
+    def test_structured_spec(self):
+        spec = IndexSpec.from_key_specification(
+            {"keys": [["store", 1], ["amount", -1]], "type": "btree", "unique": True}
+        )
+        assert spec.keys == (("store", 1), ("amount", -1))
+        assert spec.unique is True
+        assert spec.describe()["type"] == "btree"
+        # "type" may be left out: every index is a btree.
+        assert IndexSpec.from_key_specification({"keys": ["store"]}).keys == (("store", 1),)
+
+    def test_structured_fields_follow_the_normalized_keys(self):
+        spec = IndexSpec.from_key_specification({"keys": ["a", ["b", -1]], "name": "ab"})
+        assert spec.keys == (("a", ASCENDING), ("b", DESCENDING))
+        assert spec.fields == ("a", "b") and spec.name == "ab" and not spec.is_hashed
+
+    def test_unknown_structured_field_rejected(self):
+        with pytest.raises(OperationFailure, match="bogus"):
+            IndexSpec.from_key_specification({"keys": ["a"], "bogus": 1})
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"keys": ["a"], "type": "btree", "dims": 4},
+            {"keys": ["a"], "metric": "l2"},
+            {"keys": ["a"], "nlist": 8},
+            {"keys": ["embedding"], "type": "vector", "dims": 3},
+            {"keys": ["a"], "type": "text"},
+        ],
+    )
+    def test_only_btree_specs_are_accepted(self, spec):
+        with pytest.raises(OperationFailure):
+            IndexSpec.from_key_specification(spec)
+
+    @pytest.mark.parametrize("direction", ["vector", "text", 2, None])
+    def test_unknown_key_direction_rejected(self, direction):
+        with pytest.raises(OperationFailure, match="direction"):
+            IndexSpec.from_key_specification([("a", direction)])
+
+    def test_legacy_sugar_still_works(self):
+        collection = DocumentStoreClient()["db"]["items"]
+        assert collection.create_index("store") == "store_1"
+        assert collection.create_index([("a", 1), ("b", -1)]) == "a_1_b_-1"
+        assert collection.create_index({"h": "hashed"}) == "h_hashed"
 
 
 class TestPointAndPrefixLookups:
@@ -295,3 +334,101 @@ def test_failed_unique_bulk_insert_leaves_the_index_untouched(batch, taken, insi
     values = {doc_id: d["v"] for doc_id, d in enumerate(existing, start=1)}
     values.update(enumerate(fresh, start=2000))
     assert [values[doc_id] for doc_id in index.ordered_doc_ids()] == sorted(values.values())
+
+
+# --------------------------------------------------------------------------
+# A collection's indexes: catalog, planner use and maintenance by writes.
+# --------------------------------------------------------------------------
+
+
+def tagged_collection(n=20):
+    collection = DocumentStoreClient()["db"]["items"]
+    collection.insert_many([{"_id": i, "tag": i % 3, "rank": i * 7 % 13} for i in range(n)])
+    return collection
+
+
+def ids_through(collection, index_name, query):
+    """The ``_id`` values *query* finds when it is answered from *index_name*."""
+    return sorted(doc["_id"] for doc in collection.find(query).hint(index_name))
+
+
+def winning_stage(collection, query):
+    return collection.explain(query)["queryPlanner"]["winningPlan"]["stage"]
+
+
+class TestCollectionIndexes:
+    def test_create_and_list_index(self):
+        collection = tagged_collection()
+        name = collection.create_index({"keys": [["tag", 1], ["rank", -1]], "unique": True})
+        assert name == "tag_1_rank_-1"
+        specs = {spec["name"]: spec for spec in collection.list_indexes()}
+        assert specs[name] == {
+            "name": name,
+            "type": "btree",
+            "keys": [["tag", 1], ["rank", -1]],
+            "unique": True,
+        }
+        assert specs["_id_"]["type"] == "btree"
+        info = collection.index_information()[name]
+        assert info["type"] == "btree" and info["unique"] is True
+
+    def test_a_secondary_index_serves_finds(self):
+        collection = tagged_collection()
+        collection.create_index("tag")
+        plan = collection.explain({"tag": 1})["queryPlanner"]["winningPlan"]
+        assert plan["stage"] == "IXSCAN" and plan["indexName"] == "tag_1"
+
+    def test_insert_update_delete_maintain_index(self):
+        collection = tagged_collection()
+        collection.create_index("tag")
+        collection.insert_one({"_id": 999, "tag": 7})
+        assert ids_through(collection, "tag_1", {"tag": 7}) == [999]
+        collection.update_one({"_id": 999}, {"$set": {"tag": 8}})
+        assert ids_through(collection, "tag_1", {"tag": 7}) == []
+        assert ids_through(collection, "tag_1", {"tag": 8}) == [999]
+        collection.delete_many({"_id": 999})
+        assert ids_through(collection, "tag_1", {"tag": 8}) == []
+
+    def test_documents_without_the_field_are_indexed_as_null(self):
+        collection = tagged_collection(5)
+        collection.create_index("tag")
+        collection.insert_one({"_id": 1000})
+        assert ids_through(collection, "tag_1", {"tag": None}) == [1000]
+
+    def test_a_unique_violation_stores_only_the_prefix(self):
+        collection = tagged_collection(5)
+        collection.create_index("rank", unique=True)
+        with pytest.raises(DuplicateKeyError):
+            collection.insert_many([{"_id": 2000, "rank": 100}, {"_id": 2001, "rank": 0}])
+        assert collection.count_documents({"_id": {"$gte": 2000}}) == 1
+        assert ids_through(collection, "rank_1", {"rank": 0}) == [0]
+        assert ids_through(collection, "rank_1", {"rank": 100}) == [2000]
+
+    def test_a_refused_update_leaves_the_old_entry(self):
+        collection = tagged_collection(5)
+        collection.create_index("rank", unique=True)
+        with pytest.raises(DuplicateKeyError):
+            collection.update_one({"_id": 1}, {"$set": {"rank": 0}})
+        assert ids_through(collection, "rank_1", {"rank": 7}) == [1]
+        assert ids_through(collection, "rank_1", {"rank": 0}) == [0]
+
+    def test_a_refused_update_leaves_every_index_as_it_was(self):
+        collection = tagged_collection(5)
+        collection.create_index("tag")
+        collection.create_index("rank", unique=True)
+        # ``tag_1`` is re-keyed before ``rank_1`` refuses the update.
+        with pytest.raises(DuplicateKeyError):
+            collection.update_one({"_id": 1}, {"$set": {"tag": 9, "rank": 0}})
+        assert collection.find_one({"_id": 1}) == {"_id": 1, "tag": 1, "rank": 7}
+        assert ids_through(collection, "tag_1", {"tag": 9}) == []
+        assert ids_through(collection, "tag_1", {"tag": 1}) == [1, 4]
+        assert ids_through(collection, "rank_1", {"rank": 7}) == [1]
+
+    def test_deferred_build_via_bulk_load(self):
+        collection = DocumentStoreClient()["db"]["items"]
+        with collection.bulk_load():
+            collection.create_index("tag", defer=True)
+            collection.insert_many([{"_id": i, "tag": i % 3} for i in range(30)])
+            assert winning_stage(collection, {"tag": 1}) == "COLLSCAN"
+        assert ids_through(collection, "tag_1", {"tag": 1}) == list(range(1, 30, 3))
+        assert winning_stage(collection, {"tag": 1}) == "IXSCAN"

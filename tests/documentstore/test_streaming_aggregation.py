@@ -83,6 +83,43 @@ class TestTopKFusion:
         assert result == run_pipeline(ROWS, pipeline, optimize=False)
         assert len(result) == 4
 
+    def test_an_intervening_stage_blocks_fusion(self):
+        pipeline = [
+            {"$sort": {"qty": 1}},
+            {"$addFields": {"twice": {"$multiply": ["$qty", 2]}}},
+            {"$limit": 5},
+        ]
+        counters: list[StageStats] = []
+        result = run_pipeline(ROWS, pipeline, counters=counters)
+        assert stage_labels(counters) == ["$sort", "$addFields", "$limit"]
+        assert result == run_pipeline(ROWS, pipeline, optimize=False)
+
+    def test_a_match_between_sort_and_limit_moves_ahead_and_fuses(self):
+        pipeline = [{"$sort": {"qty": -1, "item": 1}}, {"$match": {"store": 2}}, {"$limit": 5}]
+        counters: list[StageStats] = []
+        result = run_pipeline(ROWS, pipeline, counters=counters)
+        assert stage_labels(counters) == ["$match", "$sort+$limit"]
+        assert result == run_pipeline(ROWS, pipeline, optimize=False)
+        assert all(doc["store"] == 2 for doc in result)
+
+    @pytest.mark.parametrize(("skip", "limit"), [(0, 0), (0, 1), (3, 5), (195, 10), (250, 5)])
+    def test_fused_results_equal_a_slice_of_the_full_sort(self, skip, limit):
+        ordered = run_pipeline(ROWS, [{"$sort": {"qty": 1, "item": -1}}])
+        pipeline = [{"$sort": {"qty": 1, "item": -1}}, {"$skip": skip}, {"$limit": limit}]
+        assert run_pipeline(ROWS, pipeline) == ordered[skip : skip + limit]
+
+    def test_fusion_visible_in_explain_counters(self):
+        collection = Collection(None, "rows")
+        collection.insert_many(ROWS)
+        explain = collection.explain(
+            [{"$sort": {"qty": -1, "item": 1}}, {"$limit": 5}], verbosity="executionStats"
+        )
+        stages = {entry["stage"]: entry for entry in explain["executionStats"]["stages"]}
+        assert set(stages) == {"$sort+$limit"}
+        assert stages["$sort+$limit"]["docsExamined"] == len(ROWS)
+        assert stages["$sort+$limit"]["docsReturned"] == 5
+        assert explain["executionStats"]["nReturned"] == 5
+
     def test_sort_alone_still_full_sorts(self):
         pipeline = [{"$sort": {"qty": 1, "store": -1}}]
         assert run_pipeline(ROWS, pipeline) == run_pipeline(ROWS, pipeline, optimize=False)

@@ -33,9 +33,16 @@ from repro.documentstore import (
     DeleteMany,
     DocumentStoreClient,
     InsertOne,
+    RecoveryError,
     UpdateMany,
     UpdateOne,
+    decode_document,
+    dump_database,
+    encode_document,
+    encode_record,
+    load_database,
 )
+from repro.documentstore.recovery import apply_record, snapshot_path, wal_path
 from repro.documentstore.storage import StorageEngine
 
 # --------------------------------------------------------------------------
@@ -317,9 +324,6 @@ class TestShardedClusterRecovery:
 
 class TestByteLevelDamage:
     def test_torn_wal_tail_is_truncated_and_prefix_survives(self, tmp_path):
-        from repro.documentstore.recovery import wal_path
-        from repro.documentstore.wal import encode_record
-
         data_dir = tmp_path / "data"
         with DocumentStoreClient(data_dir=data_dir, fsync="always") as client:
             client.db.c.insert_many([{"_id": i} for i in range(10)])
@@ -337,8 +341,6 @@ class TestByteLevelDamage:
         client.close()
 
     def test_bit_flipped_wal_tail_is_dropped_and_prefix_survives(self, tmp_path):
-        from repro.documentstore.recovery import wal_path
-
         data_dir = tmp_path / "data"
         with DocumentStoreClient(data_dir=data_dir, fsync="always") as client:
             client.db.c.insert_many([{"_id": i} for i in range(5)])
@@ -354,3 +356,138 @@ class TestByteLevelDamage:
         assert client.db.c.count_documents({"_id": {"$lt": 100}}) == 5
         assert client.db.c.count_documents({"_id": {"$gte": 100}}) == 0
         client.close()
+
+
+class TestIndexSpecsAcrossRestarts:
+    #: A ``create_index`` spec written by a build that still had vector indexes.
+    VECTOR_SPEC = {
+        "name": "embedding_vector",
+        "type": "vector",
+        "keys": [["embedding", "vector"]],
+        "unique": False,
+        "dims": 3,
+        "metric": "l2",
+    }
+
+    #: One spec of each index shape, and the ``find`` it serves.
+    SPECS = {
+        "single": ({"keys": ["tenant"]}, {"tenant": 1}),
+        "compound unique": (
+            {"keys": [["tenant", 1], ["_id", -1]], "unique": True, "name": "by_tenant"},
+            {"tenant": 0, "_id": {"$gte": 10}},
+        ),
+        "hashed": ({"keys": [["tenant", "hashed"]]}, {"tenant": 1}),
+    }
+
+    DOCS = [{"_id": i, "tenant": i % 2, "n": i} for i in range(30)]
+
+    @staticmethod
+    def served(collection, query):
+        """The plan that serves *query* and the ids it returns."""
+        plan = collection.explain(query)["queryPlanner"]["winningPlan"]
+        ids = sorted(doc["_id"] for doc in collection.find(query))
+        return plan["stage"], plan.get("indexName"), ids
+
+    @pytest.mark.parametrize("shape", SPECS)
+    def test_an_index_survives_wal_replay(self, tmp_path, shape):
+        spec, query = self.SPECS[shape]
+        with DocumentStoreClient(data_dir=tmp_path, fsync="always") as client:
+            client.db.c.insert_many(self.DOCS)
+            name = client.db.c.create_index(spec)
+            listed, expected = client.db.c.list_indexes(), self.served(client.db.c, query)
+        assert expected[:2] == ("IXSCAN", name)
+
+        # No checkpoint ran: reopening replays the DDL from the WAL.
+        with DocumentStoreClient(data_dir=tmp_path) as client:
+            assert client.db.c.list_indexes() == listed
+            assert self.served(client.db.c, query) == expected
+
+    @pytest.mark.parametrize("shape", SPECS)
+    def test_an_index_survives_snapshot_restore(self, tmp_path, shape):
+        spec, query = self.SPECS[shape]
+        with DocumentStoreClient(data_dir=tmp_path, fsync="always") as client:
+            client.db.c.insert_many(self.DOCS)
+            name = client.db.c.create_index(spec)
+            listed, expected = client.db.c.list_indexes(), self.served(client.db.c, query)
+            client.checkpoint()  # the spec must round-trip through the manifest
+
+        with DocumentStoreClient(data_dir=tmp_path) as client:
+            assert client.db.c.list_indexes() == listed
+            assert self.served(client.db.c, query) == expected
+            # Writes after the restore still land in the rebuilt index.
+            client.db.c.insert_one({"_id": 99, "tenant": 5, "n": 99})
+            assert [doc["_id"] for doc in client.db.c.find({"tenant": 5}).hint(name)] == [99]
+
+    @pytest.mark.parametrize("shape", SPECS)
+    def test_dump_and_load_carry_index_specs(self, tmp_path, shape):
+        spec, query = self.SPECS[shape]
+        source = DocumentStoreClient()
+        source.db.c.insert_many(self.DOCS)
+        source.db.c.create_index(spec)
+        dump_database(source.db, tmp_path / "dump")
+
+        target = DocumentStoreClient()
+        load_database(target.db, tmp_path / "dump")
+        assert target.db.c.list_indexes() == source.db.c.list_indexes()
+        assert self.served(target.db.c, query) == self.served(source.db.c, query)
+
+    def test_btree_unique_index_spec_round_trips(self, tmp_path):
+        with DocumentStoreClient(data_dir=tmp_path, fsync="always") as client:
+            client.db.c.insert_many([{"_id": i, "tenant": i % 2} for i in range(10)])
+            client.db.c.create_index(
+                {"keys": [["tenant", 1], ["_id", -1]], "unique": True, "name": "by_tenant"}
+            )
+            client.checkpoint()
+
+        with DocumentStoreClient(data_dir=tmp_path) as client:
+            spec = {s["name"]: s for s in client.db.c.list_indexes()}["by_tenant"]
+            assert spec == {
+                "name": "by_tenant",
+                "type": "btree",
+                "keys": [["tenant", 1], ["_id", -1]],
+                "unique": True,
+            }
+
+    def test_legacy_wal_record_shape_is_refused(self):
+        # Records written before structured specs carried keys/unique/name; no
+        # tracked fixture holds one (test_bson.py's golden segment carries a spec).
+        client = DocumentStoreClient()
+        client.db.items.insert_many([{"_id": 1, "n": 1}])
+        legacy = {
+            "op": "create_index",
+            "db": "db",
+            "coll": "items",
+            "keys": [["n", 1]],
+            "unique": True,
+            "name": "legacy_n",
+        }
+        with pytest.raises(RecoveryError, match="without a structured spec"):
+            apply_record(client, legacy)
+        assert "legacy_n" not in client.db.items.index_information()
+
+    def test_a_vector_index_in_a_wal_segment_is_refused(self, tmp_path):
+        records = [
+            {"db": "rag", "coll": "chunks", "op": "insert", "docs": [{"_id": 1, "e": [1.0]}]},
+            {"db": "rag", "coll": "chunks", "op": "create_index", "spec": self.VECTOR_SPEC},
+        ]
+        wal_path(tmp_path, 0).write_bytes(
+            b"".join(encode_record(encode_document(record)) for record in records)
+        )
+        with pytest.raises(RecoveryError, match=r"rag\.chunks") as raised:
+            DocumentStoreClient(data_dir=tmp_path)
+        assert "embedding_vector" in str(raised.value)
+
+    def test_a_vector_index_in_a_snapshot_manifest_is_refused(self, tmp_path):
+        with DocumentStoreClient(data_dir=tmp_path, fsync="always") as client:
+            client.rag.chunks.insert_many([{"_id": i, "embedding": [float(i)]} for i in range(3)])
+            client.rag.chunks.create_index("embedding")
+            client.checkpoint()
+        snapshot = snapshot_path(tmp_path, 1)
+        manifest_line, rest = snapshot.read_bytes().split(b"\n", 1)
+        manifest = decode_document(manifest_line)
+        manifest["databases"]["rag"]["chunks"]["indexes"] = {"embedding_vector": self.VECTOR_SPEC}
+        snapshot.write_bytes(encode_document(manifest) + b"\n" + rest)
+
+        with pytest.raises(RecoveryError, match=r"rag\.chunks") as raised:
+            DocumentStoreClient(data_dir=tmp_path)
+        assert "embedding_vector" in str(raised.value)

@@ -258,6 +258,11 @@ class TestOneCursorLoop:
         assert status["opcounters"] == {"aggregate": 1, "get_more": 2}  # 300 / 101
         assert status["cursors"] == {"opened": 1, "exhausted": 1, "killed": 0}
         assert remote.aggregate(pipeline, batch_size=50) == remote.aggregate(pipeline)
+        # A result that fits its first batch leaves no server cursor behind.
+        opened = server.stats.snapshot()["cursors"]["opened"]
+        small = remote.aggregate([{"$match": {"order_id": {"$lt": 3}}}], batch_size=10)
+        assert len(small) == 3
+        assert server.stats.snapshot()["cursors"]["opened"] == opened
 
     def test_a_peer_that_never_drains_is_capped(self, server):
         """A raw peer opening cursors without ``GET_MORE`` is refused the next one.

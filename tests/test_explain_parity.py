@@ -88,3 +88,32 @@ def test_surfaces_differ_only_where_the_deployment_does(surfaces, query, sort, s
     for section in sharded["shards"].values():
         assert set(section) == PLANNER_KEYS
         assert section["spec"] == spec.shard_spec().describe()
+
+
+#: A pipeline whose leading ``$match`` the ``store`` index serves.
+PIPELINE = [{"$match": {"store": 2}}, {"$group": {"_id": "$store", "n": {"$sum": 1}}}]
+
+
+@pytest.mark.parametrize("surface", ["standalone", "sharded", "served"])
+def test_aggregate_explain_has_the_one_schema(surfaces, surface):
+    explain = surfaces[surface].explain(PIPELINE, verbosity="executionStats")
+    assert set(explain) == TOP_LEVEL_KEYS | {"executionStats"}
+    assert explain["surface"] == surface
+    assert explain["operation"] == "aggregate"
+    assert set(explain["queryPlanner"]) == PLANNER_KEYS
+    assert set(explain["executionStats"]) == EXECUTION_KEYS
+    assert explain["executionStats"]["nReturned"] == 1
+    # Each shard (or the one collection) serves the leading $match from the index.
+    planners = [shard["queryPlanner"] for shard in explain["shards"].values()]
+    for planner in planners or [explain["queryPlanner"]]:
+        assert planner["winningPlan"]["stage"] == "IXSCAN"
+
+
+def test_routing_decision_is_the_winning_plan(surfaces):
+    explain = surfaces["sharded"].explain([{"$match": {"store": 1}}, {"$count": "n"}])
+    plan = explain["queryPlanner"]["winningPlan"]
+    assert {"stage", "targeted", "shardsContacted", "mergeStages"} <= set(plan)
+    assert plan["mergeStages"] == ["$count"]
+    assert set(explain["shards"]) == set(plan["shardsContacted"])
+    served = surfaces["served"].explain([{"$match": {"store": 1}}, {"$count": "n"}])
+    assert {**served, "surface": "sharded"} == explain

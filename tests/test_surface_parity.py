@@ -15,9 +15,9 @@ import inspect
 
 import pytest
 
-from repro.documentstore import Collection
-from repro.server import RemoteCollection
-from repro.sharding import RoutedCollection
+from repro.documentstore import Collection, DocumentStoreClient, OperationFailure
+from repro.server import DocumentStoreServer, RemoteClient, RemoteCollection
+from repro.sharding import RoutedCollection, ShardedCluster
 
 SURFACES = (Collection, RoutedCollection, RemoteCollection)
 
@@ -106,3 +106,97 @@ def test_the_front_half_is_stated_once():
     for name in ("find", "find_one", "explain", "full_name"):
         owners = {id(inspect.getattr_static(surface, name)) for surface in SURFACES}
         assert len(owners) == 1, name
+
+
+# --------------------------------------------------------------------------
+# The same calls, made: index DDL and refusals answer alike on every surface.
+# --------------------------------------------------------------------------
+
+ROWS = [{"_id": i, "k": i, "tenant": i % 3} for i in range(30)]
+
+
+@pytest.fixture(scope="module")
+def collections():
+    """A stand-alone collection, the same one served, and a 3-shard routed one."""
+    backend = DocumentStoreClient()
+    standalone = backend["db"]["items"]
+    cluster = ShardedCluster(shard_count=3)
+    cluster.enable_sharding("db")
+    cluster.shard_collection("db", "items", {"k": "hashed"})
+    routed = cluster.get_database("db")["items"]
+    for collection in (standalone, routed):
+        collection.insert_many(ROWS)
+    with DocumentStoreServer(backend, port=0) as server, RemoteClient(server.address) as client:
+        yield {"standalone": standalone, "routed": routed, "served": client["db"]["items"]}
+    cluster.close()
+
+
+#: Calls every surface refuses.  Vector indexes and ``$vectorSearch`` are not
+#: part of the store; old callers get the stand-alone error on every surface.
+REFUSED_CALLS = {
+    "vector create_index": lambda c: c.create_index({"keys": ["e"], "type": "vector", "dims": 3}),
+    "$vectorSearch": lambda c: c.aggregate(
+        [{"$vectorSearch": {"queryVector": [1.0, 0.0, 0.0], "path": "e", "k": 3}}]
+    ),
+    "unknown stage": lambda c: c.aggregate([{"$teleport": {}}]),
+    "hashed compound index": lambda c: c.create_index([("k", "hashed"), ("tenant", 1)]),
+    "unknown spec field": lambda c: c.create_index({"keys": ["tenant"], "bogus": 1}),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED_CALLS)
+def test_a_refused_call_raises_one_error_class_everywhere(collections, call):
+    raised = {}
+    for surface, collection in collections.items():
+        indexes = collection.list_indexes()
+        with pytest.raises(OperationFailure) as error:
+            REFUSED_CALLS[call](collection)
+        raised[surface] = type(error.value)
+        assert collection.list_indexes() == indexes
+    assert len(set(raised.values())) == 1, raised
+
+
+#: Pipelines whose answer does not depend on where the documents live.
+PIPELINES = {
+    "top-k": [{"$sort": {"k": -1}}, {"$limit": 5}],
+    "filtered top-k": [{"$match": {"tenant": 1}}, {"$sort": {"k": 1}}, {"$skip": 2}, {"$limit": 4}],
+    "group": [
+        {"$group": {"_id": "$tenant", "n": {"$sum": 1}, "top": {"$max": "$k"}}},
+        {"$sort": {"_id": 1}},
+    ],
+    "count": [{"$match": {"k": {"$gte": 10}}}, {"$count": "n"}],
+}
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_the_same_pipeline_answers_alike_on_every_surface(collections, pipeline):
+    answers = {
+        surface: collection.aggregate(PIPELINES[pipeline])
+        for surface, collection in collections.items()
+    }
+    assert answers["routed"] == answers["standalone"]
+    assert answers["served"] == answers["standalone"]
+    assert answers["standalone"]
+
+
+def test_index_ddl_round_trips_over_the_wire(collections):
+    served, standalone = collections["served"], collections["standalone"]
+    # Legacy sugar and the structured form both reach the served backend.
+    assert served.create_index([("tenant", 1)]) == "tenant_1"
+    assert served.create_index(
+        {"keys": [["tenant", 1], ["_id", -1]], "unique": True, "name": "by_tenant"}
+    ) == "by_tenant"
+    assert served.list_indexes() == standalone.list_indexes()
+    # A routed collection creates the same spec on every shard.
+    collections["routed"].create_index(
+        {"keys": [["tenant", 1], ["_id", -1]], "unique": True, "name": "by_tenant"}
+    )
+    routed = {spec["name"]: spec for spec in collections["routed"].list_indexes()}
+    local = {spec["name"]: spec for spec in standalone.list_indexes()}
+    assert routed["by_tenant"] == local["by_tenant"]
+
+
+def test_unknown_verbosity_is_refused_on_every_surface(collections):
+    for collection in collections.values():
+        with pytest.raises(OperationFailure, match="verbosity"):
+            collection.explain({}, verbosity="nope")
