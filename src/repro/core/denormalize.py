@@ -96,8 +96,8 @@ def embed_documents(
     This is ``EmbedDocuments(F, D)`` from Figure 4.7:
 
     1. read every dimension document through a cursor (optionally restricted
-       by *dimension_filter*, used by the normalized algorithm when the
-       dimension was already filtered by its ``where`` clause);
+       by *dimension_filter*; the normalized algorithm passes none, since its
+       semi-join already kept only facts whose keys pass the ``where`` clause);
     2. drop the ``_id`` field from the copy that will be embedded;
     3. build a hash map ``primary key -> document``;
     4. for every entry, run

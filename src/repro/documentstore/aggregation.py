@@ -44,20 +44,28 @@ import heapq
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from .bson import deep_copy_document
 from .errors import InvalidPipelineError, OperationFailure
 from .expressions import compile_expression
-from .matching import collation_key, compile_matcher, compile_path, values_equal
+from .matching import (
+    collation_key,
+    compile_matcher,
+    compile_path,
+    distinct_values,
+    resolve_path_single,
+)
 from .objectid import ObjectId
-from .ordering import document_sort_key
+from .ordering import document_sort_key, normalize_sort_specification
 
 __all__ = [
     "run_pipeline",
     "compile_pipeline",
     "optimize_pipeline",
     "split_pipeline_for_shards",
+    "ShardSplit",
     "CompiledPipeline",
     "StageStats",
     "GROUP_ACCUMULATORS",
@@ -102,19 +110,34 @@ def _count_output(iterator: Iterator[Any], stats: StageStats) -> Iterator[Any]:
 # ---------------------------------------------------------------------------
 
 class _Accumulator:
-    """Incremental accumulator for one group field (compiled expression)."""
+    """Incremental accumulator for one group field (compiled expression).
 
-    __slots__ = ("operator", "evaluate", "values")
+    In the ``"partial"`` phase (on a shard) ``$avg`` leaves ``[sum, count]``
+    of its numbers, every other operator its ordinary result; the
+    ``"merge"`` phase (on the router) combines those states, one per shard.
+    """
 
-    def __init__(self, operator: str, evaluate: Callable[[Mapping[str, Any]], Any]) -> None:
+    __slots__ = ("operator", "evaluate", "values", "phase", "order")
+
+    def __init__(
+        self,
+        operator: str,
+        evaluate: Callable[[Mapping[str, Any]], Any],
+        phase: str | None = None,
+        order: Callable[[Any], Any] | None = None,
+    ) -> None:
         self.operator = operator
         self.evaluate = evaluate
         self.values: list[Any] = []
+        self.phase = phase
+        self.order = order
 
     def add(self, document: Mapping[str, Any]) -> None:
         self.values.append(self.evaluate(document))
 
     def result(self) -> Any:
+        if self.phase == "merge" and self.operator not in ("$min", "$max"):
+            return self._combine()  # $min/$max of the partial extremes is the extreme
         numeric = [
             value
             for value in self.values
@@ -123,6 +146,8 @@ class _Accumulator:
         if self.operator == "$sum":
             return sum(numeric) if numeric else 0
         if self.operator == "$avg":
+            if self.phase == "partial":
+                return [sum(numeric), len(numeric)]
             return sum(numeric) / len(numeric) if numeric else None
         if self.operator == "$min":
             present = [value for value in self.values if value is not None]
@@ -137,11 +162,7 @@ class _Accumulator:
         if self.operator == "$push":
             return list(self.values)
         if self.operator == "$addToSet":
-            unique: list[Any] = []
-            for value in self.values:
-                if not any(values_equal(value, existing) for existing in unique):
-                    unique.append(value)
-            return unique
+            return distinct_values(self.values)
         if self.operator == "$count":
             return len(self.values)
         if self.operator == "$stdDevPop":
@@ -151,18 +172,27 @@ class _Accumulator:
             return (sum((x - mean) ** 2 for x in numeric) / len(numeric)) ** 0.5
         raise InvalidPipelineError(f"unknown accumulator {self.operator!r}")
 
+    def _combine(self) -> Any:
+        """The result from the shards' partial states, in target order."""
+        states = self.values
+        if self.operator in ("$sum", "$count"):
+            return sum(states)
+        if self.operator == "$avg":
+            count = sum(state[1] for state in states)
+            return sum(state[0] for state in states) / count if count else None
+        if self.operator in ("$push", "$addToSet"):
+            values = [value for state in states for value in state]
+            return values if self.operator == "$push" else distinct_values(values)
+        if self.operator == "$first":
+            return min(states, key=lambda state: self.order(state[0]))[1]
+        if self.operator == "$last":
+            # The last of equal keys, as a stable sort leaves it.
+            return max(reversed(states), key=lambda state: self.order(state[0]))[1]
+        raise InvalidPipelineError(f"accumulator {self.operator!r} has no merge phase")
+
 
 GROUP_ACCUMULATORS = (
-    "$sum",
-    "$avg",
-    "$min",
-    "$max",
-    "$first",
-    "$last",
-    "$push",
-    "$addToSet",
-    "$count",
-    "$stdDevPop",
+    "$sum", "$avg", "$min", "$max", "$first", "$last", "$push", "$addToSet", "$count", "$stdDevPop"
 )
 
 
@@ -289,12 +319,26 @@ def _compile_add_fields(specification: Mapping[str, Any]) -> _Transform:
 
 
 def _compile_group(specification: Mapping[str, Any]) -> _Transform:
+    """``$group``, or one phase of it (``"$phase": "partial"`` / ``"merge"``).
+
+    Groups are keyed by :func:`collation_key`: the ``values_equal`` classes
+    of ``$match`` and ``distinct`` (``1`` and ``1.0`` one, ``True`` another),
+    with all NaNs in one.  Under ``"$sortedBy"`` a partial ``$first``/
+    ``$last`` state is ``[sort key, value]``, the key naming sort fields by position.
+    """
     if "_id" not in specification:
         raise InvalidPipelineError("$group requires an _id expression")
-    id_evaluator = compile_expression(specification["_id"])
+    phase = specification.get("$phase")
+    pairs = normalize_sort_specification(specification.get("$sortedBy") or {})
+    sort_paths = [path for path, _direction in pairs]
+    order = document_sort_key([(str(i), direction) for i, (_path, direction) in enumerate(pairs)])
+    if phase == "merge":
+        id_evaluator: Callable[[Mapping[str, Any]], Any] = itemgetter("_id")
+    else:
+        id_evaluator = compile_expression(specification["_id"])
     accumulator_specs: dict[str, tuple[str, Callable[[Mapping[str, Any]], Any]]] = {}
     for key, value in specification.items():
-        if key == "_id":
+        if key in ("_id", "$phase", "$sortedBy"):
             continue
         if not isinstance(value, Mapping) or len(value) != 1:
             raise InvalidPipelineError(
@@ -303,19 +347,25 @@ def _compile_group(specification: Mapping[str, Any]) -> _Transform:
         operator, expression = next(iter(value.items()))
         if operator not in GROUP_ACCUMULATORS:
             raise InvalidPipelineError(f"unknown accumulator {operator!r}")
-        accumulator_specs[key] = (operator, compile_expression(expression))
+        if phase == "merge":
+            evaluate = itemgetter(key)
+        else:
+            evaluate = compile_expression(expression)
+            if sort_paths and operator in ("$first", "$last"):
+                evaluate = _with_sort_key(evaluate, sort_paths)
+        accumulator_specs[key] = (operator, evaluate)
 
     def transform(documents: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
-        groups: dict[str, tuple[Any, dict[str, _Accumulator]]] = {}
+        groups: dict[Any, tuple[Any, dict[str, _Accumulator]]] = {}
         for document in documents:
             group_id = id_evaluator(document)
-            marker = repr(group_id)
+            marker = collation_key(group_id)
             entry = groups.get(marker)
             if entry is None:
                 entry = groups[marker] = (
                     group_id,
                     {
-                        key: _Accumulator(operator, evaluate)
+                        key: _Accumulator(operator, evaluate, phase, order)
                         for key, (operator, evaluate) in accumulator_specs.items()
                     },
                 )
@@ -328,6 +378,16 @@ def _compile_group(specification: Mapping[str, Any]) -> _Transform:
             yield row
 
     return transform
+
+
+def _with_sort_key(
+    evaluate: Callable[[Mapping[str, Any]], Any], sort_paths: list[str]
+) -> Callable[[Mapping[str, Any]], list[Any]]:
+    def evaluate_with_sort_key(document: Mapping[str, Any]) -> list[Any]:
+        key = {str(i): resolve_path_single(document, path) for i, path in enumerate(sort_paths)}
+        return [key, evaluate(document)]
+
+    return evaluate_with_sort_key
 
 
 def _unwind_specification(specification: Any) -> tuple[str, bool]:
@@ -682,19 +742,14 @@ def compile_pipeline(
     collection_resolver: Callable[[str], Iterable[Mapping[str, Any]]] | None = None,
     output_writer: Callable[[str, list[dict[str, Any]]], None] | None = None,
     optimize: bool = True,
-    fuse: bool | None = None,
 ) -> CompiledPipeline:
     """Validate, optimize, and lower *pipeline* into a :class:`CompiledPipeline`.
 
     ``collection_resolver`` provides access to sibling collections for
     ``$lookup``; ``output_writer`` receives ``($out target, documents)`` for a
     trailing ``$out`` stage.  ``optimize=False`` skips the logical rewrites
-    and — unless ``fuse`` overrides it — the top-k fusion (used by tests that
-    compare both execution modes, and by callers that already ran
-    :func:`optimize_pipeline` and only need lowering plus fusion).
+    and the top-k fusion (used by tests that compare both execution modes).
     """
-    if fuse is None:
-        fuse = optimize
     stages_spec = (
         optimize_pipeline(pipeline) if optimize else _validate_pipeline(pipeline)
     )
@@ -714,7 +769,7 @@ def compile_pipeline(
             compiled.append(CompiledStage("$group", _compile_group(specification)))
         elif operator == "$sort":
             fused = None
-            if fuse and index + 1 < total:
+            if optimize and index + 1 < total:
                 following = stages_spec[index + 1]
                 if "$limit" in following:
                     limit = int(following["$limit"])
@@ -780,7 +835,6 @@ def run_pipeline(
     output_writer: Callable[[str, list[dict[str, Any]]], None] | None = None,
     counters: list[StageStats] | None = None,
     optimize: bool = True,
-    fuse: bool | None = None,
 ) -> list[dict[str, Any]]:
     """Execute *pipeline* over *documents* and return the resulting documents.
 
@@ -795,31 +849,85 @@ def run_pipeline(
         collection_resolver=collection_resolver,
         output_writer=output_writer,
         optimize=optimize,
-        fuse=fuse,
     )
     return compiled.run(documents, counters=counters)
 
 
-def split_pipeline_for_shards(
-    pipeline: Sequence[Mapping[str, Any]],
-) -> tuple[list[Mapping[str, Any]], list[Mapping[str, Any]]]:
-    """Split a pipeline into a per-shard part and a router merge part.
+@dataclass
+class ShardSplit:
+    """A pipeline divided between the shards and the router."""
 
-    The leading ``$match`` stages (and any following ``$project`` /
-    ``$addFields`` / ``$unwind``) can run on each shard independently; the
-    first ``$group`` / ``$sort`` / ``$limit`` and everything after it must run
-    on the router over the merged results, because those stages need a global
-    view of the data.  This is the scatter–gather behaviour whose cost the
-    paper measures for the broadcast queries (Section 4.3, observation ii).
+    #: The pipeline every target shard runs on its slice.
+    shard: list[Mapping[str, Any]]
+    #: What the router runs over the gathered shard outputs.
+    merge: list[Mapping[str, Any]]
+    #: The order of every shard's output, which the router k-way merges on;
+    #: ``None`` concatenates the outputs in target order.
+    merge_sort: Mapping[str, Any] | None = None
+
+
+def _two_phase_group(
+    specification: Any, sorted_by: Mapping[str, Any] | None
+) -> tuple[Mapping[str, Any], Mapping[str, Any]] | None:
+    """The shard and router halves of a ``$group``, or ``None`` if it cannot split."""
+    if not isinstance(specification, Mapping) or "_id" not in specification:
+        return None
+    operators = {
+        next(iter(value), None) if isinstance(value, Mapping) else None
+        for key, value in specification.items()
+        if key != "_id"
+    }
+    # $first/$last need the order a pushed $sort fixes; $push/$addToSet keep
+    # the input order, which merging sorted partial lists would not.
+    ordered = {"$first", "$last"} if sorted_by is not None else {"$push", "$addToSet"}
+    if not operators <= {"$sum", "$count", "$avg", "$min", "$max", *ordered}:
+        return None
+    if sorted_by is not None and operators & ordered:
+        specification = {**specification, "$sortedBy": sorted_by}
+    return (
+        {"$group": {**specification, "$phase": "partial"}},
+        {"$group": {**specification, "$phase": "merge"}},
+    )
+
+
+def split_pipeline_for_shards(pipeline: Sequence[Mapping[str, Any]]) -> ShardSplit:
+    """Split an (optimized) pipeline into what each shard runs and the router's merge.
+
+    The shards run the leading per-document stages, then a ``$sort`` (the
+    router k-way merges the sorted outputs), then one of: a ``$group`` whose
+    accumulators all combine (each shard ships one partial state per group:
+    sums of sums and counts, ``$avg`` as ``[sum, count]``, extremes of
+    extremes, ``$push`` lists to concatenate, ``$addToSet`` sets to unite,
+    and, under a pushed ``$sort`` only, ``$first``/``$last`` with their sort
+    key); a ``$count`` (the router sums the counts); or ``skip + limit`` of a
+    ``[$skip,] $limit`` (the router pages the merge).  Any other stage, and
+    everything after it, runs on the router over every document the shards
+    matched: the scatter–gather cost the paper measures for the broadcast
+    queries (Section 4.3, observation ii).
     """
-    shard_stages: list[Mapping[str, Any]] = []
-    merge_stages: list[Mapping[str, Any]] = []
-    splitting = True
-    for stage in pipeline:
-        operator = next(iter(stage))
-        if splitting and operator in ("$match", "$project", "$addFields", "$set", "$unwind"):
-            shard_stages.append(stage)
-        else:
-            splitting = False
-            merge_stages.append(stage)
-    return shard_stages, merge_stages
+    stages = list(pipeline)
+    per_document = ("$match", "$project", "$addFields", "$set", "$unwind")
+    index = next((i for i, stage in enumerate(stages) if next(iter(stage)) not in per_document), len(stages))
+    shard, rest = stages[:index], stages[index:]
+    sorted_by = None
+    if rest and "$sort" in rest[0]:
+        sorted_by = rest[0]["$sort"]
+        shard.append(rest.pop(0))
+    following = next(iter(rest[0])) if rest else None
+    if following == "$group":
+        halves = _two_phase_group(rest[0]["$group"], sorted_by)
+        if halves is not None:
+            return ShardSplit([*shard, halves[0]], [halves[1], *rest[1:]])
+    elif following == "$count":
+        name = str(rest[0]["$count"])
+        combine = [
+            {"$group": {"_id": None, name: {"$sum": f"${name}"}}},
+            {"$project": {"_id": 0, name: 1}},
+        ]
+        return ShardSplit([*shard, rest[0]], [*combine, *rest[1:]])
+    elif following in ("$skip", "$limit"):
+        skip = max(int(rest[0]["$skip"]), 0) if following == "$skip" else 0
+        page = rest[1:] if following == "$skip" else rest
+        if page and "$limit" in page[0]:
+            shard.append({"$limit": skip + max(int(page[0]["$limit"]), 0)})
+    return ShardSplit(shard, rest, sorted_by)

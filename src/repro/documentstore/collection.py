@@ -950,8 +950,6 @@ class Collection(CollectionSurface):
             collection_resolver=collection_resolver,
             output_writer=output_writer,
             counters=counters,
-            optimize=False,
-            fuse=True,
         )
         return plan, results
 

@@ -22,7 +22,6 @@ from .chunks import (
 from .cluster import CLUSTER_METADATA_FILE, ShardedCluster
 from .config_server import ConfigServer
 from .executor import (
-    EXECUTOR_MODES,
     ScatterPolicy,
     ScatterRunner,
     ShardTimeoutError,
@@ -49,7 +48,6 @@ __all__ = [
     "ClusterSizingInputs",
     "ConfigServer",
     "DEFAULT_CHUNK_SIZE_BYTES",
-    "EXECUTOR_MODES",
     "MAX_KEY",
     "MIN_KEY",
     "MaxKey",

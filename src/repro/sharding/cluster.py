@@ -32,12 +32,10 @@ CLUSTER_METADATA_FILE = "cluster_metadata.json"
 class ShardedCluster:
     """A complete sharded deployment (shards + config server + router).
 
-    ``executor_mode`` selects how the router executes scatter fan-outs:
-    ``"thread"`` (default) dispatches every target shard concurrently on a
-    worker-thread pool; ``"serial"`` runs one shard at a time, the reference
-    the parity tests compare against (see :mod:`repro.sharding.executor`).
-    ``scatter_policy`` sets the default per-operation deadline and timeout
-    policy for every routed operation.
+    The router dispatches every target shard of a fan-out concurrently on a
+    worker-thread pool (see :mod:`repro.sharding.executor`);
+    ``scatter_policy`` sets the per-operation deadline of every routed
+    operation.
 
     With a ``data_dir`` the cluster is durable: each shard keeps its own
     WAL/snapshot generation under ``<data_dir>/<shard_id>/`` (recovered when
@@ -59,7 +57,6 @@ class ShardedCluster:
         shard_descriptions: Sequence[ShardDescription] | None = None,
         network_model: NetworkModel | None = None,
         name: str = "cluster",
-        executor_mode: str = "thread",
         scatter_policy: ScatterPolicy | None = None,
         data_dir: str | pathlib.Path | None = None,
         fsync: str = "batch",
@@ -90,7 +87,6 @@ class ShardedCluster:
             self.config_server,
             self.shards,
             self.network,
-            executor_mode=executor_mode,
             scatter_policy=scatter_policy,
         )
         self.balancer = Balancer(

@@ -5,11 +5,9 @@ The paper's shards are separate machines that genuinely work in parallel; a
 the sum.  This module gives the reproduction's router the same shape:
 
 * a per-cluster :class:`ScatterRunner` — a pool of daemon worker threads
-  that dispatches every scatter target simultaneously (``mode="thread"``,
-  the one production path) or runs them inline in target order
-  (``mode="serial"``, the sequential reference of the parity tests);
+  that dispatches every scatter target simultaneously;
 * per-shard deadlines with cooperative cancellation and a structured
-  :class:`ShardTimeoutError` / partial-results policy (:class:`ScatterPolicy`);
+  :class:`ShardTimeoutError` (:class:`ScatterPolicy`);
 * a queue-backed :class:`StreamGather` so the router's k-way merge consumes
   per-shard result batches *as they arrive* — merging starts before the
   slowest shard finishes;
@@ -34,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 __all__ = [
-    "EXECUTOR_MODES",
     "BranchTiming",
     "BranchReport",
     "FirstMatchClaim",
@@ -46,9 +43,6 @@ __all__ = [
     "StreamGather",
 ]
 
-#: Supported execution modes for the scatter worker pool.
-EXECUTOR_MODES = ("serial", "thread")
-
 #: Upper bound on pool threads (branches queue once it is reached).
 DEFAULT_MAX_WORKERS = 32
 
@@ -58,15 +52,11 @@ class ShardTimeoutError(Exception):
 
     Structured so callers can react per shard: ``shard_ids`` lists the
     branches that missed the deadline, ``completed`` the ones that answered
-    in time (whose results were discarded under the ``"raise"`` policy).
+    in time (whose results were discarded).
     """
 
     def __init__(
-        self,
-        purpose: str,
-        shard_ids: Sequence[str],
-        completed: Sequence[str],
-        deadline_seconds: float,
+        self, purpose: str, shard_ids: Sequence[str], completed: Sequence[str], deadline_seconds: float
     ) -> None:
         self.purpose = purpose
         self.shard_ids = list(shard_ids)
@@ -81,38 +71,27 @@ class ShardTimeoutError(Exception):
 
 @dataclass(frozen=True)
 class ScatterPolicy:
-    """Deadline and partial-results policy for scatter-gather operations.
+    """Deadline policy for scatter-gather operations.
 
-    ``deadline_seconds`` is the per-operation budget measured from scatter
-    start; every shard branch must complete within it (``None`` waits
-    indefinitely).  On a miss, ``on_timeout`` decides the outcome:
-
-    * ``"raise"`` (default) — abort the operation with a structured
-      :class:`ShardTimeoutError`; results of responsive shards are discarded.
-    * ``"partial"`` — return the merged results of the responsive shards and
-      record the laggards in ``RouterMetrics.shards_timed_out``.
-
-    Either way the lagging branch is cooperatively cancelled: it stops
-    shipping result batches at the next check and its traffic/busy-time is
-    *not* merged into the shared accounting (its shard keeps executing the
-    already-issued storage operation to completion, as a real distributed
-    ``killOp`` also cannot interrupt an in-flight scan instantaneously).
+    ``deadline_seconds`` is the per-operation budget from scatter start
+    (``None`` waits indefinitely).  A miss raises :class:`ShardTimeoutError`
+    and discards the responsive shards' results: an answer is never merged
+    from a subset of its shards.  The laggard stops shipping at its next
+    check and its traffic/busy time is not accounted (its shard finishes the
+    issued storage operation, as a real ``killOp`` cannot stop a scan at once).
     """
 
     deadline_seconds: float | None = None
-    on_timeout: str = "raise"
 
     def __post_init__(self) -> None:
-        if self.on_timeout not in ("raise", "partial"):
-            raise ValueError(f"on_timeout must be 'raise' or 'partial', got {self.on_timeout!r}")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be positive")
 
     def remaining(self, started: float) -> float | None:
-        """Seconds left in the budget that began at *started* (``None`` = no deadline)."""
+        """Seconds (≥ 0) left in the budget that began at *started* (``None``: no deadline)."""
         if self.deadline_seconds is None:
             return None
-        return self.deadline_seconds - (time.perf_counter() - started)
+        return max(0.0, self.deadline_seconds - (time.perf_counter() - started))
 
 
 @dataclass
@@ -162,33 +141,19 @@ class BranchReport:
 
 @dataclass
 class ScatterOutcome:
-    """Gathered result of one scatter: completed branches plus laggards."""
+    """Gathered result of one scatter: every branch, completed."""
 
     purpose: str
     #: Completed branch reports, in deterministic target order.
     reports: list[BranchReport]
-    #: Shards that missed the deadline (``"partial"`` policy only).
-    timed_out: list[str]
     #: Observed wall clock from first dispatch to last branch completion.
     makespan_seconds: float
-
-    def results(self) -> dict[str, Any]:
-        return {report.shard_id: report.value for report in self.reports}
 
 
 class _Branch:
     """Internal per-target state shared between worker and gather."""
 
-    __slots__ = (
-        "shard_id",
-        "run",
-        "report",
-        "error",
-        "done",
-        "done_at",
-        "cancelled",
-        "submitted_at",
-    )
+    __slots__ = ("shard_id", "run", "report", "error", "done", "done_at", "cancelled", "submitted_at")
 
     def __init__(self, shard_id: str, run: Callable[["_Branch"], Any], cancelled: threading.Event) -> None:
         self.shard_id = shard_id
@@ -216,18 +181,24 @@ class ScatterPending:
 
     Streaming consumers (:class:`StreamGather`) read result batches while
     branches run; :meth:`gather` then waits for every branch (bounded by the
-    policy deadline), applies the timeout policy, and returns the
-    :class:`ScatterOutcome` whose channels the router merges into the shared
-    accounting.
+    policy deadline) and returns the :class:`ScatterOutcome` whose channels
+    the router merges into the shared accounting.
     """
 
-    def __init__(self, purpose: str, branches: list[_Branch], policy: ScatterPolicy) -> None:
+    def __init__(
+        self,
+        purpose: str,
+        branches: list[_Branch],
+        policy: ScatterPolicy,
+        on_timeout: Callable[[list[str]], None] | None = None,
+    ) -> None:
         self.purpose = purpose
         self.branches = branches
         self.policy = policy
+        #: Told the shards that missed the deadline, before the error is raised.
+        self.on_timeout = on_timeout
         self.started = time.perf_counter()
         self.cancelled = branches[0].cancelled if branches else threading.Event()
-        self._stream_timed_out: set[str] = set()
 
     # -- cooperative cancellation ---------------------------------------------
 
@@ -235,81 +206,47 @@ class ScatterPending:
         """Ask still-running branches to stop shipping (e.g. limit satisfied)."""
         self.cancelled.set()
 
-    def remaining(self) -> float | None:
-        """Seconds left in the policy deadline (``None`` = unbounded)."""
-        return self.policy.remaining(self.started)
-
-    def note_stream_timeout(self, shard_id: str) -> None:
-        """A streaming consumer gave up on *shard_id* at the deadline."""
-        self._stream_timed_out.add(shard_id)
-
     # -- gather ----------------------------------------------------------------
 
+    def timeout(self, late: Sequence[str]) -> ShardTimeoutError:
+        """Cancel every branch and describe the deadline *late* shards missed."""
+        self.cancelled.set()
+        if self.on_timeout is not None:
+            self.on_timeout(list(late))
+        completed = [b.shard_id for b in self.branches if b.done.is_set() and b.shard_id not in late]
+        return ShardTimeoutError(self.purpose, late, completed, float(self.policy.deadline_seconds or 0.0))
+
     def gather(self) -> ScatterOutcome:
-        """Wait for every branch, apply the timeout policy, collect reports.
+        """Wait for every branch and collect the reports.
 
         Raises the first branch error (in target order) after all branches
-        settled, and :class:`ShardTimeoutError` under the ``"raise"`` policy.
+        settled, and :class:`ShardTimeoutError` when one missed the deadline.
         """
         timed_out: list[str] = []
         for branch in self.branches:
-            remaining = self.policy.remaining(self.started)
-            if remaining is None:
-                branch.done.wait()
-            elif not branch.done.wait(timeout=max(0.0, remaining)):
+            if not branch.done.wait(self.policy.remaining(self.started)):
                 timed_out.append(branch.shard_id)
-        timed_out.extend(
-            shard_id
-            for shard_id in sorted(self._stream_timed_out)
-            if shard_id not in timed_out
-        )
         if timed_out:
-            # Stop laggards from shipping further batches or merging state.
-            self.cancelled.set()
-            if self.policy.on_timeout == "raise":
-                completed = [b.shard_id for b in self.branches if b.done.is_set()]
-                raise ShardTimeoutError(
-                    self.purpose,
-                    timed_out,
-                    [s for s in completed if s not in timed_out],
-                    float(self.policy.deadline_seconds or 0.0),
-                )
-        reports: list[BranchReport] = []
-        last_done = self.started
+            raise self.timeout(timed_out)
         for branch in self.branches:
-            if branch.shard_id in timed_out or not branch.done.is_set():
-                continue
             if branch.error is not None:
                 self.cancelled.set()
                 raise branch.error
-            reports.append(branch.report)
-            last_done = max(last_done, branch.done_at)
-        if timed_out:
-            # The gather waited out the full deadline for the laggards.
-            makespan = float(self.policy.deadline_seconds or 0.0)
-        else:
-            makespan = last_done - self.started
+        last_done = max((branch.done_at for branch in self.branches), default=self.started)
         return ScatterOutcome(
             purpose=self.purpose,
-            reports=reports,
-            timed_out=timed_out,
-            makespan_seconds=makespan,
+            reports=[branch.report for branch in self.branches],
+            makespan_seconds=last_done - self.started,
         )
 
 
 class ScatterRunner:
-    """Per-cluster worker pool that executes scatter branches.
+    """Per-cluster pool of daemon threads that executes scatter branches.
 
-    ``mode="thread"`` (default) dispatches every branch to a pool of daemon
-    threads; ``mode="serial"`` runs branches inline in target order (the
-    sequential reference the parity tests compare against).  In both modes
-    a one-branch scatter with no deadline runs on the caller's thread.
+    A one-branch scatter with no deadline runs on the caller's thread.
     """
 
-    def __init__(self, mode: str = "thread") -> None:
-        if mode not in EXECUTOR_MODES:
-            raise ValueError(f"executor mode must be one of {EXECUTOR_MODES}, got {mode!r}")
-        self.mode = mode
+    def __init__(self) -> None:
         self._tasks: queue.SimpleQueue[_Branch | None] = queue.SimpleQueue()
         self._threads: list[threading.Thread] = []
         self._outstanding = 0
@@ -347,34 +284,27 @@ class ScatterRunner:
         purpose: str,
         branch_runs: Sequence[tuple[str, Callable[[_Branch], Any]]],
         policy: ScatterPolicy,
+        *,
+        on_timeout: Callable[[list[str]], None] | None = None,
     ) -> ScatterPending:
         """Dispatch one branch per target; a fan-out returns immediately.
 
-        In serial mode the branches execute inline, in target order, before
-        this method returns — streaming consumers then simply drain already
-        filled queues, and the deadline is checked between branches.  A
-        single branch with no deadline takes the same inline path in every
-        mode: there is nothing to overlap it with and no laggard the gather
-        could abandon, so handing it to a pool thread only adds a queue put,
-        a worker wake-up and an ``Event.wait`` to each targeted operation.
+        A single branch with no deadline runs inline, before this method
+        returns: there is nothing to overlap it with and no laggard the
+        gather could abandon, so handing it to a pool thread only adds a
+        queue put, a worker wake-up and an ``Event.wait`` to each targeted
+        operation.
         """
         if self._closed:
             raise RuntimeError("ScatterRunner is closed")
         cancelled = threading.Event()
         branches = [_Branch(shard_id, run, cancelled) for shard_id, run in branch_runs]
-        pending = ScatterPending(purpose, branches, policy)
-        if self.mode == "serial" or (len(branches) == 1 and policy.deadline_seconds is None):
-            for branch in branches:
-                branch.submitted_at = time.perf_counter()
-                remaining = policy.remaining(pending.started)
-                if remaining is not None and remaining <= 0:
-                    # Out of budget: leave the branch unexecuted; gather()
-                    # will classify it as timed out under the policy.
-                    continue
-                branch.execute()
-            return pending
+        pending = ScatterPending(purpose, branches, policy, on_timeout)
         for branch in branches:
             branch.submitted_at = time.perf_counter()
+        if len(branches) == 1 and policy.deadline_seconds is None:
+            branches[0].execute()
+            return pending
         self._ensure_threads(len(branches))
         for branch in branches:
             self._tasks.put(branch)
@@ -444,20 +374,12 @@ class StreamGather:
     # -- router side -----------------------------------------------------------
 
     def _drain(
-        self,
-        source: queue.SimpleQueue,
-        ends_expected: int,
-        pending: ScatterPending,
-        shard_id: str | None,
+        self, source: queue.SimpleQueue, ends_expected: int, pending: ScatterPending, shard_id: str | None
     ) -> Iterator[dict[str, Any]]:
         ends = 0
         while ends < ends_expected:
-            remaining = pending.remaining()
             try:
-                if remaining is None:
-                    item = source.get()
-                else:
-                    item = source.get(timeout=max(0.0, remaining))
+                item = source.get(timeout=pending.policy.remaining(pending.started))
             except queue.Empty:
                 # Deadline exhausted while a shard still owes batches.
                 late = (
@@ -465,18 +387,7 @@ class StreamGather:
                     if shard_id is not None
                     else [b.shard_id for b in pending.branches if not b.done.is_set()]
                 )
-                for laggard in late:
-                    pending.note_stream_timeout(laggard)
-                if pending.policy.on_timeout == "raise":
-                    pending.cancel()
-                    done = [b.shard_id for b in pending.branches if b.done.is_set()]
-                    raise ShardTimeoutError(
-                        pending.purpose,
-                        late,
-                        [s for s in done if s not in late],
-                        float(pending.policy.deadline_seconds or 0.0),
-                    ) from None
-                return
+                raise pending.timeout(late) from None
             if item is _END:
                 ends += 1
                 continue

@@ -10,7 +10,7 @@ every operation a routed collection:
    (*broadcast*, the expensive case called out in Section 4.3);
 2. dispatches the command to **every target shard simultaneously** through
    the cluster's :class:`~repro.sharding.executor.ScatterRunner` (worker
-   threads, or the inline serial mode the parity tests compare against);
+   threads);
 3. gathers the per-shard results — streaming them for ``find``, so the
    k-way merge starts before the slowest shard finishes — and merges them
    (and, for aggregation, runs the merge part of the pipeline) before
@@ -18,7 +18,7 @@ every operation a routed collection:
 
 Every scatter is subject to the router's :class:`ScatterPolicy`: per-shard
 deadlines with cooperative cancellation, raising a structured
-:class:`ShardTimeoutError` or returning partial results from the responsive
+:class:`ShardTimeoutError` — an answer is never merged from a subset of its
 shards.  Per-branch traffic is accounted on private network channels merged
 back in deterministic target order, so metric totals are identical to a
 sequential execution — and ``RouterMetrics.parallel_shard_seconds`` is the
@@ -31,11 +31,16 @@ import heapq
 import itertools
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import methodcaller
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from ..documentstore.aggregation import run_pipeline, split_pipeline_for_shards
+from ..documentstore.aggregation import (
+    ShardSplit,
+    optimize_pipeline,
+    run_pipeline,
+    split_pipeline_for_shards,
+)
 from ..documentstore.bson import document_size
 from ..documentstore.bulk import (
     BulkWriteError,
@@ -133,8 +138,6 @@ class RouterMetrics:
     bytes_shipped: int = 0
     #: Shard branches that missed their scatter deadline.
     shards_timed_out: int = 0
-    #: Operations answered from a subset of shards (``"partial"`` policy).
-    partial_operations: int = 0
 
     def simulated_overhead_seconds(self) -> float:
         """Adjustment to add to measured wall time to get simulated elapsed time.
@@ -153,29 +156,8 @@ class RouterMetrics:
         )
 
     def snapshot(self) -> dict[str, Any]:
-        """Return the metrics as a plain dictionary.
-
-        ``shard_seconds_total`` is sum-of-work across branches;
-        ``parallel_shard_seconds`` is the observed wall-clock makespan of the
-        concurrent fan-outs; ``modelled_parallel_seconds`` is the
-        cpu-factor-scaled per-operation maximum used by the cost model.
-        """
-        return {
-            "operations": self.operations,
-            "targeted_operations": self.targeted_operations,
-            "broadcast_operations": self.broadcast_operations,
-            "router_seconds": self.router_seconds,
-            "shard_seconds_total": self.shard_seconds_total,
-            "parallel_shard_seconds": self.parallel_shard_seconds,
-            "modelled_parallel_seconds": self.modelled_parallel_seconds,
-            "network_seconds": self.network_seconds,
-            "simulated_overhead_seconds": self.simulated_overhead_seconds(),
-            "shards_contacted": self.shards_contacted,
-            "documents_shipped": self.documents_shipped,
-            "bytes_shipped": self.bytes_shipped,
-            "shards_timed_out": self.shards_timed_out,
-            "partial_operations": self.partial_operations,
-        }
+        """The counters as a plain dictionary, with ``simulated_overhead_seconds``."""
+        return {**asdict(self), "simulated_overhead_seconds": self.simulated_overhead_seconds()}
 
 
 class QueryRouter:
@@ -195,7 +177,6 @@ class QueryRouter:
         network: SimulatedNetwork | None = None,
         name: str = "mongos",
         *,
-        executor_mode: str = "thread",
         scatter_policy: ScatterPolicy | None = None,
     ) -> None:
         self.name = name
@@ -204,7 +185,7 @@ class QueryRouter:
         self._shards = {shard.shard_id: shard for shard in shards}
         self.metrics = RouterMetrics()
         self.scatter_policy = scatter_policy or ScatterPolicy()
-        self._runner = ScatterRunner(executor_mode)
+        self._runner = ScatterRunner()
         self._metrics_lock = threading.Lock()
         #: Per-shard timing breakdown of the most recent scatter (what
         #: ``explain(..., verbosity="executionStats")`` reports).  Debugging
@@ -212,11 +193,6 @@ class QueryRouter:
         self.last_scatter_report: dict[str, Any] | None = None
 
     # ------------------------------------------------------------ infrastructure
-
-    @property
-    def executor_mode(self) -> str:
-        """The scatter execution mode ("thread" or "serial")."""
-        return self._runner.mode
 
     def shard(self, shard_id: str) -> Shard:
         """Return the shard object registered under *shard_id*."""
@@ -406,6 +382,7 @@ class QueryRouter:
             purpose,
             [(shard_id, make_branch(shard_id, command)) for shard_id, command in commands.items()],
             self.scatter_policy,
+            on_timeout=self._count_timeouts,
         )
 
     def _absorb_outcome(self, outcome: ScatterOutcome, *, targeted: bool) -> None:
@@ -413,9 +390,10 @@ class QueryRouter:
 
         Channels are absorbed in deterministic target order under the metrics
         lock, so totals (and the message log) are identical to a sequential
-        execution — exact even under concurrent client threads.  Timed-out
-        branches contribute nothing: their traffic and busy time stay on
-        their private channel, mirroring a response the router never read.
+        execution — exact even under concurrent client threads.  A scatter
+        that missed its deadline never gets here (:meth:`_count_timeouts`): its
+        traffic and busy time stay on the branches' private channels,
+        mirroring responses the router never read.
         """
         timings: dict[str, dict[str, float]] = {}
         with self._metrics_lock:
@@ -436,22 +414,22 @@ class QueryRouter:
                 )
                 timings[report.shard_id] = report.timing.snapshot()
             metrics.operations += 1
-            metrics.shards_contacted += len(outcome.reports) + len(outcome.timed_out)
+            metrics.shards_contacted += len(outcome.reports)
             if targeted:
                 metrics.targeted_operations += 1
             else:
                 metrics.broadcast_operations += 1
             metrics.parallel_shard_seconds += outcome.makespan_seconds
             metrics.modelled_parallel_seconds += max(modelled, 0.0)
-            if outcome.timed_out:
-                metrics.shards_timed_out += len(outcome.timed_out)
-                metrics.partial_operations += 1
             self.last_scatter_report = {
                 "purpose": outcome.purpose,
                 "makespanSeconds": outcome.makespan_seconds,
-                "timedOutShards": list(outcome.timed_out),
                 "shards": timings,
             }
+
+    def _count_timeouts(self, late: Sequence[str]) -> None:
+        with self._metrics_lock:
+            self.metrics.shards_timed_out += len(late)
 
     def _scatter(
         self,
@@ -464,16 +442,14 @@ class QueryRouter:
     ) -> dict[str, Any]:
         """Concurrent scatter + blocking gather; returns per-shard results.
 
-        Raises :class:`ShardTimeoutError` under the ``"raise"`` deadline
-        policy; under ``"partial"`` the returned mapping simply omits the
-        timed-out shards.
+        Raises :class:`ShardTimeoutError` when a shard misses the deadline.
         """
         pending = self._launch_scatter(
             commands, purpose, shard_operation, ship_results=ship_results
         )
         outcome = pending.gather()
         self._absorb_outcome(outcome, targeted=targeted)
-        return outcome.results()
+        return {report.shard_id: report.value for report in outcome.reports}
 
     def _account_router_work(self, started: float) -> None:
         with self._metrics_lock:
@@ -758,10 +734,7 @@ class RoutedCollection(CollectionSurface):
         # The same equality a single collection dedupes with, so 1 on one
         # shard and 1.0 on another merge exactly as they do stand-alone.
         merged = distinct_values(
-            value
-            for shard_id in targets
-            if shard_id in per_shard  # absent: timed out under the partial policy
-            for value in per_shard[shard_id]
+            value for shard_id in targets for value in per_shard[shard_id]
         )
         self._router._account_router_work(started)
         return merged
@@ -1021,16 +994,16 @@ class RoutedCollection(CollectionSurface):
     # -------------------------------------------------------------- aggregation
 
     def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
-        """Run an aggregation: shard stages on the shards, merge on the router.
+        """Run an aggregation: the shard part on the shards, the merge on the router.
 
-        The routing decision uses the leading ``$match`` stage: when it
-        constrains the shard key the shard stages only run on the owning
-        shards, otherwise the pipeline is broadcast (Section 4.3's expensive
-        case for the analytical queries).  All shard-side pipelines execute
-        concurrently through the scatter pool.
+        The leading ``$match`` picks the shards: the owners of the shard key
+        it constrains, else all of them (Section 4.3's expensive broadcast).
+        They run :meth:`_plan_aggregate`'s shard part concurrently; the router
+        merges their outputs (k-way on a pushed sort, else in target order)
+        through the merge part.
         """
         router = self._router
-        shard_stages, merge_stages, targets, targeted = self._plan_aggregate(pipeline)
+        split, targets, targeted = self._plan_aggregate(pipeline)
         # The shard-local pipeline gives each slice the same leading-$match
         # IXSCAN pushdown (and $lookup collection resolution) as a stand-alone
         # ``aggregate``; its results are encoded for shipping, not copied first.
@@ -1038,16 +1011,20 @@ class RoutedCollection(CollectionSurface):
             targets,
             targeted,
             "aggregate",
-            {"aggregate": self.name, "pipeline": len(shard_stages) + len(merge_stages)},
-            methodcaller("execute_pipeline", shard_stages),
+            {"aggregate": self.name, "pipeline": len(split.shard)},
+            methodcaller("execute_pipeline", split.shard),
             ship_results=True,
         )
 
         started = time.perf_counter()
-        merged: list[dict[str, Any]] = []
-        for shard_id in targets:
-            merged.extend(per_shard.get(shard_id, []))
+        outputs = [per_shard[shard_id] for shard_id in targets]
+        if split.merge_sort is not None:
+            key = document_sort_key(split.merge_sort)
+            merged: Iterable[dict[str, Any]] = heapq.merge(*outputs, key=key)
+        else:
+            merged = itertools.chain.from_iterable(outputs)
 
+        merge_stages = split.merge
         out_target: str | None = None
         if merge_stages and "$out" in merge_stages[-1]:
             out_target = str(merge_stages[-1]["$out"])
@@ -1067,7 +1044,7 @@ class RoutedCollection(CollectionSurface):
             )
             started += router.metrics.router_seconds - router_seconds_before
         else:
-            results = merged
+            results = list(merged)
         router._account_router_work(started)
 
         if out_target is not None:
@@ -1080,16 +1057,22 @@ class RoutedCollection(CollectionSurface):
 
     def _plan_aggregate(
         self, pipeline: Sequence[Mapping[str, Any]]
-    ) -> tuple[list[Mapping[str, Any]], list[Mapping[str, Any]], list[str], bool]:
+    ) -> tuple[ShardSplit, list[str], bool]:
         """Split *pipeline* for the shards and choose the shards it runs on.
 
-        Returns ``(shard stages, merge stages, target shard ids, targeted?)``;
-        ``aggregate`` executes this plan and ``explain`` reports it.
+        Returns ``(split, target shard ids, targeted?)``, which ``aggregate``
+        executes and ``explain`` reports.  One target runs the whole pipeline
+        unless a ``$lookup`` or ``$out`` needs the cluster-wide collections;
+        more get :func:`split_pipeline_for_shards`.
         """
-        shard_stages, merge_stages = split_pipeline_for_shards(pipeline)
-        leading_match = shard_stages[0].get("$match") if shard_stages else None
+        stages = optimize_pipeline(pipeline)
+        leading_match = stages[0].get("$match") if stages else None
         targets, targeted = self._router._target_shards(*self._namespace, leading_match)
-        return shard_stages, merge_stages, targets, targeted
+        if not targets:  # no shard can hold a match: the pipeline runs over no documents
+            return ShardSplit([], stages), targets, targeted
+        if len(targets) == 1 and not any("$lookup" in stage or "$out" in stage for stage in stages):
+            return ShardSplit(stages, []), targets, targeted
+        return split_pipeline_for_shards(stages), targets, targeted
 
     # ------------------------------------------------------------------ explain
     #
@@ -1150,13 +1133,13 @@ class RoutedCollection(CollectionSurface):
     def _explain_pipeline(
         self, pipeline: list[Mapping[str, Any]], verbosity: str
     ) -> dict[str, Any]:
-        shard_stages, merge_stages, targets, targeted = self._plan_aggregate(pipeline)
+        split, targets, targeted = self._plan_aggregate(pipeline)
         shards = {}
         for shard_id in targets:
             # Each shard's plan for its stages, with the per-stage counters of
             # running them there (IXSCAN vs COLLSCAN, documents examined).
             local = self._shard_collection(shard_id).explain(
-                shard_stages, verbosity="executionStats"
+                split.shard, verbosity="executionStats"
             )
             shards[shard_id] = {
                 "queryPlanner": {"winningPlan": local["queryPlanner"]["winningPlan"]},
@@ -1164,7 +1147,10 @@ class RoutedCollection(CollectionSurface):
             }
         winning_plan = {
             **self._routing_plan(targets, targeted),
-            "mergeStages": [next(iter(stage)) for stage in merge_stages],
+            "shardPart": [dict(stage) for stage in split.shard],
+            "mergePart": [dict(stage) for stage in split.merge],
+            "mergeStages": [next(iter(stage)) for stage in split.merge],
+            "mergeSort": dict(split.merge_sort) if split.merge_sort is not None else None,
         }
         execution = None
         if verbosity == "executionStats":

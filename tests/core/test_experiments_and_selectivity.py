@@ -6,18 +6,21 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
+    DENORMALIZED_COLLECTIONS,
     EXPERIMENTS,
     ExperimentHarness,
+    denormalized_pipeline,
     format_seconds,
     measure_selectivity,
     paper_reference_table_44,
     paper_reference_table_45,
     render_bar_chart,
     render_table,
+    run_denormalized_query,
     selectivity_table,
     tiny_profile,
 )
-from repro.tpcds import SCALE_LARGE, SCALE_SMALL
+from repro.tpcds import QUERY_IDS, SCALE_LARGE, SCALE_SMALL
 
 
 class TestExperimentDefinitions:
@@ -102,6 +105,29 @@ class TestExperimentHarness:
     def test_denormalized_sharded_extension_runs(self, harness):
         result = harness.run_experiment(7, query_ids=(7,))
         assert result.query_runs[7].result_documents > 0
+
+    @pytest.mark.parametrize("query_id", QUERY_IDS)
+    def test_denormalized_cluster_ships_in_proportion_to_the_groups(self, harness, query_id):
+        """Experiment 7: the shards group, so each ships at most one row per group.
+
+        The answer is Experiment 3's, with float sums and averages equal up
+        to the order the shards' partial sums are added in.
+        """
+        standalone = harness.standalone_denormalized_database(harness.scale(EXPERIMENTS[3]))
+        _cluster, routed = harness.sharded_denormalized_database(harness.scale(EXPERIMENTS[7]))
+        pipeline = denormalized_pipeline(query_id)
+        first_group = next(i for i, stage in enumerate(pipeline) if "$group" in stage)
+        collection = DENORMALIZED_COLLECTIONS[query_id]
+        groups = len(standalone[collection].aggregate(pipeline[: first_group + 1]))
+        run = harness.run_query(7, query_id)
+        metrics = run.router_metrics
+        assert metrics["operations"] == 1
+        assert metrics["documents_shipped"] <= groups * metrics["shards_contacted"]
+        want = run_denormalized_query(standalone, query_id)
+        got = run_denormalized_query(routed, query_id)
+        assert run.result_documents == len(want) == len(got)
+        for got_row, want_row in zip(got, want):
+            assert got_row == pytest.approx(want_row, rel=1e-9)
 
 
 class TestSelectivity:

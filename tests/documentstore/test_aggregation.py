@@ -273,24 +273,70 @@ class TestPipelineValidation:
 
 
 class TestShardSplit:
-    def test_match_runs_on_shards_group_on_router(self):
+    def test_match_and_partial_group_run_on_shards_combine_on_router(self):
         pipeline = [
             {"$match": {"store": 1}},
             {"$group": {"_id": "$item", "n": {"$sum": 1}}},
             {"$sort": {"_id": 1}},
         ]
-        shard_part, merge_part = split_pipeline_for_shards(pipeline)
-        assert [next(iter(stage)) for stage in shard_part] == ["$match"]
-        assert [next(iter(stage)) for stage in merge_part] == ["$group", "$sort"]
+        split = split_pipeline_for_shards(pipeline)
+        assert split.shard == [
+            {"$match": {"store": 1}},
+            {"$group": {"_id": "$item", "n": {"$sum": 1}, "$phase": "partial"}},
+        ]
+        assert split.merge == [
+            {"$group": {"_id": "$item", "n": {"$sum": 1}, "$phase": "merge"}},
+            {"$sort": {"_id": 1}},
+        ]
+        assert split.merge_sort is None
 
-    def test_everything_after_first_group_stays_on_router(self):
+    def test_an_accumulator_without_a_combine_keeps_the_group_on_the_router(self):
         pipeline = [
-            {"$group": {"_id": "$item"}},
+            {"$group": {"_id": "$item", "spread": {"$stdDevPop": "$qty"}}},
             {"$match": {"_id": "A"}},
         ]
-        shard_part, merge_part = split_pipeline_for_shards(pipeline)
-        assert shard_part == []
-        assert len(merge_part) == 2
+        split = split_pipeline_for_shards(pipeline)
+        assert split.shard == []
+        assert split.merge == pipeline
+
+    def test_first_and_last_split_only_under_a_pushed_sort(self):
+        group = {"$group": {"_id": "$store", "top": {"$first": "$item"}}}
+        assert split_pipeline_for_shards([group]).shard == []
+        split = split_pipeline_for_shards([{"$sort": {"qty": -1}}, group])
+        assert split.shard[0] == {"$sort": {"qty": -1}}
+        assert split.shard[1]["$group"]["$sortedBy"] == {"qty": -1}
+        assert [next(iter(stage)) for stage in split.merge] == ["$group"]
+
+    def test_push_under_a_sort_merges_the_sorted_streams_then_groups(self):
+        pipeline = [
+            {"$sort": {"qty": 1}},
+            {"$group": {"_id": "$store", "items": {"$push": "$item"}}},
+        ]
+        split = split_pipeline_for_shards(pipeline)
+        assert split.shard == pipeline[:1]
+        assert split.merge == pipeline[1:]
+        assert split.merge_sort == {"qty": 1}
+
+    def test_top_k_ships_skip_plus_limit_per_shard(self):
+        pipeline = [
+            {"$match": {"store": 1}},
+            {"$sort": {"qty": -1}},
+            {"$skip": 2},
+            {"$limit": 3},
+            {"$project": {"item": 1}},
+        ]
+        split = split_pipeline_for_shards(pipeline)
+        assert split.shard == [*pipeline[:2], {"$limit": 5}]
+        assert split.merge == pipeline[2:]
+        assert split.merge_sort == {"qty": -1}
+
+    def test_count_counts_per_shard_and_sums_on_the_router(self):
+        split = split_pipeline_for_shards([{"$match": {"store": 1}}, {"$count": "n"}])
+        assert [next(iter(stage)) for stage in split.shard] == ["$match", "$count"]
+        assert split.merge == [
+            {"$group": {"_id": None, "n": {"$sum": "$n"}}},
+            {"$project": {"_id": 0, "n": 1}},
+        ]
 
 
 @settings(max_examples=25, deadline=None)

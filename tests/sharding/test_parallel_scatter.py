@@ -1,6 +1,6 @@
 """Tests for the concurrent scatter-gather execution core.
 
-Covers the parity matrix (standalone vs serial-sharded vs parallel-sharded),
+Covers the parity matrix (standalone vs parallel-sharded),
 deadline/cancellation behavior with a slow-shard fixture, streaming gather,
 first-match-wins ``update_one``, and the concurrency stress test that pins
 metric totals under parallel scatter to the sequential baseline.
@@ -36,8 +36,8 @@ PIPELINE = [
 ]
 
 
-def build_cluster(mode: str, **kwargs) -> ShardedCluster:
-    cluster = ShardedCluster(shard_count=3, executor_mode=mode, **kwargs)
+def build_cluster(**kwargs) -> ShardedCluster:
+    cluster = ShardedCluster(shard_count=3, **kwargs)
     cluster.enable_sharding("shop")
     cluster.shard_collection("shop", "orders", {"order_id": "hashed"})
     cluster.get_database("shop")["orders"].insert_many(DOCS)
@@ -48,7 +48,7 @@ def build_cluster(mode: str, **kwargs) -> ShardedCluster:
 
 @pytest.fixture()
 def parallel_cluster():
-    cluster = build_cluster("thread")
+    cluster = build_cluster()
     yield cluster
     cluster.close()
 
@@ -117,20 +117,6 @@ class TestParityMatrix:
         assert got_delete.deleted_count == want_delete.deleted_count
         assert routed.count_documents({}) == standalone.count_documents({})
 
-    def test_serial_mode_matches_thread_mode(self):
-        serial = build_cluster("serial")
-        threaded = build_cluster("thread")
-        try:
-            q = {"store": {"$in": [0, 2]}}
-            s = serial.get_database("shop")["orders"]
-            t = threaded.get_database("shop")["orders"]
-            assert sorted_by_id(s.find(q).to_list()) == sorted_by_id(t.find(q).to_list())
-            assert s.aggregate(PIPELINE) == t.aggregate(PIPELINE)
-            assert s.count_documents(q) == t.count_documents(q)
-        finally:
-            serial.close()
-            threaded.close()
-
 
 @contextmanager
 def stalled_shard(cluster, shard_id: str):
@@ -155,17 +141,15 @@ def stalled_shard(cluster, shard_id: str):
         release.set()
 
 
-def build_cluster_with_deadline(deadline_seconds: float, on_timeout: str = "raise"):
+def build_cluster_with_deadline(deadline_seconds: float):
     """A loaded cluster whose *queries* run under a scatter deadline.
 
     The deadline is set after the load: building the cluster is a dozen
     fan-outs that the tests below say nothing about, and under a 0.15 s
     budget a collector pause or a busy runner fails one of them.
     """
-    cluster = build_cluster("thread")
-    cluster.router.scatter_policy = ScatterPolicy(
-        deadline_seconds=deadline_seconds, on_timeout=on_timeout
-    )
+    cluster = build_cluster()
+    cluster.router.scatter_policy = ScatterPolicy(deadline_seconds=deadline_seconds)
     return cluster
 
 
@@ -195,7 +179,7 @@ class TestCallerRunsSingleShardScatter:
     """One branch and no deadline: nothing to overlap, nothing to abandon."""
 
     def test_single_shard_operations_run_on_the_calling_thread(self):
-        cluster = ShardedCluster(shard_count=3, executor_mode="thread")
+        cluster = ShardedCluster(shard_count=3)
         try:
             seen = record_shard_threads(cluster)
             pool = cluster.router._runner._threads
@@ -248,11 +232,9 @@ class TestCallerRunsSingleShardScatter:
 
 
 class TestDeadlines:
-    """One shard never answers; what the caller sees is the policy's doing.
+    """One shard never answers: the operation fails, naming it, and is counted.
 
-    Where an assertion needs the *other* shards' answers (the partial
-    policy), they get 0.5 s for a millisecond of work — a deadline they
-    cannot miss; where it only needs the stalled shard to be late, 0.15 s.
+    No answer is ever merged from the shards that did reply.
     """
 
     def test_raise_policy_names_the_laggard(self):
@@ -266,31 +248,17 @@ class TestDeadlines:
         finally:
             cluster.close()
 
-    def test_partial_policy_returns_responsive_shards(self):
-        cluster = build_cluster_with_deadline(0.5, "partial")
+    def test_two_phase_aggregate_never_combines_a_subset_of_shards(self):
+        cluster = build_cluster_with_deadline(0.15)
         try:
             orders = cluster.get_database("shop")["orders"]
-            full = sum(
-                1 for d in DOCS if d["store"] == 1
-            )
-            with stalled_shard(cluster, "shard2"):
-                partial = orders.count_documents({"store": 1})
-            assert 0 < partial < full
+            with stalled_shard(cluster, "shard2"), pytest.raises(ShardTimeoutError) as excinfo:
+                orders.aggregate(PIPELINE)
+            assert excinfo.value.shard_ids == ["shard2"]
             metrics = cluster.router.metrics
-            assert metrics.shards_timed_out >= 1
-            assert metrics.partial_operations >= 1
-        finally:
-            cluster.close()
-
-    def test_partial_policy_streaming_find(self):
-        cluster = build_cluster_with_deadline(0.5, "partial")
-        try:
-            orders = cluster.get_database("shop")["orders"]
-            with stalled_shard(cluster, "shard1"):
-                docs = orders.find({}, sort=[("order_id", 1)]).to_list()
-            assert 0 < len(docs) < len(DOCS)
-            ids = [d["order_id"] for d in docs]
-            assert ids == sorted(ids)
+            assert metrics.shards_timed_out == 1
+            # The responsive shards' partial groups were never absorbed.
+            assert metrics.operations == 0 and metrics.documents_shipped == 0
         finally:
             cluster.close()
 
@@ -301,6 +269,7 @@ class TestDeadlines:
             with stalled_shard(cluster, "shard3"), pytest.raises(ShardTimeoutError) as excinfo:
                 orders.find({}, sort=[("order_id", 1)]).to_list()
             assert "shard3" in excinfo.value.shard_ids
+            assert cluster.router.metrics.shards_timed_out == 1
         finally:
             cluster.close()
 
@@ -322,33 +291,31 @@ class TestDeadlines:
         finally:
             cluster.close()
 
-    def test_single_target_partial_policy(self):
-        cluster = build_cluster_with_deadline(0.15, "partial")
+    def test_single_target_timeouts_are_counted(self):
+        cluster = build_cluster_with_deadline(0.15)
         try:
             owner = owning_shard(cluster, 41)
             orders = cluster.get_database("shop")["orders"]
             with stalled_shard(cluster, owner):
-                assert orders.count_documents({"order_id": 41}) == 0
-                assert orders.find({"order_id": 41}).to_list() == []
+                with pytest.raises(ShardTimeoutError):
+                    orders.count_documents({"order_id": 41})
+                with pytest.raises(ShardTimeoutError):
+                    orders.find({"order_id": 41}).to_list()
             metrics = cluster.router.metrics
             assert metrics.shards_timed_out == 2
-            assert metrics.partial_operations == 2
-            assert metrics.targeted_operations == 2
-            assert cluster.router.last_scatter_report["timedOutShards"] == [owner]
+            assert metrics.targeted_operations == 0
         finally:
             cluster.close()
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             ScatterPolicy(deadline_seconds=-1.0)
-        with pytest.raises(ValueError):
-            ScatterPolicy(on_timeout="retry")
 
 
 class TestStreamingGather:
     def test_merge_starts_before_slowest_branch_finishes(self):
         """The gather consumes early batches while a slow branch still runs."""
-        runner = ScatterRunner("thread")
+        runner = ScatterRunner()
         stream = StreamGather(["fast", "slow"], per_shard=False)
         release_slow = threading.Event()
 
@@ -472,14 +439,14 @@ def run_stress_workload(cluster, client_count: int, concurrent: bool) -> None:
 
 class TestConcurrencyStress:
     def test_metric_totals_exact_under_parallel_scatter(self):
-        """8 concurrent clients: totals must equal the sequential baseline."""
-        serial = build_cluster("serial")
-        threaded = build_cluster("thread")
+        """8 concurrent clients: totals must equal the same clients run one after another."""
+        sequential = build_cluster()
+        threaded = build_cluster()
         try:
-            run_stress_workload(serial, client_count=8, concurrent=False)
+            run_stress_workload(sequential, client_count=8, concurrent=False)
             run_stress_workload(threaded, client_count=8, concurrent=True)
 
-            want = serial.router.metrics
+            want = sequential.router.metrics
             got = threaded.router.metrics
             assert got.operations == want.operations
             assert got.targeted_operations == want.targeted_operations
@@ -489,43 +456,44 @@ class TestConcurrencyStress:
             assert got.bytes_shipped == want.bytes_shipped
             assert got.shards_timed_out == 0
 
-            want_net = serial.network.stats
+            want_net = sequential.network.stats
             got_net = threaded.network.stats
             assert got_net.messages == want_net.messages
             assert got_net.bytes_transferred == want_net.bytes_transferred
             assert got_net.by_purpose == want_net.by_purpose
             # The log is a bounded window; the counters above are the totals.
             assert len(threaded.network.log) == min(got_net.messages, MESSAGE_LOG_CAPACITY)
-            assert len(serial.network.log) == min(want_net.messages, MESSAGE_LOG_CAPACITY)
+            assert len(sequential.network.log) == min(want_net.messages, MESSAGE_LOG_CAPACITY)
 
             # Per-shard operation counts are deterministic too.
             for shard_id in ("shard1", "shard2", "shard3"):
                 assert (
                     threaded.shard(shard_id).operations
-                    == serial.shard(shard_id).operations
+                    == sequential.shard(shard_id).operations
                 )
         finally:
-            serial.close()
+            sequential.close()
             threaded.close()
 
 
 class TestRealtimeNetworkOverlap:
     def test_threads_overlap_realtime_network_waits(self):
         """With realtime emulation, 3 concurrent branches ≈ max not sum."""
-        model = NetworkModel(latency_seconds=0.02, realtime=True)
-        serial = build_cluster("serial", network_model=model)
-        threaded = build_cluster("thread", network_model=model)
+        latency = 0.02
+        cluster = build_cluster(network_model=NetworkModel(latency_seconds=latency, realtime=True))
         try:
-            query = {"store": 1}
+            orders = cluster.get_database("shop")["orders"]
+            messages_before = cluster.network.stats.messages
 
-            def timed(cluster):
+            def timed():
                 started = time.perf_counter()
-                cluster.get_database("shop")["orders"].find(query).to_list()
+                orders.find({"store": 1}).to_list()
                 return time.perf_counter() - started
 
-            serial_wall = min(timed(serial) for _ in range(3))
-            parallel_wall = min(timed(threaded) for _ in range(3))
-            assert parallel_wall < serial_wall
+            parallel_wall = min(timed() for _ in range(3))
+            # A request and one response batch per shard: one after another,
+            # three branches would wait out six latencies.
+            assert cluster.network.stats.messages - messages_before == 3 * 6
+            assert parallel_wall < 6 * latency
         finally:
-            serial.close()
-            threaded.close()
+            cluster.close()

@@ -59,7 +59,17 @@ class TestShardedAggregateExplain:
             # Each shard examined only its index candidates, not its slice.
             assert match_stage["docsExamined"] < len(ROWS) // 3
             assert winning["pipelineStages"] == shard_plan["executionStats"]["stages"]
-        assert explain["queryPlanner"]["winningPlan"]["mergeStages"] == ["$group"]
+            stages = [stage["stage"] for stage in shard_plan["executionStats"]["stages"]]
+            assert stages == ["$match", "$group"]
+        plan = explain["queryPlanner"]["winningPlan"]
+        group = {"_id": "$day", "total": {"$sum": "$amount"}}
+        # Each shard groups its slice into partial sums; the router combines them.
+        assert plan["shardPart"] == [
+            {"$match": {"store": 5}},
+            {"$group": {**group, "$phase": "partial"}},
+        ]
+        assert plan["mergePart"] == [{"$group": {**group, "$phase": "merge"}}]
+        assert plan["mergeStages"] == ["$group"]
 
     def test_unindexed_match_reports_collscan(self, cluster):
         orders = cluster.get_database("shop")["orders"]

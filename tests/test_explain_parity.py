@@ -112,8 +112,11 @@ def test_aggregate_explain_has_the_one_schema(surfaces, surface):
 def test_routing_decision_is_the_winning_plan(surfaces):
     explain = surfaces["sharded"].explain([{"$match": {"store": 1}}, {"$count": "n"}])
     plan = explain["queryPlanner"]["winningPlan"]
-    assert {"stage", "targeted", "shardsContacted", "mergeStages"} <= set(plan)
-    assert plan["mergeStages"] == ["$count"]
+    assert {"stage", "targeted", "shardsContacted", "shardPart", "mergePart"} <= set(plan)
+    # Each shard counts its slice; the router sums the counts.
+    assert plan["shardPart"] == [{"$match": {"store": 1}}, {"$count": "n"}]
+    assert plan["mergeStages"] == ["$group", "$project"]
+    assert plan["mergeStages"] == [next(iter(stage)) for stage in plan["mergePart"]]
     assert set(explain["shards"]) == set(plan["shardsContacted"])
     served = surfaces["served"].explain([{"$match": {"store": 1}}, {"$count": "n"}])
     assert {**served, "surface": "sharded"} == explain
