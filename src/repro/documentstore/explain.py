@@ -25,7 +25,7 @@ Schema (version 1)::
         "winningPlan": {...},     # access path (COLLSCAN/IXSCAN/
                                   # SINGLE_SHARD/SHARD_MERGE)
         "sortMode": str | None,   # indexOrder/topK/sortMaterialize/
-                                  # streamingKWayMerge/None
+                                  # kWayMerge (routed find)/None
         "spec": {...},            # the find spec, or {"pipeline": [...]}
       },
       "shards": {shard_id: {...}},  # per-shard plans ({} standalone); for a

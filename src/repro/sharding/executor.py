@@ -5,12 +5,10 @@ The paper's shards are separate machines that genuinely work in parallel; a
 the sum.  This module gives the reproduction's router the same shape:
 
 * a per-cluster :class:`ScatterRunner` — a pool of daemon worker threads
-  that dispatches every scatter target simultaneously;
+  that dispatches every scatter target simultaneously and returns once every
+  branch has answered, so the router always merges whole answers;
 * per-shard deadlines with cooperative cancellation and a structured
   :class:`ShardTimeoutError` (:class:`ScatterPolicy`);
-* a queue-backed :class:`StreamGather` so the router's k-way merge consumes
-  per-shard result batches *as they arrive* — merging starts before the
-  slowest shard finishes;
 * per-branch :class:`BranchTiming` (queue / dispatch / execute / ship) and
   an observed wall-clock makespan per operation, which is what makes
   ``RouterMetrics.parallel_shard_seconds`` an honest measurement.
@@ -29,18 +27,16 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 __all__ = [
     "BranchTiming",
     "BranchReport",
     "FirstMatchClaim",
     "ScatterOutcome",
-    "ScatterPending",
     "ScatterPolicy",
     "ScatterRunner",
     "ShardTimeoutError",
-    "StreamGather",
 ]
 
 #: Upper bound on pool threads (branches queue once it is reached).
@@ -176,70 +172,6 @@ class _Branch:
             self.done.set()
 
 
-class ScatterPending:
-    """A launched scatter: branches are executing; gather when ready.
-
-    Streaming consumers (:class:`StreamGather`) read result batches while
-    branches run; :meth:`gather` then waits for every branch (bounded by the
-    policy deadline) and returns the :class:`ScatterOutcome` whose channels
-    the router merges into the shared accounting.
-    """
-
-    def __init__(
-        self,
-        purpose: str,
-        branches: list[_Branch],
-        policy: ScatterPolicy,
-        on_timeout: Callable[[list[str]], None] | None = None,
-    ) -> None:
-        self.purpose = purpose
-        self.branches = branches
-        self.policy = policy
-        #: Told the shards that missed the deadline, before the error is raised.
-        self.on_timeout = on_timeout
-        self.started = time.perf_counter()
-        self.cancelled = branches[0].cancelled if branches else threading.Event()
-
-    # -- cooperative cancellation ---------------------------------------------
-
-    def cancel(self) -> None:
-        """Ask still-running branches to stop shipping (e.g. limit satisfied)."""
-        self.cancelled.set()
-
-    # -- gather ----------------------------------------------------------------
-
-    def timeout(self, late: Sequence[str]) -> ShardTimeoutError:
-        """Cancel every branch and describe the deadline *late* shards missed."""
-        self.cancelled.set()
-        if self.on_timeout is not None:
-            self.on_timeout(list(late))
-        completed = [b.shard_id for b in self.branches if b.done.is_set() and b.shard_id not in late]
-        return ShardTimeoutError(self.purpose, late, completed, float(self.policy.deadline_seconds or 0.0))
-
-    def gather(self) -> ScatterOutcome:
-        """Wait for every branch and collect the reports.
-
-        Raises the first branch error (in target order) after all branches
-        settled, and :class:`ShardTimeoutError` when one missed the deadline.
-        """
-        timed_out: list[str] = []
-        for branch in self.branches:
-            if not branch.done.wait(self.policy.remaining(self.started)):
-                timed_out.append(branch.shard_id)
-        if timed_out:
-            raise self.timeout(timed_out)
-        for branch in self.branches:
-            if branch.error is not None:
-                self.cancelled.set()
-                raise branch.error
-        last_done = max((branch.done_at for branch in self.branches), default=self.started)
-        return ScatterOutcome(
-            purpose=self.purpose,
-            reports=[branch.report for branch in self.branches],
-            makespan_seconds=last_done - self.started,
-        )
-
-
 class ScatterRunner:
     """Per-cluster pool of daemon threads that executes scatter branches.
 
@@ -277,38 +209,58 @@ class ScatterRunner:
                 self._threads.append(thread)
                 thread.start()
 
-    # -- launching -------------------------------------------------------------
+    # -- running ---------------------------------------------------------------
 
-    def launch(
+    def run(
         self,
         purpose: str,
         branch_runs: Sequence[tuple[str, Callable[[_Branch], Any]]],
         policy: ScatterPolicy,
         *,
         on_timeout: Callable[[list[str]], None] | None = None,
-    ) -> ScatterPending:
-        """Dispatch one branch per target; a fan-out returns immediately.
+    ) -> ScatterOutcome:
+        """Dispatch one branch per target at once and wait for every one.
 
-        A single branch with no deadline runs inline, before this method
-        returns: there is nothing to overlap it with and no laggard the
-        gather could abandon, so handing it to a pool thread only adds a
-        queue put, a worker wake-up and an ``Event.wait`` to each targeted
-        operation.
+        A single branch with no deadline runs inline: there is nothing to
+        overlap it with and no laggard to abandon, so handing it to a pool
+        thread only adds a queue put, a worker wake-up and an ``Event.wait``
+        to each targeted operation.
+
+        Raises the first branch error (in target order) after all branches
+        settled.  When a branch misses the deadline, every branch is told to
+        stop shipping, *on_timeout* hears the late shard ids, and
+        :class:`ShardTimeoutError` is raised.
         """
         if self._closed:
             raise RuntimeError("ScatterRunner is closed")
         cancelled = threading.Event()
         branches = [_Branch(shard_id, run, cancelled) for shard_id, run in branch_runs]
-        pending = ScatterPending(purpose, branches, policy, on_timeout)
+        started = time.perf_counter()
         for branch in branches:
             branch.submitted_at = time.perf_counter()
         if len(branches) == 1 and policy.deadline_seconds is None:
             branches[0].execute()
-            return pending
-        self._ensure_threads(len(branches))
+        else:
+            self._ensure_threads(len(branches))
+            for branch in branches:
+                self._tasks.put(branch)
+        late = [b.shard_id for b in branches if not b.done.wait(policy.remaining(started))]
+        if late:
+            cancelled.set()
+            if on_timeout is not None:
+                on_timeout(late)
+            completed = [b.shard_id for b in branches if b.done.is_set() and b.shard_id not in late]
+            raise ShardTimeoutError(purpose, late, completed, float(policy.deadline_seconds or 0.0))
         for branch in branches:
-            self._tasks.put(branch)
-        return pending
+            if branch.error is not None:
+                cancelled.set()
+                raise branch.error
+        last_done = max((branch.done_at for branch in branches), default=started)
+        return ScatterOutcome(
+            purpose=purpose,
+            reports=[branch.report for branch in branches],
+            makespan_seconds=last_done - started,
+        )
 
     @staticmethod
     def execute(local: Callable[[], Any]) -> tuple[Any, float]:
@@ -334,81 +286,11 @@ class ScatterRunner:
             self._tasks.put(None)
 
 
-# --------------------------------------------------------------------------- #
-# streaming gather                                                            #
-# --------------------------------------------------------------------------- #
-
-_END = object()
-
-
-class StreamGather:
-    """Queue-backed streaming gather for scatter branches that ship batches.
-
-    Workers push each decoded response batch as soon as it crosses the
-    (simulated) wire; the router-side iterators consume them while slower
-    shards are still executing.  ``per_shard=True`` keeps one queue per
-    target (required by the sorted k-way merge, which needs an ordered
-    stream per shard); ``per_shard=False`` multiplexes every branch into a
-    single arrival-order queue, so an unsorted merge can short-circuit on
-    whichever shard answers first.
-    """
-
-    def __init__(self, targets: Sequence[str], *, per_shard: bool) -> None:
-        self._targets = list(targets)
-        self._per_shard = per_shard
-        if per_shard:
-            self._queues = {shard_id: queue.SimpleQueue() for shard_id in self._targets}
-        else:
-            shared: queue.SimpleQueue = queue.SimpleQueue()
-            self._queues = {shard_id: shared for shard_id in self._targets}
-
-    # -- worker side -----------------------------------------------------------
-
-    def put(self, shard_id: str, batch: list[dict[str, Any]]) -> None:
-        self._queues[shard_id].put(batch)
-
-    def finish(self, shard_id: str) -> None:
-        """Mark *shard_id*'s stream complete (always called, even on error)."""
-        self._queues[shard_id].put(_END)
-
-    # -- router side -----------------------------------------------------------
-
-    def _drain(
-        self, source: queue.SimpleQueue, ends_expected: int, pending: ScatterPending, shard_id: str | None
-    ) -> Iterator[dict[str, Any]]:
-        ends = 0
-        while ends < ends_expected:
-            try:
-                item = source.get(timeout=pending.policy.remaining(pending.started))
-            except queue.Empty:
-                # Deadline exhausted while a shard still owes batches.
-                late = (
-                    [shard_id]
-                    if shard_id is not None
-                    else [b.shard_id for b in pending.branches if not b.done.is_set()]
-                )
-                raise pending.timeout(late) from None
-            if item is _END:
-                ends += 1
-                continue
-            yield from item
-
-    def iterators(self, pending: ScatterPending) -> list[Iterator[dict[str, Any]]]:
-        """Per-shard document iterators (sorted merge) or one multiplexed one."""
-        if self._per_shard:
-            return [
-                self._drain(self._queues[shard_id], 1, pending, shard_id)
-                for shard_id in self._targets
-            ]
-        shared = self._queues[self._targets[0]] if self._targets else queue.SimpleQueue()
-        return [self._drain(shared, len(self._targets), pending, None)]
-
-
 class FirstMatchClaim:
-    """One-shot claim deciding which shard branch wins ``update_one``.
+    """One-shot claim deciding which shard branch wins ``update_one``/``delete_one``.
 
     Every branch probes its shard for a local match concurrently; the first
-    branch to find one claims the operation and applies the update, and the
+    branch to find one claims the operation and applies the write, and the
     claim doubles as a cancellation signal so still-probing branches stop
     early.  Exactly one shard ever applies the write.
     """

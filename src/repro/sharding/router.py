@@ -11,10 +11,12 @@ every operation a routed collection:
 2. dispatches the command to **every target shard simultaneously** through
    the cluster's :class:`~repro.sharding.executor.ScatterRunner` (worker
    threads);
-3. gathers the per-shard results — streaming them for ``find``, so the
-   k-way merge starts before the slowest shard finishes — and merges them
-   (and, for aggregation, runs the merge part of the pipeline) before
-   answering the client.
+3. waits for every target's whole answer, then merges them — a k-way merge
+   on the sort key, else in target order — (and, for aggregation, runs the
+   merge part of the pipeline) before answering the client.  Every shard
+   ships at most ``skip + limit`` documents of a paged ``find``, so there is
+   nothing to gain from merging while shards still ship: GIL-bound branches
+   do not overlap their scans anyway.
 
 Every scatter is subject to the router's :class:`ScatterPolicy`: per-shard
 deadlines with cooperative cancellation, raising a structured
@@ -33,7 +35,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 from operator import methodcaller
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..documentstore.aggregation import (
     ShardSplit,
@@ -69,11 +71,9 @@ from .config_server import ConfigServer
 from .executor import (
     FirstMatchClaim,
     ScatterOutcome,
-    ScatterPending,
     ScatterPolicy,
     ScatterRunner,
     ShardTimeoutError,
-    StreamGather,
 )
 from .network import SimulatedNetwork
 from .shard import Shard
@@ -291,25 +291,25 @@ class QueryRouter:
     #: expensive on the cluster (Section 4.3, observation ii).
     RESPONSE_BATCH_SIZE = 101
 
-    def _launch_scatter(
+    def _scatter(
         self,
         commands: Mapping[str, Mapping[str, Any]],
         purpose: str,
         shard_operation: Callable[[Shard], Any],
         *,
         ship_results: bool = True,
+        targeted: bool = False,
         response_batch_size: int | None = None,
-        stream: StreamGather | None = None,
-    ) -> ScatterPending:
-        """Dispatch *shard_operation* to every target simultaneously.
+    ) -> dict[str, Any]:
+        """Run *shard_operation* on every target at once; returns per-shard results.
 
         *commands* maps each target shard to the request it is sent.  Each
         branch runs on a pool worker: it ships its request, executes the
         shard-local work, then serializes the result back in batches of
-        *response_batch_size* — pushing every decoded batch into *stream* as
-        it crosses the wire, when streaming.  All traffic lands on the
-        branch's private network channel; nothing shared is touched until
-        :meth:`_absorb_outcome`.
+        *response_batch_size*.  All traffic lands on the branch's private
+        network channel; nothing shared is touched until every branch has
+        answered and :meth:`_absorb_outcome` merges them.  Raises
+        :class:`ShardTimeoutError` when a shard misses the deadline.
         """
         batch_size = response_batch_size or self.RESPONSE_BATCH_SIZE
 
@@ -319,71 +319,64 @@ class QueryRouter:
             def run(branch: Any) -> Any:
                 channel = self.network.channel()
                 branch.report.channel = channel
-                try:
-                    started = time.perf_counter()
-                    channel.ship_command(
-                        command,
-                        source=self.name,
-                        destination=shard_id,
-                        purpose=f"{purpose}:request",
+                started = time.perf_counter()
+                channel.ship_command(
+                    command,
+                    source=self.name,
+                    destination=shard_id,
+                    purpose=f"{purpose}:request",
+                )
+                branch.report.timing.dispatch_seconds = time.perf_counter() - started
+                value, execute_seconds = self._runner.execute(
+                    lambda: shard.run(shard_operation, shard)[0]
+                )
+                branch.report.timing.execute_seconds = execute_seconds
+                shipping_started = time.perf_counter()
+                if ship_results and isinstance(value, list) and value:
+                    unwrap = not all(isinstance(item, Mapping) for item in value)
+                    payload_docs: list[Mapping[str, Any]] = (
+                        [{"v": item} for item in value] if unwrap else value
                     )
-                    branch.report.timing.dispatch_seconds = time.perf_counter() - started
-                    value, execute_seconds = self._runner.execute(
-                        lambda: shard.run(shard_operation, shard)[0]
-                    )
-                    branch.report.timing.execute_seconds = execute_seconds
-                    shipping_started = time.perf_counter()
-                    shipped_any = False
-                    if ship_results and isinstance(value, list) and value:
-                        unwrap = not all(isinstance(item, Mapping) for item in value)
-                        payload_docs: list[Mapping[str, Any]] = (
-                            [{"v": item} for item in value] if unwrap else value
-                        )
-                        received: list[dict[str, Any]] = []
-                        bytes_before = channel.stats.bytes_transferred
-                        for start in range(0, len(payload_docs), batch_size):
-                            if branch.cancelled.is_set():
-                                # Cooperative cancellation (deadline hit or
-                                # global limit satisfied): stop shipping.
-                                break
-                            decoded = channel.ship_documents(
+                    received: list[dict[str, Any]] = []
+                    bytes_before = channel.stats.bytes_transferred
+                    for start in range(0, len(payload_docs), batch_size):
+                        if branch.cancelled.is_set():
+                            break  # the deadline passed: stop shipping
+                        received.extend(
+                            channel.ship_documents(
                                 payload_docs[start:start + batch_size],
                                 source=shard_id,
                                 destination=self.name,
                                 purpose=f"{purpose}:response",
                             )
-                            received.extend(decoded)
-                            if stream is not None:
-                                stream.put(shard_id, decoded)
-                        branch.report.items_shipped = len(received)
-                        branch.report.bytes_shipped = (
-                            channel.stats.bytes_transferred - bytes_before
                         )
-                        shipped_any = True
-                        value = [doc["v"] for doc in received] if unwrap else received
-                    if not shipped_any:
-                        channel.ship_command(
-                            {"ok": 1},
-                            source=shard_id,
-                            destination=self.name,
-                            purpose=f"{purpose}:ack",
-                        )
-                    branch.report.timing.ship_seconds = (
-                        time.perf_counter() - shipping_started
+                    branch.report.items_shipped = len(received)
+                    branch.report.bytes_shipped = (
+                        channel.stats.bytes_transferred - bytes_before
                     )
-                    return value
-                finally:
-                    if stream is not None:
-                        stream.finish(shard_id)
+                    value = [doc["v"] for doc in received] if unwrap else received
+                else:
+                    channel.ship_command(
+                        {"ok": 1},
+                        source=shard_id,
+                        destination=self.name,
+                        purpose=f"{purpose}:ack",
+                    )
+                branch.report.timing.ship_seconds = (
+                    time.perf_counter() - shipping_started
+                )
+                return value
 
             return run
 
-        return self._runner.launch(
+        outcome = self._runner.run(
             purpose,
             [(shard_id, make_branch(shard_id, command)) for shard_id, command in commands.items()],
             self.scatter_policy,
             on_timeout=self._count_timeouts,
         )
+        self._absorb_outcome(outcome, targeted=targeted)
+        return {report.shard_id: report.value for report in outcome.reports}
 
     def _absorb_outcome(self, outcome: ScatterOutcome, *, targeted: bool) -> None:
         """Merge one gathered scatter into the shared accounting.
@@ -431,26 +424,6 @@ class QueryRouter:
         with self._metrics_lock:
             self.metrics.shards_timed_out += len(late)
 
-    def _scatter(
-        self,
-        commands: Mapping[str, Mapping[str, Any]],
-        purpose: str,
-        shard_operation: Callable[[Shard], Any],
-        *,
-        ship_results: bool = True,
-        targeted: bool = False,
-    ) -> dict[str, Any]:
-        """Concurrent scatter + blocking gather; returns per-shard results.
-
-        Raises :class:`ShardTimeoutError` when a shard misses the deadline.
-        """
-        pending = self._launch_scatter(
-            commands, purpose, shard_operation, ship_results=ship_results
-        )
-        outcome = pending.gather()
-        self._absorb_outcome(outcome, targeted=targeted)
-        return {report.shard_id: report.value for report in outcome.reports}
-
     def _account_router_work(self, started: float) -> None:
         with self._metrics_lock:
             self.metrics.router_seconds += time.perf_counter() - started
@@ -469,6 +442,18 @@ class QueryRouter:
             self.network.absorb(channel)
             self.metrics.network_seconds += channel.stats.simulated_seconds
         return shipped
+
+
+def _merge_outputs(
+    per_shard: Mapping[str, list[dict[str, Any]]],
+    targets: Sequence[str],
+    sort: Sequence[tuple[str, int]] | Mapping[str, Any] | None,
+) -> Iterable[dict[str, Any]]:
+    """The targets' whole outputs as one stream: k-way merged by *sort*, else in target order."""
+    outputs = [per_shard[shard_id] for shard_id in targets]
+    if sort:
+        return heapq.merge(*outputs, key=document_sort_key(sort))
+    return itertools.chain.from_iterable(outputs)
 
 
 def _find_condition(query: Mapping[str, Any], field_path: str) -> Any:
@@ -553,6 +538,7 @@ class RoutedCollection(CollectionSurface):
         call: Callable[[Any], Any],
         *,
         ship_results: bool = False,
+        response_batch_size: int | None = None,
     ) -> dict[str, Any]:
         """One scatter: *call* on every target shard's slice of the collection."""
         namespace = self._namespace
@@ -562,6 +548,7 @@ class RoutedCollection(CollectionSurface):
             lambda shard: call(shard.collection(*namespace)),
             ship_results=ship_results,
             targeted=targeted,
+            response_batch_size=response_batch_size,
         )
 
     def _owning_shards(self) -> list[str]:
@@ -638,27 +625,12 @@ class RoutedCollection(CollectionSurface):
 
         Projection, sort, and ``skip + limit`` are pushed to every target
         shard (each returns at most ``skip + limit`` pre-sorted, pre-projected
-        documents).  All targets execute **concurrently**, and each shard's
-        response batches land on a gather queue as they cross the wire: the
-        router's streaming k-way heap merge (sorted) or arrival-order merge
-        (unsorted) starts consuming before the slowest shard finishes.  When
-        the global ``skip + limit`` is satisfied early, still-running shards
-        are cooperatively cancelled and stop shipping.
+        documents), and all targets execute concurrently.  The router merges
+        their whole answers as ``aggregate`` does, then applies ``skip``,
+        ``limit`` and any projection the shards could not.
         """
-        router = self._router
-        targets, targeted = router._target_shards(*self._namespace, spec.filter)
+        targets, targeted = self._router._target_shards(*self._namespace, spec.filter)
         shard_spec = spec.shard_spec()
-        # The response encoding is the one copy of a shard's stored documents,
-        # so a projection the router applies itself works on private ones.
-        project = None
-        if spec.projection and shard_spec.projection is None:
-            project = compile_projection(spec.projection, copy=False)
-        namespace = self._namespace
-
-        def do_find(shard: Shard) -> list[dict[str, Any]]:
-            return shard.collection(*namespace).execute_find(shard_spec)
-
-        stream = StreamGather(targets, per_shard=spec.sort is not None)
         command = {
             "find": self.name,
             "filter": spec.filter,
@@ -666,39 +638,23 @@ class RoutedCollection(CollectionSurface):
             "limit": shard_spec.limit,
             "projection": shard_spec.projection,
         }
-        pending = router._launch_scatter(
-            dict.fromkeys(targets, command),
+        per_shard = self._on_shards(
+            targets,
+            targeted,
             "find",
-            do_find,
+            command,
+            methodcaller("execute_find", shard_spec),
+            ship_results=True,
             response_batch_size=spec.batch_size,
-            stream=stream,
         )
         started = time.perf_counter()
-        if spec.sort:
-            # Every shard stream is already sorted: streaming k-way heap merge.
-            merged: Iterator[dict[str, Any]] = heapq.merge(
-                *stream.iterators(pending), key=document_sort_key(spec.sort)
-            )
-        else:
-            merged = itertools.chain.from_iterable(stream.iterators(pending))
-        results: list[dict[str, Any]] = []
-        remaining_skip = spec.skip
-        try:
-            for document in merged:
-                if remaining_skip:
-                    remaining_skip -= 1
-                    continue
-                results.append(document)
-                if spec.limit is not None and len(results) >= spec.limit:
-                    # Satisfied: tell still-shipping shards to stop early.
-                    pending.cancel()
-                    break
-        finally:
-            router._account_router_work(started)
-        outcome = pending.gather()
-        router._absorb_outcome(outcome, targeted=targeted)
-        if project is not None:
-            results = list(map(project, results))
+        merged = _merge_outputs(per_shard, targets, spec.sort)
+        results = list(itertools.islice(merged, spec.skip, spec.fetch_bound))
+        if spec.projection and shard_spec.projection is None:
+            # The response encoding is the one copy of a shard's stored
+            # documents, so the router projects its private ones in place.
+            results = list(map(compile_projection(spec.projection, copy=False), results))
+        self._router._account_router_work(started)
         return results
 
     def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
@@ -765,6 +721,44 @@ class RoutedCollection(CollectionSurface):
             upserted_id = self.insert_one(document).inserted_id
         return UpdateResult(matched_count=matched, modified_count=modified, upserted_id=upserted_id)
 
+    def _first_match(
+        self,
+        query: Mapping[str, Any] | None,
+        purpose: str,
+        command: Mapping[str, Any],
+        apply: Callable[[Any, Any], Any],
+    ) -> Any:
+        """One fan-out that writes at most one document matching *query*.
+
+        Every target shard probes its slice for a match simultaneously, under
+        the same hold of its ``op_lock`` as the write.  The first branch to
+        find one claims the operation (a one-shot :class:`FirstMatchClaim`)
+        and runs ``apply(collection, _id)`` there; the claim doubles as a
+        cancellation signal, so still-probing branches bail out early.
+        Returns the winner's result, or ``None`` when no shard matched.
+        """
+        targets, targeted = self._router._target_shards(*self._namespace, query)
+        claim = FirstMatchClaim()
+        namespace = self._namespace
+
+        def probe_and_apply(shard: Shard) -> Any:
+            if claim.decided:
+                return None
+            collection = shard.collection(*namespace)
+            matched = collection.find_one(query, {"_id": 1})
+            if matched is None or not claim.claim(shard.shard_id):
+                return None
+            return apply(collection, matched["_id"])
+
+        per_shard = self._router._scatter(
+            dict.fromkeys(targets, command),
+            purpose,
+            probe_and_apply,
+            ship_results=False,
+            targeted=targeted,
+        )
+        return None if claim.winner is None else per_shard[claim.winner]
+
     def update_one(
         self,
         query: Mapping[str, Any] | None,
@@ -772,44 +766,21 @@ class RoutedCollection(CollectionSurface):
         *,
         upsert: bool = False,
     ) -> UpdateResult:
-        """Route a single-document update through one concurrent fan-out.
+        """Route a single-document update through one first-match fan-out.
 
-        Every target shard probes for a local match simultaneously; the
-        first branch to find one claims the operation (a one-shot
-        :class:`FirstMatchClaim`) and applies the update to exactly that
-        document, while the claim doubles as a cancellation signal so
-        still-probing branches bail out early.  Exactly one document is ever
-        modified — the previous implementation probed shards one at a time,
-        paying a serial round trip per shard.
+        Exactly one document is ever modified (:meth:`_first_match`); with
+        no match anywhere, *upsert* inserts through :meth:`insert_one`.
         """
         if is_update_document(update):
             OperatorUpdate(update)  # refused even when nothing matches, as stand-alone
-        targets, targeted = self._router._target_shards(*self._namespace, query)
-        claim = FirstMatchClaim()
-        namespace = self._namespace
-
-        def do_update(shard: Shard) -> UpdateResult:
-            collection = shard.collection(*namespace)
-            if claim.decided:
-                return UpdateResult(matched_count=0, modified_count=0)
-            matched = collection.find_one(query, {"_id": 1})
-            if matched is None or not claim.claim(shard.shard_id):
-                return UpdateResult(matched_count=0, modified_count=0)
-            return collection.update_one({"_id": matched["_id"]}, update, upsert=False)
-
-        per_shard = self._router._scatter(
-            dict.fromkeys(
-                targets, {"update": self.name, "filter": query, "u": update, "multi": False}
-            ),
+        result = self._first_match(
+            query,
             "update",
-            do_update,
-            ship_results=False,
-            targeted=targeted,
+            {"update": self.name, "filter": query, "u": update, "multi": False},
+            lambda collection, _id: collection.update_one({"_id": _id}, update, upsert=False),
         )
-        for shard_id in targets:
-            result = per_shard.get(shard_id)
-            if result is not None and result.matched_count:
-                return result
+        if result is not None:
+            return result
         if upsert:
             document = build_upsert_document(query or {}, update)
             upserted_id = self.insert_one(document).inserted_id
@@ -829,11 +800,18 @@ class RoutedCollection(CollectionSurface):
         return DeleteResult(deleted_count=sum(result.deleted_count for result in per_shard.values()))
 
     def delete_one(self, query: Mapping[str, Any] | None) -> DeleteResult:
-        """Delete the first match found across the targeted shards, by its ``_id``."""
-        document = self.find_one(query)
-        if document is None:
-            return DeleteResult(deleted_count=0)
-        return self.delete_many({"_id": document["_id"]})
+        """Delete one matching document through one first-match fan-out.
+
+        Exactly one document is removed (:meth:`_first_match`), even when
+        another shard holds a document with the same ``_id``.
+        """
+        result = self._first_match(
+            query,
+            "delete",
+            {"delete": self.name, "filter": query, "limit": 1},
+            lambda collection, _id: collection.delete_one({"_id": _id}),
+        )
+        return result if result is not None else DeleteResult(deleted_count=0)
 
     # --------------------------------------------------------------- bulk writes
 
@@ -1017,12 +995,7 @@ class RoutedCollection(CollectionSurface):
         )
 
         started = time.perf_counter()
-        outputs = [per_shard[shard_id] for shard_id in targets]
-        if split.merge_sort is not None:
-            key = document_sort_key(split.merge_sort)
-            merged: Iterable[dict[str, Any]] = heapq.merge(*outputs, key=key)
-        else:
-            merged = itertools.chain.from_iterable(outputs)
+        merged = _merge_outputs(per_shard, targets, split.merge_sort)
 
         merge_stages = split.merge
         out_target: str | None = None
@@ -1124,7 +1097,7 @@ class RoutedCollection(CollectionSurface):
             verbosity=verbosity,
             namespace=self.full_name,
             winning_plan=winning_plan,
-            sort_mode="streamingKWayMerge" if spec.sort else None,
+            sort_mode="kWayMerge" if spec.sort else None,
             spec=spec.describe(),
             shards=shards,
             execution_stats=execution,

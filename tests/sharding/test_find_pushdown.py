@@ -10,6 +10,7 @@ agree across a (filter, projection, sort, skip, limit) matrix, and
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -168,6 +169,45 @@ class TestPushdownAccounting:
         assert cluster.router.metrics.documents_shipped <= SHARDS * 7
 
 
+# (filter, sort, skip, limit, batch size): broadcast and targeted, paged and
+# whole, and one match on one shard, so the other two ship nothing.
+MESSAGE_CASES = [
+    (None, None, 0, 0, 7),
+    ({"day": {"$lt": 25}}, [("amount", 1), ("order_id", 1)], 5, 30, 4),
+    ({"store": 3}, [("order_id", -1)], 0, 0, 101),
+    ({"order_id": {"$in": [5, 17, 40, 77, 150]}}, None, 0, 0, 1),
+    ({"store": 3, "order_id": {"$lt": 10}}, None, 0, 0, 2),
+]
+
+
+class TestFindMessageAccounting:
+    @pytest.mark.parametrize(("filter_", "sort", "skip", "limit", "batch_size"), MESSAGE_CASES)
+    def test_one_request_then_one_response_per_batch(
+        self, backends, filter_, sort, skip, limit, batch_size
+    ):
+        """Each target ships ``ceil(shipped / batch_size)`` responses, or one ack."""
+        _standalone, routed, cluster = backends
+        targets = routed.find(filter_).explain()["queryPlanner"]["winningPlan"]["shardsContacted"]
+        shipped = [
+            len(
+                cluster.shard(shard_id)
+                .collection("shop", "orders")
+                .find(filter_, sort=sort, limit=skip + limit if limit else 0)
+                .to_list()
+            )
+            for shard_id in targets
+        ]
+        cluster.reset_metrics()
+        routed.find(filter_, sort=sort, skip=skip, limit=limit, batch_size=batch_size).to_list()
+        by_purpose = cluster.network.stats.by_purpose
+        assert by_purpose.get("find:request", 0) == len(targets)
+        assert by_purpose.get("find:response", 0) == sum(
+            math.ceil(count / batch_size) for count in shipped
+        )
+        assert by_purpose.get("find:ack", 0) == shipped.count(0)
+        assert cluster.router.metrics.documents_shipped == sum(shipped)
+
+
 class TestExplainParity:
     def test_both_backends_share_the_explain_shape(self, backends):
         standalone, routed, _cluster = backends
@@ -195,7 +235,7 @@ class TestExplainParity:
             assert set(shard_plan) == set(PLANNER_KEYS)
             assert shard_plan["spec"]["limit"] == 15
             assert shard_plan["spec"]["skip"] == 0
-        assert explain["queryPlanner"]["sortMode"] == "streamingKWayMerge"
+        assert explain["queryPlanner"]["sortMode"] == "kWayMerge"
 
     def test_targeted_explain_is_single_shard(self, backends):
         _standalone, routed, _cluster = backends

@@ -1,9 +1,9 @@
 """Tests for the concurrent scatter-gather execution core.
 
 Covers the parity matrix (standalone vs parallel-sharded),
-deadline/cancellation behavior with a slow-shard fixture, streaming gather,
-first-match-wins ``update_one``, and the concurrency stress test that pins
-metric totals under parallel scatter to the sequential baseline.
+deadline/cancellation behavior with a slow-shard fixture, limit pushdown,
+first-match-wins ``update_one`` and ``delete_one``, and the concurrency stress
+test that pins metric totals under parallel scatter to the sequential baseline.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.documentstore import DocumentStoreClient
+from repro.documentstore import DeleteOne, DocumentStoreClient, DuplicateKeyError
 from repro.sharding import (
     NetworkModel,
     ScatterPolicy,
     ShardedCluster,
     ShardTimeoutError,
 )
-from repro.sharding.executor import ScatterRunner, StreamGather
 from repro.sharding.network import MESSAGE_LOG_CAPACITY
 
 DOCS = [
@@ -313,38 +312,6 @@ class TestDeadlines:
 
 
 class TestStreamingGather:
-    def test_merge_starts_before_slowest_branch_finishes(self):
-        """The gather consumes early batches while a slow branch still runs."""
-        runner = ScatterRunner()
-        stream = StreamGather(["fast", "slow"], per_shard=False)
-        release_slow = threading.Event()
-
-        def fast(branch):
-            stream.put("fast", [{"k": 1}])
-            stream.finish("fast")
-
-        def slow(branch):
-            release_slow.wait(timeout=5.0)
-            stream.put("slow", [{"k": 2}])
-            stream.finish("slow")
-
-        pending = runner.launch(
-            "find", [("fast", fast), ("slow", slow)], ScatterPolicy()
-        )
-        try:
-            iterator = stream.iterators(pending)[0]
-            first = next(iterator)
-            # The first document arrived while the slow branch is still held.
-            assert first == {"k": 1}
-            slow_branch = next(b for b in pending.branches if b.shard_id == "slow")
-            assert not slow_branch.done.is_set()
-            release_slow.set()
-            assert list(iterator) == [{"k": 2}]
-            pending.gather()
-        finally:
-            release_slow.set()
-            runner.close()
-
     def test_limit_cancels_remaining_shipping(self, parallel_cluster):
         orders = parallel_cluster.get_database("shop")["orders"]
         parallel_cluster.reset_metrics()
@@ -371,6 +338,58 @@ class TestFirstMatchUpdateOne:
         )
         assert upserted.upserted_id is not None
         assert orders.count_documents({"store": 99}) == 1
+
+
+def cluster_sharing_one_id() -> ShardedCluster:
+    """Three shards, each holding one document with ``_id`` 1 (hashed on ``k``)."""
+    cluster = ShardedCluster(shard_count=3)
+    cluster.enable_sharding("shop")
+    cluster.shard_collection("shop", "dupes", {"k": "hashed"})
+    dupes = cluster.get_database("shop")["dupes"]
+    for k in range(40):
+        try:
+            dupes.insert_one({"_id": 1, "k": k})
+        except DuplicateKeyError:
+            pass  # that shard already holds an _id 1
+    assert [shard.document_count("shop") for shard in cluster.shards] == [1, 1, 1]
+    cluster.reset_metrics()
+    return cluster
+
+
+class TestFirstMatchDeleteOne:
+    """Routed ``delete_one`` removes exactly one document, as ``Collection`` does."""
+
+    def test_a_shared_id_loses_one_document(self):
+        cluster = cluster_sharing_one_id()
+        try:
+            dupes = cluster.get_database("shop")["dupes"]
+            assert dupes.delete_one({"_id": 1}).deleted_count == 1
+            assert dupes.count_documents({}) == 2
+        finally:
+            cluster.close()
+
+    def test_bulk_delete_one_with_a_broadcast_filter_removes_one_document(self):
+        cluster = cluster_sharing_one_id()
+        try:
+            dupes = cluster.get_database("shop")["dupes"]
+            assert dupes.bulk_write([DeleteOne({"_id": 1})]).deleted_count == 1
+            assert dupes.count_documents({}) == 2
+        finally:
+            cluster.close()
+
+    def test_matches_standalone_in_one_fan_out(self, parallel_cluster, standalone):
+        orders = parallel_cluster.get_database("shop")["orders"]
+        for query in ({"store": 2}, {"tag": "t3", "amount": {"$gt": 40.0}}, {"store": 99}):
+            parallel_cluster.reset_metrics()
+            assert (
+                orders.delete_one(query).deleted_count
+                == standalone.delete_one(query).deleted_count
+            )
+            assert orders.count_documents(query) == standalone.count_documents(query)
+            assert orders.count_documents({}) == standalone.count_documents({})
+            by_purpose = parallel_cluster.network.stats.by_purpose
+            assert by_purpose["delete:request"] == by_purpose["delete:ack"] == 3
+            assert "find:request" not in by_purpose
 
 
 class TestExplainExecutionStats:
