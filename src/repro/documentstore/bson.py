@@ -71,10 +71,19 @@ def validate_document(document: Mapping[str, Any], *, check_size: bool = True) -
 def validate_value(value: Any) -> None:
     """Raise :class:`InvalidDocumentError` unless *value* can be stored.
 
-    Exact types are tested before the ``collections.abc`` checks, which are
-    slow for the values that fail them; scalar members are not even visited.
+    A flat ``dict`` (exact scalar values; keys that join, as only ``str`` keys
+    do, with no ``.`` and no key-leading ``$``) is proved valid in C.  Anything
+    else takes the walk, the only code that raises; it tests exact types before
+    the slow ``collections.abc`` checks and does not visit scalar members.
     """
     kind = type(value)
+    if kind is dict and EXACT_SCALARS.issuperset(map(type, value.values())):
+        try:
+            keys = "\x00" + "\x00".join(value)
+        except TypeError:  # a non-str key, which the walk names
+            keys = "."
+        if "." not in keys and "\x00$" not in keys:
+            return
     if kind in EXACT_SCALARS or isinstance(value, _SCALAR_TYPES):
         return
     if kind is dict or (kind is not list and isinstance(value, Mapping)):

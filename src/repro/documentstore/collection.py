@@ -403,16 +403,13 @@ class Collection(CollectionSurface):
                         self._write_log({"op": "insert", "docs": prepared[:inserted]})
         return InsertManyResult(inserted_ids=[document["_id"] for document in prepared])
 
-    def _maintained_index_items(self) -> list[tuple[str, Index]]:
+    def _maintained_indexes(self) -> list[Index]:
         """The indexes writes must maintain (deferred/pending ones rebuild later)."""
         return [
-            (index_name, index)
+            index
             for index_name, index in self._indexes.items()
             if index_name == "_id_"
-            or (
-                not self._defer_secondary_indexes
-                and index_name not in self._pending_index_builds
-            )
+            or (not self._defer_secondary_indexes and index_name not in self._pending_index_builds)
         ]
 
     def _bulk_insert_prepared(self, documents: Sequence[dict[str, Any]]) -> list[int]:
@@ -423,7 +420,7 @@ class Collection(CollectionSurface):
         undo_handles = []
         try:
             # dict order guarantees the unique _id index is merged first.
-            for _name, index in self._maintained_index_items():
+            for index in self._maintained_indexes():
                 undo_handles.append(index.bulk_insert(batch))
         except DocumentStoreError:
             # A unique violation rolls back the batch from every
@@ -443,7 +440,7 @@ class Collection(CollectionSurface):
         # abort before any secondary index is touched.
         updated: list[Index] = []
         try:
-            for _name, index in self._maintained_index_items():
+            for index in self._maintained_indexes():
                 index.insert(document, doc_id)
                 updated.append(index)
         except DocumentStoreError:
@@ -499,10 +496,7 @@ class Collection(CollectionSurface):
         plan = self._plan_find(spec)
         predicate = compile_matcher(spec.filter)
         self.operation_counters["queries"] += 1
-        if plan.candidate_ids is not None:
-            candidates: Iterable[int] = plan.candidate_ids
-        else:
-            candidates = list(self._documents.keys())
+        candidates = list(self._documents) if plan.candidate_ids is None else plan.candidate_ids
 
         if spec.sort and not plan.sort_served:
             yield from map(project, self._execute_find_sorted(spec, candidates, predicate))
@@ -626,16 +620,12 @@ class Collection(CollectionSurface):
 
     @staticmethod
     def _index_overlaps_paths(index: Index, paths: set[str]) -> bool:
-        """True when any indexed field could be affected by the touched paths."""
-        for field_path in index.spec.fields:
-            for touched in paths:
-                if (
-                    field_path == touched
-                    or field_path.startswith(touched + ".")
-                    or touched.startswith(field_path + ".")
-                ):
-                    return True
-        return False
+        """True when an indexed field and a touched path are equal or one contains the other."""
+        return any(
+            f"{field_path}.".startswith(f"{touched}.") or f"{touched}.".startswith(f"{field_path}.")
+            for field_path in index.spec.fields
+            for touched in paths
+        )
 
     def _update(
         self,
@@ -647,7 +637,7 @@ class Collection(CollectionSurface):
         operators: bool,
     ) -> UpdateResult:
         """Apply *update* — an operator document iff *operators*, else a replacement."""
-        maintained = [index for _name, index in self._maintained_index_items()]
+        maintained = self._maintained_indexes()
         if not operators:
             affected_indexes = maintained  # a replacement can change every field
         else:
@@ -765,7 +755,7 @@ class Collection(CollectionSurface):
                 document = self._documents.get(doc_id)
                 if document is None or not predicate(document):
                     continue
-                for _name, index in self._maintained_index_items():
+                for index in self._maintained_indexes():
                     index.remove(document, doc_id)
                 del self._documents[doc_id]
                 self._sizes.pop(doc_id, None)
@@ -825,18 +815,18 @@ class Collection(CollectionSurface):
         of the matches, so 0 proves there is none: the operation is then
         checked and counted as its public call would be, instead of run.
         """
-        plans: dict[tuple[Any, ...], tuple[str, tuple[str, ...]] | None] = {}
+        plans: dict[tuple[Any, ...], tuple[str, tuple[str, ...]] | tuple[()]] = {}
         for position, operation in enumerate(operations):
             query = None if getattr(operation, "upsert", False) else getattr(operation, "filter", None)
-            if type(query) is dict and all(type(value) in SCALAR_TYPES for value in query.values()):
+            if type(query) is dict and SCALAR_TYPES.issuperset(map(type, query.values())):
                 shape = tuple(query)
-                if shape not in plans:
-                    plans[shape] = self._equality_plan(query)
-                plan = plans[shape]
-                index = None if plan is None else self._live_indexes().get(plan[0])
+                plan = plans.get(shape)
+                if plan is None:
+                    plan = plans[shape] = self._equality_plan(query) or ()
+                index = self._live_indexes().get(plan[0]) if plan else None
                 if (
                     index is not None
-                    and not index.count_prefix([query[field] for field in plan[1]])
+                    and not index.count_prefix(list(map(query.__getitem__, plan[1])))
                     and self._count_unmatched(operation)
                 ):
                     continue

@@ -57,7 +57,9 @@ _EMBEDDED_DOCUMENT_KEY = collation_key("\x00$embedded-document")
 
 def _index_key(value: Any) -> tuple[int, Any]:
     """The collation key an index stores for a document value."""
-    return _EMBEDDED_DOCUMENT_KEY if isinstance(value, Mapping) else collation_key(value)
+    if type(value) in SCALAR_TYPES or not isinstance(value, Mapping):
+        return collation_key(value)
+    return _EMBEDDED_DOCUMENT_KEY
 
 
 def hashed_value(value: Any) -> int:
@@ -129,13 +131,7 @@ class IndexSpec:
         """
         if isinstance(keys, Mapping) and "keys" in keys:
             return cls._from_structured(keys, unique=unique, name=name)
-        if isinstance(keys, str):
-            normalized: tuple[tuple[str, Any], ...] = ((keys, ASCENDING),)
-        elif isinstance(keys, Mapping):
-            normalized = tuple((str(k), v) for k, v in keys.items())
-        else:
-            normalized = tuple((str(k), v) for k, v in keys)
-        return cls(keys=normalized, unique=unique, name=name)
+        return cls(keys=_normalized_keys(keys), unique=unique, name=name)
 
     @classmethod
     def _from_structured(
@@ -151,26 +147,8 @@ class IndexSpec:
         # specs round-trip, and refused for any other value.
         if spec.get("type", "btree") != "btree":
             raise OperationFailure(f"unknown index type {spec['type']!r} (expected 'btree')")
-        raw_keys = spec["keys"]
-        if isinstance(raw_keys, str):
-            normalized: tuple[tuple[str, Any], ...] = ((raw_keys, ASCENDING),)
-        elif isinstance(raw_keys, Mapping):
-            normalized = tuple((str(k), v) for k, v in raw_keys.items())
-        else:
-            try:
-                normalized = tuple(
-                    (str(pair), ASCENDING)
-                    if isinstance(pair, str)
-                    else (str(pair[0]), pair[1])
-                    for pair in raw_keys
-                )
-            except (TypeError, IndexError):
-                raise OperationFailure(
-                    "index spec 'keys' must be a field name, a mapping, or a "
-                    "sequence of (field, direction) pairs"
-                ) from None
         return cls(
-            keys=normalized,
+            keys=_normalized_keys(spec["keys"]),
             unique=bool(spec.get("unique", unique)),
             name=str(spec.get("name") or name or ""),
         )
@@ -189,6 +167,24 @@ class IndexSpec:
             "keys": [list(pair) for pair in self.keys],
             "unique": self.unique,
         }
+
+
+def _normalized_keys(keys: Any) -> tuple[tuple[str, Any], ...]:
+    """``(field, direction)`` pairs from a field name, a mapping or a sequence of pairs or names."""
+    if isinstance(keys, str):
+        return ((keys, ASCENDING),)
+    if isinstance(keys, Mapping):
+        return tuple((str(k), v) for k, v in keys.items())
+    try:
+        return tuple(
+            (str(pair), ASCENDING) if isinstance(pair, str) else (str(pair[0]), pair[1])
+            for pair in keys
+        )
+    except (TypeError, IndexError):
+        raise OperationFailure(
+            "index spec 'keys' must be a field name, a mapping, or a "
+            "sequence of (field, direction) pairs"
+        ) from None
 
 
 class Index:
@@ -424,10 +420,7 @@ class Index:
         return start, bisect.bisect_left(self._entries, prefix + _AFTER, start)
 
     def _prefix_span(self, prefix: Sequence[Any]) -> tuple[int, int]:
-        key: tuple[Any, ...] = ()
-        for value in prefix:
-            key += _index_key(value)
-        return self._span(key)
+        return self._span(sum(map(_index_key, prefix), ()))
 
     def _range_span(
         self, lower: Any, upper: Any, include_lower: bool, include_upper: bool

@@ -635,6 +635,8 @@ def compile_matcher(query: Mapping[str, Any] | None) -> Callable[[Any], bool]:
             predicates.append(
                 lambda document, evaluator=evaluator: bool(evaluator(document))
             )
+        elif not isinstance(key, str):
+            raise OperationFailure(f"filter field names must be strings, got {key!r}")
         elif key.startswith("$"):
             raise InvalidOperator(f"unknown top-level operator {key!r}")
         else:

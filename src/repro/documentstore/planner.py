@@ -100,8 +100,8 @@ def _extract_constraints(query: Mapping[str, Any] | None) -> dict[str, _FieldCon
                 for sub_filter in condition:
                     visit(sub_filter)
                 continue
-            if key.startswith("$"):
-                # $or / $nor / $expr cannot be used for index bounds safely.
+            if not isinstance(key, str) or key.startswith("$"):
+                # $or / $nor / $expr cannot bound an index; the matcher refuses a non-string.
                 continue
             entry = constraints.setdefault(key, _FieldConstraints())
             if isinstance(condition, Mapping) and any(

@@ -26,42 +26,26 @@ __all__ = [
     "build_upsert_document",
 ]
 
-_UPDATE_OPERATORS = {
-    "$set",
-    "$unset",
-    "$inc",
-    "$mul",
-    "$rename",
-    "$min",
-    "$max",
-    "$push",
-    "$addToSet",
-    "$pull",
-    "$pop",
-    "$setOnInsert",
-    "$currentDate",
-}
 #: Operators whose argument (each item, for the array ones) can end up in a
 #: stored document: validated by the constructor, detached by the first apply.
 _STORING = frozenset({"$set", "$setOnInsert", "$min", "$max", "$push", "$addToSet"})
 #: The storing operators whose argument is a list of items to add to an array.
 _GROWING = ("$push", "$addToSet")
+_NUMERIC = ("$inc", "$mul")
 #: Operators that do nothing when their path is missing, so never create it.
 _READ_ONLY_WALK = frozenset({"$unset", "$rename", "$pull", "$pop"})
+_UPDATE_OPERATORS = _STORING | _READ_ONLY_WALK | {*_NUMERIC, "$currentDate"}
 _MISSING = object()
 
 
 def is_update_document(update: Mapping[str, Any]) -> bool:
     """Return True if *update* uses operators (vs. a full replacement doc)."""
-    if not update:
-        return False
-    uses_operators = any(key.startswith("$") for key in update)
-    uses_fields = any(not key.startswith("$") for key in update)
-    if uses_operators and uses_fields:
-        raise InvalidUpdateError(
-            "update documents may not mix update operators and plain fields"
-        )
-    return uses_operators
+    kinds = {key[:1] == "$" if isinstance(key, str) else None for key in update}
+    if None in kinds:
+        raise InvalidUpdateError("update document keys must be strings")
+    if len(kinds) > 1:
+        raise InvalidUpdateError("update documents may not mix update operators and plain fields")
+    return True in kinds
 
 
 def apply_update(
@@ -104,10 +88,10 @@ def apply_operators(
 class OperatorUpdate:
     """One operator update: checked once, applied to every document it matches.
 
-    Construction checks the operators and validates every argument that can
-    be stored, so a bad update fails whether or not it matches anything.  The
-    first :meth:`apply` detaches (copies) those arguments from the caller;
-    every later one shares them.  ``paths`` are the field paths it can modify.
+    Construction checks the operators, the paths and the arguments, so a bad
+    update fails whether or not it matches anything.  The first :meth:`apply`
+    detaches (copies) the stored arguments from the caller; every later one
+    shares them.  ``paths`` are the field paths it can modify.
     """
 
     def __init__(self, update: Mapping[str, Any], *, on_insert: bool = False) -> None:
@@ -119,17 +103,27 @@ class OperatorUpdate:
         for operator, changes in update.items():
             if operator not in _UPDATE_OPERATORS:
                 raise InvalidUpdateError(f"unknown update operator {operator!r}")
-            if not isinstance(changes, Mapping):
+            if type(changes) is not dict and not isinstance(changes, Mapping):
                 raise InvalidUpdateError(f"{operator} expects a document of field updates")
             for path, argument in changes.items():
+                _check_path(operator, path)
                 if operator in _GROWING:
                     each = isinstance(argument, Mapping) and "$each" in argument
+                    if each and not isinstance(argument["$each"], (list, tuple)):
+                        raise InvalidUpdateError(f"{operator}'s $each expects an array")
                     argument = list(argument["$each"]) if each else [argument]
+                elif operator in _NUMERIC and (
+                    isinstance(argument, bool) or not isinstance(argument, (int, float))
+                ):
+                    raise InvalidUpdateError(f"{operator} expects a number for {path!r}")
+                elif operator == "$rename":
+                    _check_path(operator, argument)
+                    self.paths.add(argument)
+                elif operator == "$pull":
+                    argument = _pull_predicate(argument)
                 if operator in _STORING:
                     validate_value(argument)
-                self.paths.add(str(path))
-                if operator == "$rename":
-                    self.paths.add(str(argument))
+                self.paths.add(path)
                 if operator != "$setOnInsert" or on_insert:
                     self._steps.append((operator, path.split("."), argument))
 
@@ -148,13 +142,14 @@ class OperatorUpdate:
                     argument = deep_copy_document(argument)
                     for value in argument if operator in _GROWING else (argument,):
                         self._sizes[id(value)] = value_size(value)
-                elif operator == "$pull":
-                    argument = _pull_predicate(argument)
                 self._steps[position] = (operator, parts, argument)
         root = dict(document)
         self._delta = 0
-        for operator, parts, argument in self._steps:
-            self._apply(root, operator, parts, argument)
+        try:
+            for operator, parts, argument in self._steps:
+                self._apply(root, operator, parts, argument)
+        except (IndexError, TypeError, ValueError) as error:  # a step this document cannot take
+            raise InvalidUpdateError(f"cannot apply the update: {error}") from None
         return root, self._delta
 
     def _put(self, container: Any, key: Any, value: Any) -> None:
@@ -231,9 +226,9 @@ class OperatorUpdate:
         elif operator == "$rename":
             if isinstance(parent, dict) and current is not _MISSING:
                 self._drop(parent, leaf)
-                target = str(argument).split(".")
+                target = argument.split(".")
                 self._put(self._parent(root, target, True), target[-1], current)
-        elif operator in ("$inc", "$mul"):
+        elif operator in _NUMERIC:
             current = 0 if absent else current
             if not isinstance(current, (int, float)) or isinstance(current, bool):
                 raise InvalidUpdateError(f"{operator} target {'.'.join(parts)!r} is not numeric")
@@ -262,9 +257,18 @@ class OperatorUpdate:
         self._delta -= 2 + len(key.encode("utf-8")) + value_size(container.pop(key))
 
 
+def _check_path(operator: str, path: Any) -> None:
+    """Refuse a path with a step ``insert_one`` would refuse as a field name, or an empty one."""
+    if not isinstance(path, str):
+        raise InvalidUpdateError(f"{operator} paths must be strings, got {type(path).__name__}")
+    dotted = f".{path}."
+    if ".." in dotted or ".$" in dotted:
+        raise InvalidUpdateError(f"{operator} may not write the field path {path!r}")
+
+
 def _pull_predicate(argument: Any) -> Any:
     """What ``$pull`` removes: a condition, a sub-document filter or a value."""
-    if isinstance(argument, Mapping) and any(k.startswith("$") for k in argument):
+    if isinstance(argument, Mapping) and any(str(k).startswith("$") for k in argument):
         condition = compile_matcher({"v": argument})
         return lambda item: condition({"v": item})
     if isinstance(argument, Mapping):

@@ -2,8 +2,11 @@
 comes with every behaviour change").
 
 This is the deep-copy ``apply_operators`` the store ran before updates became
-copy-on-write, moved here unchanged: copy the whole document, then mutate the
-copy in place, one operator and path at a time.  ``test_update_properties.py``
+copy-on-write, moved here unchanged but for one wrapper: copy the whole
+document, then mutate the copy in place, one operator and path at a time; a
+path step the document cannot take (the ``IndexError``/``TypeError``/
+``ValueError`` of the walk) is an ``InvalidUpdateError``, as in the store.
+``test_update_properties.py``
 checks the store's copy-on-write :class:`~repro.documentstore.update.OperatorUpdate`
 against it under random documents and operator sequences.
 """
@@ -123,7 +126,10 @@ def apply_operators(
         if not isinstance(changes, Mapping):
             raise InvalidUpdateError(f"{operator} expects a document of field updates")
         for path, argument in changes.items():
-            _apply_single(updated, operator, path, argument)
+            try:
+                _apply_single(updated, operator, path, argument)
+            except (IndexError, TypeError, ValueError) as error:  # a step it cannot take
+                raise InvalidUpdateError(f"cannot apply the update: {error}") from None
     return updated
 
 

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.documentstore import InvalidUpdateError
-from repro.documentstore.update import apply_update, build_upsert_document, is_update_document
+from repro.documentstore import Collection, InvalidUpdateError
+from repro.documentstore.update import (
+    OperatorUpdate,
+    apply_update,
+    build_upsert_document,
+    is_update_document,
+)
 
 
 class TestIsUpdateDocument:
@@ -21,6 +26,12 @@ class TestIsUpdateDocument:
     def test_mixed_document_rejected(self):
         with pytest.raises(InvalidUpdateError):
             is_update_document({"$set": {"a": 1}, "b": 2})
+
+    @pytest.mark.parametrize("update", [{1: 2}, {"$set": {"a": 1}, 1: 2}, {1: 2, "a": 3}])
+    def test_non_string_key_rejected(self, update):
+        """It leaked ``AttributeError`` from ``key.startswith``."""
+        with pytest.raises(InvalidUpdateError):
+            is_update_document(update)
 
 
 class TestSetAndUnset:
@@ -139,3 +150,52 @@ class TestReplacementAndUpsert:
     def test_set_on_insert_skipped_on_normal_update(self):
         updated = apply_update({"a": 1}, {"$setOnInsert": {"created": True}})
         assert "created" not in updated
+
+
+#: Operator updates that would store (or write through) a field name
+#: ``insert_one`` refuses, or whose argument no document can take.
+REFUSED_UPDATES = {
+    "non-string path": {"$set": {1: 2}},
+    "non-string $unset path": {"$unset": {3: ""}},
+    "$-prefixed field": {"$set": {"$x": 1}},
+    "$-prefixed step": {"$set": {"a.$x": 1}},
+    "empty field": {"$set": {"": 1}},
+    "empty step": {"$set": {"a..b": 1}},
+    "trailing dot": {"$set": {"a.": 1}},
+    "$rename to a $-prefixed field": {"$rename": {"a": "$x"}},
+    "$rename to a non-string": {"$rename": {"a": 5}},
+    "$inc by a string": {"$inc": {"a": "x"}},
+    "$mul by a boolean": {"$mul": {"a": True}},
+    "$each of a number": {"$push": {"a": {"$each": 5}}},
+}
+
+
+class TestRefusedAtConstruction:
+    """Refused by ``OperatorUpdate`` itself, so whether or not anything matches."""
+
+    @pytest.mark.parametrize("update", REFUSED_UPDATES.values(), ids=list(REFUSED_UPDATES))
+    def test_refused_whether_or_not_anything_matches(self, update):
+        with pytest.raises(InvalidUpdateError):
+            OperatorUpdate(update)
+        collection = Collection(None, "t")
+        collection.insert_one({"_id": 1, "a": 1})
+        for query in ({"_id": 1}, {"_id": 2}, {"a": 1}, {"a": 2}):
+            for method in (collection.update_one, collection.update_many):
+                with pytest.raises(InvalidUpdateError):
+                    method(query, update)
+        assert collection.find_one({}) == {"_id": 1, "a": 1}
+
+    @pytest.mark.parametrize(
+        ("document", "path"), [({"a": [1]}, "a.x"), ({"a": [1]}, "a.0.b"), ({"a": []}, "a.-1")]
+    )
+    def test_a_path_the_document_cannot_take_is_an_update_error(self, document, path):
+        """A step through an array or a scalar leaked ValueError, TypeError or IndexError."""
+        with pytest.raises(InvalidUpdateError):
+            apply_update(document, {"$set": {path: 1}})
+
+    def test_valid_paths_are_still_written(self):
+        assert apply_update({"a": [1, {}]}, {"$set": {"a.1.b": 2, "c.0": 3}}) == {
+            "a": [1, {"b": 2}],
+            "c": {"0": 3},
+        }
+        assert apply_update({"a": 1}, {"$rename": {"a": "b.c"}}) == {"b": {"c": 1}}

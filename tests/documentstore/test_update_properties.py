@@ -11,6 +11,10 @@ give, step by step:
       versions share subtrees, so a write into a shared one would show here;
 (iii) a cached size equal to ``document_size`` of what is stored, also after
       an update that failed, a ``replace_one``, a ``delete_one`` and ``drop``.
+
+A last property draws hostile updates — field names ``insert_one`` refuses,
+arguments of the wrong kind — and checks that an update either is refused
+with a ``DocumentStoreError`` or stores only what ``validate_document`` takes.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from __future__ import annotations
 import datetime
 
 import reference_update
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.documentstore import Collection, DocumentStoreError
-from repro.documentstore.bson import document_size, encode_document
+from repro.documentstore.bson import document_size, encode_document, validate_document
 from repro.documentstore.update import OperatorUpdate, apply_operators
 
 NAMES = st.sampled_from(["a", "b", "c"])
@@ -182,3 +186,44 @@ def test_cached_size_follows_the_stored_document(documents, actions):
     assert reference == [{**d, "_id": k, "a": k} for k, d in enumerate(documents)]
     collection.drop()
     assert not collection._sizes and collection.data_size() == 0
+
+
+#: Paths with a step ``insert_one`` refuses as a field name, that no array
+#: takes, or that is not a string at all — mixed with ordinary ones.
+HOSTILE_PATHS = st.one_of(
+    PATHS,
+    st.sampled_from(["", ".", "a.", ".a", "a..b", "$x", "a.$x", "a.$", "a.-1", "a.x.0", "é.0"]),
+    st.sampled_from([1, None, 2.5, b"a"]),
+)
+HOSTILE_ARGUMENTS = st.one_of(
+    VALUES,
+    st.sampled_from(["x", True, None, {"$x": 1}, {"a.b": 1}, {1: "x"}, {"": 1}, [{"$y": 2}]]),
+    st.builds(lambda items: {"$each": items}, st.one_of(st.lists(VALUES, max_size=2), st.just(5))),
+    st.builds(set),
+)
+HOSTILE_UPDATES = st.dictionaries(
+    st.sampled_from(sorted(reference_update._UPDATE_OPERATORS)),
+    st.dictionaries(HOSTILE_PATHS, HOSTILE_ARGUMENTS, min_size=1, max_size=2),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS, HOSTILE_UPDATES, st.booleans())
+@example({"a": 1}, {"$set": {"a..b": 1}}, False)  # was stored as {"a": {"": {"b": 1}}}
+@example({"a": 1}, {"$rename": {"a": "$x"}}, False)
+@example({"a": 1}, {"$inc": {"a": "x"}}, False)  # leaked TypeError
+@example({"a": [1]}, {"$pull": {"a": {1: "x"}}}, False)  # leaked AttributeError
+@example({"a": []}, {"$set": {"a.-1": 1}}, False)  # leaked IndexError
+def test_an_update_is_refused_or_stores_a_valid_document(document, update, on_insert):
+    """Refused at construction, or by the one document it is applied to, or valid."""
+    try:
+        operation = OperatorUpdate(update, on_insert=on_insert)
+    except DocumentStoreError:
+        return
+    try:
+        updated, _delta = operation.apply(document)
+    except DocumentStoreError:
+        return  # e.g. $inc of a string, or a step into an array that is not an index
+    validate_document(updated)

@@ -1,12 +1,14 @@
 """Value validation against the reference validator, under random input.
 
-``bson.validate_value`` tests exact ``dict``/``list``/scalar types before the
-``collections.abc`` checks and skips scalar members without a call.  For
-random nested values — ``$``-prefixed, dotted and non-``str`` keys,
-``set``/``Decimal``/``object()`` and subclasses of scalar types, nested in
-lists, tuples, ``dict``s, ``OrderedDict``s and ``MappingProxyType``s — it and
-``validate_document`` must accept exactly what ``reference_validate`` accepts
-and refuse the rest with the same error class and message.
+``bson.validate_value`` proves a flat ``dict`` valid in C (one pass over the
+value types, one scan of the joined keys), tests exact ``dict``/``list``/scalar
+types before the ``collections.abc`` checks and skips scalar members without a
+call.  For random nested values — ``$``-prefixed, dotted, empty, NUL-bearing
+and non-``str`` keys, ``set``/``Decimal``/``object()`` and subclasses of scalar
+types, nested in lists, tuples, ``dict``s, ``OrderedDict``s and
+``MappingProxyType``s — and for random flat ``dict``s, the kernel's one shape,
+it and ``validate_document`` must accept exactly what ``reference_validate``
+accepts and refuse the rest with the same error class and message.
 """
 
 from __future__ import annotations
@@ -33,8 +35,12 @@ class Text(str):
 
 
 KEYS = st.one_of(
-    st.sampled_from(["a", "b", "", "é¥", "$x", "$", "a.b", ".", "x$", Text("t")]),
-    st.sampled_from([0, 2, None, b"k", 1.5, (1, 2)]),  # not strings
+    st.sampled_from(["a", "b", "", "é¥", "$x", "$", "a.b", ".", "x$", Text("t"), Text("$t")]),
+    # NUL-bearing: the kernel joins keys with NUL, so "\x00$" inside a key
+    # looks like a key-leading "$" to it (the walk accepts the key).
+    st.sampled_from(["\x00", "a\x00$b", "\x00$", "$\x00", "a\x00", "\x00.", "a\x00b"]),
+    st.sampled_from([0, 1, 2, None, b"k", 1.5, (1, 2)]),  # not strings
+    st.text(max_size=3),
 )
 LEAVES = st.one_of(
     st.none(),
@@ -92,4 +98,36 @@ def test_validation_accepts_and_refuses_what_the_reference_does(value):
     assert outcome(validate_value, value) == outcome(reference_validate.validate_value, value)
     assert outcome(validate_document, value) == outcome(
         reference_validate.validate_document, value
+    )
+
+
+#: Values of every exact scalar type, plus a few the kernel must pass to the walk.
+FLAT_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.just(ObjectId("0123456789abcdef01234567")),
+    st.dates(),
+    st.datetimes(),
+    st.sampled_from([Flag.ON, Text("s"), set(), decimal.Decimal("1.5"), [1], (2,), {"$x": 1}]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.dictionaries(KEYS, FLAT_VALUES, max_size=6))
+@example({1: "x"})  # a draft kernel accepted it: str.join was fed str(key)
+@example({"a": 1, 2: "x"})
+@example({"a\x00$b": 1})  # valid: the NUL-then-$ is inside one key
+@example({"a": 1, "$b": 2})
+@example({"a": 1, "b.c": 2})
+@example({"": 1, "a": None})
+@example({Text("$t"): 1})
+@example({"a": set(), "$b": 1})  # the walk reports the first problem in key order
+def test_the_flat_dict_kernel_accepts_and_refuses_what_the_walk_does(document):
+    assert outcome(validate_value, document) == outcome(reference_validate.validate_value, document)
+    assert outcome(validate_value, {"outer": document}) == outcome(
+        reference_validate.validate_value, {"outer": document}
     )

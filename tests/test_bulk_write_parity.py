@@ -4,15 +4,17 @@ For random operation lists over a small key space — every operation kind,
 upserts, duplicate-``_id`` inserts and ``_id``-mutating updates landing at
 random indexes — ``bulk_write(ops, ordered=...)`` must leave exactly the
 state, return exactly the summed counts and report exactly the failing
-indexes of applying the same operations through ``insert_one`` /
+indexes, codes and (off the served surface) messages of applying the same
+operations through ``insert_one`` /
 ``update_one`` / ``update_many`` / ``delete_one`` / ``delete_many``: on a
 stand-alone collection indexed on ``k`` and ``(v, k)``, on a hashed and on an
 unsharded collection of a 3-shard cluster, on a hashed collection of a
 1-shard cluster (where a broadcast and a targeted operation both reach one
 shard), and on a served collection.  The one-at-a-time reference below is
 written against the public single-operation methods only.  A second property
-draws batches that mostly match nothing and also compares, per collection
-that ran a batch, the ``operation_counters`` the batch moved.
+draws batches that mostly match nothing — refused payloads, flat dimension
+rows and keys that are not strings among them — and also compares, per
+collection that ran a batch, the ``operation_counters`` the batch moved.
 """
 
 from __future__ import annotations
@@ -89,11 +91,33 @@ OPERATIONS = st.one_of(
 #: Keys and values no seeded document has: most of these operations match nothing.
 MISSING_KEYS = st.integers(min_value=6, max_value=9)
 MISSING_VALUES = st.integers(min_value=3, max_value=5)
+#: A flat dimension row, the payload the validation kernel proves valid in C,
+#: and the same row with one key the kernel must hand to the walk to refuse.
+ROW = {"d_date_sk": 7, "d_date_id": "AAAA7", "d_year": 1998, "d_holiday": "N", "d_rate": 0.5}
 #: Payloads a zero-match operation must still be checked against (and one it need not be).
 ODD_UPDATES = st.sampled_from(
-    [{"$set": {"a.b": 1}}, {"$set": {"x": {"$y": 1}}}, {"$nope": {}}, {"$set": {"_id": 99}}]
+    [
+        {"$set": {"a.b": 1}},
+        {"$set": {"x": {"$y": 1}}},
+        {"$nope": {}},
+        {"$set": {"_id": 99}},
+        {"$set": {"d": ROW}},
+        {"$set": {"d": {**ROW, "d.x": 1}}},
+        {"$set": {"d": {**ROW, "$x": 1}}},
+        {"$set": {"$x": 1}},
+        {"$set": {"": 1}},
+        {"$set": {"a..b": 1}},
+        {"$rename": {"v": "$x"}},
+        {"$inc": {"v": "x"}},
+        {"$push": {"t": {"$each": 5}}},
+        {"$pull": {"t": {"$nope": 1}}},
+    ]
 )
-MISS_UPDATES = st.one_of(UPDATES, ODD_UPDATES)
+#: Keys that are not strings: refused on the stand-alone and routed surfaces.
+#: The wire codec turns them into strings, so the served surface sees other
+#: (string) keys — in its bulk and in its one-at-a-time reference alike.
+NON_STRING_KEYS = st.sampled_from([{1: 2}, {"$set": {1: 2}}, {"$unset": {3: ""}}])
+MISS_UPDATES = st.one_of(UPDATES, ODD_UPDATES, NON_STRING_KEYS)
 MISS_FILTERS = st.one_of(
     st.builds(lambda k: {"k": k}, MISSING_KEYS),
     st.builds(lambda k: {"_id": k}, MISSING_KEYS),
@@ -164,7 +188,7 @@ def one_at_a_time(collection, operations, ordered):
             else:
                 counts["deleted"] += collection.delete_many(operation.filter).deleted_count
         except DocumentStoreError as error:
-            failures[index] = type(error).__name__
+            failures[index] = (type(error).__name__, str(error))
             if ordered:
                 break
     return counts, upserted, failures
@@ -184,7 +208,21 @@ def via_bulk_write(collection, operations, ordered):
         "modified": result.modified_count,
         "deleted": result.deleted_count,
     }
-    return counts, result.upserted_ids, {entry["index"]: entry["code"] for entry in errors}
+    failures = {entry["index"]: (entry["code"], entry["message"]) for entry in errors}
+    return counts, result.upserted_ids, failures
+
+
+def compared(outcome, surface):
+    """*outcome* as compared on *surface*: errors by code and message, served by code.
+
+    A served single-operation error is rebuilt from its wire form, which may
+    word the message differently (a duplicate key is quoted), so there only
+    the failing indexes and their codes are compared.
+    """
+    counts, upserted, failures = outcome
+    if surface == "served":
+        failures = {index: code for index, (code, _message) in failures.items()}
+    return counts, upserted, failures
 
 
 def state(collection):
@@ -205,8 +243,8 @@ def test_bulk_write_is_the_operations_one_at_a_time(surfaces, seed, operations, 
             collection.delete_many({})
             if seed_documents:
                 collection.insert_many(seed_documents)
-        expected = one_at_a_time(reference, operations, ordered)
-        assert via_bulk_write(bulk, operations, ordered) == expected, name
+        expected = compared(one_at_a_time(reference, operations, ordered), name)
+        assert compared(via_bulk_write(bulk, operations, ordered), name) == expected, name
         assert state(bulk) == state(reference), name
         if ordered and expected[2]:
             assert len(expected[2]) == 1  # stopped at the first failing index
@@ -385,9 +423,9 @@ def test_a_batch_that_mostly_matches_nothing_is_the_operations_one_at_a_time(
             collection.delete_many({})
             if seed_documents:
                 collection.insert_many(seed_documents)
-        expected = one_at_a_time(reference, operations, ordered)
+        expected = compared(one_at_a_time(reference, operations, ordered), name)
         with counters_checked_one_at_a_time() as changes:
-            assert via_bulk_write(bulk, operations, ordered) == expected, name
+            assert compared(via_bulk_write(bulk, operations, ordered), name) == expected, name
         assert state(bulk) == state(reference), name
         assert len(changes) == 1 or name != "standalone"
         for bulk_change, reference_change in changes:

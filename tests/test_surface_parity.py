@@ -15,7 +15,15 @@ import inspect
 
 import pytest
 
-from repro.documentstore import Collection, DocumentStoreClient, OperationFailure
+from repro.documentstore import (
+    BulkWriteError,
+    Collection,
+    DocumentStoreClient,
+    InvalidUpdateError,
+    OperationFailure,
+    UpdateMany,
+    UpdateOne,
+)
 from repro.server import DocumentStoreServer, RemoteClient, RemoteCollection
 from repro.sharding import RoutedCollection, ShardedCluster
 
@@ -200,3 +208,63 @@ def test_unknown_verbosity_is_refused_on_every_surface(collections):
     for collection in collections.values():
         with pytest.raises(OperationFailure, match="verbosity"):
             collection.explain({}, verbosity="nope")
+
+
+#: Update documents with a key that is not a string.  The served surface is
+#: not in this table: its wire codec turns such keys into strings.
+NON_STRING_KEY_UPDATES = {
+    "replacement": {1: 2},
+    "$set path": {"$set": {1: 2}},
+    "$unset path": {"$unset": {3: ""}},
+}
+
+
+@pytest.mark.parametrize(
+    "update", NON_STRING_KEY_UPDATES.values(), ids=list(NON_STRING_KEY_UPDATES)
+)
+@pytest.mark.parametrize("surface", ["standalone", "routed"])
+def test_an_update_key_that_is_not_a_string_is_an_update_error(collections, surface, update):
+    """It leaked ``AttributeError``, which also aborted an unordered ``bulk_write``."""
+    collection = collections[surface]
+    before = collection.find({}).to_list()
+    for query in ({"_id": 1, "k": 1}, {"_id": 99, "k": 99}, {"tenant": 7}):
+        for method in (collection.update_one, collection.update_many):
+            with pytest.raises(InvalidUpdateError):
+                method(query, update)
+    # One refused operation among others that apply, matching or not.
+    batch = [
+        UpdateMany({"_id": 99, "k": 99}, update),
+        UpdateOne({"_id": 1, "k": 1}, {"$set": {"seen": 1}}),
+        UpdateMany({"_id": 1, "k": 1}, update),
+        UpdateMany({"_id": 98, "k": 98}, {"$set": {"seen": 1}}),
+    ]
+    with pytest.raises(BulkWriteError) as excinfo:
+        collection.bulk_write(batch, ordered=False)
+    errors = [(entry["index"], entry["code"]) for entry in excinfo.value.errors]
+    assert errors == [(0, "InvalidUpdateError"), (2, "InvalidUpdateError")]
+    assert (excinfo.value.result.matched_count, excinfo.value.result.modified_count) == (1, 1)
+    collection.update_one({"_id": 1, "k": 1}, {"$unset": {"seen": ""}})
+    assert collection.find({}).to_list() == before
+
+
+#: Calls whose filter has a key that is not a string (an ``int``).
+NON_STRING_KEY_FILTERS = {
+    "find": lambda c: c.find({1: 2}).to_list(),
+    "count_documents": lambda c: c.count_documents({"k": 1, 1: 2}),
+    "distinct": lambda c: c.distinct("k", {1: 2}),
+    "aggregate $match": lambda c: c.aggregate([{"$match": {1: 2}}]),
+    "update_many": lambda c: c.update_many({1: 2}, {"$set": {"seen": 1}}),
+    "delete_many": lambda c: c.delete_many({1: 2}),
+    "$pull condition": lambda c: c.update_many({"k": 1}, {"$pull": {"tags": {1: 2}}}),
+}
+
+
+@pytest.mark.parametrize("call", NON_STRING_KEY_FILTERS)
+@pytest.mark.parametrize("surface", ["standalone", "routed"])
+def test_a_filter_key_that_is_not_a_string_is_refused(collections, surface, call):
+    """The planner and the matcher leaked ``AttributeError`` (``$pull`` did on a match)."""
+    collection = collections[surface]
+    before = collection.find({}).to_list()
+    with pytest.raises(OperationFailure, match="must be strings"):
+        NON_STRING_KEY_FILTERS[call](collection)
+    assert collection.find({}).to_list() == before
