@@ -40,7 +40,7 @@ _MISSING = object()
 
 def is_update_document(update: Mapping[str, Any]) -> bool:
     """Return True if *update* uses operators (vs. a full replacement doc)."""
-    kinds = {key[:1] == "$" if isinstance(key, str) else None for key in update}
+    kinds = {key[:1] == "$" if isinstance(key, str) else None for key in update or ()}
     if None in kinds:
         raise InvalidUpdateError("update document keys must be strings")
     if len(kinds) > 1:

@@ -22,6 +22,7 @@ class TestIsUpdateDocument:
 
     def test_empty_document(self):
         assert not is_update_document({})
+        assert not is_update_document(None)  # so update_many(q, None) is an OperationFailure
 
     def test_mixed_document_rejected(self):
         with pytest.raises(InvalidUpdateError):
