@@ -15,6 +15,7 @@ thesis analysis assumes in Section 4.1.3.1.1.
 from __future__ import annotations
 
 import bisect
+import datetime as _dt
 import hashlib
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -63,10 +64,19 @@ def _index_key(value: Any) -> tuple[int, Any]:
 
 
 def hashed_value(value: Any) -> int:
-    """Return the 64-bit hash hashed shard keys route on."""
+    """Return the 64-bit hash hashed shard keys route on.
+
+    Scalars that :func:`~.matching.values_equal` equates hash alike: an
+    integral number as its ``int`` (``1.0`` as ``1``, ``-0.0`` as ``0``), a date
+    or datetime as the naive UTC instant it denotes (a ``date`` as midnight).
+    """
     if isinstance(value, (dict, list, tuple)):
         payload = encode_document({"v": value})
     else:
+        if isinstance(value, _dt.date):
+            value = collation_key(value)[1]
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            value = int(value) if isinstance(value, int) or value.is_integer() else float(value)
         payload = repr(value).encode("utf-8")
     digest = hashlib.md5(payload).digest()
     return int.from_bytes(digest[:8], "big", signed=False)
@@ -200,7 +210,7 @@ class Index:
     A hashed index keys its entries by the field value, as a single-field
     index does: it serves only point lookups, so its key order is never
     observed, and the value's own key keeps ``1``, ``1.0`` and ``-0.0`` one
-    key, as the matcher does (:func:`hashed_value`'s input would not).
+    key, as the matcher does (:func:`hashed_value` does for scalars only).
     """
 
     def __init__(self, spec: IndexSpec) -> None:

@@ -9,10 +9,12 @@ stores (and across the simulated network), so post-balance data distribution
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping
 
 from ..documentstore.bson import document_size
-from .chunks import Chunk, ChunkManager, MaxKey, MinKey
+from ..documentstore.errors import ShardKeyError
+from ..documentstore.findspec import FindSpec
+from .chunks import Chunk, ChunkManager
 from .config_server import ConfigServer
 from .network import SimulatedNetwork
 from .shard import Shard
@@ -71,38 +73,26 @@ class Balancer:
 
     # -------------------------------------------------------------- migrations
 
-    def _chunk_filter(self, manager: ChunkManager, chunk: Chunk) -> dict[str, Any]:
-        """Build the query selecting the documents that live in *chunk*."""
-        key_field = manager.shard_key.fields[0]
-        conditions: dict[str, Any] = {}
-        if manager.shard_key.hashed:
-            # Hash routing cannot be expressed as a store query; the caller
-            # filters documents manually instead.
-            return {}
-        if not isinstance(chunk.lower, MinKey):
-            conditions["$gte"] = chunk.lower
-        if not isinstance(chunk.upper, MaxKey):
-            conditions["$lt"] = chunk.upper
-        return {key_field: conditions} if conditions else {}
-
     def _documents_in_chunk(
-        self,
-        manager: ChunkManager,
-        chunk: Chunk,
-        shard: Shard,
-        database_name: str,
-        collection_name: str,
-    ) -> list[dict[str, Any]]:
-        collection = shard.collection(database_name, collection_name)
-        if not manager.shard_key.hashed:
-            query = self._chunk_filter(manager, chunk)
-            return collection.find(query).to_list()
-        matching = []
-        for document in collection.find({}):
-            routing_value = manager.shard_key.extract(document)
-            if chunk.contains(routing_value):
-                matching.append(document)
-        return matching
+        self, manager: ChunkManager, chunk: Chunk, shard: Shard, *namespace: str
+    ) -> list[Mapping[str, Any]]:
+        """The stored documents of *chunk* on *shard*, uncopied.
+
+        One pass over the shard's slice keeps each document whose routing
+        value the chunk contains — the test inserts are routed by, whatever
+        the types of the chunk's bounds.  A document without the shard key
+        lies in no chunk and stays.
+        """
+        route = manager.router()
+        selected = []
+        for document in shard.collection(*namespace).execute_find(FindSpec()):
+            try:
+                value = route(document)[0]
+            except ShardKeyError:
+                continue
+            if chunk.contains(value):
+                selected.append(document)
+        return selected
 
     def migrate_chunk(
         self,

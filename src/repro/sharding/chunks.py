@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..documentstore.errors import ChunkSplitError, ShardKeyError
 from ..documentstore.indexes import hashed_value
@@ -130,11 +130,7 @@ class ShardKeyPattern:
                     f"document is missing shard key field {field_path!r}"
                 )
             values.append(value)
-        if self.hashed:
-            return hashed_value(values[0])
-        if len(values) == 1:
-            return values[0]
-        return tuple(values)
+        return self.routing_value(values[0]) if len(values) == 1 else tuple(values)
 
     def routing_value(self, raw_value: Any) -> Any:
         """Map a raw shard-key value to routing space (hash it if hashed)."""
@@ -170,13 +166,10 @@ class Chunk:
 
     def record_insert(self, key_value: Any, document_bytes: int) -> None:
         """Account for a newly routed document."""
-        self.document_count += 1
-        self.size_bytes += document_bytes
-        if len(self.key_samples) < self._MAX_SAMPLES:
-            self.key_samples.append(key_value)
+        self.record_inserts([key_value], document_bytes)
 
     def record_inserts(self, key_values: Sequence[Any], total_bytes: int) -> None:
-        """Batch version of :meth:`record_insert`: one size/count update."""
+        """Account for routed documents with one size/count update."""
         self.document_count += len(key_values)
         self.size_bytes += total_bytes
         room = self._MAX_SAMPLES - len(self.key_samples)
@@ -284,33 +277,38 @@ class ChunkManager:
             f"no chunk covers shard key value {routing_value!r} in {self.namespace}"
         )
 
-    def route_batch(self, routing_values: Sequence[Any]) -> list[Chunk]:
-        """Map every routing value to its owning chunk in a single pass.
+    def router(self) -> Callable[[Mapping[str, Any]], tuple[Any, Chunk]]:
+        """A routing function for one call: document → (routing value, owning chunk).
 
-        The chunk table is kept sorted by lower bound (splits replace a
-        chunk in place, migrations only change ownership), so each value's
-        collation key is located among the lower bounds' keys with one
-        ``bisect`` — O(n log c) for a batch of n documents over c chunks,
-        instead of the O(n·c) linear :meth:`chunk_for` scans the
-        per-document path pays.  Statistics are *not* recorded; callers
-        account the batch with :meth:`record_inserts` after the owning
-        shards acknowledged the inserts.
+        A value's chunk is one ``bisect`` (the table is sorted by lower bound).
+        On a top-level key each distinct exact ``int`` or ``str`` is hashed and
+        bisected once: no other values share a memo entry (never ``1``/``1.0``/
+        ``True``).  Use it while the table does not change.  A document
+        without the shard key raises :class:`ShardKeyError`.
         """
-        chunks = self.chunks
+        chunks, pattern = self.chunks, self.shard_key
         lower_keys = [chunk.lower_key for chunk in chunks]
-        resolved: list[Chunk] = []
-        for value in routing_values:
+        field_path = pattern.fields[0]
+
+        def locate(value: Any) -> tuple[Any, Chunk]:
             key = collation_key(value)
-            position = bisect.bisect_right(lower_keys, key) - 1
-            if position < 0:
-                raise ShardKeyError(
-                    f"no chunk covers shard key value {value!r} in {self.namespace}"
-                )
-            chunk = chunks[position]
-            if not key < chunk.upper_key:  # pragma: no cover - contiguity guard
-                chunk = self.chunk_for(value)
-            resolved.append(chunk)
-        return resolved
+            chunk = chunks[bisect.bisect_right(lower_keys, key) - 1]  # lowest bound is MinKey
+            return value, chunk if key < chunk.upper_key else self.chunk_for(value)
+
+        if len(pattern.fields) > 1 or "." in field_path:
+            return lambda document: locate(pattern.extract(document))
+        memo: dict[Any, tuple[Any, Chunk]] = {}
+
+        def route(document: Mapping[str, Any]) -> tuple[Any, Chunk]:
+            raw = document.get(field_path)
+            if type(raw) is int or type(raw) is str:
+                found = memo.get(raw)
+                if found is None:
+                    found = memo[raw] = locate(pattern.routing_value(raw))
+                return found
+            return locate(pattern.extract(document))
+
+        return route
 
     def shard_for_value(self, raw_value: Any) -> str:
         """Return the shard owning the document with shard-key *raw_value*."""

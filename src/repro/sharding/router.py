@@ -66,7 +66,7 @@ from ..documentstore.matching import distinct_values
 from ..documentstore.objectid import ObjectId
 from ..documentstore.ordering import document_sort_key
 from ..documentstore.update import OperatorUpdate, build_upsert_document, is_update_document
-from .chunks import Chunk, ChunkManager
+from .chunks import MAX_KEY, MIN_KEY, Chunk, ChunkManager
 from .config_server import ConfigServer
 from .executor import (
     FirstMatchClaim,
@@ -272,8 +272,6 @@ class QueryRouter:
             if lower is not None or upper is not None:
                 if manager.shard_key.hashed:
                     return None
-                from .chunks import MAX_KEY, MIN_KEY
-
                 return manager.shards_for_range(
                     lower if lower is not None else MIN_KEY,
                     upper if upper is not None else MAX_KEY,
@@ -563,10 +561,10 @@ class RoutedCollection(CollectionSurface):
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> InsertManyResult:
         """Route a whole insert batch in a single pass and one fan-out.
 
-        The batch is routed against pre-sorted chunk boundaries (one bisect
-        per document instead of a linear chunk scan), shipped with one
-        message per owning shard, and executed through the scatter machinery
-        in a single concurrent fan-out.  Chunk statistics are recorded only
+        The batch is routed by :meth:`ChunkManager.router` (one hash and one
+        bisect per distinct shard-key value), shipped with one message per
+        owning shard, and executed through the scatter machinery in a single
+        concurrent fan-out.  Chunk statistics are recorded only
         after every target shard acknowledged its insert, so a failed insert
         cannot permanently skew the chunk table (and through it the balancer).
         """
@@ -581,21 +579,18 @@ class RoutedCollection(CollectionSurface):
         config = self._router.config
         sharded = config.is_sharded(*self._namespace)
         batches: dict[str, list[dict[str, Any]]] = {}
-        chunk_by_id: dict[int, Chunk] = {}
-        values_by_chunk: dict[int, list[Any]] = {}
-        bytes_by_chunk: dict[int, int] = {}
+        # Per chunk: the chunk, its documents' routing values, their sizes.
+        by_chunk: dict[int, tuple[Chunk, list[Any], list[int]]] = {}
         manager = None
         if sharded:
             manager = config.chunk_manager(*self._namespace)
-            routing_values = [manager.shard_key.extract(doc) for doc in prepared]
-            for doc, value, chunk in zip(
-                prepared, routing_values, manager.route_batch(routing_values)
-            ):
+            route = manager.router()
+            for doc in prepared:
+                value, chunk = route(doc)
                 batches.setdefault(chunk.shard_id, []).append(doc)
-                key = id(chunk)
-                chunk_by_id[key] = chunk
-                values_by_chunk.setdefault(key, []).append(value)
-                bytes_by_chunk[key] = bytes_by_chunk.get(key, 0) + document_size(doc)
+                group = by_chunk.get(id(chunk)) or by_chunk.setdefault(id(chunk), (chunk, [], []))
+                group[1].append(value)
+                group[2].append(document_size(doc))
         else:
             batches[config.primary_shard(self._database_name)] = prepared
 
@@ -614,8 +609,8 @@ class RoutedCollection(CollectionSurface):
             targeted=not sharded or len(targets) < len(config.shard_ids),
         )
         if manager is not None:
-            for key, chunk in chunk_by_id.items():
-                manager.record_inserts(chunk, values_by_chunk[key], bytes_by_chunk[key])
+            for chunk, values, sizes in by_chunk.values():
+                manager.record_inserts(chunk, values, sum(sizes))
         return InsertManyResult(inserted_ids=[doc["_id"] for doc in prepared])
 
     # --------------------------------------------------------------------- reads
@@ -833,14 +828,16 @@ class RoutedCollection(CollectionSurface):
         manager = None
         if config.is_sharded(*self._namespace):
             manager = config.chunk_manager(*self._namespace)
+            route = manager.router()
+        routing_values: dict[int, Any] = {}
         steps: list[dict[str | None, list[tuple[int, Any]]]] = []
         for index, operation in enumerate(checked_operations(operations)):
             shard_id = None  # runs on its own unless exactly one shard can batch it
             inserting = isinstance(operation, InsertOne)
             if inserting and manager is not None:
                 try:  # routed on its shard key, like insert_many
-                    value = manager.shard_key.extract(operation.document)
-                    shard_id = manager.chunk_for(value).shard_id
+                    routing_values[index], chunk = route(operation.document)
+                    shard_id = chunk.shard_id
                 except ShardKeyError:
                     pass  # insert_one refuses it, in its position
             elif not getattr(operation, "upsert", False):
@@ -878,11 +875,10 @@ class RoutedCollection(CollectionSurface):
                     # Chunk statistics for the inserts the shard acknowledged.
                     failed = {entry["index"] for entry in shard_errors}
                     applied = batch[: min(failed)] if ordered and failed else batch
-                    for position, (_index, operation) in enumerate(applied):
+                    for position, (index, operation) in enumerate(applied):
                         if isinstance(operation, InsertOne) and position not in failed:
                             manager.record_insert(
-                                manager.shard_key.extract(operation.document),
-                                document_size(operation.document),
+                                routing_values[index], document_size(operation.document)
                             )
             if ordered and errors:
                 break

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import datetime
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.documentstore import DocumentStoreClient, DuplicateKeyError, OperationFailure
 from repro.documentstore.indexes import ASCENDING, DESCENDING, HASHED, Index, IndexSpec, hashed_value
+from repro.documentstore.matching import values_equal
 
 
 def build_index(keys, *, unique=False, documents=()):
@@ -258,6 +260,57 @@ class TestHashedIndex:
     def test_hashed_value_spreads_nearby_keys(self):
         values = {hashed_value(i) for i in range(100)}
         assert len(values) == 100
+
+
+#: Top-level scalars of every kind, and values that equal them in another type.
+HASHED_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**64), 2**64),
+    st.floats(),
+    st.text(max_size=3),
+    st.dates(),
+    st.datetimes(),
+    st.datetimes(timezones=st.sampled_from(
+        [datetime.timezone.utc, datetime.timezone(datetime.timedelta(hours=-5))]
+    )),
+)
+
+
+def equal_forms(value):
+    """Values of another type (or sign, or zone) that ``values_equal`` equates with *value*."""
+    forms = [value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if isinstance(value, float) and value.is_integer():
+            forms += [int(value), -value] if value == 0 else [int(value)]
+        elif isinstance(value, int) and float(value) == value:
+            forms.append(float(value))
+    elif isinstance(value, datetime.datetime):
+        if value.tzinfo is None:
+            forms.append(value.replace(tzinfo=datetime.timezone.utc))
+        else:
+            forms.append(value.astimezone(datetime.timezone.utc).replace(tzinfo=None))
+        if value.time() == datetime.time() and value.tzinfo is None:
+            forms.append(value.date())
+    elif isinstance(value, datetime.date):
+        forms.append(datetime.datetime.combine(value, datetime.time()))
+    return forms
+
+
+@given(value=HASHED_SCALARS, data=st.data())
+@example(value=1, data=None)
+@example(value=-0.0, data=None)
+@example(value=datetime.date(2000, 1, 2), data=None)
+def test_equal_scalars_hash_alike(value, data):
+    """A hashed shard key routes equal values to one chunk (``1``/``1.0``, ``0``/``-0.0``, a
+    date and its midnight): ``values_equal(a, b)`` implies ``hashed_value(a) == hashed_value(b)``."""
+    others = equal_forms(value)
+    if data is not None:
+        others.append(data.draw(st.one_of(st.sampled_from(others), HASHED_SCALARS)))
+    for other in others:
+        if values_equal(value, other):
+            assert hashed_value(value) == hashed_value(other), (value, other)
+    assert hashed_value(True) != hashed_value(1) and hashed_value("1") != hashed_value(1)
 
 
 @given(st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=60))

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
-import pytest
+import datetime
 
-from repro.documentstore import Collection, DuplicateKeyError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.documentstore import (
+    ChunkSplitError,
+    Collection,
+    DuplicateKeyError,
+    InsertOne,
+    ShardKeyError,
+)
 from repro.sharding import ShardedCluster
 from repro.sharding.chunks import ChunkManager, ShardKeyPattern
 
@@ -42,17 +51,17 @@ class TestBatchRoutingParity:
         result = routed.insert_many(documents(50))
         assert result.inserted_ids == list(range(50))
 
-    def test_route_batch_matches_chunk_for(self):
+    def test_router_matches_chunk_for(self):
         manager = ChunkManager(
             "db.items", ShardKeyPattern.create({"k": "hashed"}), ["s1", "s2", "s3"]
         )
-        pattern = manager.shard_key
-        values = [pattern.routing_value(i) for i in range(300)]
-        batch_chunks = manager.route_batch(values)
-        for value, chunk in zip(values, batch_chunks):
+        route = manager.router()
+        for i in range(300):
+            value, chunk = route({"k": i})
+            assert value == manager.shard_key.routing_value(i)
             assert manager.chunk_for(value) is chunk
 
-    def test_route_batch_after_splits_and_migrations(self):
+    def test_router_after_splits_and_migrations(self):
         manager = ChunkManager(
             "db.items",
             ShardKeyPattern.create({"k": 1}),
@@ -62,9 +71,9 @@ class TestBatchRoutingParity:
         for i in range(200):
             manager.record_insert(i, 50)
         manager.move_chunk(manager.chunks[0], "s2")
-        values = list(range(0, 200, 7))
-        for value, chunk in zip(values, manager.route_batch(values)):
-            assert manager.chunk_for(value) is chunk
+        route = manager.router()
+        for value in range(0, 200, 7):
+            assert route({"k": value}) == (value, manager.chunk_for(value))
 
 
 class TestSingleFanOut:
@@ -146,3 +155,100 @@ class TestChunkAccounting:
             routed.insert_many([{"k": 1}, {"no_key": True}])
         manager = cluster.config_server.chunk_manager("db", "items")
         assert sum(chunk.document_count for chunk in manager.chunks) == 0
+
+
+# --------------------------------------------------------------------------
+# Reference: routing a batch is routing each document on its own.
+# --------------------------------------------------------------------------
+
+_MISSING = object()
+
+#: Shard-key values of every kind a document may carry, equal ones included.
+KEY_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([1.0, -0.0, 0.0, 2.5, float("nan"), float("inf"), True, False, None]),
+    st.sampled_from(["a", "b", "1"]),
+    st.sampled_from([datetime.date(2000, 1, 2), datetime.datetime(2000, 1, 2)]),
+    st.just(_MISSING),
+)
+
+#: Shard keys: hashed and ranged top-level fields, a dotted path, a compound key.
+PATTERNS = [{"k": "hashed"}, {"k": 1}, {"a.k": 1}, {"a.k": "hashed"}, {"k": 1, "j": 1}]
+
+
+def keyed_document(field_path: str, value: object, position: int) -> dict:
+    document: dict = {"_id": position, "j": position % 2}
+    if value is not _MISSING:
+        head, _, rest = field_path.partition(".")
+        document[head] = {rest: value} if rest else value
+    return document
+
+
+def chunk_table(pattern: dict, split_values: list) -> ChunkManager:
+    """A chunk table split at *split_values* (ranged) or pre-split (hashed)."""
+    manager = ChunkManager(
+        "db.items", ShardKeyPattern.create(pattern), ["s1", "s2", "s3"], chunk_size_bytes=10**9
+    )
+    for value in split_values:
+        for chunk in list(manager.chunks):
+            try:
+                manager.split_chunk(chunk, value)
+            except ChunkSplitError:
+                continue
+    for index, chunk in enumerate(manager.chunks):
+        manager.move_chunk(chunk, f"s{index % 3 + 1}")
+    return manager
+
+
+def reference_route(manager: ChunkManager, document: dict):
+    value = manager.shard_key.extract(document)
+    return value, manager.chunk_for(value)
+
+
+def outcome(route, document):
+    """(routing value as its repr, chunk id) or the error raised, with its message."""
+    try:
+        value, chunk = route(document)
+    except ShardKeyError as error:
+        return "error", str(error)
+    return repr(value), id(chunk)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pattern=st.sampled_from(PATTERNS),
+    keys=st.lists(KEY_VALUES, max_size=40),
+    splits=st.lists(st.one_of(st.integers(-3, 3), st.sampled_from([0.5, "a", "b"])), max_size=4),
+)
+def test_batch_routing_equals_routing_each_document(pattern, keys, splits):
+    manager = chunk_table(pattern, splits)
+    field_path = next(iter(pattern))
+    documents = [keyed_document(field_path, value, i) for i, value in enumerate(keys)]
+    route = manager.router()
+    for document in documents:
+        expected = outcome(lambda doc: reference_route(manager, doc), document)
+        assert outcome(route, document) == expected, document
+
+
+@pytest.mark.parametrize("shard_key", [{"k": "hashed"}, {"k": 1}], ids=["hashed", "range"])
+def test_bulk_write_inserts_route_as_insert_many_does(shard_key):
+    keys = [i % 7 for i in range(60)] + [1.0, -0.0, "a", "b", datetime.datetime(2000, 1, 2)]
+    placements = []
+    for load in ("insert_many", "bulk_write"):
+        cluster = ShardedCluster(shard_count=3)
+        cluster.enable_sharding("db")
+        cluster.shard_collection("db", "items", shard_key, chunk_size_bytes=600)
+        routed = cluster.get_database("db")["items"]
+        routed.insert_many([{"_id": -i - 1, "k": i} for i in range(40)])  # split the table first
+        documents = [{"_id": i, "k": key, "pad": "x" * 20} for i, key in enumerate(keys)]
+        if load == "insert_many":
+            routed.insert_many(documents)
+        else:
+            routed.bulk_write([InsertOne(document) for document in documents])
+        placements.append({
+            shard.shard_id: sorted(d["_id"] for d in shard.collection("db", "items").find({}))
+            for shard in cluster.shards
+        })
+        cluster.close()
+    assert placements[0] == placements[1]
+    assert sum(map(len, placements[0].values())) == 40 + len(keys)

@@ -11,6 +11,7 @@ reviewed decision.
 
 from __future__ import annotations
 
+import datetime
 import inspect
 
 import pytest
@@ -268,3 +269,62 @@ def test_a_filter_key_that_is_not_a_string_is_refused(collections, surface, call
     with pytest.raises(OperationFailure, match="must be strings"):
         NON_STRING_KEY_FILTERS[call](collection)
     assert collection.find({}).to_list() == before
+
+
+#: Stored values of a hashed shard key, and the queried values that equal
+#: them in another type (``3`` for ``3.0``, ``0`` for ``-0.0``, a datetime for
+#: a date) or do not (``1`` is not ``True``, ``42`` is stored nowhere).
+STORED_KEYS = [
+    3.0, -0.0, 7.0, float(2**53), 1.5, True, "3",
+    datetime.date(2000, 1, 2), datetime.datetime(2000, 1, 3),
+]
+QUERIED_KEYS = [
+    3, 0, 0.0, 7, 2**53, 1.5, 1, "3",
+    datetime.datetime(2000, 1, 2), datetime.date(2000, 1, 3), 42,
+]
+
+
+def contents(collection) -> list[str]:
+    """The documents as sorted strings, ``_id`` (an upsert's is generated) aside."""
+    return sorted(
+        repr(sorted((key, value) for key, value in document.items() if key != "_id"))
+        for document in collection.find({})
+    )
+
+
+def test_a_hashed_shard_key_routes_equal_values_alike():
+    """Equal keys of two types hashed apart: a targeted read missed the stored
+    document and a routed upsert inserted a duplicate."""
+    cluster = ShardedCluster(shard_count=3)
+    cluster.enable_sharding("db")
+    cluster.shard_collection("db", "mixed", {"k": "hashed"})
+    surfaces = {
+        "standalone": Collection(None, "mixed"),
+        "routed": cluster.get_database("db")["mixed"],
+    }
+    for collection in surfaces.values():
+        collection.insert_many([{"_id": i, "k": key} for i, key in enumerate(STORED_KEYS)])
+
+    def answers(call):
+        return {surface: call(collection) for surface, collection in surfaces.items()}
+
+    for key in QUERIED_KEYS:
+        found = answers(lambda c: sorted(d["_id"] for d in c.find({"k": key})))
+        assert found["routed"] == found["standalone"], key
+        counted = answers(lambda c: c.count_documents({"k": key}))
+        assert counted["routed"] == counted["standalone"], key
+    for key in QUERIED_KEYS:
+        updated = answers(
+            lambda c: c.update_one({"k": key}, {"$inc": {"n": 1}}, upsert=True)
+        )
+        assert len({
+            (result.matched_count, result.modified_count, result.upserted_id is None)
+            for result in updated.values()
+        }) == 1, key
+    assert contents(surfaces["routed"]) == contents(surfaces["standalone"])
+    for key in QUERIED_KEYS:
+        deleted = answers(lambda c: c.delete_one({"k": key}).deleted_count)
+        assert deleted["routed"] == deleted["standalone"], key
+    assert contents(surfaces["routed"]) == contents(surfaces["standalone"])
+    assert contents(surfaces["standalone"]) == ["[('k', True)]"]  # only ``1`` was queried
+    cluster.close()
