@@ -243,7 +243,10 @@ def encode_error(exc: BaseException) -> dict[str, Any]:
             "deadline_seconds": exc.deadline_seconds,
         }
     elif isinstance(exc, DuplicateKeyError):
-        details = {"index_name": exc.index_name, "key": repr(exc.key)}
+        # The key is the tuple of the colliding field values: it travels as
+        # an array of wire values and is rebuilt as a tuple.
+        key = list(exc.key) if isinstance(exc.key, tuple) else exc.key
+        details = {"index_name": exc.index_name, "key": key}
     elif isinstance(exc, DocumentTooLargeError):
         details = {"size": exc.size, "limit": exc.limit}
     elif isinstance(exc, BulkWriteError):
@@ -268,8 +271,9 @@ def raise_wire_error(document: Mapping[str, Any]) -> NoReturn:
             float(details.get("deadline_seconds", 0.0)),
         )
     if code == "DuplicateKeyError":
+        key = details.get("key")
         raise DuplicateKeyError(
-            str(details.get("index_name", "")), details.get("key")
+            str(details.get("index_name", "")), tuple(key) if isinstance(key, list) else key
         )
     if code == "DocumentTooLargeError":
         raise DocumentTooLargeError(

@@ -26,7 +26,7 @@ from .executor import (
     ScatterRunner,
     ShardTimeoutError,
 )
-from .network import NetworkChannel, NetworkModel, NetworkStats, SimulatedNetwork
+from .network import NetworkModel, NetworkStats, SimulatedNetwork
 from .planning import (
     ClusterSizingInputs,
     SHARDING_OVERHEAD,
@@ -53,7 +53,6 @@ __all__ = [
     "MaxKey",
     "MigrationRecord",
     "MinKey",
-    "NetworkChannel",
     "NetworkModel",
     "NetworkStats",
     "QueryRouter",

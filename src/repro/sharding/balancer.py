@@ -109,12 +109,7 @@ class Balancer:
         documents = self._documents_in_chunk(
             manager, chunk, source, database_name, collection_name
         )
-        shipped = self.network.ship_documents(
-            documents,
-            source=chunk.shard_id,
-            destination=destination_shard_id,
-            purpose="moveChunk",
-        )
+        shipped = self.network.ship_documents(documents, purpose="moveChunk")
         if shipped:
             destination.collection(database_name, collection_name).insert_many(shipped)
             ids = [document["_id"] for document in documents]

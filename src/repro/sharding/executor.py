@@ -9,8 +9,10 @@ the sum.  This module gives the reproduction's router the same shape:
   branch has answered, so the router always merges whole answers;
 * per-shard deadlines with cooperative cancellation and a structured
   :class:`ShardTimeoutError` (:class:`ScatterPolicy`);
-* per-branch :class:`BranchTiming` (queue / dispatch / execute / ship) and
-  an observed wall-clock makespan per operation, which is what makes
+* one :class:`BranchReport` per branch — the worker writes its value,
+  error, :class:`BranchTiming` (queue / dispatch / execute / ship), private
+  network and shipped counts straight into it — and an observed wall-clock
+  makespan per operation, which is what makes
   ``RouterMetrics.parallel_shard_seconds`` an honest measurement.
 
 Threads and the GIL
@@ -120,19 +122,40 @@ class BranchTiming:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class BranchReport:
-    """Everything one completed branch hands back to the gather."""
+    """One branch of a scatter: what its worker runs, and what it hands back.
+
+    The worker fills the report in while the branch runs; the gather reads it
+    once ``done`` is set.
+    """
 
     shard_id: str
+    run: Callable[["BranchReport"], Any]
+    #: Set when the scatter is abandoned: the branch stops shipping.
+    cancelled: threading.Event
     value: Any = None
+    error: BaseException | None = None
     timing: BranchTiming = field(default_factory=BranchTiming)
-    #: Private :class:`~repro.sharding.network.NetworkChannel` of the branch.
+    #: Private :class:`~repro.sharding.network.SimulatedNetwork` of the branch.
     channel: Any = None
     #: Result items (documents or distinct values) shipped shard → router.
     items_shipped: int = 0
     #: Serialized bytes of those result payloads.
     bytes_shipped: int = 0
+    submitted_at: float = 0.0
+    done_at: float = 0.0
+    done: threading.Event = field(default_factory=threading.Event)
+
+    def execute(self) -> None:
+        self.timing.queue_seconds = time.perf_counter() - self.submitted_at
+        try:
+            self.value = self.run(self)
+        except BaseException as error:  # noqa: BLE001 - surfaced at gather
+            self.error = error
+        finally:
+            self.done_at = time.perf_counter()
+            self.done.set()
 
 
 @dataclass
@@ -146,32 +169,6 @@ class ScatterOutcome:
     makespan_seconds: float
 
 
-class _Branch:
-    """Internal per-target state shared between worker and gather."""
-
-    __slots__ = ("shard_id", "run", "report", "error", "done", "done_at", "cancelled", "submitted_at")
-
-    def __init__(self, shard_id: str, run: Callable[["_Branch"], Any], cancelled: threading.Event) -> None:
-        self.shard_id = shard_id
-        self.run = run
-        self.report = BranchReport(shard_id=shard_id)
-        self.error: BaseException | None = None
-        self.done = threading.Event()
-        self.done_at = 0.0
-        self.cancelled = cancelled
-        self.submitted_at = 0.0
-
-    def execute(self) -> None:
-        self.report.timing.queue_seconds = time.perf_counter() - self.submitted_at
-        try:
-            self.report.value = self.run(self)
-        except BaseException as error:  # noqa: BLE001 - surfaced at gather
-            self.error = error
-        finally:
-            self.done_at = time.perf_counter()
-            self.done.set()
-
-
 class ScatterRunner:
     """Per-cluster pool of daemon threads that executes scatter branches.
 
@@ -179,7 +176,7 @@ class ScatterRunner:
     """
 
     def __init__(self) -> None:
-        self._tasks: queue.SimpleQueue[_Branch | None] = queue.SimpleQueue()
+        self._tasks: queue.SimpleQueue[BranchReport | None] = queue.SimpleQueue()
         self._threads: list[threading.Thread] = []
         self._outstanding = 0
         self._lock = threading.Lock()
@@ -214,7 +211,7 @@ class ScatterRunner:
     def run(
         self,
         purpose: str,
-        branch_runs: Sequence[tuple[str, Callable[[_Branch], Any]]],
+        branch_runs: Sequence[tuple[str, Callable[[BranchReport], Any]]],
         policy: ScatterPolicy,
         *,
         on_timeout: Callable[[list[str]], None] | None = None,
@@ -234,7 +231,7 @@ class ScatterRunner:
         if self._closed:
             raise RuntimeError("ScatterRunner is closed")
         cancelled = threading.Event()
-        branches = [_Branch(shard_id, run, cancelled) for shard_id, run in branch_runs]
+        branches = [BranchReport(shard_id, run, cancelled) for shard_id, run in branch_runs]
         started = time.perf_counter()
         for branch in branches:
             branch.submitted_at = time.perf_counter()
@@ -258,7 +255,7 @@ class ScatterRunner:
         last_done = max((branch.done_at for branch in branches), default=started)
         return ScatterOutcome(
             purpose=purpose,
-            reports=[branch.report for branch in branches],
+            reports=branches,
             makespan_seconds=last_done - started,
         )
 

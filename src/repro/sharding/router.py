@@ -21,10 +21,10 @@ every operation a routed collection:
 Every scatter is subject to the router's :class:`ScatterPolicy`: per-shard
 deadlines with cooperative cancellation, raising a structured
 :class:`ShardTimeoutError` — an answer is never merged from a subset of its
-shards.  Per-branch traffic is accounted on private network channels merged
-back in deterministic target order, so metric totals are identical to a
-sequential execution — and ``RouterMetrics.parallel_shard_seconds`` is the
-*observed* wall-clock makespan of each fan-out, not an estimate.
+shards.  Each branch counts its traffic on a private network that the gather
+adds to the shared one, so metric totals are identical to a sequential
+execution — and ``RouterMetrics.parallel_shard_seconds`` is the *observed*
+wall-clock makespan of each fan-out, not an estimate.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from ..documentstore.update import OperatorUpdate, build_upsert_document, is_upd
 from .chunks import MAX_KEY, MIN_KEY, Chunk, ChunkManager
 from .config_server import ConfigServer
 from .executor import (
+    BranchReport,
     FirstMatchClaim,
     ScatterOutcome,
     ScatterPolicy,
@@ -187,12 +188,18 @@ class QueryRouter:
         self.scatter_policy = scatter_policy or ScatterPolicy()
         self._runner = ScatterRunner()
         self._metrics_lock = threading.Lock()
-        #: Per-shard timing breakdown of the most recent scatter (what
-        #: ``explain(..., verbosity="executionStats")`` reports).  Debugging
-        #: aid only — concurrent client threads overwrite it.
-        self.last_scatter_report: dict[str, Any] | None = None
+        self._thread_state = threading.local()
 
     # ------------------------------------------------------------ infrastructure
+
+    @property
+    def last_scatter_report(self) -> dict[str, Any] | None:
+        """Per-shard timing breakdown of the calling thread's most recent scatter.
+
+        What ``explain(..., verbosity="executionStats")`` reports; kept per
+        thread, so concurrent client threads never see each other's fan-out.
+        """
+        return getattr(self._thread_state, "scatter_report", None)
 
     def shard(self, shard_id: str) -> Shard:
         """Return the shard object registered under *shard_id*."""
@@ -305,30 +312,23 @@ class QueryRouter:
         branch runs on a pool worker: it ships its request, executes the
         shard-local work, then serializes the result back in batches of
         *response_batch_size*.  All traffic lands on the branch's private
-        network channel; nothing shared is touched until every branch has
-        answered and :meth:`_absorb_outcome` merges them.  Raises
+        network; nothing shared is touched until every branch has answered
+        and :meth:`_absorb_outcome` merges them.  Raises
         :class:`ShardTimeoutError` when a shard misses the deadline.
         """
         batch_size = response_batch_size or self.RESPONSE_BATCH_SIZE
 
-        def make_branch(shard_id: str, command: Mapping[str, Any]) -> Callable[[Any], Any]:
+        def make_branch(shard_id: str, command: Mapping[str, Any]) -> Callable[[BranchReport], Any]:
             shard = self._shards[shard_id]
 
-            def run(branch: Any) -> Any:
-                channel = self.network.channel()
-                branch.report.channel = channel
+            def run(branch: BranchReport) -> Any:
+                channel = branch.channel = self.network.channel()
                 started = time.perf_counter()
-                channel.ship_command(
-                    command,
-                    source=self.name,
-                    destination=shard_id,
-                    purpose=f"{purpose}:request",
+                channel.ship_command(command, purpose=f"{purpose}:request")
+                branch.timing.dispatch_seconds = time.perf_counter() - started
+                value, branch.timing.execute_seconds = self._runner.execute(
+                    lambda: shard.run(shard_operation, shard)
                 )
-                branch.report.timing.dispatch_seconds = time.perf_counter() - started
-                value, execute_seconds = self._runner.execute(
-                    lambda: shard.run(shard_operation, shard)[0]
-                )
-                branch.report.timing.execute_seconds = execute_seconds
                 shipping_started = time.perf_counter()
                 if ship_results and isinstance(value, list) and value:
                     unwrap = not all(isinstance(item, Mapping) for item in value)
@@ -343,26 +343,15 @@ class QueryRouter:
                         received.extend(
                             channel.ship_documents(
                                 payload_docs[start:start + batch_size],
-                                source=shard_id,
-                                destination=self.name,
                                 purpose=f"{purpose}:response",
                             )
                         )
-                    branch.report.items_shipped = len(received)
-                    branch.report.bytes_shipped = (
-                        channel.stats.bytes_transferred - bytes_before
-                    )
+                    branch.items_shipped = len(received)
+                    branch.bytes_shipped = channel.stats.bytes_transferred - bytes_before
                     value = [doc["v"] for doc in received] if unwrap else received
                 else:
-                    channel.ship_command(
-                        {"ok": 1},
-                        source=shard_id,
-                        destination=self.name,
-                        purpose=f"{purpose}:ack",
-                    )
-                branch.report.timing.ship_seconds = (
-                    time.perf_counter() - shipping_started
-                )
+                    channel.ship_command({"ok": 1}, purpose=f"{purpose}:ack")
+                branch.timing.ship_seconds = time.perf_counter() - shipping_started
                 return value
 
             return run
@@ -379,12 +368,12 @@ class QueryRouter:
     def _absorb_outcome(self, outcome: ScatterOutcome, *, targeted: bool) -> None:
         """Merge one gathered scatter into the shared accounting.
 
-        Channels are absorbed in deterministic target order under the metrics
-        lock, so totals (and the message log) are identical to a sequential
-        execution — exact even under concurrent client threads.  A scatter
-        that missed its deadline never gets here (:meth:`_count_timeouts`): its
-        traffic and busy time stay on the branches' private channels,
-        mirroring responses the router never read.
+        The branches' private networks are absorbed under the metrics lock,
+        so totals are identical to a sequential execution — exact even under
+        concurrent client threads.  A scatter that missed its deadline never
+        gets here (:meth:`_count_timeouts`): its traffic and busy time stay on
+        the branches' private networks, mirroring responses the router never
+        read.
         """
         timings: dict[str, dict[str, float]] = {}
         with self._metrics_lock:
@@ -392,9 +381,8 @@ class QueryRouter:
             modelled = 0.0
             for report in outcome.reports:
                 shard = self._shards[report.shard_id]
-                if report.channel is not None:
-                    self.network.absorb(report.channel)
-                    metrics.network_seconds += report.channel.stats.simulated_seconds
+                self.network.absorb(report.channel)
+                metrics.network_seconds += report.channel.stats.simulated_seconds
                 shard.record_busy(report.timing.execute_seconds)
                 metrics.shard_seconds_total += report.timing.execute_seconds
                 metrics.documents_shipped += report.items_shipped
@@ -412,7 +400,7 @@ class QueryRouter:
                 metrics.broadcast_operations += 1
             metrics.parallel_shard_seconds += outcome.makespan_seconds
             metrics.modelled_parallel_seconds += max(modelled, 0.0)
-            self.last_scatter_report = {
+            self._thread_state.scatter_report = {
                 "purpose": outcome.purpose,
                 "makespanSeconds": outcome.makespan_seconds,
                 "shards": timings,
@@ -429,13 +417,12 @@ class QueryRouter:
     def _ship_inserts(
         self, batches: Mapping[str, list[dict[str, Any]]]
     ) -> dict[str, list[dict[str, Any]]]:
-        """Ship each shard's slice of an insert on a private channel (thread-safe totals)."""
-        shipped: dict[str, list[dict[str, Any]]] = {}
+        """Ship each shard's slice of an insert on a private network (thread-safe totals)."""
         channel = self.network.channel()
-        for shard_id, batch in batches.items():
-            shipped[shard_id] = channel.ship_documents(
-                batch, source=self.name, destination=shard_id, purpose="insert:request"
-            )
+        shipped = {
+            shard_id: channel.ship_documents(batch, purpose="insert:request")
+            for shard_id, batch in batches.items()
+        }
         with self._metrics_lock:
             self.network.absorb(channel)
             self.metrics.network_seconds += channel.stats.simulated_seconds

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pathlib
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -107,34 +106,23 @@ class Shard:
         """Flush and close the shard's storage engine."""
         self._client.close()
 
-    # -- timed execution -------------------------------------------------------
-
-    def timed(self, operation, *args, **kwargs):
-        """Run *operation* and account its wall time as shard busy time."""
-        started = time.perf_counter()
-        try:
-            with self.op_lock:
-                return operation(*args, **kwargs)
-        finally:
-            self.record_busy(time.perf_counter() - started)
+    # -- execution -------------------------------------------------------------
 
     def run(self, operation, *args, **kwargs):
-        """Run *operation* under the shard's op lock, returning (result, seconds).
+        """Run *operation* under the shard's op lock and return its result.
 
-        Unlike :meth:`timed` this does *not* record busy time — the scatter
-        gather records it at merge time so that cancelled/timed-out branches
-        leave the accounting untouched.
+        Busy time is not recorded here: the scatter gather records it at
+        merge time, so cancelled/timed-out branches leave the accounting
+        untouched.
         """
-        started = time.perf_counter()
         with self.op_lock:
-            result = operation(*args, **kwargs)
-        return result, time.perf_counter() - started
+            return operation(*args, **kwargs)
 
-    def record_busy(self, seconds: float, operations: int = 1) -> None:
+    def record_busy(self, seconds: float) -> None:
         """Account *seconds* of storage work performed on this shard."""
         with self._accounting_lock:
             self.busy_seconds += seconds
-            self.operations += operations
+            self.operations += 1
 
     def reset_accounting(self) -> None:
         """Clear busy-time counters (between experiments)."""

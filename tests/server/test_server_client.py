@@ -373,6 +373,18 @@ class TestErrorsOverTheWire:
         with pytest.raises(DuplicateKeyError):
             remote.insert_many([{"order_id": 0, "amount": 0.0, "store": 0}])
 
+    def test_duplicate_key_error_carries_the_key_tuple(self, remote, standalone):
+        """The served error names the same key, as the same tuple, as the stand-alone one."""
+        errors = {}
+        for name, collection in {"served": remote, "standalone": standalone}.items():
+            collection.create_index([("order_id", 1)], unique=True)
+            with pytest.raises(DuplicateKeyError) as excinfo:
+                collection.insert_one({"order_id": 0, "amount": 0.0, "store": 0})
+            errors[name] = excinfo.value
+        assert errors["served"].key == errors["standalone"].key == (0,)
+        assert str(errors["served"]) == str(errors["standalone"])
+        assert str(errors["served"]) == "duplicate key (0,) for unique index 'order_id_1'"
+
     def test_invalid_filter_operator(self, remote):
         with pytest.raises(OperationFailure):
             remote.find({"amount": {"$frob": 1}}).to_list()

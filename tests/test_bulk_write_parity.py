@@ -4,8 +4,7 @@ For random operation lists over a small key space — every operation kind,
 upserts, duplicate-``_id`` inserts and ``_id``-mutating updates landing at
 random indexes — ``bulk_write(ops, ordered=...)`` must leave exactly the
 state, return exactly the summed counts and report exactly the failing
-indexes, codes and (off the served surface) messages of applying the same
-operations through ``insert_one`` /
+indexes, codes and messages of applying the same operations through ``insert_one`` /
 ``update_one`` / ``update_many`` / ``delete_one`` / ``delete_many``: on a
 stand-alone collection indexed on ``k`` and ``(v, k)``, on a hashed and on an
 unsharded collection of a 3-shard cluster, on a hashed collection of a
@@ -212,19 +211,6 @@ def via_bulk_write(collection, operations, ordered):
     return counts, result.upserted_ids, failures
 
 
-def compared(outcome, surface):
-    """*outcome* as compared on *surface*: errors by code and message, served by code.
-
-    A served single-operation error is rebuilt from its wire form, which may
-    word the message differently (a duplicate key is quoted), so there only
-    the failing indexes and their codes are compared.
-    """
-    counts, upserted, failures = outcome
-    if surface == "served":
-        failures = {index: code for index, (code, _message) in failures.items()}
-    return counts, upserted, failures
-
-
 def state(collection):
     return sorted(collection.find({}).to_list(), key=lambda doc: doc["_id"])
 
@@ -243,8 +229,8 @@ def test_bulk_write_is_the_operations_one_at_a_time(surfaces, seed, operations, 
             collection.delete_many({})
             if seed_documents:
                 collection.insert_many(seed_documents)
-        expected = compared(one_at_a_time(reference, operations, ordered), name)
-        assert compared(via_bulk_write(bulk, operations, ordered), name) == expected, name
+        expected = one_at_a_time(reference, operations, ordered)
+        assert via_bulk_write(bulk, operations, ordered) == expected, name
         assert state(bulk) == state(reference), name
         if ordered and expected[2]:
             assert len(expected[2]) == 1  # stopped at the first failing index
@@ -423,9 +409,9 @@ def test_a_batch_that_mostly_matches_nothing_is_the_operations_one_at_a_time(
             collection.delete_many({})
             if seed_documents:
                 collection.insert_many(seed_documents)
-        expected = compared(one_at_a_time(reference, operations, ordered), name)
+        expected = one_at_a_time(reference, operations, ordered)
         with counters_checked_one_at_a_time() as changes:
-            assert compared(via_bulk_write(bulk, operations, ordered), name) == expected, name
+            assert via_bulk_write(bulk, operations, ordered) == expected, name
         assert state(bulk) == state(reference), name
         assert len(changes) == 1 or name != "standalone"
         for bulk_change, reference_change in changes:
