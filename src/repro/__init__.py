@@ -14,8 +14,8 @@ Subpackages
     threaded socket server fronting either deployment environment, and a
     pooled remote client re-speaking the Collection API.
 ``repro.tpcds``
-    A scaled-down TPC-DS-style data generator, the ``.dat`` file format, and
-    the four analytical queries (7, 21, 46, 50) used in the evaluation.
+    A scaled-down TPC-DS-style data generator and the four analytical
+    queries (7, 21, 46, 50) used in the evaluation.
 ``repro.core``
     The paper's contribution: the data-migration algorithm, the
     denormalization (document-embedding) algorithm, the SQL-to-document

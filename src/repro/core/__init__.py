@@ -38,8 +38,6 @@ from .experiments import (
 from .migration import (
     DatasetLoadReport,
     MigrationResult,
-    migrate_dat_directory,
-    migrate_dat_file,
     migrate_generated_dataset,
     migrate_rows,
     row_to_document,
@@ -104,8 +102,6 @@ __all__ = [
     "embed_documents",
     "format_seconds",
     "measure_selectivity",
-    "migrate_dat_directory",
-    "migrate_dat_file",
     "migrate_generated_dataset",
     "migrate_rows",
     "normalized_final_pipeline",

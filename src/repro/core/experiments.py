@@ -154,16 +154,6 @@ class QueryRunResult:
     router_metrics: dict[str, Any] | None = None
     network: dict[str, Any] | None = None
 
-    def as_row(self) -> dict[str, Any]:
-        """Row for the Table 4.5 report."""
-        return {
-            "experiment": self.experiment,
-            "query": self.query_id,
-            "wall_seconds": round(self.wall_seconds, 4),
-            "simulated_seconds": round(self.simulated_seconds, 4),
-            "results": self.result_documents,
-        }
-
 
 @dataclass
 class ExperimentResult:
@@ -172,13 +162,6 @@ class ExperimentResult:
     config: ExperimentConfig
     query_runs: dict[int, QueryRunResult] = field(default_factory=dict)
     load_report: DatasetLoadReport | None = None
-
-    def runtime_row(self) -> dict[str, Any]:
-        """One Table 4.5 row: experiment number -> per-query runtimes."""
-        row: dict[str, Any] = {"experiment": self.config.number}
-        for query_id, run in sorted(self.query_runs.items()):
-            row[f"query{query_id}"] = round(run.simulated_seconds, 4)
-        return row
 
 
 class ExperimentHarness:

@@ -6,23 +6,20 @@ positions to column names with a hash map, builds one document per line
 after the table.  Loading every table of a scale produces the ``Dataset_1GB``
 / ``Dataset_5GB`` databases whose load times the paper reports in Table 4.3.
 
-The reproduction offers the same algorithm over two inputs:
-
-* :func:`migrate_dat_file` — the literal algorithm over a ``.dat`` file;
-* :func:`migrate_rows` — the same document construction over already
-  generated in-memory rows (used by the benchmark harness to avoid disk I/O
-  noise while measuring exactly the same insert path).
+The reproduction runs the document construction and the inserts
+(:func:`row_to_document`, :func:`migrate_rows`) over the generator's typed
+rows; :func:`migrate_generated_dataset` loads every table of a scale that
+way.  The ``.dat`` parse step is not reproduced (README's paper mapping
+gives the measured reason).
 """
 
 from __future__ import annotations
 
-import pathlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from ..documentstore.collection import bulk_load_or_noop
-from ..tpcds.datfiles import read_dat_file
 from ..tpcds.generator import TPCDSGenerator
 from ..tpcds.schema import TPCDS_TABLES
 
@@ -31,9 +28,7 @@ __all__ = [
     "DatasetLoadReport",
     "row_to_document",
     "migrate_rows",
-    "migrate_dat_file",
     "migrate_generated_dataset",
-    "migrate_dat_directory",
 ]
 
 #: Batch size used for inserts.  The thesis inserts one document per line;
@@ -49,13 +44,6 @@ class MigrationResult:
     table: str
     documents_inserted: int
     seconds: float
-
-    @property
-    def documents_per_second(self) -> float:
-        """Load throughput."""
-        if self.seconds <= 0:
-            return float("inf")
-        return self.documents_inserted / self.seconds
 
 
 @dataclass
@@ -74,17 +62,6 @@ class DatasetLoadReport:
     def total_documents(self) -> int:
         """Total number of documents inserted."""
         return sum(result.documents_inserted for result in self.results.values())
-
-    def as_table(self) -> list[dict[str, Any]]:
-        """Rows suitable for printing a Table 4.3 style report."""
-        return [
-            {
-                "table": result.table,
-                "documents": result.documents_inserted,
-                "seconds": round(result.seconds, 4),
-            }
-            for result in self.results.values()
-        ]
 
 
 def row_to_document(row: Mapping[str, Any]) -> dict[str, Any]:
@@ -127,27 +104,6 @@ def migrate_rows(
     return MigrationResult(table=collection.name, documents_inserted=inserted, seconds=elapsed)
 
 
-def migrate_dat_file(
-    collection,
-    table_name: str,
-    path: str | pathlib.Path,
-    *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> MigrationResult:
-    """Load one ``.dat`` file into *collection* (Figure 4.3, steps 1-13).
-
-    Line parsing is delegated to the one typed ``.dat`` parser
-    (:func:`repro.tpcds.datfiles.read_dat_file`, whose schema lookup plays
-    the role of the algorithm's HashMap ``H``); :func:`row_to_document`
-    drops the null columns, so the stored documents are identical to the
-    previous in-module parser's output.
-    """
-    result = migrate_rows(collection, read_dat_file(table_name, path), batch_size=batch_size)
-    return MigrationResult(
-        table=table_name, documents_inserted=result.documents_inserted, seconds=result.seconds
-    )
-
-
 def migrate_generated_dataset(
     database,
     generator: TPCDSGenerator,
@@ -169,21 +125,3 @@ def migrate_generated_dataset(
         )
     return report
 
-
-def migrate_dat_directory(
-    database,
-    directory: str | pathlib.Path,
-    *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> DatasetLoadReport:
-    """Load every ``<table>.dat`` file found in *directory* into *database*."""
-    report = DatasetLoadReport(database_name=getattr(database, "name", "dataset"))
-    for path in sorted(pathlib.Path(directory).glob("*.dat")):
-        table_name = path.stem
-        if table_name not in TPCDS_TABLES:
-            continue
-        collection = database[table_name]
-        report.results[table_name] = migrate_dat_file(
-            collection, table_name, path, batch_size=batch_size
-        )
-    return report

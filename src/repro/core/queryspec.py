@@ -91,15 +91,6 @@ class QuerySpec:
         """Dimensions whose attributes are needed by the aggregation."""
         return tuple(dim for dim in self.dimensions if dim.embed_for_aggregation)
 
-    def all_tables(self) -> tuple[str, ...]:
-        """Every collection the query touches."""
-        tables = [self.fact_collection]
-        tables.extend(dim.collection for dim in self.dimensions)
-        if self.fact_join is not None:
-            tables.append(self.fact_join.collection)
-            tables.extend(dim.collection for dim in self.fact_join.dimensions)
-        return tuple(dict.fromkeys(tables))
-
 
 def _query7_spec(params: Mapping[str, Any]) -> QuerySpec:
     return QuerySpec(

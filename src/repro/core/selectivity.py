@@ -32,15 +32,6 @@ class QuerySelectivity:
         """Result size in MB (the unit Table 4.4 uses)."""
         return self.result_bytes / (1024.0 * 1024.0)
 
-    def as_row(self) -> dict[str, Any]:
-        """Row for the Table 4.4 report."""
-        return {
-            "query": self.query_id,
-            "documents": self.result_documents,
-            "bytes": self.result_bytes,
-            "megabytes": round(self.megabytes, 6),
-        }
-
 
 def measure_selectivity(
     database,

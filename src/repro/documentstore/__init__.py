@@ -45,8 +45,6 @@ from .cursor import Cursor, DeleteResult, InsertManyResult, InsertOneResult, Upd
 from .database import Database
 from .errors import (
     ChunkSplitError,
-    CollectionDoesNotExist,
-    CollectionInvalid,
     DocumentStoreError,
     DocumentTooLargeError,
     DuplicateKeyError,
@@ -88,13 +86,7 @@ from .ordering import document_sort_key
 from .planner import QueryPlan, plan_find, plan_query
 from .recovery import RecoveryReport, recover
 from .snapshot import load_snapshot, write_snapshot
-from .storage import (
-    StorageEngine,
-    dump_collection,
-    dump_database,
-    load_collection,
-    load_database,
-)
+from .storage import StorageEngine
 from .wal import WriteAheadLog, decode_records, encode_record
 
 __all__ = [
@@ -111,8 +103,6 @@ __all__ = [
     "BulkWriteResult",
     "ChunkSplitError",
     "Collection",
-    "CollectionDoesNotExist",
-    "CollectionInvalid",
     "CollectionStats",
     "Cursor",
     "Database",
@@ -161,14 +151,10 @@ __all__ = [
     "decode_records",
     "document_size",
     "document_sort_key",
-    "dump_collection",
-    "dump_database",
     "encode_document",
     "encode_record",
     "evaluate_expression",
     "hashed_value",
-    "load_collection",
-    "load_database",
     "load_snapshot",
     "matches",
     "optimize_pipeline",

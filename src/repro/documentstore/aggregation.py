@@ -65,6 +65,7 @@ __all__ = [
     "compile_pipeline",
     "optimize_pipeline",
     "split_pipeline_for_shards",
+    "validate_user_pipeline",
     "ShardSplit",
     "CompiledPipeline",
     "StageStats",
@@ -544,6 +545,20 @@ def _validate_pipeline(
             )
         validated.append(stage)
     return validated
+
+
+def validate_user_pipeline(pipeline: Sequence[Mapping[str, Any]]) -> None:
+    """Refuse a caller's ``$group`` field name that starts with ``$``, as MongoDB does.
+
+    ``"$phase"`` and ``"$sortedBy"`` mark the router's own halves of a split
+    ``$group`` (:func:`split_pipeline_for_shards`), so only the ``aggregate``
+    entry points check: the shards run those halves.
+    """
+    for stage in pipeline:
+        group = stage.get("$group") if isinstance(stage, Mapping) else None
+        for key in group if isinstance(group, Mapping) else ():
+            if isinstance(key, str) and key.startswith("$"):
+                raise InvalidPipelineError(f"$group field {key!r} must not start with '$'")
 
 
 def _paths_overlap(path_a: str, path_b: str) -> bool:

@@ -124,14 +124,6 @@ class DocumentStoreClient:
 
     # ----------------------------------------------------------------- meta
 
-    def server_info(self) -> dict[str, object]:
-        """Server metadata, mirroring the version benchmarked in the paper."""
-        return {
-            "version": "3.0.2-repro",
-            "storageEngine": "wal" if self.engine is not None else "in-memory",
-            "deployment": "standalone",
-        }
-
     def total_data_size(self) -> int:
         """Total data size across all databases, in bytes."""
         return sum(int(database.stats()["dataSize"]) for database in self)

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Any, ContextManager, Iterator
 
-from .aggregation import StageStats, optimize_pipeline, run_pipeline
+from .aggregation import StageStats, optimize_pipeline, run_pipeline, validate_user_pipeline
 from .bson import MAX_DOCUMENT_SIZE, deep_copy_document, document_size, validate_document
 from .bulk import BulkWriteError, BulkWriteResult, DeleteMany, DeleteOne, UpdateMany
 from .bulk import apply_operations, checked_operations
@@ -952,6 +952,7 @@ class Collection(CollectionSurface):
         documents in place, so the results are detached from them on the
         way out.
         """
+        validate_user_pipeline(pipeline)
         return deep_copy_document(self.execute_pipeline(pipeline))
 
     def execute_pipeline(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
@@ -963,11 +964,6 @@ class Collection(CollectionSurface):
         return self._execute_pipeline(pipeline)[1]
 
     # ------------------------------------------------------------- iteration
-
-    def all_documents(self) -> Iterator[dict[str, Any]]:
-        """Iterate over copies of every stored document (insertion order)."""
-        for document in self._documents.values():
-            yield deep_copy_document(document)
 
     def raw_documents(self) -> Iterator[Mapping[str, Any]]:
         """Iterate over the stored documents without copying.

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator
 
 from .collection import Collection
-from .errors import CollectionInvalid
 
 if TYPE_CHECKING:  # pragma: no cover
     from .client import DocumentStoreClient
@@ -59,18 +58,6 @@ class Database:
     def __iter__(self) -> Iterator[Collection]:
         return iter(list(self._collections.values()))
 
-    def get_collection(self, name: str) -> Collection:
-        """Return (and lazily create) the collection called *name*."""
-        return self[name]
-
-    def create_collection(self, name: str) -> Collection:
-        """Explicitly create a collection; fails if it already exists."""
-        if name in self._collections:
-            raise CollectionInvalid(f"collection {name!r} already exists")
-        collection = Collection(self, name)
-        self._collections[name] = collection
-        return collection
-
     def drop_collection(self, name: str) -> None:
         """Drop the collection called *name* (a no-op if absent)."""
         collection = self._collections.pop(name, None)
@@ -82,18 +69,6 @@ class Database:
         return sorted(self._collections)
 
     # ----------------------------------------------------------------- stats
-
-    def command(self, command: dict[str, Any] | str) -> dict[str, Any]:
-        """Support the small set of database commands used by the harness."""
-        if isinstance(command, str):
-            command = {command: 1}
-        if "dbStats" in command or "dbstats" in command:
-            return self.stats()
-        if "collStats" in command:
-            return self[command["collStats"]].stats().as_dict()
-        if "ping" in command:
-            return {"ok": 1.0}
-        raise CollectionInvalid(f"unknown command {command!r}")
 
     def stats(self) -> dict[str, Any]:
         """Database-wide size statistics (``dbStats`` analogue)."""
@@ -109,11 +84,6 @@ class Database:
             "storageSize": data_size,
             "totalSize": data_size + index_size,
         }
-
-    def working_set_size(self) -> int:
-        """Indexes + data size: the working-set notion of Section 2.1.3.2."""
-        stats = self.stats()
-        return int(stats["dataSize"] + stats["indexSize"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Database({self.name!r}, collections={len(self._collections)})"

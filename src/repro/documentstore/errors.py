@@ -36,14 +36,6 @@ class DuplicateKeyError(DocumentStoreError):
         self.key = key
 
 
-class CollectionInvalid(DocumentStoreError):
-    """A collection cannot be created (for example, it already exists)."""
-
-
-class CollectionDoesNotExist(DocumentStoreError):
-    """An operation referenced a collection that does not exist."""
-
-
 class OperationFailure(DocumentStoreError):
     """A query, update, or aggregation could not be executed."""
 

@@ -26,14 +26,8 @@ from .matching import compare_values, compile_path, resolve_path_single, values_
 __all__ = [
     "evaluate_expression",
     "compile_expression",
-    "is_field_path",
     "field_path_of",
 ]
-
-
-def is_field_path(expression: Any) -> bool:
-    """Return ``True`` if *expression* is a ``"$field"`` reference."""
-    return isinstance(expression, str) and expression.startswith("$") and not expression.startswith("$$")
 
 
 def field_path_of(expression: str) -> str:

@@ -88,20 +88,6 @@ class ObjectId:
         """The raw 12-byte representation."""
         return self._id
 
-    @property
-    def generation_time(self) -> int:
-        """The creation timestamp embedded in the id (seconds since epoch)."""
-        return int.from_bytes(self._id[:4], "big")
-
-    @classmethod
-    def is_valid(cls, value: object) -> bool:
-        """Return ``True`` if *value* can be parsed as an ObjectId."""
-        try:
-            cls(value)
-        except (TypeError, ValueError):
-            return False
-        return True
-
     def __str__(self) -> str:
         return binascii.hexlify(self._id).decode("ascii")
 

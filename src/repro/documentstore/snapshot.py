@@ -17,7 +17,7 @@ Snapshots are crash-safe by construction: the writer streams to
 ``<name>.tmp``, fsyncs the file, atomically renames it over the target, and
 fsyncs the directory.  A crash at any point leaves either the previous
 snapshot or the new one — never a partial file at the target path.  The same
-:func:`atomic_writer` helper backs ``dump_collection``/``dump_database``.
+:func:`atomic_writer` helper writes a sharded cluster's metadata file.
 
 Restores ride the PR 4 bulk-load machinery: documents are inserted inside a
 ``bulk_load()`` block with every secondary index registered as deferred, so

@@ -1,20 +1,13 @@
-"""On-disk persistence: dumps, and the durable storage engine facade.
+"""On-disk persistence: the durable storage engine facade.
 
-Two persistence layers live here:
-
-* **Dumps** — ``dump_collection``/``dump_database`` write JSON-lines images
-  of collections for the benchmark harness and examples.  Dumps are written
-  crash-safely (temp file → fsync → atomic rename), and loads tolerate a
-  trailing torn/corrupt line the way WAL recovery tolerates a torn tail.
-
-* **The engine** — :class:`StorageEngine` gives one
-  :class:`~repro.documentstore.client.DocumentStoreClient` real durability:
-  every acknowledged write batch appends one checksummed record to a
-  write-ahead log (:mod:`repro.documentstore.wal`), periodic checkpoints
-  write an atomic snapshot and truncate the log
-  (:mod:`repro.documentstore.snapshot`), and construction over an existing
-  data directory replays the store back to exactly the acknowledged state
-  (:mod:`repro.documentstore.recovery`).
+:class:`StorageEngine` gives one
+:class:`~repro.documentstore.client.DocumentStoreClient` real durability:
+every acknowledged write batch appends one checksummed record to a
+write-ahead log (:mod:`repro.documentstore.wal`), periodic checkpoints write
+an atomic snapshot and truncate the log (:mod:`repro.documentstore.snapshot`),
+and construction over an existing data directory replays the store back to
+exactly the acknowledged state (:mod:`repro.documentstore.recovery`).  The
+snapshot is the only on-disk image of a store.
 
 The engine logs *after* the in-memory apply and acknowledges only after the
 record is as durable as its fsync policy promises — ``always`` makes every
@@ -26,20 +19,16 @@ replay is deterministic and idempotent regardless of query-plan or
 
 from __future__ import annotations
 
-import json
 import pathlib
 import threading
-import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager
 from typing import Any
 
-from .bson import decode_document, encode_document
-from .collection import Collection, bulk_load_or_noop
-from .database import Database
+from .bson import encode_document
 from .errors import OperationFailure
 from .recovery import RecoveryReport, recover, snapshot_path, wal_path
-from .snapshot import atomic_writer, write_snapshot
+from .snapshot import write_snapshot
 from .wal import (
     DEFAULT_BATCH_FSYNC_EVERY,
     REAL_FS,
@@ -49,143 +38,10 @@ from .wal import (
     wal_status,
 )
 
-__all__ = [
-    "StorageEngine",
-    "dump_collection",
-    "load_collection",
-    "dump_database",
-    "load_database",
-]
+__all__ = ["StorageEngine"]
 
 #: Checkpoint (snapshot + WAL truncation) once the log grows past this size.
 DEFAULT_AUTO_CHECKPOINT_BYTES = 64 * 1024 * 1024
-
-
-def dump_collection(collection: Collection, path: str | pathlib.Path) -> int:
-    """Write every document of *collection* to *path* as JSON lines.
-
-    The dump is crash-safe: bytes stream to ``<path>.tmp``, are fsynced, and
-    the temp file is atomically renamed over *path* — a crash mid-dump leaves
-    the previous dump (or nothing), never a partial file at the target.
-    Returns the number of documents written.
-    """
-    target = pathlib.Path(path)
-    count = 0
-    with atomic_writer(target) as handle:
-        for document in collection.raw_documents():
-            handle.write(encode_document(document))
-            handle.write(b"\n")
-            count += 1
-    return count
-
-
-def load_collection(
-    collection: Collection,
-    path: str | pathlib.Path,
-    *,
-    batch_size: int = 2000,
-) -> int:
-    """Load JSON-lines documents from *path* into *collection*.
-
-    Batches ride the collection's bulk insert path, and secondary-index
-    maintenance is deferred for the whole load (``bulk_load``) when the
-    target supports it — routed collections simply take batched inserts.
-
-    A *trailing* partial or corrupt line — the shape a crash mid-append
-    leaves behind — is skipped with a warning, matching the WAL's torn-tail
-    semantics.  A corrupt line *followed by valid data* is not a torn tail
-    and raises, because silently dropping interior documents would corrupt
-    the dataset.  Returns the number of documents inserted.
-    """
-    source = pathlib.Path(path)
-    count = 0
-    with bulk_load_or_noop(collection), source.open("rb") as handle:
-        batch: list[dict[str, Any]] = []
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                document = decode_document(line)
-            except Exception as exc:
-                if any(rest.strip() for rest in handle):
-                    raise OperationFailure(
-                        f"{source}:{line_number}: corrupt document mid-file "
-                        f"(not a torn tail): {exc}"
-                    ) from exc
-                warnings.warn(
-                    f"{source}:{line_number}: skipped 1 trailing partial/corrupt "
-                    f"line (torn tail): {exc}",
-                    stacklevel=2,
-                )
-                break
-            batch.append(document)
-            count += 1
-            if len(batch) >= batch_size:
-                collection.insert_many(batch)
-                batch = []
-        if batch:
-            collection.insert_many(batch)
-    return count
-
-
-def dump_database(database: Database, directory: str | pathlib.Path) -> dict[str, int]:
-    """Dump every collection of *database* into *directory*.
-
-    Also writes a small ``__manifest__.json`` describing the dump; every
-    file (collections and manifest) is written with the atomic
-    temp-fsync-rename pattern.  Returns a mapping of collection name to
-    document count.
-    """
-    target = pathlib.Path(directory)
-    target.mkdir(parents=True, exist_ok=True)
-    manifest: dict[str, Any] = {"database": database.name, "collections": {}}
-    counts: dict[str, int] = {}
-    for name in database.list_collection_names():
-        collection = database[name]
-        counts[name] = dump_collection(collection, target / f"{name}.jsonl")
-        manifest["collections"][name] = {
-            "count": counts[name],
-            "indexes": {
-                spec["name"]: spec
-                for spec in collection.list_indexes()
-                if spec["name"] != "_id_"
-            },
-        }
-    with atomic_writer(target / "__manifest__.json") as handle:
-        handle.write(json.dumps(manifest, indent=2).encode("utf-8"))
-    return counts
-
-
-def load_database(database: Database, directory: str | pathlib.Path) -> dict[str, int]:
-    """Load a dump produced by :func:`dump_database` into *database*."""
-    source = pathlib.Path(directory)
-    manifest_path = source / "__manifest__.json"
-    manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else None
-    counts: dict[str, int] = {}
-    for path in sorted(source.glob("*.jsonl")):
-        name = path.stem
-        collection = database[name]
-        counts[name] = load_collection(collection, path)
-        if manifest is not None:
-            index_specs = manifest["collections"].get(name, {}).get("indexes", {})
-            for entry in index_specs.values():
-                collection.create_index(entry)
-    return counts
-
-
-def iter_jsonl(path: str | pathlib.Path) -> Iterable[dict[str, Any]]:
-    """Stream documents from a JSON-lines file without loading them all."""
-    with pathlib.Path(path).open("rb") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield decode_document(line)
-
-
-# ---------------------------------------------------------------------------
-# The durable storage engine.
-# ---------------------------------------------------------------------------
 
 
 class StorageEngine:
@@ -264,11 +120,6 @@ class StorageEngine:
             fs=self._fs,
             counters=self.counters,
         )
-
-    @property
-    def enabled(self) -> bool:
-        """True while the engine is attached and accepting records."""
-        return self._enabled
 
     @property
     def generation(self) -> int:

@@ -290,11 +290,6 @@ class WriteAheadLog:
         """Current log size in bytes (header + payload of every record)."""
         return self._size
 
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has run."""
-        return self._handle is None
-
     def close(self) -> None:
         """Flush (fsync) and close the log file."""
         with self._lock:

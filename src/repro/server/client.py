@@ -287,10 +287,6 @@ class RemoteDatabase:
             raise AttributeError(collection_name)
         return self[collection_name]
 
-    def get_collection(self, collection_name: str) -> "RemoteCollection":
-        """Return a collection handle speaking the wire protocol."""
-        return self[collection_name]
-
     def command(self, command: Mapping[str, Any]) -> dict[str, Any]:
         """Run a command against this database."""
         return self.client.command(self.name, command)

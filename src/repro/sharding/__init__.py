@@ -35,7 +35,6 @@ from .planning import (
     shards_for_iops,
     shards_for_ops,
     shards_for_ram,
-    working_set_size,
 )
 from .router import QueryRouter, RoutedCollection, RoutedDatabase, RouterMetrics
 from .shard import Shard, ShardDescription
@@ -75,5 +74,4 @@ __all__ = [
     "shards_for_iops",
     "shards_for_ops",
     "shards_for_ram",
-    "working_set_size",
 ]

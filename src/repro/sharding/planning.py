@@ -17,7 +17,6 @@ __all__ = [
     "shards_for_ram",
     "shards_for_iops",
     "shards_for_ops",
-    "working_set_size",
     "ClusterSizingInputs",
     "recommend_shard_count",
     "SHARDING_OVERHEAD",
@@ -77,11 +76,6 @@ def shards_for_ops(required_ops: float, single_server_ops: float, *, overhead: f
     if single_server_ops <= 0:
         raise ValueError("single-server OPS must be positive")
     return _ceil_ratio(required_ops, single_server_ops * overhead)
-
-
-def working_set_size(index_bytes: float, hot_document_bytes: float) -> float:
-    """Working set = index size of each collection + frequently accessed docs."""
-    return index_bytes + hot_document_bytes
 
 
 @dataclass(frozen=True)

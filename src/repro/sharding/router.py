@@ -42,6 +42,7 @@ from ..documentstore.aggregation import (
     optimize_pipeline,
     run_pipeline,
     split_pipeline_for_shards,
+    validate_user_pipeline,
 )
 from ..documentstore.bson import document_size
 from ..documentstore.bulk import (
@@ -471,10 +472,6 @@ class RoutedDatabase:
     def router(self) -> QueryRouter:
         """The router backing this handle."""
         return self._router
-
-    def get_collection(self, collection_name: str) -> "RoutedCollection":
-        """Return a routed collection handle."""
-        return self[collection_name]
 
     def drop_collection(self, collection_name: str) -> None:
         """Drop a collection across the cluster."""
@@ -963,6 +960,7 @@ class RoutedCollection(CollectionSurface):
         merges their outputs (k-way on a pushed sort, else in target order)
         through the merge part.
         """
+        validate_user_pipeline(pipeline)
         router = self._router
         split, targets, targeted = self._plan_aggregate(pipeline)
         # The shard-local pipeline gives each slice the same leading-$match

@@ -1,4 +1,4 @@
-"""TPC-DS substrate: schema, scaling, data generation, ``.dat`` files, queries.
+"""TPC-DS substrate: schema, scaling, data generation, queries.
 
 This package replaces the official ``dsdgen``/``dsqgen`` tools with a
 deterministic, laptop-scale synthetic generator that preserves the schema,
@@ -6,15 +6,6 @@ foreign-key structure, per-table scaling behaviour (Table 3.6), and the
 predicate selectivity structure of the four evaluation queries.
 """
 
-from .datfiles import (
-    DELIMITER,
-    dat_file_name,
-    format_row,
-    parse_line,
-    read_dat_file,
-    write_dat_file,
-    write_dataset,
-)
 from .generator import GeneratedDataset, TPCDSGenerator
 from .queries import (
     QUERY_DEFINITIONS,
@@ -52,7 +43,6 @@ __all__ = [
     "ColumnType",
     "DATE_RANGE_END",
     "DATE_RANGE_START",
-    "DELIMITER",
     "DIMENSION_TABLES",
     "FACT_TABLES",
     "ForeignKey",
@@ -70,15 +60,9 @@ __all__ = [
     "TPCDSGenerator",
     "TPCDS_TABLES",
     "TableSchema",
-    "dat_file_name",
-    "format_row",
     "generation_row_counts",
     "paper_row_counts",
-    "parse_line",
     "query_definition",
     "query_parameters",
-    "read_dat_file",
     "table_schema",
-    "write_dat_file",
-    "write_dataset",
 ]

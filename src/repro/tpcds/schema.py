@@ -65,7 +65,7 @@ class TableSchema:
 
     @property
     def column_names(self) -> tuple[str, ...]:
-        """Ordered column names (matches the ``.dat`` field order)."""
+        """Ordered column names."""
         return tuple(column.name for column in self.columns)
 
     def column(self, name: str) -> Column:

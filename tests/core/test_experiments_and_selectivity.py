@@ -91,12 +91,6 @@ class TestExperimentHarness:
         assert result.load_report is not None
         assert result.load_report.total_documents > 0
 
-    def test_runtime_row_format(self, harness):
-        result = harness.run_experiment(3, query_ids=(7, 21))
-        row = result.runtime_row()
-        assert row["experiment"] == 3
-        assert "query7" in row and "query21" in row
-
     def test_environments_are_cached(self, harness):
         first = harness.standalone_database(harness.scale(EXPERIMENTS[2]))
         second = harness.standalone_database(harness.scale(EXPERIMENTS[2]))
@@ -147,11 +141,6 @@ class TestSelectivity:
         q46 = measure_selectivity(database, 46)
         q50 = measure_selectivity(database, 50)
         assert q46.result_bytes > q50.result_bytes
-
-    def test_selectivity_row_shape(self, harness):
-        database = harness.standalone_denormalized_database(harness.scale(EXPERIMENTS[3]))
-        row = measure_selectivity(database, 7).as_row()
-        assert set(row) == {"query", "documents", "bytes", "megabytes"}
 
 
 class TestResultRendering:

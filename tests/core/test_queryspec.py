@@ -124,14 +124,6 @@ class TestQuery50Spec:
         spec = QUERY_SPECS[50]
         assert [d.collection for d in spec.embedded_dimensions()] == ["store"]
 
-    def test_all_tables_enumerated(self):
-        assert set(QUERY_SPECS[50].all_tables()) == {
-            "store_sales",
-            "store_returns",
-            "store",
-            "date_dim",
-        }
-
 
 class TestSpecConsistency:
     def test_specs_exist_for_all_four_queries(self):

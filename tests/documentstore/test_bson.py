@@ -18,8 +18,6 @@ from repro.documentstore import (
     InvalidDocumentError,
     ObjectId,
     document_size,
-    dump_database,
-    load_database,
     validate_document,
 )
 from repro.documentstore.bson import (
@@ -381,10 +379,10 @@ class TestPinnedWireFormat:
             assert [spec["name"] for spec in table.list_indexes()] == ["_id_", "n_1"]
 
     def test_no_golden_fixture_holds_a_bare_keys_index_entry(self, tmp_path):
-        """``load_database`` and ``load_snapshot`` read structured index specs only.
+        """``load_snapshot`` reads structured index specs only.
 
-        The golden segment's index DDL carries one, and so do the snapshot and
-        the dump written from the store it recovers to; both load back.
+        The golden segment's index DDL carries one, and so does the snapshot
+        written from the store it recovers to; it loads back.
         """
         (tmp_path / "wal-00000000.log").write_bytes(GOLDEN_WAL_SEGMENT)
         payloads, _length, _tail = read_log(tmp_path / "wal-00000000.log")
@@ -394,15 +392,9 @@ class TestPinnedWireFormat:
         ]
         with DocumentStoreClient(data_dir=tmp_path) as client:
             client.checkpoint()
-            dump_database(client["db"], tmp_path / "dump")
             indexes = client["db"]["t"].list_indexes()
         snapshot = read_manifest(snapshot_path(tmp_path, 1))["databases"]["db"]["t"]["indexes"]
-        manifest = json.loads((tmp_path / "dump" / "__manifest__.json").read_text())
-        dump = manifest["collections"]["t"]["indexes"]
-        assert list(snapshot.values()) == list(dump.values()) == indexes[1:]
-        restored = DocumentStoreClient()
-        load_database(restored["db"], tmp_path / "dump")
-        assert restored["db"]["t"].list_indexes() == indexes
+        assert list(snapshot.values()) == indexes[1:]
         with DocumentStoreClient(data_dir=tmp_path) as reopened:  # from the snapshot
             assert reopened["db"]["t"].list_indexes() == indexes
 

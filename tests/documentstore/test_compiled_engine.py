@@ -219,7 +219,7 @@ class TestPlannerEdgeCases:
     def _results_match_collscan(self, collection, query):
         planned = collection.find(query).to_list()
         predicate = compile_matcher(query)
-        expected = [d for d in collection.all_documents() if predicate(d)]
+        expected = [d for d in collection.raw_documents() if predicate(d)]
         assert sorted(d["amount"] for d in planned) == sorted(
             d["amount"] for d in expected
         )

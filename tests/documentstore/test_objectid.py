@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.documentstore import ObjectId
 
@@ -18,10 +17,6 @@ class TestGeneration:
 
     def test_hex_string_is_24_characters(self):
         assert len(str(ObjectId())) == 24
-
-    def test_generation_time_embeds_timestamp(self):
-        oid = ObjectId(timestamp=1_500_000_000)
-        assert oid.generation_time == 1_500_000_000
 
     def test_ids_sort_by_generation_time(self):
         older = ObjectId(timestamp=1_000_000_000)
@@ -59,11 +54,6 @@ class TestParsing:
         with pytest.raises(TypeError):
             ObjectId(12345)
 
-    def test_is_valid(self):
-        assert ObjectId.is_valid(str(ObjectId()))
-        assert not ObjectId.is_valid("nope")
-        assert not ObjectId.is_valid(3.14)
-
 
 class TestEqualityAndHashing:
     def test_equal_ids_hash_equal(self):
@@ -82,8 +72,3 @@ class TestEqualityAndHashing:
         oid = ObjectId()
         assert repr(oid) == f"ObjectId('{oid}')"
 
-
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_generation_time_property(timestamp):
-    """The embedded timestamp always round-trips."""
-    assert ObjectId(timestamp=timestamp).generation_time == timestamp

@@ -1,73 +1,9 @@
-"""Tests for on-disk persistence and the query planner's plan selection."""
+"""Tests for the query planner's plan selection."""
 
 from __future__ import annotations
 
-from repro.documentstore import Collection, DocumentStoreClient, ObjectId, plan_query
+from repro.documentstore import Collection, plan_query
 from repro.documentstore.indexes import Index, IndexSpec
-from repro.documentstore.storage import (
-    dump_collection,
-    dump_database,
-    iter_jsonl,
-    load_collection,
-    load_database,
-)
-
-
-class TestCollectionPersistence:
-    def test_dump_and_load_round_trip(self, tmp_path):
-        source = Collection(None, "events")
-        source.insert_many([{"k": i, "payload": {"nested": [i, i + 1]}} for i in range(50)])
-        path = tmp_path / "events.jsonl"
-        written = dump_collection(source, path)
-        assert written == 50
-
-        target = Collection(None, "events")
-        loaded = load_collection(target, path)
-        assert loaded == 50
-        assert target.count_documents({}) == 50
-        assert target.find_one({"k": 7})["payload"]["nested"] == [7, 8]
-
-    def test_object_ids_survive_round_trip(self, tmp_path):
-        source = Collection(None, "c")
-        inserted = source.insert_one({"name": "x"}).inserted_id
-        dump_collection(source, tmp_path / "c.jsonl")
-        target = Collection(None, "c")
-        load_collection(target, tmp_path / "c.jsonl")
-        assert target.find_one({})["_id"] == inserted
-        assert isinstance(target.find_one({})["_id"], ObjectId)
-
-    def test_iter_jsonl_streams_documents(self, tmp_path):
-        source = Collection(None, "c")
-        source.insert_many([{"k": i} for i in range(5)])
-        path = tmp_path / "c.jsonl"
-        dump_collection(source, path)
-        assert sum(1 for _ in iter_jsonl(path)) == 5
-
-
-class TestDatabasePersistence:
-    def test_dump_database_writes_manifest(self, tmp_path):
-        client = DocumentStoreClient()
-        database = client["db"]
-        database["a"].insert_many([{"x": 1}, {"x": 2}])
-        database["b"].insert_one({"y": 3})
-        database["b"].create_index("y")
-        counts = dump_database(database, tmp_path)
-        assert counts == {"a": 2, "b": 1}
-        assert (tmp_path / "__manifest__.json").exists()
-        assert (tmp_path / "a.jsonl").exists()
-
-    def test_load_database_restores_collections_and_indexes(self, tmp_path):
-        client = DocumentStoreClient()
-        database = client["db"]
-        database["a"].insert_many([{"x": i} for i in range(10)])
-        database["a"].create_index("x")
-        dump_database(database, tmp_path)
-
-        restored = DocumentStoreClient()["db2"]
-        counts = load_database(restored, tmp_path)
-        assert counts == {"a": 10}
-        assert restored["a"].count_documents({}) == 10
-        assert "x_1" in restored["a"].index_information()
 
 
 def make_indexes(*specs):

@@ -37,10 +37,8 @@ from repro.documentstore import (
     UpdateMany,
     UpdateOne,
     decode_document,
-    dump_database,
     encode_document,
     encode_record,
-    load_database,
 )
 from repro.documentstore.recovery import apply_record, snapshot_path, wal_path
 from repro.documentstore.storage import StorageEngine
@@ -417,19 +415,6 @@ class TestIndexSpecsAcrossRestarts:
             # Writes after the restore still land in the rebuilt index.
             client.db.c.insert_one({"_id": 99, "tenant": 5, "n": 99})
             assert [doc["_id"] for doc in client.db.c.find({"tenant": 5}).hint(name)] == [99]
-
-    @pytest.mark.parametrize("shape", SPECS)
-    def test_dump_and_load_carry_index_specs(self, tmp_path, shape):
-        spec, query = self.SPECS[shape]
-        source = DocumentStoreClient()
-        source.db.c.insert_many(self.DOCS)
-        source.db.c.create_index(spec)
-        dump_database(source.db, tmp_path / "dump")
-
-        target = DocumentStoreClient()
-        load_database(target.db, tmp_path / "dump")
-        assert target.db.c.list_indexes() == source.db.c.list_indexes()
-        assert self.served(target.db.c, query) == self.served(source.db.c, query)
 
     def test_btree_unique_index_spec_round_trips(self, tmp_path):
         with DocumentStoreClient(data_dir=tmp_path, fsync="always") as client:

@@ -7,18 +7,10 @@ anything, and the durability counters must reflect the configured policy.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import faults
-from repro.documentstore import (
-    DocumentStoreClient,
-    OperationFailure,
-    RecoveryError,
-    dump_collection,
-    load_collection,
-)
+from repro.documentstore import DocumentStoreClient, RecoveryError
 from repro.documentstore.recovery import snapshot_path, wal_path
 
 
@@ -205,41 +197,3 @@ class TestCorruptSnapshotRefused:
         with pytest.raises(RecoveryError):
             make_client(tmp_path)
 
-
-class TestAtomicDumpsAndTolerantLoads:
-    def test_dump_leaves_no_temp_and_loads_back(self, tmp_path):
-        client = DocumentStoreClient()
-        client.db.c.insert_many([{"_id": i, "n": i} for i in range(10)])
-        target = tmp_path / "dump.jsonl"
-        assert dump_collection(client.db.c, target) == 10
-        assert not list(tmp_path.glob("*.tmp"))
-        fresh = DocumentStoreClient()
-        assert load_collection(fresh.db.c, target) == 10
-        assert fresh.db.c.count_documents({}) == 10
-
-    def test_torn_tail_line_is_skipped_with_warning(self, tmp_path):
-        client = DocumentStoreClient()
-        client.db.c.insert_many([{"_id": i} for i in range(5)])
-        target = tmp_path / "dump.jsonl"
-        dump_collection(client.db.c, target)
-        # Tear the last line the way a crashed appender would.
-        data = target.read_bytes()
-        target.write_bytes(data[: len(data) - 8])
-        fresh = DocumentStoreClient()
-        with pytest.warns(UserWarning, match="torn tail"):
-            loaded = load_collection(fresh.db.c, target)
-        assert loaded == 4
-
-    def test_mid_file_corruption_still_raises(self, tmp_path):
-        client = DocumentStoreClient()
-        client.db.c.insert_many([{"_id": i} for i in range(5)])
-        target = tmp_path / "dump.jsonl"
-        dump_collection(client.db.c, target)
-        lines = target.read_bytes().splitlines(keepends=True)
-        lines[1] = b"{definitely not json\n"
-        target.write_bytes(b"".join(lines))
-        fresh = DocumentStoreClient()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no warning allowed on this path
-            with pytest.raises(OperationFailure, match="mid-file"):
-                load_collection(fresh.db.c, target)

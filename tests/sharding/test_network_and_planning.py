@@ -16,7 +16,6 @@ from repro.sharding import (
     shards_for_iops,
     shards_for_ops,
     shards_for_ram,
-    working_set_size,
 )
 
 GB = 1024 ** 3
@@ -112,9 +111,6 @@ class TestShardCountFormulas:
 
     def test_tiny_requirement_still_needs_one_shard(self):
         assert shards_for_disk_storage(1, 10 * GB) == 1
-
-    def test_working_set_definition(self):
-        assert working_set_size(2 * GB, 6 * GB) == 8 * GB
 
     def test_recommendation_takes_maximum_across_rules(self):
         inputs = ClusterSizingInputs(

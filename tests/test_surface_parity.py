@@ -36,7 +36,7 @@ SINGLE_SURFACE = {
     # and the shard-side entry points the router calls.
     "Collection": {
         "replace_one", "bulk_load", "rebuild_indexes", "stats", "index_information",
-        "data_size", "index_size", "all_documents", "raw_documents", "execute_find",
+        "data_size", "index_size", "raw_documents", "execute_find",
         "execute_pipeline",
     },
     "RoutedCollection": set(),
