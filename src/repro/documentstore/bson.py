@@ -30,6 +30,7 @@ __all__ = [
     "MAX_DOCUMENT_SIZE",
     "validate_document",
     "document_size",
+    "require_mapping",
     "value_size",
     "deep_copy_document",
     "encode_document",
@@ -57,15 +58,18 @@ def validate_document(document: Mapping[str, Any], *, check_size: bool = True) -
     DocumentTooLargeError
         If the document exceeds :data:`MAX_DOCUMENT_SIZE`.
     """
-    if not isinstance(document, Mapping):
-        raise InvalidDocumentError(
-            f"documents must be mappings, got {type(document).__name__}"
-        )
-    validate_value(document)
+    validate_value(require_mapping(document))
     if check_size:
         size = document_size(document)
         if size > MAX_DOCUMENT_SIZE:
             raise DocumentTooLargeError(size, MAX_DOCUMENT_SIZE)
+
+
+def require_mapping(document: Any) -> Mapping[str, Any]:
+    """*document* itself; :class:`InvalidDocumentError` unless it is a mapping."""
+    if not isinstance(document, Mapping):
+        raise InvalidDocumentError(f"documents must be mappings, got {type(document).__name__}")
+    return document
 
 
 def validate_value(value: Any) -> None:
@@ -133,8 +137,16 @@ def _mapping_size(mapping: Mapping[str, Any]) -> int:
     for key, value in mapping.items():
         # type byte + key + NUL; an ASCII key is as long as its UTF-8 bytes
         size += 2 + (len(key) if type(key) is str and key.isascii() else len(str(key).encode()))
-        width = _FIXED_SIZES.get(type(value))
-        size += value_size(value) if width is None else width
+        kind = type(value)
+        width = _FIXED_SIZES.get(kind)
+        if width is not None:
+            size += width
+        elif kind is str:
+            size += 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+        elif kind is dict:
+            size += _mapping_size(value)
+        else:
+            size += value_size(value)
     return size
 
 
@@ -143,6 +155,8 @@ def value_size(value: Any) -> int:
     width = _FIXED_SIZES.get(type(value))
     if width is not None:
         return width
+    if type(value) is dict:
+        return _mapping_size(value)
     if isinstance(value, str):
         return 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
     if isinstance(value, (int, float, _dt.date)):  # bool is never subclassed
@@ -193,8 +207,8 @@ def deep_copy_document(document: Any) -> Any:
 
 # --------------------------------------------------------------------------
 # Wire serialization: JSON with a small extended-type envelope plays the role
-# of BSON wherever documents cross a node boundary (shard network, wire
-# frames, WAL records, snapshots).  Each direction is one pass driven from C.
+# of BSON wherever documents are stored or sent as bytes (wire frames, WAL
+# records, snapshots).  Each direction is one pass driven from C.
 # --------------------------------------------------------------------------
 
 _TYPE_KEY = "$__type"

@@ -20,7 +20,8 @@ from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Any, ContextManager, Iterator
 
 from .aggregation import StageStats, optimize_pipeline, run_pipeline, validate_user_pipeline
-from .bson import MAX_DOCUMENT_SIZE, deep_copy_document, document_size, validate_document
+from .bson import MAX_DOCUMENT_SIZE, deep_copy_document, document_size, require_mapping
+from .bson import validate_document
 from .bulk import BulkWriteError, BulkWriteResult, DeleteMany, DeleteOne, UpdateMany
 from .bulk import apply_operations, checked_operations
 from .cursor import (
@@ -36,7 +37,6 @@ from .errors import (
     DocumentTooLargeError,
     DuplicateKeyError,
     IndexNotFoundError,
-    InvalidDocumentError,
     OperationFailure,
 )
 from .explain import build_execution_stats, build_explain
@@ -349,11 +349,7 @@ class Collection(CollectionSurface):
 
     def _prepare_for_insert(self, document: Mapping[str, Any]) -> dict[str, Any]:
         """Deep-copy *document* once, assign an ``_id``, and validate it."""
-        if not isinstance(document, Mapping):
-            raise InvalidDocumentError(
-                f"documents must be mappings, got {type(document).__name__}"
-            )
-        prepared = deep_copy_document(document)
+        prepared = deep_copy_document(require_mapping(document))
         if "_id" not in prepared:
             prepared["_id"] = ObjectId()
         validate_document(prepared)
@@ -956,7 +952,7 @@ class Collection(CollectionSurface):
         return deep_copy_document(self.execute_pipeline(pipeline))
 
     def execute_pipeline(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
-        """:meth:`aggregate` for a caller that encodes the results at once.
+        """:meth:`aggregate` for a caller that copies the results at once.
 
         The shard-side entry point: the results still share subtrees with
         the stored documents, so they must not be mutated or handed on.
@@ -975,7 +971,7 @@ class Collection(CollectionSurface):
         yield from self._documents.values()
 
     def execute_find(self, spec: FindSpec) -> list[dict[str, Any]]:
-        """A find for a caller that encodes the results at once (the shard-side entry point).
+        """A find for a caller that copies the results at once (the shard-side entry point).
 
         Like :meth:`execute_pipeline`, the results are the projected stored
         documents, not copies: they must not be mutated or handed on.

@@ -25,6 +25,7 @@ import socket
 import threading
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
+from ..documentstore.bson import require_mapping
 from ..documentstore.bulk import (
     BulkWriteResult,
     DeleteMany,
@@ -416,7 +417,7 @@ class RemoteCollection(CollectionSurface):
         """Insert a batch of documents in one frame."""
         reply = self.client._request(
             Opcode.INSERT_MANY,
-            {**self._namespace(), "documents": [dict(doc) for doc in documents]},
+            {**self._namespace(), "documents": [dict(require_mapping(doc)) for doc in documents]},
         )
         return InsertManyResult(inserted_ids=list(reply["inserted_ids"]))
 

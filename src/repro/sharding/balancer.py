@@ -109,9 +109,11 @@ class Balancer:
         documents = self._documents_in_chunk(
             manager, chunk, source, database_name, collection_name
         )
-        shipped = self.network.ship_documents(documents, purpose="moveChunk")
-        if shipped:
-            destination.collection(database_name, collection_name).insert_many(shipped)
+        bytes_moved = sum(map(document_size, documents))
+        self.network.send("moveChunk", bytes_moved)
+        if documents:
+            # The destination's insert_many makes the one copy of the stored documents.
+            destination.collection(database_name, collection_name).insert_many(documents)
             ids = [document["_id"] for document in documents]
             source.collection(database_name, collection_name).delete_many({"_id": {"$in": ids}})
         record = MigrationRecord(
@@ -119,7 +121,7 @@ class Balancer:
             source_shard=chunk.shard_id,
             destination_shard=destination_shard_id,
             documents_moved=len(documents),
-            bytes_moved=sum(document_size(document) for document in documents),
+            bytes_moved=bytes_moved,
         )
         manager.move_chunk(chunk, destination_shard_id)
         self.history.append(record)

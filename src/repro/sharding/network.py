@@ -1,34 +1,24 @@
 """Simulated network between the query router and the cluster nodes.
 
-The paper's sharded environment runs the query router (``mongos``), the
-config server, and three shards on separate EC2 machines, so every routed
-operation pays (a) a per-message round-trip latency and (b) a transfer cost
-proportional to the payload size.  The reproduction runs everything in one
-process; this module makes the cost of crossing a node boundary explicit:
+The paper's sharded environment runs ``mongos``, the config server and three
+shards on separate EC2 machines, so every routed operation pays a per-message
+latency and a transfer cost proportional to its payload.  The reproduction
+runs everything in one process and makes that cost explicit: every message is
+counted, with its purpose and size, in one :class:`NetworkStats`, and a
+:class:`NetworkModel` turns it into *simulated* seconds, so results separate
+computation from communication as the paper's observations do (Section 4.3,
+observations ii/iii).  A payload's size is its BSON layout
+(:func:`~repro.documentstore.bson.document_size`), the measure of chunk splits,
+``dataSize`` and migrations.  Nothing is serialized: whoever receives a
+document makes the one copy it needs.
 
-* payloads are really serialized/deserialized at the boundary (CPU work that
-  exists in the real system too);
-* every message is counted, with its size and purpose, in one
-  :class:`NetworkStats`;
-* a :class:`NetworkModel` converts each message into *simulated* elapsed
-  seconds, so experiment results can separate computation from communication
-  the same way the paper's observations do (Section 4.3, observation ii/iii).
-
-Concurrency
------------
-The router's scatter-gather executes every shard branch on its own worker
-(:mod:`repro.sharding.executor`).  Workers never touch the shared
-:class:`SimulatedNetwork` directly: each branch counts its messages on a
-private network from :meth:`SimulatedNetwork.channel`, which the router
-adds to the shared one (:meth:`SimulatedNetwork.absorb`) at gather time, so
-traffic totals are identical to a sequential execution.  A lock guards
-``send``/``absorb`` for direct users such as the balancer.
-
-``NetworkModel(realtime=True)`` additionally makes every message *really*
-wait for its simulated duration.  This emulates the paper's machine
-boundaries in real time: per-shard network waits become genuine wall-clock
-waits that concurrent shard branches overlap, which is how the parallel
-scatter benchmark demonstrates makespan ≈ max-of-shards on a single host.
+Each scatter branch (:mod:`repro.sharding.executor`) counts its messages on a
+private network from :meth:`SimulatedNetwork.channel`, which the router adds
+to the shared one (:meth:`SimulatedNetwork.absorb`) at gather time, so totals
+are identical to a sequential execution.  A lock guards ``send``/``absorb`` for
+direct users such as the balancer.  ``NetworkModel(realtime=True)`` makes every
+message really wait for its simulated duration, so concurrent shard branches
+overlap genuine waits (makespan ≈ max-of-shards on a single host).
 """
 
 from __future__ import annotations
@@ -38,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from ..documentstore.bson import decode_batch, encode_batch
+from ..documentstore.bson import deep_copy_document, document_size, value_size
 
 __all__ = ["NetworkModel", "NetworkStats", "SimulatedNetwork"]
 
@@ -49,11 +39,7 @@ class NetworkModel:
 
     The defaults approximate a same-availability-zone cloud network: 0.5 ms
     round-trip latency per message and 1 Gbit/s of usable bandwidth.
-
-    ``realtime=True`` turns the model from pure accounting into real-time
-    emulation: every message sleeps for its simulated duration, so routed
-    operations pay their network cost in wall-clock time (and concurrent
-    shard branches can genuinely overlap those waits).
+    ``realtime=True`` makes every message sleep for its simulated duration.
     """
 
     latency_seconds: float = 0.0005
@@ -105,7 +91,7 @@ class NetworkStats:
 
 
 class SimulatedNetwork:
-    """Message accounting plus real (de)serialization at node boundaries.
+    """Message accounting at node boundaries.
 
     Thread-safe: sends and absorption are serialized by an internal lock, so
     concurrent client threads can never corrupt :attr:`stats`.
@@ -129,22 +115,20 @@ class SimulatedNetwork:
 
     # -- document transfer ----------------------------------------------------
 
-    def ship_documents(
-        self, documents: Iterable[Mapping[str, Any]], *, purpose: str
-    ) -> list[dict[str, Any]]:
-        """Serialize *documents*, account the transfer, and return copies.
+    def ship_documents(self, documents: Iterable[Any], *, purpose: str) -> list[Any]:
+        """Account the transfer of *documents* and return the receiver's copies.
 
-        The encode/decode round trip both models the wire format cost and
-        guarantees that the receiving side cannot share mutable state with
-        the sender — exactly the isolation a real network provides.
+        Each counts its ``value_size`` (a document's is its ``document_size``).
+        The copy is the isolation a real network provides: the receiving side
+        cannot share mutable state with the sender.
         """
-        payload = encode_batch(documents)
-        self.send(purpose, len(payload))
-        return decode_batch(payload)
+        copies = [deep_copy_document(document) for document in documents]
+        self.send(purpose, sum(map(value_size, copies)))
+        return copies
 
     def ship_command(self, command: Mapping[str, Any] | None, *, purpose: str) -> float:
         """Account for a small command message (query, update, getmore)."""
-        return self.send(purpose, len(encode_batch([command or {}])))
+        return self.send(purpose, document_size(command or {}))
 
     # -- per-worker channels ---------------------------------------------------
 

@@ -44,7 +44,7 @@ from ..documentstore.aggregation import (
     split_pipeline_for_shards,
     validate_user_pipeline,
 )
-from ..documentstore.bson import document_size
+from ..documentstore.bson import document_size, require_mapping
 from ..documentstore.bulk import (
     BulkWriteError,
     BulkWriteResult,
@@ -60,7 +60,7 @@ from ..documentstore.cursor import (
     UpdateResult,
     compile_projection,
 )
-from ..documentstore.errors import ShardKeyError
+from ..documentstore.errors import InvalidDocumentError, ShardKeyError
 from ..documentstore.explain import build_execution_stats, build_explain
 from ..documentstore.findspec import FindSpec
 from ..documentstore.matching import distinct_values
@@ -299,7 +299,7 @@ class QueryRouter:
 
     def _scatter(
         self,
-        commands: Mapping[str, Mapping[str, Any]],
+        requests: Mapping[str, int],
         purpose: str,
         shard_operation: Callable[[Shard], Any],
         *,
@@ -309,47 +309,40 @@ class QueryRouter:
     ) -> dict[str, Any]:
         """Run *shard_operation* on every target at once; returns per-shard results.
 
-        *commands* maps each target shard to the request it is sent.  Each
-        branch runs on a pool worker: it ships its request, executes the
-        shard-local work, then serializes the result back in batches of
-        *response_batch_size*.  All traffic lands on the branch's private
-        network; nothing shared is touched until every branch has answered
-        and :meth:`_absorb_outcome` merges them.  Raises
+        *requests* maps each target shard to the ``document_size`` of the
+        request it is sent.  Each branch runs on a pool worker: it sends its
+        request, executes the shard-local work, then ships the result back in
+        batches of *response_batch_size*.  All traffic lands on the branch's
+        private network; nothing shared is touched until every branch has
+        answered and :meth:`_absorb_outcome` merges them.  Raises
         :class:`ShardTimeoutError` when a shard misses the deadline.
         """
         batch_size = response_batch_size or self.RESPONSE_BATCH_SIZE
 
-        def make_branch(shard_id: str, command: Mapping[str, Any]) -> Callable[[BranchReport], Any]:
+        def make_branch(shard_id: str, request_bytes: int) -> Callable[[BranchReport], Any]:
             shard = self._shards[shard_id]
 
             def run(branch: BranchReport) -> Any:
                 channel = branch.channel = self.network.channel()
                 started = time.perf_counter()
-                channel.ship_command(command, purpose=f"{purpose}:request")
+                channel.send(f"{purpose}:request", request_bytes)
                 branch.timing.dispatch_seconds = time.perf_counter() - started
                 value, branch.timing.execute_seconds = self._runner.execute(
                     lambda: shard.run(shard_operation, shard)
                 )
                 shipping_started = time.perf_counter()
                 if ship_results and isinstance(value, list) and value:
-                    unwrap = not all(isinstance(item, Mapping) for item in value)
-                    payload_docs: list[Mapping[str, Any]] = (
-                        [{"v": item} for item in value] if unwrap else value
-                    )
-                    received: list[dict[str, Any]] = []
+                    received: list[Any] = []
                     bytes_before = channel.stats.bytes_transferred
-                    for start in range(0, len(payload_docs), batch_size):
+                    for start in range(0, len(value), batch_size):
                         if branch.cancelled.is_set():
                             break  # the deadline passed: stop shipping
-                        received.extend(
-                            channel.ship_documents(
-                                payload_docs[start:start + batch_size],
-                                purpose=f"{purpose}:response",
-                            )
+                        received += channel.ship_documents(
+                            value[start:start + batch_size], purpose=f"{purpose}:response"
                         )
                     branch.items_shipped = len(received)
                     branch.bytes_shipped = channel.stats.bytes_transferred - bytes_before
-                    value = [doc["v"] for doc in received] if unwrap else received
+                    value = received
                 else:
                     channel.ship_command({"ok": 1}, purpose=f"{purpose}:ack")
                 branch.timing.ship_seconds = time.perf_counter() - shipping_started
@@ -359,7 +352,7 @@ class QueryRouter:
 
         outcome = self._runner.run(
             purpose,
-            [(shard_id, make_branch(shard_id, command)) for shard_id, command in commands.items()],
+            [(shard_id, make_branch(shard_id, size)) for shard_id, size in requests.items()],
             self.scatter_policy,
             on_timeout=self._count_timeouts,
         )
@@ -415,19 +408,18 @@ class QueryRouter:
         with self._metrics_lock:
             self.metrics.router_seconds += time.perf_counter() - started
 
-    def _ship_inserts(
-        self, batches: Mapping[str, list[dict[str, Any]]]
-    ) -> dict[str, list[dict[str, Any]]]:
-        """Ship each shard's slice of an insert on a private network (thread-safe totals)."""
+    def _ship_inserts(self, batch_bytes: Mapping[str, int]) -> None:
+        """Account each shard's slice of an insert, given its size (thread-safe totals)."""
         channel = self.network.channel()
-        shipped = {
-            shard_id: channel.ship_documents(batch, purpose="insert:request")
-            for shard_id, batch in batches.items()
-        }
+        for size in batch_bytes.values():
+            channel.send("insert:request", size)
         with self._metrics_lock:
             self.network.absorb(channel)
             self.metrics.network_seconds += channel.stats.simulated_seconds
-        return shipped
+
+
+#: What an ``InsertOne``'s wire form adds to its document's ``document_size``.
+_INSERT_ONE_FRAME = document_size(encode_operation(InsertOne({}))) - document_size({})
 
 
 def _merge_outputs(
@@ -525,7 +517,7 @@ class RoutedCollection(CollectionSurface):
         """One scatter: *call* on every target shard's slice of the collection."""
         namespace = self._namespace
         return self._router._scatter(
-            dict.fromkeys(targets, command),
+            dict.fromkeys(targets, document_size(command)),
             purpose,
             lambda shard: call(shard.collection(*namespace)),
             ship_results=ship_results,
@@ -546,55 +538,62 @@ class RoutedCollection(CollectionSurface):
         """Route a whole insert batch in a single pass and one fan-out.
 
         The batch is routed by :meth:`ChunkManager.router` (one hash and one
-        bisect per distinct shard-key value), shipped with one message per
-        owning shard, and executed through the scatter machinery in a single
-        concurrent fan-out.  Chunk statistics are recorded only
-        after every target shard acknowledged its insert, so a failed insert
-        cannot permanently skew the chunk table (and through it the balancer).
+        bisect per distinct shard-key value), sent as one message per owning
+        shard (its documents' summed ``document_size``; the shard's
+        ``insert_many`` copies them), and executed in a single concurrent
+        fan-out.  Chunk statistics are recorded only after every target shard
+        acknowledged its insert, so a failed insert cannot permanently skew
+        the chunk table (and through it the balancer).
         """
         prepared: list[dict[str, Any]] = []
         for document in documents:
-            doc = dict(document)
+            doc = dict(require_mapping(document))
             doc.setdefault("_id", ObjectId())
             prepared.append(doc)
         if not prepared:
             return InsertManyResult(inserted_ids=[])
+        sizes = list(map(document_size, prepared))
 
         config = self._router.config
         sharded = config.is_sharded(*self._namespace)
         batches: dict[str, list[dict[str, Any]]] = {}
-        # Per chunk: the chunk, its documents' routing values, their sizes.
+        batch_bytes: dict[str, int] = {}
+        # Per chunk: the chunk, its documents' routing values, their bytes.
         by_chunk: dict[int, tuple[Chunk, list[Any], list[int]]] = {}
         manager = None
         if sharded:
             manager = config.chunk_manager(*self._namespace)
             route = manager.router()
-            for doc in prepared:
+            for doc, size in zip(prepared, sizes):
                 value, chunk = route(doc)
                 batches.setdefault(chunk.shard_id, []).append(doc)
+                batch_bytes[chunk.shard_id] = batch_bytes.get(chunk.shard_id, 0) + size
                 group = by_chunk.get(id(chunk)) or by_chunk.setdefault(id(chunk), (chunk, [], []))
                 group[1].append(value)
-                group[2].append(document_size(doc))
+                group[2].append(size)
         else:
-            batches[config.primary_shard(self._database_name)] = prepared
+            primary = config.primary_shard(self._database_name)
+            batches[primary] = prepared
+            batch_bytes[primary] = sum(sizes)
 
-        shipped = self._router._ship_inserts(batches)
+        self._router._ship_inserts(batch_bytes)
         namespace = self._namespace
 
         def do_insert(shard: Shard) -> Any:
-            return shard.collection(*namespace).insert_many(shipped[shard.shard_id])
+            return shard.collection(*namespace).insert_many(batches[shard.shard_id])
 
+        command = {"insert": self.name, "documents": len(prepared)}
         targets = sorted(batches)
         self._router._scatter(
-            dict.fromkeys(targets, {"insert": self.name, "documents": len(prepared)}),
+            dict.fromkeys(targets, document_size(command)),
             "insert",
             do_insert,
             ship_results=False,
             targeted=not sharded or len(targets) < len(config.shard_ids),
         )
         if manager is not None:
-            for chunk, values, sizes in by_chunk.values():
-                manager.record_inserts(chunk, values, sum(sizes))
+            for chunk, values, chunk_sizes in by_chunk.values():
+                manager.record_inserts(chunk, values, sum(chunk_sizes))
         return InsertManyResult(inserted_ids=[doc["_id"] for doc in prepared])
 
     # --------------------------------------------------------------------- reads
@@ -630,7 +629,7 @@ class RoutedCollection(CollectionSurface):
         merged = _merge_outputs(per_shard, targets, spec.sort)
         results = list(itertools.islice(merged, spec.skip, spec.fetch_bound))
         if spec.projection and shard_spec.projection is None:
-            # The response encoding is the one copy of a shard's stored
+            # Shipping the response is the one copy of a shard's stored
             # documents, so the router projects its private ones in place.
             results = list(map(compile_projection(spec.projection, copy=False), results))
         self._router._account_router_work(started)
@@ -730,7 +729,7 @@ class RoutedCollection(CollectionSurface):
             return apply(collection, matched["_id"])
 
         per_shard = self._router._scatter(
-            dict.fromkeys(targets, command),
+            dict.fromkeys(targets, document_size(command)),
             purpose,
             probe_and_apply,
             ship_results=False,
@@ -804,7 +803,8 @@ class RoutedCollection(CollectionSurface):
         applied by the shard's ``Collection.bulk_write`` (one ``op_lock``
         hold, one WAL record).  Unordered, a step takes every batchable
         operation; ordered, only a run of consecutive ones on the same shard.
-        An operation that fans out, is a multi-shard ``*One`` or upserts
+        Each operation is sized once (its wire form's ``document_size``).  One
+        that cannot be sized, fans out, is a multi-shard ``*One`` or upserts
         closes the step and runs through its own routed method in its
         position, so the final state is that of issuing the list in order.
         """
@@ -814,21 +814,27 @@ class RoutedCollection(CollectionSurface):
             manager = config.chunk_manager(*self._namespace)
             route = manager.router()
         routing_values: dict[int, Any] = {}
+        sizes: dict[int, int] = {}
         steps: list[dict[str | None, list[tuple[int, Any]]]] = []
         for index, operation in enumerate(checked_operations(operations)):
             shard_id = None  # runs on its own unless exactly one shard can batch it
             inserting = isinstance(operation, InsertOne)
-            if inserting and manager is not None:
-                try:  # routed on its shard key, like insert_many
-                    routing_values[index], chunk = route(operation.document)
-                    shard_id = chunk.shard_id
-                except ShardKeyError:
-                    pass  # insert_one refuses it, in its position
-            elif not getattr(operation, "upsert", False):
-                targets, _ = self._router._target_shards(
-                    *self._namespace, None if inserting else operation.filter
-                )
-                shard_id = targets[0] if len(targets) == 1 else None
+            try:
+                sizes[index] = document_size(encode_operation(operation))
+            except InvalidDocumentError:
+                pass  # its own routed method refuses it, in its position
+            else:
+                if inserting and manager is not None:
+                    try:  # routed on its shard key, like insert_many
+                        routing_values[index], chunk = route(operation.document)
+                        shard_id = chunk.shard_id
+                    except ShardKeyError:
+                        pass  # insert_one refuses it, in its position
+                elif not getattr(operation, "upsert", False):
+                    targets, _ = self._router._target_shards(
+                        *self._namespace, None if inserting else operation.filter
+                    )
+                    shard_id = targets[0] if len(targets) == 1 else None
             # A new step: at the start, around an operation that runs on its
             # own (keyed None), and — ordered — whenever the shard changes.
             if (
@@ -847,7 +853,7 @@ class RoutedCollection(CollectionSurface):
                 apply_operations(self, step[None], ordered, result, errors)
             else:
                 targeted = manager is None or len(step) < len(config.shard_ids)
-                replies = self._scatter_batches(step, ordered, targeted)
+                replies = self._scatter_batches(step, sizes, ordered, targeted)
                 for shard_id, (shard_result, shard_errors) in replies.items():
                     batch = step[shard_id]
                     result.merge(shard_result)
@@ -862,7 +868,7 @@ class RoutedCollection(CollectionSurface):
                     for position, (index, operation) in enumerate(applied):
                         if isinstance(operation, InsertOne) and position not in failed:
                             manager.record_insert(
-                                routing_values[index], document_size(operation.document)
+                                routing_values[index], sizes[index] - _INSERT_ONE_FRAME
                             )
             if ordered and errors:
                 break
@@ -873,16 +879,13 @@ class RoutedCollection(CollectionSurface):
     def _scatter_batches(
         self,
         batches: Mapping[str, Sequence[tuple[int, Any]]],
+        sizes: Mapping[int, int],
         ordered: bool,
         targeted: bool,
     ) -> dict[str, tuple[BulkWriteResult, list[dict[str, Any]]]]:
         """One scatter: each shard applies its batch, answers (result, errors)."""
         requests = {
-            shard_id: {
-                "bulkWrite": self.name,
-                "ordered": ordered,
-                "operations": [encode_operation(operation) for _index, operation in batch],
-            }
+            shard_id: sum(sizes[index] for index, _operation in batch)
             for shard_id, batch in sorted(batches.items())
         }
         namespace = self._namespace
@@ -965,7 +968,7 @@ class RoutedCollection(CollectionSurface):
         split, targets, targeted = self._plan_aggregate(pipeline)
         # The shard-local pipeline gives each slice the same leading-$match
         # IXSCAN pushdown (and $lookup collection resolution) as a stand-alone
-        # ``aggregate``; its results are encoded for shipping, not copied first.
+        # ``aggregate``; shipping its results is their one copy.
         per_shard = self._on_shards(
             targets,
             targeted,

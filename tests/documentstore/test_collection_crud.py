@@ -10,8 +10,10 @@ from repro.documentstore import (
     DocumentStoreClient,
     DocumentTooLargeError,
     DuplicateKeyError,
+    InsertOne,
     InvalidUpdateError,
     OperationFailure,
+    UpdateMany,
 )
 from repro.documentstore.update import is_update_document
 from repro.sharding import ShardedCluster
@@ -409,9 +411,9 @@ class TestStoredDocumentsAreImmutableAndShared:
             lambda: embedded.aggregate([{"$group": {"_id": "$keep", "one": {"$first": "$fk"}}}]),
             lambda: embedded.aggregate([{"$addFields": {"again": "$fk.brand"}}]),
             lambda: embedded.aggregate([{"$unwind": "$fk.tags"}]),
-            # Shards hand their stored documents to the response encoder
+            # Shards hand their stored documents to the network uncopied
             # (execute_find, execute_pipeline): what the router returns is
-            # the encoding's copy.
+            # the copy shipping the response makes.
             lambda: facts.find({}).to_list(),
             lambda: facts.find({}, {"fk": 1}).sort("_id", -1).limit(2).to_list(),
             lambda: facts.find({}, {"fk.brand": 0}).to_list(),
@@ -429,3 +431,39 @@ class TestStoredDocumentsAreImmutableAndShared:
         for position, read in enumerate(readers):
             scribble(read())
             assert stored() == expected, position
+
+    def test_no_writer_keeps_a_callers_subtree(self, embedded, routed):
+        """The receiving collection's copy is the only isolation a write has."""
+
+        def insert_many(collection):
+            documents = [{"_id": 10, "g": 0, "fk": {"tags": ["a"]}}, {"_id": 11, "keep": [{}]}]
+            collection.insert_many(documents)
+            return documents
+
+        def insert_one(collection):
+            document = {"_id": 12, "g": 1, "fk": {"brand": {"name": "x"}}}
+            collection.insert_one(document)
+            return [document]
+
+        def bulk_write(collection):
+            document = {"_id": 13, "g": 0, "fk": {"tags": ["b", {"c": []}]}}
+            update = {"$set": {"fk": {"brand": {"name": "z"}, "tags": ["c"]}}}
+            collection.bulk_write([InsertOne(document), UpdateMany({"g": 0}, update)])
+            return [document, update]
+
+        def update_many(collection):
+            update = {"$set": {"keep": {"deep": [3, {"d": 4}]}, "fk.brand": {"name": "w"}}}
+            collection.update_many({"g": 1}, update)
+            return [update]
+
+        shards = [shard.collection("db", "facts") for shard in routed.shards]
+
+        def stored():
+            return embedded.find({}).to_list(), [shard.find({}).to_list() for shard in shards]
+
+        for write in (insert_many, insert_one, bulk_write, update_many):
+            for collection in (embedded, routed.get_database("db")["facts"]):
+                arguments = write(collection)
+                expected = stored()
+                scribble(arguments)
+                assert stored() == expected, write.__name__

@@ -410,12 +410,13 @@ class TestObservability:
         """Byte-accounting honesty: real frames >= the simulated estimate.
 
         A broadcast find without projection makes every shard ship its full
-        matching documents to the router (``RouterMetrics.bytes_shipped``,
-        simulated), and the server then sends the same documents to the
-        client in reply frames whose *actual* encoded sizes are accounted in
-        ``ServerStats.bytes_out``.  The wire carries the same payload plus
-        framing and envelope overhead, so the real number must dominate the
-        simulated one for the same query.
+        matching documents to the router: ``RouterMetrics.bytes_shipped``
+        counts their BSON-layout size (``bson.document_size``), nothing is
+        encoded.  The server then sends the same documents to the client in
+        reply frames, and ``ServerStats.bytes_out`` counts their *actual*
+        JSON-codec bytes plus framing and envelope overhead.  The two
+        measures differ (an int is 8 bytes in the first, its digits in the
+        second), but for these documents the frames still dominate.
         """
         server.stats.reset()
         cluster.reset_metrics()

@@ -233,7 +233,7 @@ def test_batch_routing_equals_routing_each_document(pattern, keys, splits):
 @pytest.mark.parametrize("shard_key", [{"k": "hashed"}, {"k": 1}], ids=["hashed", "range"])
 def test_bulk_write_inserts_route_as_insert_many_does(shard_key):
     keys = [i % 7 for i in range(60)] + [1.0, -0.0, "a", "b", datetime.datetime(2000, 1, 2)]
-    placements = []
+    placements, chunk_bytes = [], []
     for load in ("insert_many", "bulk_write"):
         cluster = ShardedCluster(shard_count=3)
         cluster.enable_sharding("db")
@@ -249,6 +249,9 @@ def test_bulk_write_inserts_route_as_insert_many_does(shard_key):
             shard.shard_id: sorted(d["_id"] for d in shard.collection("db", "items").find({}))
             for shard in cluster.shards
         })
+        manager = cluster.config_server.chunk_manager("db", "items")
+        chunk_bytes.append(sum(chunk.size_bytes for chunk in manager.chunks))
         cluster.close()
     assert placements[0] == placements[1]
+    assert chunk_bytes[0] == chunk_bytes[1]  # the chunk table counts the same bytes
     assert sum(map(len, placements[0].values())) == 40 + len(keys)

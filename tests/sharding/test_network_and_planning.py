@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.documentstore import ObjectId
+from repro.documentstore.bson import document_size
 from repro.sharding import (
     ClusterSizingInputs,
     NetworkModel,
     SHARDING_OVERHEAD,
+    ShardedCluster,
     SimulatedNetwork,
     recommend_shard_count,
     shards_for_disk_storage,
@@ -46,6 +50,7 @@ class TestNetworkModel:
         original = [{"_id": ObjectId(), "nested": {"v": [1, 2]}}]
         shipped = network.ship_documents(original, purpose="test")
         assert shipped == original
+        assert network.stats.bytes_transferred == sum(map(document_size, original))
         shipped[0]["nested"]["v"].append(3)
         assert original[0]["nested"]["v"] == [1, 2]
 
@@ -80,6 +85,50 @@ class TestNetworkModel:
         assert network.stats.messages == total
         assert network.stats.bytes_transferred == total * (total - 1) // 2
         assert network.stats.by_purpose == {"direct": total // 2, "absorbed": total // 2}
+
+
+class TestOneByteMeasure:
+    """Every payload the router, shards and balancer exchange is counted by
+    ``document_size``, the measure of the chunk table and ``bytes_moved``."""
+
+    @pytest.mark.parametrize("shard_key", [{"k": "hashed"}, {"k": 1}, None])
+    def test_an_insert_request_carries_the_stored_documents_bytes(self, shard_key):
+        cluster = ShardedCluster(shard_count=3)
+        cluster.enable_sharding("db")
+        if shard_key is not None:
+            cluster.shard_collection("db", "c", shard_key, chunk_size_bytes=2_000)
+        documents = [{"k": i, "text": "x" * (i % 7), "nested": {"v": [i, 2.5]}} for i in range(60)]
+        sent = []
+        real_send = SimulatedNetwork.send
+
+        def spy(network, purpose, payload_bytes):
+            sent.append((purpose, payload_bytes))
+            return real_send(network, purpose, payload_bytes)
+
+        with mock.patch.object(SimulatedNetwork, "send", spy):
+            cluster.get_database("db")["c"].insert_many(documents)
+        stored = [shard.collection("db", "c").find({}).to_list() for shard in cluster.shards]
+        per_shard = [sum(map(document_size, on_shard)) for on_shard in stored if on_shard]
+        command = document_size({"insert": "c", "documents": len(documents)})
+        requests = [size for purpose, size in sent if purpose == "insert:request"]
+        # One message per owning shard with its documents, then the command.
+        assert sorted(requests) == sorted(per_shard + [command] * len(per_shard))
+        cluster.close()
+
+    def test_a_chunk_move_carries_the_bytes_it_moves(self):
+        cluster = ShardedCluster(shard_count=3)
+        cluster.enable_sharding("db")
+        cluster.shard_collection("db", "c", {"k": 1}, chunk_size_bytes=2_048)
+        cluster.get_database("db")["c"].insert_many(
+            [{"k": i, "payload": "x" * 20} for i in range(400)]
+        )
+        cluster.reset_metrics()
+        cluster.balance()
+        records = cluster.balancer.history
+        stats = cluster.network.stats
+        assert records and stats.by_purpose == {"moveChunk": len(records)}
+        assert stats.bytes_transferred == sum(record.bytes_moved for record in records)
+        cluster.close()
 
 
 class TestShardCountFormulas:

@@ -20,6 +20,8 @@ from repro.documentstore import (
     BulkWriteError,
     Collection,
     DocumentStoreClient,
+    InsertOne,
+    InvalidDocumentError,
     InvalidUpdateError,
     OperationFailure,
     UpdateMany,
@@ -327,4 +329,99 @@ def test_a_hashed_shard_key_routes_equal_values_alike():
         assert deleted["routed"] == deleted["standalone"], key
     assert contents(surfaces["routed"]) == contents(surfaces["standalone"])
     assert contents(surfaces["standalone"]) == ["[('k', True)]"]  # only ``1`` was queried
+    cluster.close()
+
+
+# --------------------------------------------------------------------------
+# Writes every surface refuses the way a stand-alone collection does.
+# --------------------------------------------------------------------------
+
+WRITE_SURFACES = [
+    "standalone", "routed hashed", "routed unsharded",
+    "served standalone", "served hashed", "served unsharded",
+]
+
+
+@pytest.fixture(scope="module")
+def write_surfaces():
+    """Each write surface, served over either backend too."""
+    backend = DocumentStoreClient()
+    cluster = ShardedCluster(shard_count=3)
+    cluster.enable_sharding("db")
+    for name in ("hashed", "served_hashed"):
+        cluster.shard_collection("db", name, {"k": "hashed"})
+    routed = cluster.get_database("db")
+    with (
+        DocumentStoreServer(backend, port=0) as local,
+        DocumentStoreServer(cluster, port=0) as sharded,
+        RemoteClient(local.address) as to_local,
+        RemoteClient(sharded.address) as to_sharded,
+    ):
+        yield dict(zip(WRITE_SURFACES, [
+            backend["db"]["plain"], routed["hashed"], routed["plain"],
+            to_local["db"]["served"], to_sharded["db"]["served_hashed"],
+            to_sharded["db"]["served_plain"],
+        ]))
+    cluster.close()
+
+
+#: Inserts of something that is not a mapping (two are lists of key-value pairs).
+NOT_MAPPINGS = {
+    "insert_many pairs": lambda c: c.insert_many([[("k", 1), ("a", 2)]]),
+    "insert_one pairs": lambda c: c.insert_one([("k", 5)]),
+    "insert_many int": lambda c: c.insert_many([1]),
+    "insert_many str": lambda c: c.insert_many(["ab"]),
+}
+
+
+@pytest.mark.parametrize("call", NOT_MAPPINGS)
+@pytest.mark.parametrize("surface", WRITE_SURFACES)
+def test_a_document_that_is_not_a_mapping_is_refused_everywhere(write_surfaces, surface, call):
+    """Routed and served inserts coerced each document with ``dict(...)``: they
+    stored a list of pairs, and routed ``1`` and ``"ab"`` leaked a raw error."""
+    collection = write_surfaces[surface]
+    before = collection.count_documents({})
+    with pytest.raises(InvalidDocumentError, match="must be mappings"):
+        NOT_MAPPINGS[call](collection)
+    assert collection.count_documents({}) == before
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+@pytest.mark.parametrize("surface", ["standalone", "routed hashed", "routed unsharded"])
+def test_an_unstorable_value_is_an_invalid_document_everywhere(surface, ordered):
+    """A ``set`` leaked ``TypeError`` from the network's byte accounting, and an
+    unordered routed ``bulk_write`` stopped after storing one document."""
+    cluster = ShardedCluster(shard_count=3)
+    cluster.enable_sharding("db")
+    cluster.shard_collection("db", "hashed", {"k": "hashed"})
+    collection = {
+        "standalone": Collection(None, "c"),
+        "routed hashed": cluster.get_database("db")["hashed"],
+        "routed unsharded": cluster.get_database("db")["plain"],
+    }[surface]
+    collection.insert_one({"_id": 4, "k": 4})
+    with pytest.raises(InvalidDocumentError):
+        collection.update_many({"k": 4}, {"$set": {"a": {1, 2}}})
+    with pytest.raises(InvalidDocumentError):
+        collection.insert_many([{"k": 5, "a": {1, 2}}])
+    batch = [
+        InsertOne({"k": 1}),
+        InsertOne({"k": 2, "a": {1, 2}}),
+        InsertOne({"k": 3}),
+        UpdateMany({"k": 4}, {"$set": {"a": {1, 2}}}),
+        UpdateMany({"k": 4}, {"$set": {"seen": 1}}),
+    ]
+    with pytest.raises(BulkWriteError) as excinfo:
+        collection.bulk_write(batch, ordered=ordered)
+    failed = [(entry["index"], entry["code"]) for entry in excinfo.value.errors]
+    result = excinfo.value.result
+    if ordered:
+        assert failed == [(1, "InvalidDocumentError")]
+        assert (result.inserted_count, result.modified_count) == (1, 0)
+        assert sorted(document["k"] for document in collection.find({})) == [1, 4]
+    else:
+        assert failed == [(1, "InvalidDocumentError"), (3, "InvalidDocumentError")]
+        assert (result.inserted_count, result.modified_count) == (2, 1)
+        assert sorted(document["k"] for document in collection.find({})) == [1, 3, 4]
+    assert "a" not in collection.find_one({"k": 4})
     cluster.close()
