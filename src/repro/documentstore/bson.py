@@ -133,12 +133,14 @@ _FIXED_SIZES = {
 
 
 def _mapping_size(mapping: Mapping[str, Any]) -> int:
-    size = 5  # int32 length prefix + trailing NUL
+    size = 5 + 2 * len(mapping)  # length prefix + NUL, per element a type byte + key NUL
+    exact_keys = True
+    width_of = _FIXED_SIZES.get
     for key, value in mapping.items():
-        # type byte + key + NUL; an ASCII key is as long as its UTF-8 bytes
-        size += 2 + (len(key) if type(key) is str and key.isascii() else len(str(key).encode()))
+        if type(key) is not str:
+            exact_keys = False
         kind = type(value)
-        width = _FIXED_SIZES.get(kind)
+        width = width_of(kind)
         if width is not None:
             size += width
         elif kind is str:
@@ -147,7 +149,8 @@ def _mapping_size(mapping: Mapping[str, Any]) -> int:
             size += _mapping_size(value)
         else:
             size += value_size(value)
-    return size
+    keys = "".join(mapping) if exact_keys else "".join(map(str, mapping))  # a subclass: str(key)
+    return size + (len(keys) if keys.isascii() else len(keys.encode("utf-8")))
 
 
 def value_size(value: Any) -> int:

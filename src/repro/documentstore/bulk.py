@@ -24,6 +24,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
+from .bson import document_size, value_size
 from .cursor import DeleteResult, InsertOneResult, UpdateResult
 from .errors import DocumentStoreError, OperationFailure
 
@@ -37,6 +38,7 @@ __all__ = [
     "BulkWriteError",
     "checked_operations",
     "encode_operation",
+    "operation_size",
     "decode_operation",
     "apply_operations",
 ]
@@ -119,6 +121,19 @@ def encode_operation(operation: Any) -> dict[str, Any]:
     """The wire form of one operation value."""
     fields = {name: getattr(operation, name) for name in operation.__slots__}
     return {"op": _NAMES[type(operation)], **fields}
+
+
+#: ``document_size`` of each kind's wire form with every field ``None`` (no bytes).
+OPERATION_FRAMES = {
+    kind: document_size({"op": name, **dict.fromkeys(kind.__slots__)})
+    for name, kind in _KINDS.items()
+}
+
+
+def operation_size(operation: Any) -> int:
+    """``document_size(encode_operation(operation))``: its frame and its fields' ``value_size``."""
+    fields = [getattr(operation, name) for name in operation.__slots__]
+    return OPERATION_FRAMES[type(operation)] + sum(map(value_size, fields))
 
 
 def decode_operation(document: Mapping[str, Any]) -> Any:

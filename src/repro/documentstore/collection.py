@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, ContextManager, Iterator
 
 from .aggregation import StageStats, optimize_pipeline, run_pipeline, validate_user_pipeline
 from .bson import MAX_DOCUMENT_SIZE, deep_copy_document, document_size, require_mapping
-from .bson import validate_document
+from .bson import validate_document, value_size
 from .bulk import BulkWriteError, BulkWriteResult, DeleteMany, DeleteOne, UpdateMany
 from .bulk import apply_operations, checked_operations
 from .cursor import (
@@ -110,8 +110,9 @@ class Collection(CollectionSurface):
         # shard-side entry points, execute_find and execute_pipeline, whose
         # callers encode the results at once.
         self._documents: dict[int, dict[str, Any]] = {}
-        # Encoded size of a stored document, kept from its first operator
-        # update on (by delta) and dropped with it or by a replacement.
+        # The one record of a stored document's document_size: measured when
+        # first needed (_stored_size), kept by delta through operator updates,
+        # dropped with the document or by a replacement.
         self._sizes: dict[int, int] = {}
         self._doc_id_counter = itertools.count(1)
         self._indexes: dict[str, Index] = {}
@@ -151,11 +152,14 @@ class Collection(CollectionSurface):
 
     def data_size(self) -> int:
         """Total serialized size of all documents, in bytes."""
-        sizes = self._sizes
-        return sum(
-            sizes.get(doc_id) or document_size(document)
-            for doc_id, document in self._documents.items()
-        )
+        return sum(map(self._stored_size, self._documents))
+
+    def _stored_size(self, doc_id: int) -> int:
+        """``document_size`` of stored document *doc_id*, measured once while it is stored."""
+        size = self._sizes.get(doc_id)
+        if size is None:
+            size = self._sizes[doc_id] = document_size(self._documents[doc_id])
+        return size
 
     def index_size(self) -> int:
         """Approximate total index size, in bytes (16 bytes per entry)."""
@@ -475,7 +479,9 @@ class Collection(CollectionSurface):
             fetch_bound=spec.fetch_bound,
         )
 
-    def _execute_find(self, spec: FindSpec, *, copy: bool = True) -> Iterator[dict[str, Any]]:
+    def _execute_find(
+        self, spec: FindSpec, *, copy: bool = True, ids: list[int] | None = None
+    ) -> Iterator[dict[str, Any]]:
         """Execute a complete find spec, streaming final result documents.
 
         Three shapes, chosen by the planner:
@@ -486,7 +492,8 @@ class Collection(CollectionSurface):
         * sort without a limit — one full sort of the matches.
 
         Only documents that survive skip/limit are projected, and copied out
-        of the engine unless *copy* is false (:meth:`execute_find`).
+        of the engine unless *copy* is false (:meth:`execute_find`).  *ids*,
+        when given, receives the record id of each result.
         """
         project = compile_projection(spec.projection, copy=copy)
         plan = self._plan_find(spec)
@@ -495,7 +502,10 @@ class Collection(CollectionSurface):
         candidates = list(self._documents) if plan.candidate_ids is None else plan.candidate_ids
 
         if spec.sort and not plan.sort_served:
-            yield from map(project, self._execute_find_sorted(spec, candidates, predicate))
+            selected = self._execute_find_sorted(spec, candidates, predicate)
+            if ids is not None:
+                ids += selected
+            yield from map(project, [self._documents[doc_id] for doc_id in selected])
             return
 
         scanned = 0
@@ -512,6 +522,8 @@ class Collection(CollectionSurface):
                 matched += 1
                 if matched <= spec.skip:
                     continue
+                if ids is not None:
+                    ids.append(doc_id)
                 yield project(document)
                 yielded += 1
                 if spec.limit is not None and yielded >= spec.limit:
@@ -524,9 +536,9 @@ class Collection(CollectionSurface):
         spec: FindSpec,
         candidates: Iterable[int],
         predicate: Any,
-    ) -> list[dict[str, Any]]:
-        """The stored documents a sort that no index serves selects, in order."""
-        matched: list[dict[str, Any]] = []
+    ) -> list[int]:
+        """The record ids a sort that no index serves selects, in order."""
+        matched: list[int] = []
         scanned = 0
         for doc_id in candidates:
             document = self._documents.get(doc_id)
@@ -534,10 +546,11 @@ class Collection(CollectionSurface):
                 continue
             scanned += 1
             if predicate(document):
-                matched.append(document)
+                matched.append(doc_id)
         self.operation_counters["documents_scanned"] += scanned
         assert spec.sort is not None
-        key = document_sort_key(spec.sort)
+        document_key = document_sort_key(spec.sort)
+        key = lambda doc_id: document_key(self._documents[doc_id])  # noqa: E731
         bound = spec.fetch_bound
         if bound is not None:
             selected = heapq.nsmallest(bound, matched, key=key)[spec.skip:]
@@ -550,13 +563,13 @@ class Collection(CollectionSurface):
         """Count the documents matching *query*."""
         if not query:
             return len(self._documents)
-        return len(self.execute_find(FindSpec(filter=query)))
+        return sum(1 for _document in self._execute_find(FindSpec(filter=query), copy=False))
 
     def distinct(self, key: str, query: Mapping[str, Any] | None = None) -> list[Any]:
         """Return the distinct values of *key* among matching documents."""
         values = distinct_values(
             candidate
-            for document in self.execute_find(FindSpec(filter=query))
+            for document in self._execute_find(FindSpec(filter=query), copy=False)
             for value in resolve_path(document, key)
             for candidate in (value if isinstance(value, list) else (value,))
         )
@@ -574,7 +587,7 @@ class Collection(CollectionSurface):
             sort_mode = "sortMaterialize"
         execution_stats = None
         if verbosity == "executionStats":
-            n_returned = len(self.execute_find(spec))
+            n_returned = sum(1 for _document in self._execute_find(spec, copy=False))
             execution_stats = build_execution_stats(n_returned=n_returned)
         return build_explain(
             surface="standalone",
@@ -664,7 +677,7 @@ class Collection(CollectionSurface):
                     raise OperationFailure("the _id field is immutable")
                 if new_document != document:
                     if operators:
-                        size = (self._sizes.get(doc_id) or document_size(document)) + grown
+                        size = self._stored_size(doc_id) + grown
                         if size > MAX_DOCUMENT_SIZE:
                             raise DocumentTooLargeError(size, MAX_DOCUMENT_SIZE)
                     else:
@@ -970,10 +983,24 @@ class Collection(CollectionSurface):
         """
         yield from self._documents.values()
 
-    def execute_find(self, spec: FindSpec) -> list[dict[str, Any]]:
+    def execute_find(self, spec: FindSpec) -> tuple[list[dict[str, Any]], list[int]]:
         """A find for a caller that copies the results at once (the shard-side entry point).
 
-        Like :meth:`execute_pipeline`, the results are the projected stored
-        documents, not copies: they must not be mutated or handed on.
+        Returns the results and their ``document_size`` (the stored size, less
+        what a top-level exclusion drops; any other projection's result is
+        walked).  Like :meth:`execute_pipeline`, the results are the projected
+        stored documents, not copies: they must not be mutated or handed on.
         """
-        return list(self._execute_find(spec, copy=False))
+        ids: list[int] = []
+        results = list(self._execute_find(spec, copy=False, ids=ids))
+        projection = spec.projection or {}
+        if any(projection.values()) or any("." in path or not path for path in projection):
+            return results, list(map(document_size, results))
+        sizes = list(map(self._stored_size, ids))
+        dropped = [(key, document_size({key: None}) - 5) for key in projection]  # frame bytes
+        for position, doc_id in enumerate(ids if dropped else ()):
+            document = self._documents[doc_id]
+            for key, frame in dropped:
+                if key in document:
+                    sizes[position] -= frame + value_size(document[key])
+        return results, sizes

@@ -36,7 +36,7 @@ from ..documentstore.bulk import (
     encode_operation,
 )
 from ..documentstore.cursor import CollectionSurface, DeleteResult, InsertManyResult, UpdateResult
-from ..documentstore.errors import DocumentStoreError
+from ..documentstore.errors import DocumentStoreError, InvalidDocumentError
 from ..documentstore.findspec import FindSpec
 from ..documentstore.indexes import IndexSpec
 from ..sharding.executor import ShardTimeoutError
@@ -88,7 +88,11 @@ class _PooledConnection:
         """
         request_id = next(self._request_ids) & 0xFFFFFFFF
         try:
-            self.sock.sendall(encode_frame(opcode, request_id, payload))
+            data = encode_frame(opcode, request_id, payload)
+        except (TypeError, ValueError) as exc:  # nothing was sent: the socket is intact
+            raise InvalidDocumentError(f"cannot encode the request: {exc}") from None
+        try:
+            self.sock.sendall(data)
             frame = recv_frame(self.sock)
         except _TRANSPORT_ERRORS:
             self.broken = True
@@ -211,7 +215,8 @@ class RemoteClient:
 
         The caller owns the connection (cursors pin it for ``GET_MORE``) and
         must return it via ``_checkin``/``_discard``.  Transport failures are
-        retried once on a fresh connection when *idempotent*.
+        retried once on a fresh connection when *idempotent*; after any other
+        error the connection goes back (checked in if intact, else discarded).
         """
         attempts = 2 if (idempotent and self.retry_reads) else 1
         last_error: BaseException | None = None
@@ -225,6 +230,9 @@ class RemoteClient:
                 continue
             except (DocumentStoreError, ShardTimeoutError):
                 self._checkin(connection)
+                raise
+            except BaseException:
+                self._discard(connection)
                 raise
             return connection, frame.document
         raise ConnectionFailure(

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from ..documentstore.bson import document_size
 from ..documentstore.errors import ShardKeyError
 from ..documentstore.findspec import FindSpec
 from .chunks import Chunk, ChunkManager
@@ -75,24 +74,27 @@ class Balancer:
 
     def _documents_in_chunk(
         self, manager: ChunkManager, chunk: Chunk, shard: Shard, *namespace: str
-    ) -> list[Mapping[str, Any]]:
-        """The stored documents of *chunk* on *shard*, uncopied.
+    ) -> tuple[list[Mapping[str, Any]], int]:
+        """The stored documents of *chunk* on *shard*, uncopied, and their bytes.
 
         One pass over the shard's slice keeps each document whose routing
         value the chunk contains — the test inserts are routed by, whatever
         the types of the chunk's bounds.  A document without the shard key
-        lies in no chunk and stays.
+        lies in no chunk and stays.  The bytes are the sizes the shard stores.
         """
         route = manager.router()
         selected = []
-        for document in shard.collection(*namespace).execute_find(FindSpec()):
+        selected_bytes = 0
+        documents, sizes = shard.collection(*namespace).execute_find(FindSpec())
+        for document, size in zip(documents, sizes):
             try:
                 value = route(document)[0]
             except ShardKeyError:
                 continue
             if chunk.contains(value):
                 selected.append(document)
-        return selected
+                selected_bytes += size
+        return selected, selected_bytes
 
     def migrate_chunk(
         self,
@@ -106,10 +108,9 @@ class Balancer:
         source = self._shards[chunk.shard_id]
         destination = self._shards[destination_shard_id]
 
-        documents = self._documents_in_chunk(
+        documents, bytes_moved = self._documents_in_chunk(
             manager, chunk, source, database_name, collection_name
         )
-        bytes_moved = sum(map(document_size, documents))
         self.network.send("moveChunk", bytes_moved)
         if documents:
             # The destination's insert_many makes the one copy of the stored documents.

@@ -32,10 +32,10 @@ CLUSTER_METADATA_FILE = "cluster_metadata.json"
 class ShardedCluster:
     """A complete sharded deployment (shards + config server + router).
 
-    The router dispatches every target shard of a fan-out concurrently on a
-    worker-thread pool (see :mod:`repro.sharding.executor`);
-    ``scatter_policy`` sets the per-operation deadline of every routed
-    operation.
+    The router runs the branches of a fan-out on a worker-thread pool when
+    they can overlap, else on the caller's thread (:mod:`repro.sharding.
+    executor`); ``scatter_policy`` sets the per-operation deadline of every
+    routed operation.
 
     With a ``data_dir`` the cluster is durable: each shard keeps its own
     WAL/snapshot generation under ``<data_dir>/<shard_id>/`` (recovered when

@@ -9,18 +9,18 @@ the sum.  This module gives the reproduction's router the same shape:
   branch has answered, so the router always merges whole answers;
 * per-shard deadlines with cooperative cancellation and a structured
   :class:`ShardTimeoutError` (:class:`ScatterPolicy`);
-* one :class:`BranchReport` per branch — the worker writes its value,
-  error, :class:`BranchTiming` (queue / dispatch / execute / ship), private
-  network and shipped counts straight into it — and an observed wall-clock
-  makespan per operation, which is what makes
-  ``RouterMetrics.parallel_shard_seconds`` an honest measurement.
+* one :class:`BranchReport` per branch — its worker writes the value, error,
+  :class:`BranchTiming` (queue / dispatch / execute / ship), private network,
+  shipped counts and completion time into it, the observed makespan that
+  makes ``RouterMetrics.parallel_shard_seconds`` an honest measurement.
 
 Threads and the GIL
 -------------------
-Worker threads overlap network waits and any GIL-releasing work, but pure
-Python collection scans serialize on the GIL, so a broadcast scan is not
-faster here than one collection's scan: the paper's Q50 < 1 needs shards
-that are OS processes (ROADMAP, parked).
+Pure Python collection scans serialize on the GIL, so a broadcast scan is
+not faster here than one collection's scan: the paper's Q50 < 1 needs shards
+that are OS processes (ROADMAP, parked).  Worker threads overlap only waits:
+a realtime network's sleeps, and the caller's wait for a deadline.  Without
+either, a scatter runs on the caller's thread (:meth:`ScatterRunner.run`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "BranchTiming",
     "BranchReport",
     "FirstMatchClaim",
-    "ScatterOutcome",
     "ScatterPolicy",
     "ScatterRunner",
     "ShardTimeoutError",
@@ -96,12 +95,12 @@ class ScatterPolicy:
 class BranchTiming:
     """Wall-clock breakdown of one shard branch of a scatter.
 
-    ``queue_seconds`` — scatter start until a pool worker picked the branch
-    up; ``dispatch_seconds`` — request serialization and send;
-    ``execute_seconds`` — shard-local storage work, measured as the branch
-    thread's *CPU time* so concurrent branches sharing one interpreter do
-    not charge each other's GIL slices; ``ship_seconds`` — response
-    serialization and transfer back to the router.
+    ``queue_seconds`` — scatter start until the branch started (on a pool
+    worker, or inline after the branches before it); ``dispatch_seconds`` —
+    sending the request; ``execute_seconds`` — shard-local storage work, the
+    branch thread's *CPU time*, so branches sharing one interpreter do not
+    charge each other's GIL slices; ``ship_seconds`` — copying and sending
+    the response back to the router.
     """
 
     queue_seconds: float = 0.0
@@ -109,16 +108,13 @@ class BranchTiming:
     execute_seconds: float = 0.0
     ship_seconds: float = 0.0
 
-    def total_seconds(self) -> float:
-        return self.queue_seconds + self.dispatch_seconds + self.execute_seconds + self.ship_seconds
-
     def snapshot(self) -> dict[str, float]:
         return {
             "queueSeconds": self.queue_seconds,
             "dispatchSeconds": self.dispatch_seconds,
             "executeSeconds": self.execute_seconds,
             "shipSeconds": self.ship_seconds,
-            "totalSeconds": self.total_seconds(),
+            "totalSeconds": sum(vars(self).values()),
         }
 
 
@@ -158,22 +154,8 @@ class BranchReport:
             self.done.set()
 
 
-@dataclass
-class ScatterOutcome:
-    """Gathered result of one scatter: every branch, completed."""
-
-    purpose: str
-    #: Completed branch reports, in deterministic target order.
-    reports: list[BranchReport]
-    #: Observed wall clock from first dispatch to last branch completion.
-    makespan_seconds: float
-
-
 class ScatterRunner:
-    """Per-cluster pool of daemon threads that executes scatter branches.
-
-    A one-branch scatter with no deadline runs on the caller's thread.
-    """
+    """Per-cluster pool of daemon threads for the scatters that can overlap (:meth:`run`)."""
 
     def __init__(self) -> None:
         self._tasks: queue.SimpleQueue[BranchReport | None] = queue.SimpleQueue()
@@ -198,11 +180,8 @@ class ScatterRunner:
             self._outstanding += incoming
             wanted = min(self._outstanding, DEFAULT_MAX_WORKERS)
             while len(self._threads) < wanted:
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"scatter-worker-{len(self._threads)}",
-                    daemon=True,
-                )
+                thread = threading.Thread(target=self._worker_loop, daemon=True)
+                thread.name = f"scatter-worker-{len(self._threads)}"
                 self._threads.append(thread)
                 thread.start()
 
@@ -214,14 +193,16 @@ class ScatterRunner:
         branch_runs: Sequence[tuple[str, Callable[[BranchReport], Any]]],
         policy: ScatterPolicy,
         *,
-        on_timeout: Callable[[list[str]], None] | None = None,
-    ) -> ScatterOutcome:
-        """Dispatch one branch per target at once and wait for every one.
+        realtime: bool,
+        on_timeout: Callable[[list[str]], None],
+    ) -> list[BranchReport]:
+        """Run one branch per target, wait for every one, return their reports.
 
-        A single branch with no deadline runs inline: there is nothing to
-        overlap it with and no laggard to abandon, so handing it to a pool
-        thread only adds a queue put, a worker wake-up and an ``Event.wait``
-        to each targeted operation.
+        With no deadline, and one branch or a network that is not *realtime*,
+        the branches run one after another on the caller's thread: there is
+        nothing to overlap them with (one GIL) and no laggard to abandon, and
+        a pool only adds a queue put, a wake-up and GIL hand-offs per branch.
+        Otherwise they are dispatched to the pool at once.
 
         Raises the first branch error (in target order) after all branches
         settled.  When a branch misses the deadline, every branch is told to
@@ -234,9 +215,10 @@ class ScatterRunner:
         branches = [BranchReport(shard_id, run, cancelled) for shard_id, run in branch_runs]
         started = time.perf_counter()
         for branch in branches:
-            branch.submitted_at = time.perf_counter()
-        if len(branches) == 1 and policy.deadline_seconds is None:
-            branches[0].execute()
+            branch.submitted_at = started
+        if policy.deadline_seconds is None and (len(branches) == 1 or not realtime):
+            for branch in branches:
+                branch.execute()
         else:
             self._ensure_threads(len(branches))
             for branch in branches:
@@ -244,33 +226,14 @@ class ScatterRunner:
         late = [b.shard_id for b in branches if not b.done.wait(policy.remaining(started))]
         if late:
             cancelled.set()
-            if on_timeout is not None:
-                on_timeout(late)
+            on_timeout(late)
             completed = [b.shard_id for b in branches if b.done.is_set() and b.shard_id not in late]
             raise ShardTimeoutError(purpose, late, completed, float(policy.deadline_seconds or 0.0))
         for branch in branches:
             if branch.error is not None:
                 cancelled.set()
                 raise branch.error
-        last_done = max((branch.done_at for branch in branches), default=started)
-        return ScatterOutcome(
-            purpose=purpose,
-            reports=branches,
-            makespan_seconds=last_done - started,
-        )
-
-    @staticmethod
-    def execute(local: Callable[[], Any]) -> tuple[Any, float]:
-        """Run the shard-local step of a branch; returns (result, exec seconds).
-
-        Execution time is the branch thread's CPU time, not wall clock:
-        concurrent branches time-slice one interpreter (GIL), and wall clock
-        would charge each branch for the others' slices — the paper's shards
-        are separate machines that pay only their own work.
-        """
-        started = time.thread_time()
-        value = local()
-        return value, time.thread_time() - started
+        return branches
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -295,10 +258,6 @@ class FirstMatchClaim:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.winner: str | None = None
-
-    @property
-    def decided(self) -> bool:
-        return self.winner is not None
 
     def claim(self, shard_id: str) -> bool:
         """Try to win the operation for *shard_id*; True iff this call won."""

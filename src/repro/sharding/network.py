@@ -9,26 +9,27 @@ counted, with its purpose and size, in one :class:`NetworkStats`, and a
 computation from communication as the paper's observations do (Section 4.3,
 observations ii/iii).  A payload's size is its BSON layout
 (:func:`~repro.documentstore.bson.document_size`), the measure of chunk splits,
-``dataSize`` and migrations.  Nothing is serialized: whoever receives a
-document makes the one copy it needs.
+``dataSize`` and migrations, and the sender says it: a shard reports the sizes
+it stores, so shipping a document costs a lookup, not a walk.  Nothing is
+serialized: whoever receives a document makes the one copy it needs.
 
 Each scatter branch (:mod:`repro.sharding.executor`) counts its messages on a
 private network from :meth:`SimulatedNetwork.channel`, which the router adds
 to the shared one (:meth:`SimulatedNetwork.absorb`) at gather time, so totals
 are identical to a sequential execution.  A lock guards ``send``/``absorb`` for
 direct users such as the balancer.  ``NetworkModel(realtime=True)`` makes every
-message really wait for its simulated duration, so concurrent shard branches
-overlap genuine waits (makespan ≈ max-of-shards on a single host).
+message really wait for its simulated duration; the branches of a fan-out then
+run on pool threads and overlap those waits (makespan ≈ max-of-shards).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Mapping
 
-from ..documentstore.bson import deep_copy_document, document_size, value_size
+from ..documentstore.bson import deep_copy_document, document_size
 
 __all__ = ["NetworkModel", "NetworkStats", "SimulatedNetwork"]
 
@@ -48,9 +49,7 @@ class NetworkModel:
 
     def transfer_seconds(self, payload_bytes: int) -> float:
         """Simulated seconds needed to move *payload_bytes* over the wire."""
-        if payload_bytes <= 0:
-            return 0.0
-        return payload_bytes / self.bandwidth_bytes_per_second
+        return max(payload_bytes, 0) / self.bandwidth_bytes_per_second
 
     def message_seconds(self, payload_bytes: int) -> float:
         """Latency plus transfer time for one message."""
@@ -82,12 +81,7 @@ class NetworkStats:
 
     def snapshot(self) -> dict[str, Any]:
         """Return the statistics as a plain dictionary."""
-        return {
-            "messages": self.messages,
-            "bytes_transferred": self.bytes_transferred,
-            "simulated_seconds": self.simulated_seconds,
-            "by_purpose": dict(self.by_purpose),
-        }
+        return asdict(self)
 
 
 class SimulatedNetwork:
@@ -115,15 +109,16 @@ class SimulatedNetwork:
 
     # -- document transfer ----------------------------------------------------
 
-    def ship_documents(self, documents: Iterable[Any], *, purpose: str) -> list[Any]:
-        """Account the transfer of *documents* and return the receiver's copies.
+    def ship_documents(
+        self, documents: Iterable[Any], sizes: Iterable[int], *, purpose: str
+    ) -> list[Any]:
+        """Account *documents* of *sizes* (``value_size``) and return the receiver's copies.
 
-        Each counts its ``value_size`` (a document's is its ``document_size``).
         The copy is the isolation a real network provides: the receiving side
         cannot share mutable state with the sender.
         """
         copies = [deep_copy_document(document) for document in documents]
-        self.send(purpose, sum(map(value_size, copies)))
+        self.send(purpose, sum(sizes))
         return copies
 
     def ship_command(self, command: Mapping[str, Any] | None, *, purpose: str) -> float:

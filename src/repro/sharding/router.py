@@ -8,23 +8,21 @@ every operation a routed collection:
 1. consults the config server to find the target shards — one shard when the
    query contains the shard key (*targeted*), every shard otherwise
    (*broadcast*, the expensive case called out in Section 4.3);
-2. dispatches the command to **every target shard simultaneously** through
-   the cluster's :class:`~repro.sharding.executor.ScatterRunner` (worker
-   threads);
+2. sends the command to every target shard through the cluster's
+   :class:`~repro.sharding.executor.ScatterRunner`, which runs the branches
+   on worker threads only when they can overlap (a deadline, or a realtime
+   network), else on the caller's thread;
 3. waits for every target's whole answer, then merges them — a k-way merge
    on the sort key, else in target order — (and, for aggregation, runs the
-   merge part of the pipeline) before answering the client.  Every shard
-   ships at most ``skip + limit`` documents of a paged ``find``, so there is
-   nothing to gain from merging while shards still ship: GIL-bound branches
-   do not overlap their scans anyway.
+   merge part of the pipeline) before answering the client.  A shard
+   reports the size of each document it ships, which it stores.
 
 Every scatter is subject to the router's :class:`ScatterPolicy`: per-shard
 deadlines with cooperative cancellation, raising a structured
 :class:`ShardTimeoutError` — an answer is never merged from a subset of its
 shards.  Each branch counts its traffic on a private network that the gather
-adds to the shared one, so metric totals are identical to a sequential
-execution — and ``RouterMetrics.parallel_shard_seconds`` is the *observed*
-wall-clock makespan of each fan-out, not an estimate.
+adds to the shared one, so metric totals are exact, and
+``RouterMetrics.parallel_shard_seconds`` is each fan-out's observed makespan.
 """
 
 from __future__ import annotations
@@ -44,14 +42,15 @@ from ..documentstore.aggregation import (
     split_pipeline_for_shards,
     validate_user_pipeline,
 )
-from ..documentstore.bson import document_size, require_mapping
+from ..documentstore.bson import document_size, require_mapping, value_size
 from ..documentstore.bulk import (
+    OPERATION_FRAMES,
     BulkWriteError,
     BulkWriteResult,
     InsertOne,
     apply_operations,
     checked_operations,
-    encode_operation,
+    operation_size,
 )
 from ..documentstore.cursor import (
     CollectionSurface,
@@ -72,7 +71,6 @@ from .config_server import ConfigServer
 from .executor import (
     BranchReport,
     FirstMatchClaim,
-    ScatterOutcome,
     ScatterPolicy,
     ScatterRunner,
     ShardTimeoutError,
@@ -94,18 +92,14 @@ __all__ = [
 class RouterMetrics:
     """Cost accounting for routed operations.
 
-    Two of these counters are independent *real measurements* of every
-    scatter fan-out (they were estimates before the concurrent execution
-    engine):
-
     * ``shard_seconds_total`` — **sum of work**: per-shard execution seconds
-      added up across all branches of all operations.  This is the total
-      storage-engine busy time the cluster spent, regardless of overlap.
+      added up across all branches of all operations, the storage-engine
+      busy time the cluster spent, regardless of overlap.
     * ``parallel_shard_seconds`` — **observed makespan**: wall-clock seconds
       from the first dispatch of each fan-out to its last branch completion,
-      summed over operations.  With truly concurrent branches this
-      approaches the per-operation *maximum* instead of the sum; the gap to
-      ``shard_seconds_total`` is the parallelism actually realized.
+      summed over operations: the window the process actually spent.  A
+      fan-out that runs on the caller's thread (nothing to overlap) takes
+      the sum of its branches; concurrent branches approach their maximum.
     * ``modelled_parallel_seconds`` — the hardware model of the paper's
       cluster: per-operation maximum of execution time scaled by each
       shard's ``cpu_factor`` (weaker cluster nodes).  Used to translate
@@ -128,7 +122,7 @@ class RouterMetrics:
     router_seconds: float = 0.0
     #: Sum-of-work: total per-shard execution seconds (see class docstring).
     shard_seconds_total: float = 0.0
-    #: Observed makespan: measured wall clock of the concurrent fan-outs.
+    #: Observed makespan: measured wall clock of the fan-outs.
     parallel_shard_seconds: float = 0.0
     #: Modelled makespan: per-operation max of execution x ``cpu_factor``.
     modelled_parallel_seconds: float = 0.0
@@ -142,20 +136,9 @@ class RouterMetrics:
     shards_timed_out: int = 0
 
     def simulated_overhead_seconds(self) -> float:
-        """Adjustment to add to measured wall time to get simulated elapsed time.
-
-        Replaces the observed concurrent execution window
-        (``parallel_shard_seconds``) with the modelled cluster makespan plus
-        network costs.  Negative values mean the modelled cluster is *faster*
-        than the in-process execution (parallel scan gains exceeded the
-        network and per-node slowdown costs) — the situation the paper
-        observes for the shard-key-targeted Query 50.
-        """
-        return (
-            self.modelled_parallel_seconds
-            + self.network_seconds
-            - self.parallel_shard_seconds
-        )
+        """What the formula above adds to wall time: negative when the modelled
+        cluster is *faster* than the process, as the paper observes for Query 50."""
+        return self.modelled_parallel_seconds + self.network_seconds - self.parallel_shard_seconds
 
     def snapshot(self) -> dict[str, Any]:
         """The counters as a plain dictionary, with ``simulated_overhead_seconds``."""
@@ -310,11 +293,12 @@ class QueryRouter:
         """Run *shard_operation* on every target at once; returns per-shard results.
 
         *requests* maps each target shard to the ``document_size`` of the
-        request it is sent.  Each branch runs on a pool worker: it sends its
-        request, executes the shard-local work, then ships the result back in
-        batches of *response_batch_size*.  All traffic lands on the branch's
-        private network; nothing shared is touched until every branch has
-        answered and :meth:`_absorb_outcome` merges them.  Raises
+        request it is sent.  Each branch sends its request, executes the
+        shard-local work, then ships the result back in batches of
+        *response_batch_size* (with *ship_results*, the work returns the
+        items and their sizes).  All traffic lands on the branch's private
+        network; nothing shared is touched until every branch has answered
+        and :meth:`_absorb_outcome` merges them.  Raises
         :class:`ShardTimeoutError` when a shard misses the deadline.
         """
         batch_size = response_batch_size or self.RESPONSE_BATCH_SIZE
@@ -327,21 +311,23 @@ class QueryRouter:
                 started = time.perf_counter()
                 channel.send(f"{purpose}:request", request_bytes)
                 branch.timing.dispatch_seconds = time.perf_counter() - started
-                value, branch.timing.execute_seconds = self._runner.execute(
-                    lambda: shard.run(shard_operation, shard)
-                )
+                cpu_started = time.thread_time()  # CPU time: branches may share the GIL
+                value = shard.run(shard_operation, shard)
+                branch.timing.execute_seconds = time.thread_time() - cpu_started
                 shipping_started = time.perf_counter()
-                if ship_results and isinstance(value, list) and value:
+                value, sizes = value if ship_results else (value, None)
+                if ship_results and value:
                     received: list[Any] = []
-                    bytes_before = channel.stats.bytes_transferred
                     for start in range(0, len(value), batch_size):
                         if branch.cancelled.is_set():
                             break  # the deadline passed: stop shipping
                         received += channel.ship_documents(
-                            value[start:start + batch_size], purpose=f"{purpose}:response"
+                            value[start:start + batch_size],
+                            sizes[start:start + batch_size],
+                            purpose=f"{purpose}:response",
                         )
                     branch.items_shipped = len(received)
-                    branch.bytes_shipped = channel.stats.bytes_transferred - bytes_before
+                    branch.bytes_shipped = sum(sizes[: len(received)])
                     value = received
                 else:
                     channel.ship_command({"ok": 1}, purpose=f"{purpose}:ack")
@@ -350,30 +336,33 @@ class QueryRouter:
 
             return run
 
-        outcome = self._runner.run(
+        started = time.perf_counter()
+        reports = self._runner.run(
             purpose,
             [(shard_id, make_branch(shard_id, size)) for shard_id, size in requests.items()],
             self.scatter_policy,
+            realtime=self.network.model.realtime,
             on_timeout=self._count_timeouts,
         )
-        self._absorb_outcome(outcome, targeted=targeted)
-        return {report.shard_id: report.value for report in outcome.reports}
+        self._absorb_outcome(purpose, reports, started, targeted=targeted)
+        return {report.shard_id: report.value for report in reports}
 
-    def _absorb_outcome(self, outcome: ScatterOutcome, *, targeted: bool) -> None:
-        """Merge one gathered scatter into the shared accounting.
+    def _absorb_outcome(
+        self, purpose: str, reports: list[BranchReport], started: float, *, targeted: bool
+    ) -> None:
+        """Merge one gathered scatter, started at *started*, into the shared accounting.
 
         The branches' private networks are absorbed under the metrics lock,
-        so totals are identical to a sequential execution — exact even under
-        concurrent client threads.  A scatter that missed its deadline never
-        gets here (:meth:`_count_timeouts`): its traffic and busy time stay on
-        the branches' private networks, mirroring responses the router never
-        read.
+        so totals are exact even under concurrent client threads.  A scatter
+        that missed its deadline never gets here (:meth:`_count_timeouts`):
+        its traffic and busy time stay on the branches' private networks,
+        mirroring responses the router never read.
         """
         timings: dict[str, dict[str, float]] = {}
         with self._metrics_lock:
             metrics = self.metrics
             modelled = 0.0
-            for report in outcome.reports:
+            for report in reports:
                 shard = self._shards[report.shard_id]
                 self.network.absorb(report.channel)
                 metrics.network_seconds += report.channel.stats.simulated_seconds
@@ -387,16 +376,17 @@ class QueryRouter:
                 )
                 timings[report.shard_id] = report.timing.snapshot()
             metrics.operations += 1
-            metrics.shards_contacted += len(outcome.reports)
+            metrics.shards_contacted += len(reports)
             if targeted:
                 metrics.targeted_operations += 1
             else:
                 metrics.broadcast_operations += 1
-            metrics.parallel_shard_seconds += outcome.makespan_seconds
+            makespan = max((report.done_at for report in reports), default=started) - started
+            metrics.parallel_shard_seconds += makespan
             metrics.modelled_parallel_seconds += max(modelled, 0.0)
             self._thread_state.scatter_report = {
-                "purpose": outcome.purpose,
-                "makespanSeconds": outcome.makespan_seconds,
+                "purpose": purpose,
+                "makespanSeconds": makespan,
                 "shards": timings,
             }
 
@@ -418,8 +408,9 @@ class QueryRouter:
             self.metrics.network_seconds += channel.stats.simulated_seconds
 
 
-#: What an ``InsertOne``'s wire form adds to its document's ``document_size``.
-_INSERT_ONE_FRAME = document_size(encode_operation(InsertOne({}))) - document_size({})
+def _sized(items: list[Any]) -> tuple[list[Any], list[int]]:
+    """A shard's answer with each item's ``value_size``, for one it does not store."""
+    return items, list(map(value_size, items))
 
 
 def _merge_outputs(
@@ -540,10 +531,9 @@ class RoutedCollection(CollectionSurface):
         The batch is routed by :meth:`ChunkManager.router` (one hash and one
         bisect per distinct shard-key value), sent as one message per owning
         shard (its documents' summed ``document_size``; the shard's
-        ``insert_many`` copies them), and executed in a single concurrent
-        fan-out.  Chunk statistics are recorded only after every target shard
-        acknowledged its insert, so a failed insert cannot permanently skew
-        the chunk table (and through it the balancer).
+        ``insert_many`` copies them), and executed in one fan-out.  Chunk
+        statistics are recorded only after every target shard acknowledged
+        its insert, so a failed insert cannot skew the chunk table.
         """
         prepared: list[dict[str, Any]] = []
         for document in documents:
@@ -603,9 +593,9 @@ class RoutedCollection(CollectionSurface):
 
         Projection, sort, and ``skip + limit`` are pushed to every target
         shard (each returns at most ``skip + limit`` pre-sorted, pre-projected
-        documents), and all targets execute concurrently.  The router merges
-        their whole answers as ``aggregate`` does, then applies ``skip``,
-        ``limit`` and any projection the shards could not.
+        documents and their sizes).  The router merges their whole answers as
+        ``aggregate`` does, then applies ``skip``, ``limit`` and any
+        projection the shards could not.
         """
         targets, targeted = self._router._target_shards(*self._namespace, spec.filter)
         shard_spec = spec.shard_spec()
@@ -661,7 +651,7 @@ class RoutedCollection(CollectionSurface):
             targeted,
             "distinct",
             {"distinct": self.name, "key": key},
-            methodcaller("distinct", key, query),
+            lambda collection: _sized(collection.distinct(key, query)),
             ship_results=True,
         )
         started = time.perf_counter()
@@ -708,11 +698,10 @@ class RoutedCollection(CollectionSurface):
     ) -> Any:
         """One fan-out that writes at most one document matching *query*.
 
-        Every target shard probes its slice for a match simultaneously, under
-        the same hold of its ``op_lock`` as the write.  The first branch to
-        find one claims the operation (a one-shot :class:`FirstMatchClaim`)
-        and runs ``apply(collection, _id)`` there; the claim doubles as a
-        cancellation signal, so still-probing branches bail out early.
+        Every target shard probes its slice for a match, under the same hold
+        of its ``op_lock`` as the write.  The first branch to find one claims
+        the operation (a one-shot :class:`FirstMatchClaim`) and runs
+        ``apply(collection, _id)`` there; the other branches then bail out.
         Returns the winner's result, or ``None`` when no shard matched.
         """
         targets, targeted = self._router._target_shards(*self._namespace, query)
@@ -720,7 +709,7 @@ class RoutedCollection(CollectionSurface):
         namespace = self._namespace
 
         def probe_and_apply(shard: Shard) -> Any:
-            if claim.decided:
+            if claim.winner is not None:
                 return None
             collection = shard.collection(*namespace)
             matched = collection.find_one(query, {"_id": 1})
@@ -797,22 +786,24 @@ class RoutedCollection(CollectionSurface):
         """Route a list of operation values: one message per shard per step.
 
         Every operation is targeted like its single-operation method (an
-        insert on its shard key, like :meth:`insert_many`).  One that lands
-        on exactly one shard and does not upsert joins that
-        shard's batch; the batches of a *step* go out in one scatter, each
-        applied by the shard's ``Collection.bulk_write`` (one ``op_lock``
-        hold, one WAL record).  Unordered, a step takes every batchable
-        operation; ordered, only a run of consecutive ones on the same shard.
-        Each operation is sized once (its wire form's ``document_size``).  One
-        that cannot be sized, fans out, is a multi-shard ``*One`` or upserts
-        closes the step and runs through its own routed method in its
-        position, so the final state is that of issuing the list in order.
+        insert on its shard key, like :meth:`insert_many`).  One that lands on
+        exactly one shard and does not upsert joins that shard's batch; the
+        batches of a *step* go out in one scatter, each applied by the shard's
+        ``Collection.bulk_write`` (one ``op_lock`` hold, one WAL record).
+        Unordered, a step takes every batchable operation; ordered, only a run
+        of consecutive ones on the same shard.  Each operation is sized once,
+        by its fields (:func:`operation_size`).  One that cannot be sized,
+        fans out, is a multi-shard ``*One`` or upserts closes the step and
+        runs through its own routed method in its position, so the final
+        state is that of issuing the list in order.
         """
         config = self._router.config
         manager = None
         if config.is_sharded(*self._namespace):
             manager = config.chunk_manager(*self._namespace)
             route = manager.router()
+        else:
+            primary = config.primary_shard(self._database_name)
         routing_values: dict[int, Any] = {}
         sizes: dict[int, int] = {}
         steps: list[dict[str | None, list[tuple[int, Any]]]] = []
@@ -820,20 +811,21 @@ class RoutedCollection(CollectionSurface):
             shard_id = None  # runs on its own unless exactly one shard can batch it
             inserting = isinstance(operation, InsertOne)
             try:
-                sizes[index] = document_size(encode_operation(operation))
+                sizes[index] = operation_size(operation)
             except InvalidDocumentError:
                 pass  # its own routed method refuses it, in its position
             else:
-                if inserting and manager is not None:
+                upsert = getattr(operation, "upsert", False)
+                if manager is None and not upsert:
+                    shard_id = primary
+                elif inserting:
                     try:  # routed on its shard key, like insert_many
                         routing_values[index], chunk = route(operation.document)
                         shard_id = chunk.shard_id
                     except ShardKeyError:
                         pass  # insert_one refuses it, in its position
-                elif not getattr(operation, "upsert", False):
-                    targets, _ = self._router._target_shards(
-                        *self._namespace, None if inserting else operation.filter
-                    )
+                elif not upsert:
+                    targets, _ = self._router._target_shards(*self._namespace, operation.filter)
                     shard_id = targets[0] if len(targets) == 1 else None
             # A new step: at the start, around an operation that runs on its
             # own (keyed None), and — ordered — whenever the shard changes.
@@ -868,7 +860,7 @@ class RoutedCollection(CollectionSurface):
                     for position, (index, operation) in enumerate(applied):
                         if isinstance(operation, InsertOne) and position not in failed:
                             manager.record_insert(
-                                routing_values[index], sizes[index] - _INSERT_ONE_FRAME
+                                routing_values[index], sizes[index] - OPERATION_FRAMES[InsertOne]
                             )
             if ordered and errors:
                 break
@@ -904,7 +896,7 @@ class RoutedCollection(CollectionSurface):
     # --------------------------------------------------------------------- DDL
 
     def create_index(self, keys: Any, *, unique: bool = False, name: str = "") -> str:
-        """Create an index on every shard holding the collection (concurrently).
+        """Create an index on every shard holding the collection (one fan-out).
 
         Accepts the structured specs ``list_indexes`` returns too.
         """
@@ -959,9 +951,9 @@ class RoutedCollection(CollectionSurface):
 
         The leading ``$match`` picks the shards: the owners of the shard key
         it constrains, else all of them (Section 4.3's expensive broadcast).
-        They run :meth:`_plan_aggregate`'s shard part concurrently; the router
-        merges their outputs (k-way on a pushed sort, else in target order)
-        through the merge part.
+        They run :meth:`_plan_aggregate`'s shard part; the router merges their
+        outputs (k-way on a pushed sort, else in target order) through the
+        merge part.
         """
         validate_user_pipeline(pipeline)
         router = self._router
@@ -974,7 +966,7 @@ class RoutedCollection(CollectionSurface):
             targeted,
             "aggregate",
             {"aggregate": self.name, "pipeline": len(split.shard)},
-            methodcaller("execute_pipeline", split.shard),
+            lambda collection: _sized(collection.execute_pipeline(split.shard)),
             ship_results=True,
         )
 

@@ -138,12 +138,12 @@ class Shard:
 
     def document_count(self, database_name: str | None = None) -> int:
         """Number of documents stored on this shard (optionally one database)."""
-        total = 0
-        for database in self._client:
-            if database_name is not None and database.name != database_name:
-                continue
-            total += int(database.stats()["objects"])
-        return total
+        return sum(
+            len(database[name])
+            for database in self._client
+            if database_name in (None, database.name)
+            for name in database.list_collection_names()
+        )
 
     def stats(self) -> dict[str, Any]:
         """Shard statistics (size, busy time, operation count)."""

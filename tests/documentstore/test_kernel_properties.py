@@ -8,7 +8,7 @@
   and message, never mutates its input, and with ``copy`` shares no dict or
   list with it;
 * ``bson.value_size``/``document_size`` equal the reference sizes, errors
-  included;
+  included, and so does ``bulk.operation_size`` for an operation's wire form;
 * a comparison or ``$in`` on a one-segment or dotted path decides a plain
   dict exactly as the general predicate decides the same document behind a
   ``MappingProxyType`` (which the scalar kernel never takes).
@@ -28,6 +28,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.documentstore import ObjectId
 from repro.documentstore.bson import deep_copy_document, document_size, value_size
+from repro.documentstore.bulk import (
+    DeleteMany,
+    DeleteOne,
+    InsertOne,
+    UpdateMany,
+    UpdateOne,
+    encode_operation,
+    operation_size,
+)
 from repro.documentstore.cursor import compile_projection
 from repro.documentstore.matching import _scalar_kernel, compile_matcher
 
@@ -171,6 +180,42 @@ def test_sizes_equal_the_reference(value):
     assert outcome(value_size, value) == outcome(reference_copy.value_size, value)
     if isinstance(value, dict):
         assert outcome(document_size, value) == outcome(reference_copy.document_size, value)
+
+
+class Label(str):
+    def __str__(self):
+        return "a longer label"
+
+
+def test_a_key_subclass_is_measured_by_its_str():
+    """Exact ``str`` keys are measured in one join; any other key as ``str(key)``."""
+    for document in ({Label("k"): 1, "é": 2}, {"a": {Label("k"): [1]}}, {1: "x", "日本": None}):
+        assert document_size(document) == reference_copy.document_size(document)
+
+
+#: Filters and documents as a routed ``bulk_write`` gets them: ``None``, nested,
+#: non-ASCII and ``Text`` keys, and values that have no size.
+OPERATION_VALUES = st.one_of(
+    st.none(), st.dictionaries(KEYS, VALUES, max_size=3), st.builds(set), VALUES
+)
+OPERATIONS = st.one_of(
+    st.builds(InsertOne, OPERATION_VALUES),
+    st.builds(UpdateOne, OPERATION_VALUES, OPERATION_VALUES, st.booleans()),
+    st.builds(UpdateMany, OPERATION_VALUES, OPERATION_VALUES, st.sampled_from([False, True, 1])),
+    st.builds(DeleteOne, OPERATION_VALUES),
+    st.builds(DeleteMany, OPERATION_VALUES),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(OPERATIONS)
+@example(UpdateOne({Text("t"): "é"}, {"$set": {"日本": {"a": [1, None]}}}, True))
+@example(InsertOne({"a": {1, 2}}))
+def test_an_operation_is_sized_as_its_wire_form(operation):
+    """``operation_size`` equals ``document_size(encode_operation(...))``, errors included."""
+    assert outcome(operation_size, operation) == outcome(
+        lambda: reference_copy.document_size(encode_operation(operation))
+    )
 
 
 # -- scalar match --------------------------------------------------------------

@@ -10,7 +10,9 @@ give, step by step:
       version still encode to the bytes they encoded to when they were made —
       versions share subtrees, so a write into a shared one would show here;
 (iii) a cached size equal to ``document_size`` of what is stored, also after
-      an update that failed, a ``replace_one``, a ``delete_one`` and ``drop``.
+      an update that failed, a ``replace_one``, a ``delete_one`` and ``drop``;
+(iv)  a size ``execute_find`` reports, under any kind of projection, equal to
+      the reference ``document_size`` of the result it reports it for.
 
 A last property draws hostile updates — field names ``insert_one`` refuses,
 arguments of the wrong kind — and checks that an update either is refused
@@ -21,11 +23,13 @@ from __future__ import annotations
 
 import datetime
 
+import reference_copy
 import reference_update
 from hypothesis import example, given, settings, strategies as st
 
 from repro.documentstore import Collection, DocumentStoreError
 from repro.documentstore.bson import document_size, encode_document, validate_document
+from repro.documentstore.findspec import FindSpec
 from repro.documentstore.update import OperatorUpdate, apply_operators
 
 NAMES = st.sampled_from(["a", "b", "c"])
@@ -186,6 +190,55 @@ def test_cached_size_follows_the_stored_document(documents, actions):
     assert reference == [{**d, "_id": k, "a": k} for k, d in enumerate(documents)]
     collection.drop()
     assert not collection._sizes and collection.data_size() == 0
+
+
+#: Fields with non-ASCII names beside the ``a``/``b``/``c`` of ``DOCUMENTS``.
+WIDE_KEYS = st.dictionaries(st.sampled_from(["é", "日本"]), VALUES, max_size=2)
+#: What the shard-side find is asked for: every kind of projection it sizes.
+FOUND_WITH = [
+    None,
+    {"_id": 0},  # the normalized queries' exclusion
+    {"b": 0, "é": 0},  # a top-level exclusion
+    {"a": 0, "日本": 0, "_id": 0},
+    {"a": 1, "日本": 1},  # an inclusion
+    {"b": 1, "_id": 0},
+    {"b.a": 1},  # dotted paths
+    {"c.b": 0, "é": 0},
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(DOCUMENTS, WIDE_KEYS), min_size=3, max_size=3),
+    st.lists(
+        st.one_of(ACTIONS, st.tuples(st.just("upsert"), st.integers(2, 4), steps())),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_a_reported_size_equals_the_reference(documents, actions):
+    """``execute_find`` reports each result's ``document_size``, whatever was stored."""
+    collection = Collection(None, "reported")
+    for key, (document, wide) in enumerate(documents):
+        collection.insert_one({**document, **wide, "_id": key})
+    for name, key, argument in actions:
+        query = {} if key is None else {"_id": key}
+        try:
+            if name == "delete_one":
+                collection.delete_one(query)
+            elif name == "upsert":
+                collection.update_one(query, argument, upsert=True)
+            else:
+                getattr(collection, name)(query, argument)
+        except (DocumentStoreError, TypeError, ValueError):
+            pass
+        for projection in FOUND_WITH:
+            for sort in (None, [("a", -1)]):
+                results, sizes = collection.execute_find(
+                    FindSpec(projection=projection, sort=sort)
+                )
+                assert len(results) == len(collection)
+                assert sizes == list(map(reference_copy.document_size, results)), projection
 
 
 #: Paths with a step ``insert_one`` refuses as a field name, that no array

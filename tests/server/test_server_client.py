@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import datetime as dt
 import socket
+import threading
 import time
 
 import pytest
 
 from repro.documentstore import DocumentStoreClient, FindSpec, ObjectId
-from repro.documentstore.errors import DuplicateKeyError, OperationFailure
+from repro.documentstore.errors import DuplicateKeyError, InvalidDocumentError, OperationFailure
 from repro.server import (
     ConnectionFailure,
     DocumentStoreServer,
@@ -388,6 +389,34 @@ class TestErrorsOverTheWire:
     def test_invalid_filter_operator(self, remote):
         with pytest.raises(OperationFailure):
             remote.find({"amount": {"$frob": 1}}).to_list()
+
+    @pytest.mark.parametrize("pool_size", [1, 2])
+    def test_a_request_the_client_cannot_encode_gives_its_connection_back(
+        self, server, standalone, pool_size
+    ):
+        """Refused as the other surfaces refuse it, and the next call still runs.
+
+        The second call runs in a thread with a join timeout: a leaked
+        connection makes it wait for the pool forever.
+        """
+        with pytest.raises(InvalidDocumentError):
+            standalone.insert_one({"a": {1, 2}})
+        with RemoteClient(server.address, pool_size=pool_size) as client:
+            remote = client["shop"]["orders"]
+            for _attempt in range(pool_size):
+                with pytest.raises(InvalidDocumentError):
+                    remote.insert_one({"a": {1, 2}})
+                with pytest.raises(InvalidDocumentError):
+                    remote.find({"a": {1}}).to_list()
+            answers = []
+            worker = threading.Thread(
+                target=lambda: answers.append(remote.insert_one({"order_id": -1, "a": 1})),
+                daemon=True,
+            )
+            worker.start()
+            worker.join(timeout=10)
+            assert answers and not worker.is_alive()
+            assert remote.count_documents({"a": 1}) == 1
 
 
 class TestObservability:

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.core import SHARD_KEYS, migrate_rows
+from repro.documentstore.bson import document_size
 from repro.sharding import Balancer, ShardedCluster
 from repro.sharding.chunks import MaxKey, MinKey
 from repro.tpcds import QUERY_TABLES, SCALE_SMALL, TPCDSGenerator
@@ -24,7 +25,8 @@ BENCH_CHUNK_SIZE_BYTES = 64 * 1024
 
 
 def full_scan_selection(self, manager, chunk, shard, database_name, collection_name):
-    """The previous selection (reference): a range query or a hash-tested full scan."""
+    """The previous selection (reference): a range query or a hash-tested full scan,
+    with the bytes of the selected documents measured by walking them."""
     collection = shard.collection(database_name, collection_name)
     if not manager.shard_key.hashed:
         conditions = {}
@@ -33,12 +35,14 @@ def full_scan_selection(self, manager, chunk, shard, database_name, collection_n
         if not isinstance(chunk.upper, MaxKey):
             conditions["$lt"] = chunk.upper
         key_field = manager.shard_key.fields[0]
-        return collection.find({key_field: conditions} if conditions else {}).to_list()
-    return [
-        document
-        for document in collection.find({})
-        if chunk.contains(manager.shard_key.extract(document))
-    ]
+        selected = collection.find({key_field: conditions} if conditions else {}).to_list()
+    else:
+        selected = [
+            document
+            for document in collection.find({})
+            if chunk.contains(manager.shard_key.extract(document))
+        ]
+    return selected, sum(map(document_size, selected))
 
 
 def assert_every_document_on_its_chunk_shard(cluster: ShardedCluster) -> int:

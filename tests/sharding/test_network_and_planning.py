@@ -48,7 +48,9 @@ class TestNetworkModel:
     def test_ship_documents_round_trips_and_isolates(self):
         network = SimulatedNetwork()
         original = [{"_id": ObjectId(), "nested": {"v": [1, 2]}}]
-        shipped = network.ship_documents(original, purpose="test")
+        shipped = network.ship_documents(
+            original, list(map(document_size, original)), purpose="test"
+        )
         assert shipped == original
         assert network.stats.bytes_transferred == sum(map(document_size, original))
         shipped[0]["nested"]["v"].append(3)
@@ -113,6 +115,49 @@ class TestOneByteMeasure:
         requests = [size for purpose, size in sent if purpose == "insert:request"]
         # One message per owning shard with its documents, then the command.
         assert sorted(requests) == sorted(per_shard + [command] * len(per_shard))
+        cluster.close()
+
+    @pytest.mark.parametrize("batch_size", [1, 25, None])
+    @pytest.mark.parametrize("shard_key", [{"k": "hashed"}, {"k": 1}, None])
+    def test_a_find_response_carries_the_bytes_of_what_it_returns(self, shard_key, batch_size):
+        """Shards report the sizes they store; the router ships exactly those bytes."""
+        cluster = ShardedCluster(shard_count=3)
+        cluster.enable_sharding("db")
+        if shard_key is not None:
+            cluster.shard_collection("db", "c", shard_key, chunk_size_bytes=2_000)
+        routed = cluster.get_database("db")["c"]
+        routed.insert_many(
+            [{"k": i, "é": "ü" * (i % 5), "nested": {"v": [i, {"w": "日本"}]}} for i in range(90)]
+        )
+        cluster.balance()
+        routed.update_many({"k": {"$lt": 30}}, {"$set": {"nested.v": [], "extra": "x" * 9}})
+        routed.delete_many({"k": {"$gte": 85}})
+        finds = [
+            ({}, None, None),
+            ({"k": {"$gte": 20}}, {"_id": 0}, None),
+            ({}, {"é": 0, "_id": 0}, [("k", -1)]),
+            ({"k": {"$in": [3, 40, 77]}}, {"k": 1, "nested": 1}, [("k", 1)]),
+            ({}, {"nested.v": 1, "k": 1}, None),
+            ({"k": 7}, None, None),
+        ]
+        real_send = SimulatedNetwork.send
+        for query, projection, sort in finds:
+            responses = []
+
+            def spy(network, purpose, payload_bytes):
+                if purpose == "find:response":
+                    responses.append(payload_bytes)
+                return real_send(network, purpose, payload_bytes)
+
+            cursor = routed.find(query, projection, sort=sort)
+            if batch_size is not None:
+                cursor = cursor.batch_size(batch_size)
+            with mock.patch.object(SimulatedNetwork, "send", spy):
+                returned = cursor.to_list()
+            assert returned
+            assert sum(responses) == sum(map(document_size, returned)), (query, projection)
+            if batch_size == 1:
+                assert len(responses) == len(returned)
         cluster.close()
 
     def test_a_chunk_move_carries_the_bytes_it_moves(self):

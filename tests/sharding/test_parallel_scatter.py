@@ -174,7 +174,7 @@ def record_shard_threads(cluster) -> set[int]:
 
 
 class TestCallerRunsSingleShardScatter:
-    """One branch and no deadline: nothing to overlap, nothing to abandon."""
+    """No deadline and no realtime wait: nothing to overlap, nothing to abandon."""
 
     def test_single_shard_operations_run_on_the_calling_thread(self):
         cluster = ShardedCluster(shard_count=3)
@@ -194,9 +194,10 @@ class TestCallerRunsSingleShardScatter:
             assert seen == {threading.get_ident()}
             assert pool == []
 
-            # Sharding the collection is itself a fan-out (index DDL everywhere).
+            # Sharding the collection is itself a fan-out (index DDL everywhere),
+            # which has nothing to overlap either.
             cluster.shard_collection("shop", "orders", {"order_id": "hashed"})
-            assert len(pool) == 3
+            assert pool == []
             seen.clear()
             orders = db["orders"]
             for doc in DOCS[:30]:
@@ -208,14 +209,31 @@ class TestCallerRunsSingleShardScatter:
             assert orders.delete_many({"order_id": 11}).deleted_count == 1
             assert seen == {threading.get_ident()}
 
-            # A broadcast still goes to the pool (a quick worker may take
-            # more than one branch), never to the caller.
+            # A broadcast runs on the caller too: with one GIL and no wait to
+            # overlap, a pool would only hand the GIL from branch to branch.
             seen.clear()
             assert orders.count_documents({"store": 1}) == 8
-            assert seen and seen <= {thread.ident for thread in pool}
+            assert seen == {threading.get_ident()}
+            assert pool == []
             assert cluster.router.metrics.targeted_operations >= 40
         finally:
             cluster.close()
+
+        # A deadline or a realtime network gives the pool something to
+        # overlap: a broadcast goes to pool threads (a quick worker may take
+        # more than one branch), never to the caller.
+        for options in (
+            {"scatter_policy": ScatterPolicy(deadline_seconds=30.0)},
+            {"network_model": NetworkModel(latency_seconds=0.0, realtime=True)},
+        ):
+            cluster = build_cluster(**options)
+            try:
+                seen = record_shard_threads(cluster)
+                pool = cluster.router._runner._threads
+                assert cluster.get_database("shop")["orders"].count_documents({"store": 1}) == 60
+                assert seen and seen <= {thread.ident for thread in pool}
+            finally:
+                cluster.close()
 
     def test_targeted_find_reports_no_queue_wait(self, parallel_cluster):
         orders = parallel_cluster.get_database("shop")["orders"]
