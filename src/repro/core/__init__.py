@@ -25,8 +25,6 @@ from .denormalize import (
     embed_documents,
 )
 from .experiments import (
-    ALL_TABLES,
-    DEFAULT_SHARD_CPU_FACTOR,
     EXPERIMENTS,
     ExperimentConfig,
     ExperimentHarness,
@@ -70,8 +68,6 @@ from .translate_normalized import (
 )
 
 __all__ = [
-    "ALL_TABLES",
-    "DEFAULT_SHARD_CPU_FACTOR",
     "DENORMALIZED_COLLECTIONS",
     "DatasetLoadReport",
     "DenormalizationReport",

@@ -161,7 +161,6 @@ def create_denormalized_collection(
     dimensions: Sequence[DimensionJoin],
     *,
     target_name: str | None = None,
-    create_indexes: bool = True,
 ) -> DenormalizationReport:
     """Create a denormalized copy of a fact collection (Figure 4.6).
 
@@ -181,9 +180,7 @@ def create_denormalized_collection(
         # of EmbedDocuments its O(log m) lookup (Section 4.1.3.1.1); once the
         # field holds embedded documents the index is no longer useful and is
         # dropped so later embedding passes do not have to maintain it.
-        index_name = ""
-        if create_indexes:
-            index_name = target.create_index(dimension.fact_field)
+        index_name = target.create_index(dimension.fact_field)
         report.embeddings.append(
             embed_documents(
                 target,
@@ -192,8 +189,7 @@ def create_denormalized_collection(
                 dimension_primary_key=dimension.primary_key,
             )
         )
-        if create_indexes and index_name:
-            target.drop_index(index_name)
+        target.drop_index(index_name)
     report.seconds = time.perf_counter() - started
     return report
 
@@ -259,12 +255,7 @@ def create_query_indexes(database, target_name: str) -> list[str]:
     return created
 
 
-def _embed_matching_returns(
-    database,
-    denormalized_sales_name: str,
-    *,
-    returns_collection_name: str = "store_returns",
-) -> EmbeddingReport:
+def _embed_matching_returns(database, denormalized_sales_name: str) -> EmbeddingReport:
     """Embed the matching ``store_returns`` document into denormalized sales.
 
     The join keys are ticket number, item, and customer (the Query 50 join
@@ -276,7 +267,7 @@ def _embed_matching_returns(
     started = time.perf_counter()
     sales = database[denormalized_sales_name]
     sales.create_index("ss_ticket_number")
-    returns = database[returns_collection_name]
+    returns = database["store_returns"]
     dates = {
         row["d_date_sk"]: row for row in database["date_dim"].find({}, {"_id": 0})
     }
@@ -299,7 +290,7 @@ def _embed_matching_returns(
     embedded = _bulk_update(sales, updates())
     return EmbeddingReport(
         fact_collection=denormalized_sales_name,
-        dimension_collection=returns_collection_name,
+        dimension_collection="store_returns",
         fact_field="ss_return",
         dimension_documents=len(return_documents),
         fact_documents_updated=embedded,
@@ -307,47 +298,29 @@ def _embed_matching_returns(
     )
 
 
-def denormalize_store_sales(
-    database,
-    *,
-    target_name: str = "store_sales_denormalized",
-    embed_returns: bool = True,
-) -> DenormalizationReport:
-    """Denormalize ``store_sales`` (the fact collection of Q7, Q46, and Q50)."""
-    report = create_denormalized_collection(
-        database, "store_sales", STORE_SALES_EMBEDDING_PLAN, target_name=target_name
-    )
-    if embed_returns:
-        started = time.perf_counter()
-        report.embeddings.append(_embed_matching_returns(database, target_name))
-        report.seconds += time.perf_counter() - started
-    create_query_indexes(database, target_name)
+def denormalize_store_sales(database) -> DenormalizationReport:
+    """Denormalize ``store_sales`` into ``store_sales_denormalized`` (Q7, Q46, and Q50)."""
+    report = create_denormalized_collection(database, "store_sales", STORE_SALES_EMBEDDING_PLAN)
+    started = time.perf_counter()
+    report.embeddings.append(_embed_matching_returns(database, report.target_collection))
+    report.seconds += time.perf_counter() - started
+    create_query_indexes(database, report.target_collection)
     return report
 
 
-def denormalize_store_returns(
-    database,
-    *,
-    target_name: str = "store_returns_denormalized",
-) -> DenormalizationReport:
-    """Denormalize ``store_returns``."""
+def denormalize_store_returns(database) -> DenormalizationReport:
+    """Denormalize ``store_returns`` into ``store_returns_denormalized``."""
     report = create_denormalized_collection(
-        database, "store_returns", STORE_RETURNS_EMBEDDING_PLAN, target_name=target_name
+        database, "store_returns", STORE_RETURNS_EMBEDDING_PLAN
     )
-    create_query_indexes(database, target_name)
+    create_query_indexes(database, report.target_collection)
     return report
 
 
-def denormalize_inventory(
-    database,
-    *,
-    target_name: str = "inventory_denormalized",
-) -> DenormalizationReport:
-    """Denormalize ``inventory`` (the fact collection of Q21)."""
-    report = create_denormalized_collection(
-        database, "inventory", INVENTORY_EMBEDDING_PLAN, target_name=target_name
-    )
-    create_query_indexes(database, target_name)
+def denormalize_inventory(database) -> DenormalizationReport:
+    """Denormalize ``inventory`` into ``inventory_denormalized`` (Q21)."""
+    report = create_denormalized_collection(database, "inventory", INVENTORY_EMBEDDING_PLAN)
+    create_query_indexes(database, report.target_collection)
     return report
 
 

@@ -17,15 +17,13 @@ sharded cluster — the future-work configuration of Section 5.2.
 Timing model
 ------------
 Stand-alone experiments report measured wall time.  Sharded experiments run
-in one process with the router's scatter fan-outs executing *concurrently*
-(worker threads, see :mod:`repro.sharding.executor`); their measured wall
-time is corrected by the router's cost model (see
-:class:`repro.sharding.router.RouterMetrics`): the **observed** concurrent
-execution window of each fan-out (``parallel_shard_seconds``, a measured
-wall-clock makespan) is replaced by the **modelled** cluster makespan —
-the per-operation maximum across shards scaled by the shard ``cpu_factor``
-(the paper's stand-alone machine is an m4.4xlarge while shard nodes are
-t2.large / m4.xlarge) — and every routed message adds simulated network
+the shards in one process (see :mod:`repro.sharding.executor`); their
+measured wall time is corrected by the router's cost model (see
+:class:`repro.sharding.router.RouterMetrics`): the **observed** execution
+window of each fan-out (``parallel_shard_seconds``, a measured wall-clock
+makespan) is replaced by the **modelled** cluster makespan — the slowest
+branch's execute time, as if the shards ran truly in parallel on hardware
+like the process's — and every routed message adds simulated network
 latency and transfer time.
 """
 
@@ -33,16 +31,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from ..documentstore.client import DocumentStoreClient
 from ..sharding.cluster import ShardedCluster
-from ..sharding.network import NetworkModel
-from ..sharding.shard import ShardDescription
 from ..tpcds.generator import TPCDSGenerator
 from ..tpcds.queries import QUERY_IDS
 from ..tpcds.scaling import SCALE_LARGE, SCALE_SMALL, ScaleProfile
-from ..tpcds.schema import TPCDS_TABLES
+from ..tpcds.schema import QUERY_TABLES
 from .denormalize import denormalize_all_facts
 from .migration import DatasetLoadReport, migrate_generated_dataset
 from .translate_denormalized import run_denormalized_query
@@ -56,7 +52,6 @@ __all__ = [
     "ExperimentHarness",
     "SHARD_KEYS",
     "tiny_profile",
-    "DEFAULT_SHARD_CPU_FACTOR",
 ]
 
 #: Shard keys used when the collections are sharded (Experiments 1/4).  Data
@@ -96,14 +91,6 @@ DENORMALIZED_SHARD_KEYS: dict[str, Mapping[str, Any]] = {
     "store_returns_denormalized": {"sr_ticket_number": "hashed"},
     "inventory_denormalized": {"inv_item_sk.i_item_sk": "hashed"},
 }
-
-#: Modelled slowdown of a cluster node relative to the stand-alone machine.
-#: The default models equal per-core speed (a single query is largely
-#: single-threaded on both deployments); the paper's hardware asymmetry
-#: (m4.4xlarge stand-alone vs t2.large/m4.xlarge shards) can be explored by
-#: raising this factor — see the ablation benchmark.
-DEFAULT_SHARD_CPU_FACTOR = 1.0
-
 
 def tiny_profile(reduction: float = 1.0 / 20000.0) -> ScaleProfile:
     """A very small profile used by tests and the quickstart example."""
@@ -170,33 +157,20 @@ class ExperimentHarness:
     Environments are built lazily and cached, so running all four queries
     against one experiment loads the data exactly once — mirroring the
     paper's procedure of loading each dataset and then executing the query
-    set repeatedly (with the data cached in memory).
+    set repeatedly (with the data cached in memory).  Every deployment holds
+    the 12 tables the queries read (:data:`~repro.tpcds.schema.QUERY_TABLES`)
+    from the generator's default seed; a sharded one is the default
+    :class:`~repro.sharding.cluster.ShardedCluster` (3 shards, the default
+    network model).
     """
 
-    def __init__(
-        self,
-        *,
-        seed: int = 20151109,
-        shard_count: int = 3,
-        shard_cpu_factor: float = DEFAULT_SHARD_CPU_FACTOR,
-        network_model: NetworkModel | None = None,
-        scale_overrides: Mapping[str, ScaleProfile] | None = None,
-        tables: Iterable[str] | None = None,
-    ) -> None:
-        self.seed = seed
-        self.shard_count = shard_count
-        self.shard_cpu_factor = shard_cpu_factor
-        self.network_model = network_model or NetworkModel()
+    def __init__(self, *, scale_overrides: Mapping[str, ScaleProfile] | None = None) -> None:
         self._scales: dict[str, ScaleProfile] = {
             SCALE_SMALL.name: SCALE_SMALL,
             SCALE_LARGE.name: SCALE_LARGE,
         }
         if scale_overrides:
             self._scales.update(scale_overrides)
-        # Restricting the loaded tables (default: the 12 query tables) keeps
-        # the harness fast; pass ``tables=None`` explicitly via ALL_TABLES to
-        # load the complete schema for the load-time benchmarks.
-        self._tables = tuple(tables) if tables is not None else None
         self._generators: dict[str, TPCDSGenerator] = {}
         self._standalone: dict[str, tuple[DocumentStoreClient, Any]] = {}
         self._standalone_denormalized: set[str] = set()
@@ -213,19 +187,12 @@ class ExperimentHarness:
     def generator(self, profile: ScaleProfile) -> TPCDSGenerator:
         """The (cached) data generator for *profile*."""
         if profile.name not in self._generators:
-            self._generators[profile.name] = TPCDSGenerator(profile, seed=self.seed)
+            self._generators[profile.name] = TPCDSGenerator(profile)
         return self._generators[profile.name]
 
     def load_report(self, profile: ScaleProfile) -> DatasetLoadReport | None:
         """The stand-alone load report recorded for *profile*, if loaded."""
         return self._load_reports.get(profile.name)
-
-    def _query_tables(self) -> tuple[str, ...]:
-        if self._tables is not None:
-            return self._tables
-        from ..tpcds.schema import QUERY_TABLES
-
-        return QUERY_TABLES
 
     # -------------------------------------------------------------- stand-alone
 
@@ -235,7 +202,7 @@ class ExperimentHarness:
             client = DocumentStoreClient(name=f"standalone-{profile.name}")
             database = client[profile.database_name]
             report = migrate_generated_dataset(
-                database, self.generator(profile), tables=self._query_tables()
+                database, self.generator(profile), tables=QUERY_TABLES
             )
             self._load_reports[profile.name] = report
             self._standalone[profile.name] = (client, database)
@@ -251,23 +218,14 @@ class ExperimentHarness:
 
     # ------------------------------------------------------------------ sharded
 
-    def _build_cluster(self) -> ShardedCluster:
-        descriptions = [
-            ShardDescription(shard_id=f"shard{i + 1}", cpu_factor=self.shard_cpu_factor)
-            for i in range(self.shard_count)
-        ]
-        return ShardedCluster(
-            shard_descriptions=descriptions, network_model=self.network_model
-        )
-
     def sharded_database(self, profile: ScaleProfile):
         """The sharded deployment loaded with normalized collections."""
         if profile.name not in self._sharded:
-            cluster = self._build_cluster()
+            cluster = ShardedCluster()
             database_name = profile.database_name
             cluster.enable_sharding(database_name)
             for collection_name, shard_key in SHARD_KEYS.items():
-                if collection_name in self._query_tables():
+                if collection_name in QUERY_TABLES:
                     cluster.shard_collection(
                         database_name,
                         collection_name,
@@ -275,9 +233,7 @@ class ExperimentHarness:
                         chunk_size_bytes=EXPERIMENT_CHUNK_SIZE_BYTES,
                     )
             routed = cluster.get_database(database_name)
-            migrate_generated_dataset(
-                routed, self.generator(profile), tables=self._query_tables()
-            )
+            migrate_generated_dataset(routed, self.generator(profile), tables=QUERY_TABLES)
             cluster.balance()
             cluster.reset_metrics()
             self._sharded[profile.name] = (cluster, routed)
@@ -294,7 +250,7 @@ class ExperimentHarness:
         """
         if profile.name not in self._sharded_denormalized:
             source = self.standalone_denormalized_database(profile)
-            cluster = self._build_cluster()
+            cluster = ShardedCluster()
             database_name = profile.database_name
             cluster.enable_sharding(database_name)
             for collection_name, shard_key in DENORMALIZED_SHARD_KEYS.items():
@@ -343,73 +299,49 @@ class ExperimentHarness:
     def _run_once(
         self, config: ExperimentConfig, profile: ScaleProfile, query_id: int
     ) -> QueryRunResult:
+        denormalized = config.data_model == "denormalized"
+        cluster = None
         if config.environment == "standalone":
-            if config.data_model == "denormalized":
+            if denormalized:
                 database = self.standalone_denormalized_database(profile)
-                started = time.perf_counter()
-                results = run_denormalized_query(database, query_id)
-                wall = time.perf_counter() - started
-                return QueryRunResult(
-                    experiment=config.number,
-                    query_id=query_id,
-                    wall_seconds=wall,
-                    simulated_seconds=wall,
-                    result_documents=len(results),
-                )
-            database = self.standalone_database(profile)
-            started = time.perf_counter()
-            report = run_normalized_query(database, query_id)
-            wall = time.perf_counter() - started
-            return QueryRunResult(
-                experiment=config.number,
-                query_id=query_id,
-                wall_seconds=wall,
-                simulated_seconds=wall,
-                result_documents=report.result_documents,
-            )
-
-        if config.data_model == "denormalized":
-            cluster, routed = self.sharded_denormalized_database(profile)
+            else:
+                database = self.standalone_database(profile)
         else:
-            cluster, routed = self.sharded_database(profile)
-        cluster.reset_metrics()
+            if denormalized:
+                cluster, database = self.sharded_denormalized_database(profile)
+            else:
+                cluster, database = self.sharded_database(profile)
+            cluster.reset_metrics()
+        run = run_denormalized_query if denormalized else run_normalized_query
         started = time.perf_counter()
-        if config.data_model == "denormalized":
-            results = run_denormalized_query(routed, query_id)
-            result_documents = len(results)
-        else:
-            report = run_normalized_query(routed, query_id)
-            result_documents = report.result_documents
+        answer = run(database, query_id)
         wall = time.perf_counter() - started
-        metrics = cluster.router.metrics
-        simulated = max(0.0, wall + metrics.simulated_overhead_seconds())
-        return QueryRunResult(
+        result = QueryRunResult(
             experiment=config.number,
             query_id=query_id,
             wall_seconds=wall,
-            simulated_seconds=simulated,
-            result_documents=result_documents,
-            router_metrics=metrics.snapshot(),
-            network=cluster.network.stats.snapshot(),
+            simulated_seconds=wall,
+            result_documents=len(answer) if denormalized else answer.result_documents,
         )
+        if cluster is not None:
+            metrics = cluster.router.metrics
+            result.simulated_seconds = max(0.0, wall + metrics.simulated_overhead_seconds())
+            result.router_metrics = metrics.snapshot()
+            result.network = cluster.network.stats.snapshot()
+        return result
 
     def run_experiment(
         self,
         experiment_number: int,
         *,
-        query_ids: Iterable[int] = QUERY_IDS,
         repetitions: int = 1,
     ) -> ExperimentResult:
         """Run every query of one experiment (one Table 4.5 row)."""
         config = EXPERIMENTS[experiment_number]
         result = ExperimentResult(config=config)
-        for query_id in query_ids:
+        for query_id in QUERY_IDS:
             result.query_runs[query_id] = self.run_query(
                 experiment_number, query_id, repetitions=repetitions
             )
         result.load_report = self.load_report(self.scale(config))
         return result
-
-
-#: Every table name — pass as ``tables=ALL_TABLES`` to load the full schema.
-ALL_TABLES: tuple[str, ...] = tuple(sorted(TPCDS_TABLES))

@@ -57,11 +57,14 @@ def render_table(
     return "\n".join(lines)
 
 
+#: Characters in the longest bar of :func:`render_bar_chart`.
+BAR_CHART_WIDTH = 50
+
+
 def render_bar_chart(
     series: Mapping[str, float],
     *,
     title: str | None = None,
-    width: int = 50,
     unit: str = "s",
 ) -> str:
     """Render a horizontal ASCII bar chart (used for the figure benches)."""
@@ -73,7 +76,7 @@ def render_bar_chart(
     label_width = max(len(label) for label in series)
     maximum = max(series.values()) or 1.0
     for label, value in series.items():
-        bar_length = int(round(width * value / maximum)) if maximum else 0
+        bar_length = int(round(BAR_CHART_WIDTH * value / maximum)) if maximum else 0
         bar = "#" * max(bar_length, 1 if value > 0 else 0)
         lines.append(f"{label.ljust(label_width)} | {bar} {value:.3f}{unit}")
     return "\n".join(lines)

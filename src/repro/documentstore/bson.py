@@ -47,7 +47,7 @@ _SCALAR_TYPES = (bool, int, float, str, bytes, ObjectId, _dt.datetime, _dt.date)
 EXACT_SCALARS = frozenset((type(None), *_SCALAR_TYPES))
 
 
-def validate_document(document: Mapping[str, Any], *, check_size: bool = True) -> None:
+def validate_document(document: Mapping[str, Any]) -> None:
     """Validate *document* for insertion.
 
     Raises
@@ -59,10 +59,9 @@ def validate_document(document: Mapping[str, Any], *, check_size: bool = True) -
         If the document exceeds :data:`MAX_DOCUMENT_SIZE`.
     """
     validate_value(require_mapping(document))
-    if check_size:
-        size = document_size(document)
-        if size > MAX_DOCUMENT_SIZE:
-            raise DocumentTooLargeError(size, MAX_DOCUMENT_SIZE)
+    size = document_size(document)
+    if size > MAX_DOCUMENT_SIZE:
+        raise DocumentTooLargeError(size, MAX_DOCUMENT_SIZE)
 
 
 def require_mapping(document: Any) -> Mapping[str, Any]:

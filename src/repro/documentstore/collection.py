@@ -567,13 +567,7 @@ class Collection(CollectionSurface):
 
     def distinct(self, key: str, query: Mapping[str, Any] | None = None) -> list[Any]:
         """Return the distinct values of *key* among matching documents."""
-        values = distinct_values(
-            candidate
-            for document in self._execute_find(FindSpec(filter=query), copy=False)
-            for value in resolve_path(document, key)
-            for candidate in (value if isinstance(value, list) else (value,))
-        )
-        return deep_copy_document(values)
+        return deep_copy_document(self.execute_distinct(key, query))
 
     def _explain_spec(self, spec: FindSpec, verbosity: str) -> dict[str, Any]:
         plan = self._plan_find(spec)
@@ -971,6 +965,20 @@ class Collection(CollectionSurface):
         the stored documents, so they must not be mutated or handed on.
         """
         return self._execute_pipeline(pipeline)[1]
+
+    def execute_distinct(self, key: str, query: Mapping[str, Any] | None = None) -> list[Any]:
+        """:meth:`distinct` for a caller that copies the values at once.
+
+        The shard-side entry point beside :meth:`execute_find` and
+        :meth:`execute_pipeline`: a value that is a document or an array is
+        the stored one, so it must not be mutated or handed on.
+        """
+        return distinct_values(
+            candidate
+            for document in self._execute_find(FindSpec(filter=query), copy=False)
+            for value in resolve_path(document, key)
+            for candidate in (value if isinstance(value, list) else (value,))
+        )
 
     # ------------------------------------------------------------- iteration
 

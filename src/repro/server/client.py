@@ -130,7 +130,6 @@ class RemoteClient:
         pool_size: int = 4,
         connect_timeout_seconds: float = 5.0,
         socket_timeout_seconds: float | None = 30.0,
-        retry_reads: bool = True,
     ) -> None:
         if isinstance(host, tuple):
             host, port = host
@@ -142,7 +141,6 @@ class RemoteClient:
         self.pool_size = pool_size
         self.connect_timeout_seconds = connect_timeout_seconds
         self.socket_timeout_seconds = socket_timeout_seconds
-        self.retry_reads = retry_reads
         self._idle: list[_PooledConnection] = []
         self._total = 0
         self._cond = threading.Condition()
@@ -218,7 +216,7 @@ class RemoteClient:
         retried once on a fresh connection when *idempotent*; after any other
         error the connection goes back (checked in if intact, else discarded).
         """
-        attempts = 2 if (idempotent and self.retry_reads) else 1
+        attempts = 2 if idempotent else 1
         last_error: BaseException | None = None
         for _attempt in range(attempts):
             connection = self._checkout()

@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 from ..documentstore.bulk import decode_operation
 from ..documentstore.errors import DocumentStoreError, OperationFailure
 from ..sharding.executor import ShardTimeoutError
-from ..sharding.router import QueryRouter
+from ..sharding.router import RESPONSE_BATCH_SIZE, QueryRouter
 from .protocol import (
     FLAG_HAS_MORE,
     MAX_CURSORS_PER_CONNECTION,
@@ -56,9 +56,6 @@ from .protocol import (
 )
 
 __all__ = ["DocumentStoreServer", "ServerStats", "LatencyHistogram"]
-
-#: Default number of documents per find/getMore response batch.
-DEFAULT_BATCH_SIZE = 101
 
 
 class LatencyHistogram:
@@ -284,8 +281,9 @@ class DocumentStoreServer:
         Socket timeouts for receiving requests (``None`` = wait forever)
         and sending replies.  A read timeout closes the idle session; a
         write timeout closes a session whose client stopped draining.
-    default_batch_size:
-        Response batch size for finds and aggregates that did not set one.
+
+    A find or aggregate that sets no batch size is answered in batches of
+    :data:`~repro.sharding.router.RESPONSE_BATCH_SIZE` documents.
     """
 
     def __init__(
@@ -297,7 +295,6 @@ class DocumentStoreServer:
         max_connections: int = 64,
         read_timeout_seconds: float | None = None,
         write_timeout_seconds: float | None = 30.0,
-        default_batch_size: int = DEFAULT_BATCH_SIZE,
         name: str = "documentstore-server",
     ) -> None:
         if not hasattr(backend, "get_database"):
@@ -305,15 +302,12 @@ class DocumentStoreServer:
                 "backend must expose get_database(name) "
                 "(DocumentStoreClient, ShardedCluster, or QueryRouter)"
             )
-        if default_batch_size <= 0:
-            raise ValueError("default_batch_size must be positive")
         self.name = name
         self.backend = backend
         self.stats = ServerStats()
         self.max_connections = max_connections
         self.read_timeout_seconds = read_timeout_seconds
         self.write_timeout_seconds = write_timeout_seconds
-        self.default_batch_size = default_batch_size
         self._requested_host = host
         self._requested_port = port
         self._listener: socket.socket | None = None
@@ -665,7 +659,7 @@ class _Session(threading.Thread):
         per-connection cap holds: a peer that opens cursors and never drains
         them is refused the next one, while its open cursors keep working.
         """
-        size = int(batch_size or self.server.default_batch_size)
+        size = int(batch_size or RESPONSE_BATCH_SIZE)
         server_cursor = _ServerCursor(iter(results), size)
         batch, has_more = server_cursor.next_batch()
         cursor_id = 0

@@ -37,7 +37,7 @@ from .planning import (
     shards_for_ram,
 )
 from .router import QueryRouter, RoutedCollection, RoutedDatabase, RouterMetrics
-from .shard import Shard, ShardDescription
+from .shard import Shard
 
 __all__ = [
     "Balancer",
@@ -62,7 +62,6 @@ __all__ = [
     "ScatterPolicy",
     "ScatterRunner",
     "Shard",
-    "ShardDescription",
     "ShardKeyPattern",
     "ShardTimeoutError",
     "ShardedCluster",

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from ..documentstore.bson import document_size
 from ..documentstore.errors import ShardKeyError
-from ..documentstore.findspec import FindSpec
 from .chunks import Chunk, ChunkManager
 from .config_server import ConfigServer
 from .network import SimulatedNetwork
@@ -21,7 +21,7 @@ from .shard import Shard
 __all__ = ["Balancer", "MigrationRecord"]
 
 #: A shard pair is rebalanced when the chunk-count difference reaches this.
-DEFAULT_MIGRATION_THRESHOLD = 2
+MIGRATION_THRESHOLD = 2
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,10 @@ class Balancer:
         config_server: ConfigServer,
         shards: dict[str, Shard],
         network: SimulatedNetwork | None = None,
-        *,
-        migration_threshold: int = DEFAULT_MIGRATION_THRESHOLD,
     ) -> None:
         self.config = config_server
         self._shards = shards
         self.network = network or SimulatedNetwork()
-        self.migration_threshold = migration_threshold
         self.history: list[MigrationRecord] = []
 
     # ------------------------------------------------------------------ policy
@@ -61,7 +58,7 @@ class Balancer:
             counts[chunk.shard_id] = counts.get(chunk.shard_id, 0) + 1
         most_loaded = max(counts, key=lambda shard_id: counts[shard_id])
         least_loaded = min(counts, key=lambda shard_id: counts[shard_id])
-        if counts[most_loaded] - counts[least_loaded] >= self.migration_threshold:
+        if counts[most_loaded] - counts[least_loaded] >= MIGRATION_THRESHOLD:
             return most_loaded, least_loaded
         return None
 
@@ -80,21 +77,19 @@ class Balancer:
         One pass over the shard's slice keeps each document whose routing
         value the chunk contains — the test inserts are routed by, whatever
         the types of the chunk's bounds.  A document without the shard key
-        lies in no chunk and stays.  The bytes are the sizes the shard stores.
+        lies in no chunk and stays.  Only the selected documents are sized:
+        the ones that stay are not walked.
         """
         route = manager.router()
         selected = []
-        selected_bytes = 0
-        documents, sizes = shard.collection(*namespace).execute_find(FindSpec())
-        for document, size in zip(documents, sizes):
+        for document in shard.collection(*namespace).raw_documents():
             try:
                 value = route(document)[0]
             except ShardKeyError:
                 continue
             if chunk.contains(value):
                 selected.append(document)
-                selected_bytes += size
-        return selected, selected_bytes
+        return selected, sum(map(document_size, selected))
 
     def migrate_chunk(
         self,

@@ -3,9 +3,9 @@
 Wires together the pieces of Figure 3.1: data-bearing shards, one config
 server, and one query router, all connected by a simulated network.  The
 default topology matches the paper's deployment (3 shards, 1 config server,
-1 ``mongos``) but every knob — shard count, per-shard RAM description, chunk
-size, network model — is configurable so the ablation benchmarks can vary
-them.
+1 ``mongos``); the shard count, chunk size and network model can be varied.
+Shards are named ``shard1`` .. ``shardN`` and run on the process's own
+hardware.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .config_server import ConfigServer
 from .executor import ScatterPolicy
 from .network import NetworkModel, SimulatedNetwork
 from .router import QueryRouter, RoutedDatabase
-from .shard import Shard, ShardDescription
+from .shard import Shard
 
 __all__ = ["ShardedCluster", "CLUSTER_METADATA_FILE"]
 
@@ -54,20 +54,13 @@ class ShardedCluster:
         self,
         shard_count: int = 3,
         *,
-        shard_descriptions: Sequence[ShardDescription] | None = None,
         network_model: NetworkModel | None = None,
         name: str = "cluster",
         scatter_policy: ScatterPolicy | None = None,
         data_dir: str | pathlib.Path | None = None,
         fsync: str = "batch",
     ) -> None:
-        if shard_descriptions is not None:
-            descriptions = list(shard_descriptions)
-        else:
-            descriptions = [
-                ShardDescription(shard_id=f"shard{i + 1}") for i in range(shard_count)
-            ]
-        if not descriptions:
+        if shard_count < 1:
             raise ValueError("a cluster needs at least one shard")
 
         self.name = name
@@ -77,9 +70,10 @@ class ShardedCluster:
         self.network = SimulatedNetwork(network_model)
         self.config_server = ConfigServer()
         self.shards: list[Shard] = []
-        for description in descriptions:
-            shard_dir = self.data_dir / description.shard_id if self.data_dir else None
-            shard = Shard(description.shard_id, description, data_dir=shard_dir, fsync=fsync)
+        for number in range(1, shard_count + 1):
+            shard_id = f"shard{number}"
+            shard_dir = self.data_dir / shard_id if self.data_dir else None
+            shard = Shard(shard_id, data_dir=shard_dir, fsync=fsync)
             self.shards.append(shard)
             self.config_server.add_shard(shard.shard_id)
         self._restore_metadata()
@@ -203,7 +197,7 @@ class ShardedCluster:
         self.save_metadata()
 
     def reset_metrics(self) -> None:
-        """Clear router/network/shard accounting before a measurement."""
+        """Clear router and network accounting before a measurement."""
         self.router.reset_metrics()
 
     def close(self) -> None:

@@ -67,7 +67,7 @@ def shards_for_iops(required_iops: float, shard_iops: float) -> int:
     return _ceil_ratio(required_iops, shard_iops)
 
 
-def shards_for_ops(required_ops: float, single_server_ops: float, *, overhead: float = SHARDING_OVERHEAD) -> int:
+def shards_for_ops(required_ops: float, single_server_ops: float) -> int:
     """Number of shards from the operations-per-second formula.
 
     The paper gives ``G = N * S * 0.7`` where 0.7 is the sharding overhead,
@@ -75,7 +75,7 @@ def shards_for_ops(required_ops: float, single_server_ops: float, *, overhead: f
     """
     if single_server_ops <= 0:
         raise ValueError("single-server OPS must be positive")
-    return _ceil_ratio(required_ops, single_server_ops * overhead)
+    return _ceil_ratio(required_ops, single_server_ops * SHARDING_OVERHEAD)
 
 
 @dataclass(frozen=True)

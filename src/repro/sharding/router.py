@@ -87,6 +87,13 @@ __all__ = [
     "ShardTimeoutError",
 ]
 
+#: Documents per response batch, shard → router and server → client (the
+#: ``mongod`` first batch).  Large result sets are shipped back in multiple
+#: getMore-style batches, each paying one network round trip — the mechanism
+#: that makes result-heavy broadcast queries expensive on the cluster
+#: (Section 4.3, observation ii).
+RESPONSE_BATCH_SIZE = 101
+
 
 @dataclass
 class RouterMetrics:
@@ -100,10 +107,9 @@ class RouterMetrics:
       summed over operations: the window the process actually spent.  A
       fan-out that runs on the caller's thread (nothing to overlap) takes
       the sum of its branches; concurrent branches approach their maximum.
-    * ``modelled_parallel_seconds`` — the hardware model of the paper's
-      cluster: per-operation maximum of execution time scaled by each
-      shard's ``cpu_factor`` (weaker cluster nodes).  Used to translate
-      in-process measurements onto the paper's heterogeneous deployment.
+    * ``modelled_parallel_seconds`` — **modelled makespan**: per operation,
+      the slowest branch's execution seconds, summed over operations: the
+      window a cluster whose shards run truly in parallel would spend.
 
     The experiment harness converts measured wall time into the elapsed time
     the paper's cluster would observe via::
@@ -120,11 +126,12 @@ class RouterMetrics:
     targeted_operations: int = 0
     broadcast_operations: int = 0
     router_seconds: float = 0.0
-    #: Sum-of-work: total per-shard execution seconds (see class docstring).
+    #: Sum-of-work: total per-shard execution seconds (see class docstring);
+    #: per-branch seconds are in ``QueryRouter.last_scatter_report``.
     shard_seconds_total: float = 0.0
     #: Observed makespan: measured wall clock of the fan-outs.
     parallel_shard_seconds: float = 0.0
-    #: Modelled makespan: per-operation max of execution x ``cpu_factor``.
+    #: Modelled makespan: per-operation max of the branches' execution seconds.
     modelled_parallel_seconds: float = 0.0
     network_seconds: float = 0.0
     shards_contacted: int = 0
@@ -206,8 +213,6 @@ class QueryRouter:
         with self._metrics_lock:
             self.metrics = RouterMetrics()
         self.network.reset()
-        for shard in self.shards:
-            shard.reset_accounting()
 
     def close(self) -> None:
         """Shut down the scatter worker pool."""
@@ -274,12 +279,6 @@ class QueryRouter:
 
     # ------------------------------------------------------------- scatter/gather
 
-    #: Documents per response batch.  Large result sets are shipped back to
-    #: the router in multiple getMore-style batches, each paying one network
-    #: round trip — the mechanism that makes result-heavy broadcast queries
-    #: expensive on the cluster (Section 4.3, observation ii).
-    RESPONSE_BATCH_SIZE = 101
-
     def _scatter(
         self,
         requests: Mapping[str, int],
@@ -301,7 +300,7 @@ class QueryRouter:
         and :meth:`_absorb_outcome` merges them.  Raises
         :class:`ShardTimeoutError` when a shard misses the deadline.
         """
-        batch_size = response_batch_size or self.RESPONSE_BATCH_SIZE
+        batch_size = response_batch_size or RESPONSE_BATCH_SIZE
 
         def make_branch(shard_id: str, request_bytes: int) -> Callable[[BranchReport], Any]:
             shard = self._shards[shard_id]
@@ -363,17 +362,12 @@ class QueryRouter:
             metrics = self.metrics
             modelled = 0.0
             for report in reports:
-                shard = self._shards[report.shard_id]
                 self.network.absorb(report.channel)
                 metrics.network_seconds += report.channel.stats.simulated_seconds
-                shard.record_busy(report.timing.execute_seconds)
                 metrics.shard_seconds_total += report.timing.execute_seconds
                 metrics.documents_shipped += report.items_shipped
                 metrics.bytes_shipped += report.bytes_shipped
-                modelled = max(
-                    modelled,
-                    report.timing.execute_seconds * shard.description.cpu_factor,
-                )
+                modelled = max(modelled, report.timing.execute_seconds)
                 timings[report.shard_id] = report.timing.snapshot()
             metrics.operations += 1
             metrics.shards_contacted += len(reports)
@@ -383,7 +377,7 @@ class QueryRouter:
                 metrics.broadcast_operations += 1
             makespan = max((report.done_at for report in reports), default=started) - started
             metrics.parallel_shard_seconds += makespan
-            metrics.modelled_parallel_seconds += max(modelled, 0.0)
+            metrics.modelled_parallel_seconds += modelled
             self._thread_state.scatter_report = {
                 "purpose": purpose,
                 "makespanSeconds": makespan,
@@ -651,7 +645,7 @@ class RoutedCollection(CollectionSurface):
             targeted,
             "distinct",
             {"distinct": self.name, "key": key},
-            lambda collection: _sized(collection.distinct(key, query)),
+            lambda collection: _sized(collection.execute_distinct(key, query)),
             ship_results=True,
         )
         started = time.perf_counter()

@@ -12,9 +12,10 @@ the correlations the four evaluation queries depend on:
   education cross product (Q7's ``M / M / 4 yr Degree`` bucket exists);
 * ``store`` and ``customer_address`` concentrate on a small set of cities
   including ``Midway`` and ``Fairview`` (Q46);
-* a configurable fraction of ``store_sales`` rows has a matching
-  ``store_returns`` row with the same ticket number, item, and customer,
-  returned between 5 and 150 days after the sale (Q50's aging buckets);
+* ``store_returns`` has its Table 3.6 row count (scaled like the other
+  scaling tables), and each row is a distinct ``store_sales`` row's return,
+  with the same ticket number, item, and customer, between 5 and 150 days
+  after the sale (Q50's aging buckets);
 * ``item`` prices straddle the ``0.99 .. 1.49`` band used by Q21.
 """
 
@@ -114,13 +115,10 @@ class TPCDSGenerator:
         profile: ScaleProfile = SCALE_SMALL,
         *,
         seed: int = 20151109,
-        returns_fraction: float = 0.10,
     ) -> None:
         self.profile = profile
         self.seed = seed
-        self.returns_fraction = returns_fraction
         self.row_counts = generation_row_counts(profile)
-        self._random = random.Random(seed)
         self._cache: dict[str, list[dict[str, Any]]] = {}
 
     # ------------------------------------------------------------- public API

@@ -56,20 +56,18 @@ def harness():
 
 class TestExperimentHarness:
     def test_standalone_denormalized_experiment(self, harness):
-        result = harness.run_experiment(3, query_ids=(7,))
-        run = result.query_runs[7]
+        run = harness.run_query(3, 7)
         assert run.simulated_seconds == pytest.approx(run.wall_seconds)
         assert run.result_documents > 0
         assert run.router_metrics is None
 
     def test_standalone_normalized_experiment(self, harness):
-        result = harness.run_experiment(2, query_ids=(7, 50))
-        assert set(result.query_runs) == {7, 50}
+        result = harness.run_experiment(2)
+        assert set(result.query_runs) == set(QUERY_IDS)
         assert all(run.simulated_seconds > 0 for run in result.query_runs.values())
 
     def test_sharded_normalized_experiment_reports_router_metrics(self, harness):
-        result = harness.run_experiment(1, query_ids=(7,))
-        run = result.query_runs[7]
+        run = harness.run_query(1, 7)
         assert run.router_metrics is not None
         assert run.network["messages"] > 0
         assert run.simulated_seconds > 0
@@ -78,8 +76,7 @@ class TestExperimentHarness:
         """All three deployments return the same number of result rows."""
         counts = set()
         for experiment in (1, 2, 3):
-            result = harness.run_experiment(experiment, query_ids=(46,))
-            counts.add(result.query_runs[46].result_documents)
+            counts.add(harness.run_query(experiment, 46).result_documents)
         assert len(counts) == 1
 
     def test_repetitions_take_best_run(self, harness):
@@ -87,7 +84,7 @@ class TestExperimentHarness:
         assert run.runs == 3
 
     def test_load_report_available_after_standalone_run(self, harness):
-        result = harness.run_experiment(2, query_ids=(7,))
+        result = harness.run_experiment(2)
         assert result.load_report is not None
         assert result.load_report.total_documents > 0
 
@@ -97,8 +94,7 @@ class TestExperimentHarness:
         assert first is second
 
     def test_denormalized_sharded_extension_runs(self, harness):
-        result = harness.run_experiment(7, query_ids=(7,))
-        assert result.query_runs[7].result_documents > 0
+        assert harness.run_query(7, 7).result_documents > 0
 
     @pytest.mark.parametrize("query_id", QUERY_IDS)
     def test_denormalized_cluster_ships_in_proportion_to_the_groups(self, harness, query_id):

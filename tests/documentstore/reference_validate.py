@@ -21,17 +21,16 @@ from repro.documentstore.objectid import ObjectId
 _SCALAR_TYPES = (bool, int, float, str, bytes, ObjectId, _dt.datetime, _dt.date)
 
 
-def validate_document(document: Mapping[str, Any], *, check_size: bool = True) -> None:
+def validate_document(document: Mapping[str, Any]) -> None:
     """Validate *document* for insertion."""
     if not isinstance(document, Mapping):
         raise InvalidDocumentError(
             f"documents must be mappings, got {type(document).__name__}"
         )
     validate_value(document)
-    if check_size:
-        size = document_size(document)
-        if size > MAX_DOCUMENT_SIZE:
-            raise DocumentTooLargeError(size, MAX_DOCUMENT_SIZE)
+    size = document_size(document)
+    if size > MAX_DOCUMENT_SIZE:
+        raise DocumentTooLargeError(size, MAX_DOCUMENT_SIZE)
 
 
 def validate_value(value: Any) -> None:

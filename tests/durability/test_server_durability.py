@@ -57,7 +57,7 @@ class TestSigkillMidTraffic:
 
         def writer() -> None:
             try:
-                with RemoteClient(("127.0.0.1", port), pool_size=1, retry_reads=False) as client:
+                with RemoteClient(("127.0.0.1", port), pool_size=1) as client:
                     collection = client.db.c
                     doc_id = 0
                     while not stop.is_set():

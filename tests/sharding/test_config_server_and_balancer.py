@@ -148,6 +148,25 @@ class TestBalancer:
         assert record.documents_moved == chunk.document_count
         assert collection.count_documents({}) == before_total
 
+    def test_a_migration_sizes_only_the_documents_it_moves(self):
+        cluster = ShardedCluster(shard_count=2)
+        cluster.enable_sharding("db")
+        manager = cluster.shard_collection("db", "c", {"k": "hashed"})
+        cluster.get_database("db")["c"].insert_many([{"k": i, "pad": "x" * i} for i in range(100)])
+        chunk = next(c for c in manager.chunks if c.document_count > 0)
+        source = cluster.shard(chunk.shard_id).collection("db", "c")
+        stayed = [
+            document["k"]
+            for document in source.find({})
+            if not chunk.contains(manager.shard_key.extract(document))
+        ]
+        assert stayed and not source._sizes  # freshly loaded: nothing sized yet
+        other = "shard2" if chunk.shard_id == "shard1" else "shard1"
+        record = cluster.balancer.migrate_chunk("db", "c", chunk, other)
+        assert record.documents_moved > 0
+        assert sorted(document["k"] for document in source.find({})) == sorted(stayed)
+        assert source._sizes == {}  # no document that stayed was sized
+
     def test_balancer_standalone_construction(self):
         config = ConfigServer()
         config.add_shard("a")

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
-from repro.documentstore import DeleteMany, InsertOne, ShardKeyError, UpdateMany, UpdateOne
-from repro.sharding import NetworkModel, ShardDescription, ShardedCluster
+from repro.documentstore import (
+    Collection,
+    DeleteMany,
+    InsertOne,
+    ShardKeyError,
+    UpdateMany,
+    UpdateOne,
+)
+from repro.sharding import NetworkModel, ShardedCluster
 
 
 @pytest.fixture()
@@ -130,6 +139,55 @@ class TestReadsAndWrites:
         orders.drop()
         assert orders.count_documents({}) == 0
         assert not loaded.config_server.is_sharded("shop", "orders")
+
+
+class TestRoutedDistinct:
+    """A routed ``distinct`` ships each value once, as the one copy the caller owns."""
+
+    DOCUMENTS = [
+        {"k": i, "v": value}
+        for i, value in enumerate(
+            [{"a": 1}, [1, {"b": [2]}], {"a": 1}, "s", [[3]], {"c": {"d": [4]}}, 5, [[6, 7]]] * 5
+        )
+    ]
+
+    @pytest.fixture(params=["hashed", "ranged", "unsharded"])
+    def routed(self, request):
+        cluster = ShardedCluster(shard_count=3)
+        cluster.enable_sharding("db")
+        if request.param == "hashed":
+            cluster.shard_collection("db", "c", {"k": "hashed"})
+        elif request.param == "ranged":
+            cluster.shard_collection(
+                "db", "c", {"k": 1}, chunk_size_bytes=200, initial_chunks_per_shard=1
+            )
+        collection = cluster.get_database("db")["c"]
+        collection.insert_many(self.DOCUMENTS)
+        cluster.balance()
+        yield collection
+        cluster.close()
+
+    @pytest.mark.parametrize("key, query", [("v", None), ("v", {"k": {"$lt": 20}}), ("v.b", None)])
+    def test_equals_the_stand_alone_answer(self, routed, key, query):
+        standalone = Collection(None, "c")
+        standalone.insert_many(self.DOCUMENTS)
+        want = standalone.distinct(key, query)
+        got = routed.distinct(key, query)
+        assert sorted(got, key=repr) == sorted(want, key=repr)
+
+    def test_a_returned_value_is_the_callers_own(self, routed):
+        first = routed.distinct("v")
+        snapshot = copy.deepcopy(sorted(first, key=repr))
+        assert any(isinstance(value, dict) for value in first)
+        assert any(isinstance(value, list) for value in first)
+        for value in first:
+            if isinstance(value, dict):
+                value["mutated"] = True
+            elif isinstance(value, list):
+                value.append("mutated")
+        assert sorted(routed.distinct("v"), key=repr) == snapshot
+        stored = sorted((document["v"] for document in routed.find({}, {"_id": 0})), key=repr)
+        assert stored == sorted((document["v"] for document in self.DOCUMENTS), key=repr)
 
 
 class TestBulkWriteRouting:
@@ -275,22 +333,17 @@ class TestMetricsAndCostModel:
         orders.find({"store": 0}).to_list()
         assert loaded.router.metrics.shards_contacted == 3
 
-    def test_cpu_factor_scales_modelled_parallel_seconds(self):
-        # The cost model scales the slowest branch by the shard's cpu_factor;
-        # with factor 4 the modelled makespan must exceed even the *sum* of
-        # the raw per-shard execution times (2 shards x factor 4 > 2).
-        slow_nodes = [
-            ShardDescription(shard_id=f"s{i}", cpu_factor=4.0) for i in range(2)
-        ]
-        cluster = ShardedCluster(shard_descriptions=slow_nodes)
-        cluster.enable_sharding("db")
-        cluster.shard_collection("db", "c", {"k": "hashed"})
-        collection = cluster.get_database("db")["c"]
-        collection.insert_many([{"k": i} for i in range(50)])
-        cluster.reset_metrics()
-        collection.find({}).to_list()
-        metrics = cluster.router.metrics
-        assert metrics.modelled_parallel_seconds > metrics.shard_seconds_total / 2
+    def test_modelled_makespan_is_the_slowest_branch(self, loaded):
+        # The cost model's makespan of one fan-out is its slowest branch's
+        # execute time, the one explain(executionStats) reports.
+        orders = loaded.get_database("shop")["orders"]
+        loaded.reset_metrics()
+        orders.find({}).to_list()
+        branches = loaded.router.last_scatter_report["shards"]
+        assert len(branches) == 3
+        assert loaded.router.metrics.modelled_parallel_seconds == max(
+            branch["executeSeconds"] for branch in branches.values()
+        )
 
     def test_observed_makespan_is_measured(self, loaded):
         # parallel_shard_seconds is now an observed wall-clock makespan: it

@@ -1,4 +1,4 @@
-"""Every public function, class and method in ``src/`` has a caller outside ``tests/``.
+"""Every public function, class, method and option in ``src/`` has a caller outside ``tests/``.
 
 One ``ast`` pass over ``src/``, ``benchmarks/`` and ``examples/`` counts the
 names read there (``Name``, ``Attribute`` and identifier strings, which cover
@@ -6,6 +6,12 @@ names read there (``Name``, ``Attribute`` and identifier strings, which cover
 do not count).  The check is by name only: a dead method whose name another
 class shares still passes, as ``Database.command`` did beside
 ``RemoteDatabase.command``.  Keeping test-only code is a choice made here.
+
+The same files must pass every keyword-only parameter with a default (an
+*option*) of a public callable by keyword somewhere.  That check is by name
+too: an option passes when any call passes a keyword of its name, which is
+how ``ExperimentHarness(seed=)`` went unnoticed while another function,
+``TPCDSGenerator``, took ``seed=``.
 """
 
 from __future__ import annotations
@@ -25,6 +31,30 @@ ALLOWED = {
     "paper_row_counts": "the Table 3.6 fidelity oracle",
     "date_sk_for": "the generator's date-key oracle",
     "matches": "the fresh-compile reference for compile_matcher",
+}
+
+#: Options no caller outside tests passes, each kept for a reason: a
+#: deployment setting, a test fake or clock, a parameter of the paper's
+#: algorithms, or a value the caller passes as ``**bounds``.
+ALLOWED_OPTIONS = {
+    "DocumentStoreClient(auto_checkpoint_bytes=)": "deployment setting: WAL bytes per checkpoint",
+    "StorageEngine(auto_checkpoint_bytes=)": "deployment setting: WAL bytes per checkpoint",
+    "DocumentStoreClient(storage_engine=)": "test fake: an engine over a faulty file system",
+    "ObjectId(timestamp=)": "clock: an id for a given creation time",
+    "RemoteClient(connect_timeout_seconds=)": "deployment setting",
+    "RemoteClient(socket_timeout_seconds=)": "deployment setting",
+    "DocumentStoreServer(host=)": "deployment setting",
+    "DocumentStoreServer(max_connections=)": "deployment setting",
+    "DocumentStoreServer(read_timeout_seconds=)": "deployment setting",
+    "DocumentStoreServer(write_timeout_seconds=)": "deployment setting",
+    "DocumentStoreServer.shutdown(drain_timeout_seconds=)": "deployment setting",
+    "ShardedCluster(network_model=)": "deployment setting: latency, bandwidth, realtime",
+    "embed_documents(dimension_filter=)": "paper algorithm: the filter of Figure 4.7, step 1",
+    "create_denormalized_collection(target_name=)": "paper algorithm: Figure 4.6's new collection",
+    "Index.range_lookup(include_lower=)": "passed as **bounds by the planner",
+    "Index.range_lookup(include_upper=)": "passed as **bounds by the planner",
+    "Index.count_range(include_lower=)": "passed as **bounds by the planner",
+    "Index.count_range(include_upper=)": "passed as **bounds by the planner",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -68,3 +98,43 @@ def test_every_public_name_in_src_is_reached_outside_tests():
     }
     assert unreached <= set(ALLOWED), sorted(unreached - set(ALLOWED))
     assert set(ALLOWED) <= unreached, sorted(set(ALLOWED) - unreached)  # a stale entry
+
+
+def _public_callables(tree: ast.Module):
+    """``(qualified name, function)`` of each public function, method and constructor."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS[:2]) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for member in node.body:
+                if not isinstance(member, DEFINITIONS[:2]):
+                    continue
+                if member.name == "__init__":
+                    yield node.name, member
+                elif not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
+
+
+def test_every_option_in_src_is_passed_outside_tests():
+    passed = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            passed.update(
+                keyword.arg
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                for keyword in node.keywords
+                if keyword.arg is not None
+            )
+    unpassed = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for qualified, function in _public_callables(tree):
+            arguments = function.args
+            for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults):
+                if default is not None and argument.arg not in passed:
+                    unpassed.add(f"{qualified}({argument.arg}=)")
+    assert unpassed <= set(ALLOWED_OPTIONS), sorted(unpassed - set(ALLOWED_OPTIONS))
+    stale = set(ALLOWED_OPTIONS) - unpassed
+    assert not stale, sorted(stale)  # a stale entry
