@@ -159,10 +159,8 @@ def create_denormalized_collection(
     database,
     fact_name: str,
     dimensions: Sequence[DimensionJoin],
-    *,
-    target_name: str | None = None,
 ) -> DenormalizationReport:
-    """Create a denormalized copy of a fact collection (Figure 4.6).
+    """Create the denormalized copy ``<fact>_denormalized`` of a fact collection (Figure 4.6).
 
     ``dimensions`` lists the dimension collections to embed, in order.  Joins
     that descend into an already embedded document use a dotted
@@ -170,8 +168,7 @@ def create_denormalized_collection(
     is how the nested customer-address embedding of Query 46 is expressed.
     """
     started = time.perf_counter()
-    if target_name is None:
-        target_name = f"{fact_name}_denormalized"
+    target_name = f"{fact_name}_denormalized"
     report = DenormalizationReport(fact_collection=fact_name, target_collection=target_name)
     report.documents = _copy_collection(database, fact_name, target_name)
     target = database[target_name]

@@ -214,7 +214,6 @@ def _run_simple_normalized_query(
     parameters: Mapping[str, Any] | None,
     report: NormalizedExecutionReport,
     *,
-    keep_intermediate: bool,
     write_output: bool,
 ) -> None:
     """The single-fact plan shared by queries 7, 21, and 46."""
@@ -241,8 +240,7 @@ def _run_simple_normalized_query(
     report.results = results
     report.result_documents = len(results)
 
-    if not keep_intermediate:
-        database[intermediate_name].drop()
+    database[intermediate_name].drop()
 
 
 def _run_fact_join_query(
@@ -251,7 +249,6 @@ def _run_fact_join_query(
     parameters: Mapping[str, Any] | None,
     report: NormalizedExecutionReport,
     *,
-    keep_intermediate: bool,
     write_output: bool,
 ) -> None:
     """The two-fact plan of Query 50 (store_sales ⋈ store_returns)."""
@@ -307,8 +304,7 @@ def _run_fact_join_query(
     report.results = results
     report.result_documents = len(results)
 
-    if not keep_intermediate:
-        database[intermediate_name].drop()
+    database[intermediate_name].drop()
 
 
 def run_normalized_query(
@@ -316,7 +312,6 @@ def run_normalized_query(
     query_id: int,
     parameters: Mapping[str, Any] | None = None,
     *,
-    keep_intermediate: bool = False,
     write_output: bool = False,
 ) -> NormalizedExecutionReport:
     """Run *query_id* against the normalized collections in *database*.
@@ -331,23 +326,7 @@ def run_normalized_query(
     spec = query_spec(query_id, params)
     report = NormalizedExecutionReport(query_id=query_id)
     started = time.perf_counter()
-    if spec.fact_join is not None:
-        _run_fact_join_query(
-            database,
-            spec,
-            params,
-            report,
-            keep_intermediate=keep_intermediate,
-            write_output=write_output,
-        )
-    else:
-        _run_simple_normalized_query(
-            database,
-            spec,
-            params,
-            report,
-            keep_intermediate=keep_intermediate,
-            write_output=write_output,
-        )
+    run = _run_fact_join_query if spec.fact_join is not None else _run_simple_normalized_query
+    run(database, spec, params, report, write_output=write_output)
     report.seconds = time.perf_counter() - started
     return report

@@ -849,7 +849,6 @@ def run_pipeline(
     collection_resolver: Callable[[str], Iterable[Mapping[str, Any]]] | None = None,
     output_writer: Callable[[str, list[dict[str, Any]]], None] | None = None,
     counters: list[StageStats] | None = None,
-    optimize: bool = True,
 ) -> list[dict[str, Any]]:
     """Execute *pipeline* over *documents* and return the resulting documents.
 
@@ -863,7 +862,6 @@ def run_pipeline(
         pipeline,
         collection_resolver=collection_resolver,
         output_writer=output_writer,
-        optimize=optimize,
     )
     return compiled.run(documents, counters=counters)
 

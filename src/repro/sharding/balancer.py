@@ -23,6 +23,9 @@ __all__ = ["Balancer", "MigrationRecord"]
 #: A shard pair is rebalanced when the chunk-count difference reaches this.
 MIGRATION_THRESHOLD = 2
 
+#: The most chunks one balancing pass moves per collection.
+MAX_MIGRATIONS = 100
+
 
 @dataclass(frozen=True)
 class MigrationRecord:
@@ -124,16 +127,12 @@ class Balancer:
         return record
 
     def balance_collection(
-        self,
-        database_name: str,
-        collection_name: str,
-        *,
-        max_migrations: int = 100,
+        self, database_name: str, collection_name: str
     ) -> list[MigrationRecord]:
         """Run balancing rounds for one collection until it is even."""
         manager = self.config.chunk_manager(database_name, collection_name)
         migrations: list[MigrationRecord] = []
-        for _round in range(max_migrations):
+        for _round in range(MAX_MIGRATIONS):
             imbalance = self._imbalance(manager)
             if imbalance is None:
                 break
@@ -149,14 +148,10 @@ class Balancer:
             )
         return migrations
 
-    def balance_all(self, *, max_migrations: int = 100) -> list[MigrationRecord]:
+    def balance_all(self) -> list[MigrationRecord]:
         """Balance every sharded collection in the cluster."""
         migrations: list[MigrationRecord] = []
         for namespace in self.config.sharded_namespaces():
             database_name, collection_name = namespace.split(".", 1)
-            migrations.extend(
-                self.balance_collection(
-                    database_name, collection_name, max_migrations=max_migrations
-                )
-            )
+            migrations.extend(self.balance_collection(database_name, collection_name))
         return migrations

@@ -35,6 +35,9 @@ __all__ = [
 #: Default maximum chunk size (64 MB), as in the paper.
 DEFAULT_CHUNK_SIZE_BYTES = 64 * 1024 * 1024
 
+#: Chunks each shard owns when a hashed collection is pre-split.
+INITIAL_CHUNKS_PER_SHARD = 2
+
 
 class MinKey:
     """Sentinel smaller than every shard-key value."""
@@ -235,7 +238,6 @@ class ChunkManager:
         shard_ids: Sequence[str],
         *,
         chunk_size_bytes: int = DEFAULT_CHUNK_SIZE_BYTES,
-        initial_chunks_per_shard: int = 2,
     ) -> None:
         if not shard_ids:
             raise ShardKeyError("cannot create chunks without shards")
@@ -245,15 +247,15 @@ class ChunkManager:
         self._shard_ids = list(shard_ids)
         self.chunks: list[Chunk] = []
         if shard_key.hashed:
-            self._create_initial_hashed_chunks(initial_chunks_per_shard)
+            self._create_initial_hashed_chunks()
         else:
             # Range sharding starts with a single full-range chunk on the
             # first shard; splits and the balancer spread it out as data grows.
             self.chunks.append(Chunk(lower=MIN_KEY, upper=MAX_KEY, shard_id=self._shard_ids[0]))
 
-    def _create_initial_hashed_chunks(self, chunks_per_shard: int) -> None:
+    def _create_initial_hashed_chunks(self) -> None:
         """Pre-split the 64-bit hash space evenly across shards."""
-        total_chunks = max(1, chunks_per_shard) * len(self._shard_ids)
+        total_chunks = INITIAL_CHUNKS_PER_SHARD * len(self._shard_ids)
         hash_space = 2 ** 64
         step = hash_space // total_chunks
         boundaries: list[Any] = [MIN_KEY]

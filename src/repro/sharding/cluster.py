@@ -160,7 +160,6 @@ class ShardedCluster:
         shard_key: str | Sequence[str] | Mapping[str, Any],
         *,
         chunk_size_bytes: int | None = None,
-        initial_chunks_per_shard: int = 2,
     ) -> ChunkManager:
         """Shard a collection (``sh.shardCollection`` analogue).
 
@@ -174,7 +173,6 @@ class ShardedCluster:
             collection_name,
             shard_key,
             chunk_size_bytes=chunk_size_bytes,
-            initial_chunks_per_shard=initial_chunks_per_shard,
         )
         index_keys = [
             (field, "hashed" if manager.shard_key.hashed else 1)

@@ -75,7 +75,6 @@ class ConfigServer:
         shard_key: str | Sequence[str] | Mapping[str, Any],
         *,
         chunk_size_bytes: int | None = None,
-        initial_chunks_per_shard: int = 2,
     ) -> ChunkManager:
         """Shard a collection with *shard_key* and create its chunk table."""
         if database_name not in self._databases:
@@ -86,7 +85,7 @@ class ConfigServer:
         if namespace in self._collections:
             raise ShardingError(f"collection {namespace!r} is already sharded")
         pattern = ShardKeyPattern.create(shard_key)
-        kwargs: dict[str, Any] = {"initial_chunks_per_shard": initial_chunks_per_shard}
+        kwargs: dict[str, Any] = {}
         if chunk_size_bytes is not None:
             kwargs["chunk_size_bytes"] = chunk_size_bytes
         manager = ChunkManager(namespace, pattern, self._shard_ids, **kwargs)

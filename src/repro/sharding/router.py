@@ -169,7 +169,7 @@ class QueryRouter:
         network: SimulatedNetwork | None = None,
         name: str = "mongos",
         *,
-        scatter_policy: ScatterPolicy | None = None,
+        scatter_policy: ScatterPolicy | None,
     ) -> None:
         self.name = name
         self.config = config_server

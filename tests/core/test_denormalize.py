@@ -105,15 +105,6 @@ class TestCreateDenormalizedCollection:
         # The source collection keeps its scalar foreign keys.
         assert book_database["book"].find_one({"title": "MongoDB"})["publisher_id"] == 1
 
-    def test_custom_target_name(self, book_database):
-        create_denormalized_collection(
-            book_database,
-            "book",
-            [DimensionJoin("publisher", "publisher_id", "publisher_id")],
-            target_name="books_wide",
-        )
-        assert book_database["books_wide"].count_documents({}) == 4
-
     def test_report_lists_embeddings(self, book_database):
         report = create_denormalized_collection(
             book_database,

@@ -294,11 +294,6 @@ class TestNormalizedAgainstDenormalized:
             standalone_db["query7_intermediate"].count_documents({}) == 0
         )
 
-    def test_keep_intermediate_option(self, standalone_db):
-        report = run_normalized_query(standalone_db, 7, keep_intermediate=True)
-        assert standalone_db["query7_intermediate"].count_documents({}) == report.semi_join_documents
-        standalone_db["query7_intermediate"].drop()
-
     def test_report_contains_breakdown(self, standalone_db):
         report = run_normalized_query(standalone_db, 46)
         assert report.dimension_keys["store"] >= 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.documentstore import Collection, optimize_pipeline, run_pipeline
+from repro.documentstore import Collection, compile_pipeline, optimize_pipeline, run_pipeline
 from repro.documentstore.aggregation import StageStats
 
 
@@ -18,6 +18,11 @@ ROWS = [
     {"item": chr(65 + (i % 7)), "store": i % 5, "qty": (i * 13) % 31, "tags": ["a", "b"][: i % 3]}
     for i in range(200)
 ]
+
+
+def run_as_written(rows, pipeline):
+    """The reference: *pipeline* without the logical rewrites or the top-k fusion."""
+    return compile_pipeline(pipeline, optimize=False).run(rows)
 
 
 def stage_labels(counters):
@@ -73,14 +78,14 @@ class TestTopKFusion:
 
     def test_fused_results_identical_to_unoptimized(self):
         pipeline = [{"$sort": {"qty": -1, "item": 1}}, {"$limit": 10}]
-        assert run_pipeline(ROWS, pipeline) == run_pipeline(ROWS, pipeline, optimize=False)
+        assert run_pipeline(ROWS, pipeline) == run_as_written(ROWS, pipeline)
 
     def test_sort_skip_limit_fusion(self):
         pipeline = [{"$sort": {"qty": 1}}, {"$skip": 5}, {"$limit": 4}]
         counters: list[StageStats] = []
         result = run_pipeline(ROWS, pipeline, counters=counters)
         assert stage_labels(counters) == ["$sort+$limit"]
-        assert result == run_pipeline(ROWS, pipeline, optimize=False)
+        assert result == run_as_written(ROWS, pipeline)
         assert len(result) == 4
 
     def test_an_intervening_stage_blocks_fusion(self):
@@ -92,14 +97,14 @@ class TestTopKFusion:
         counters: list[StageStats] = []
         result = run_pipeline(ROWS, pipeline, counters=counters)
         assert stage_labels(counters) == ["$sort", "$addFields", "$limit"]
-        assert result == run_pipeline(ROWS, pipeline, optimize=False)
+        assert result == run_as_written(ROWS, pipeline)
 
     def test_a_match_between_sort_and_limit_moves_ahead_and_fuses(self):
         pipeline = [{"$sort": {"qty": -1, "item": 1}}, {"$match": {"store": 2}}, {"$limit": 5}]
         counters: list[StageStats] = []
         result = run_pipeline(ROWS, pipeline, counters=counters)
         assert stage_labels(counters) == ["$match", "$sort+$limit"]
-        assert result == run_pipeline(ROWS, pipeline, optimize=False)
+        assert result == run_as_written(ROWS, pipeline)
         assert all(doc["store"] == 2 for doc in result)
 
     @pytest.mark.parametrize(("skip", "limit"), [(0, 0), (0, 1), (3, 5), (195, 10), (250, 5)])
@@ -122,7 +127,7 @@ class TestTopKFusion:
 
     def test_sort_alone_still_full_sorts(self):
         pipeline = [{"$sort": {"qty": 1, "store": -1}}]
-        assert run_pipeline(ROWS, pipeline) == run_pipeline(ROWS, pipeline, optimize=False)
+        assert run_pipeline(ROWS, pipeline) == run_as_written(ROWS, pipeline)
 
 
 class TestPushdown:
@@ -142,13 +147,13 @@ class TestPushdown:
         pipeline = [{"$unwind": "$tags"}, {"$match": {"store": 2}}]
         optimized = optimize_pipeline(pipeline)
         assert "$match" in optimized[0]
-        assert run_pipeline(ROWS, pipeline) == run_pipeline(ROWS, pipeline, optimize=False)
+        assert run_pipeline(ROWS, pipeline) == run_as_written(ROWS, pipeline)
 
     def test_match_on_unwound_path_stays_after_unwind(self):
         pipeline = [{"$unwind": "$tags"}, {"$match": {"tags": "a"}}]
         optimized = optimize_pipeline(pipeline)
         assert "$unwind" in optimized[0]
-        assert run_pipeline(ROWS, pipeline) == run_pipeline(ROWS, pipeline, optimize=False)
+        assert run_pipeline(ROWS, pipeline) == run_as_written(ROWS, pipeline)
 
     def test_match_with_expr_is_never_pushed(self):
         pipeline = [{"$unwind": "$tags"}, {"$match": {"$expr": {"$gt": ["$qty", 3]}}}]
@@ -158,7 +163,7 @@ class TestPushdown:
         pipeline = [{"$unwind": "$tags"}, {"$project": {"tags": 1, "store": 1}}]
         optimized = optimize_pipeline(pipeline)
         assert "$project" in optimized[0]
-        assert run_pipeline(ROWS, pipeline) == run_pipeline(ROWS, pipeline, optimize=False)
+        assert run_pipeline(ROWS, pipeline) == run_as_written(ROWS, pipeline)
 
     def test_project_dropping_unwind_path_stays_put(self):
         pipeline = [{"$unwind": "$tags"}, {"$project": {"store": 1}}]
@@ -193,7 +198,7 @@ class TestPushdown:
         ],
     )
     def test_optimized_execution_is_bit_identical(self, pipeline):
-        assert run_pipeline(ROWS, pipeline) == run_pipeline(ROWS, pipeline, optimize=False)
+        assert run_pipeline(ROWS, pipeline) == run_as_written(ROWS, pipeline)
 
 
 class TestExplainAggregate:
@@ -239,9 +244,7 @@ class TestExplainAggregate:
             {"$group": {"_id": "$item", "total": {"$sum": "$qty"}}},
             {"$sort": {"_id": 1}},
         ]
-        expected = run_pipeline(
-            [d for d in ROWS if d["store"] in (0, 1)], pipeline[1:], optimize=False
-        )
+        expected = run_as_written([d for d in ROWS if d["store"] in (0, 1)], pipeline[1:])
         got = collection.aggregate(pipeline)
         assert [r["total"] for r in sorted(got, key=lambda r: r["_id"])] == [
             r["total"] for r in sorted(expected, key=lambda r: r["_id"])

@@ -132,9 +132,7 @@ class TestChunkAccounting:
     def test_oversized_batch_splits_chunks_recursively(self):
         cluster = ShardedCluster(shard_count=2)
         cluster.enable_sharding("db")
-        cluster.shard_collection(
-            "db", "items", {"k": 1}, chunk_size_bytes=2_000, initial_chunks_per_shard=1
-        )
+        cluster.shard_collection("db", "items", {"k": 1}, chunk_size_bytes=2_000)
         routed = cluster.get_database("db")["items"]
         routed.insert_many(documents(240))  # ~70 bytes each, far beyond one chunk
         manager = cluster.config_server.chunk_manager("db", "items")

@@ -141,7 +141,6 @@ class TestHashPartitioning:
             "db.coll",
             ShardKeyPattern.create({"k": "hashed"}),
             ["shard1", "shard2", "shard3"],
-            initial_chunks_per_shard=2,
         )
 
     def test_initial_chunks_spread_across_all_shards(self):

@@ -76,7 +76,7 @@ class TestConfigServer:
     def test_chunk_distribution_counts_chunks_per_shard(self):
         config = self.make_config()
         config.enable_sharding("db")
-        config.shard_collection("db", "c", {"k": "hashed"}, initial_chunks_per_shard=2)
+        config.shard_collection("db", "c", {"k": "hashed"})
         distribution = config.chunk_distribution()["db.c"]
         assert sum(distribution.values()) == 6
 

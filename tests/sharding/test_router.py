@@ -22,9 +22,7 @@ def cluster():
     built = ShardedCluster(shard_count=3)
     built.enable_sharding("shop")
     built.shard_collection("shop", "orders", {"order_id": "hashed"})
-    built.shard_collection(
-        "shop", "events", {"day": 1}, chunk_size_bytes=2_000, initial_chunks_per_shard=1
-    )
+    built.shard_collection("shop", "events", {"day": 1}, chunk_size_bytes=2_000)
     return built
 
 
@@ -158,9 +156,7 @@ class TestRoutedDistinct:
         if request.param == "hashed":
             cluster.shard_collection("db", "c", {"k": "hashed"})
         elif request.param == "ranged":
-            cluster.shard_collection(
-                "db", "c", {"k": 1}, chunk_size_bytes=200, initial_chunks_per_shard=1
-            )
+            cluster.shard_collection("db", "c", {"k": 1}, chunk_size_bytes=200)
         collection = cluster.get_database("db")["c"]
         collection.insert_many(self.DOCUMENTS)
         cluster.balance()
@@ -244,9 +240,7 @@ class TestBulkWriteRouting:
         tables = []
         for bulk in (True, False):
             cluster = ShardedCluster(shard_count=3)
-            cluster.shard_collection(
-                "shop", "events", {"day": 1}, chunk_size_bytes=2_000, initial_chunks_per_shard=1
-            )
+            cluster.shard_collection("shop", "events", {"day": 1}, chunk_size_bytes=2_000)
             events = cluster.get_database("shop")["events"]
             if bulk:
                 events.bulk_write([InsertOne(doc) for doc in documents], ordered=False)

@@ -29,9 +29,7 @@ ROWS = [
 def cluster():
     built = ShardedCluster(shard_count=3)
     built.enable_sharding("shop")
-    built.shard_collection(
-        "shop", "orders", {"day": 1}, chunk_size_bytes=4_000, initial_chunks_per_shard=1
-    )
+    built.shard_collection("shop", "orders", {"day": 1}, chunk_size_bytes=4_000)
     orders = built.get_database("shop")["orders"]
     orders.insert_many(ROWS)
     built.balance()
