@@ -714,10 +714,11 @@ def optimize_pipeline(
 # ---------------------------------------------------------------------------
 
 class CompiledPipeline:
-    """A validated pipeline lowered into streaming stage transforms."""
+    """Streaming stage transforms lowered from ``spec``, the validated (and rewritten) stages."""
 
-    def __init__(self, stages: list[CompiledStage]) -> None:
+    def __init__(self, stages: list[CompiledStage], spec: list[Mapping[str, Any]]) -> None:
         self.stages = stages
+        self.spec = spec
 
     def stage_labels(self) -> list[str]:
         """The (optimized) stage labels, in execution order."""
@@ -839,7 +840,7 @@ def compile_pipeline(
         else:
             raise InvalidPipelineError(f"unknown pipeline stage {operator!r}")
         index += 1
-    return CompiledPipeline(compiled)
+    return CompiledPipeline(compiled, stages_spec)
 
 
 def run_pipeline(

@@ -47,8 +47,8 @@ _SCALAR_TYPES = (bool, int, float, str, bytes, ObjectId, _dt.datetime, _dt.date)
 EXACT_SCALARS = frozenset((type(None), *_SCALAR_TYPES))
 
 
-def validate_document(document: Mapping[str, Any]) -> None:
-    """Validate *document* for insertion.
+def validate_document(document: Mapping[str, Any]) -> int:
+    """Validate *document* for insertion and return its ``document_size``.
 
     Raises
     ------
@@ -62,6 +62,7 @@ def validate_document(document: Mapping[str, Any]) -> None:
     size = document_size(document)
     if size > MAX_DOCUMENT_SIZE:
         raise DocumentTooLargeError(size, MAX_DOCUMENT_SIZE)
+    return size
 
 
 def require_mapping(document: Any) -> Mapping[str, Any]:

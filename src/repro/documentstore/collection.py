@@ -19,9 +19,9 @@ from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Any, ContextManager, Iterator
 
-from .aggregation import StageStats, optimize_pipeline, run_pipeline, validate_user_pipeline
+from .aggregation import StageStats, compile_pipeline, validate_user_pipeline
 from .bson import MAX_DOCUMENT_SIZE, deep_copy_document, document_size, require_mapping
-from .bson import validate_document, value_size
+from .bson import validate_document, validate_value, value_size
 from .bulk import BulkWriteError, BulkWriteResult, DeleteMany, DeleteOne, UpdateMany
 from .bulk import apply_operations, checked_operations
 from .cursor import (
@@ -47,6 +47,7 @@ from .objectid import ObjectId
 from .ordering import document_sort_key
 from .planner import QueryPlan, plan_find, plan_query
 from .update import OperatorUpdate, build_upsert_document, is_update_document, replace_document
+from .update import update_shape
 
 if TYPE_CHECKING:  # pragma: no cover
     from .database import Database
@@ -106,9 +107,7 @@ class Collection(CollectionSurface):
         # Stored documents are immutable and shared: a stored subtree is never
         # mutated in place (an update stores a new version that shares what it
         # did not touch, with the old version and with other documents) and
-        # never handed out uncopied — every reader copies it, except the two
-        # shard-side entry points, execute_find and execute_pipeline, whose
-        # callers encode the results at once.
+        # never handed out uncopied — every reader copies it.
         self._documents: dict[int, dict[str, Any]] = {}
         # The one record of a stored document's document_size: measured when
         # first needed (_stored_size), kept by delta through operator updates,
@@ -455,11 +454,9 @@ class Collection(CollectionSurface):
 
     # ---------------------------------------------------------------- reads
 
-    def _candidate_ids(self, query: Mapping[str, Any] | None) -> tuple[QueryPlan, Iterable[int]]:
+    def _candidate_ids(self, query: Mapping[str, Any] | None) -> list[int]:
         plan = plan_query(query, self._live_indexes(), len(self._documents))
-        if plan.stage == "IXSCAN" and plan.candidate_ids is not None:
-            return plan, plan.candidate_ids
-        return plan, list(self._documents.keys())
+        return list(self._documents if plan.candidate_ids is None else plan.candidate_ids)
 
     # -- the FindSpec executor ----------------------------------------------
 
@@ -484,33 +481,38 @@ class Collection(CollectionSurface):
     ) -> Iterator[dict[str, Any]]:
         """Execute a complete find spec, streaming final result documents.
 
-        Three shapes, chosen by the planner:
-
-        * no sort, or a sort served by index order — stream candidates,
-          stopping as soon as ``skip + limit`` matches were produced;
-        * sort with a limit — bounded ``heapq`` top-k over the matches;
-        * sort without a limit — one full sort of the matches.
+        A limit, with no sort or one served by index order, streams the
+        candidates until ``skip + limit`` matched; otherwise every match is
+        selected in C (:meth:`_matches`), then (a sort no index serves) put in
+        order: a ``heapq`` top-k with a limit, else one full sort.
 
         Only documents that survive skip/limit are projected, and copied out
-        of the engine unless *copy* is false (:meth:`execute_find`).  *ids*,
-        when given, receives the record id of each result.
+        of the engine unless *copy* is false (for a caller that only reads
+        them).  *ids*, when given, receives the record id of each result.
         """
         project = compile_projection(spec.projection, copy=copy)
         plan = self._plan_find(spec)
         predicate = compile_matcher(spec.filter)
         self.operation_counters["queries"] += 1
-        candidates = list(self._documents) if plan.candidate_ids is None else plan.candidate_ids
-
-        if spec.sort and not plan.sort_served:
-            selected = self._execute_find_sorted(spec, candidates, predicate)
+        unserved_sort = spec.sort and not plan.sort_served
+        if spec.limit is None or unserved_sort:
+            found = self._matches(plan, predicate)
+            selected = list(found)
+            if unserved_sort:
+                document_key = document_sort_key(spec.sort)
+                key = lambda doc_id: document_key(found[doc_id])  # noqa: E731
+                if spec.limit is None:
+                    selected.sort(key=key)
+                else:
+                    selected = heapq.nsmallest(spec.fetch_bound, selected, key=key)
+            selected = selected[spec.skip:]
             if ids is not None:
                 ids += selected
-            yield from map(project, [self._documents[doc_id] for doc_id in selected])
+            yield from map(project, map(found.__getitem__, selected))
             return
 
-        scanned = 0
-        matched = 0
-        yielded = 0
+        candidates = list(self._documents) if plan.candidate_ids is None else plan.candidate_ids
+        scanned = matched = 0
         try:
             for doc_id in candidates:
                 document = self._documents.get(doc_id)
@@ -520,44 +522,27 @@ class Collection(CollectionSurface):
                 if not predicate(document):
                     continue
                 matched += 1
-                if matched <= spec.skip:
-                    continue
-                if ids is not None:
-                    ids.append(doc_id)
-                yield project(document)
-                yielded += 1
-                if spec.limit is not None and yielded >= spec.limit:
-                    return
+                if matched > spec.skip:
+                    if ids is not None:
+                        ids.append(doc_id)
+                    yield project(document)
+                    if matched >= spec.fetch_bound:
+                        return
         finally:
             self.operation_counters["documents_scanned"] += scanned
 
-    def _execute_find_sorted(
-        self,
-        spec: FindSpec,
-        candidates: Iterable[int],
-        predicate: Any,
-    ) -> list[int]:
-        """The record ids a sort that no index serves selects, in order."""
-        matched: list[int] = []
-        scanned = 0
-        for doc_id in candidates:
-            document = self._documents.get(doc_id)
-            if document is None:
-                continue
-            scanned += 1
-            if predicate(document):
-                matched.append(doc_id)
-        self.operation_counters["documents_scanned"] += scanned
-        assert spec.sort is not None
-        document_key = document_sort_key(spec.sort)
-        key = lambda doc_id: document_key(self._documents[doc_id])  # noqa: E731
-        bound = spec.fetch_bound
-        if bound is not None:
-            selected = heapq.nsmallest(bound, matched, key=key)[spec.skip:]
+    def _matches(self, plan: QueryPlan, predicate: Any) -> dict[int, dict[str, Any]]:
+        """The plan's matching candidates by record id, in order, selected in C over one snapshot.
+
+        The snapshot (the records, or the candidates still stored) counts in ``documents_scanned``.
+        """
+        if plan.candidate_ids is None:
+            records = self._documents.copy()
         else:
-            matched.sort(key=key)
-            selected = matched[spec.skip:]
-        return selected
+            get = self._documents.get
+            records = {i: document for i in plan.candidate_ids if (document := get(i)) is not None}
+        self.operation_counters["documents_scanned"] += len(records)
+        return dict(itertools.compress(records.items(), map(predicate, records.values())))
 
     def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
         """Count the documents matching *query*."""
@@ -566,8 +551,13 @@ class Collection(CollectionSurface):
         return sum(1 for _document in self._execute_find(FindSpec(filter=query), copy=False))
 
     def distinct(self, key: str, query: Mapping[str, Any] | None = None) -> list[Any]:
-        """Return the distinct values of *key* among matching documents."""
-        return deep_copy_document(self.execute_distinct(key, query))
+        """Return the distinct values of *key* among matching documents, copied."""
+        return deep_copy_document(distinct_values(
+            candidate
+            for document in self._execute_find(FindSpec(filter=query), copy=False)
+            for value in resolve_path(document, key)
+            for candidate in (value if isinstance(value, list) else (value,))
+        ))
 
     def _explain_spec(self, spec: FindSpec, verbosity: str) -> dict[str, Any]:
         plan = self._plan_find(spec)
@@ -654,11 +644,10 @@ class Collection(CollectionSurface):
             ]
         predicate = compile_matcher(query)
         with self._apply_and_log():
-            _plan, candidate_ids = self._candidate_ids(query)
             matched = 0
             modified = 0
             changed_documents: list[dict[str, Any]] = []
-            for doc_id in list(candidate_ids):
+            for doc_id in self._candidate_ids(query):
                 document = self._documents.get(doc_id)
                 if document is None or not predicate(document):
                     continue
@@ -751,10 +740,9 @@ class Collection(CollectionSurface):
     def _delete(self, query: Mapping[str, Any] | None, *, multi: bool) -> DeleteResult:
         predicate = compile_matcher(query)
         with self._apply_and_log():
-            _plan, candidate_ids = self._candidate_ids(query)
             deleted = 0
             deleted_ids: list[Any] = []
-            for doc_id in list(candidate_ids):
+            for doc_id in self._candidate_ids(query):
                 document = self._documents.get(doc_id)
                 if document is None or not predicate(document):
                     continue
@@ -816,9 +804,11 @@ class Collection(CollectionSurface):
         two bisects, in the index (looked up by name each time) that the first
         filter of its shape, its keys, was planned to.  A plan is a superset
         of the matches, so 0 proves there is none: the operation is then
-        checked and counted as its public call would be, instead of run.
+        checked (once per update shape, then per argument) and counted as its
+        public call would be, instead of run.
         """
         plans: dict[tuple[Any, ...], tuple[str, tuple[str, ...]] | tuple[()]] = {}
+        accepted: set[tuple[Any, ...]] = set()  # update shapes OperatorUpdate accepted
         for position, operation in enumerate(operations):
             query = None if getattr(operation, "upsert", False) else getattr(operation, "filter", None)
             if type(query) is dict and SCALAR_TYPES.issuperset(map(type, query.values())):
@@ -830,7 +820,7 @@ class Collection(CollectionSurface):
                 if (
                     index is not None
                     and not index.count_prefix(list(map(query.__getitem__, plan[1])))
-                    and self._count_unmatched(operation)
+                    and self._count_unmatched(operation, accepted)
                 ):
                     continue
             yield position, operation
@@ -846,18 +836,28 @@ class Collection(CollectionSurface):
         fields = indexes[plan.index_name].spec.fields
         return plan.index_name, tuple(itertools.takewhile(query.__contains__, fields))
 
-    def _count_unmatched(self, operation: Any) -> bool:
+    def _count_unmatched(self, operation: Any, accepted: set[tuple[Any, ...]]) -> bool:
         """Count *operation* as its public call counts one that matches nothing.
 
         False, counting nothing, when that call would refuse the update: it
-        then runs, and is refused in its position.
+        then runs, and is refused in its position.  An update whose shape
+        (:func:`update_shape`) is in *accepted* needs only its arguments
+        checked; one that ``OperatorUpdate`` accepts adds its shape.
         """
         if type(operation) in (DeleteOne, DeleteMany):
             self.operation_counters["deletes"] += 1
             return True
+        update = operation.update
+        shape = update_shape(update)
         try:
-            if is_update_document(operation.update):
-                OperatorUpdate(operation.update)
+            if shape in accepted:
+                for changes in update.values():
+                    for argument in changes.values():
+                        validate_value(argument)
+            elif is_update_document(update):
+                OperatorUpdate(update)
+                if shape is not None:
+                    accepted.add(shape)
             elif type(operation) is UpdateMany:
                 return False  # update_many refuses a replacement
         except DocumentStoreError:
@@ -907,18 +907,12 @@ class Collection(CollectionSurface):
         the planner narrows the candidate documents and the pipeline's own
         $match still re-filters them, so the result is unchanged.
         """
-        if pipeline and isinstance(pipeline[0], Mapping) and "$match" in pipeline[0]:
-            plan = plan_query(pipeline[0]["$match"], self._live_indexes(), len(self._documents))
-            if plan.stage == "IXSCAN" and plan.candidate_ids is not None:
-                source = (
-                    self._documents[doc_id]
-                    for doc_id in plan.candidate_ids
-                    if doc_id in self._documents
-                )
-                return plan, source
+        match = pipeline[0].get("$match") if pipeline else None
+        plan = plan_query(match, self._live_indexes(), len(self._documents))
+        if plan.candidate_ids is None:
             return plan, self.raw_documents()
-        plan = QueryPlan(stage="COLLSCAN", documents_examined=len(self._documents))
-        return plan, self.raw_documents()
+        documents = self._documents
+        return plan, (documents[doc_id] for doc_id in plan.candidate_ids if doc_id in documents)
 
     def _execute_pipeline(
         self,
@@ -928,23 +922,18 @@ class Collection(CollectionSurface):
         suppress_out: bool = False,
     ) -> tuple[QueryPlan, list[dict[str, Any]]]:
         """Shared core of :meth:`aggregate` and the explain surfaces."""
-        optimized = optimize_pipeline(pipeline)
-        plan, source = self._aggregate_plan_and_source(optimized)
         collection_resolver, output_writer = self._pipeline_environment()
         if suppress_out:
             output_writer = lambda _name, _documents: None  # noqa: E731
-
-        # The pipeline never mutates its input documents (stages copy before
+        compiled = compile_pipeline(
+            pipeline, collection_resolver=collection_resolver, output_writer=output_writer
+        )
+        # Planned from the optimized stages the compiled pipeline runs.  The
+        # pipeline never mutates its input documents (stages copy before
         # modifying), so aggregation reads the stored documents directly
         # instead of paying a defensive deep copy per document.
-        results = run_pipeline(
-            source,
-            optimized,
-            collection_resolver=collection_resolver,
-            output_writer=output_writer,
-            counters=counters,
-        )
-        return plan, results
+        plan, source = self._aggregate_plan_and_source(compiled.spec)
+        return plan, compiled.run(source, counters=counters)
 
     def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
         """Run an aggregation pipeline over the collection.
@@ -956,51 +945,36 @@ class Collection(CollectionSurface):
         way out.
         """
         validate_user_pipeline(pipeline)
-        return deep_copy_document(self.execute_pipeline(pipeline))
+        return self.execute_pipeline(pipeline)
 
     def execute_pipeline(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
-        """:meth:`aggregate` for a caller that copies the results at once.
+        """:meth:`aggregate` without its check of the caller's ``$group`` names.
 
-        The shard-side entry point: the results still share subtrees with
-        the stored documents, so they must not be mutated or handed on.
+        The shard-side entry point, which runs the router's halves of a split
+        ``$group``; the router ships and returns the copied results.
         """
-        return self._execute_pipeline(pipeline)[1]
-
-    def execute_distinct(self, key: str, query: Mapping[str, Any] | None = None) -> list[Any]:
-        """:meth:`distinct` for a caller that copies the values at once.
-
-        The shard-side entry point beside :meth:`execute_find` and
-        :meth:`execute_pipeline`: a value that is a document or an array is
-        the stored one, so it must not be mutated or handed on.
-        """
-        return distinct_values(
-            candidate
-            for document in self._execute_find(FindSpec(filter=query), copy=False)
-            for value in resolve_path(document, key)
-            for candidate in (value if isinstance(value, list) else (value,))
-        )
+        return deep_copy_document(self._execute_pipeline(pipeline)[1])
 
     # ------------------------------------------------------------- iteration
 
     def raw_documents(self) -> Iterator[Mapping[str, Any]]:
         """Iterate over the stored documents without copying.
 
-        Intended for read-only fast paths (aggregation over large collections
-        and the shard data-transfer path); callers must not mutate the
-        returned documents.
+        Intended for read-only fast paths (aggregation, and the balancer's
+        selection of a chunk's documents); callers must not mutate them.
         """
         yield from self._documents.values()
 
     def execute_find(self, spec: FindSpec) -> tuple[list[dict[str, Any]], list[int]]:
-        """A find for a caller that copies the results at once (the shard-side entry point).
+        """A find's copied results and their sizes (the shard-side entry point).
 
-        Returns the results and their ``document_size`` (the stored size, less
-        what a top-level exclusion drops; any other projection's result is
-        walked).  Like :meth:`execute_pipeline`, the results are the projected
-        stored documents, not copies: they must not be mutated or handed on.
+        Returns the results, projected and copied as ``find`` copies them, and
+        their ``document_size`` (the stored size, less what a top-level
+        exclusion drops; any other projection's result is walked).  The copy
+        is the only one: the router ships and returns these documents.
         """
         ids: list[int] = []
-        results = list(self._execute_find(spec, copy=False, ids=ids))
+        results = list(self._execute_find(spec, ids=ids))
         projection = spec.projection or {}
         if any(projection.values()) or any("." in path or not path for path in projection):
             return results, list(map(document_size, results))

@@ -180,7 +180,10 @@ class Cursor:
 
     def _ensure_started(self) -> None:
         if self._source is None:
-            self._source = iter(self._execute(self._spec))
+            results = self._execute(self._spec)
+            if type(results) is list:  # a whole answer (a routed find): read it as it is
+                self._consumed, self._exhausted = results, True
+            self._source = iter(results)
 
     def _pull(self) -> dict[str, Any] | None:
         """Fetch one more document from the executor into the cache."""
@@ -204,6 +207,10 @@ class Cursor:
         return self._consumed
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
+        self._ensure_started()
+        if self._exhausted:
+            yield from self._consumed
+            return
         index = 0
         while index < len(self._consumed) or self._pull() is not None:
             yield self._consumed[index]

@@ -487,10 +487,7 @@ def _build_operator_predicate(path: str, operator: str, operand: Any) -> Callabl
 
         field_predicate = elem_match_predicate
     elif operator == "$not":
-        if isinstance(operand, Mapping):
-            negated = _compile_field_condition(path, operand)
-        else:
-            negated = _compile_field_condition(path, {"$eq": operand})
+        negated = _conjunction(_field_predicates(path, operand))
         return lambda document: not negated(document)
     else:
         raise InvalidOperator(f"unknown query operator {operator!r}")
@@ -521,6 +518,7 @@ def _build_operator_predicate(path: str, operator: str, operand: Any) -> Callabl
                     return decide(value)
             return document_predicate(document)
 
+        scalar_predicate.kernel = (path, kinds, decide, document_predicate)  # for _conjunction
         return scalar_predicate
     parts = path.split(".")
 
@@ -565,15 +563,32 @@ def _scalar_kernel(
     return None
 
 
+_NO_FIELDS: dict[str, Any] = {}  # what a conjunction reads a non-dict document's fields from
+
+
 def _conjunction(predicates: Sequence[Callable[[Any], bool]]) -> Callable[[Any], bool]:
-    """AND of document predicates, evaluated left to right."""
+    """AND of document predicates, left to right, in one closure.
+
+    A one-segment scalar kernel (``predicate.kernel``) reads its field once for a
+    run of kernels on it, and its general predicate only decides other values.
+    """
     if len(predicates) == 1:
         return predicates[0]
-    predicates = tuple(predicates)
+    steps = tuple(
+        getattr(predicate, "kernel", (None, (), None, predicate)) for predicate in predicates
+    )
 
     def conjunction(document: Any) -> bool:
-        for predicate in predicates:
-            if not predicate(document):
+        fields = document if type(document) is dict else _NO_FIELDS
+        read = value = None
+        for path, kinds, decide, general in steps:
+            if path is not read:
+                read = path
+                value = fields.get(path, _MISSING)
+            if type(value) in kinds:
+                if not decide(value):
+                    return False
+            elif not general(document):
                 return False
         return True
 
@@ -588,16 +603,14 @@ def _is_operator_document(value: Any) -> bool:
     )
 
 
-def _compile_field_condition(path: str, condition: Any) -> Callable[[Any], bool]:
-    """Compile ``{path: condition}`` where condition is a value or op-document."""
+def _field_predicates(path: str, condition: Any) -> list[Callable[[Any], bool]]:
+    """The predicates of ``{path: condition}``, a value or an operator document."""
     if _is_operator_document(condition):
-        return _conjunction(
-            [
-                _build_operator_predicate(path, operator, operand)
-                for operator, operand in condition.items()
-            ]
-        )
-    return _build_operator_predicate(path, "$eq", condition)
+        return [
+            _build_operator_predicate(path, operator, operand)
+            for operator, operand in condition.items()
+        ]
+    return [_build_operator_predicate(path, "$eq", condition)]
 
 
 def compile_matcher(query: Mapping[str, Any] | None) -> Callable[[Any], bool]:
@@ -640,7 +653,7 @@ def compile_matcher(query: Mapping[str, Any] | None) -> Callable[[Any], bool]:
         elif key.startswith("$"):
             raise InvalidOperator(f"unknown top-level operator {key!r}")
         else:
-            predicates.append(_compile_field_condition(key, condition))
+            predicates += _field_predicates(key, condition)
 
     return _conjunction(predicates)
 

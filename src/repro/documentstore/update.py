@@ -22,6 +22,7 @@ __all__ = [
     "apply_update",
     "apply_operators",
     "OperatorUpdate",
+    "update_shape",
     "replace_document",
     "build_upsert_document",
 ]
@@ -35,6 +36,8 @@ _NUMERIC = ("$inc", "$mul")
 #: Operators that do nothing when their path is missing, so never create it.
 _READ_ONLY_WALK = frozenset({"$unset", "$rename", "$pull", "$pop"})
 _UPDATE_OPERATORS = _STORING | _READ_ONLY_WALK | {*_NUMERIC, "$currentDate"}
+#: Operators whose only check of an argument is ``validate_value``.
+_VALUE_CHECKED = _STORING.difference(_GROWING)
 _MISSING = object()
 
 
@@ -65,6 +68,21 @@ def apply_update(
     if is_update_document(update):
         return apply_operators(document, update, on_insert=on_insert)
     return replace_document(document, update)
+
+
+def update_shape(update: Any) -> tuple[Any, ...] | None:
+    """*update*'s operators and paths: all :class:`OperatorUpdate` checks but its arguments.
+
+    ``None`` unless its only check of an argument is ``validate_value`` ($set, $min, ...).
+    """
+    if type(update) is not dict:
+        return None
+    shape = []
+    for operator, changes in update.items():
+        if operator not in _VALUE_CHECKED or type(changes) is not dict:
+            return None
+        shape.append((operator, *changes))
+    return tuple(shape)
 
 
 def replace_document(document: Mapping[str, Any], replacement: Mapping[str, Any]) -> dict[str, Any]:

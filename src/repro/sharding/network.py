@@ -11,7 +11,8 @@ observations ii/iii).  A payload's size is its BSON layout
 (:func:`~repro.documentstore.bson.document_size`), the measure of chunk splits,
 ``dataSize`` and migrations, and the sender says it: a shard reports the sizes
 it stores, so shipping a document costs a lookup, not a walk.  Nothing is
-serialized: whoever receives a document makes the one copy it needs.
+serialized or copied here: a shard's answer is already the copy the router
+keeps, and a shard's write copies what it stores.
 
 Each scatter branch (:mod:`repro.sharding.executor`) counts its messages on a
 private network from :meth:`SimulatedNetwork.channel`, which the router adds
@@ -27,9 +28,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
-from ..documentstore.bson import deep_copy_document, document_size
+from ..documentstore.bson import document_size
 
 __all__ = ["NetworkModel", "NetworkStats", "SimulatedNetwork"]
 
@@ -106,20 +107,6 @@ class SimulatedNetwork:
         with self._lock:
             self.stats.record(purpose, payload_bytes, seconds)
         return seconds
-
-    # -- document transfer ----------------------------------------------------
-
-    def ship_documents(
-        self, documents: Iterable[Any], sizes: Iterable[int], *, purpose: str
-    ) -> list[Any]:
-        """Account *documents* of *sizes* (``value_size``) and return the receiver's copies.
-
-        The copy is the isolation a real network provides: the receiving side
-        cannot share mutable state with the sender.
-        """
-        copies = [deep_copy_document(document) for document in documents]
-        self.send(purpose, sum(sizes))
-        return copies
 
     def ship_command(self, command: Mapping[str, Any] | None, *, purpose: str) -> float:
         """Account for a small command message (query, update, getmore)."""

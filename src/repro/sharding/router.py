@@ -42,7 +42,8 @@ from ..documentstore.aggregation import (
     split_pipeline_for_shards,
     validate_user_pipeline,
 )
-from ..documentstore.bson import document_size, require_mapping, value_size
+from ..documentstore.bson import document_size, require_mapping
+from ..documentstore.bson import validate_document, value_size
 from ..documentstore.bulk import (
     OPERATION_FRAMES,
     BulkWriteError,
@@ -295,9 +296,10 @@ class QueryRouter:
         request it is sent.  Each branch sends its request, executes the
         shard-local work, then ships the result back in batches of
         *response_batch_size* (with *ship_results*, the work returns the
-        items and their sizes).  All traffic lands on the branch's private
-        network; nothing shared is touched until every branch has answered
-        and :meth:`_absorb_outcome` merges them.  Raises
+        items, copies the router may keep, and their sizes: a batch is one
+        message of their summed size).  All traffic lands on the branch's
+        private network; nothing shared is touched until every branch has
+        answered and :meth:`_absorb_outcome` merges them.  Raises
         :class:`ShardTimeoutError` when a shard misses the deadline.
         """
         batch_size = response_batch_size or RESPONSE_BATCH_SIZE
@@ -316,18 +318,15 @@ class QueryRouter:
                 shipping_started = time.perf_counter()
                 value, sizes = value if ship_results else (value, None)
                 if ship_results and value:
-                    received: list[Any] = []
+                    shipped = 0
                     for start in range(0, len(value), batch_size):
                         if branch.cancelled.is_set():
                             break  # the deadline passed: stop shipping
-                        received += channel.ship_documents(
-                            value[start:start + batch_size],
-                            sizes[start:start + batch_size],
-                            purpose=f"{purpose}:response",
-                        )
-                    branch.items_shipped = len(received)
-                    branch.bytes_shipped = sum(sizes[: len(received)])
-                    value = received
+                        shipped = min(start + batch_size, len(value))
+                        channel.send(f"{purpose}:response", sum(sizes[start:shipped]))
+                    branch.items_shipped = shipped
+                    branch.bytes_shipped = sum(sizes[:shipped])
+                    del value[shipped:]
                 else:
                     channel.ship_command({"ok": 1}, purpose=f"{purpose}:ack")
                 branch.timing.ship_seconds = time.perf_counter() - shipping_started
@@ -522,12 +521,12 @@ class RoutedCollection(CollectionSurface):
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> InsertManyResult:
         """Route a whole insert batch in a single pass and one fan-out.
 
-        The batch is routed by :meth:`ChunkManager.router` (one hash and one
-        bisect per distinct shard-key value), sent as one message per owning
-        shard (its documents' summed ``document_size``; the shard's
-        ``insert_many`` copies them), and executed in one fan-out.  Chunk
-        statistics are recorded only after every target shard acknowledged
-        its insert, so a failed insert cannot skew the chunk table.
+        The batch is validated (an invalid document stores none, as stand-alone),
+        routed by :meth:`ChunkManager.router` (one hash and one bisect per distinct
+        shard-key value), sent as one message per owning shard (its documents'
+        summed ``document_size``; the shard's ``insert_many`` copies them), and
+        executed in one fan-out.  Chunk statistics are recorded only after every
+        target acknowledged its insert, so a failed insert cannot skew the chunk table.
         """
         prepared: list[dict[str, Any]] = []
         for document in documents:
@@ -536,7 +535,7 @@ class RoutedCollection(CollectionSurface):
             prepared.append(doc)
         if not prepared:
             return InsertManyResult(inserted_ids=[])
-        sizes = list(map(document_size, prepared))
+        sizes = list(map(validate_document, prepared))
 
         config = self._router.config
         sharded = config.is_sharded(*self._namespace)
@@ -613,8 +612,8 @@ class RoutedCollection(CollectionSurface):
         merged = _merge_outputs(per_shard, targets, spec.sort)
         results = list(itertools.islice(merged, spec.skip, spec.fetch_bound))
         if spec.projection and shard_spec.projection is None:
-            # Shipping the response is the one copy of a shard's stored
-            # documents, so the router projects its private ones in place.
+            # A shard's answer is its own copy of the stored documents, so the
+            # router projects them in place.
             results = list(map(compile_projection(spec.projection, copy=False), results))
         self._router._account_router_work(started)
         return results
@@ -645,7 +644,7 @@ class RoutedCollection(CollectionSurface):
             targeted,
             "distinct",
             {"distinct": self.name, "key": key},
-            lambda collection: _sized(collection.execute_distinct(key, query)),
+            lambda collection: _sized(collection.distinct(key, query)),
             ship_results=True,
         )
         started = time.perf_counter()
@@ -954,7 +953,7 @@ class RoutedCollection(CollectionSurface):
         split, targets, targeted = self._plan_aggregate(pipeline)
         # The shard-local pipeline gives each slice the same leading-$match
         # IXSCAN pushdown (and $lookup collection resolution) as a stand-alone
-        # ``aggregate``; shipping its results is their one copy.
+        # ``aggregate``; the copy of its results is the only one.
         per_shard = self._on_shards(
             targets,
             targeted,

@@ -411,14 +411,17 @@ class TestStoredDocumentsAreImmutableAndShared:
             lambda: embedded.aggregate([{"$group": {"_id": "$keep", "one": {"$first": "$fk"}}}]),
             lambda: embedded.aggregate([{"$addFields": {"again": "$fk.brand"}}]),
             lambda: embedded.aggregate([{"$unwind": "$fk.tags"}]),
-            # Shards hand their stored documents to the network uncopied
-            # (execute_find, execute_pipeline): what the router returns is
-            # the copy shipping the response makes.
+            # A shard's answer is the only copy (execute_find projects with
+            # copy, distinct and execute_pipeline copy their results): the
+            # router ships and returns it as it is.
             lambda: facts.find({}).to_list(),
             lambda: facts.find({}, {"fk": 1}).sort("_id", -1).limit(2).to_list(),
             lambda: facts.find({}, {"fk.brand": 0}).to_list(),
             lambda: facts.find({}, {"keep": 0}).sort("fk.sk", 1).to_list(),
+            lambda: facts.find({}, {"g": 0, "_id": 0}).to_list(),
             lambda: facts.find_one({"_id": 1}),
+            lambda: facts.distinct("fk"),
+            lambda: facts.distinct("keep"),
             lambda: facts.aggregate([{"$match": {"g": 0}}]),
             lambda: facts.aggregate([{"$group": {"_id": "$g", "all": {"$push": "$fk"}}}]),
         ]

@@ -68,6 +68,32 @@ class TestLaziness:
             cursor.next()
 
 
+@pytest.mark.parametrize("surface", ["standalone", "routed"])
+def test_a_cursor_reads_a_whole_answer_as_it_reads_a_stream(events, surface):
+    """A routed find's executor returns a list, a stand-alone one a generator."""
+    cluster = ShardedCluster(shard_count=3)
+    collection = events
+    if surface == "routed":
+        cluster.shard_collection("db", "events", {"_id": "hashed"})
+        collection = cluster.get_database("db")["events"]
+        collection.insert_many(events.find({}).to_list())
+    operations = cluster.router.metrics.operations
+    cursor = collection.find({"day": 3}).sort("amount", -1)
+    assert cluster.router.metrics.operations == operations  # nothing ran yet
+    first, second = iter(cursor), iter(cursor)
+    head = [next(first), next(first)]
+    assert next(second) == head[0]
+    with pytest.raises(OperationFailure):
+        cursor.limit(3)
+    expected = events.find({"day": 3}).sort("amount", -1).to_list()
+    assert head + list(first) == expected
+    assert [head[0]] + list(second) == expected
+    assert list(cursor) == expected and len(cursor) == len(expected) and cursor[1] == expected[1]
+    assert cursor.next() == expected[0] and cursor.alive
+    assert cursor.to_list() == expected
+    cluster.close()
+
+
 class TestSortExecution:
     def test_sort_served_by_index_order(self, events):
         events.create_index("amount")

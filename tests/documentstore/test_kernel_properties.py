@@ -11,7 +11,12 @@
   included, and so does ``bulk.operation_size`` for an operation's wire form;
 * a comparison or ``$in`` on a one-segment or dotted path decides a plain
   dict exactly as the general predicate decides the same document behind a
-  ``MappingProxyType`` (which the scalar kernel never takes).
+  ``MappingProxyType`` (which the scalar kernel never takes);
+* a conjunction of such conditions on top-level fields decides any document
+  as the AND of its conditions, each compiled alone;
+* a find selects the documents, in the order and with the
+  ``documents_scanned`` of the per-document loop it ran before its
+  selection moved to C, and a collection scan racing writes raises nothing.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from __future__ import annotations
 import datetime
 import enum
 import math
+import sys
+import threading
 from collections import OrderedDict
 from types import MappingProxyType
 
@@ -26,7 +33,7 @@ import pytest
 import reference_copy
 from hypothesis import example, given, settings, strategies as st
 
-from repro.documentstore import ObjectId
+from repro.documentstore import Collection, FindSpec, ObjectId
 from repro.documentstore.bson import deep_copy_document, document_size, value_size
 from repro.documentstore.bulk import (
     DeleteMany,
@@ -38,7 +45,8 @@ from repro.documentstore.bulk import (
     operation_size,
 )
 from repro.documentstore.cursor import compile_projection
-from repro.documentstore.matching import _scalar_kernel, compile_matcher
+from repro.documentstore.matching import _scalar_kernel, compile_matcher, matches
+from repro.documentstore.ordering import document_sort_key
 
 
 class Flag(enum.IntEnum):
@@ -286,3 +294,151 @@ def test_scalar_kernel_decides_as_the_general_predicate(document, path, conditio
 )
 def test_scalar_kernel_scope(operator, operand, kernel):
     assert (_scalar_kernel(operator, operand) is not None) is kernel
+
+
+# -- conjunctions --------------------------------------------------------------
+
+FIELDS = st.sampled_from(["a", "b", "c"])
+#: ``(field, operator, operand)``: repeated fields share one operator document.
+TERMS = st.tuples(
+    FIELDS,
+    st.sampled_from(["$eq", "$gt", "$gte", "$lt", "$lte", "$in"]),
+    OPERANDS,
+    st.lists(OPERANDS, max_size=4),
+).map(lambda term: term[:2] + ((term[3] if term[1] == "$in" else term[2]),))
+FIELD_VALUES = st.one_of(
+    OPERANDS,
+    st.lists(OPERANDS, max_size=3),
+    st.dictionaries(FIELDS, OPERANDS, max_size=2),
+)
+TOP_LEVEL = st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), FIELD_VALUES, max_size=4)
+DOCUMENTS = st.one_of(
+    TOP_LEVEL,
+    TOP_LEVEL.map(MappingProxyType),
+    TOP_LEVEL.map(OrderedDict),
+    st.lists(TOP_LEVEL, max_size=2),
+    OPERANDS,
+)
+
+
+def conjunction_filter(terms, plain):
+    """*terms* as one filter; a lone ``$eq`` is written as the value itself when *plain*."""
+    query = {}
+    for field, operator, operand in terms:
+        query.setdefault(field, {})[operator] = operand
+    for field, condition in query.items():
+        if plain and list(condition) == ["$eq"] and not isinstance(condition["$eq"], dict):
+            query[field] = condition["$eq"]
+    return query
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(TERMS, min_size=1, max_size=5), st.booleans(), DOCUMENTS)
+@example([("a", "$gte", 1), ("a", "$lt", 2)], False, {"a": 1.5})
+@example([("a", "$gt", 0), ("b", "$eq", "a")], True, {"a": True, "b": "a"})
+@example([("a", "$in", [1, "a"]), ("b", "$lte", -0.0)], False, {"a": [2, "a"], "b": 0})
+@example([("a", "$eq", math.nan), ("b", "$gt", 1)], False, {"a": math.nan, "b": 2})
+@example([("a", "$eq", None), ("c", "$lt", 5)], False, {"c": 4})
+@example([("a", "$gt", 1), ("b", "$gt", 1)], False, [{"a": 2, "b": 2}])
+def test_a_conjunction_is_the_and_of_its_conditions(terms, plain, document):
+    query = conjunction_filter(terms, plain)
+    conditions = [
+        {field: {operator: operand}}
+        for field, condition in conjunction_filter(terms, False).items()
+        for operator, operand in condition.items()
+    ]
+    expected = all(matches(document, condition) for condition in conditions)
+    assert compile_matcher(query)(document) == expected
+
+
+# -- find selection ------------------------------------------------------------
+
+
+def loop_find(collection, spec):
+    """(results, documents scanned) of the per-document loop, on the same plan."""
+    plan = collection._plan_find(spec)
+    predicate = compile_matcher(spec.filter)
+    records = collection._documents
+    candidates = list(records) if plan.candidate_ids is None else plan.candidate_ids
+    unserved_sort = spec.sort and not plan.sort_served
+    found, scanned = [], 0
+    for doc_id in candidates:
+        document = records.get(doc_id)
+        if document is None:
+            continue
+        scanned += 1
+        if predicate(document):
+            found.append(document)
+            if not unserved_sort and spec.fetch_bound is not None:
+                if len(found) >= spec.fetch_bound:
+                    break
+    if unserved_sort:
+        found.sort(key=document_sort_key(spec.sort))
+    stop = None if spec.limit is None else spec.skip + spec.limit
+    return list(map(compile_projection(spec.projection), found[spec.skip:stop])), scanned
+
+
+STORED_ROWS = st.lists(
+    st.fixed_dictionaries({"a": OPERANDS, "b": st.integers(0, 3)}, optional={"c": OPERANDS}),
+    max_size=12,
+)
+#: ``find`` arguments: filter, projection, sort, skip, limit.
+FIND_ARGUMENTS = st.tuples(
+    st.one_of(st.none(), st.lists(TERMS, max_size=3).map(lambda t: conjunction_filter(t, True))),
+    st.sampled_from([None, {"a": 1}, {"b": 0, "_id": 0}]),
+    st.sampled_from([None, [("a", 1)], [("b", -1), ("a", 1)], [("b", 1)]]),
+    st.sampled_from([0, 0, 1, 3]),
+    st.sampled_from([0, 0, 1, 2, 5]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(STORED_ROWS, st.sampled_from([(), ("b",), ("a",)]), FIND_ARGUMENTS)
+@example([{"a": 1, "b": 0}, {"a": 2, "b": 1}, {"a": 1, "b": 1}], (), ({"a": 1}, None, None, 0, 0))
+@example([{"a": 1, "b": 0}, {"a": "a", "b": 1}], ("b",), ({"b": {"$gte": 0}}, None, None, 0, 0))
+def test_a_find_selects_as_the_per_document_loop_did(rows, indexed, arguments):
+    query, projection, sort, skip, limit = arguments
+    collection = Collection(None, "t")
+    for field in indexed:
+        collection.create_index(field)
+    collection.insert_many([{"_id": i, **row} for i, row in enumerate(rows)])
+    collection.delete_one({"_id": 2})  # a hole in the record ids
+    spec = FindSpec.create(query, projection, sort=sort, skip=skip, limit=limit)
+    expected, scanned = loop_find(collection, spec)
+    before = collection.operation_counters["documents_scanned"]
+    found = collection.find(query, projection, sort=sort, skip=skip, limit=limit).to_list()
+    assert typed(found) == typed(expected)
+    assert collection.operation_counters["documents_scanned"] - before == scanned
+
+
+def test_a_collection_scan_racing_writes_raises_nothing():
+    """Whole scans (no sort, skip or limit) while another thread inserts and deletes."""
+    collection = Collection(None, "t")
+    collection.insert_many([{"_id": -i, "k": i % 7} for i in range(1, 200)])
+    errors, done = [], threading.Event()
+
+    def write():
+        try:
+            key = 0
+            while not done.is_set():
+                collection.insert_many([{"_id": key, "k": key % 7}, {"_id": key + 1, "k": 3}])
+                collection.delete_many({"_id": {"$in": [key, key + 1]}})
+                key += 2
+        except Exception as error:  # reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    writer = threading.Thread(target=write, daemon=True)
+    try:
+        writer.start()
+        for _round in range(200):
+            assert all(doc["k"] == 3 for doc in collection.find({"k": 3}))
+            collection.count_documents({"k": {"$gte": 2, "$lt": 5}})
+            collection.distinct("k", {"k": {"$in": [1, 2]}})
+    finally:
+        done.set()
+        writer.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive()
+    assert not errors

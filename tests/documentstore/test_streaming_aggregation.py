@@ -249,3 +249,28 @@ class TestExplainAggregate:
         assert [r["total"] for r in sorted(got, key=lambda r: r["_id"])] == [
             r["total"] for r in sorted(expected, key=lambda r: r["_id"])
         ]
+
+    def test_a_pipeline_is_optimized_once_and_planned_from_what_runs(
+        self, collection, monkeypatch
+    ):
+        """The plan sees the ``$match`` the rewrite moved ahead of ``$sort``."""
+        from repro.documentstore import aggregation
+        from repro.documentstore import collection as collection_module
+
+        optimized = []
+        optimize = aggregation.optimize_pipeline
+
+        def counted(stages):
+            optimized.append(stages)
+            return optimize(stages)
+
+        for module in (aggregation, collection_module):  # wherever a caller looks it up
+            monkeypatch.setattr(module, "optimize_pipeline", counted, raising=False)
+        pipeline = [{"$sort": {"qty": 1, "item": 1}}, {"$match": {"store": 3}}, {"$limit": 4}]
+        explain = collection.explain(pipeline, verbosity="executionStats")
+        assert explain["queryPlanner"]["winningPlan"]["stage"] == "IXSCAN"
+        results = collection.aggregate(pipeline)
+        assert [{k: v for k, v in row.items() if k != "_id"} for row in results] == run_as_written(
+            ROWS, pipeline
+        )
+        assert len(optimized) == 2  # one per call

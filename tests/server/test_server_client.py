@@ -17,7 +17,9 @@ import time
 import pytest
 
 from repro.documentstore import DocumentStoreClient, FindSpec, ObjectId
-from repro.documentstore.errors import DuplicateKeyError, InvalidDocumentError, OperationFailure
+from repro.documentstore.bson import MAX_DOCUMENT_SIZE
+from repro.documentstore.errors import DocumentStoreError, DuplicateKeyError, InvalidDocumentError
+from repro.documentstore.errors import OperationFailure
 from repro.server import (
     ConnectionFailure,
     DocumentStoreServer,
@@ -385,6 +387,31 @@ class TestErrorsOverTheWire:
         assert errors["served"].key == errors["standalone"].key == (0,)
         assert str(errors["served"]) == str(errors["standalone"])
         assert str(errors["served"]) == "duplicate key (0,) for unique index 'order_id_1'"
+
+    @pytest.mark.parametrize(
+        "invalid",
+        [{"a.b": 1}, {"$bad": 1}, {"pad": "x" * MAX_DOCUMENT_SIZE}],
+        ids=["dotted key", "dollar key", "over 16 MB"],
+    )
+    def test_an_invalid_document_stores_no_slice_of_its_batch(
+        self, cluster, remote, standalone, invalid
+    ):
+        """Served == stand-alone: the same refusal and nothing stored on any shard.
+
+        (A non-``str`` key cannot reach the server: the wire codec makes it a string.)
+        """
+        batch = [{"order_id": 1_000 + i, "store": 9} for i in range(20)]
+        batch.append({"order_id": 999, **invalid})
+        manager = cluster.config_server.chunk_manager("shop", "orders")
+        chunks = [(chunk.document_count, chunk.size_bytes) for chunk in manager.chunks]
+        refusals = []
+        for collection in (standalone, remote):
+            with pytest.raises(DocumentStoreError) as refused:
+                collection.insert_many(batch)
+            refusals.append(type(refused.value))
+            assert collection.count_documents({}) == len(DOCS)
+        assert refusals[0] is refusals[1]
+        assert [(chunk.document_count, chunk.size_bytes) for chunk in manager.chunks] == chunks
 
     def test_invalid_filter_operator(self, remote):
         with pytest.raises(OperationFailure):

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from repro.documentstore import (
     ChunkSplitError,
     Collection,
+    DocumentStoreError,
     DuplicateKeyError,
     InsertOne,
     ShardKeyError,
 )
+from repro.documentstore.bson import MAX_DOCUMENT_SIZE
 from repro.sharding import ShardedCluster
 from repro.sharding.chunks import ChunkManager, ShardKeyPattern
 
@@ -153,6 +155,53 @@ class TestChunkAccounting:
             routed.insert_many([{"k": 1}, {"no_key": True}])
         manager = cluster.config_server.chunk_manager("db", "items")
         assert sum(chunk.document_count for chunk in manager.chunks) == 0
+
+
+#: One document a stand-alone ``insert_many`` refuses, with the rest of its batch.
+INVALID_DOCUMENTS = {
+    "dotted key": {"k": 99, "a.b": 1},
+    "dollar key": {"k": 99, "$bad": 1},
+    "non-str key": {"k": 99, 5: 1},
+    "over 16 MB": {"k": 99, "pad": "x" * MAX_DOCUMENT_SIZE},
+}
+
+
+def refusal(collection, batch) -> type:
+    with pytest.raises(DocumentStoreError) as refused:
+        collection.insert_many(batch)
+    return type(refused.value)
+
+
+@pytest.mark.parametrize("invalid", sorted(INVALID_DOCUMENTS))
+@pytest.mark.parametrize(
+    "shard_key", [{"k": "hashed"}, {"k": 1}, None], ids=["hashed", "ranged", "unsharded"]
+)
+def test_an_invalid_document_stores_no_slice_of_its_batch(shard_key, invalid):
+    """Routed == stand-alone: the same refusal, nothing stored, the chunk table unchanged.
+
+    The batch spans every shard, so a shard-side check alone would store the
+    other shards' slices (10 of 20 documents on a hashed key).
+    """
+    batch = [{"_id": i, "k": i} for i in range(20)] + [INVALID_DOCUMENTS[invalid]]
+    standalone = Collection(None, "items")
+    expected = refusal(standalone, batch)
+    assert len(standalone) == 0
+
+    cluster = ShardedCluster(shard_count=3)
+    cluster.enable_sharding("db")
+    if shard_key is not None:
+        cluster.shard_collection("db", "items", shard_key, chunk_size_bytes=600)
+    routed = cluster.get_database("db")["items"]
+    routed.insert_many([{"_id": -i - 1, "k": i} for i in range(40)])  # split the table first
+    cluster.balance()
+    manager = cluster.config_server.chunk_manager("db", "items") if shard_key else None
+    chunks = lambda: [(c.document_count, c.size_bytes) for c in getattr(manager, "chunks", ())]  # noqa: E731
+    before = chunks()
+    assert refusal(routed, batch) is expected
+    assert routed.count_documents({}) == 40
+    assert sum(len(shard.collection("db", "items")) for shard in cluster.shards) == 40
+    assert chunks() == before
+    cluster.close()
 
 
 # --------------------------------------------------------------------------

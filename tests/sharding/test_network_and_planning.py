@@ -45,16 +45,12 @@ class TestNetworkModel:
         assert stats.simulated_seconds > 0.004
         assert stats.by_purpose["find:request"] == 1
 
-    def test_ship_documents_round_trips_and_isolates(self):
+    def test_a_shipped_batch_counts_its_document_sizes(self):
         network = SimulatedNetwork()
-        original = [{"_id": ObjectId(), "nested": {"v": [1, 2]}}]
-        shipped = network.ship_documents(
-            original, list(map(document_size, original)), purpose="test"
-        )
-        assert shipped == original
-        assert network.stats.bytes_transferred == sum(map(document_size, original))
-        shipped[0]["nested"]["v"].append(3)
-        assert original[0]["nested"]["v"] == [1, 2]
+        batch = [{"_id": ObjectId(), "nested": {"v": [1, 2]}}, {"_id": 2, "s": "x"}]
+        network.send("test", sum(map(document_size, batch)))
+        assert network.stats.messages == 1
+        assert network.stats.bytes_transferred == sum(map(document_size, batch))
 
     def test_ship_command_counts_one_message(self):
         network = SimulatedNetwork()

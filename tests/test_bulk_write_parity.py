@@ -416,3 +416,48 @@ def test_a_batch_that_mostly_matches_nothing_is_the_operations_one_at_a_time(
         assert len(changes) == 1 or name != "standalone"
         for bulk_change, reference_change in changes:
             assert bulk_change == reference_change, name
+
+
+#: ``UpdateMany``s of one shape, ``{"$set": {"d": row}}``, most matching nothing:
+#: each refused argument (a set, a dotted key, a ``$`` key) comes after its shape
+#: was accepted, and a bad path of the same operator is a shape of its own.
+SAME_SHAPE = [
+    UpdateMany({"k": 6}, {"$set": {"d": {1, 2}}}),  # refused before the shape is known
+    UpdateMany({"k": 7}, {"$set": {"d": ROW}}),
+    UpdateMany({"k": 1}, {"$set": {"d": ROW}}),  # matches
+    UpdateMany({"k": 8}, {"$set": {"d": {1, 2}}}),
+    UpdateMany({"k": 9}, {"$set": {"d": {**ROW, "d.x": 1}}}),
+    UpdateMany({"k": 6}, {"$set": {"d": {**ROW, "$x": 1}}}),
+    UpdateMany({"k": 7}, {"$set": {"d.$x": ROW}}),  # a bad path
+    UpdateMany({"k": 8}, {"$set": {"d": {"y": {"d": ROW}}}}),
+    UpdateMany({"k": 9}, {"$set": {"d": ROW, "e": [ROW]}}),
+    UpdateMany({"k": 6}, {"$set": {"d": ROW, "e": [{"$x": 1}]}}),
+    UpdateMany({"k": 7}, {"$min": {"d": ROW}, "$set": {"e": {1}}}),
+    UpdateMany({"k": 8}, {"$set": {"d.$x": {"y": 1}}}),  # the bad path again
+]
+
+
+@pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
+@pytest.mark.parametrize("start", range(len(SAME_SHAPE)))
+def test_updates_of_one_shape_are_refused_as_their_calls_refuse_them(surfaces, ordered, start):
+    """A batch checks each update shape once, then only the arguments of that shape.
+
+    Results, failing indexes and codes, the stored state and every collection's
+    ``operation_counters`` equal the operations issued one at a time.  (Not
+    served: the client cannot encode a set, so the whole request is refused.)
+    """
+    operations = SAME_SHAPE[start:] + SAME_SHAPE[:start]
+    for name, (bulk, reference) in surfaces.items():
+        if name == "served":
+            continue
+        for collection in (bulk, reference):
+            collection.delete_many({})
+            collection.insert_many([document(key, 0) for key in range(6)])
+        expected = one_at_a_time(reference, operations, ordered)
+        assert expected[2], name  # something is refused
+        with counters_checked_one_at_a_time() as changes:
+            assert via_bulk_write(bulk, operations, ordered) == expected, name
+        assert state(bulk) == state(reference), name
+        assert changes or name != "standalone"
+        for bulk_change, reference_change in changes:
+            assert bulk_change == reference_change, name
