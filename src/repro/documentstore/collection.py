@@ -28,7 +28,6 @@ from .cursor import (
     CollectionSurface,
     DeleteResult,
     InsertManyResult,
-    InsertOneResult,
     UpdateResult,
     compile_projection,
 )
@@ -358,15 +357,6 @@ class Collection(CollectionSurface):
         validate_document(prepared)
         return prepared
 
-    def insert_one(self, document: Mapping[str, Any]) -> InsertOneResult:
-        """Insert a single document, assigning an ``ObjectId`` if needed."""
-        prepared = self._prepare_for_insert(document)
-        with self._apply_and_log():
-            self._insert_prepared(prepared)
-            self.operation_counters["inserts"] += 1
-            self._write_log({"op": "insert", "docs": [prepared]})
-        return InsertOneResult(inserted_id=prepared["_id"])
-
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> InsertManyResult:
         """Insert many documents with one maintenance pass per index.
 
@@ -379,7 +369,13 @@ class Collection(CollectionSurface):
         and the batch is replayed document-by-document, so the stored prefix
         and the raised error match ordered (stop-at-first-failure) mode.
         """
-        prepared = [self._prepare_for_insert(document) for document in documents]
+        return self._insert_batch([self._prepare_for_insert(document) for document in documents])
+
+    def execute_insert(self, documents: list[dict[str, Any]]) -> InsertManyResult:
+        """:meth:`insert_many` of documents the caller (the router) validated and gave ``_id``s."""
+        return self._insert_batch(deep_copy_document(documents))
+
+    def _insert_batch(self, prepared: list[dict[str, Any]]) -> InsertManyResult:
         if not prepared:
             return InsertManyResult(inserted_ids=[])
         with self._apply_and_log():
@@ -482,9 +478,9 @@ class Collection(CollectionSurface):
         """Execute a complete find spec, streaming final result documents.
 
         A limit, with no sort or one served by index order, streams the
-        candidates until ``skip + limit`` matched; otherwise every match is
-        selected in C (:meth:`_matches`), then (a sort no index serves) put in
-        order: a ``heapq`` top-k with a limit, else one full sort.
+        candidates until ``skip + limit`` matched; otherwise :meth:`_matches`
+        selects every match, put in order (a ``heapq`` top-k with a limit) by a
+        sort no index serves.
 
         Only documents that survive skip/limit are projected, and copied out
         of the engine unless *copy* is false (for a caller that only reads
@@ -512,7 +508,7 @@ class Collection(CollectionSurface):
             return
 
         candidates = list(self._documents) if plan.candidate_ids is None else plan.candidate_ids
-        scanned = matched = 0
+        scanned, matched, bound = 0, 0, spec.fetch_bound
         try:
             for doc_id in candidates:
                 document = self._documents.get(doc_id)
@@ -526,7 +522,7 @@ class Collection(CollectionSurface):
                     if ids is not None:
                         ids.append(doc_id)
                     yield project(document)
-                    if matched >= spec.fetch_bound:
+                    if matched >= bound:
                         return
         finally:
             self.operation_counters["documents_scanned"] += scanned
@@ -548,7 +544,9 @@ class Collection(CollectionSurface):
         """Count the documents matching *query*."""
         if not query:
             return len(self._documents)
-        return sum(1 for _document in self._execute_find(FindSpec(filter=query), copy=False))
+        plan, predicate = self._plan_find(FindSpec(filter=query)), compile_matcher(query)
+        self.operation_counters["queries"] += 1
+        return len(self._matches(plan, predicate))
 
     def distinct(self, key: str, query: Mapping[str, Any] | None = None) -> list[Any]:
         """Return the distinct values of *key* among matching documents, copied."""

@@ -71,10 +71,7 @@ def apply_update(
 
 
 def update_shape(update: Any) -> tuple[Any, ...] | None:
-    """*update*'s operators and paths: all :class:`OperatorUpdate` checks but its arguments.
-
-    ``None`` unless its only check of an argument is ``validate_value`` ($set, $min, ...).
-    """
+    """*update*'s operators and paths if its only check of an argument is ``validate_value``."""
     if type(update) is not dict:
         return None
     shape = []

@@ -521,12 +521,13 @@ class RoutedCollection(CollectionSurface):
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> InsertManyResult:
         """Route a whole insert batch in a single pass and one fan-out.
 
-        The batch is validated (an invalid document stores none, as stand-alone),
-        routed by :meth:`ChunkManager.router` (one hash and one bisect per distinct
-        shard-key value), sent as one message per owning shard (its documents'
-        summed ``document_size``; the shard's ``insert_many`` copies them), and
-        executed in one fan-out.  Chunk statistics are recorded only after every
-        target acknowledged its insert, so a failed insert cannot skew the chunk table.
+        The batch is validated first, so an invalid document stores none, as
+        stand-alone; routed by :meth:`ChunkManager.router` (one hash and one
+        bisect per distinct shard-key value); sent as one message per owning
+        shard (its documents' summed ``document_size``; the shard's
+        ``execute_insert`` copies them); and executed in one fan-out.  Chunk
+        statistics are recorded only after every target shard acknowledged
+        its insert, so a failed insert cannot skew the chunk table.
         """
         prepared: list[dict[str, Any]] = []
         for document in documents:
@@ -563,7 +564,7 @@ class RoutedCollection(CollectionSurface):
         namespace = self._namespace
 
         def do_insert(shard: Shard) -> Any:
-            return shard.collection(*namespace).insert_many(batches[shard.shard_id])
+            return shard.collection(*namespace).execute_insert(batches[shard.shard_id])
 
         command = {"insert": self.name, "documents": len(prepared)}
         targets = sorted(batches)

@@ -409,6 +409,27 @@ def test_a_find_selects_as_the_per_document_loop_did(rows, indexed, arguments):
     found = collection.find(query, projection, sort=sort, skip=skip, limit=limit).to_list()
     assert typed(found) == typed(expected)
     assert collection.operation_counters["documents_scanned"] - before == scanned
+    # count_documents counts what the loop selects, and counts as one query.
+    everything, scanned = loop_find(collection, FindSpec.create(query))
+    before = dict(collection.operation_counters)
+    assert collection.count_documents(query) == len(everything)
+    counted = {key: collection.operation_counters[key] - before[key] for key in before}
+    assert counted == {**dict.fromkeys(before, 0), "queries": 1, "documents_scanned": scanned} or (
+        not query and not any(counted.values())
+    )
+
+
+def test_a_candidate_deleted_after_planning_is_not_scanned():
+    """An index plan's candidate that a concurrent write deleted is skipped, as the loop did."""
+    collection = Collection(None, "t")
+    collection.create_index("b")
+    collection.insert_many([{"_id": i, "b": 1} for i in range(3)])
+    plan = collection._plan_find(FindSpec.create({"b": 1}))
+    collection.delete_one({"_id": 1})
+    before = collection.operation_counters["documents_scanned"]
+    found = collection._matches(plan, compile_matcher({"b": 1}))
+    assert [document["_id"] for document in found.values()] == [0, 2]
+    assert collection.operation_counters["documents_scanned"] - before == 2
 
 
 def test_a_collection_scan_racing_writes_raises_nothing():

@@ -39,7 +39,7 @@ SINGLE_SURFACE = {
     "Collection": {
         "replace_one", "bulk_load", "rebuild_indexes", "stats", "index_information",
         "data_size", "index_size", "raw_documents", "execute_find",
-        "execute_pipeline",
+        "execute_pipeline", "execute_insert",
     },
     "RoutedCollection": set(),
     "RemoteCollection": set(),
