@@ -8,7 +8,7 @@ benchmarked in the paper.  It provides:
 * collections with CRUD, cursors, secondary indexes (single-field, compound,
   hashed, multikey) and an index-aware query planner;
 * an aggregation pipeline with the stages and accumulators used by the
-  thesis queries (Appendix B) and more;
+  thesis queries (Appendix B);
 * databases and a stand-alone client.
 
 The sharded deployment environment lives in :mod:`repro.sharding` and builds
@@ -70,7 +70,7 @@ from .explain import (
     build_explain,
     validate_verbosity,
 )
-from .expressions import compile_expression, evaluate_expression
+from .expressions import compile_expression
 from .findspec import FindSpec, projection_preserves_fields
 from .indexes import ASCENDING, DESCENDING, HASHED, Index, IndexSpec, hashed_value
 from .matching import (
@@ -153,7 +153,6 @@ __all__ = [
     "document_sort_key",
     "encode_document",
     "encode_record",
-    "evaluate_expression",
     "hashed_value",
     "load_snapshot",
     "matches",

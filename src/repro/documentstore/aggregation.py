@@ -8,28 +8,24 @@ pipeline stage      SQL construct
 ==================  =======================
 ``$project``        select
 ``$match``          where / having
-``$limit``          limit
 ``$group``          group by
 ``$sort``           order by
 ``$sum`` / ``$avg`` aggregate functions
+``$out``            insert into a table
 ==================  =======================
 
-This module **compiles** a pipeline once — validating stage shapes, lowering
-filters through :func:`~repro.documentstore.matching.compile_matcher` and
-expressions through
+Those are the stages and accumulators this module runs; any other is refused
+with :class:`InvalidPipelineError`.  It **compiles** a pipeline once —
+validating stage shapes, lowering filters through
+:func:`~repro.documentstore.matching.compile_matcher` and expressions through
 :func:`~repro.documentstore.expressions.compile_expression` — and then
 **streams** documents through the compiled stages:
 
-* every stage is an ``Iterator -> Iterator`` transform, so ``$match`` /
-  ``$project`` / ``$unwind`` / ``$limit`` never materialize intermediate
-  lists (``$group``, ``$sort``, ``$count``, and ``$out`` are inherent
-  barriers);
-* a logical optimizer merges adjacent ``$match`` stages and pushes
-  ``$match`` (and inclusion-only ``$project``) ahead of ``$sort`` /
-  ``$unwind`` / ``$lookup`` when that provably cannot change the result;
-* ``$sort`` immediately followed by ``$limit`` (optionally with a ``$skip``
-  in between) runs as a bounded ``heapq`` top-k selection instead of a full
-  sort of a fully materialized intermediate list;
+* every stage is an ``Iterator -> Iterator`` transform, so ``$match`` and
+  ``$project`` never materialize intermediate lists (``$group``, ``$sort``
+  and ``$out`` are inherent barriers);
+* a logical optimizer merges adjacent ``$match`` stages and moves ``$match``
+  ahead of ``$sort``, which cannot change the result;
 * per-stage counters (documents examined / returned) can be collected for
   ``explain()``.
 
@@ -40,25 +36,17 @@ cluster, on each shard followed by a merge stage on the router (see
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from .bson import deep_copy_document
 from .errors import InvalidPipelineError, OperationFailure
 from .expressions import compile_expression
-from .matching import (
-    collation_key,
-    compile_matcher,
-    compile_path,
-    distinct_values,
-    resolve_path_single,
-)
+from .matching import collation_key, compile_matcher, compile_path
 from .objectid import ObjectId
-from .ordering import document_sort_key, normalize_sort_specification
+from .ordering import document_sort_key
 
 __all__ = [
     "run_pipeline",
@@ -111,34 +99,36 @@ def _count_output(iterator: Iterator[Any], stats: StageStats) -> Iterator[Any]:
 # ---------------------------------------------------------------------------
 
 class _Accumulator:
-    """Incremental accumulator for one group field (compiled expression).
+    """Incremental ``$sum`` or ``$avg`` for one group field (compiled expression).
 
     In the ``"partial"`` phase (on a shard) ``$avg`` leaves ``[sum, count]``
-    of its numbers, every other operator its ordinary result; the
-    ``"merge"`` phase (on the router) combines those states, one per shard.
+    of its numbers and ``$sum`` its sum; the ``"merge"`` phase (on the
+    router) combines those states, one per shard.
     """
 
-    __slots__ = ("operator", "evaluate", "values", "phase", "order")
+    __slots__ = ("operator", "evaluate", "values", "phase")
 
     def __init__(
         self,
         operator: str,
         evaluate: Callable[[Mapping[str, Any]], Any],
         phase: str | None = None,
-        order: Callable[[Any], Any] | None = None,
     ) -> None:
         self.operator = operator
         self.evaluate = evaluate
         self.values: list[Any] = []
         self.phase = phase
-        self.order = order
 
     def add(self, document: Mapping[str, Any]) -> None:
         self.values.append(self.evaluate(document))
 
     def result(self) -> Any:
-        if self.phase == "merge" and self.operator not in ("$min", "$max"):
-            return self._combine()  # $min/$max of the partial extremes is the extreme
+        if self.phase == "merge":
+            states = self.values
+            if self.operator == "$sum":
+                return sum(states)
+            count = sum(state[1] for state in states)
+            return sum(state[0] for state in states) / count if count else None
         numeric = [
             value
             for value in self.values
@@ -146,59 +136,16 @@ class _Accumulator:
         ]
         if self.operator == "$sum":
             return sum(numeric) if numeric else 0
-        if self.operator == "$avg":
-            if self.phase == "partial":
-                return [sum(numeric), len(numeric)]
-            return sum(numeric) / len(numeric) if numeric else None
-        if self.operator == "$min":
-            present = [value for value in self.values if value is not None]
-            return min(present, default=None, key=collation_key)
-        if self.operator == "$max":
-            present = [value for value in self.values if value is not None]
-            return max(present, default=None, key=collation_key)
-        if self.operator == "$first":
-            return self.values[0] if self.values else None
-        if self.operator == "$last":
-            return self.values[-1] if self.values else None
-        if self.operator == "$push":
-            return list(self.values)
-        if self.operator == "$addToSet":
-            return distinct_values(self.values)
-        if self.operator == "$count":
-            return len(self.values)
-        if self.operator == "$stdDevPop":
-            if not numeric:
-                return None
-            mean = sum(numeric) / len(numeric)
-            return (sum((x - mean) ** 2 for x in numeric) / len(numeric)) ** 0.5
-        raise InvalidPipelineError(f"unknown accumulator {self.operator!r}")
-
-    def _combine(self) -> Any:
-        """The result from the shards' partial states, in target order."""
-        states = self.values
-        if self.operator in ("$sum", "$count"):
-            return sum(states)
-        if self.operator == "$avg":
-            count = sum(state[1] for state in states)
-            return sum(state[0] for state in states) / count if count else None
-        if self.operator in ("$push", "$addToSet"):
-            values = [value for state in states for value in state]
-            return values if self.operator == "$push" else distinct_values(values)
-        if self.operator == "$first":
-            return min(states, key=lambda state: self.order(state[0]))[1]
-        if self.operator == "$last":
-            # The last of equal keys, as a stable sort leaves it.
-            return max(reversed(states), key=lambda state: self.order(state[0]))[1]
-        raise InvalidPipelineError(f"accumulator {self.operator!r} has no merge phase")
+        if self.phase == "partial":
+            return [sum(numeric), len(numeric)]
+        return sum(numeric) / len(numeric) if numeric else None
 
 
-GROUP_ACCUMULATORS = (
-    "$sum", "$avg", "$min", "$max", "$first", "$last", "$push", "$addToSet", "$count", "$stdDevPop"
-)
+GROUP_ACCUMULATORS = ("$sum", "$avg")
 
 
 # ---------------------------------------------------------------------------
-# Path helpers shared by $project / $addFields / $unwind / $lookup
+# Path helpers of $project
 # ---------------------------------------------------------------------------
 
 def _assign_path(document: dict[str, Any], path: str, value: Any) -> None:
@@ -306,40 +253,23 @@ def _compile_project(specification: Mapping[str, Any]) -> _Transform:
     return project_exclusion
 
 
-def _compile_add_fields(specification: Mapping[str, Any]) -> _Transform:
-    fields = [(key, compile_expression(expression)) for key, expression in specification.items()]
-
-    def transform(documents: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
-        for document in documents:
-            copy = deep_copy_document(document)
-            for key, evaluator in fields:
-                _assign_path(copy, key, evaluator(document))
-            yield copy
-
-    return transform
-
-
 def _compile_group(specification: Mapping[str, Any]) -> _Transform:
     """``$group``, or one phase of it (``"$phase": "partial"`` / ``"merge"``).
 
     Groups are keyed by :func:`collation_key`: the ``values_equal`` classes
     of ``$match`` and ``distinct`` (``1`` and ``1.0`` one, ``True`` another),
-    with all NaNs in one.  Under ``"$sortedBy"`` a partial ``$first``/
-    ``$last`` state is ``[sort key, value]``, the key naming sort fields by position.
+    with all NaNs in one.
     """
     if "_id" not in specification:
         raise InvalidPipelineError("$group requires an _id expression")
     phase = specification.get("$phase")
-    pairs = normalize_sort_specification(specification.get("$sortedBy") or {})
-    sort_paths = [path for path, _direction in pairs]
-    order = document_sort_key([(str(i), direction) for i, (_path, direction) in enumerate(pairs)])
     if phase == "merge":
         id_evaluator: Callable[[Mapping[str, Any]], Any] = itemgetter("_id")
     else:
         id_evaluator = compile_expression(specification["_id"])
     accumulator_specs: dict[str, tuple[str, Callable[[Mapping[str, Any]], Any]]] = {}
     for key, value in specification.items():
-        if key in ("_id", "$phase", "$sortedBy"):
+        if key in ("_id", "$phase"):
             continue
         if not isinstance(value, Mapping) or len(value) != 1:
             raise InvalidPipelineError(
@@ -348,12 +278,7 @@ def _compile_group(specification: Mapping[str, Any]) -> _Transform:
         operator, expression = next(iter(value.items()))
         if operator not in GROUP_ACCUMULATORS:
             raise InvalidPipelineError(f"unknown accumulator {operator!r}")
-        if phase == "merge":
-            evaluate = itemgetter(key)
-        else:
-            evaluate = compile_expression(expression)
-            if sort_paths and operator in ("$first", "$last"):
-                evaluate = _with_sort_key(evaluate, sort_paths)
+        evaluate = itemgetter(key) if phase == "merge" else compile_expression(expression)
         accumulator_specs[key] = (operator, evaluate)
 
     def transform(documents: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
@@ -366,7 +291,7 @@ def _compile_group(specification: Mapping[str, Any]) -> _Transform:
                 entry = groups[marker] = (
                     group_id,
                     {
-                        key: _Accumulator(operator, evaluate, phase, order)
+                        key: _Accumulator(operator, evaluate, phase)
                         for key, (operator, evaluate) in accumulator_specs.items()
                     },
                 )
@@ -381,124 +306,11 @@ def _compile_group(specification: Mapping[str, Any]) -> _Transform:
     return transform
 
 
-def _with_sort_key(
-    evaluate: Callable[[Mapping[str, Any]], Any], sort_paths: list[str]
-) -> Callable[[Mapping[str, Any]], list[Any]]:
-    def evaluate_with_sort_key(document: Mapping[str, Any]) -> list[Any]:
-        key = {str(i): resolve_path_single(document, path) for i, path in enumerate(sort_paths)}
-        return [key, evaluate(document)]
-
-    return evaluate_with_sort_key
-
-
-def _unwind_specification(specification: Any) -> tuple[str, bool]:
-    if isinstance(specification, Mapping):
-        path = specification["path"]
-        preserve_empty = bool(specification.get("preserveNullAndEmptyArrays", False))
-    else:
-        path = specification
-        preserve_empty = False
-    if not isinstance(path, str) or not path.startswith("$"):
-        raise InvalidPipelineError("$unwind path must start with '$'")
-    return path[1:], preserve_empty
-
-
-def _compile_unwind(specification: Any) -> _Transform:
-    field_path, preserve_empty = _unwind_specification(specification)
-    resolver = compile_path(field_path)
-
-    def transform(documents: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
-        for document in documents:
-            values = resolver(document)
-            value = values[0] if values else None
-            if isinstance(value, (list, tuple)):
-                if not value and preserve_empty:
-                    yield deep_copy_document(document)
-                for item in value:
-                    copy = deep_copy_document(document)
-                    _assign_path(copy, field_path, item)
-                    yield copy
-            elif value is not None or preserve_empty:
-                yield deep_copy_document(document)
-
-    return transform
-
-
-def _compile_lookup(
-    specification: Mapping[str, Any],
-    collection_resolver: Callable[[str], Iterable[Mapping[str, Any]]] | None,
-) -> _Transform:
-    if collection_resolver is None:
-        raise OperationFailure("$lookup is not available in this context")
-    foreign_name = specification["from"]
-    local_resolver = compile_path(specification["localField"])
-    foreign_resolver = compile_path(specification["foreignField"])
-    output_field = specification["as"]
-
-    def transform(documents: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
-        # Build a hash map over the foreign field for linear-time lookups.
-        foreign_by_key: dict[str, list[dict[str, Any]]] = {}
-        for foreign_document in collection_resolver(foreign_name):
-            for key in foreign_resolver(foreign_document) or [None]:
-                foreign_by_key.setdefault(repr(key), []).append(dict(foreign_document))
-        for document in documents:
-            copy = deep_copy_document(document)
-            local_values = local_resolver(document) or [None]
-            joined: list[dict[str, Any]] = []
-            for value in local_values:
-                joined.extend(foreign_by_key.get(repr(value), []))
-            _assign_path(copy, output_field, deep_copy_document(joined))
-            yield copy
-
-    return transform
-
-
 def _compile_sort(specification: Mapping[str, Any]) -> _Transform:
     key = document_sort_key(list(specification.items()))
 
     def transform(documents: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
         return iter(sorted(documents, key=key))
-
-    return transform
-
-
-def _compile_top_k(
-    specification: Mapping[str, Any], count: int, offset: int = 0
-) -> _Transform:
-    """Fused ``$sort`` + ``$limit`` (+ ``$skip``): bounded heap selection.
-
-    ``heapq.nsmallest`` keeps at most ``count`` documents in memory and is
-    stable for equal keys, so the observable result is identical to a full
-    sort followed by slicing — without materializing the sorted intermediate
-    list.
-    """
-    key = document_sort_key(list(specification.items()))
-
-    def transform(documents: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
-        top = heapq.nsmallest(count, documents, key=key)
-        return iter(top[offset:])
-
-    return transform
-
-
-def _compile_replace_root(specification: Mapping[str, Any]) -> _Transform:
-    evaluator = compile_expression(specification.get("newRoot"))
-
-    def transform(documents: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
-        for document in documents:
-            root = evaluator(document)
-            if isinstance(root, dict):
-                yield root
-
-    return transform
-
-
-def _compile_count(specification: Any) -> _Transform:
-    field_name = str(specification)
-
-    def transform(documents: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
-        total = sum(1 for _ in documents)
-        yield {field_name: total}
 
     return transform
 
@@ -523,13 +335,6 @@ def _compile_out(
     return transform
 
 
-def _slice_transform(start: int, stop: int | None) -> _Transform:
-    def transform(documents: Iterator[dict[str, Any]]) -> Iterator[dict[str, Any]]:
-        return islice(documents, start, stop)
-
-    return transform
-
-
 # ---------------------------------------------------------------------------
 # Pipeline validation and logical optimization
 # ---------------------------------------------------------------------------
@@ -550,93 +355,15 @@ def _validate_pipeline(
 def validate_user_pipeline(pipeline: Sequence[Mapping[str, Any]]) -> None:
     """Refuse a caller's ``$group`` field name that starts with ``$``, as MongoDB does.
 
-    ``"$phase"`` and ``"$sortedBy"`` mark the router's own halves of a split
-    ``$group`` (:func:`split_pipeline_for_shards`), so only the ``aggregate``
-    entry points check: the shards run those halves.
+    ``"$phase"`` marks the router's own halves of a split ``$group``
+    (:func:`split_pipeline_for_shards`), so only the ``aggregate`` entry
+    points check: the shards run those halves.
     """
     for stage in pipeline:
         group = stage.get("$group") if isinstance(stage, Mapping) else None
         for key in group if isinstance(group, Mapping) else ():
             if isinstance(key, str) and key.startswith("$"):
                 raise InvalidPipelineError(f"$group field {key!r} must not start with '$'")
-
-
-def _paths_overlap(path_a: str, path_b: str) -> bool:
-    return (
-        path_a == path_b
-        or path_a.startswith(path_b + ".")
-        or path_b.startswith(path_a + ".")
-    )
-
-
-def _match_referenced_paths(query: Any) -> set[str] | None:
-    """Field paths a ``$match`` filter reads, or ``None`` when unanalyzable."""
-    if not isinstance(query, Mapping):
-        return None
-    paths: set[str] = set()
-    for key, condition in query.items():
-        if key in ("$and", "$or", "$nor"):
-            if not isinstance(condition, (list, tuple)):
-                return None
-            for sub_query in condition:
-                sub_paths = _match_referenced_paths(sub_query)
-                if sub_paths is None:
-                    return None
-                paths |= sub_paths
-        elif key.startswith("$"):
-            # $expr (and any future top-level operator) may read any field.
-            return None
-        else:
-            paths.add(key)
-    return paths
-
-
-def _match_can_move_before_unwind(match_spec: Any, unwind_spec: Any) -> bool:
-    try:
-        unwind_path, _preserve = _unwind_specification(unwind_spec)
-    except InvalidPipelineError:
-        return False
-    paths = _match_referenced_paths(match_spec)
-    if paths is None:
-        return False
-    return not any(_paths_overlap(path, unwind_path) for path in paths)
-
-
-def _match_can_move_before_lookup(match_spec: Any, lookup_spec: Any) -> bool:
-    if not isinstance(lookup_spec, Mapping) or "as" not in lookup_spec:
-        return False
-    output_field = str(lookup_spec["as"])
-    paths = _match_referenced_paths(match_spec)
-    if paths is None:
-        return False
-    return not any(_paths_overlap(path, output_field) for path in paths)
-
-
-def _project_can_move_before_unwind(project_spec: Any, unwind_spec: Any) -> bool:
-    """True for inclusion-only top-level projections that keep the unwind path.
-
-    Such a projection copies whole top-level fields verbatim, so projecting
-    first and unwinding one of the kept fields afterwards yields exactly the
-    documents of the original order — while narrowing every document before
-    the per-element deep copies of ``$unwind``.
-    """
-    try:
-        unwind_path, _preserve = _unwind_specification(unwind_spec)
-    except InvalidPipelineError:
-        return False
-    if "." in unwind_path or not isinstance(project_spec, Mapping) or not project_spec:
-        return False
-    keeps_unwind_path = False
-    for key, value in project_spec.items():
-        if key == "_id":
-            if value not in (0, False, 1, True):
-                return False
-            continue
-        if "." in key or key.startswith("$") or value not in (1, True):
-            return False
-        if key == unwind_path:
-            keeps_unwind_path = True
-    return keeps_unwind_path
 
 
 def _merge_match_specs(first: Any, second: Any) -> Mapping[str, Any]:
@@ -652,14 +379,9 @@ def optimize_pipeline(
 ) -> list[Mapping[str, Any]]:
     """Return a semantically equivalent, cheaper-to-execute stage list.
 
-    Rewrites applied (all result-preserving):
-
-    * adjacent ``$match`` stages merge into one ``$and`` filter;
-    * ``$match`` moves ahead of ``$sort`` (stable sort keeps the order);
-    * ``$match`` moves ahead of ``$unwind`` / ``$lookup`` when the filter
-      does not read the unwound path / the joined output field;
-    * inclusion-only top-level ``$project`` moves ahead of ``$unwind`` when
-      it keeps the unwound field.
+    Rewrites applied (both result-preserving): adjacent ``$match`` stages
+    merge into one ``$and`` filter, and ``$match`` moves ahead of ``$sort``
+    (a stable sort keeps the order).
     """
     stages = _validate_pipeline(pipeline)
     changed = True
@@ -676,36 +398,12 @@ def optimize_pipeline(
             else:
                 merged.append(stage)
         stages = merged
-        # Push $match / $project toward the source.
+        # Push $match toward the source.
         for index in range(1, len(stages)):
-            stage, previous = stages[index], stages[index - 1]
-            if "$match" in stage:
-                movable = (
-                    "$sort" in previous
-                    or (
-                        "$unwind" in previous
-                        and _match_can_move_before_unwind(
-                            stage["$match"], previous["$unwind"]
-                        )
-                    )
-                    or (
-                        "$lookup" in previous
-                        and _match_can_move_before_lookup(
-                            stage["$match"], previous["$lookup"]
-                        )
-                    )
-                )
-                if movable:
-                    stages[index - 1], stages[index] = stage, previous
-                    changed = True
-                    break
-            elif "$project" in stage:
-                if "$unwind" in previous and _project_can_move_before_unwind(
-                    stage["$project"], previous["$unwind"]
-                ):
-                    stages[index - 1], stages[index] = stage, previous
-                    changed = True
-                    break
+            if "$match" in stages[index] and "$sort" in stages[index - 1]:
+                stages[index - 1], stages[index] = stages[index], stages[index - 1]
+                changed = True
+                break
     return stages
 
 
@@ -719,10 +417,6 @@ class CompiledPipeline:
     def __init__(self, stages: list[CompiledStage], spec: list[Mapping[str, Any]]) -> None:
         self.stages = stages
         self.spec = spec
-
-    def stage_labels(self) -> list[str]:
-        """The (optimized) stage labels, in execution order."""
-        return [stage.label for stage in self.stages]
 
     def stream(
         self,
@@ -755,91 +449,36 @@ class CompiledPipeline:
 def compile_pipeline(
     pipeline: Sequence[Mapping[str, Any]],
     *,
-    collection_resolver: Callable[[str], Iterable[Mapping[str, Any]]] | None = None,
     output_writer: Callable[[str, list[dict[str, Any]]], None] | None = None,
     optimize: bool = True,
 ) -> CompiledPipeline:
     """Validate, optimize, and lower *pipeline* into a :class:`CompiledPipeline`.
 
-    ``collection_resolver`` provides access to sibling collections for
-    ``$lookup``; ``output_writer`` receives ``($out target, documents)`` for a
-    trailing ``$out`` stage.  ``optimize=False`` skips the logical rewrites
-    and the top-k fusion (used by tests that compare both execution modes).
+    ``output_writer`` receives ``($out target, documents)`` for a trailing
+    ``$out`` stage.  ``optimize=False`` skips the logical rewrites (used by
+    tests that compare both execution modes).
     """
     stages_spec = (
         optimize_pipeline(pipeline) if optimize else _validate_pipeline(pipeline)
     )
     compiled: list[CompiledStage] = []
-    index = 0
-    total = len(stages_spec)
-    while index < total:
-        stage = stages_spec[index]
+    for index, stage in enumerate(stages_spec):
         operator, specification = next(iter(stage.items()))
         if operator == "$match":
-            compiled.append(CompiledStage("$match", _compile_match(specification)))
+            transform = _compile_match(specification)
         elif operator == "$project":
-            compiled.append(CompiledStage("$project", _compile_project(specification)))
-        elif operator in ("$addFields", "$set"):
-            compiled.append(CompiledStage(operator, _compile_add_fields(specification)))
+            transform = _compile_project(specification)
         elif operator == "$group":
-            compiled.append(CompiledStage("$group", _compile_group(specification)))
+            transform = _compile_group(specification)
         elif operator == "$sort":
-            fused = None
-            if optimize and index + 1 < total:
-                following = stages_spec[index + 1]
-                if "$limit" in following:
-                    limit = int(following["$limit"])
-                    fused = (_compile_top_k(specification, max(limit, 0)), 2)
-                elif (
-                    "$skip" in following
-                    and index + 2 < total
-                    and "$limit" in stages_spec[index + 2]
-                ):
-                    skip = max(int(following["$skip"]), 0)
-                    limit = max(int(stages_spec[index + 2]["$limit"]), 0)
-                    fused = (_compile_top_k(specification, skip + limit, skip), 3)
-            if fused is not None:
-                transform, consumed = fused
-                compiled.append(CompiledStage("$sort+$limit", transform))
-                index += consumed
-                continue
-            compiled.append(CompiledStage("$sort", _compile_sort(specification)))
-        elif operator == "$limit":
-            compiled.append(
-                CompiledStage("$limit", _slice_transform(0, max(int(specification), 0)))
-            )
-        elif operator == "$skip":
-            compiled.append(
-                CompiledStage("$skip", _slice_transform(max(int(specification), 0), None))
-            )
-        elif operator == "$unwind":
-            compiled.append(CompiledStage("$unwind", _compile_unwind(specification)))
-        elif operator == "$count":
-            compiled.append(CompiledStage("$count", _compile_count(specification)))
-        elif operator == "$lookup":
-            compiled.append(
-                CompiledStage(
-                    "$lookup", _compile_lookup(specification, collection_resolver)
-                )
-            )
-        elif operator == "$sample":
-            size = int(specification.get("size", 1))
-            compiled.append(
-                CompiledStage("$sample", _slice_transform(0, max(size, 0)))
-            )
-        elif operator == "$replaceRoot":
-            compiled.append(
-                CompiledStage("$replaceRoot", _compile_replace_root(specification))
-            )
+            transform = _compile_sort(specification)
         elif operator == "$out":
-            if index != total - 1:
+            if index != len(stages_spec) - 1:
                 raise InvalidPipelineError("$out must be the final pipeline stage")
-            compiled.append(
-                CompiledStage("$out", _compile_out(specification, output_writer))
-            )
+            transform = _compile_out(specification, output_writer)
         else:
             raise InvalidPipelineError(f"unknown pipeline stage {operator!r}")
-        index += 1
+        compiled.append(CompiledStage(operator, transform))
     return CompiledPipeline(compiled, stages_spec)
 
 
@@ -847,24 +486,15 @@ def run_pipeline(
     documents: Iterable[Mapping[str, Any]],
     pipeline: Sequence[Mapping[str, Any]],
     *,
-    collection_resolver: Callable[[str], Iterable[Mapping[str, Any]]] | None = None,
-    output_writer: Callable[[str, list[dict[str, Any]]], None] | None = None,
     counters: list[StageStats] | None = None,
 ) -> list[dict[str, Any]]:
     """Execute *pipeline* over *documents* and return the resulting documents.
 
-    ``collection_resolver`` provides access to sibling collections for
-    ``$lookup``; ``output_writer`` receives ``($out target, documents)`` when
-    the pipeline ends with an ``$out`` stage (in which case an empty list is
-    returned, mirroring driver behaviour).  When *counters* is a list, one
-    :class:`StageStats` per executed stage is appended to it.
+    A trailing ``$out`` stage is refused: only a collection has somewhere to
+    write.  When *counters* is a list, one :class:`StageStats` per executed
+    stage is appended to it.
     """
-    compiled = compile_pipeline(
-        pipeline,
-        collection_resolver=collection_resolver,
-        output_writer=output_writer,
-    )
-    return compiled.run(documents, counters=counters)
+    return compile_pipeline(pipeline).run(documents, counters=counters)
 
 
 @dataclass
@@ -880,9 +510,7 @@ class ShardSplit:
     merge_sort: Mapping[str, Any] | None = None
 
 
-def _two_phase_group(
-    specification: Any, sorted_by: Mapping[str, Any] | None
-) -> tuple[Mapping[str, Any], Mapping[str, Any]] | None:
+def _two_phase_group(specification: Any) -> tuple[Mapping[str, Any], Mapping[str, Any]] | None:
     """The shard and router halves of a ``$group``, or ``None`` if it cannot split."""
     if not isinstance(specification, Mapping) or "_id" not in specification:
         return None
@@ -891,13 +519,8 @@ def _two_phase_group(
         for key, value in specification.items()
         if key != "_id"
     }
-    # $first/$last need the order a pushed $sort fixes; $push/$addToSet keep
-    # the input order, which merging sorted partial lists would not.
-    ordered = {"$first", "$last"} if sorted_by is not None else {"$push", "$addToSet"}
-    if not operators <= {"$sum", "$count", "$avg", "$min", "$max", *ordered}:
+    if not operators <= set(GROUP_ACCUMULATORS):
         return None
-    if sorted_by is not None and operators & ordered:
-        specification = {**specification, "$sortedBy": sorted_by}
     return (
         {"$group": {**specification, "$phase": "partial"}},
         {"$group": {**specification, "$phase": "merge"}},
@@ -907,41 +530,26 @@ def _two_phase_group(
 def split_pipeline_for_shards(pipeline: Sequence[Mapping[str, Any]]) -> ShardSplit:
     """Split an (optimized) pipeline into what each shard runs and the router's merge.
 
-    The shards run the leading per-document stages, then a ``$sort`` (the
-    router k-way merges the sorted outputs), then one of: a ``$group`` whose
-    accumulators all combine (each shard ships one partial state per group:
-    sums of sums and counts, ``$avg`` as ``[sum, count]``, extremes of
-    extremes, ``$push`` lists to concatenate, ``$addToSet`` sets to unite,
-    and, under a pushed ``$sort`` only, ``$first``/``$last`` with their sort
-    key); a ``$count`` (the router sums the counts); or ``skip + limit`` of a
-    ``[$skip,] $limit`` (the router pages the merge).  Any other stage, and
-    everything after it, runs on the router over every document the shards
-    matched: the scatter–gather cost the paper measures for the broadcast
-    queries (Section 4.3, observation ii).
+    The shards run the leading ``$match``/``$project`` stages, then a
+    ``$sort`` (the router k-way merges the sorted outputs), then a ``$group``
+    whose accumulators all combine: each shard ships one partial state per
+    group, a sum for ``$sum`` and ``[sum, count]`` for ``$avg``.  Any other
+    stage, and everything after it, runs on the router over every document
+    the shards matched: the scatter–gather cost the paper measures for the
+    broadcast queries (Section 4.3, observation ii).
     """
     stages = list(pipeline)
-    per_document = ("$match", "$project", "$addFields", "$set", "$unwind")
-    index = next((i for i, stage in enumerate(stages) if next(iter(stage)) not in per_document), len(stages))
+    index = next(
+        (i for i, stage in enumerate(stages) if next(iter(stage)) not in ("$match", "$project")),
+        len(stages),
+    )
     shard, rest = stages[:index], stages[index:]
     sorted_by = None
     if rest and "$sort" in rest[0]:
         sorted_by = rest[0]["$sort"]
         shard.append(rest.pop(0))
-    following = next(iter(rest[0])) if rest else None
-    if following == "$group":
-        halves = _two_phase_group(rest[0]["$group"], sorted_by)
+    if rest and "$group" in rest[0]:
+        halves = _two_phase_group(rest[0]["$group"])
         if halves is not None:
             return ShardSplit([*shard, halves[0]], [halves[1], *rest[1:]])
-    elif following == "$count":
-        name = str(rest[0]["$count"])
-        combine = [
-            {"$group": {"_id": None, name: {"$sum": f"${name}"}}},
-            {"$project": {"_id": 0, name: 1}},
-        ]
-        return ShardSplit([*shard, rest[0]], [*combine, *rest[1:]])
-    elif following in ("$skip", "$limit"):
-        skip = max(int(rest[0]["$skip"]), 0) if following == "$skip" else 0
-        page = rest[1:] if following == "$skip" else rest
-        if page and "$limit" in page[0]:
-            shard.append({"$limit": skip + max(int(page[0]["$limit"]), 0)})
     return ShardSplit(shard, rest, sorted_by)

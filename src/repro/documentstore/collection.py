@@ -692,8 +692,8 @@ class Collection(CollectionSurface):
             self.operation_counters["updates"] += 1
             if changed_documents:
                 # Physical redo: the full post-image of every changed document.
-                # Replay is then deterministic even for $currentDate-style
-                # operators and plan-order-dependent update_one targets.
+                # Replay is then deterministic even for plan-order-dependent
+                # update_one targets.
                 self._write_log({"op": "apply", "docs": changed_documents})
         return UpdateResult(matched_count=matched, modified_count=modified, upserted_id=upserted_id)
 
@@ -849,9 +849,8 @@ class Collection(CollectionSurface):
         shape = update_shape(update)
         try:
             if shape in accepted:
-                for changes in update.values():
-                    for argument in changes.values():
-                        validate_value(argument)
+                for argument in update["$set"].values():
+                    validate_value(argument)
             elif is_update_document(update):
                 OperatorUpdate(update)
                 if shape is not None:
@@ -877,24 +876,18 @@ class Collection(CollectionSurface):
 
     # ----------------------------------------------------------- aggregation
 
-    def _pipeline_environment(
-        self,
-    ) -> tuple[Any, Any]:
-        """Return the ``$lookup`` resolver / ``$out`` writer for this collection."""
-        collection_resolver = None
-        output_writer = None
-        if self._database is not None:
-            database = self._database
+    def _output_writer(self) -> Any:
+        """The ``$out`` writer for this collection: replace the target's documents."""
+        if self._database is None:
+            return None
+        database = self._database
 
-            def collection_resolver(name: str) -> list[dict[str, Any]]:
-                return database[name].find().to_list()
+        def output_writer(name: str, documents: list[dict[str, Any]]) -> None:
+            target = database[name]
+            target.drop()
+            target.insert_many(documents)
 
-            def output_writer(name: str, documents: list[dict[str, Any]]) -> None:
-                target = database[name]
-                target.drop()
-                target.insert_many(documents)
-
-        return collection_resolver, output_writer
+        return output_writer
 
     def _aggregate_plan_and_source(
         self, pipeline: Sequence[Mapping[str, Any]]
@@ -920,12 +913,10 @@ class Collection(CollectionSurface):
         suppress_out: bool = False,
     ) -> tuple[QueryPlan, list[dict[str, Any]]]:
         """Shared core of :meth:`aggregate` and the explain surfaces."""
-        collection_resolver, output_writer = self._pipeline_environment()
+        output_writer = self._output_writer()
         if suppress_out:
             output_writer = lambda _name, _documents: None  # noqa: E731
-        compiled = compile_pipeline(
-            pipeline, collection_resolver=collection_resolver, output_writer=output_writer
-        )
+        compiled = compile_pipeline(pipeline, output_writer=output_writer)
         # Planned from the optimized stages the compiled pipeline runs.  The
         # pipeline never mutates its input documents (stages copy before
         # modifying), so aggregation reads the stored documents directly
@@ -936,11 +927,10 @@ class Collection(CollectionSurface):
     def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
         """Run an aggregation pipeline over the collection.
 
-        The pipeline is optimized once (match merging / pushdown, top-k
-        fusion) so the planner sees the effective leading stage even when
-        the caller wrote it after a ``$sort``.  Stages read the stored
-        documents in place, so the results are detached from them on the
-        way out.
+        The pipeline is optimized once (match merging and pushdown) so the
+        planner sees the effective leading stage even when the caller wrote
+        it after a ``$sort``.  Stages read the stored documents in place, so
+        the results are detached from them on the way out.
         """
         validate_user_pipeline(pipeline)
         return self.execute_pipeline(pipeline)

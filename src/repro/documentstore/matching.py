@@ -6,11 +6,11 @@ Implements the find()/``$match`` filter language used by the thesis queries
 * dotted-path field access (``"ss_cdemo_sk.cd_gender"``), including descent
   into arrays of embedded documents (multikey semantics);
 * comparison operators ``$eq``, ``$ne``, ``$gt``, ``$gte``, ``$lt``, ``$lte``;
-* set operators ``$in`` and ``$nin``;
-* logical operators ``$and``, ``$or``, ``$nor``, ``$not``;
-* element operators ``$exists`` and ``$type``;
-* evaluation operators ``$regex`` and ``$mod``;
-* array operators ``$all``, ``$size``, and ``$elemMatch``.
+* the set operator ``$in``;
+* the logical operators ``$and`` and ``$or``;
+* the element operator ``$exists``.
+
+Any other operator is refused with :class:`InvalidOperator`.
 
 The matcher is deliberately free of any storage concerns so that both the
 stand-alone collection scan and the per-shard scans in the sharded cluster can
@@ -20,7 +20,6 @@ share it.
 from __future__ import annotations
 
 import datetime as _dt
-import re
 # The ABCs come from collections.abc: isinstance() against the typing aliases
 # pays a slow __instancecheck__ on every call, and these checks sit on the
 # per-document hot path (ruff TID251 keeps the typing ones out of this package).
@@ -386,9 +385,9 @@ def _build_operator_predicate(path: str, operator: str, operand: Any) -> Callabl
     elif operator in ("$gt", "$gte", "$lt", "$lte"):
         # value $op operand  <=>  0 reflected-$op compare_values(value, operand)
         field_predicate = _cmp_predicate(operand, partial(_REFLECTED[operator], 0))
-    elif operator in ("$in", "$nin"):
+    elif operator == "$in":
         if not isinstance(operand, (list, tuple, set, frozenset)):
-            raise InvalidOperator(f"{operator} requires a list operand")
+            raise InvalidOperator("$in requires a list operand")
         choices = _ValueSet(operand)
 
         def in_values(value: Any) -> bool:
@@ -397,10 +396,7 @@ def _build_operator_predicate(path: str, operator: str, operand: Any) -> Callabl
                     return True
             return False
 
-        if operator == "$in":
-            field_predicate = in_values
-        else:
-            field_predicate = lambda value: not in_values(value)  # noqa: E731
+        field_predicate = in_values
     elif operator == "$exists":
         expected = bool(operand)
 
@@ -408,87 +404,6 @@ def _build_operator_predicate(path: str, operator: str, operand: Any) -> Callabl
             return (value is not _MISSING) == expected
 
         field_predicate = exists_predicate
-    elif operator == "$type":
-        type_map = {
-            "double": float,
-            "string": str,
-            "object": dict,
-            "array": list,
-            "bool": bool,
-            "int": int,
-            "long": int,
-            "number": (int, float),
-            "date": (_dt.date, _dt.datetime),
-            "objectId": ObjectId,
-            "null": type(None),
-        }
-        if operand not in type_map:
-            raise InvalidOperator(f"unknown $type alias {operand!r}")
-        expected_types = type_map[operand]
-
-        def type_predicate(value: Any) -> bool:
-            if value is _MISSING:
-                return False
-            if operand == "null":
-                return value is None
-            if operand in ("int", "long", "number", "double") and isinstance(value, bool):
-                return False
-            return isinstance(value, expected_types)
-
-        field_predicate = type_predicate
-    elif operator == "$regex":
-        flags = 0
-        pattern = operand
-        if isinstance(operand, Mapping):
-            pattern = operand.get("pattern", "")
-        compiled = re.compile(pattern, flags)
-
-        def regex_predicate(value: Any) -> bool:
-            return isinstance(value, str) and bool(compiled.search(value))
-
-        field_predicate = regex_predicate
-    elif operator == "$mod":
-        if not isinstance(operand, (list, tuple)) or len(operand) != 2:
-            raise InvalidOperator("$mod requires [divisor, remainder]")
-        divisor, remainder = operand
-
-        def mod_predicate(value: Any) -> bool:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                return False
-            return int(value) % int(divisor) == int(remainder)
-
-        field_predicate = mod_predicate
-    elif operator == "$size":
-        def size_predicate(value: Any) -> bool:
-            return isinstance(value, (list, tuple)) and len(value) == operand
-
-        field_predicate = size_predicate
-    elif operator == "$all":
-        if not isinstance(operand, (list, tuple)):
-            raise InvalidOperator("$all requires a list operand")
-
-        def all_predicate(value: Any) -> bool:
-            if not isinstance(value, (list, tuple)):
-                value = [value]
-            return all(
-                any(values_equal(item, wanted) for item in value) for wanted in operand
-            )
-
-        field_predicate = all_predicate
-    elif operator == "$elemMatch":
-        if not isinstance(operand, Mapping):
-            raise InvalidOperator("$elemMatch requires a document operand")
-        inner = compile_matcher(operand)
-
-        def elem_match_predicate(value: Any) -> bool:
-            if not isinstance(value, (list, tuple)):
-                return False
-            return any(isinstance(item, Mapping) and inner(item) for item in value)
-
-        field_predicate = elem_match_predicate
-    elif operator == "$not":
-        negated = _conjunction(_field_predicates(path, operand))
-        return lambda document: not negated(document)
     else:
         raise InvalidOperator(f"unknown query operator {operator!r}")
 
@@ -603,24 +518,14 @@ def _is_operator_document(value: Any) -> bool:
     )
 
 
-def _field_predicates(path: str, condition: Any) -> list[Callable[[Any], bool]]:
-    """The predicates of ``{path: condition}``, a value or an operator document."""
-    if _is_operator_document(condition):
-        return [
-            _build_operator_predicate(path, operator, operand)
-            for operator, operand in condition.items()
-        ]
-    return [_build_operator_predicate(path, "$eq", condition)]
-
-
 def compile_matcher(query: Mapping[str, Any] | None) -> Callable[[Any], bool]:
     """Validate and lower a filter document into a predicate ``doc -> bool``.
 
     The filter tree is walked exactly once: operator operands are validated,
-    dotted paths are pre-split, ``$expr`` expressions are compiled, and the
-    result is a tree of closures.  Collection scans, pipeline ``$match``
-    stages, and per-shard execution all reuse one compiled predicate instead
-    of re-interpreting the raw query ``Mapping`` per document.
+    dotted paths are pre-split, and the result is a tree of closures.
+    Collection scans, pipeline ``$match`` stages, and per-shard execution all
+    reuse one compiled predicate instead of re-interpreting the raw query
+    ``Mapping`` per document.
     """
     if not query:
         return lambda _document: True
@@ -636,24 +541,17 @@ def compile_matcher(query: Mapping[str, Any] | None) -> Callable[[Any], bool]:
             predicates.append(
                 lambda document, sub=sub: any(p(document) for p in sub)
             )
-        elif key == "$nor":
-            sub = [compile_matcher(item) for item in condition]
-            predicates.append(
-                lambda document, sub=sub: not any(p(document) for p in sub)
-            )
-        elif key == "$expr":
-            from .expressions import compile_expression
-
-            evaluator = compile_expression(condition)
-            predicates.append(
-                lambda document, evaluator=evaluator: bool(evaluator(document))
-            )
         elif not isinstance(key, str):
             raise OperationFailure(f"filter field names must be strings, got {key!r}")
         elif key.startswith("$"):
             raise InvalidOperator(f"unknown top-level operator {key!r}")
+        elif _is_operator_document(condition):
+            predicates += [
+                _build_operator_predicate(key, operator, operand)
+                for operator, operand in condition.items()
+            ]
         else:
-            predicates += _field_predicates(key, condition)
+            predicates.append(_build_operator_predicate(key, "$eq", condition))
 
     return _conjunction(predicates)
 

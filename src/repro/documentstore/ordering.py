@@ -1,8 +1,7 @@
-"""Shared sort-key construction for cursors, ``$sort``, and accumulators.
+"""Shared sort-key construction for cursors and ``$sort``.
 
 Every component that orders documents — cursor ``sort()``, the aggregation
-``$sort`` stage (including its top-k fast path), the ``$min``/``$max``
-accumulators, and the index entries — needs the same BSON-like total order
+``$sort`` stage and the index entries — needs the same BSON-like total order
 implemented by :func:`repro.documentstore.matching.compare_values`.  They all
 order by :func:`~repro.documentstore.matching.collation_key`, which Python
 compares natively; this module adds the composite-key builder for sort

@@ -101,7 +101,7 @@ def _extract_constraints(query: Mapping[str, Any] | None) -> dict[str, _FieldCon
                     visit(sub_filter)
                 continue
             if not isinstance(key, str) or key.startswith("$"):
-                # $or / $nor / $expr cannot bound an index; the matcher refuses a non-string.
+                # $or cannot bound an index; the matcher refuses a non-string.
                 continue
             entry = constraints.setdefault(key, _FieldConstraints())
             if isinstance(condition, Mapping) and any(

@@ -13,8 +13,8 @@ The engine logs *after* the in-memory apply and acknowledges only after the
 record is as durable as its fsync policy promises — ``always`` makes every
 acknowledged batch crash-proof, ``batch`` group-commits, ``off`` defers to
 the page cache.  Records are physical redo (full documents by ``_id``), so
-replay is deterministic and idempotent regardless of query-plan or
-``$currentDate``-style nondeterminism in the original operation.
+replay is deterministic and idempotent regardless of query-plan
+nondeterminism in the original operation.
 """
 
 from __future__ import annotations

@@ -2,20 +2,17 @@
 
 The migration and embedding algorithms of the thesis (Figures 4.3 and 4.7)
 use ``update`` with ``$set`` plus the ``multi`` and ``upsert`` options; the
-full operator set implemented here also covers ``$unset``, ``$inc``, ``$mul``,
-``$rename``, ``$min``/``$max``, ``$push``, ``$addToSet``, ``$pull``, and
-``$pop`` so the store is usable beyond the thesis workloads.
+served workload adds ``$inc``.  Those two are the operators implemented
+here: any other is refused with :class:`InvalidUpdateError`.
 """
 
 from __future__ import annotations
 
-import datetime
 from collections.abc import Mapping
 from typing import Any
 
 from .bson import deep_copy_document, validate_value, value_size
 from .errors import InvalidUpdateError
-from .matching import compare_values, compile_matcher, values_equal
 
 __all__ = [
     "is_update_document",
@@ -27,17 +24,7 @@ __all__ = [
     "build_upsert_document",
 ]
 
-#: Operators whose argument (each item, for the array ones) can end up in a
-#: stored document: validated by the constructor, detached by the first apply.
-_STORING = frozenset({"$set", "$setOnInsert", "$min", "$max", "$push", "$addToSet"})
-#: The storing operators whose argument is a list of items to add to an array.
-_GROWING = ("$push", "$addToSet")
-_NUMERIC = ("$inc", "$mul")
-#: Operators that do nothing when their path is missing, so never create it.
-_READ_ONLY_WALK = frozenset({"$unset", "$rename", "$pull", "$pop"})
-_UPDATE_OPERATORS = _STORING | _READ_ONLY_WALK | {*_NUMERIC, "$currentDate"}
-#: Operators whose only check of an argument is ``validate_value``.
-_VALUE_CHECKED = _STORING.difference(_GROWING)
+_UPDATE_OPERATORS = frozenset({"$set", "$inc"})
 _MISSING = object()
 
 
@@ -51,12 +38,7 @@ def is_update_document(update: Mapping[str, Any]) -> bool:
     return True in kinds
 
 
-def apply_update(
-    document: Mapping[str, Any],
-    update: Mapping[str, Any],
-    *,
-    on_insert: bool = False,
-) -> dict[str, Any]:
+def apply_update(document: Mapping[str, Any], update: Mapping[str, Any]) -> dict[str, Any]:
     """Return a new document with *update* applied to *document*.
 
     The input document is never mutated; collections replace the stored
@@ -66,20 +48,15 @@ def apply_update(
     :func:`apply_operators` or :func:`replace_document` directly.
     """
     if is_update_document(update):
-        return apply_operators(document, update, on_insert=on_insert)
+        return apply_operators(document, update)
     return replace_document(document, update)
 
 
 def update_shape(update: Any) -> tuple[Any, ...] | None:
-    """*update*'s operators and paths if its only check of an argument is ``validate_value``."""
-    if type(update) is not dict:
+    """*update*'s paths if it is a ``$set`` alone: its only check of an argument is ``validate_value``."""
+    if type(update) is not dict or len(update) != 1 or type(update.get("$set")) is not dict:
         return None
-    shape = []
-    for operator, changes in update.items():
-        if operator not in _VALUE_CHECKED or type(changes) is not dict:
-            return None
-        shape.append((operator, *changes))
-    return tuple(shape)
+    return tuple(update["$set"])
 
 
 def replace_document(document: Mapping[str, Any], replacement: Mapping[str, Any]) -> dict[str, Any]:
@@ -90,14 +67,9 @@ def replace_document(document: Mapping[str, Any], replacement: Mapping[str, Any]
     return replaced
 
 
-def apply_operators(
-    document: Mapping[str, Any],
-    update: Mapping[str, Any],
-    *,
-    on_insert: bool = False,
-) -> dict[str, Any]:
+def apply_operators(document: Mapping[str, Any], update: Mapping[str, Any]) -> dict[str, Any]:
     """Return a new document with the operator document *update* applied."""
-    return OperatorUpdate(update, on_insert=on_insert).apply(document)[0]
+    return OperatorUpdate(update).apply(document)[0]
 
 
 class OperatorUpdate:
@@ -105,11 +77,11 @@ class OperatorUpdate:
 
     Construction checks the operators, the paths and the arguments, so a bad
     update fails whether or not it matches anything.  The first :meth:`apply`
-    detaches (copies) the stored arguments from the caller; every later one
+    detaches (copies) the ``$set`` arguments from the caller; every later one
     shares them.  ``paths`` are the field paths it can modify.
     """
 
-    def __init__(self, update: Mapping[str, Any], *, on_insert: bool = False) -> None:
+    def __init__(self, update: Mapping[str, Any]) -> None:
         self.paths: set[str] = set()
         self._steps: list[tuple[str, list[str], Any]] = []
         self._detached = False
@@ -122,25 +94,12 @@ class OperatorUpdate:
                 raise InvalidUpdateError(f"{operator} expects a document of field updates")
             for path, argument in changes.items():
                 _check_path(operator, path)
-                if operator in _GROWING:
-                    each = isinstance(argument, Mapping) and "$each" in argument
-                    if each and not isinstance(argument["$each"], (list, tuple)):
-                        raise InvalidUpdateError(f"{operator}'s $each expects an array")
-                    argument = list(argument["$each"]) if each else [argument]
-                elif operator in _NUMERIC and (
-                    isinstance(argument, bool) or not isinstance(argument, (int, float))
-                ):
-                    raise InvalidUpdateError(f"{operator} expects a number for {path!r}")
-                elif operator == "$rename":
-                    _check_path(operator, argument)
-                    self.paths.add(argument)
-                elif operator == "$pull":
-                    argument = _pull_predicate(argument)
-                if operator in _STORING:
+                if operator == "$set":
                     validate_value(argument)
+                elif isinstance(argument, bool) or not isinstance(argument, (int, float)):
+                    raise InvalidUpdateError(f"{operator} expects a number for {path!r}")
                 self.paths.add(path)
-                if operator != "$setOnInsert" or on_insert:
-                    self._steps.append((operator, path.split("."), argument))
+                self._steps.append((operator, path.split("."), argument))
 
     def apply(self, document: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
         """Return ``(new document, change of its encoded size)``.
@@ -153,11 +112,10 @@ class OperatorUpdate:
         if not self._detached:
             self._detached = True
             for position, (operator, parts, argument) in enumerate(self._steps):
-                if operator in _STORING:
+                if operator == "$set":
                     argument = deep_copy_document(argument)
-                    for value in argument if operator in _GROWING else (argument,):
-                        self._sizes[id(value)] = value_size(value)
-                self._steps[position] = (operator, parts, argument)
+                    self._sizes[id(argument)] = value_size(argument)
+                    self._steps[position] = (operator, parts, argument)
         root = dict(document)
         self._delta = 0
         try:
@@ -187,29 +145,24 @@ class OperatorUpdate:
             array.append(filler)
             self._delta += 2 + len(str(position)) + value_size(filler)
 
-    def _parent(self, node: Any, parts: list[str], create: bool) -> Any:
+    def _parent(self, node: Any, parts: list[str]) -> Any:
         """Copy-on-write walk from the fresh *node* to the container of the leaf.
 
         Each container on the way is replaced, in its fresh parent, by a
-        shallow copy — the only containers an update may write to.  With
-        *create*, missing (or scalar) steps become documents; without it the
-        answer for a path that is not there is ``None``.
+        shallow copy — the only containers an update may write to.  Missing
+        (or scalar) steps of a document become documents.
         """
         for part in parts[:-1]:
             if isinstance(node, list):
                 part = int(part)
                 if part >= len(node):
-                    if not create:
-                        return None
                     self._pad(node, part, {})
                 child = node[part]
             elif isinstance(node, dict):
                 child = node.get(part, _MISSING)
-                if create and not isinstance(child, (dict, list)):
+                if not isinstance(child, (dict, list)):
                     child = {}
                     self._put(node, part, child)
-                elif child is _MISSING:
-                    return None
             else:
                 break
             if isinstance(child, (dict, list)):
@@ -217,59 +170,21 @@ class OperatorUpdate:
             node = child
         if isinstance(node, (dict, list)):
             return node
-        if create:
-            raise TypeError(f"cannot create field {parts[-1]!r} in {node!r}")
-        return None
+        raise TypeError(f"cannot create field {parts[-1]!r} in {node!r}")
 
     def _apply(self, root: dict[str, Any], operator: str, parts: list[str], argument: Any) -> None:
         leaf = parts[-1]
-        parent = self._parent(root, parts, operator not in _READ_ONLY_WALK)
+        parent = self._parent(root, parts)
         if isinstance(parent, list):
-            current = parent[int(leaf)] if int(leaf) < len(parent) else _MISSING
+            current = parent[int(leaf)] if int(leaf) < len(parent) else None
         else:
-            current = _MISSING if parent is None else parent.get(leaf, _MISSING)
-        absent = current is _MISSING or current is None
-        if operator in ("$set", "$setOnInsert"):
-            self._put(parent, leaf, argument)
-        elif operator == "$currentDate":
-            self._put(parent, leaf, datetime.datetime.now())
-        elif operator == "$unset":
-            if isinstance(parent, list) and current is not _MISSING:
-                self._put(parent, leaf, None)
-            elif current is not _MISSING:
-                self._drop(parent, leaf)
-        elif operator == "$rename":
-            if isinstance(parent, dict) and current is not _MISSING:
-                self._drop(parent, leaf)
-                target = argument.split(".")
-                self._put(self._parent(root, target, True), target[-1], current)
-        elif operator in _NUMERIC:
-            current = 0 if absent else current
+            current = parent.get(leaf)
+        if operator == "$inc":
+            current = 0 if current is None else current
             if not isinstance(current, (int, float)) or isinstance(current, bool):
                 raise InvalidUpdateError(f"{operator} target {'.'.join(parts)!r} is not numeric")
-            value = current + argument if operator == "$inc" else current * argument
-            self._put(parent, leaf, value)
-        elif operator in ("$min", "$max"):
-            if absent or compare_values(argument, current) * (1 if operator == "$max" else -1) > 0:
-                self._put(parent, leaf, argument)
-        elif operator == "$pop":
-            if isinstance(current, list) and current:
-                self._put(parent, leaf, current[1:] if argument == -1 else current[:-1])
-        elif absent and operator == "$pull":
-            return
-        elif not (absent or isinstance(current, list)):
-            raise InvalidUpdateError(f"{operator} target {'.'.join(parts)!r} is not an array")
-        elif operator == "$pull":
-            self._put(parent, leaf, [item for item in current if not argument(item)])
-        else:
-            values = [] if absent else list(current)
-            for item in argument:
-                if operator == "$push" or not any(values_equal(item, value) for value in values):
-                    values.append(item)
-            self._put(parent, leaf, values)
-
-    def _drop(self, container: dict[str, Any], key: str) -> None:
-        self._delta -= 2 + len(key.encode("utf-8")) + value_size(container.pop(key))
+            argument = current + argument
+        self._put(parent, leaf, argument)
 
 
 def _check_path(operator: str, path: Any) -> None:
@@ -281,17 +196,6 @@ def _check_path(operator: str, path: Any) -> None:
         raise InvalidUpdateError(f"{operator} may not write the field path {path!r}")
 
 
-def _pull_predicate(argument: Any) -> Any:
-    """What ``$pull`` removes: a condition, a sub-document filter or a value."""
-    if isinstance(argument, Mapping) and any(str(k).startswith("$") for k in argument):
-        condition = compile_matcher({"v": argument})
-        return lambda item: condition({"v": item})
-    if isinstance(argument, Mapping):
-        predicate = compile_matcher(argument)
-        return lambda item: isinstance(item, Mapping) and predicate(item)
-    return lambda item: values_equal(item, argument)
-
-
 def build_upsert_document(
     query: Mapping[str, Any],
     update: Mapping[str, Any],
@@ -299,7 +203,7 @@ def build_upsert_document(
     """Build the document inserted by an upsert that matched nothing.
 
     Equality conditions from the query seed the new document, then the update
-    is applied (including ``$setOnInsert``).
+    is applied.
     """
     equalities: dict[str, Any] = {}
     for key, condition in (query or {}).items():
@@ -310,4 +214,4 @@ def build_upsert_document(
                 equalities[key] = condition["$eq"]
             continue
         equalities[key] = condition
-    return apply_update(apply_operators({}, {"$set": equalities}), update, on_insert=True)
+    return apply_update(apply_operators({}, {"$set": equalities}), update)

@@ -25,8 +25,10 @@ import socket
 import threading
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from ..documentstore.bson import require_mapping
+from ..documentstore.aggregation import compile_pipeline, validate_user_pipeline
+from ..documentstore.bson import EXACT_SCALARS, require_mapping
 from ..documentstore.bulk import (
+    BulkWriteError,
     BulkWriteResult,
     DeleteMany,
     DeleteOne,
@@ -39,6 +41,8 @@ from ..documentstore.cursor import CollectionSurface, DeleteResult, InsertManyRe
 from ..documentstore.errors import DocumentStoreError, InvalidDocumentError
 from ..documentstore.findspec import FindSpec
 from ..documentstore.indexes import IndexSpec
+from ..documentstore.matching import compile_matcher
+from ..documentstore.update import OperatorUpdate, is_update_document
 from ..sharding.executor import ShardTimeoutError
 from .protocol import (
     ConnectionFailure,
@@ -56,6 +60,35 @@ __all__ = ["RemoteClient", "RemoteDatabase", "RemoteCollection"]
 #: Exceptions meaning "the transport died" (retryable for idempotent reads),
 #: as opposed to a structured error the server delivered over a live socket.
 _TRANSPORT_ERRORS = (ConnectionFailure, ProtocolError, OSError, TimeoutError)
+
+
+def _string_keys_only(value: Any) -> bool:
+    """Whether every key in *value*, at any depth, is a ``str``."""
+    if type(value) is dict:
+        if not all(type(key) is str for key in value):
+            return False
+        value = value.values()
+    elif type(value) in EXACT_SCALARS:
+        return True
+    elif isinstance(value, Mapping):
+        return all(isinstance(key, str) and _string_keys_only(item) for key, item in value.items())
+    elif not isinstance(value, (list, tuple)):
+        return True
+    return all(type(item) in EXACT_SCALARS or _string_keys_only(item) for item in value)
+
+
+def _refuse_what_the_codec_changes(query: Any, update: Any = None) -> None:
+    """Refuse a request with a key that is not a ``str`` as a collection refuses it.
+
+    The wire codec writes such a key as a string, so the server could not
+    refuse it.  Such a request gets a collection's own checks here, in its
+    order: the update's, then the filter's.
+    """
+    if _string_keys_only(query) and _string_keys_only(update):
+        return
+    if update is not None and is_update_document(update):
+        OperatorUpdate(update)
+    compile_matcher(query)
 
 
 class _PooledConnection:
@@ -371,10 +404,12 @@ class RemoteCollection(CollectionSurface):
 
     def _execute_find(self, spec: FindSpec) -> Iterator[dict[str, Any]]:
         """The complete spec crosses the wire at once, in one ``FIND`` frame."""
+        _refuse_what_the_codec_changes(spec.filter)
         return self._stream(Opcode.FIND, {"spec": encode_findspec(spec)}, spec.batch_size)
 
     def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
         """Count matching documents on the server."""
+        _refuse_what_the_codec_changes(query)
         reply = self.client._request(
             Opcode.COUNT, {**self._namespace(), "filter": query}, idempotent=True
         )
@@ -382,6 +417,7 @@ class RemoteCollection(CollectionSurface):
 
     def distinct(self, key: str, query: Mapping[str, Any] | None = None) -> list[Any]:
         """Distinct values of *key* across matching documents."""
+        _refuse_what_the_codec_changes(query)
         reply = self.client._request(
             Opcode.DISTINCT,
             {**self._namespace(), "key": key, "filter": query},
@@ -401,6 +437,9 @@ class RemoteCollection(CollectionSurface):
         (``None``: the server's default), exactly like :meth:`find` — a large
         ``$group`` result never has to fit one frame.
         """
+        if not _string_keys_only(pipeline):  # refused as the codec would change it
+            validate_user_pipeline(pipeline)
+            compile_pipeline(pipeline, output_writer=lambda _name, _documents: None)
         request = {"pipeline": [dict(stage) for stage in pipeline], "batch_size": batch_size}
         return list(self._stream(Opcode.AGGREGATE, request, batch_size))
 
@@ -445,6 +484,7 @@ class RemoteCollection(CollectionSurface):
         upsert: bool = False,
     ) -> UpdateResult:
         """Update at most one matching document."""
+        _refuse_what_the_codec_changes(query, update)
         return UpdateResult(**self._write(UpdateOne(query, dict(update), upsert)))
 
     def update_many(
@@ -455,30 +495,59 @@ class RemoteCollection(CollectionSurface):
         upsert: bool = False,
     ) -> UpdateResult:
         """Update every matching document."""
+        _refuse_what_the_codec_changes(query, update)
         return UpdateResult(**self._write(UpdateMany(query, dict(update), upsert)))
 
     def delete_one(self, query: Mapping[str, Any] | None) -> DeleteResult:
         """Delete at most one matching document."""
+        _refuse_what_the_codec_changes(query)
         return DeleteResult(**self._write(DeleteOne(query)))
 
     def delete_many(self, query: Mapping[str, Any] | None) -> DeleteResult:
         """Delete every matching document."""
+        _refuse_what_the_codec_changes(query)
         return DeleteResult(**self._write(DeleteMany(query)))
 
     def bulk_write(self, operations: Iterable[Any], *, ordered: bool = True) -> BulkWriteResult:
-        """Apply a list of operation values in one frame (a write: never retried)."""
+        """Apply a list of operation values in one frame (a write: never retried).
+
+        An operation the wire codec would change (a key that is not a ``str``)
+        is refused here, in its position, with a collection's error; the ones
+        a collection would still apply go in the frame.
+        """
         operations = checked_operations(operations)
-        if not operations:
-            return BulkWriteResult()
-        reply = self.client._request(
-            Opcode.BULK_WRITE,
-            {
+        errors: list[dict[str, Any]] = []
+        for index, operation in enumerate(operations):
+            try:
+                _refuse_what_the_codec_changes(
+                    getattr(operation, "filter", None), getattr(operation, "update", None)
+                )
+            except DocumentStoreError as error:
+                errors.append({"index": index, "code": type(error).__name__, "message": str(error)})
+                if ordered:
+                    break
+        refused = {entry["index"] for entry in errors}
+        end = errors[0]["index"] if ordered and errors else len(operations)
+        sent = [index for index in range(end) if index not in refused]
+        result = BulkWriteResult()
+        if sent:
+            request = {
                 **self._namespace(),
                 "ordered": ordered,
-                "operations": [encode_operation(operation) for operation in operations],
-            },
-        )
-        return BulkWriteResult.from_document(reply)
+                "operations": [encode_operation(operations[index]) for index in sent],
+            }
+            try:
+                result = BulkWriteResult.from_document(
+                    self.client._request(Opcode.BULK_WRITE, request)
+                )
+            except BulkWriteError as error:
+                result = error.result
+                served = [{**entry, "index": sent[entry["index"]]} for entry in error.errors]
+                errors = served if ordered else served + errors
+            result.upserted_ids = {sent[index]: _id for index, _id in result.upserted_ids.items()}
+        if errors:
+            raise BulkWriteError(errors, result)
+        return result
 
     # -------------------------------------------------------------------- DDL
 

@@ -953,8 +953,8 @@ class RoutedCollection(CollectionSurface):
         router = self._router
         split, targets, targeted = self._plan_aggregate(pipeline)
         # The shard-local pipeline gives each slice the same leading-$match
-        # IXSCAN pushdown (and $lookup collection resolution) as a stand-alone
-        # ``aggregate``; the copy of its results is the only one.
+        # IXSCAN pushdown as a stand-alone ``aggregate``; the copy of its
+        # results is the only one.
         per_shard = self._on_shards(
             targets,
             targeted,
@@ -972,22 +972,7 @@ class RoutedCollection(CollectionSurface):
         if merge_stages and "$out" in merge_stages[-1]:
             out_target = str(merge_stages[-1]["$out"])
             merge_stages = merge_stages[:-1]
-        if merge_stages:
-            # $lookup in the merge part joins against the cluster-wide
-            # collection, exactly as a stand-alone database would resolve it.
-            # The nested find accounts its own router work, so exclude it
-            # from this operation's window to avoid double counting.
-            router_seconds_before = router.metrics.router_seconds
-            results = run_pipeline(
-                merged,
-                merge_stages,
-                collection_resolver=lambda name: RoutedCollection(
-                    router, self._database_name, name
-                )._execute_find(FindSpec()),
-            )
-            started += router.metrics.router_seconds - router_seconds_before
-        else:
-            results = list(merged)
+        results = run_pipeline(merged, merge_stages) if merge_stages else list(merged)
         router._account_router_work(started)
 
         if out_target is not None:
@@ -1005,15 +990,15 @@ class RoutedCollection(CollectionSurface):
 
         Returns ``(split, target shard ids, targeted?)``, which ``aggregate``
         executes and ``explain`` reports.  One target runs the whole pipeline
-        unless a ``$lookup`` or ``$out`` needs the cluster-wide collections;
-        more get :func:`split_pipeline_for_shards`.
+        unless an ``$out`` needs the cluster-wide collection; more get
+        :func:`split_pipeline_for_shards`.
         """
         stages = optimize_pipeline(pipeline)
         leading_match = stages[0].get("$match") if stages else None
         targets, targeted = self._router._target_shards(*self._namespace, leading_match)
         if not targets:  # no shard can hold a match: the pipeline runs over no documents
             return ShardSplit([], stages), targets, targeted
-        if len(targets) == 1 and not any("$lookup" in stage or "$out" in stage for stage in stages):
+        if len(targets) == 1 and not any("$out" in stage for stage in stages):
             return ShardSplit(stages, []), targets, targeted
         return split_pipeline_for_shards(stages), targets, targeted
 

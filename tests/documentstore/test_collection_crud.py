@@ -388,10 +388,11 @@ class TestStoredDocumentsAreImmutableAndShared:
         stored = list(embedded._documents.values())
         assert stored[0]["fk"] is stored[1]["fk"] is stored[2]["fk"]
         assert stored[0]["fk"] is not self.item and stored[0]["fk"] == self.item
-        embedded.update_one({"_id": 0}, {"$set": {"fk.brand.name": "y"}, "$push": {"fk.tags": "b"}})
+        embedded.update_one({"_id": 0}, {"$set": {"fk.brand.name": "y"}, "$inc": {"fk.sk": 1}})
         updated = next(doc for doc in embedded._documents.values() if doc["_id"] == 0)
         assert updated["keep"] is stored[0]["keep"]  # untouched: shared with the old version
-        assert updated["fk"]["brand"] == {"name": "y"} and updated["fk"]["tags"] == ["a", "b"]
+        assert updated["fk"]["tags"] is stored[0]["fk"]["tags"]
+        assert updated["fk"]["brand"] == {"name": "y"} and updated["fk"]["sk"] == 8
         # ... and neither the old version nor its siblings saw the write.
         assert stored[0]["fk"] == stored[1]["fk"] == self.item
         assert embedded.find_one({"_id": 1})["fk"] == self.item
@@ -406,11 +407,9 @@ class TestStoredDocumentsAreImmutableAndShared:
             lambda: embedded.distinct("fk"),
             lambda: embedded.distinct("fk.tags"),
             lambda: embedded.aggregate([{"$match": {}}]),
-            lambda: embedded.aggregate([{"$sort": {"_id": -1}}, {"$limit": 2}]),
-            lambda: embedded.aggregate([{"$group": {"_id": "$g", "all": {"$push": "$fk"}}}]),
-            lambda: embedded.aggregate([{"$group": {"_id": "$keep", "one": {"$first": "$fk"}}}]),
-            lambda: embedded.aggregate([{"$addFields": {"again": "$fk.brand"}}]),
-            lambda: embedded.aggregate([{"$unwind": "$fk.tags"}]),
+            lambda: embedded.aggregate([{"$sort": {"_id": -1}}]),
+            lambda: embedded.aggregate([{"$project": {"again": "$fk.brand", "keep": 1}}]),
+            lambda: embedded.aggregate([{"$group": {"_id": "$keep", "n": {"$sum": 1}}}]),
             # A shard's answer is the only copy (execute_find projects with
             # copy, distinct and execute_pipeline copy their results): the
             # router ships and returns it as it is.
@@ -423,7 +422,7 @@ class TestStoredDocumentsAreImmutableAndShared:
             lambda: facts.distinct("fk"),
             lambda: facts.distinct("keep"),
             lambda: facts.aggregate([{"$match": {"g": 0}}]),
-            lambda: facts.aggregate([{"$group": {"_id": "$g", "all": {"$push": "$fk"}}}]),
+            lambda: facts.aggregate([{"$group": {"_id": "$fk", "n": {"$sum": 1}}}]),
         ]
 
         def stored():

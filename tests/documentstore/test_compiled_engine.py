@@ -1,24 +1,20 @@
 """Property tests for the compiled matcher / expression layer.
 
 The compiled forms — ``compile_matcher(q)(doc)`` and
-``compile_expression(e)(doc)`` — must agree with the reference one-shot
-forms ``matches(doc, q)`` and ``evaluate_expression(e, doc)`` for
-every query/expression in the supported language, across the operator
-matrix, dotted paths, and array (multikey) semantics.
+``compile_expression(e)(doc)`` — must agree with the references: the
+one-shot ``matches(doc, q)`` and the recursive evaluator of
+``reference_expression.py``, for every query/expression in the supported
+language, across the operator matrix, dotted paths, and array (multikey)
+semantics.
 """
 
 from __future__ import annotations
 
 import pytest
+import reference_expression
 from hypothesis import given, settings, strategies as st
 
-from repro.documentstore import (
-    Collection,
-    compile_expression,
-    compile_matcher,
-    evaluate_expression,
-    matches,
-)
+from repro.documentstore import Collection, compile_expression, compile_matcher, matches
 
 
 DOCUMENTS = [
@@ -54,30 +50,15 @@ QUERIES = [
     {"a": {"$gt": 0, "$lt": 2}},
     {"a": {"$in": [1, "x", None]}},
     {"a": {"$in": [[1, 2, 3]]}},
-    {"a": {"$nin": [1, 2]}},
     {"a": {"$exists": True}},
     {"a": {"$exists": False}},
     {"a.b": {"$exists": True}},
-    {"a": {"$type": "int"}},
-    {"a": {"$type": "array"}},
-    {"a": {"$type": "null"}},
-    {"b": {"$regex": "^x"}},
-    {"a": {"$mod": [2, 1]}},
-    {"a": {"$size": 3}},
-    {"a": {"$size": 0}},
-    {"a": {"$all": [1, 2]}},
-    {"a": {"$elemMatch": {"b": {"$gt": 1}}}},
-    {"a": {"$not": {"$gt": 0}}},
-    {"a": {"$not": 1}},
     {"a.b": 2},
     {"a.b": {"$in": [1, 4]}},
     {"a.0": 1},
     {"$and": [{"a": {"$gte": 0}}, {"a": {"$lte": 2}}]},
     {"$or": [{"a": 1}, {"b": 2}]},
-    {"$nor": [{"a": 1}, {"b": 2}]},
     {"$and": [{"$or": [{"a": 1}, {"a.b": 2}]}, {"b": {"$exists": False}}]},
-    {"$expr": {"$gt": ["$a", 0]}},
-    {"$expr": {"$eq": ["$a.b", 2]}},
 ]
 
 
@@ -125,11 +106,10 @@ def test_property_comparison_operators_agree(document, operand, operator):
     assert compile_matcher(query)(document) == matches(document, query)
 
 
-@given(document=_DOCS, choices=st.lists(_SCALARS, min_size=1, max_size=4),
-       operator=st.sampled_from(["$in", "$nin"]))
+@given(document=_DOCS, choices=st.lists(_SCALARS, min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_property_set_operators_agree(document, choices, operator):
-    query = {"a": {operator: choices}}
+def test_property_set_operators_agree(document, choices):
+    query = {"a": {"$in": choices}}
     assert compile_matcher(query)(document) == matches(document, query)
 
 
@@ -140,7 +120,7 @@ def test_property_logical_trees_agree(document, left, right):
         "$or": [
             {"a": left},
             {"$and": [{"b": {"$ne": right}}, {"c": {"$exists": True}}]},
-            {"$nor": [{"a.b": right}]},
+            {"$or": [{"a.b": right}, {"c": {"$exists": False}}]},
         ]
     }
     assert compile_matcher(query)(document) == matches(document, query)
@@ -150,34 +130,33 @@ EXPRESSIONS = [
     "$a",
     "$a.b",
     "$$ROOT",
-    "$$CURRENT.a",
     "literal-string",
     7,
     None,
     True,
-    {"$literal": "$a"},
-    {"$add": ["$a", 1]},
     {"$subtract": [10, "$a"]},
-    {"$multiply": ["$a", "$a"]},
+    {"$subtract": ["$s", 1]},
+    {"$subtract": [1, 2, 3]},
+    {"$divide": ["$a", 2]},
+    {"$divide": ["$missing", 2]},
+    {"$divide": [1, "$b"]},
     {"$cond": {"if": {"$gt": ["$a", 0]}, "then": "pos", "else": "neg"}},
-    {"$cond": [{"$lte": ["$a", 0]}, 0, 1]},
-    {"$ifNull": ["$missing", "$a", -1]},
+    {"$cond": [{"$lte": ["$a", 1]}, 0, 1]},
+    {"$cond": [True, 1]},
     {"$eq": ["$a", 1]},
     {"$ne": ["$a", "$b"]},
-    {"$cmp": ["$a", "$b"]},
+    {"$lt": ["$a", 1]},
+    {"$gte": ["$a", "$b"]},
     {"$in": ["$a", [1, 2, 3]]},
-    {"$min": [3, "$a", None]},
-    {"$max": "$list"},
+    {"$in": ["$a", "$s"]},
     {"$sum": ["$a", "$list"]},
     {"$avg": "$list"},
     {"$and": [{"$gt": ["$a", 0]}, {"$lt": ["$a", 10]}]},
     {"$or": ["$missing", "$a"]},
-    {"$not": ["$a"]},
-    {"$concat": ["x", "$s"]},
-    {"$toUpper": "$s"},
-    {"$toString": "$a"},
-    {"nested": {"value": "$a", "twice": {"$add": ["$a", "$a"]}}},
-    ["$a", {"$add": [1, 1]}],
+    {"$add": [1, 1]},
+    {"$divide": [1, 2], "$subtract": [1, 2]},
+    {"nested": {"value": "$a", "ratio": {"$divide": ["$a", "$b"]}}},
+    ["$a", {"$subtract": [1, 1]}],
 ]
 
 
@@ -190,15 +169,16 @@ class TestCompiledExpressions:
             return ("error", type(exc), str(exc))
 
     @pytest.mark.parametrize("expression", EXPRESSIONS, ids=[repr(e) for e in EXPRESSIONS])
-    def test_compiled_matches_interpreter(self, expression):
+    def test_compiled_matches_reference(self, expression):
         for document in (
             {"a": 1, "b": 2, "s": "hi", "list": [1, 2, 3]},
             {"a": None, "b": 0, "s": "x", "list": []},
             {"a": {"b": 4}, "s": "Y", "list": [5]},
+            {"a": 3, "b": 3, "list": [1.5, True, "2"]},
         ):
             compiled = self._outcome(lambda: compile_expression(expression)(document))
-            interpreted = self._outcome(lambda: evaluate_expression(expression, document))
-            assert compiled == interpreted
+            reference = self._outcome(lambda: reference_expression.evaluate(expression, document))
+            assert compiled == reference, document
 
 
 class TestPlannerEdgeCases:

@@ -289,7 +289,6 @@ def test_scalar_kernel_decides_as_the_general_predicate(document, path, conditio
         ("$in", [1, True], False),
         ("$in", [1, None], False),
         ("$ne", 1, False),
-        ("$nin", [1], False),
     ],
 )
 def test_scalar_kernel_scope(operator, operand, kernel):

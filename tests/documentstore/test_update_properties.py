@@ -1,8 +1,8 @@
 """Copy-on-write updates against the deep-copy reference, under random input.
 
-Random nested documents and random operator sequences (all 13 operators,
-dotted paths through lists, paths into values an earlier step embedded) must
-give, step by step:
+Random nested documents and random operator sequences (``$set`` and
+``$inc``, dotted paths through lists, paths into values an earlier step
+embedded) must give, step by step:
 
 (i)   the document the reference (``reference_update.apply_operators``) gives,
       or the same kind of error;
@@ -20,8 +20,6 @@ with a ``DocumentStoreError`` or stores only what ``validate_document`` takes.
 """
 
 from __future__ import annotations
-
-import datetime
 
 import reference_copy
 import reference_update
@@ -52,7 +50,6 @@ DOCUMENTS = st.dictionaries(NAMES, VALUES, max_size=3)
 PATHS = st.lists(st.one_of(NAMES, st.sampled_from(["0", "1", "3"])), min_size=1, max_size=3).map(
     ".".join
 )
-ITEMS = st.one_of(VALUES, st.builds(lambda items: {"$each": items}, st.lists(VALUES, max_size=3)))
 NUMBERS = st.one_of(st.integers(-3, 3), st.floats(-2, 2, allow_nan=False))
 
 
@@ -68,35 +65,18 @@ def existing_paths(value, prefix=""):
 def steps(document=None):
     """One update; most of its paths lead into *document* when one is given.
 
-    A random path rarely exists, and hardly ever names an array, so half of
-    the paths are drawn from the document's own, and the array operators
-    mostly get the paths of its arrays.
+    A random path rarely exists, so half of the paths are drawn from the
+    document's own.
     """
-    known = sorted(existing_paths(document or {}), key=lambda pair: pair[0])
-    paths = array_paths = PATHS
-    if known:
-        paths = st.one_of(st.sampled_from([path for path, _value in known]), PATHS)
-    arrays = [path for path, value in known if isinstance(value, list)]
-    if arrays:
-        array_paths = st.one_of(st.sampled_from(arrays), st.sampled_from(arrays), paths)
+    known = sorted(path for path, _value in existing_paths(document or {}))
+    paths = st.one_of(st.sampled_from(known), PATHS) if known else PATHS
 
-    def step(operator, arguments, paths=paths):
+    def step(operator, arguments):
         return st.builds(lambda path, argument: {operator: {path: argument}}, paths, arguments)
 
     return st.one_of(
         step("$set", VALUES),
-        step("$setOnInsert", VALUES),
-        step("$unset", st.just("")),
         step("$inc", NUMBERS),
-        step("$mul", NUMBERS),
-        step("$rename", paths),
-        step("$min", VALUES),
-        step("$max", VALUES),
-        step("$push", ITEMS, array_paths),
-        step("$addToSet", ITEMS, array_paths),
-        step("$pull", st.one_of(SCALARS, st.just({"$gt": 0}), st.just({"a": 1})), array_paths),
-        step("$pop", st.sampled_from([1, -1]), array_paths),
-        step("$currentDate", st.just(True)),
         # Two operators and two paths in one update.
         st.builds(
             lambda p, q, v, n: {"$set": {p: v}, "$inc": {q: n}}, paths, paths, VALUES, NUMBERS
@@ -112,25 +92,16 @@ def outcome(function, *arguments, **options):
         return "error", type(error)
 
 
-def without_clock(value):
-    """*value* with every datetime replaced by its type (``$currentDate``)."""
-    if isinstance(value, dict):
-        return {key: without_clock(nested) for key, nested in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [without_clock(item) for item in value]
-    return datetime.datetime if isinstance(value, datetime.datetime) else value
-
-
 @settings(max_examples=150, deadline=None)
-@given(DOCUMENTS, st.booleans(), st.data())
-def test_copy_on_write_equals_the_deep_copy_reference(document, on_insert, data):
+@given(DOCUMENTS, st.data())
+def test_copy_on_write_equals_the_deep_copy_reference(document, data):
     versions = [(document, encode_document(document))]
     for _step in range(data.draw(st.integers(1, 6))):
         current = versions[-1][0]
         update = data.draw(steps(current))
-        expected = outcome(reference_update.apply_operators, current, update, on_insert=on_insert)
-        actual = outcome(apply_operators, current, update, on_insert=on_insert)
-        assert without_clock(actual) == without_clock(expected), update
+        expected = outcome(reference_update.apply_operators, current, update)
+        actual = outcome(apply_operators, current, update)
+        assert actual == expected, update
         for version, encoded in versions:
             assert encode_document(version) == encoded, update
         if actual[0] == "ok":
@@ -251,7 +222,6 @@ HOSTILE_PATHS = st.one_of(
 HOSTILE_ARGUMENTS = st.one_of(
     VALUES,
     st.sampled_from(["x", True, None, {"$x": 1}, {"a.b": 1}, {1: "x"}, {"": 1}, [{"$y": 2}]]),
-    st.builds(lambda items: {"$each": items}, st.one_of(st.lists(VALUES, max_size=2), st.just(5))),
     st.builds(set),
 )
 HOSTILE_UPDATES = st.dictionaries(
@@ -263,16 +233,14 @@ HOSTILE_UPDATES = st.dictionaries(
 
 
 @settings(max_examples=300, deadline=None)
-@given(DOCUMENTS, HOSTILE_UPDATES, st.booleans())
-@example({"a": 1}, {"$set": {"a..b": 1}}, False)  # was stored as {"a": {"": {"b": 1}}}
-@example({"a": 1}, {"$rename": {"a": "$x"}}, False)
-@example({"a": 1}, {"$inc": {"a": "x"}}, False)  # leaked TypeError
-@example({"a": [1]}, {"$pull": {"a": {1: "x"}}}, False)  # leaked AttributeError
-@example({"a": []}, {"$set": {"a.-1": 1}}, False)  # leaked IndexError
-def test_an_update_is_refused_or_stores_a_valid_document(document, update, on_insert):
+@given(DOCUMENTS, HOSTILE_UPDATES)
+@example({"a": 1}, {"$set": {"a..b": 1}})  # was stored as {"a": {"": {"b": 1}}}
+@example({"a": 1}, {"$inc": {"a": "x"}})  # leaked TypeError
+@example({"a": []}, {"$set": {"a.-1": 1}})  # leaked IndexError
+def test_an_update_is_refused_or_stores_a_valid_document(document, update):
     """Refused at construction, or by the one document it is applied to, or valid."""
     try:
-        operation = OperatorUpdate(update, on_insert=on_insert)
+        operation = OperatorUpdate(update)
     except DocumentStoreError:
         return
     try:

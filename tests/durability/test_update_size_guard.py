@@ -40,7 +40,7 @@ def refused(client, query, update, expected_size):
     assert observed(client) == before
 
 
-def test_repeated_push_is_refused_at_the_step_a_walk_refuses(tmp_path):
+def test_repeated_growth_is_refused_at_the_step_a_walk_refuses(tmp_path):
     mirror = {"_id": 1, "k": 1, "chunks": []}
     with DocumentStoreClient(data_dir=tmp_path, fsync="off") as client:
         collection = client["db"]["t"]
@@ -50,15 +50,15 @@ def test_repeated_push_is_refused_at_the_step_a_walk_refuses(tmp_path):
             grown = {**mirror, "chunks": mirror["chunks"] + [SIX_MB]}
             if document_size(grown) > MAX_DOCUMENT_SIZE:
                 break
-            collection.update_one({"k": 1}, {"$push": {"chunks": SIX_MB}})
+            collection.update_one({"k": 1}, {"$set": {f"chunks.{step}": SIX_MB}})
             mirror = grown
         assert step == 2  # two chunks fit, the third does not
-        refused(client, {"k": 1}, {"$push": {"chunks": SIX_MB}}, document_size(grown))
+        refused(client, {"k": 1}, {"$set": {"chunks.2": SIX_MB}}, document_size(grown))
     with DocumentStoreClient(data_dir=tmp_path, fsync="off") as client:
         collection = client["db"]["t"]
         assert collection.find_one({"k": 1}) == mirror
-        refused(client, {"k": 1}, {"$push": {"chunks": SIX_MB}}, document_size(grown))
-        collection.update_one({"k": 1}, {"$push": {"chunks": "small"}})
+        refused(client, {"k": 1}, {"$set": {"chunks.2": SIX_MB}}, document_size(grown))
+        collection.update_one({"k": 1}, {"$set": {"chunks.2": "small"}})
         mirror["chunks"].append("small")
         assert collection.stats().size_bytes == document_size(mirror)
 

@@ -72,7 +72,7 @@ class TestRacingClients:
         """Two cursors pulled alternately yield their own streams."""
         evens = iter(
             client["shop"]["orders"].find(
-                {"order_id": {"$mod": [2, 0]}},
+                {"order_id": {"$in": list(range(0, 300, 2))}},
                 {"_id": 0, "order_id": 1},
                 sort=[("order_id", 1)],
                 batch_size=5,
@@ -80,7 +80,7 @@ class TestRacingClients:
         )
         odds = iter(
             client["shop"]["orders"].find(
-                {"order_id": {"$mod": [2, 1]}},
+                {"order_id": {"$in": list(range(1, 300, 2))}},
                 {"_id": 0, "order_id": 1},
                 sort=[("order_id", 1)],
                 batch_size=3,

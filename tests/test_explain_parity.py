@@ -110,13 +110,17 @@ def test_aggregate_explain_has_the_one_schema(surfaces, surface):
 
 
 def test_routing_decision_is_the_winning_plan(surfaces):
-    explain = surfaces["sharded"].explain([{"$match": {"store": 1}}, {"$count": "n"}])
+    pipeline = [{"$match": {"store": 1}}, {"$group": {"_id": None, "n": {"$sum": 1}}}]
+    explain = surfaces["sharded"].explain(pipeline)
     plan = explain["queryPlanner"]["winningPlan"]
     assert {"stage", "targeted", "shardsContacted", "shardPart", "mergePart"} <= set(plan)
     # Each shard counts its slice; the router sums the counts.
-    assert plan["shardPart"] == [{"$match": {"store": 1}}, {"$count": "n"}]
-    assert plan["mergeStages"] == ["$group", "$project"]
+    assert plan["shardPart"] == [
+        {"$match": {"store": 1}},
+        {"$group": {"_id": None, "n": {"$sum": 1}, "$phase": "partial"}},
+    ]
+    assert plan["mergeStages"] == ["$group"]
     assert plan["mergeStages"] == [next(iter(stage)) for stage in plan["mergePart"]]
     assert set(explain["shards"]) == set(plan["shardsContacted"])
-    served = surfaces["served"].explain([{"$match": {"store": 1}}, {"$count": "n"}])
+    served = surfaces["served"].explain(pipeline)
     assert {**served, "surface": "sharded"} == explain

@@ -1,10 +1,9 @@
 """A caller's ``$group`` may not name a field that starts with ``$``.
 
-``"$phase"`` and ``"$sortedBy"`` are the router's markers for the two halves
-of a split ``$group`` (``split_pipeline_for_shards``).  A caller that passed
-them got a bare ``KeyError``, or a ``$first`` that returned the router's
-internal ``[sort key, value]`` state, different on each surface; any other
-``$``-prefixed name became an output field.  MongoDB refuses every
+``"$phase"`` is the router's marker for the two halves of a split ``$group``
+(``split_pipeline_for_shards``).  A caller that passed it got a bare
+``KeyError``, different on each surface; any other ``$``-prefixed name
+became an output field.  MongoDB refuses every
 ``$``-prefixed ``$group`` field name, and so does every surface here.
 """
 
@@ -20,7 +19,6 @@ DOCUMENTS = [{"_id": i, "k": i % 2, "v": i} for i in range(6)]
 
 PROBES = {
     "phase": {"_id": "$k", "n": {"$sum": 1}, "$phase": "merge"},
-    "sortedBy": {"_id": "$k", "first": {"$first": "$v"}, "$sortedBy": {"v": -1}},
     "output": {"_id": "$k", "$bogus": {"$sum": 1}},
 }
 
@@ -52,7 +50,7 @@ def collection(request, deployments):
 def test_a_dollar_prefixed_group_field_is_refused(collection, probe):
     with pytest.raises(InvalidPipelineError):
         collection.aggregate([{"$group": PROBES[probe]}])
-    # The router's own split of a sorted $first still runs on every surface.
-    pipeline = [{"$sort": {"v": -1}}, {"$group": {"_id": "$k", "first": {"$first": "$v"}}}]
+    # The router's own split of a $group still runs on every surface.
+    pipeline = [{"$sort": {"v": -1}}, {"$group": {"_id": "$k", "n": {"$sum": 1}, "m": {"$avg": "$v"}}}]
     answer = sorted(collection.aggregate(pipeline), key=lambda row: row["_id"])
-    assert answer == [{"_id": 0, "first": 4}, {"_id": 1, "first": 5}]
+    assert answer == [{"_id": 0, "n": 3, "m": 2.0}, {"_id": 1, "n": 3, "m": 3.0}]

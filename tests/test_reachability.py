@@ -15,6 +15,14 @@ That check is by name too: an option passes when any call passes a keyword
 of its name, which is how ``ExperimentHarness(seed=)`` went unnoticed while
 another function, ``TPCDSGenerator``, took ``seed=``.  Fields of config
 dataclasses (``NetworkModel``, ``ScatterPolicy``) are not checked.
+
+Every ``"$name"`` string under ``src/repro/documentstore/`` — the query,
+update, stage, accumulator and expression operators its dispatches accept —
+must be written as a key by a caller: a dict key (or a subscript assigned to)
+in ``src/`` outside ``documentstore/``, in ``benchmarks/`` (less its
+``test_*.py`` files) or in ``examples/``.  A membership test such as
+``"$out" in stage`` is not a use.  That check is by name too: ``$sum`` passes
+as an expression because callers write it as an accumulator.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import ast
 import collections
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -29,7 +38,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 ALLOWED = {
     "Cursor.alive": "whether a cursor is exhausted, for the cursor tests",
     "Balancer.needs_balancing": "the imbalance check of the balancer tests",
-    "CompiledPipeline.stage_labels": "the compiled stages, for the streaming-aggregation tests",
     "TableSchema.column_names": "column order, for the schema and generator tests",
     "paper_row_counts": "the Table 3.6 fidelity oracle",
     "date_sk_for": "the generator's date-key oracle",
@@ -163,3 +171,48 @@ def test_every_option_in_src_is_passed_outside_tests():
     assert unpassed <= set(ALLOWED_OPTIONS), sorted(unpassed - set(ALLOWED_OPTIONS))
     stale = set(ALLOWED_OPTIONS) - unpassed
     assert not stale, sorted(stale)  # a stale entry
+
+
+#: ``"$name"`` strings the engine uses that no caller writes, each emitted by
+#: the engine itself.
+ALLOWED_OPERATORS = {
+    "$eq": "emitted: a plain ``{path: value}`` compiles as ``$eq``, and an upsert seeds from it",
+    "$phase": "emitted: the router's two halves of a split ``$group``",
+}
+
+OPERATOR = re.compile(r"\$[A-Za-z]+")
+
+
+def _written_keys(tree: ast.Module):
+    """The ``"$name"`` keys *tree* writes: dict keys and subscripts assigned to."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys = [node.slice]
+        else:
+            continue
+        for key in keys:
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                if OPERATOR.fullmatch(key.value):
+                    yield key.value
+
+
+def test_every_operator_the_engine_accepts_is_written_by_a_caller():
+    accepted = set()
+    for path in sorted((ROOT / "src" / "repro" / "documentstore").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if OPERATOR.fullmatch(node.value):
+                    accepted.add(node.value)
+    written = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if "documentstore" in path.parts:
+                continue
+            if top == "benchmarks" and path.name.startswith("test_"):
+                continue
+            written.update(_written_keys(ast.parse(path.read_text(encoding="utf-8"))))
+    unwritten = accepted - written
+    assert unwritten <= set(ALLOWED_OPERATORS), sorted(unwritten - set(ALLOWED_OPERATORS))
+    assert set(ALLOWED_OPERATORS) <= unwritten, sorted(set(ALLOWED_OPERATORS) - unwritten)  # stale

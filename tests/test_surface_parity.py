@@ -22,6 +22,8 @@ from repro.documentstore import (
     DocumentStoreClient,
     InsertOne,
     InvalidDocumentError,
+    InvalidOperator,
+    InvalidPipelineError,
     InvalidUpdateError,
     OperationFailure,
     UpdateMany,
@@ -169,13 +171,13 @@ def test_a_refused_call_raises_one_error_class_everywhere(collections, call):
 
 #: Pipelines whose answer does not depend on where the documents live.
 PIPELINES = {
-    "top-k": [{"$sort": {"k": -1}}, {"$limit": 5}],
-    "filtered top-k": [{"$match": {"tenant": 1}}, {"$sort": {"k": 1}}, {"$skip": 2}, {"$limit": 4}],
+    "sorted": [{"$sort": {"k": -1}}, {"$project": {"_id": 0, "k": 1}}],
+    "filtered sorted": [{"$match": {"tenant": 1}}, {"$sort": {"k": 1}}],
     "group": [
-        {"$group": {"_id": "$tenant", "n": {"$sum": 1}, "top": {"$max": "$k"}}},
+        {"$group": {"_id": "$tenant", "n": {"$sum": 1}, "mean": {"$avg": "$k"}}},
         {"$sort": {"_id": 1}},
     ],
-    "count": [{"$match": {"k": {"$gte": 10}}}, {"$count": "n"}],
+    "count": [{"$match": {"k": {"$gte": 10}}}, {"$group": {"_id": None, "n": {"$sum": 1}}}],
 }
 
 
@@ -213,19 +215,19 @@ def test_unknown_verbosity_is_refused_on_every_surface(collections):
             collection.explain({}, verbosity="nope")
 
 
-#: Update documents with a key that is not a string.  The served surface is
-#: not in this table: its wire codec turns such keys into strings.
+#: Update documents with a key that is not a string.  The served client refuses
+#: them before its wire codec would turn such keys into strings.
 NON_STRING_KEY_UPDATES = {
     "replacement": {1: 2},
     "$set path": {"$set": {1: 2}},
-    "$unset path": {"$unset": {3: ""}},
+    "$inc path": {"$inc": {3: 1}},
 }
 
 
 @pytest.mark.parametrize(
     "update", NON_STRING_KEY_UPDATES.values(), ids=list(NON_STRING_KEY_UPDATES)
 )
-@pytest.mark.parametrize("surface", ["standalone", "routed"])
+@pytest.mark.parametrize("surface", ["standalone", "routed", "served"])
 def test_an_update_key_that_is_not_a_string_is_an_update_error(collections, surface, update):
     """It leaked ``AttributeError``, which also aborted an unordered ``bulk_write``."""
     collection = collections[surface]
@@ -246,7 +248,7 @@ def test_an_update_key_that_is_not_a_string_is_an_update_error(collections, surf
     errors = [(entry["index"], entry["code"]) for entry in excinfo.value.errors]
     assert errors == [(0, "InvalidUpdateError"), (2, "InvalidUpdateError")]
     assert (excinfo.value.result.matched_count, excinfo.value.result.modified_count) == (1, 1)
-    collection.update_one({"_id": 1, "k": 1}, {"$unset": {"seen": ""}})
+    collection.update_one({"_id": 1, "k": 1}, {"k": 1, "tenant": 1})
     assert collection.find({}).to_list() == before
 
 
@@ -258,19 +260,113 @@ NON_STRING_KEY_FILTERS = {
     "aggregate $match": lambda c: c.aggregate([{"$match": {1: 2}}]),
     "update_many": lambda c: c.update_many({1: 2}, {"$set": {"seen": 1}}),
     "delete_many": lambda c: c.delete_many({1: 2}),
-    "$pull condition": lambda c: c.update_many({"k": 1}, {"$pull": {"tags": {1: 2}}}),
+    "bulk_write": lambda c: c.bulk_write([UpdateOne({1: 2}, {"$set": {"seen": 1}})]),
 }
 
 
 @pytest.mark.parametrize("call", NON_STRING_KEY_FILTERS)
-@pytest.mark.parametrize("surface", ["standalone", "routed"])
+@pytest.mark.parametrize("surface", ["standalone", "routed", "served"])
 def test_a_filter_key_that_is_not_a_string_is_refused(collections, surface, call):
-    """The planner and the matcher leaked ``AttributeError`` (``$pull`` did on a match)."""
+    """The planner and the matcher leaked ``AttributeError``; served, the key became a string."""
     collection = collections[surface]
     before = collection.find({}).to_list()
     with pytest.raises(OperationFailure, match="must be strings"):
         NON_STRING_KEY_FILTERS[call](collection)
     assert collection.find({}).to_list() == before
+
+
+#: An operator of each family that the store does not run, in a call that names
+#: it: every surface refuses it with its family's error for an unknown name.
+UNRUN_OPERATORS = {
+    "query": {
+        **{
+            operator: {"k": {operator: operand}}
+            for operator, operand in [
+                ("$nin", [1]), ("$type", "int"), ("$regex", "^1"), ("$mod", [2, 0]),
+                ("$size", 1), ("$all", [1]), ("$elemMatch", {"a": 1}), ("$not", {"$gt": 1}),
+            ]
+        },
+        "$nor": {"$nor": [{"k": 1}]},
+        "$expr": {"$expr": {"$gt": ["$k", 1]}},
+    },
+    "expression": {
+        operator: {operator: ["$k", 1]}
+        for operator in (
+            "$add", "$multiply", "$mod", "$abs", "$floor", "$ceil", "$round", "$concat",
+            "$toLower", "$toUpper", "$strLenCP", "$substrCP", "$substr", "$literal", "$ifNull",
+            "$switch", "$cmp", "$min", "$max", "$not", "$size", "$arrayElemAt",
+            "$concatArrays", "$filter", "$map", "$year", "$month", "$dayOfMonth", "$dayOfWeek",
+            "$toString", "$toInt", "$toLong", "$toDouble", "$toDecimal",
+        )
+    }
+    | {"$$ROOT": "$$ROOT", "$$CURRENT": "$$CURRENT.k"},
+    "update": {
+        operator: {operator: {"tenant": 1}}
+        for operator in (
+            "$setOnInsert", "$min", "$max", "$push", "$addToSet", "$unset", "$rename",
+            "$pull", "$pop", "$mul", "$currentDate",
+        )
+    },
+    "accumulator": {
+        operator: {"$group": {"_id": None, "x": {operator: "$k"}}}
+        for operator in (
+            "$min", "$max", "$first", "$last", "$push", "$addToSet", "$count", "$stdDevPop"
+        )
+    },
+    "stage": {
+        operator: {operator: specification}
+        for operator, specification in [
+            ("$addFields", {"x": 1}), ("$set", {"x": 1}), ("$unwind", "$k"),
+            ("$lookup", {"from": "items", "localField": "k", "foreignField": "k", "as": "j"}),
+            ("$sample", {"size": 1}), ("$replaceRoot", {"newRoot": "$$ROOT"}),
+            ("$count", "n"), ("$skip", 1), ("$limit", 1),
+        ]
+    },
+}
+
+
+def refused_alike(collections, call, error_class):
+    """*call* raises *error_class* with one message on every surface, changing nothing."""
+    raised = set()
+    for collection in collections.values():
+        before = collection.find({}).to_list()
+        with pytest.raises(OperationFailure) as error:
+            call(collection)
+        raised.add((type(error.value), str(error.value)))
+        assert collection.find({}).to_list() == before
+    assert len(raised) == 1, raised
+    assert next(iter(raised))[0] is error_class
+
+
+@pytest.mark.parametrize("name", UNRUN_OPERATORS["query"])
+def test_an_unrun_query_operator_is_refused_alike_everywhere(collections, name):
+    query = UNRUN_OPERATORS["query"][name]
+    refused_alike(collections, lambda c: c.find(query).to_list(), InvalidOperator)
+
+
+@pytest.mark.parametrize("name", UNRUN_OPERATORS["expression"])
+def test_an_unrun_expression_operator_is_refused_alike_everywhere(collections, name):
+    expression = UNRUN_OPERATORS["expression"][name]
+    pipeline = [{"$project": {"x": expression}}]
+    refused_alike(collections, lambda c: c.aggregate(pipeline), InvalidOperator)
+
+
+@pytest.mark.parametrize("name", UNRUN_OPERATORS["update"])
+def test_an_unrun_update_operator_is_refused_alike_everywhere(collections, name):
+    update = UNRUN_OPERATORS["update"][name]
+    refused_alike(collections, lambda c: c.update_many({"k": 1}, update), InvalidUpdateError)
+
+
+@pytest.mark.parametrize("name", UNRUN_OPERATORS["accumulator"])
+def test_an_unrun_accumulator_is_refused_alike_everywhere(collections, name):
+    stage = UNRUN_OPERATORS["accumulator"][name]
+    refused_alike(collections, lambda c: c.aggregate([stage]), InvalidPipelineError)
+
+
+@pytest.mark.parametrize("name", UNRUN_OPERATORS["stage"])
+def test_an_unrun_stage_is_refused_alike_everywhere(collections, name):
+    stage = UNRUN_OPERATORS["stage"][name]
+    refused_alike(collections, lambda c: c.aggregate([stage]), InvalidPipelineError)
 
 
 #: Stored values of a hashed shard key, and the queried values that equal
