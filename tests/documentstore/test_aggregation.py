@@ -107,6 +107,41 @@ class TestGroup:
         result = run_pipeline(rows, [{"$group": {"_id": None, "a": {"$avg": "$v"}}}])
         assert result[0]["a"] == 3
 
+    def test_group_avg_without_values_is_null(self):
+        rows = [{"k": "x", "v": 1}, {"k": "y"}]
+        result = run_pipeline(
+            rows, [{"$group": {"_id": "$k", "a": {"$avg": "$v"}}}, {"$sort": {"_id": 1}}]
+        )
+        assert result == [{"_id": "x", "a": 1.0}, {"_id": "y", "a": None}]
+
+    def test_group_sum_of_a_constant_counts_each_group(self):
+        result = run_pipeline(
+            SALES, [{"$group": {"_id": "$item", "n": {"$sum": 1}}}, {"$sort": {"_id": 1}}]
+        )
+        assert result == [{"_id": "A", "n": 2}, {"_id": "B", "n": 2}, {"_id": "C", "n": 1}]
+
+    def test_match_after_group_filters_the_groups(self):
+        result = run_pipeline(
+            SALES,
+            [
+                {"$group": {"_id": "$item", "qty": {"$sum": "$qty"}}},
+                {"$match": {"qty": {"$gte": 8}}},
+                {"$sort": {"_id": 1}},
+            ],
+        )
+        assert result == [{"_id": "A", "qty": 15}, {"_id": "B", "qty": 8}]
+
+    def test_group_by_a_projected_condition(self):
+        result = run_pipeline(
+            SALES,
+            [
+                {"$project": {"cheap": {"$cond": [{"$lt": ["$price", 2.5]}, True, False]}}},
+                {"$group": {"_id": "$cheap", "n": {"$sum": 1}}},
+                {"$sort": {"_id": 1}},
+            ],
+        )
+        assert result == [{"_id": False, "n": 3}, {"_id": True, "n": 2}]
+
     def test_group_requires_id(self):
         with pytest.raises(InvalidPipelineError):
             run_pipeline(SALES, [{"$group": {"n": {"$sum": 1}}}])

@@ -10,6 +10,8 @@ semantics.
 
 from __future__ import annotations
 
+import datetime
+
 import pytest
 import reference_expression
 from hypothesis import given, settings, strategies as st
@@ -157,6 +159,35 @@ EXPRESSIONS = [
     {"$divide": [1, 2], "$subtract": [1, 2]},
     {"nested": {"value": "$a", "ratio": {"$divide": ["$a", "$b"]}}},
     ["$a", {"$subtract": [1, 1]}],
+    "$list.0",
+    {"$literal": "$a"},
+    {"$subtract": ["$a", "$b"]},
+    {"$subtract": [True, 1]},
+    {"$subtract": [datetime.date(2000, 1, 31), datetime.date(2000, 1, 1)]},
+    {"$divide": ["$a", 0]},
+    {"$divide": ["$list", 2]},
+    {"$divide": [{"$subtract": ["$b", "$a"]}, "$b"]},
+    {"$eq": ["$missing", None]},
+    {"$eq": ["$list", [1, 2, 3]]},
+    {"$gt": ["$s", 1]},
+    {"$gt": ["$a.b", 3]},
+    {"$lte": ["$list", "$list"]},
+    {"$in": ["$missing", [None]]},
+    {"$in": ["$b", "$list"]},
+    {"$sum": "$list"},
+    {"$sum": []},
+    {"$sum": ["$a", 1.5, "$s"]},
+    {"$sum": [{"$subtract": ["$b", 1]}, {"$divide": ["$b", 2]}]},
+    {"$avg": ["$a", "$b"]},
+    {"$avg": "$missing"},
+    {"$cond": {"if": "$missing", "then": 1, "else": 2}},
+    {"$cond": {"if": "$a", "then": "$s"}},
+    {"$cond": [{"$in": ["$a", "$list"]}, "$s", "$b"]},
+    {"$and": []},
+    {"$or": []},
+    {"$and": ["$list", "$s"]},
+    {"$or": [{"$eq": ["$a", 3]}, {"$ne": ["$b", 0]}]},
+    {"band": {"$cond": [{"$gte": ["$b", 2]}, "big", "small"]}, "pair": ["$b", 1]},
 ]
 
 

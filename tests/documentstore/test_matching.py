@@ -126,6 +126,44 @@ class TestElementOperators:
         assert matches(DOCUMENT, {"nothing": {"$exists": True}})
 
 
+#: Documents that tell missing, null, type and array (multikey) semantics apart.
+EDGE_DOCUMENTS = [
+    {},
+    {"a": None},
+    {"a": 1},
+    {"a": 2.5},
+    {"a": "1"},
+    {"a": [1, None]},
+    {"a": {"b": 2}},
+    {"a": [{"b": 1}, {"b": 2}]},
+    {"a": []},
+    {"a": True},
+]
+
+#: query -> the indexes into EDGE_DOCUMENTS it matches.
+EDGE_CASES = [
+    ({"a": 1}, [2, 5]),
+    ({"a": True}, [9]),
+    ({"a": []}, [8]),
+    ({"a": {"b": 2}}, [6, 7]),
+    ({"a": {"$ne": 1}}, [0, 1, 3, 4, 6, 7, 8, 9]),
+    ({"a": {"$ne": None}}, [2, 3, 4, 6, 7, 8, 9]),
+    ({"a": {"$in": []}}, []),
+    ({"a": {"$in": [None]}}, [0, 1, 5]),
+    ({"a.b": {"$gt": 1}}, [6, 7]),
+    ({"a.b": {"$exists": False}}, [0, 1, 2, 3, 4, 5, 8, 9]),
+    ({"$and": [{"a.b": {"$gte": 1}}, {"a.b": {"$lte": 1}}]}, [7]),
+    ({"$or": [{"a": {"$exists": False}}, {"a": {"$in": ["1", 2.5]}}]}, [0, 3, 4]),
+]
+
+
+class TestEdgeSemantics:
+    @pytest.mark.parametrize(("query", "expected"), EDGE_CASES, ids=[repr(q) for q, _ in EDGE_CASES])
+    def test_matches_exactly_the_expected_documents(self, query, expected):
+        predicate = compile_matcher(query)
+        assert [i for i, document in enumerate(EDGE_DOCUMENTS) if predicate(document)] == expected
+
+
 class TestEquality:
     def test_values_equal_numeric_promotion(self):
         assert values_equal(1, 1.0)

@@ -77,6 +77,23 @@ class TestArithmeticOperators:
         with pytest.raises(InvalidUpdateError):
             apply_update({"n": "text"}, {"$inc": {"n": 1}})
 
+    def test_inc_boolean_target_rejected(self):
+        with pytest.raises(InvalidUpdateError):
+            apply_update({"n": True}, {"$inc": {"n": 1}})
+
+    def test_inc_by_a_float(self):
+        assert apply_update({"n": 1}, {"$inc": {"n": 0.5}})["n"] == 1.5
+
+    def test_inc_dotted_path_creates_parents(self):
+        assert apply_update({}, {"$inc": {"a.b": 2}}) == {"a": {"b": 2}}
+
+    def test_inc_an_array_element(self):
+        assert apply_update({"a": [1, 2]}, {"$inc": {"a.1": 5}}) == {"a": [1, 7]}
+
+    def test_set_and_inc_in_one_update(self):
+        updated = apply_update({"n": 1, "s": 0}, {"$set": {"s": "x"}, "$inc": {"n": -3}})
+        assert updated == {"n": -2, "s": "x"}
+
 
 class TestReplacementAndUpsert:
     def test_replacement_keeps_id(self):
