@@ -20,7 +20,6 @@ from .aggregation import (
     StageStats,
     compile_pipeline,
     optimize_pipeline,
-    run_pipeline,
     split_pipeline_for_shards,
 )
 from .bson import (
@@ -163,7 +162,6 @@ __all__ = [
     "recover",
     "resolve_path",
     "resolve_path_single",
-    "run_pipeline",
     "split_pipeline_for_shards",
     "validate_document",
     "validate_verbosity",

@@ -49,7 +49,6 @@ from .objectid import ObjectId
 from .ordering import document_sort_key
 
 __all__ = [
-    "run_pipeline",
     "compile_pipeline",
     "optimize_pipeline",
     "split_pipeline_for_shards",
@@ -418,32 +417,21 @@ class CompiledPipeline:
         self.stages = stages
         self.spec = spec
 
-    def stream(
-        self,
-        documents: Iterable[dict[str, Any]],
-        counters: list[StageStats] | None = None,
-    ) -> Iterator[dict[str, Any]]:
-        """Lazily stream *documents* through the compiled stages."""
-        iterator = iter(documents)
-        for stage in self.stages:
-            if counters is not None:
-                stats = StageStats(stage.label)
-                counters.append(stats)
-                iterator = _count_output(
-                    stage.transform(_count_input(iterator, stats)), stats
-                )
-            else:
-                iterator = stage.transform(iterator)
-        return iterator
-
     def run(
         self,
         documents: Iterable[Mapping[str, Any]],
         counters: list[StageStats] | None = None,
     ) -> list[dict[str, Any]]:
-        """Execute the pipeline over *documents* and return the results."""
-        source = (dict(document) for document in documents)
-        return list(self.stream(source, counters=counters))
+        """Stream *documents* through the compiled stages and return the results."""
+        iterator: Iterator[dict[str, Any]] = (dict(document) for document in documents)
+        for stage in self.stages:
+            if counters is None:
+                iterator = stage.transform(iterator)
+            else:
+                stats = StageStats(stage.label)
+                counters.append(stats)
+                iterator = _count_output(stage.transform(_count_input(iterator, stats)), stats)
+        return list(iterator)
 
 
 def compile_pipeline(
@@ -480,21 +468,6 @@ def compile_pipeline(
             raise InvalidPipelineError(f"unknown pipeline stage {operator!r}")
         compiled.append(CompiledStage(operator, transform))
     return CompiledPipeline(compiled, stages_spec)
-
-
-def run_pipeline(
-    documents: Iterable[Mapping[str, Any]],
-    pipeline: Sequence[Mapping[str, Any]],
-    *,
-    counters: list[StageStats] | None = None,
-) -> list[dict[str, Any]]:
-    """Execute *pipeline* over *documents* and return the resulting documents.
-
-    A trailing ``$out`` stage is refused: only a collection has somewhere to
-    write.  When *counters* is a list, one :class:`StageStats` per executed
-    stage is appended to it.
-    """
-    return compile_pipeline(pipeline).run(documents, counters=counters)
 
 
 @dataclass

@@ -10,8 +10,7 @@ Given a ``data_dir`` the client is *durable*: construction recovers
 whatever the directory holds (snapshot load + WAL replay, truncating any
 torn tail), and from then on every acknowledged write batch is logged
 through the :class:`~repro.documentstore.storage.StorageEngine` before the
-call returns.  Without a ``data_dir`` the store stays purely in-memory, as
-in earlier PRs.
+call returns.  Without a ``data_dir`` the store stays purely in-memory.
 """
 
 from __future__ import annotations
@@ -21,9 +20,19 @@ from contextlib import nullcontext
 from typing import Any, Iterator
 
 from .database import Database
+from .errors import OperationFailure
 from .storage import StorageEngine
 
 __all__ = ["DocumentStoreClient"]
+
+
+class _ClosedHandle:
+    """What a database or collection handle becomes when its client closes: every use raises."""
+
+    def _refuse(self, *_args: Any) -> Any:
+        raise OperationFailure("client is closed")
+
+    __getattr__ = __getitem__ = __contains__ = __iter__ = __len__ = _refuse
 
 
 class DocumentStoreClient:
@@ -41,6 +50,7 @@ class DocumentStoreClient:
     ) -> None:
         self.name = name
         self._databases: dict[str, Database] = {}
+        self._closed = False
         # A real instance attribute, set before any engine work: __getattr__
         # materializes a *database* for unknown attribute names, so ``engine``
         # must always resolve through normal attribute lookup.
@@ -60,6 +70,8 @@ class DocumentStoreClient:
 
     def __getitem__(self, name: str) -> Database:
         """Return the database called *name*, creating it lazily."""
+        if self._closed:
+            raise OperationFailure("client is closed")
         if name not in self._databases:
             self._databases[name] = Database(self, name)
         return self._databases[name]
@@ -106,9 +118,21 @@ class DocumentStoreClient:
         return None
 
     def close(self) -> None:
-        """Flush and detach the storage engine (a no-op when in-memory)."""
+        """Flush and detach the storage engine, then release the store.
+
+        From then on the client and every handle it gave out refuse use;
+        ``durability_status`` still answers.
+        """
         if self.engine is not None:
             self.engine.close()
+        for database in self._databases.values():
+            for handle in (*database, database):
+                # Held by nothing, the documents and indexes are freed by
+                # reference counting even while a caller keeps the handle.
+                vars(handle).clear()
+                handle.__class__ = _ClosedHandle
+        self._databases.clear()
+        self._closed = True
 
     def durability_status(self) -> dict[str, Any]:
         """Durability counters, or ``{"active": False}`` when in-memory."""

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Any, ContextManager, Iterator
 
-from .aggregation import StageStats, compile_pipeline, validate_user_pipeline
+from .aggregation import CompiledPipeline, StageStats, compile_pipeline, validate_user_pipeline
 from .bson import MAX_DOCUMENT_SIZE, deep_copy_document, document_size, require_mapping
 from .bson import validate_document, validate_value, value_size
 from .bulk import BulkWriteError, BulkWriteResult, DeleteMany, DeleteOne, UpdateMany
@@ -889,22 +889,6 @@ class Collection(CollectionSurface):
 
         return output_writer
 
-    def _aggregate_plan_and_source(
-        self, pipeline: Sequence[Mapping[str, Any]]
-    ) -> tuple[QueryPlan, Iterable[Mapping[str, Any]]]:
-        """Choose the access path for a pipeline's leading ``$match``.
-
-        A leading $match can be served from an index, exactly like find():
-        the planner narrows the candidate documents and the pipeline's own
-        $match still re-filters them, so the result is unchanged.
-        """
-        match = pipeline[0].get("$match") if pipeline else None
-        plan = plan_query(match, self._live_indexes(), len(self._documents))
-        if plan.candidate_ids is None:
-            return plan, self.raw_documents()
-        documents = self._documents
-        return plan, (documents[doc_id] for doc_id in plan.candidate_ids if doc_id in documents)
-
     def _execute_pipeline(
         self,
         pipeline: Sequence[Mapping[str, Any]],
@@ -916,12 +900,24 @@ class Collection(CollectionSurface):
         output_writer = self._output_writer()
         if suppress_out:
             output_writer = lambda _name, _documents: None  # noqa: E731
-        compiled = compile_pipeline(pipeline, output_writer=output_writer)
-        # Planned from the optimized stages the compiled pipeline runs.  The
-        # pipeline never mutates its input documents (stages copy before
-        # modifying), so aggregation reads the stored documents directly
-        # instead of paying a defensive deep copy per document.
-        plan, source = self._aggregate_plan_and_source(compiled.spec)
+        return self._run_compiled(compile_pipeline(pipeline, output_writer=output_writer), counters)
+
+    def _run_compiled(
+        self, compiled: CompiledPipeline, counters: list[StageStats] | None = None
+    ) -> tuple[QueryPlan, list[dict[str, Any]]]:
+        """Run *compiled* over the documents the plan of its leading ``$match`` selects.
+
+        The planner narrows the candidates exactly as for find(), and the
+        pipeline's own ``$match`` still re-filters them.  Stages copy before
+        modifying, so the stored documents are read in place.
+        """
+        match = compiled.spec[0].get("$match") if compiled.spec else None
+        plan = plan_query(match, self._live_indexes(), len(self._documents))
+        documents = self._documents
+        if plan.candidate_ids is None:
+            source: Iterable[Mapping[str, Any]] = documents.values()
+        else:
+            source = (documents[doc_id] for doc_id in plan.candidate_ids if doc_id in documents)
         return plan, compiled.run(source, counters=counters)
 
     def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
@@ -933,15 +929,11 @@ class Collection(CollectionSurface):
         the results are detached from them on the way out.
         """
         validate_user_pipeline(pipeline)
-        return self.execute_pipeline(pipeline)
-
-    def execute_pipeline(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
-        """:meth:`aggregate` without its check of the caller's ``$group`` names.
-
-        The shard-side entry point, which runs the router's halves of a split
-        ``$group``; the router ships and returns the copied results.
-        """
         return deep_copy_document(self._execute_pipeline(pipeline)[1])
+
+    def execute_pipeline(self, compiled: CompiledPipeline) -> list[dict[str, Any]]:
+        """Run the shard half the router compiled; it ships and returns the copied results."""
+        return deep_copy_document(self._run_compiled(compiled)[1])
 
     # ------------------------------------------------------------- iteration
 

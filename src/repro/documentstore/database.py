@@ -27,17 +27,9 @@ class Database:
         self._collections: dict[str, Collection] = {}
 
     @property
-    def client(self) -> "DocumentStoreClient | None":
-        """The owning client (``None`` for free-standing databases)."""
-        return self._client
-
-    @property
     def storage_engine(self):
         """The owning client's durable storage engine, if one is attached."""
-        client = self._client
-        if client is None:
-            return None
-        return client.engine
+        return None if self._client is None else self._client.engine
 
     # ----------------------------------------------------------- collections
 

@@ -91,42 +91,43 @@ def _bounds_an_index(operand: Any) -> bool:
 def _extract_constraints(query: Mapping[str, Any] | None) -> dict[str, _FieldConstraints]:
     """Collect per-field constraints from the top level (and ``$and``) of *query*."""
     constraints: dict[str, _FieldConstraints] = {}
-    if not query:
-        return constraints
-
-    def visit(filter_document: Mapping[str, Any]) -> None:
-        for key, condition in filter_document.items():
-            if key == "$and":
-                for sub_filter in condition:
-                    visit(sub_filter)
-                continue
-            if not isinstance(key, str) or key.startswith("$"):
-                # $or cannot bound an index; the matcher refuses a non-string.
-                continue
-            entry = constraints.setdefault(key, _FieldConstraints())
-            if isinstance(condition, Mapping) and any(
-                op.startswith("$") for op in condition
-            ):
-                for operator, operand in condition.items():
-                    if operator == "$eq" and _bounds_an_index(operand):
-                        entry.equalities.append(operand)
-                    elif operator == "$in" and all(map(_bounds_an_index, operand)):
-                        entry.in_values = distinct_values(operand)  # one lookup per value
-                    elif isinstance(operand, Mapping) or not _bounds_an_index(operand):
-                        continue  # a document's index key is a marker only equality can use
-                    elif operator in ("$gt", "$gte"):
-                        entry.lower = operand
-                        entry.lower_inclusive = operator == "$gte"
-                        entry.has_range = True
-                    elif operator in ("$lt", "$lte"):
-                        entry.upper = operand
-                        entry.upper_inclusive = operator == "$lte"
-                        entry.has_range = True
-            elif _bounds_an_index(condition):
-                entry.equalities.append(condition)
-
-    visit(query)
+    if query:
+        _visit(query, constraints)
     return constraints
+
+
+def _visit(filter_document: Mapping[str, Any], constraints: dict[str, _FieldConstraints]) -> None:
+    """Add the constraints of *filter_document* and its ``$and`` members to *constraints*.
+
+    A module function: a self-recursive closure is a cycle only the cyclic collector frees.
+    """
+    for key, condition in filter_document.items():
+        if key == "$and":
+            for sub_filter in condition:
+                _visit(sub_filter, constraints)
+            continue
+        if not isinstance(key, str) or key.startswith("$"):
+            # $or cannot bound an index; the matcher refuses a non-string.
+            continue
+        entry = constraints.setdefault(key, _FieldConstraints())
+        if isinstance(condition, Mapping) and any(op.startswith("$") for op in condition):
+            for operator, operand in condition.items():
+                if operator == "$eq" and _bounds_an_index(operand):
+                    entry.equalities.append(operand)
+                elif operator == "$in" and all(map(_bounds_an_index, operand)):
+                    entry.in_values = distinct_values(operand)  # one lookup per value
+                elif isinstance(operand, Mapping) or not _bounds_an_index(operand):
+                    continue  # a document's index key is a marker only equality can use
+                elif operator in ("$gt", "$gte"):
+                    entry.lower = operand
+                    entry.lower_inclusive = operator == "$gte"
+                    entry.has_range = True
+                elif operator in ("$lt", "$lte"):
+                    entry.upper = operand
+                    entry.upper_inclusive = operator == "$lte"
+                    entry.has_range = True
+        elif _bounds_an_index(condition):
+            entry.equalities.append(condition)
 
 
 def plan_query(

@@ -138,9 +138,10 @@ class StorageEngine:
                 self._wal.flush()
 
     def close(self) -> None:
-        """Flush and stop logging; the data directory stays recoverable."""
+        """Flush, stop logging and detach; the data directory stays recoverable."""
         with self._lock:
             self._enabled = False
+            self._client = None
             if self._wal is not None:
                 self._wal.close()
                 self._wal = None

@@ -26,7 +26,7 @@ import threading
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..documentstore.aggregation import compile_pipeline, validate_user_pipeline
-from ..documentstore.bson import EXACT_SCALARS, require_mapping
+from ..documentstore.bson import EXACT_SCALARS, require_mapping, validate_document
 from ..documentstore.bulk import (
     BulkWriteError,
     BulkWriteResult,
@@ -77,15 +77,17 @@ def _string_keys_only(value: Any) -> bool:
     return all(type(item) in EXACT_SCALARS or _string_keys_only(item) for item in value)
 
 
-def _refuse_what_the_codec_changes(query: Any, update: Any = None) -> None:
+def _refuse_what_the_codec_changes(query: Any, update: Any = None, document: Any = None) -> None:
     """Refuse a request with a key that is not a ``str`` as a collection refuses it.
 
     The wire codec writes such a key as a string, so the server could not
     refuse it.  Such a request gets a collection's own checks here, in its
-    order: the update's, then the filter's.
+    order: the document's to insert, the update's, then the filter's.
     """
-    if _string_keys_only(query) and _string_keys_only(update):
+    if _string_keys_only(query) and _string_keys_only(update) and _string_keys_only(document):
         return
+    if document is not None:
+        validate_document(document)
     if update is not None and is_update_document(update):
         OperatorUpdate(update)
     compile_matcher(query)
@@ -460,9 +462,12 @@ class RemoteCollection(CollectionSurface):
 
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> InsertManyResult:
         """Insert a batch of documents in one frame."""
+        documents = [dict(require_mapping(document)) for document in documents]
+        if not _string_keys_only(documents):  # the batch is checked as a collection checks it
+            for document in documents:
+                validate_document(document)
         reply = self.client._request(
-            Opcode.INSERT_MANY,
-            {**self._namespace(), "documents": [dict(require_mapping(doc)) for doc in documents]},
+            Opcode.INSERT_MANY, {**self._namespace(), "documents": documents}
         )
         return InsertManyResult(inserted_ids=list(reply["inserted_ids"]))
 
@@ -519,9 +524,9 @@ class RemoteCollection(CollectionSurface):
         errors: list[dict[str, Any]] = []
         for index, operation in enumerate(operations):
             try:
-                _refuse_what_the_codec_changes(
-                    getattr(operation, "filter", None), getattr(operation, "update", None)
-                )
+                _refuse_what_the_codec_changes(*(
+                    getattr(operation, name, None) for name in ("filter", "update", "document")
+                ))
             except DocumentStoreError as error:
                 errors.append({"index": index, "code": type(error).__name__, "message": str(error)})
                 if ordered:

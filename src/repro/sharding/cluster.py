@@ -199,7 +199,11 @@ class ShardedCluster:
         self.router.reset_metrics()
 
     def close(self) -> None:
-        """Shut down the scatter pool and flush/close every shard's storage."""
+        """Shut down the scatter pool, flush/close every shard and release its store.
+
+        Routed operations then refuse (``OperationFailure``); ``status`` and
+        ``durability_status`` still answer.
+        """
         self.router.close()
         self.save_metadata()
         for shard in self.shards:

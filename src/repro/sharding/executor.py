@@ -31,6 +31,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from ..documentstore.errors import OperationFailure
+
 __all__ = [
     "BranchTiming",
     "BranchReport",
@@ -210,7 +212,7 @@ class ScatterRunner:
         :class:`ShardTimeoutError` is raised.
         """
         if self._closed:
-            raise RuntimeError("ScatterRunner is closed")
+            raise OperationFailure("client is closed")  # the cluster closed
         cancelled = threading.Event()
         branches = [BranchReport(shard_id, run, cancelled) for shard_id, run in branch_runs]
         started = time.perf_counter()

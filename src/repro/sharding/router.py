@@ -37,8 +37,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..documentstore.aggregation import (
     ShardSplit,
+    compile_pipeline,
     optimize_pipeline,
-    run_pipeline,
     split_pipeline_for_shards,
     validate_user_pipeline,
 )
@@ -952,6 +952,16 @@ class RoutedCollection(CollectionSurface):
         validate_user_pipeline(pipeline)
         router = self._router
         split, targets, targeted = self._plan_aggregate(pipeline)
+        merge_stages = split.merge
+        out_target: str | None = None
+        if merge_stages and "$out" in merge_stages[-1]:
+            out_target = str(merge_stages[-1]["$out"])
+            merge_stages = merge_stages[:-1]
+        # Both halves are compiled here, once, from the optimized stages: a
+        # pipeline the engine refuses is refused before any message, and no
+        # shard compiles or optimizes it again.
+        shard_part = compile_pipeline(split.shard, optimize=False)
+        merge_part = compile_pipeline(merge_stages, optimize=False)
         # The shard-local pipeline gives each slice the same leading-$match
         # IXSCAN pushdown as a stand-alone ``aggregate``; the copy of its
         # results is the only one.
@@ -960,19 +970,13 @@ class RoutedCollection(CollectionSurface):
             targeted,
             "aggregate",
             {"aggregate": self.name, "pipeline": len(split.shard)},
-            lambda collection: _sized(collection.execute_pipeline(split.shard)),
+            lambda collection: _sized(collection.execute_pipeline(shard_part)),
             ship_results=True,
         )
 
         started = time.perf_counter()
         merged = _merge_outputs(per_shard, targets, split.merge_sort)
-
-        merge_stages = split.merge
-        out_target: str | None = None
-        if merge_stages and "$out" in merge_stages[-1]:
-            out_target = str(merge_stages[-1]["$out"])
-            merge_stages = merge_stages[:-1]
-        results = run_pipeline(merged, merge_stages) if merge_stages else list(merged)
+        results = merge_part.run(merged) if merge_stages else list(merged)
         router._account_router_work(started)
 
         if out_target is not None:

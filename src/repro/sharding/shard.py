@@ -78,7 +78,7 @@ class Shard:
         return self._client.durability_status()
 
     def close(self) -> None:
-        """Flush and close the shard's storage engine."""
+        """Flush and close the shard's storage engine, then release its store."""
         self._client.close()
 
     # -- execution -------------------------------------------------------------

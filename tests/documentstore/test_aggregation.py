@@ -9,7 +9,7 @@ from repro.documentstore import (
     Collection,
     DocumentStoreClient,
     InvalidPipelineError,
-    run_pipeline,
+    compile_pipeline,
     split_pipeline_for_shards,
 )
 
@@ -21,6 +21,11 @@ SALES = [
     {"item": "B", "store": 2, "qty": 1, "price": 3.0, "tags": ["z"]},
     {"item": "C", "store": 1, "qty": 4, "price": 9.0, "tags": ["x"]},
 ]
+
+
+def run_pipeline(documents, pipeline):
+    """*pipeline* over *documents*, outside any collection."""
+    return compile_pipeline(pipeline).run(documents)
 
 
 def collection_with(rows):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.documentstore import Collection, compile_pipeline, optimize_pipeline, run_pipeline
+from repro.documentstore import Collection, compile_pipeline, optimize_pipeline
 from repro.documentstore.aggregation import StageStats
 
 
@@ -17,6 +17,11 @@ ROWS = [
     {"item": chr(65 + (i % 7)), "store": i % 5, "qty": (i * 13) % 31, "tags": ["a", "b"][: i % 3]}
     for i in range(200)
 ]
+
+
+def run_pipeline(rows, pipeline, counters=None):
+    """*pipeline* over *rows*, outside any collection."""
+    return compile_pipeline(pipeline).run(rows, counters=counters)
 
 
 def run_as_written(rows, pipeline):

@@ -10,6 +10,7 @@ from repro.documentstore import (
     Collection,
     DeleteMany,
     InsertOne,
+    OperationFailure,
     ShardKeyError,
     UpdateMany,
     UpdateOne,
@@ -381,3 +382,61 @@ class TestMetricsAndCostModel:
         status = loaded.status()
         assert status["shard_count"] == 3
         assert "shop.orders" in status["config"]["collections"]
+
+
+class TestAggregateIsCompiledOnceOnTheRouter:
+    """The router compiles both halves of a routed aggregate before the scatter."""
+
+    #: Pipelines the engine refuses in a stage the router runs after gathering:
+    #: refused after the scatter, each shipped every order to the router first.
+    REFUSED = {
+        "unknown stage": [{"$limit": 1}],
+        "unknown accumulator": [{"$group": {"_id": "$store", "x": {"$first": "$amount"}}}],
+        "unknown expression operator": [
+            {"$group": {"_id": "$store", "n": {"$sum": 1}}},
+            {"$project": {"x": {"$add": ["$n", 1]}}},
+        ],
+    }
+
+    @pytest.mark.parametrize("pipeline", REFUSED)
+    def test_a_refused_pipeline_sends_no_message(self, loaded, pipeline):
+        stages = self.REFUSED[pipeline]
+        with pytest.raises(OperationFailure) as standalone:
+            Collection(None, "orders").aggregate(stages)
+        with pytest.raises(OperationFailure) as routed:
+            loaded.get_database("shop")["orders"].aggregate(stages)
+        assert (type(routed.value), str(routed.value)) == (
+            type(standalone.value), str(standalone.value)
+        )
+        assert loaded.network.stats.messages == 0
+        assert loaded.router.metrics.operations == 0
+
+    @pytest.mark.parametrize(
+        ("match", "targets"), [({"order_id": 7}, 1), ({"store": 1}, 3)], ids=["1 target", "3"]
+    )
+    def test_each_routed_aggregate_optimizes_once(self, loaded, monkeypatch, match, targets):
+        import repro.documentstore.aggregation as aggregation
+        import repro.sharding.router as router
+
+        pipeline = [
+            {"$sort": {"order_id": 1}},
+            {"$match": match},
+            {"$group": {"_id": "$store", "total": {"$sum": "$amount"}}},
+        ]
+        standalone = Collection(None, "orders")
+        standalone.insert_many(loaded.get_database("shop")["orders"].find({}, {"_id": 0}))
+        expected = standalone.aggregate(pipeline)
+        loaded.reset_metrics()
+
+        calls = []
+        optimize = aggregation.optimize_pipeline
+
+        def counting(stages):
+            calls.append(stages)
+            return optimize(stages)
+
+        monkeypatch.setattr(aggregation, "optimize_pipeline", counting)
+        monkeypatch.setattr(router, "optimize_pipeline", counting)
+        assert loaded.get_database("shop")["orders"].aggregate(pipeline) == expected
+        assert len(calls) == 1
+        assert loaded.router.metrics.shards_contacted == targets

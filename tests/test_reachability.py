@@ -61,7 +61,6 @@ ALLOWED_OPTIONS = {
     "DocumentStoreServer.shutdown(drain_timeout_seconds=)": "deployment setting",
     "ShardedCluster(network_model=)": "for ROADMAP item 2's realtime rung; only tests set it",
     "ShardedCluster(scatter_policy=)": "the scatter deadline contract; only tests set it",
-    "compile_pipeline(optimize=)": "reference: the unrewritten pipeline the rewrite tests check",
     "render_bar_chart(unit=)": "the paper suite's Figure 4.11 test passes unit='x'",
     "embed_documents(dimension_filter=)": "paper algorithm: the filter of Figure 4.7, step 1",
     "run_normalized_query(write_output=)": "paper algorithm: the thesis' queries end in $out",

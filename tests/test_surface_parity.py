@@ -482,6 +482,46 @@ def test_a_document_that_is_not_a_mapping_is_refused_everywhere(write_surfaces, 
     assert collection.count_documents({}) == before
 
 
+#: Inserts of a document with a key that is not a ``str``, at any depth.
+NON_STRING_KEY_INSERTS = {
+    "insert_one": lambda c: c.insert_one({1: 2}),
+    "insert_many nested": lambda c: c.insert_many([{"k": 1}, {"k": 2, "a": {3: 4}}]),
+    "insert_many in an array": lambda c: c.insert_many([{"k": 3, "a": [{"b": {5: 6}}]}]),
+}
+
+
+@pytest.mark.parametrize("call", NON_STRING_KEY_INSERTS)
+@pytest.mark.parametrize("surface", WRITE_SURFACES)
+def test_a_document_key_that_is_not_a_string_is_refused_everywhere(write_surfaces, surface, call):
+    """Served, the wire codec wrote the key as a string and the document was stored."""
+    collection = write_surfaces[surface]
+    before = collection.count_documents({})
+    with pytest.raises(InvalidDocumentError, match="keys must be strings, got int"):
+        NON_STRING_KEY_INSERTS[call](collection)
+    assert collection.count_documents({}) == before
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+@pytest.mark.parametrize("surface", WRITE_SURFACES)
+def test_a_bulk_insert_key_that_is_not_a_string_is_refused_in_its_position(
+    write_surfaces, surface, ordered
+):
+    collection = write_surfaces[surface]
+    batch = [
+        InsertOne({"k": 10, "tag": "bulk"}),
+        InsertOne({"k": 11, "tag": "bulk", 7: "x"}),
+        InsertOne({"k": 12, "tag": "bulk"}),
+    ]
+    with pytest.raises(BulkWriteError) as excinfo:
+        collection.bulk_write(batch, ordered=ordered)
+    failed = [(entry["index"], entry["code"]) for entry in excinfo.value.errors]
+    assert failed == [(1, "InvalidDocumentError")]
+    stored = sorted(document["k"] for document in collection.find({"tag": "bulk"}))
+    assert stored == ([10] if ordered else [10, 12])
+    assert excinfo.value.result.inserted_count == len(stored)
+    collection.delete_many({"tag": "bulk"})
+
+
 @pytest.mark.parametrize("ordered", [True, False])
 @pytest.mark.parametrize("surface", ["standalone", "routed hashed", "routed unsharded"])
 def test_an_unstorable_value_is_an_invalid_document_everywhere(surface, ordered):
