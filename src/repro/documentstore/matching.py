@@ -133,7 +133,7 @@ _TYPE_ORDER: tuple[tuple[type, ...], ...] = (
     (ObjectId,),
     (_dt.date, _dt.datetime),
 )
-_NAN_RANK, _NUMBER_RANK, _DATE_RANK = 2, 3, 9
+_NAN_RANK, _NUMBER_RANK, _ARRAY_RANK, _DATE_RANK = 2, 3, 6, 9
 
 # Exact-type fast path: avoids repeated ABC isinstance checks on the hot
 # comparison path.
@@ -355,15 +355,19 @@ def distinct_values(candidates: Iterable[Any]) -> list[Any]:
 # Operator predicates
 # ---------------------------------------------------------------------------
 
-def _cmp_predicate(operand: Any, check: Callable[[int], bool]) -> Callable[[Any], bool]:
+def _cmp_predicate(operand: Any, check: Callable[[int], bool], missing: bool) -> Callable:
+    """A range operator: an array matches by any one element, a missing value as *missing*."""
     operand_rank = _type_rank(operand)
+
+    def compare(value: Any) -> bool:
+        return _type_rank(value) == operand_rank and check(compare_values(value, operand))
 
     def predicate(value: Any) -> bool:
         if value is _MISSING:
-            return False
-        if _type_rank(value) != operand_rank:
-            return False
-        return check(compare_values(value, operand))
+            return missing
+        if isinstance(value, (list, tuple)) and operand_rank != _ARRAY_RANK:
+            return any(map(compare, value))
+        return _type_rank(value) == operand_rank and check(compare_values(value, operand))
 
     return predicate
 
@@ -383,8 +387,10 @@ def _build_operator_predicate(path: str, operator: str, operand: Any) -> Callabl
         else:
             field_predicate = lambda value: not eq_values(value)  # noqa: E731
     elif operator in ("$gt", "$gte", "$lt", "$lte"):
-        # value $op operand  <=>  0 reflected-$op compare_values(value, operand)
-        field_predicate = _cmp_predicate(operand, partial(_REFLECTED[operator], 0))
+        # value $op operand  <=>  0 reflected-$op compare_values(value, operand);
+        # a missing value reads as None, so {$gte: None} and {$lte: None} match it.
+        missing = operand is None and operator in ("$gte", "$lte")
+        field_predicate = _cmp_predicate(operand, partial(_REFLECTED[operator], 0), missing)
     elif operator == "$in":
         if not isinstance(operand, (list, tuple, set, frozenset)):
             raise InvalidOperator("$in requires a list operand")

@@ -72,8 +72,8 @@ class _FieldConstraints:
 
     equalities: list[Any] = field(default_factory=list)
     in_values: list[Any] | None = None
-    lower: Any = None
-    lower_inclusive: bool = True
+    lower: Any = None  # None is no bound: a None operand (missing reads as None)
+    lower_inclusive: bool = True  # scans the whole index, missing-key entries included
     upper: Any = None
     upper_inclusive: bool = True
     has_range: bool = False

@@ -21,7 +21,11 @@ directory from which this module restores exactly the acknowledged state:
   the log is clean for new appends;
 * replay is *physical redo* (full documents by ``_id``), which makes it
   idempotent: a record whose effect is already present (possible when a
-  crash raced a checkpoint) re-applies harmlessly.
+  crash raced a checkpoint) re-applies harmlessly;
+* a logged document is stored as it was decoded: it was validated when it
+  was first written and its record is CRC-checked, so replay checks only
+  that it is a ``dict`` carrying an ``_id`` (a :class:`RecoveryError`
+  naming the segment otherwise) and neither copies nor validates it again.
 
 Index definitions travel inside the snapshot manifest and as WAL DDL
 records; data indexes are rebuilt with one sort each through the bulk-load
@@ -39,7 +43,7 @@ from typing import TYPE_CHECKING, Any
 
 from .bson import decode_document
 from .errors import DuplicateKeyError, IndexNotFoundError, RecoveryError
-from .snapshot import load_snapshot, read_manifest, restore_index
+from .snapshot import _store_decoded, load_snapshot, restore_index
 from .wal import (
     REAL_FS,
     TAIL_CLEAN,
@@ -138,7 +142,7 @@ def apply_record(client: "DocumentStoreClient", record: dict[str, Any]) -> int:
     if op == "insert":
         documents = record.get("docs") or []
         try:
-            collection.insert_many(documents)
+            _store_decoded(collection, documents, f"an insert record for {collection.full_name}")
         except DuplicateKeyError:
             # The snapshot already held part of this batch (checkpoint race):
             # insert only the missing documents.
@@ -204,12 +208,13 @@ def recover(
         base_generation = max(snapshots)
         snapshot_file = snapshots[base_generation]
         try:
-            read_manifest(snapshot_file)
+            manifest = load_snapshot(client, snapshot_file)
+        except RecoveryError:
+            raise
         except Exception as exc:
             raise RecoveryError(
                 f"newest snapshot {snapshot_file} is corrupt: {exc}"
             ) from exc
-        manifest = load_snapshot(client, snapshot_file)
         report.snapshot_loaded = str(snapshot_file)
         report.snapshot_documents = sum(
             int(info.get("count") or 0)
@@ -236,7 +241,10 @@ def recover(
         payloads, clean_length, tail_state = read_log(segment)
         for payload in payloads:
             record = decode_document(payload)
-            report.documents_replayed += apply_record(client, record)
+            try:
+                report.documents_replayed += apply_record(client, record)
+            except RecoveryError as exc:
+                raise RecoveryError(f"WAL segment {segment}: {exc}") from exc
             report.records_replayed += 1
             report.operations[record.get("op", "?")] = (
                 report.operations.get(record.get("op", "?"), 0) + 1

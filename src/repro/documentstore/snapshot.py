@@ -19,15 +19,18 @@ fsyncs the directory.  A crash at any point leaves either the previous
 snapshot or the new one — never a partial file at the target path.  The same
 :func:`atomic_writer` helper writes a sharded cluster's metadata file.
 
-Restores ride the PR 4 bulk-load machinery: documents are inserted inside a
-``bulk_load()`` block with every secondary index registered as deferred, so
-the entire restore costs one insert pass plus one sort per index.
+A restore reads the file once.  It stores each decoded document as it is,
+inside a ``bulk_load()`` block with every secondary index registered as
+deferred, so the entire restore costs one insert pass plus one sort per
+index.  A document is validated once, when it is first written; a restore
+checks only that each line is a ``dict`` carrying an ``_id``.
 """
 
 from __future__ import annotations
 
 import pathlib
 from contextlib import contextmanager
+from itertools import islice
 from typing import TYPE_CHECKING, Any, BinaryIO, Iterator
 
 from .bson import decode_document, encode_document
@@ -43,13 +46,12 @@ __all__ = [
     "restore_index",
     "write_snapshot",
     "load_snapshot",
-    "read_manifest",
 ]
 
 #: Version tag written into every snapshot manifest.
 SNAPSHOT_FORMAT = 1
 
-#: Batch size used when feeding restored documents to ``insert_many``.
+#: Documents a snapshot restore stores per ``Collection._insert_batch`` call.
 RESTORE_BATCH_SIZE = 2000
 
 
@@ -183,86 +185,62 @@ def _parse_lines(path: pathlib.Path) -> Iterator[bytes]:
                 yield line
 
 
-def read_manifest(path: str | pathlib.Path) -> dict[str, Any]:
-    """Read and validate a snapshot's manifest *and* completeness footer.
+def _store_decoded(collection: Any, documents: list[Any], source: str) -> None:
+    """Store documents recovery just decoded, as they are: no copy, no second validation.
 
-    Raises :class:`SnapshotCorruptError` when the file is not a snapshot,
-    uses an unknown format, or is missing its ``end`` footer (which cannot
-    happen through the atomic writer, but can through bit rot or a copy of a
-    ``*.tmp`` leftover).
+    Each was validated when it was first written, its bytes are guarded by the
+    WAL record's CRC32 or the snapshot's framing, and decoding made a fresh
+    object nothing else holds.  Only its structure is checked: a value that is
+    not a ``dict`` carrying an ``_id`` is a :class:`RecoveryError` naming
+    *source*, raised before any document of the batch is stored.
+    """
+    for document in documents:
+        if type(document) is not dict or "_id" not in document:
+            raise RecoveryError(
+                f"{source} holds {document!r:.80} where a document with an _id belongs"
+            )
+    collection._insert_batch(documents)
+
+
+def load_snapshot(
+    client: "DocumentStoreClient", path: str | pathlib.Path
+) -> dict[str, Any]:
+    """Restore a snapshot into *client* (which should be empty) in one pass over the file.
+
+    Every collection is rebuilt through ``bulk_load()`` with its secondary
+    indexes deferred, so the restore pays one insert pass plus a single sort
+    per index — the fast shape measured by the PR 4 load benchmarks.
+    Returns the snapshot manifest.
+
+    Raises :class:`SnapshotCorruptError` when the file is not a snapshot, uses
+    an unknown format, or lacks its ``end`` footer or a document its counts
+    announce (which cannot happen through the atomic writer, but can through
+    bit rot or a copy of a ``*.tmp`` leftover).  The check ends the same pass
+    that stores the documents, so *client* then holds a partial image and is
+    only fit to be discarded.
     """
     source = pathlib.Path(path)
     lines = _parse_lines(source)
-    try:
-        manifest = decode_document(next(lines))
-    except StopIteration:
-        raise SnapshotCorruptError(f"snapshot {source} is empty") from None
-    except Exception as exc:
-        raise SnapshotCorruptError(f"snapshot {source} has an unreadable manifest: {exc}") from exc
+    manifest = decode_document(next(lines, b"null"))
     if not isinstance(manifest, dict) or manifest.get("type") != "manifest":
         raise SnapshotCorruptError(f"snapshot {source} does not start with a manifest")
     if manifest.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotCorruptError(
             f"snapshot {source} has unsupported format {manifest.get('format')!r}"
         )
-    # Count-driven walk to the footer; any shortfall means corruption.
-    expected_documents = 0
-    seen_documents = 0
-    footer: dict[str, Any] | None = None
-    for raw in lines:
-        try:
-            record = decode_document(raw)
-        except Exception as exc:
-            raise SnapshotCorruptError(f"snapshot {source} has an unreadable line: {exc}") from exc
-        if not isinstance(record, dict):
-            raise SnapshotCorruptError(f"snapshot {source} has a non-document line")
-        if record.get("type") == "collection":
-            count = int(record.get("count") or 0)
-            expected_documents += count
-            for _ in range(count):
-                try:
-                    next(lines)
-                    seen_documents += 1
-                except StopIteration:
-                    raise SnapshotCorruptError(
-                        f"snapshot {source} ends inside collection "
-                        f"{record.get('db')}.{record.get('coll')}"
-                    ) from None
-        elif record.get("type") == "end":
-            footer = record
-            break
-        else:
-            raise SnapshotCorruptError(
-                f"snapshot {source} has an unexpected section {record.get('type')!r}"
-            )
-    if footer is None:
-        raise SnapshotCorruptError(f"snapshot {source} is missing its end footer")
-    if int(footer.get("documents") or 0) != seen_documents or expected_documents != seen_documents:
-        raise SnapshotCorruptError(
-            f"snapshot {source} footer documents={footer.get('documents')} "
-            f"but {seen_documents} were present"
-        )
-    return manifest
-
-
-def load_snapshot(
-    client: "DocumentStoreClient", path: str | pathlib.Path
-) -> dict[str, Any]:
-    """Restore a snapshot into *client* (which should be empty).
-
-    Every collection is rebuilt through ``bulk_load()`` with its secondary
-    indexes deferred, so the restore pays one insert pass plus a single sort
-    per index — the fast shape measured by the PR 4 load benchmarks.
-    Returns the snapshot manifest.
-    """
-    manifest = read_manifest(path)
-    source = pathlib.Path(path)
-    lines = _parse_lines(source)
-    next(lines)  # manifest, already validated
+    stored = 0
     for raw in lines:
         record = decode_document(raw)
-        if record.get("type") == "end":
-            break
+        section = record.get("type") if isinstance(record, dict) else None
+        if section == "end":
+            if int(record.get("documents") or 0) != stored:
+                raise SnapshotCorruptError(
+                    f"snapshot {source} footer documents={record.get('documents')} "
+                    f"but {stored} were present"
+                )
+            return manifest
+        if section != "collection":
+            raise SnapshotCorruptError(f"snapshot {source} has an unexpected section {section!r}")
         database_name = record["db"]
         collection_name = record["coll"]
         count = int(record.get("count") or 0)
@@ -273,12 +251,9 @@ def load_snapshot(
         with collection.bulk_load():
             for info in index_specs.values():
                 restore_index(collection, info, defer=True)
-            batch: list[dict[str, Any]] = []
-            for _ in range(count):
-                batch.append(decode_document(next(lines)))
-                if len(batch) >= RESTORE_BATCH_SIZE:
-                    collection.insert_many(batch)
-                    batch = []
-            if batch:
-                collection.insert_many(batch)
-    return manifest
+            # A short section leaves the footer unread: "missing its end footer".
+            for start in range(0, count, RESTORE_BATCH_SIZE):
+                batch = islice(lines, min(count - start, RESTORE_BATCH_SIZE))
+                _store_decoded(collection, list(map(decode_document, batch)), f"snapshot {source}")
+        stored += count
+    raise SnapshotCorruptError(f"snapshot {source} is missing its end footer")

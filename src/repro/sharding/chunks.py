@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..documentstore.errors import ChunkSplitError, ShardKeyError
 from ..documentstore.indexes import hashed_value
-from ..documentstore.matching import collation_key, resolve_path_single
+from ..documentstore.matching import SCALAR_TYPES, collation_key, resolve_path_single
 
 __all__ = [
     "MinKey",
@@ -64,6 +64,8 @@ def encode_boundary(value: Any) -> Any:
     shape of their own, so they travel under ``$``-prefixed markers; every
     other value rides the store's extended-JSON encoding unchanged.
     """
+    if type(value) in SCALAR_TYPES:  # nearly every key sample
+        return value
     if isinstance(value, MinKey):
         return {"$minKey": 1}
     if isinstance(value, MaxKey):
@@ -74,14 +76,15 @@ def encode_boundary(value: Any) -> Any:
 
 
 def decode_boundary(value: Any) -> Any:
-    """Invert :func:`encode_boundary`."""
-    if isinstance(value, Mapping):
-        if "$minKey" in value:
-            return MIN_KEY
-        if "$maxKey" in value:
-            return MAX_KEY
-        if "$tuple" in value:
-            return tuple(decode_boundary(item) for item in value["$tuple"])
+    """Invert :func:`encode_boundary` (the decoder builds every document as a ``dict``)."""
+    if type(value) is not dict:
+        return value
+    if "$minKey" in value:
+        return MIN_KEY
+    if "$maxKey" in value:
+        return MAX_KEY
+    if "$tuple" in value:
+        return tuple(decode_boundary(item) for item in value["$tuple"])
     return value
 
 

@@ -29,7 +29,6 @@ from repro.documentstore.bson import (
 )
 from repro.documentstore.indexes import hashed_value
 from repro.documentstore.recovery import snapshot_path
-from repro.documentstore.snapshot import read_manifest
 from repro.documentstore.wal import read_log
 
 
@@ -393,7 +392,8 @@ class TestPinnedWireFormat:
         with DocumentStoreClient(data_dir=tmp_path) as client:
             client.checkpoint()
             indexes = client["db"]["t"].list_indexes()
-        snapshot = read_manifest(snapshot_path(tmp_path, 1))["databases"]["db"]["t"]["indexes"]
+        manifest_line = snapshot_path(tmp_path, 1).read_bytes().split(b"\n", 1)[0]
+        snapshot = decode_document(manifest_line)["databases"]["db"]["t"]["indexes"]
         assert list(snapshot.values()) == indexes[1:]
         with DocumentStoreClient(data_dir=tmp_path) as reopened:  # from the snapshot
             assert reopened["db"]["t"].list_indexes() == indexes

@@ -153,6 +153,10 @@ EDGE_CASES = [
     ({"a.b": {"$gt": 1}}, [6, 7]),
     ({"a.b": {"$exists": False}}, [0, 1, 2, 3, 4, 5, 8, 9]),
     ({"$and": [{"a.b": {"$gte": 1}}, {"a.b": {"$lte": 1}}]}, [7]),
+    ({"a": {"$gt": 0}}, [2, 3, 5]),  # an array matches by one element
+    ({"a": {"$gte": None}}, [0, 1, 5]),  # missing reads as None, as for {"$in": [None]}
+    ({"a": {"$lt": None}}, []),
+    ({"a.b": {"$lte": None}}, [0, 1, 2, 3, 4, 5, 8, 9]),
     ({"$or": [{"a": {"$exists": False}}, {"a": {"$in": ["1", 2.5]}}]}, [0, 3, 4]),
 ]
 
