@@ -31,6 +31,7 @@ __all__ = [
     "query21_pipeline",
     "query46_pipeline",
     "query50_pipeline",
+    "query50_stages",
     "run_denormalized_query",
 ]
 
@@ -270,26 +271,40 @@ def _q50_bucket_expression(lower: int | None, upper: int | None, *, lag_expressi
     return {"$sum": {"$cond": [condition, 1, 0]}}
 
 
-def query50_pipeline(params: Mapping[str, Any], *, out: str | None = None) -> list[dict[str, Any]]:
-    """Appendix B, Query 50: return-latency aging buckets per store."""
-    lag = {"$subtract": ["$ss_return.sr_returned_date_sk", "$ss_sold_date_sk.d_date_sk"]}
+#: Query 50's store columns, each with its name in the ``$group`` key.
+_Q50_STORE = {
+    "s_store_name": "store",
+    "s_company_id": "company",
+    "s_street_number": "str_num",
+    "s_street_name": "str_name",
+    "s_street_type": "str_type",
+    "s_suite_number": "suite_num",
+    "s_city": "city",
+    "s_county": "county",
+    "s_state": "state",
+    "s_zip": "zip",
+}
+
+
+def query50_stages(lag: Mapping[str, Any], sort_columns: int) -> list[dict[str, Any]]:
+    """Query 50's ``$group`` of the return lag *lag* into buckets per store, then its
+    ``$project`` and a ``$sort`` on the first *sort_columns* store columns."""
     group_stage: dict[str, Any] = {
-        "_id": {
-            "store": "$ss_store_sk.s_store_name",
-            "company": "$ss_store_sk.s_company_id",
-            "str_num": "$ss_store_sk.s_street_number",
-            "str_name": "$ss_store_sk.s_street_name",
-            "str_type": "$ss_store_sk.s_street_type",
-            "suite_num": "$ss_store_sk.s_suite_number",
-            "city": "$ss_store_sk.s_city",
-            "county": "$ss_store_sk.s_county",
-            "state": "$ss_store_sk.s_state",
-            "zip": "$ss_store_sk.s_zip",
-        }
+        "_id": {key: f"$ss_store_sk.{column}" for column, key in _Q50_STORE.items()}
     }
     for label, lower, upper in _Q50_BUCKETS:
         group_stage[label] = _q50_bucket_expression(lower, upper, lag_expression=lag)
+    project = {column: f"$_id.{key}" for column, key in _Q50_STORE.items()}
+    return [
+        {"$group": group_stage},
+        {"$project": {"_id": 0, **project, **{label: 1 for label, _, _ in _Q50_BUCKETS}}},
+        {"$sort": dict.fromkeys(list(_Q50_STORE)[:sort_columns], 1)},
+    ]
 
+
+def query50_pipeline(params: Mapping[str, Any], *, out: str | None = None) -> list[dict[str, Any]]:
+    """Appendix B, Query 50: return-latency aging buckets per store."""
+    lag = {"$subtract": ["$ss_return.sr_returned_date_sk", "$ss_sold_date_sk.d_date_sk"]}
     pipeline: list[dict[str, Any]] = [
         {
             "$match": {
@@ -304,41 +319,7 @@ def query50_pipeline(params: Mapping[str, Any], *, out: str | None = None) -> li
                 ]
             }
         },
-        {"$group": group_stage},
-        {
-            "$project": {
-                "_id": 0,
-                "s_store_name": "$_id.store",
-                "s_company_id": "$_id.company",
-                "s_street_number": "$_id.str_num",
-                "s_street_name": "$_id.str_name",
-                "s_street_type": "$_id.str_type",
-                "s_suite_number": "$_id.suite_num",
-                "s_city": "$_id.city",
-                "s_county": "$_id.county",
-                "s_state": "$_id.state",
-                "s_zip": "$_id.zip",
-                "30 days": 1,
-                "31-60 days": 1,
-                "61-90 days": 1,
-                "91-120 days": 1,
-                ">120 days": 1,
-            }
-        },
-        {
-            "$sort": {
-                "s_store_name": 1,
-                "s_company_id": 1,
-                "s_street_number": 1,
-                "s_street_name": 1,
-                "s_street_type": 1,
-                "s_suite_number": 1,
-                "s_city": 1,
-                "s_county": 1,
-                "s_state": 1,
-                "s_zip": 1,
-            }
-        },
+        *query50_stages(lag, len(_Q50_STORE)),
     ]
     if out:
         pipeline.append({"$out": out})

@@ -36,7 +36,7 @@ from ..documentstore.collection import bulk_load_or_noop
 from ..tpcds.queries import query_parameters
 from .denormalize import embed_documents
 from .queryspec import DimensionJoin, QuerySpec, query_spec
-from .translate_denormalized import denormalized_pipeline
+from .translate_denormalized import denormalized_pipeline, query50_stages
 
 __all__ = [
     "NormalizedExecutionReport",
@@ -84,66 +84,10 @@ def normalized_final_pipeline(
     documents are merged sale/return pairs that keep their numeric date keys.
     """
     if query_id == 50:
-        return _query50_intermediate_pipeline()
+        lag = {"$subtract": ["$sr_returned_date_sk", "$ss_sold_date_sk"]}
+        return query50_stages(lag, sort_columns=3)
     pipeline = denormalized_pipeline(query_id, parameters)
     return pipeline[1:]
-
-
-def _query50_intermediate_pipeline() -> list[dict[str, Any]]:
-    lag = {"$subtract": ["$sr_returned_date_sk", "$ss_sold_date_sk"]}
-    buckets = (
-        ("30 days", None, 30),
-        ("31-60 days", 30, 60),
-        ("61-90 days", 60, 90),
-        ("91-120 days", 90, 120),
-        (">120 days", 120, None),
-    )
-    group_stage: dict[str, Any] = {
-        "_id": {
-            "store": "$ss_store_sk.s_store_name",
-            "company": "$ss_store_sk.s_company_id",
-            "str_num": "$ss_store_sk.s_street_number",
-            "str_name": "$ss_store_sk.s_street_name",
-            "str_type": "$ss_store_sk.s_street_type",
-            "suite_num": "$ss_store_sk.s_suite_number",
-            "city": "$ss_store_sk.s_city",
-            "county": "$ss_store_sk.s_county",
-            "state": "$ss_store_sk.s_state",
-            "zip": "$ss_store_sk.s_zip",
-        }
-    }
-    for label, lower, upper in buckets:
-        conditions = []
-        if lower is not None:
-            conditions.append({"$gt": [lag, lower]})
-        if upper is not None:
-            conditions.append({"$lte": [lag, upper]})
-        condition = conditions[0] if len(conditions) == 1 else {"$and": conditions}
-        group_stage[label] = {"$sum": {"$cond": [condition, 1, 0]}}
-    return [
-        {"$group": group_stage},
-        {
-            "$project": {
-                "_id": 0,
-                "s_store_name": "$_id.store",
-                "s_company_id": "$_id.company",
-                "s_street_number": "$_id.str_num",
-                "s_street_name": "$_id.str_name",
-                "s_street_type": "$_id.str_type",
-                "s_suite_number": "$_id.suite_num",
-                "s_city": "$_id.city",
-                "s_county": "$_id.county",
-                "s_state": "$_id.state",
-                "s_zip": "$_id.zip",
-                "30 days": 1,
-                "31-60 days": 1,
-                "61-90 days": 1,
-                "91-120 days": 1,
-                ">120 days": 1,
-            }
-        },
-        {"$sort": {"s_store_name": 1, "s_company_id": 1, "s_street_number": 1}},
-    ]
 
 
 def _filter_dimension_keys(database, dimension: DimensionJoin) -> list[Any]:

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 from .bson import document_size, value_size
 from .cursor import DeleteResult, InsertOneResult, UpdateResult
 from .errors import DocumentStoreError, OperationFailure
+from .update import update_shape
 
 __all__ = [
     "InsertOne",
@@ -130,10 +132,46 @@ OPERATION_FRAMES = {
 }
 
 
+_EXACT_STR = frozenset({str})
+
+
+@lru_cache(maxsize=256)
+def _shape_frame(kind: type, keys: tuple[str, ...], paths: tuple[str, ...] | None) -> int | None:
+    """The size of a *kind* operation of this filter *keys* and ``$set`` *paths*,
+    every value and ``upsert`` ``None``; ``None`` if a key cannot be encoded."""
+    fields = {"filter": dict.fromkeys(keys)}
+    if paths is not None:
+        fields.update(update={"$set": dict.fromkeys(paths)}, upsert=None)
+    try:
+        return document_size({"op": _NAMES[kind], **fields})
+    except UnicodeEncodeError:  # the whole walk raises it, in the walk's order
+        return None
+
+
 def operation_size(operation: Any) -> int:
-    """``document_size(encode_operation(operation))``: its frame and its fields' ``value_size``."""
+    """``document_size(encode_operation(operation))``, the same errors in the same order.
+
+    A delete with an exact ``dict`` filter, or an update with one and a
+    ``$set`` alone, all of whose keys and paths are exact ``str``s, is its
+    shape's cached frame plus the ``value_size`` of each filter value, ``$set``
+    argument and ``upsert``.  Anything else, an insert or a key measured as
+    ``str(key)`` (``1``, ``True``, a ``str`` subclass) included, walks each field.
+    """
+    kind = type(operation)
+    query = getattr(operation, "filter", None)  # an insert has none
+    if type(query) is dict and _EXACT_STR.issuperset(map(type, query)):
+        deleting = kind is DeleteOne or kind is DeleteMany
+        paths = None if deleting else update_shape(operation.update)
+        if deleting or (paths is not None and _EXACT_STR.issuperset(map(type, paths))):
+            frame = _shape_frame(kind, tuple(query), paths)
+            if frame is not None:
+                size = frame + sum(map(value_size, query.values()))
+                if deleting:
+                    return size
+                arguments = operation.update["$set"].values()
+                return size + sum(map(value_size, arguments)) + value_size(operation.upsert)
     fields = [getattr(operation, name) for name in operation.__slots__]
-    return OPERATION_FRAMES[type(operation)] + sum(map(value_size, fields))
+    return OPERATION_FRAMES[kind] + sum(map(value_size, fields))
 
 
 def decode_operation(document: Mapping[str, Any]) -> Any:

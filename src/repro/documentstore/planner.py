@@ -72,8 +72,8 @@ class _FieldConstraints:
 
     equalities: list[Any] = field(default_factory=list)
     in_values: list[Any] | None = None
-    lower: Any = None  # None is no bound: a None operand (missing reads as None)
-    lower_inclusive: bool = True  # scans the whole index, missing-key entries included
+    lower: Any = None  # None is no bound: a None operand is an equality on None
+    lower_inclusive: bool = True  # ($gte, $lte: the null bracket) or an empty $in ($gt, $lt)
     upper: Any = None
     upper_inclusive: bool = True
     has_range: bool = False
@@ -118,6 +118,10 @@ def _visit(filter_document: Mapping[str, Any], constraints: dict[str, _FieldCons
                     entry.in_values = distinct_values(operand)  # one lookup per value
                 elif isinstance(operand, Mapping) or not _bounds_an_index(operand):
                     continue  # a document's index key is a marker only equality can use
+                elif operand is None and operator in ("$gte", "$lte"):
+                    entry.equalities.append(None)  # missing, null, [] and null elements
+                elif operand is None and operator in ("$gt", "$lt"):
+                    entry.in_values = []  # nothing sorts above or below null in its bracket
                 elif operator in ("$gt", "$gte"):
                     entry.lower = operand
                     entry.lower_inclusive = operator == "$gte"

@@ -26,7 +26,7 @@ import threading
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..documentstore.aggregation import compile_pipeline, validate_user_pipeline
-from ..documentstore.bson import EXACT_SCALARS, require_mapping, validate_document
+from ..documentstore.bson import EXACT_SCALARS, encode_document, require_mapping, validate_document
 from ..documentstore.bulk import (
     BulkWriteError,
     BulkWriteResult,
@@ -62,8 +62,11 @@ __all__ = ["RemoteClient", "RemoteDatabase", "RemoteCollection"]
 _TRANSPORT_ERRORS = (ConnectionFailure, ProtocolError, OSError, TimeoutError)
 
 
-def _string_keys_only(value: Any) -> bool:
-    """Whether every key in *value*, at any depth, is a ``str``."""
+_ENCODED_LEAVES = tuple(EXACT_SCALARS)  # the codec writes their subclasses too
+
+
+def _codec_keeps(value: Any) -> bool:
+    """Whether every key in *value*, at any depth, is a ``str`` and every leaf codec-writable."""
     if type(value) is dict:
         if not all(type(key) is str for key in value):
             return False
@@ -71,26 +74,32 @@ def _string_keys_only(value: Any) -> bool:
     elif type(value) in EXACT_SCALARS:
         return True
     elif isinstance(value, Mapping):
-        return all(isinstance(key, str) and _string_keys_only(item) for key, item in value.items())
+        return all(isinstance(key, str) and _codec_keeps(item) for key, item in value.items())
     elif not isinstance(value, (list, tuple)):
-        return True
-    return all(type(item) in EXACT_SCALARS or _string_keys_only(item) for item in value)
+        return isinstance(value, _ENCODED_LEAVES)
+    return all(type(item) in EXACT_SCALARS or _codec_keeps(item) for item in value)
 
 
 def _refuse_what_the_codec_changes(query: Any, update: Any = None, document: Any = None) -> None:
-    """Refuse a request with a key that is not a ``str`` as a collection refuses it.
+    """Refuse a request the wire codec would change or cannot write, as a collection refuses it.
 
-    The wire codec writes such a key as a string, so the server could not
-    refuse it.  Such a request gets a collection's own checks here, in its
-    order: the document's to insert, the update's, then the filter's.
+    The codec writes a key that is not a ``str`` as a string and cannot write
+    a value such as a set, so the server could not refuse either.  Such a
+    request gets a collection's own checks here, in its order: the document's
+    to insert, the update's, then the filter's.  One that passes them and
+    still cannot be encoded (a set in a filter) is refused as the codec refuses it.
     """
-    if _string_keys_only(query) and _string_keys_only(update) and _string_keys_only(document):
+    if _codec_keeps(query) and _codec_keeps(update) and _codec_keeps(document):
         return
     if document is not None:
         validate_document(document)
     if update is not None and is_update_document(update):
         OperatorUpdate(update)
     compile_matcher(query)
+    try:
+        encode_document({"request": [query, update, document]})
+    except (TypeError, ValueError) as exc:
+        raise InvalidDocumentError(f"cannot encode the request: {exc}") from None
 
 
 class _PooledConnection:
@@ -439,7 +448,7 @@ class RemoteCollection(CollectionSurface):
         (``None``: the server's default), exactly like :meth:`find` — a large
         ``$group`` result never has to fit one frame.
         """
-        if not _string_keys_only(pipeline):  # refused as the codec would change it
+        if not _codec_keeps(pipeline):  # refused as the codec would change it
             validate_user_pipeline(pipeline)
             compile_pipeline(pipeline, output_writer=lambda _name, _documents: None)
         request = {"pipeline": [dict(stage) for stage in pipeline], "batch_size": batch_size}
@@ -463,7 +472,7 @@ class RemoteCollection(CollectionSurface):
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> InsertManyResult:
         """Insert a batch of documents in one frame."""
         documents = [dict(require_mapping(document)) for document in documents]
-        if not _string_keys_only(documents):  # the batch is checked as a collection checks it
+        if not _codec_keeps(documents):  # the batch is checked as a collection checks it
             for document in documents:
                 validate_document(document)
         reply = self.client._request(
@@ -517,8 +526,8 @@ class RemoteCollection(CollectionSurface):
         """Apply a list of operation values in one frame (a write: never retried).
 
         An operation the wire codec would change (a key that is not a ``str``)
-        is refused here, in its position, with a collection's error; the ones
-        a collection would still apply go in the frame.
+        or cannot write (a set) is refused here, in its position, with a
+        collection's error; the ones a collection would still apply go in the frame.
         """
         operations = checked_operations(operations)
         errors: list[dict[str, Any]] = []

@@ -785,8 +785,9 @@ class RoutedCollection(CollectionSurface):
         batches of a *step* go out in one scatter, each applied by the shard's
         ``Collection.bulk_write`` (one ``op_lock`` hold, one WAL record).
         Unordered, a step takes every batchable operation; ordered, only a run
-        of consecutive ones on the same shard.  Each operation is sized once,
-        by its fields (:func:`operation_size`).  One that cannot be sized,
+        of consecutive ones on the same shard.  Each operation is sized once
+        (:func:`operation_size`: an update or delete of a cached shape walks
+        only its filter values and ``$set`` arguments).  One that cannot be sized,
         fans out, is a multi-shard ``*One`` or upserts closes the step and
         runs through its own routed method in its position, so the final
         state is that of issuing the list in order.

@@ -8,7 +8,8 @@
   and message, never mutates its input, and with ``copy`` shares no dict or
   list with it;
 * ``bson.value_size``/``document_size`` equal the reference sizes, errors
-  included, and so does ``bulk.operation_size`` for an operation's wire form;
+  included, and so does ``bulk.operation_size`` for an operation's wire form,
+  alone and along a sequence whose shapes repeat (its frame cache is hit);
 * a comparison or ``$in`` on a one-segment or dotted path decides a plain
   dict exactly as the general predicate decides the same document behind a
   ``MappingProxyType`` (which the scalar kernel never takes);
@@ -41,12 +42,14 @@ from repro.documentstore.bulk import (
     InsertOne,
     UpdateMany,
     UpdateOne,
+    _shape_frame,
     encode_operation,
     operation_size,
 )
 from repro.documentstore.cursor import compile_projection
 from repro.documentstore.matching import _scalar_kernel, compile_matcher, matches
 from repro.documentstore.ordering import document_sort_key
+from repro.sharding import ShardedCluster, SimulatedNetwork
 
 
 class Flag(enum.IntEnum):
@@ -224,6 +227,109 @@ def test_an_operation_is_sized_as_its_wire_form(operation):
     assert outcome(operation_size, operation) == outcome(
         lambda: reference_copy.document_size(encode_operation(operation))
     )
+
+
+#: Filter keys and ``$set`` paths of a few shapes: ``1``, ``True`` and ``1.0``
+#: hash alike but are measured as ``"1"``, ``"True"`` and ``"1.0"``; ``Label``
+#: and ``Text`` hash like ``"a"`` but are measured by ``str(key)``.
+SHAPE_KEYS = st.sampled_from(["a", "b", "é", "日本", 1, True, 1.0, Label("a"), Text("a")])
+SHAPE_VALUES = st.one_of(LEAVES, st.builds(set), st.dictionaries(KEYS, LEAVES, max_size=2))
+
+
+@st.composite
+def operation_sequences(draw):
+    """Operations of a few shapes, drawn again and again in any key order."""
+    shapes = draw(st.lists(st.lists(SHAPE_KEYS, max_size=3), min_size=1, max_size=3))
+
+    def shaped():
+        keys = draw(st.permutations(draw(st.sampled_from(shapes))))
+        return {key: draw(SHAPE_VALUES) for key in keys}
+
+    operations = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from([UpdateOne, UpdateMany, DeleteOne, DeleteMany, InsertOne]))
+        form = draw(st.sampled_from(["shaped"] * 4 + ["none", "other"]))
+        filter_ = {"shaped": shaped, "none": lambda: None, "other": lambda: draw(VALUES)}[form]()
+        if kind is InsertOne:
+            operations.append(InsertOne(shaped()))
+        elif kind in (DeleteOne, DeleteMany):
+            operations.append(kind(filter_))
+        else:
+            update = draw(st.sampled_from(["$set"] * 4 + ["$inc", "both", "replace", "other"]))
+            update = {
+                "$set": lambda: {"$set": shaped()},
+                "$inc": lambda: {"$inc": shaped()},
+                "both": lambda: {"$set": shaped(), "$inc": {"n": 1}},
+                "replace": shaped,
+                "other": lambda: draw(VALUES),
+            }[update]()
+            upsert = draw(st.sampled_from([False, True, 1, None, set()]))
+            operations.append(kind(filter_, update, upsert))
+    return operations
+
+
+@settings(max_examples=300, deadline=None)
+@given(operation_sequences())
+@example([UpdateMany({True: 1}, {"$set": {"a": 1}}), UpdateMany({1: 1}, {"$set": {"a": 1}})])
+@example([DeleteOne({"a": 1.0}), DeleteOne({Label("a"): 1.0}), DeleteOne({Text("a"): 1.0})])
+@example([UpdateOne({"a": 1}, {"$set": {Label("a"): 2}}), UpdateOne({"a": 1}, {"$set": {"a": 2}})])
+@example([UpdateOne({"a": {1}}, {"$set": {"b": set()}}, set()), UpdateOne({"a": 1}, {"$set": {}})])
+def test_a_sequence_of_operations_is_sized_as_its_wire_forms(operations):
+    """Shapes repeat, so the cached frames are hit: each size is still the wire form's."""
+    _shape_frame.cache_clear()
+    for operation in operations:
+        assert outcome(operation_size, operation) == outcome(
+            lambda: reference_copy.document_size(encode_operation(operation))
+        )
+
+
+def test_a_key_the_utf8_codec_refuses_is_sized_by_the_whole_walk():
+    """Its frame cannot be measured: the walk raises, values before keys, as it always has."""
+    for operation in (
+        DeleteOne({"\ud800": 1}),
+        DeleteOne({"\ud800": {1}}),
+        UpdateMany({"a": 1}, {"$set": {"\ud800": {1}}}),
+        UpdateMany({"\ud800": 1}, {"$set": {"b": {1}}}),
+    ):
+        assert outcome(operation_size, operation) == outcome(
+            lambda: document_size(encode_operation(operation))
+        )
+
+
+def test_a_routed_bulk_write_sends_the_reference_size_of_each_operation(monkeypatch):
+    """Every operation below joins a shard's batch: the requests carry exactly their sizes."""
+    cluster = ShardedCluster(shard_count=3)
+    cluster.shard_collection("db", "c", {"k": "hashed"})
+    collection = cluster.get_database("db")["c"]
+    collection.insert_many([{"k": i, "w": 1, "n": 0} for i in range(30)])
+    row = {"name": "日本", "day": datetime.date(2020, 1, 1), "tags": [1, "a"], "q": None}
+    operations = [
+        *(UpdateMany({"k": i}, {"$set": {"row": row}}) for i in range(8)),
+        *(UpdateOne({"k": i, "w": 1}, {"$set": {"x": i, "y": row}}) for i in range(8, 12)),
+        *(UpdateOne({"w": 1, "k": i}, {"$set": {"y": row, "x": i}}) for i in range(12, 16)),
+        UpdateMany({"k": 16, Text("w"): 1}, {"$set": {"x": 1}}),
+        UpdateMany({"k": 17}, {"$inc": {"n": 2}}),
+        UpdateOne({"k": 18}, {"k": 18, "replaced": True}),
+        *(DeleteOne({"k": i}) for i in range(19, 22)),
+        DeleteMany({"k": 22}),
+        *(InsertOne({"k": 100 + i, "row": row}) for i in range(3)),
+        UpdateMany({"k": 1000}, {"$set": {"row": row}}),  # matches nothing
+    ]
+    sent: dict[str, int] = {}
+    send = SimulatedNetwork.send
+
+    def counting_send(network, purpose, payload_bytes):
+        sent[purpose] = sent.get(purpose, 0) + payload_bytes
+        return send(network, purpose, payload_bytes)
+
+    monkeypatch.setattr(SimulatedNetwork, "send", counting_send)
+    result = collection.bulk_write(operations, ordered=False)
+    assert (result.inserted_count, result.deleted_count) == (3, 4)
+    assert cluster.network.stats.by_purpose["bulkWrite:request"] == 3
+    assert sent["bulkWrite:request"] == sum(
+        reference_copy.document_size(encode_operation(operation)) for operation in operations
+    )
+    cluster.close()
 
 
 # -- scalar match --------------------------------------------------------------

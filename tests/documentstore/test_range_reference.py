@@ -7,7 +7,10 @@ matches only ``$gte``/``$lte`` with a ``None`` operand (missing reads as
 ``None``).  The reference below spells that out per document; the store must
 return the same documents from a collection scan, a single-field index and a
 multikey index (the same index once an array is stored), on a plain and on a
-dotted path through arrays of embedded documents.
+dotted path through arrays of embedded documents.  With a ``None`` operand the
+plan reads nothing (``$gt``, ``$lt``) or only the null bracket (``$gte``,
+``$lte``: missing values, ``[]`` and the ``None`` elements of arrays), and its
+candidates still hold every reference match.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import operator
 
 from hypothesis import given, settings, strategies as st
 
-from repro.documentstore import Collection
+from repro.documentstore import Collection, plan_query
+from repro.documentstore.indexes import Index, IndexSpec
 
 OPERATORS = {"$gt": operator.gt, "$gte": operator.ge, "$lt": operator.lt, "$lte": operator.le}
 
@@ -122,3 +126,32 @@ def test_ranges_match_the_per_document_reference(documents, path, condition):
     assert found(scan, query) == expected
     assert found(indexed, query) == expected
     assert indexed.explain(query)["queryPlanner"]["winningPlan"]["stage"] == "IXSCAN"
+
+
+@given(
+    documents=DOCUMENTS,
+    path=st.sampled_from(["a", "a.b"]),
+    name=st.sampled_from(sorted(OPERATORS)),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_none_bound_reads_at_most_the_null_bracket(documents, path, name):
+    stored = dict(enumerate(documents))
+    index = Index(IndexSpec.from_key_specification(path))
+    index.rebuild(stored.items())
+    condition = {name: None}
+    expected = {i for i, document in stored.items() if reference_matches(document, path, condition)}
+    plan = plan_query({path: condition}, {"i": index}, len(stored))
+    assert plan.stage == "IXSCAN"
+    assert set(plan.candidate_ids) >= expected
+    null_bracket = index.count_prefix((None,))
+    assert plan.documents_examined <= (null_bracket if name in ("$gte", "$lte") else 0)
+
+
+def test_explain_counts_the_keys_a_none_bound_reads():
+    collection = Collection(None, "c")
+    collection.insert_many([{"a": i} for i in range(999)] + [{"a": None}, {"b": 1}])
+    collection.create_index("a")
+    for name, keys, returned in [("$gt", 0, 0), ("$lt", 0, 0), ("$gte", 2, 2), ("$lte", 2, 2)]:
+        explained = collection.explain({"a": {name: None}}, verbosity="executionStats")
+        assert explained["queryPlanner"]["winningPlan"]["keysExamined"] == keys, name
+        assert explained["executionStats"]["nReturned"] == returned, name

@@ -405,21 +405,23 @@ def test_updates_of_one_shape_are_refused_as_their_calls_refuse_them(surfaces, o
     """A batch checks each update shape once, then only the arguments of that shape.
 
     Results, failing indexes and codes, the stored state and every collection's
-    ``operation_counters`` equal the operations issued one at a time.  (Not
-    served: the client cannot encode a set, so the whole request is refused.)
+    ``operation_counters`` equal the operations issued one at a time.  Served,
+    an operation the wire codec cannot encode (a set) is refused in its
+    position, with the error the stand-alone collection gives it.
     """
     operations = SAME_SHAPE[start:] + SAME_SHAPE[:start]
+    failures = {}
     for name, (bulk, reference) in surfaces.items():
-        if name == "served":
-            continue
         for collection in (bulk, reference):
             collection.delete_many({})
             collection.insert_many([document(key, 0) for key in range(6)])
         expected = one_at_a_time(reference, operations, ordered)
         assert expected[2], name  # something is refused
+        failures[name] = expected[2]
         with counters_checked_one_at_a_time() as changes:
             assert via_bulk_write(bulk, operations, ordered) == expected, name
         assert state(bulk) == state(reference), name
         assert changes or name != "standalone"
         for bulk_change, reference_change in changes:
             assert bulk_change == reference_change, name
+    assert failures["served"] == failures["standalone"]
