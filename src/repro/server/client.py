@@ -43,7 +43,6 @@ from ..documentstore.findspec import FindSpec
 from ..documentstore.indexes import IndexSpec
 from ..documentstore.matching import compile_matcher
 from ..documentstore.update import OperatorUpdate, is_update_document
-from ..sharding.executor import ShardTimeoutError
 from .protocol import (
     ConnectionFailure,
     Frame,
@@ -270,7 +269,7 @@ class RemoteClient:
                 self._discard(connection)
                 last_error = exc
                 continue
-            except (DocumentStoreError, ShardTimeoutError):
+            except DocumentStoreError:
                 self._checkin(connection)
                 raise
             except BaseException:
@@ -406,7 +405,7 @@ class RemoteCollection(CollectionSurface):
                         Opcode.KILL_CURSOR,
                         {**self._namespace(), "cursor_id": cursor_id},
                     )
-                except (DocumentStoreError, ShardTimeoutError, *_TRANSPORT_ERRORS):
+                except (DocumentStoreError, *_TRANSPORT_ERRORS):
                     pass
             if connection.broken:
                 self.client._discard(connection)

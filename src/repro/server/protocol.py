@@ -22,7 +22,7 @@ or :data:`Opcode.ERROR` frame.  ``FIND`` and ``AGGREGATE`` both answer
 cursor-style — a first batch, then ``GET_MORE`` — so no result set has to fit
 one frame.  Error frames carry a structured ``{code, message, details}``
 document that :func:`raise_wire_error` turns back into the proper exception
-class on the client (a :class:`~repro.sharding.executor.ShardTimeoutError` too).
+class on the client.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from ..documentstore.errors import (
     OperationFailure,
 )
 from ..documentstore.findspec import FindSpec
-from ..sharding.executor import ShardTimeoutError
 
 __all__ = [
     "MAGIC",
@@ -235,14 +234,7 @@ def decode_findspec(document: Mapping[str, Any]) -> FindSpec:
 def encode_error(exc: BaseException) -> dict[str, Any]:
     """Return the error-frame payload describing *exc*."""
     details: dict[str, Any] = {}
-    if isinstance(exc, ShardTimeoutError):
-        details = {
-            "purpose": exc.purpose,
-            "shard_ids": list(exc.shard_ids),
-            "completed": list(exc.completed),
-            "deadline_seconds": exc.deadline_seconds,
-        }
-    elif isinstance(exc, DuplicateKeyError):
+    if isinstance(exc, DuplicateKeyError):
         # The key is the tuple of the colliding field values: it travels as
         # an array of wire values and is rebuilt as a tuple.
         key = list(exc.key) if isinstance(exc.key, tuple) else exc.key
@@ -263,13 +255,6 @@ def raise_wire_error(document: Mapping[str, Any]) -> NoReturn:
     code = str(document.get("code") or "OperationFailure")
     message = str(document.get("message") or "server error")
     details = document.get("details") or {}
-    if code == "ShardTimeoutError":
-        raise ShardTimeoutError(
-            str(details.get("purpose", "operation")),
-            [str(s) for s in details.get("shard_ids", [])],
-            [str(s) for s in details.get("completed", [])],
-            float(details.get("deadline_seconds", 0.0)),
-        )
     if code == "DuplicateKeyError":
         key = details.get("key")
         raise DuplicateKeyError(

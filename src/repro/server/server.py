@@ -41,7 +41,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..documentstore.bulk import decode_operation
 from ..documentstore.errors import DocumentStoreError, OperationFailure
-from ..sharding.executor import ShardTimeoutError
 from ..sharding.router import RESPONSE_BATCH_SIZE, QueryRouter
 from .protocol import (
     FLAG_HAS_MORE,
@@ -630,7 +629,7 @@ class _Session(threading.Thread):
                 raise OperationFailure(f"unknown opcode {frame.opcode}")
             payload, flags = handler(frame.document)
             reply = encode_frame(Opcode.REPLY, frame.request_id, payload, flags=flags)
-        except (DocumentStoreError, ShardTimeoutError) as exc:
+        except DocumentStoreError as exc:
             failed = True
             reply = encode_frame(Opcode.ERROR, frame.request_id, encode_error(exc))
         except Exception as exc:  # noqa: BLE001 - the server must not die

@@ -21,11 +21,7 @@ from .chunks import (
 )
 from .cluster import CLUSTER_METADATA_FILE, ShardedCluster
 from .config_server import ConfigServer
-from .executor import (
-    ScatterPolicy,
-    ScatterRunner,
-    ShardTimeoutError,
-)
+from .executor import ScatterRunner
 from .network import NetworkModel, NetworkStats, SimulatedNetwork
 from .planning import (
     ClusterSizingInputs,
@@ -59,11 +55,9 @@ __all__ = [
     "RoutedDatabase",
     "RouterMetrics",
     "SHARDING_OVERHEAD",
-    "ScatterPolicy",
     "ScatterRunner",
     "Shard",
     "ShardKeyPattern",
-    "ShardTimeoutError",
     "ShardedCluster",
     "SimulatedNetwork",
     "decode_boundary",

@@ -125,8 +125,10 @@ class ShardKeyPattern:
         """Return the routing value of *document* under this shard key.
 
         Hashed keys return the hash of the field value; compound keys return a
-        tuple.  A missing shard-key field raises :class:`ShardKeyError`, as the
-        original system refuses such inserts into a sharded collection.
+        tuple.  A missing or array shard-key field raises :class:`ShardKeyError`,
+        as the original system refuses such inserts into a sharded collection:
+        an array would be stored on the chunk of the whole array, where a
+        query for one of its elements is not routed.
         """
         values = []
         for field_path in self.fields:
@@ -135,6 +137,8 @@ class ShardKeyPattern:
                 raise ShardKeyError(
                     f"document is missing shard key field {field_path!r}"
                 )
+            if isinstance(value, list):
+                raise ShardKeyError(f"shard key field {field_path!r} may not be an array")
             values.append(value)
         return self.routing_value(values[0]) if len(values) == 1 else tuple(values)
 

@@ -18,7 +18,6 @@ from ..documentstore.snapshot import atomic_writer
 from .balancer import Balancer
 from .chunks import ChunkManager
 from .config_server import ConfigServer
-from .executor import ScatterPolicy
 from .network import NetworkModel, SimulatedNetwork
 from .router import QueryRouter, RoutedDatabase
 from .shard import Shard
@@ -34,8 +33,7 @@ class ShardedCluster:
 
     The router runs the branches of a fan-out on a worker-thread pool when
     they can overlap, else on the caller's thread (:mod:`repro.sharding.
-    executor`); ``scatter_policy`` sets the per-operation deadline of every
-    routed operation.
+    executor`); a routed operation has no deadline.
 
     With a ``data_dir`` the cluster is durable: each shard keeps its own
     WAL/snapshot generation under ``<data_dir>/<shard_id>/`` (recovered when
@@ -56,7 +54,6 @@ class ShardedCluster:
         *,
         network_model: NetworkModel | None = None,
         name: str = "cluster",
-        scatter_policy: ScatterPolicy | None = None,
         data_dir: str | pathlib.Path | None = None,
         fsync: str = "batch",
     ) -> None:
@@ -77,12 +74,7 @@ class ShardedCluster:
             self.shards.append(shard)
             self.config_server.add_shard(shard.shard_id)
         self._restore_metadata()
-        self.router = QueryRouter(
-            self.config_server,
-            self.shards,
-            self.network,
-            scatter_policy=scatter_policy,
-        )
+        self.router = QueryRouter(self.config_server, self.shards, self.network)
         self.balancer = Balancer(
             self.config_server,
             {shard.shard_id: shard for shard in self.shards},

@@ -10,16 +10,14 @@ every operation a routed collection:
    (*broadcast*, the expensive case called out in Section 4.3);
 2. sends the command to every target shard through the cluster's
    :class:`~repro.sharding.executor.ScatterRunner`, which runs the branches
-   on worker threads only when they can overlap (a deadline, or a realtime
-   network), else on the caller's thread;
+   on worker threads only when they can overlap (a realtime network), else
+   on the caller's thread in target order;
 3. waits for every target's whole answer, then merges them — a k-way merge
    on the sort key, else in target order — (and, for aggregation, runs the
    merge part of the pipeline) before answering the client.  A shard
    reports the size of each document it ships, which it stores.
 
-Every scatter is subject to the router's :class:`ScatterPolicy`: per-shard
-deadlines with cooperative cancellation, raising a structured
-:class:`ShardTimeoutError` — an answer is never merged from a subset of its
+A scatter has no deadline: an answer is never merged from a subset of its
 shards.  Each branch counts its traffic on a private network that the gather
 adds to the shared one, so metric totals are exact, and
 ``RouterMetrics.parallel_shard_seconds`` is each fan-out's observed makespan.
@@ -69,13 +67,7 @@ from ..documentstore.ordering import document_sort_key
 from ..documentstore.update import OperatorUpdate, build_upsert_document, is_update_document
 from .chunks import MAX_KEY, MIN_KEY, Chunk, ChunkManager
 from .config_server import ConfigServer
-from .executor import (
-    BranchReport,
-    FirstMatchClaim,
-    ScatterPolicy,
-    ScatterRunner,
-    ShardTimeoutError,
-)
+from .executor import BranchReport, ScatterRunner
 from .network import SimulatedNetwork
 from .shard import Shard
 
@@ -84,8 +76,6 @@ __all__ = [
     "RoutedDatabase",
     "RoutedCollection",
     "RouterMetrics",
-    "ScatterPolicy",
-    "ShardTimeoutError",
 ]
 
 #: Documents per response batch, shard → router and server → client (the
@@ -140,7 +130,8 @@ class RouterMetrics:
     documents_shipped: int = 0
     #: Serialized bytes of those shard → router result payloads.
     bytes_shipped: int = 0
-    #: Shard branches that missed their scatter deadline.
+    #: Always 0: a scatter has no deadline.  Kept because the benchmark's
+    #: ``sharding.timeouts`` reads this key.
     shards_timed_out: int = 0
 
     def simulated_overhead_seconds(self) -> float:
@@ -157,8 +148,8 @@ class QueryRouter:
     """The ``mongos`` process of the sharded cluster — infrastructure only.
 
     It owns the shards, the config server, the network, the metrics, shard
-    targeting (:meth:`_target_shards`), the scatter/gather machinery and its
-    :class:`ScatterPolicy`.  It has no per-operation methods: ``find``,
+    targeting (:meth:`_target_shards`) and the scatter/gather machinery.
+    It has no per-operation methods: ``find``,
     ``aggregate``, the writes and DDL live on :class:`RoutedCollection`,
     which knows its namespace and drives this machinery.
     """
@@ -169,15 +160,12 @@ class QueryRouter:
         shards: Sequence[Shard],
         network: SimulatedNetwork | None = None,
         name: str = "mongos",
-        *,
-        scatter_policy: ScatterPolicy | None,
     ) -> None:
         self.name = name
         self.config = config_server
         self.network = network or SimulatedNetwork()
         self._shards = {shard.shard_id: shard for shard in shards}
         self.metrics = RouterMetrics()
-        self.scatter_policy = scatter_policy or ScatterPolicy()
         self._runner = ScatterRunner()
         self._metrics_lock = threading.Lock()
         self._thread_state = threading.local()
@@ -250,8 +238,10 @@ class QueryRouter:
         """Derive target shards from the shard-key constraints of *query*.
 
         Returns ``None`` when the query does not constrain the shard key
-        (broadcast).  Only single-field shard keys are analysed, which covers
-        every collection in the reproduction.
+        (broadcast), and no shard when it matches nothing: an empty ``$in``,
+        or ``$gt``/``$lt`` of ``None``, as the planner reads them.  Only
+        single-field shard keys are analysed, which covers every collection
+        in the reproduction.
         """
         if not query:
             return None
@@ -264,6 +254,8 @@ class QueryRouter:
                 return {manager.shard_for_value(condition["$eq"])}
             if "$in" in condition:
                 return manager.shards_for_values(condition["$in"])
+            if any(op in condition and condition[op] is None for op in ("$gt", "$lt")):
+                return set()
             lower = condition.get("$gte", condition.get("$gt"))
             upper = condition.get("$lte", condition.get("$lt"))
             if lower is not None or upper is not None:
@@ -288,6 +280,7 @@ class QueryRouter:
         *,
         ship_results: bool = True,
         targeted: bool = False,
+        in_order: bool = False,
         response_batch_size: int | None = None,
     ) -> dict[str, Any]:
         """Run *shard_operation* on every target at once; returns per-shard results.
@@ -299,8 +292,9 @@ class QueryRouter:
         items, copies the router may keep, and their sizes: a batch is one
         message of their summed size).  All traffic lands on the branch's
         private network; nothing shared is touched until every branch has
-        answered and :meth:`_absorb_outcome` merges them.  Raises
-        :class:`ShardTimeoutError` when a shard misses the deadline.
+        answered and :meth:`_absorb_outcome` merges them.  With *in_order*
+        the branches run one after another in target order, whatever the
+        network, so a branch sees what the ones before it did.
         """
         batch_size = response_batch_size or RESPONSE_BATCH_SIZE
 
@@ -318,15 +312,10 @@ class QueryRouter:
                 shipping_started = time.perf_counter()
                 value, sizes = value if ship_results else (value, None)
                 if ship_results and value:
-                    shipped = 0
                     for start in range(0, len(value), batch_size):
-                        if branch.cancelled.is_set():
-                            break  # the deadline passed: stop shipping
-                        shipped = min(start + batch_size, len(value))
-                        channel.send(f"{purpose}:response", sum(sizes[start:shipped]))
-                    branch.items_shipped = shipped
-                    branch.bytes_shipped = sum(sizes[:shipped])
-                    del value[shipped:]
+                        channel.send(f"{purpose}:response", sum(sizes[start : start + batch_size]))
+                    branch.items_shipped = len(value)
+                    branch.bytes_shipped = sum(sizes)
                 else:
                     channel.ship_command({"ok": 1}, purpose=f"{purpose}:ack")
                 branch.timing.ship_seconds = time.perf_counter() - shipping_started
@@ -336,11 +325,8 @@ class QueryRouter:
 
         started = time.perf_counter()
         reports = self._runner.run(
-            purpose,
             [(shard_id, make_branch(shard_id, size)) for shard_id, size in requests.items()],
-            self.scatter_policy,
-            realtime=self.network.model.realtime,
-            on_timeout=self._count_timeouts,
+            overlap=self.network.model.realtime and not in_order,
         )
         self._absorb_outcome(purpose, reports, started, targeted=targeted)
         return {report.shard_id: report.value for report in reports}
@@ -352,9 +338,8 @@ class QueryRouter:
 
         The branches' private networks are absorbed under the metrics lock,
         so totals are exact even under concurrent client threads.  A scatter
-        that missed its deadline never gets here (:meth:`_count_timeouts`):
-        its traffic and busy time stay on the branches' private networks,
-        mirroring responses the router never read.
+        with a failed branch never gets here: its traffic and busy time stay
+        on the branches' private networks.
         """
         timings: dict[str, dict[str, float]] = {}
         with self._metrics_lock:
@@ -382,10 +367,6 @@ class QueryRouter:
                 "makespanSeconds": makespan,
                 "shards": timings,
             }
-
-    def _count_timeouts(self, late: Sequence[str]) -> None:
-        with self._metrics_lock:
-            self.metrics.shards_timed_out += len(late)
 
     def _account_router_work(self, started: float) -> None:
         with self._metrics_lock:
@@ -692,23 +673,25 @@ class RoutedCollection(CollectionSurface):
     ) -> Any:
         """One fan-out that writes at most one document matching *query*.
 
-        Every target shard probes its slice for a match, under the same hold
-        of its ``op_lock`` as the write.  The first branch to find one claims
-        the operation (a one-shot :class:`FirstMatchClaim`) and runs
-        ``apply(collection, _id)`` there; the other branches then bail out.
-        Returns the winner's result, or ``None`` when no shard matched.
+        Every target gets the request and acks it, one after another in
+        target order.  The first shard whose slice holds a match runs
+        ``apply(collection, _id)`` there, under the same hold of its
+        ``op_lock`` as the probe; the branches after it do nothing else.
+        Returns that shard's result, or ``None`` when no shard matched.
         """
         targets, targeted = self._router._target_shards(*self._namespace, query)
-        claim = FirstMatchClaim()
         namespace = self._namespace
+        winner: str | None = None
 
         def probe_and_apply(shard: Shard) -> Any:
-            if claim.winner is not None:
+            nonlocal winner
+            if winner is not None:
                 return None
             collection = shard.collection(*namespace)
             matched = collection.find_one(query, {"_id": 1})
-            if matched is None or not claim.claim(shard.shard_id):
+            if matched is None:
                 return None
+            winner = shard.shard_id
             return apply(collection, matched["_id"])
 
         per_shard = self._router._scatter(
@@ -717,8 +700,9 @@ class RoutedCollection(CollectionSurface):
             probe_and_apply,
             ship_results=False,
             targeted=targeted,
+            in_order=True,
         )
-        return None if claim.winner is None else per_shard[claim.winner]
+        return None if winner is None else per_shard[winner]
 
     def update_one(
         self,

@@ -87,7 +87,7 @@ class Shard:
         """Run *operation* under the shard's op lock and return its result.
 
         Busy time is not recorded here: the router's gather records it at
-        merge time, so cancelled/timed-out branches leave the accounting
+        merge time, so a scatter with a failed branch leaves the accounting
         untouched.
         """
         with self.op_lock:

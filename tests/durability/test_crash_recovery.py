@@ -253,7 +253,9 @@ class TestShardedClusterRecovery:
 
     #: ``cluster_metadata.json`` of a hashed-key collection holding
     #: :meth:`_hashed_documents`, as written by the commit before the
-    #: single-pass codec, and where that commit placed each ``_id``.
+    #: single-pass codec, and where that commit placed each ``_id``.  That
+    #: commit's file also held six array-keyed documents, which a sharded
+    #: collection now refuses; their counts, sizes and samples are taken out.
     GOLDEN_METADATA = (
         b'{"shards":["shard1","shard2","shard3"],'
         b'"databases":{"db":{"primary":"shard1","partitioned":true}},'
@@ -263,18 +265,16 @@ class TestShardedClusterRecovery:
         b'"size":74,"jumbo":false,"samples":[1514186692415443667,465497631725480761]},'
         b'{"min":3074457345618258602,"max":6148914691236517204,"shard":"shard2","count":1,'
         b'"size":37,"jumbo":false,"samples":[5693347397401503933]},'
-        b'{"min":6148914691236517204,"max":9223372036854775806,"shard":"shard3","count":3,'
-        b'"size":129,"jumbo":false,"samples":[8779506521465039330,6425909857045784868,'
-        b'7524547013035871137]},'
-        b'{"min":9223372036854775806,"max":12297829382473034408,"shard":"shard1","count":1,'
-        b'"size":46,"jumbo":false,"samples":[9332392111358234308]},'
-        b'{"min":12297829382473034408,"max":15372286728091293010,"shard":"shard2","count":3,'
-        b'"size":120,"jumbo":false,"samples":[14524191183824104763,12311330045268819954,'
-        b'15049985934649196602]},'
-        b'{"min":15372286728091293010,"max":{"$maxKey":1},"shard":"shard3","count":2,'
-        b'"size":92,"jumbo":false,"samples":[16062996825802820519,17221646359431366498]}]}}}'
+        b'{"min":6148914691236517204,"max":9223372036854775806,"shard":"shard3","count":1,'
+        b'"size":37,"jumbo":false,"samples":[7524547013035871137]},'
+        b'{"min":9223372036854775806,"max":12297829382473034408,"shard":"shard1","count":0,'
+        b'"size":0,"jumbo":false,"samples":[]},'
+        b'{"min":12297829382473034408,"max":15372286728091293010,"shard":"shard2","count":2,'
+        b'"size":74,"jumbo":false,"samples":[14524191183824104763,15049985934649196602]},'
+        b'{"min":15372286728091293010,"max":{"$maxKey":1},"shard":"shard3","count":0,'
+        b'"size":0,"jumbo":false,"samples":[]}]}}}'
     )
-    GOLDEN_PLACEMENT = {"shard1": [0, 4, 11], "shard2": [2, 6, 7, 10], "shard3": [1, 3, 5, 8, 9]}
+    GOLDEN_PLACEMENT = {"shard1": [0, 4], "shard2": [2, 6, 10], "shard3": [8]}
 
     def test_the_golden_metadata_holds_no_index_entry(self):
         """Chunk tables only: no bare-keys index form for a loader to read."""
@@ -283,10 +283,8 @@ class TestShardedClusterRecovery:
 
     @staticmethod
     def _hashed_documents():
-        # List- and document-valued shard keys hash their *encoded bytes*.
-        return [
-            {"_id": i, "k": [i, "x"]} if i % 2 else {"_id": i, "k": {"a": i}} for i in range(12)
-        ]
+        # Document-valued shard keys hash their *encoded bytes*.
+        return [{"_id": i, "k": {"a": i}} for i in range(0, 12, 2)]
 
     @staticmethod
     def _placement(cluster):

@@ -22,9 +22,9 @@ DOCS = [
 ]
 
 
-def build_served_cluster(**cluster_kwargs) -> ShardedCluster:
+def build_served_cluster() -> ShardedCluster:
     """A 2-shard cluster with the shared order dataset loaded and balanced."""
-    cluster = ShardedCluster(shard_count=2, **cluster_kwargs)
+    cluster = ShardedCluster(shard_count=2)
     cluster.enable_sharding("shop")
     cluster.shard_collection("shop", "orders", {"order_id": "hashed"})
     cluster.get_database("shop")["orders"].insert_many(DOCS)

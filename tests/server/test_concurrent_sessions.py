@@ -1,11 +1,9 @@
-"""Concurrent sessions: racing clients, cursor isolation, deadlines, drains.
+"""Concurrent sessions: racing clients, cursor isolation, drains.
 
 Two clients hammering one server must behave exactly like one client run
 twice: inserts land once, sorted finds see a consistent order, and each
-connection's cursors stream their own results (no cross-talk).  A slow
-shard behind the server surfaces as a structured ``ShardTimeoutError`` on
-the client, and a graceful shutdown delivers in-flight replies before
-closing sessions.
+connection's cursors stream their own results (no cross-talk).  A graceful
+shutdown delivers in-flight replies before closing sessions.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import time
 import pytest
 
 from repro.server import ConnectionFailure, DocumentStoreServer, RemoteClient
-from repro.sharding import ScatterPolicy, ShardTimeoutError
 
 from .conftest import build_served_cluster, slow_down_shard
 
@@ -92,39 +89,6 @@ class TestRacingClients:
             got_odds.append(next(odds)["order_id"])
         assert got_evens == [2 * i for i in range(60)]
         assert got_odds == [2 * i + 1 for i in range(60)]
-
-
-class TestDeadlinesBehindTheServer:
-    def test_slow_shard_surfaces_as_shard_timeout(self):
-        cluster = build_served_cluster(
-            scatter_policy=ScatterPolicy(deadline_seconds=0.15)
-        )
-        try:
-            slow_down_shard(cluster, "shard2", 1.0)
-            with DocumentStoreServer(cluster, port=0) as server:
-                with RemoteClient(server.address) as client:
-                    with pytest.raises(ShardTimeoutError) as excinfo:
-                        client["shop"]["orders"].find({"store": 1}).to_list()
-                    assert "shard2" in excinfo.value.shard_ids
-                    assert excinfo.value.deadline_seconds == pytest.approx(0.15)
-        finally:
-            cluster.close()
-
-    def test_slow_shard_fails_a_two_phase_aggregate_instead_of_shrinking_it(self):
-        cluster = build_served_cluster(
-            scatter_policy=ScatterPolicy(deadline_seconds=0.15)
-        )
-        try:
-            slow_down_shard(cluster, "shard2", 1.0)
-            pipeline = [{"$group": {"_id": "$store", "n": {"$sum": 1}}}]
-            with DocumentStoreServer(cluster, port=0) as server:
-                with RemoteClient(server.address) as client:
-                    with pytest.raises(ShardTimeoutError) as excinfo:
-                        client["shop"]["orders"].aggregate(pipeline)
-                    assert excinfo.value.shard_ids == ["shard2"]
-                    assert cluster.router.metrics.shards_timed_out == 1
-        finally:
-            cluster.close()
 
 
 class TestReconnectAndShutdown:

@@ -25,7 +25,6 @@ from repro.server import (
     recv_frame,
 )
 from repro.server.protocol import FLAG_HAS_MORE, MAGIC, MAX_FRAME_SIZE
-from repro.sharding import ShardTimeoutError
 
 
 class FakeSocket:
@@ -115,14 +114,6 @@ class TestErrors:
         with pytest.raises(DocumentTooLargeError) as excinfo:
             raise_wire_error(payload)
         assert excinfo.value.size == 20_000_000
-
-    def test_shard_timeout_reconstructed(self):
-        original = ShardTimeoutError("find", ["shard2"], ["shard1"], 0.15)
-        with pytest.raises(ShardTimeoutError) as excinfo:
-            raise_wire_error(encode_error(original))
-        assert excinfo.value.shard_ids == ["shard2"]
-        assert excinfo.value.completed == ["shard1"]
-        assert excinfo.value.deadline_seconds == pytest.approx(0.15)
 
     def test_unknown_code_falls_back_to_operation_failure(self):
         with pytest.raises(OperationFailure, match="Mystery"):

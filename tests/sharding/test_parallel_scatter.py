@@ -1,26 +1,20 @@
 """Tests for the concurrent scatter-gather execution core.
 
-Covers the parity matrix (standalone vs parallel-sharded),
-deadline/cancellation behavior with a slow-shard fixture, limit pushdown,
-first-match-wins ``update_one`` and ``delete_one``, and the concurrency stress
-test that pins metric totals under parallel scatter to the sequential baseline.
+Covers the parity matrix (standalone vs parallel-sharded), limit pushdown,
+first-match ``update_one`` and ``delete_one`` (the first target in shard-id
+order writes, whatever the network), and the concurrency stress test that pins
+metric totals under parallel scatter to the sequential baseline.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 
 import pytest
 
 from repro.documentstore import DeleteOne, DocumentStoreClient, DuplicateKeyError
-from repro.sharding import (
-    NetworkModel,
-    ScatterPolicy,
-    ShardedCluster,
-    ShardTimeoutError,
-)
+from repro.sharding import NetworkModel, ShardedCluster
 
 DOCS = [
     {"order_id": i, "amount": float(i % 97), "store": i % 4, "tag": f"t{i % 7}"}
@@ -116,41 +110,6 @@ class TestParityMatrix:
         assert routed.count_documents({}) == standalone.count_documents({})
 
 
-@contextmanager
-def stalled_shard(cluster, shard_id: str):
-    """Hold every storage operation on one shard until the block exits.
-
-    The shard is gated on an event, not slowed by a sleep: it misses any
-    deadline however the scheduler treats the other threads, and the test
-    pays the deadline, not the stall.
-    """
-    release = threading.Event()
-    shard = cluster.shard(shard_id)
-    original = shard.run
-
-    def gated_run(operation, *args, **kwargs):
-        release.wait(timeout=30.0)
-        return original(operation, *args, **kwargs)
-
-    shard.run = gated_run
-    try:
-        yield
-    finally:
-        release.set()
-
-
-def build_cluster_with_deadline(deadline_seconds: float):
-    """A loaded cluster whose *queries* run under a scatter deadline.
-
-    The deadline is set after the load: building the cluster is a dozen
-    fan-outs that the tests below say nothing about, and under a 0.15 s
-    budget a collector pause or a busy runner fails one of them.
-    """
-    cluster = build_cluster()
-    cluster.router.scatter_policy = ScatterPolicy(deadline_seconds=deadline_seconds)
-    return cluster
-
-
 def owning_shard(cluster, order_id: int) -> str:
     """The shard that stores ``order_id`` (its hashed chunk's owner)."""
     return next(
@@ -174,7 +133,7 @@ def record_shard_threads(cluster) -> set[int]:
 
 
 class TestCallerRunsSingleShardScatter:
-    """No deadline and no realtime wait: nothing to overlap, nothing to abandon."""
+    """No realtime wait: nothing to overlap."""
 
     def test_single_shard_operations_run_on_the_calling_thread(self):
         cluster = ShardedCluster(shard_count=3)
@@ -219,21 +178,17 @@ class TestCallerRunsSingleShardScatter:
         finally:
             cluster.close()
 
-        # A deadline or a realtime network gives the pool something to
-        # overlap: a broadcast goes to pool threads (a quick worker may take
-        # more than one branch), never to the caller.
-        for options in (
-            {"scatter_policy": ScatterPolicy(deadline_seconds=30.0)},
-            {"network_model": NetworkModel(latency_seconds=0.0, realtime=True)},
-        ):
-            cluster = build_cluster(**options)
-            try:
-                seen = record_shard_threads(cluster)
-                pool = cluster.router._runner._threads
-                assert cluster.get_database("shop")["orders"].count_documents({"store": 1}) == 60
-                assert seen and seen <= {thread.ident for thread in pool}
-            finally:
-                cluster.close()
+        # A realtime network gives the pool something to overlap: a
+        # broadcast goes to pool threads (a quick worker may take more than
+        # one branch), never to the caller.
+        cluster = build_cluster(network_model=NetworkModel(latency_seconds=0.0, realtime=True))
+        try:
+            seen = record_shard_threads(cluster)
+            pool = cluster.router._runner._threads
+            assert cluster.get_database("shop")["orders"].count_documents({"store": 1}) == 60
+            assert seen and seen <= {thread.ident for thread in pool}
+        finally:
+            cluster.close()
 
     def test_targeted_find_reports_no_queue_wait(self, parallel_cluster):
         orders = parallel_cluster.get_database("shop")["orders"]
@@ -245,87 +200,6 @@ class TestCallerRunsSingleShardScatter:
             waits.append(timing["queueSeconds"])
         # No hand-off: the branch starts within microseconds of its launch.
         assert min(waits) < 5e-6
-
-
-class TestDeadlines:
-    """One shard never answers: the operation fails, naming it, and is counted.
-
-    No answer is ever merged from the shards that did reply.
-    """
-
-    def test_raise_policy_names_the_laggard(self):
-        cluster = build_cluster_with_deadline(0.15)
-        try:
-            orders = cluster.get_database("shop")["orders"]
-            with stalled_shard(cluster, "shard2"), pytest.raises(ShardTimeoutError) as excinfo:
-                orders.count_documents({"store": 1})
-            assert "shard2" in excinfo.value.shard_ids
-            assert excinfo.value.deadline_seconds == pytest.approx(0.15)
-        finally:
-            cluster.close()
-
-    def test_two_phase_aggregate_never_combines_a_subset_of_shards(self):
-        cluster = build_cluster_with_deadline(0.15)
-        try:
-            orders = cluster.get_database("shop")["orders"]
-            with stalled_shard(cluster, "shard2"), pytest.raises(ShardTimeoutError) as excinfo:
-                orders.aggregate(PIPELINE)
-            assert excinfo.value.shard_ids == ["shard2"]
-            metrics = cluster.router.metrics
-            assert metrics.shards_timed_out == 1
-            # The responsive shards' partial groups were never absorbed.
-            assert metrics.operations == 0 and metrics.documents_shipped == 0
-        finally:
-            cluster.close()
-
-    def test_sorted_find_raise_policy(self):
-        cluster = build_cluster_with_deadline(0.15)
-        try:
-            orders = cluster.get_database("shop")["orders"]
-            with stalled_shard(cluster, "shard3"), pytest.raises(ShardTimeoutError) as excinfo:
-                orders.find({}, sort=[("order_id", 1)]).to_list()
-            assert "shard3" in excinfo.value.shard_ids
-            assert cluster.router.metrics.shards_timed_out == 1
-        finally:
-            cluster.close()
-
-    def test_single_target_raise_policy(self):
-        """A deadline sends even a one-shard operation through the pool."""
-        cluster = build_cluster_with_deadline(0.15)
-        try:
-            owner = owning_shard(cluster, 41)
-            orders = cluster.get_database("shop")["orders"]
-            with stalled_shard(cluster, owner):
-                started = time.perf_counter()
-                with pytest.raises(ShardTimeoutError) as excinfo:
-                    orders.count_documents({"order_id": 41})
-                assert time.perf_counter() - started < 0.9  # abandoned, not waited out
-                assert excinfo.value.shard_ids == [owner]
-                assert excinfo.value.completed == []
-                with pytest.raises(ShardTimeoutError):
-                    orders.find({"order_id": 41}).to_list()
-        finally:
-            cluster.close()
-
-    def test_single_target_timeouts_are_counted(self):
-        cluster = build_cluster_with_deadline(0.15)
-        try:
-            owner = owning_shard(cluster, 41)
-            orders = cluster.get_database("shop")["orders"]
-            with stalled_shard(cluster, owner):
-                with pytest.raises(ShardTimeoutError):
-                    orders.count_documents({"order_id": 41})
-                with pytest.raises(ShardTimeoutError):
-                    orders.find({"order_id": 41}).to_list()
-            metrics = cluster.router.metrics
-            assert metrics.shards_timed_out == 2
-            assert metrics.targeted_operations == 0
-        finally:
-            cluster.close()
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            ScatterPolicy(deadline_seconds=-1.0)
 
 
 class TestFindLimitPushdown:
@@ -357,9 +231,9 @@ class TestFirstMatchUpdateOne:
         assert orders.count_documents({"store": 99}) == 1
 
 
-def cluster_sharing_one_id() -> ShardedCluster:
+def cluster_sharing_one_id(**kwargs) -> ShardedCluster:
     """Three shards, each holding one document with ``_id`` 1 (hashed on ``k``)."""
-    cluster = ShardedCluster(shard_count=3)
+    cluster = ShardedCluster(shard_count=3, **kwargs)
     cluster.enable_sharding("shop")
     cluster.shard_collection("shop", "dupes", {"k": "hashed"})
     dupes = cluster.get_database("shop")["dupes"]
@@ -407,6 +281,32 @@ class TestFirstMatchDeleteOne:
             by_purpose = parallel_cluster.network.stats.by_purpose
             assert by_purpose["delete:request"] == by_purpose["delete:ack"] == 3
             assert "find:request" not in by_purpose
+
+
+class TestFirstMatchOnARealtimeNetwork:
+    def test_shard1s_copy_is_the_one_written(self):
+        """The first target in shard-id order writes, even where a realtime
+        network sends other scatters to the pool."""
+        # (purpose, the write's changed count, a filter, its count per shard after)
+        writes = (
+            ("delete", lambda d: d.delete_one({"_id": 1}).deleted_count, {"_id": 1}, [0, 1, 1]),
+            ("update", lambda d: d.update_one({"_id": 1}, {"$set": {"x": 1}}).modified_count,
+             {"x": 1}, [1, 0, 0]),
+        )
+        for purpose, write, probe, counts in writes:
+            cluster = cluster_sharing_one_id(
+                network_model=NetworkModel(latency_seconds=0.0, realtime=True)
+            )
+            try:
+                assert write(cluster.get_database("shop")["dupes"]) == 1
+                assert [
+                    shard.collection("shop", "dupes").count_documents(probe)
+                    for shard in cluster.shards
+                ] == counts
+                by_purpose = cluster.network.stats.by_purpose
+                assert by_purpose[f"{purpose}:request"] == by_purpose[f"{purpose}:ack"] == 3
+            finally:
+                cluster.close()
 
 
 class TestExplainExecutionStats:

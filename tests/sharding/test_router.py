@@ -72,6 +72,32 @@ class TestRoutingDecisions:
         results = events.find({"day": {"$gte": 0, "$lte": 5}}).to_list()
         assert len(results) == 60
 
+    def test_a_none_bound_targets_as_the_planner_reads_it(self):
+        """``$gt``/``$lt`` of ``None`` match nothing and contact no shard;
+        ``$gte``/``$lte`` of ``None`` match a document without the key, which
+        can predate ``shard_collection``, so they keep their targeting."""
+        cluster = ShardedCluster(shard_count=3)
+        standalone = Collection(None, "t")
+        routed = cluster.get_database("db")["t"]
+        for collection in (standalone, routed):
+            collection.insert_one({"_id": "keyless"})
+        cluster.shard_collection("db", "t", {"k": 1}, chunk_size_bytes=200)
+        for collection in (standalone, routed):
+            collection.insert_many([{"_id": i, "k": i} for i in range(60)])
+        cluster.balance()
+        for query, contacted in (
+            ({"k": {"$gt": None}}, 0),
+            ({"k": {"$lt": None}}, 0),
+            ({"k": {"$gte": 3, "$lt": None}}, 0),
+            ({"k": {"$gte": None}}, 3),
+            ({"k": {"$lte": None}}, 3),
+        ):
+            cluster.reset_metrics()
+            assert routed.find(query).to_list() == standalone.find(query).to_list(), query
+            assert cluster.router.metrics.shards_contacted == contacted, query
+        assert routed.find({"k": {"$lte": None}}).to_list() == [{"_id": "keyless"}]
+        cluster.close()
+
     def test_unsharded_collection_lives_on_primary(self, loaded):
         dims = loaded.get_database("shop")["dimensions"]
         dims.insert_many([{"k": i} for i in range(10)])

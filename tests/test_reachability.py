@@ -14,7 +14,7 @@ callable by keyword somewhere.  A function handing its own parameter on
 That check is by name too: an option passes when any call passes a keyword
 of its name, which is how ``ExperimentHarness(seed=)`` went unnoticed while
 another function, ``TPCDSGenerator``, took ``seed=``.  Fields of config
-dataclasses (``NetworkModel``, ``ScatterPolicy``) are not checked.
+dataclasses (``NetworkModel``) are not checked.
 
 Every ``"$name"`` string under ``src/repro/documentstore/`` — the query,
 update, stage, accumulator and expression operators its dispatches accept —
@@ -60,7 +60,6 @@ ALLOWED_OPTIONS = {
     "DocumentStoreServer(write_timeout_seconds=)": "deployment setting",
     "DocumentStoreServer.shutdown(drain_timeout_seconds=)": "deployment setting",
     "ShardedCluster(network_model=)": "for ROADMAP item 2's realtime rung; only tests set it",
-    "ShardedCluster(scatter_policy=)": "the scatter deadline contract; only tests set it",
     "render_bar_chart(unit=)": "the paper suite's Figure 4.11 test passes unit='x'",
     "embed_documents(dimension_filter=)": "paper algorithm: the filter of Figure 4.7, step 1",
     "run_normalized_query(write_output=)": "paper algorithm: the thesis' queries end in $out",

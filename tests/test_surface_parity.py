@@ -26,6 +26,7 @@ from repro.documentstore import (
     InvalidPipelineError,
     InvalidUpdateError,
     OperationFailure,
+    ShardKeyError,
     UpdateMany,
     UpdateOne,
 )
@@ -520,6 +521,65 @@ def test_a_bulk_insert_key_that_is_not_a_string_is_refused_in_its_position(
     assert stored == ([10] if ordered else [10, 12])
     assert excinfo.value.result.inserted_count == len(stored)
     collection.delete_many({"tag": "bulk"})
+
+
+#: Writes of an array shard-key value: the call, the error it raises, and the
+#: documents the call stores beside the refused one.
+ARRAY_KEY_WRITES = {
+    "insert_one": (lambda c: c.insert_one({"_id": 100, "k": [5, 55]}), ShardKeyError, []),
+    "insert_many": (
+        lambda c: c.insert_many([{"_id": 101, "k": 7}, {"_id": 100, "k": [5, 55]}]),
+        ShardKeyError,
+        [],
+    ),
+    "bulk_write": (
+        lambda c: c.bulk_write(
+            [
+                InsertOne({"_id": 101, "k": 7}),
+                InsertOne({"_id": 100, "k": [5, 55]}),
+                InsertOne({"_id": 102, "k": 8}),
+            ],
+            ordered=False,
+        ),
+        BulkWriteError,
+        [{"_id": 101, "k": 7}, {"_id": 102, "k": 8}],
+    ),
+}
+
+
+@pytest.mark.parametrize("call", ARRAY_KEY_WRITES)
+@pytest.mark.parametrize("key", [1, "hashed"])
+@pytest.mark.parametrize("surface", ["routed", "served"])
+def test_an_array_shard_key_value_is_refused(surface, key, call):
+    """A routed insert stored ``{"k": [5, 55]}`` on the chunk of the whole
+    array, so ``find({"k": 5})`` missed it where stand-alone found it.  A
+    sharded collection refuses it, as MongoDB does; its answers are those of
+    a stand-alone collection given the writes the cluster acknowledged."""
+    cluster = ShardedCluster(shard_count=3)
+    cluster.shard_collection("db", "t", {"k": key}, chunk_size_bytes=200)
+    routed = cluster.get_database("db")["t"]
+    reference = Collection(None, "t")
+    rows = [{"_id": i, "k": i} for i in range(60)]
+    for collection in (routed, reference):
+        collection.insert_many([dict(row) for row in rows])
+    cluster.balance()
+    write, error, stored = ARRAY_KEY_WRITES[call]
+    with (
+        DocumentStoreServer(cluster, port=0) as server,
+        RemoteClient(server.address) as client,
+    ):
+        collection = routed if surface == "routed" else client["db"]["t"]
+        with pytest.raises(error) as excinfo:
+            write(collection)
+        if error is BulkWriteError:
+            failed = [(entry["index"], entry["code"]) for entry in excinfo.value.errors]
+            assert failed == [(1, "ShardKeyError")]
+        if stored:
+            reference.insert_many(stored)
+        for query in ({"k": 5}, {"k": 55}, {"k": {"$in": [5, 7, 8]}}, {"_id": 100}, {}):
+            got = sorted(document["_id"] for document in collection.find(query))
+            assert got == sorted(document["_id"] for document in reference.find(query)), query
+    cluster.close()
 
 
 @pytest.mark.parametrize("ordered", [True, False])
